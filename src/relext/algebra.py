@@ -6,11 +6,12 @@ The relation ideal is spanned length by length through the exact recurrence
 
 propagating only the spanning vectors that grew the rank (discarding a
 redundant vector is safe because its arrow multiples lie in the span of the
-retained vectors' multiples).  Every spanning vector enters an exact echelon
-whose pivot is the largest path in (length, arrow declaration order), so
-reduction rewrites long paths into shorter or earlier ones.  Construction
-stops at the first length all of whose paths reduce to zero; admissibility
-guarantees such a length exists, and a cap guards non-admissible input.
+retained vectors' multiples).  Every spanning vector enters an
+exactla.Echelon keyed by paths, whose pivot is the largest path in (length,
+arrow declaration order), so reduction rewrites long paths into shorter or
+earlier ones.  Construction stops at the first length all of whose paths
+reduce to zero; admissibility guarantees such a length exists, and a cap
+guards non-admissible input.
 
 For homogeneous relations (all terms of one relation the same length, the
 only kind the bundled presentations use) the computed basis is provably the
@@ -35,65 +36,6 @@ class NotFiniteDimensionalError(ValueError):
 
 class AlgebraBuildError(ValueError):
     pass
-
-
-class _PathEchelon:
-    """Exact back-substituted echelon over the free span of paths.
-
-    Rows are dicts path -> scalar.  The pivot of a row is its largest path
-    in the (length, arrow declaration order) key; after insertion no row
-    contains another row's pivot, so reduction is canonical.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows = {}  # pivot Path -> row dict, pivot coefficient 1
-
-    @staticmethod
-    def _pivot(vec: dict) -> Path:
-        return max(vec, key=lambda p: p.sort_key())
-
-    def reduce(self, vec: dict) -> dict:
-        """Eliminate every pivot coordinate of vec against the rows."""
-        f = self.field
-        vec = {p: c for p, c in vec.items() if not f.is_zero(c)}
-        while True:
-            hit = None
-            for p in vec:
-                if p in self.rows:
-                    if hit is None or p.sort_key() > hit.sort_key():
-                        hit = p
-            if hit is None:
-                return vec
-            c = vec[hit]
-            for q, x in self.rows[hit].items():
-                nv = f.sub(vec.get(q, f.zero()), f.mul(c, x))
-                if f.is_zero(nv):
-                    vec.pop(q, None)
-                else:
-                    vec[q] = nv
-
-    def insert(self, vec: dict):
-        """Add vec's span; returns the new normalized row, or None."""
-        f = self.field
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        piv = self._pivot(vec)
-        inv = f.inv(vec[piv])
-        vec = {p: f.mul(inv, c) for p, c in vec.items()}
-        # back-substitute so no older row keeps the new pivot coordinate
-        for row in self.rows.values():
-            c = row.get(piv)
-            if c is not None:
-                for q, x in vec.items():
-                    nv = f.sub(row.get(q, f.zero()), f.mul(c, x))
-                    if f.is_zero(nv):
-                        row.pop(q, None)
-                    else:
-                        row[q] = nv
-        self.rows[piv] = vec
-        return vec
 
 
 @dataclass
@@ -169,7 +111,10 @@ class BoundQuiverAlgebra:
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
     _nf_cache: dict
-    _echelon: _PathEchelon
+    _echelon: exactla.Echelon
+    _center: exactla.Subspace | None = None  # set by center()
+    _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
+    _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
 
     # -- elements ----------------------------------------------------------
 
@@ -195,12 +140,6 @@ class BoundQuiverAlgebra:
         coords = [f.zero()] * self.dim
         coords[i] = f.one()
         return AlgebraElement(self, tuple(coords))
-
-    def element_from_path(self, path: Path) -> AlgebraElement:
-        return AlgebraElement(self, self.nf_coords(path))
-
-    def arrow_element(self, name: str) -> AlgebraElement:
-        return self.basis_element(self.arrow_index_in_basis[name])
 
     # -- normal forms ------------------------------------------------------
 
@@ -296,7 +235,7 @@ def build(
         L = max(p.length for p in vec)
         rel_by_len.setdefault(L, []).append(vec)
 
-    ech = _PathEchelon(f)
+    ech = exactla.Echelon(f)
     one = f.one()
 
     # alive[L]: length-L paths whose class is nonzero, in declaration order
@@ -333,7 +272,7 @@ def build(
             for i, a in enumerate(q.arrows):
                 if a.source == p.target:
                     cand = Path(q, None, p.arrows + (i,))
-                    if ech.reduce({cand: one}):
+                    if not ech.contains({cand: one}):
                         nxt.append(cand)
         nxt.sort(key=lambda p: p.arrows)
         alive[L] = nxt
@@ -536,23 +475,23 @@ def ideal_subspace(alg: BoundQuiverAlgebra, arrows) -> exactla.Subspace:
         )
 
 
-def arrow_ideal_dimension(alg: BoundQuiverAlgebra, arrows) -> int:
-    return ideal_subspace(alg, arrows).dim
-
-
 def center(alg: BoundQuiverAlgebra) -> exactla.Subspace:
-    """{z : zb = bz for all b}, the kernel of the stacked commutator maps."""
-    f = alg.field
-    rows = []
-    for j in range(alg.dim):
-        for k in range(alg.dim):
-            rows.append(
-                [
-                    f.sub(alg.mult_coords[i][j][k], alg.mult_coords[j][i][k])
-                    for i in range(alg.dim)
-                ]
-            )
-    return exactla.kernel(exactla.Matrix.from_rows(f, rows))
+    """{z : zb = bz for all b}, the kernel of the stacked commutator maps;
+    computed once per algebra.  It is also the degree 0 Hochschild
+    cohomology of the regular bimodule."""
+    if alg._center is None:
+        f = alg.field
+        rows = []
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                rows.append(
+                    [
+                        f.sub(alg.mult_coords[i][j][k], alg.mult_coords[j][i][k])
+                        for i in range(alg.dim)
+                    ]
+                )
+        alg._center = exactla.kernel(exactla.Matrix.from_rows(f, rows))
+    return alg._center
 
 
 def is_triangular(alg: BoundQuiverAlgebra) -> bool:

@@ -50,6 +50,7 @@ class Bimodule:
     ambient: BoundQuiverAlgebra | None = None
     amb_index: tuple | None = None  # ambient basis index per bimodule basis elt
     embed: tuple | None = None  # ambient basis index per acting basis elt
+    _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
 
     # -- construction ------------------------------------------------------
 
@@ -161,22 +162,6 @@ class Bimodule:
         for i, c in enumerate(vec):
             if not f.is_zero(c):
                 out[self.amb_index[i]] = c
-        return out
-
-    def from_ambient(self, coords):
-        """Coordinates in this span, or None when coords leaves it."""
-        if self.ambient is None:
-            raise ValueError("bimodule has no ambient realization")
-        f = self.field
-        pos = {g: i for i, g in enumerate(self.amb_index)}
-        out = [f.zero()] * self.dim
-        for k, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            j = pos.get(k)
-            if j is None:
-                return None
-            out[j] = c
         return out
 
     # -- verification ------------------------------------------------------
@@ -422,9 +407,9 @@ def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     return acc == total
 
 
-def bimodule_hom_space(m: Bimodule, n: Bimodule) -> Subspace:
-    """Bimodule maps f: M -> N as flattened dim(M) x dim(N) matrices
-    (row convention: coords(f(x)) = x . F)."""
+def _hom_equations(m: Bimodule, n: Bimodule) -> list:
+    """Rows, over the flattened dim(M) x dim(N) unknowns, of the conditions
+    a.f(x) = f(a.x) and f(x).a = f(x.a) for every acting basis element a."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
@@ -448,7 +433,14 @@ def bimodule_hom_space(m: Bimodule, n: Bimodule) -> Subspace:
                         if not f.is_zero(c):
                             row[i * dn + l] = f.sub(row[i * dn + l], c)
                     rows.append(row)
-    return exactla.kernel(Matrix(f, len(rows), total, rows))
+    return rows
+
+
+def bimodule_hom_space(m: Bimodule, n: Bimodule) -> Subspace:
+    """Bimodule maps f: M -> N as flattened dim(M) x dim(N) matrices
+    (row convention: coords(f(x)) = x . F)."""
+    rows = _hom_equations(m, n)
+    return exactla.kernel(Matrix(m.field, len(rows), m.dim * n.dim, rows))
 
 
 def end_enveloping(m: Bimodule) -> int:
@@ -466,24 +458,7 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     dm, dn = m.dim, n.dim
     total = dm * dn
     # the hom conditions followed by the bilinear ones, as one system
-    eq_rows = []
-    for a in range(m.acting.dim):
-        for lm, ln in (
-            (m.left_mats[a], n.left_mats[a]),
-            (m.right_mats[a], n.right_mats[a]),
-        ):
-            for i in range(dm):
-                for j in range(dn):
-                    row = [f.zero()] * total
-                    for k in range(dm):
-                        c = lm.entries[i][k]
-                        if not f.is_zero(c):
-                            row[k * dn + j] = f.add(row[k * dn + j], c)
-                    for l in range(dn):
-                        c = ln.entries[l][j]
-                        if not f.is_zero(c):
-                            row[i * dn + l] = f.sub(row[i * dn + l], c)
-                    eq_rows.append(row)
+    eq_rows = _hom_equations(m, n)
     for i in range(dm):
         gi = m.amb_index[i]
         for j in range(dm):

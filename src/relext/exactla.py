@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over Q or a prime field F_p.
+"""Exact linear algebra over Q or a prime field F_p.
 
 Scalars are plain values (fractions.Fraction for Q, small ints in [0, p) for
-F_p); a Field object supplies the arithmetic.  Everything downstream funnels
-its rank / kernel / solve / intersection questions through this module, so
-all echelon forms here are the canonical reduced row echelon form: two spans
-are equal iff their echelonized bases compare equal.
+F_p); a Field object supplies the arithmetic.  Every rank, kernel, solve,
+span and normal-form question in the package goes through one sparse
+elimination engine, Echelon, whose rows are dicts keyed by any totally
+ordered keys: paths in the algebra builder, cochain indices in the bar
+complex, and negated column indices behind the dense Matrix entry points
+here.  Those entry points return the canonical reduced row echelon form, so
+two spans are equal iff their echelonized bases compare equal.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return a == self.zero()
@@ -192,9 +192,6 @@ class Matrix:
                 raise ValueError("ragged rows")
         return Matrix(field, len(rows), ncols, rows)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.entries])
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.field,
@@ -244,54 +241,122 @@ class Matrix:
         )
 
 
-def _rref_in_place(field: Field, rows: list) -> tuple:
-    """Reduce rows to canonical RREF; returns (rank, pivot_columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find a pivot row at or below r
-        sel = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                sel = i
+class Echelon:
+    """Incremental sparse echelon form over an exact field.
+
+    A row is a dict {key: scalar} without zero entries; keys may be any
+    totally ordered hashable values.  The pivot of a row is its largest key
+    and carries coefficient 1, and no two rows share a pivot.  `insert` and
+    `contains` eliminate only while the leading key is a pivot; `reduce`
+    eliminates every pivot key, which gives the unique normal form of a
+    vector modulo the span; `reduced_rows` back-substitutes once, into the
+    canonical reduced form.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows = {}  # pivot key -> row dict, pivot coefficient 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _subtract(self, vec: dict, key, row: dict):
+        """vec -= vec[key] * row, dropping the entries that cancel."""
+        f = self.field
+        c = vec[key]
+        for k, x in row.items():
+            old = vec.get(k)
+            nv = f.neg(f.mul(c, x)) if old is None else f.sub(old, f.mul(c, x))
+            if f.is_zero(nv):
+                del vec[k]
+            else:
+                vec[k] = nv
+
+    def _reduce_lead(self, vec: dict) -> dict:
+        f = self.field
+        vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
+        rows = self.rows
+        while vec:
+            top = max(vec)
+            row = rows.get(top)
+            if row is None:
                 break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        # normalize pivot to 1
-        inv = field.inv(rows[r][c])
-        if not field.is_zero(field.sub(inv, field.one())):
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        # eliminate everywhere else
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if field.is_zero(factor):
-                continue
-            rowi = rows[i]
-            for j in range(c, ncols):
-                if not field.is_zero(prow[j]):
-                    rowi[j] = field.sub(rowi[j], field.mul(factor, prow[j]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
+            self._subtract(vec, top, row)
+        return vec
+
+    def insert(self, vec: dict):
+        """Add vec to the span; returns the new row, or None when vec
+        already lies in the span."""
+        f = self.field
+        vec = self._reduce_lead(vec)
+        if not vec:
+            return None
+        top = max(vec)
+        lead = vec[top]
+        if not f.is_zero(f.sub(lead, f.one())):
+            inv = f.inv(lead)
+            vec = {k: f.mul(inv, c) for k, c in vec.items()}
+        self.rows[top] = vec
+        return vec
+
+    def contains(self, vec: dict) -> bool:
+        return not self._reduce_lead(vec)
+
+    def reduce(self, vec: dict) -> dict:
+        """Normal form of vec modulo the span: no key of it is a pivot."""
+        f = self.field
+        vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
+        rows = self.rows
+        while True:
+            hits = [k for k in vec if k in rows]
+            if not hits:
+                return vec
+            top = max(hits)
+            self._subtract(vec, top, rows[top])
+
+    def reduced_rows(self) -> list:
+        """The rows in canonical reduced form (no row holds another row's
+        pivot), largest pivot first; the echelon keeps them as its rows."""
+        done = {}
+        for piv in sorted(self.rows):
+            row = dict(self.rows[piv])
+            # earlier rows are reduced and hold no pivot but their own
+            for k in [k for k in row if k != piv and k in done]:
+                self._subtract(row, k, done[k])
+            done[piv] = row
+        self.rows = done
+        return [done[p] for p in sorted(done, reverse=True)]
+
+
+def _column_echelon(field: Field, rows) -> Echelon:
+    """Echelon of dense rows keyed by -column, so the pivot of a row is its
+    leftmost nonzero entry."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert({-j: x for j, x in enumerate(row)})
+    return ech
+
+
+def _dense(field: Field, row: dict, ncols: int) -> list:
+    out = [field.zero()] * ncols
+    for k, x in row.items():
+        out[-k] = x
+    return out
 
 
 def rref(m: Matrix) -> tuple:
     """Canonical reduced row echelon form: (Matrix, rank, pivot_columns)."""
-    work = [row[:] for row in m.entries]
-    rank, pivots = _rref_in_place(m.field, work)
-    return Matrix(m.field, m.rows, m.cols, work), rank, pivots
+    f = m.field
+    rows = _column_echelon(f, m.entries).reduced_rows()
+    pivots = [-max(row) for row in rows]
+    work = [_dense(f, row, m.cols) for row in rows]
+    work += [[f.zero()] * m.cols for _ in range(m.rows - len(rows))]
+    return Matrix(f, m.rows, m.cols, work), len(rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return _column_echelon(m.field, m.entries).rank
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -312,33 +377,20 @@ def kernel(m: Matrix) -> "Subspace":
 
 
 def solve(m: Matrix, rhs: list) -> list | None:
-    """A particular solution of m x = rhs, or None when inconsistent."""
+    """A particular solution of m x = rhs (free variables 0), or None when
+    the system is inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length %d != rows %d" % (len(rhs), m.rows))
     f = m.field
-    work = [row[:] + [rhs[i]] for i, row in enumerate(m.entries)]
-    if m.rows == 0:
-        return [f.zero()] * m.cols
-    _rref_in_place(f, work)
+    # the right-hand side is column m.cols, the smallest key
+    ech = _column_echelon(f, [row + [b] for row, b in zip(m.entries, rhs)])
+    if -m.cols in ech.rows:
+        return None
     sol = [f.zero()] * m.cols
-    for row in work:
-        lead = None
-        for j in range(m.cols):
-            if not f.is_zero(row[j]):
-                lead = j
-                break
-        if lead is None:
-            if not f.is_zero(row[m.cols]):
-                return None
-            continue
-        # free variables stay 0, so x_lead = rhs-part
-        sol[lead] = row[m.cols]
-    # paranoia: verify by substitution
-    if m.mat_vec(sol) != [f.add(x, f.zero()) for x in rhs]:
-        check = m.mat_vec(sol)
-        for a, b in zip(check, rhs):
-            if not f.is_zero(f.sub(a, b)):
-                return None
+    for row in ech.reduced_rows():
+        sol[-max(row)] = row.get(-m.cols, f.zero())
+    if any(not f.is_zero(f.sub(a, b)) for a, b in zip(m.mat_vec(sol), rhs)):
+        raise ArithmeticError("solve: the solution fails substitution")
     return sol
 
 
@@ -359,10 +411,10 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient_dim")
-        if rows:
-            rank_, _ = _rref_in_place(field, rows)
-            rows = rows[:rank_]
-        return Subspace(field, ambient_dim, tuple(tuple(r) for r in rows))
+        rows = _column_echelon(field, rows).reduced_rows()
+        return Subspace(
+            field, ambient_dim, tuple(tuple(_dense(field, r, ambient_dim)) for r in rows)
+        )
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -377,16 +429,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _pivot_map(self) -> dict:
-        f = self.field
-        piv = {}
-        for i, row in enumerate(self.basis):
-            for j, x in enumerate(row):
-                if not f.is_zero(x):
-                    piv[j] = i
-                    break
-        return piv
 
     def reduce(self, v: list) -> list:
         """Residue of v modulo this subspace (zero iff v is contained)."""
@@ -470,6 +512,3 @@ class Subspace:
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     return a.intersect(b)
 
-
-def format_vector(field: Field, v) -> str:
-    return "(" + ", ".join(field.format(x) for x in v) + ")"

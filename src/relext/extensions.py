@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import bimod, exactla, repmod
-from .algebra import BoundQuiverAlgebra, build, quotient_by_arrows
+from .algebra import BoundQuiverAlgebra, build, center, quotient_by_arrows
 from .bimod import Bimodule
 from .exactla import Matrix, Subspace
 from .hochschild import (
@@ -44,36 +44,24 @@ class SplitError(ValueError):
     pass
 
 
-# regular-coefficient cohomology, cached per algebra object
-_reg_cache = {}
-
-
-def _regular(alg):
-    key = id(alg)
-    hit = _reg_cache.get(key)
-    if hit is not None and hit[0] is alg:
-        return hit[1]
-    rec = {"bimodule": bimod.regular_bimodule(alg)}
-    _reg_cache[key] = (alg, rec)
-    return rec
+# -- regular coefficients, cached on the algebra object ------------------------
 
 
 def regular_bimodule_of(alg) -> Bimodule:
-    return _regular(alg)["bimodule"]
+    if alg._regular is None:
+        alg._regular = bimod.regular_bimodule(alg)
+    return alg._regular
 
 
 def regular_h0(alg) -> Subspace:
-    rec = _regular(alg)
-    if "h0" not in rec:
-        rec["h0"] = h0(rec["bimodule"])
-    return rec["h0"]
+    """H0 of the regular bimodule, which is the center of the algebra."""
+    return center(alg)
 
 
 def regular_h1(alg) -> CohomologySpace:
-    rec = _regular(alg)
-    if "h1" not in rec:
-        rec["h1"] = h1(alg, rec["bimodule"])
-    return rec["h1"]
+    if alg._regular_h1 is None:
+        alg._regular_h1 = h1(alg, regular_bimodule_of(alg))
+    return alg._regular_h1
 
 
 # -- split presentations ------------------------------------------------------

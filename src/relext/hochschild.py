@@ -11,7 +11,8 @@ from the full bar complex, b(i+1) acting on Hom(A^tensor i, M) by
                        + (-1)^(i+1) f(...) ci,
 
 whose degree 2 kernel is large enough (dim A squared times dim M rows) that
-it goes through a private sparse echelon instead of the dense routines.
+it goes straight to an exactla.Echelon over integer cochain keys, without
+dense matrices.
 
 Cup products are supported in total degree at most 2 with coefficients in
 the algebra itself, and membership in the image of b2 decides whether a
@@ -202,9 +203,6 @@ class CohomologySpace:
     def is_cocycle(self, vec) -> bool:
         return self.derivations.contains(vec)
 
-    def reduce_mod_inner(self, vec):
-        return self.inner.reduce(list(vec))
-
     def same_class(self, u, v) -> bool:
         f = self.algebra.field
         diff = [f.sub(a, b) for a, b in zip(u, v)]
@@ -253,49 +251,6 @@ def derivation_to_cochain(
 
 
 # -- bar complex oracle -------------------------------------------------------
-
-
-class _SparseEchelon:
-    """Incremental echelon over integer-indexed sparse vectors; supports
-    rank and span membership, which is all the bar side needs."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}  # pivot index -> dict, pivot coefficient 1
-
-    def reduce(self, vec: dict) -> dict:
-        f = self.field
-        vec = {k: v for k, v in vec.items() if not f.is_zero(v)}
-        while vec:
-            top = max(vec)
-            row = self.rows.get(top)
-            if row is None:
-                return vec
-            c = vec[top]
-            for k, x in row.items():
-                nv = f.sub(vec.get(k, f.zero()), f.mul(c, x))
-                if f.is_zero(nv):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        f = self.field
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        top = max(vec)
-        inv = f.inv(vec[top])
-        self.rows[top] = {k: f.mul(inv, v) for k, v in vec.items()}
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(dict(vec))
 
 
 class HochschildCalculator:
@@ -426,7 +381,7 @@ class HochschildCalculator:
 
     def _build_b2(self):
         if self._b2 is None:
-            ech = _SparseEchelon(self.field)
+            ech = exactla.Echelon(self.field)
             f = self.field
             for a in range(self.alg.dim):
                 for t in range(self.m.dim):
@@ -438,7 +393,7 @@ class HochschildCalculator:
     @property
     def b1_rank(self) -> int:
         if self._b1_rank is None:
-            ech = _SparseEchelon(self.field)
+            ech = exactla.Echelon(self.field)
             for i in range(self.m.dim):
                 ech.insert(self.b1_column(i))
             self._b1_rank = ech.rank
@@ -474,16 +429,11 @@ class HochschildCalculator:
         return True
 
 
-_calc_cache = {}
-
-
 def calculator(alg: BoundQuiverAlgebra, m: Bimodule) -> HochschildCalculator:
-    key = (id(alg), id(m))
-    hit = _calc_cache.get(key)
-    if hit is not None and hit.alg is alg and hit.m is m:
-        return hit
-    calc = HochschildCalculator(alg, m)
-    _calc_cache[key] = calc
+    """The bar-complex calculator of (alg, m), built once per bimodule."""
+    calc = m._calculator
+    if calc is None or calc.alg is not alg:
+        calc = m._calculator = HochschildCalculator(alg, m)
     return calc
 
 

@@ -48,9 +48,6 @@ class Quiver:
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
 
-    def arrows_from(self, v: str):
-        return [i for i, a in enumerate(self.arrows) if a.source == v]
-
 
 @dataclass(frozen=True)
 class Path:
@@ -106,6 +103,9 @@ class Path:
 
     def sort_key(self):
         return (len(self.arrows), self.arrows, () if self.vertex is None else (self.quiver.vertex_index[self.vertex],))
+
+    def __lt__(self, other: "Path") -> bool:
+        return self.sort_key() < other.sort_key()
 
     def label(self) -> str:
         if not self.arrows:

@@ -72,14 +72,6 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims[v] for v in self.algebra.quiver.vertices)
 
-    def vertex_offsets(self) -> dict:
-        off = {}
-        run = 0
-        for v in self.algebra.quiver.vertices:
-            off[v] = run
-            run += self.dims[v]
-        return off
-
     def path_matrix(self, path: Path) -> Matrix:
         f = self.algebra.field
         if path.length == 0:
@@ -134,11 +126,6 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         return all(
             exactla.rank(self.mats[v]) == self.target.dims[v] for v in self.mats
-        )
-
-    def is_injective(self) -> bool:
-        return all(
-            exactla.rank(self.mats[v]) == self.source.dims[v] for v in self.mats
         )
 
     def kernel(self):
@@ -384,16 +371,6 @@ class HomSpace:
             ]
             out[v] = _matrix(f, nr, nc, rows)
             pos += nr * nc
-        return out
-
-    def map_from_vector(self, vec) -> ModuleMap:
-        return ModuleMap(self.source, self.target, self.matrices(vec))
-
-    def flatten_map(self, mm: ModuleMap) -> list:
-        out = []
-        for v in self.source.algebra.quiver.vertices:
-            for row in mm.mats[v].entries:
-                out.extend(row)
         return out
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from relext import exactla
@@ -126,3 +127,145 @@ def test_field_from_spec():
         pass
     else:
         raise AssertionError("expected FieldError")
+
+
+# -- dense reference: Gauss-Jordan elimination, leftmost pivot first --------
+
+
+def _reference_rref_in_place(field, rows):
+    """Reduce rows to canonical RREF; returns (rank, pivot_columns).  This is
+    the dense Gauss-Jordan elimination the sparse engine replaced."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        # find a pivot row at or below r
+        sel = None
+        for i in range(r, nrows):
+            if not field.is_zero(rows[i][c]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        # normalize pivot to 1
+        inv = field.inv(rows[r][c])
+        if not field.is_zero(field.sub(inv, field.one())):
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        # eliminate everywhere else
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = rows[i][c]
+            if field.is_zero(factor):
+                continue
+            rowi = rows[i]
+            for j in range(c, ncols):
+                if not field.is_zero(prow[j]):
+                    rowi[j] = field.sub(rowi[j], field.mul(factor, prow[j]))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
+
+
+def _reference_rref(m):
+    work = [row[:] for row in m.entries]
+    rank, pivots = _reference_rref_in_place(m.field, work)
+    return Matrix(m.field, m.rows, m.cols, work), rank, pivots
+
+
+def _reference_span(field, n, vectors):
+    rows = [list(v) for v in vectors]
+    rank = _reference_rref_in_place(field, rows)[0] if rows else 0
+    return tuple(tuple(r) for r in rows[:rank])
+
+
+def _reference_kernel(m):
+    f = m.field
+    red, _, pivots = _reference_rref(m)
+    vectors = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for r_i, pc in enumerate(pivots):
+            v[pc] = f.neg(red.entries[r_i][fc])
+        vectors.append(v)
+    return _reference_span(f, m.cols, vectors)
+
+
+def _reference_solve(m, rhs):
+    f = m.field
+    work = [row[:] + [b] for row, b in zip(m.entries, rhs)]
+    _, pivots = _reference_rref_in_place(f, work) if work else (0, [])
+    if m.cols in pivots:
+        return None
+    sol = [f.zero()] * m.cols
+    for r_i, pc in enumerate(pivots):
+        sol[pc] = work[r_i][m.cols]
+    return sol
+
+
+F7 = PrimeField(7)
+
+
+def field_matrices(max_side=5):
+    """(field, matrix, rhs) over Q or F_7, biased towards rank deficiency."""
+    q_entries = st.sampled_from([Fraction(0)] * 3 + [Fraction(x, d) for x in (-2, -1, 1, 3) for d in (1, 2)])
+    p_entries = st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, 6])
+
+    def build(args):
+        field, entries, rows, cols = args
+        mat = st.lists(
+            st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+        return st.tuples(
+            st.just(field),
+            mat.map(lambda r: Matrix(field, rows, cols, r)),
+            st.lists(entries, min_size=rows, max_size=rows),
+        )
+
+    return st.tuples(
+        st.sampled_from([(QQ, q_entries), (F7, p_entries)]),
+        st.integers(0, max_side),
+        st.integers(0, max_side),
+    ).flatmap(lambda a: build((a[0][0], a[0][1], a[1], a[2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_sparse_engine_matches_dense_reference(fmr):
+    field, m, rhs = fmr
+    assert exactla.rref(m) == _reference_rref(m)
+    assert exactla.rank(m) == _reference_rref(m)[1]
+    assert exactla.kernel(m).basis == _reference_kernel(m)
+    assert exactla.solve(m, rhs) == _reference_solve(m, rhs)
+    assert Subspace.from_vectors(field, m.cols, m.entries).basis == _reference_span(
+        field, m.cols, m.entries
+    )
+
+
+def test_solve_raises_when_substitution_fails(monkeypatch):
+    m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)]])
+    assert exactla.solve(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]
+    monkeypatch.setattr(Matrix, "mat_vec", lambda self, v: [Fraction(0)] * self.rows)
+    with pytest.raises(ArithmeticError):
+        exactla.solve(m, [Fraction(3)])
+
+
+def test_echelon_normal_form_and_reduced_rows():
+    q = Fraction
+    ech = exactla.Echelon(QQ)
+    assert ech.insert({3: q(2), 2: q(2)}) == {3: 1, 2: 1}
+    # only the leading key is eliminated, so the row keeps key 2 until asked
+    assert ech.insert({3: q(1), 1: q(1)}) == {2: 1, 1: -1}
+    assert ech.insert({2: q(5), 1: q(-5)}) is None
+    assert ech.rank == 2
+    assert ech.contains({3: q(1), 1: q(1)})
+    assert not ech.contains({1: q(1)})
+    # the normal form holds no pivot key
+    assert ech.reduce({3: q(1), 0: q(4)}) == {1: -1, 0: 4}
+    assert ech.reduced_rows() == [{3: 1, 1: 1}, {2: 1, 1: -1}]

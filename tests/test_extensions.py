@@ -1,9 +1,12 @@
 """Split presentations, cohomology projections, derivation lifts, the
 four-identity verifier, and the extension poset."""
 
+import gc
+import weakref
+
 import pytest
 
-from relext import exactla, extensions, qdsl
+from relext import exactla, extensions, hochschild, qdsl
 from relext.algebra import build
 from relext.exactla import Matrix
 from relext.extensions import (
@@ -312,3 +315,19 @@ def test_poset_node_index(posets):
     assert po.node_index(("eps",)) == 1
     with pytest.raises(KeyError):
         po.node_index(("zzz",))
+
+
+def test_cohomology_caches_die_with_the_algebra(files):
+    """Cached regular cohomology and bar-complex calculators live on the
+    algebra and bimodule objects, so nothing pins them once dropped."""
+    alg = build(files["ex2"].block("Ctilde"))
+    m = extensions.regular_bimodule_of(alg)
+    assert extensions.regular_bimodule_of(alg) is m
+    assert extensions.regular_h0(alg).dim == 3
+    assert extensions.regular_h1(alg) is extensions.regular_h1(alg)
+    assert hochschild.bar_h(alg, m, 1) == 3
+    assert hochschild.calculator(alg, m) is hochschild.calculator(alg, m)
+    refs = [weakref.ref(alg), weakref.ref(m)]
+    del alg, m
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -5,7 +5,7 @@ import pytest
 
 from relext import bimod, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import Matrix, QQ
+from relext.exactla import Matrix, PrimeField, QQ
 from relext.hochschild import (
     calculator,
     cup01,
@@ -197,3 +197,33 @@ def test_coboundaries_are_coboundaries(algebras):
         for t in range(0, m.dim, 4):
             img = calc.b2_apply({calc.c1_key(a, t): f.one()})
             assert calc.is_coboundary(img)
+
+
+def _chain_text(k: int) -> str:
+    """The type-A chain 1 -> ... -> 2k+1 with zero relations a(2j+1).a(2j+2),
+    and its relation extension by arrows e(j+1): 2j+3 -> 2j+1."""
+    verts = "vertices " + " ".join(str(i) for i in range(1, 2 * k + 2))
+    arrows = ["arrow a%d %d %d" % (i, i, i + 1) for i in range(1, 2 * k + 1)]
+    rels = ["rel a%d.a%d" % (2 * j + 1, 2 * j + 2) for j in range(k)]
+    news = ["arrow e%d %d %d" % (j + 1, 2 * j + 3, 2 * j + 1) for j in range(k)]
+    ext = []
+    for j in range(k):
+        ext += ["rel a%d.e%d" % (2 * j + 2, j + 1), "rel e%d.a%d" % (j + 1, 2 * j + 1)]
+        if j:
+            ext.append("rel e%d.e%d" % (j + 1, j))
+    new = "new " + " ".join("e%d" % (j + 1) for j in range(k))
+    base = ["algebra C", verts] + arrows + rels + ["end"]
+    full = ["algebra Ctilde", "extension_of C", verts] + arrows + news + [new]
+    return "\n".join(base + full + rels + ext + ["end", ""])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_center_is_regular_h0(files, field):
+    """The center and H0 of the regular bimodule are one subspace, equal as
+    canonical bases, not only in dimension."""
+    blocks = [b for n in sorted(files) for b in files[n].blocks]
+    for k in (3, 5):
+        blocks += qdsl.parse(_chain_text(k)).blocks
+    for blk in blocks:
+        alg = build(blk, field=field)
+        assert center(alg) == h0(bimod.regular_bimodule(alg)), blk.name
