@@ -26,11 +26,11 @@ from .bimod import (
 from .hochschild import CohomologySpace, bar_h, cup_product, h0, h1, is_coboundary
 from .extensions import (
     ExtensionPoset,
+    Family,
     LiftWitness,
     SplitError,
     SplitPresentation,
     TheoremReport,
-    build_split,
     hochschild_projection,
     lift_derivation,
     poset,
@@ -80,11 +80,11 @@ __all__ = [
     "h1",
     "is_coboundary",
     "ExtensionPoset",
+    "Family",
     "LiftWitness",
     "SplitError",
     "SplitPresentation",
     "TheoremReport",
-    "build_split",
     "hochschild_projection",
     "lift_derivation",
     "poset",

@@ -28,7 +28,7 @@ import json
 import sys
 
 from . import bimod, exactla, extensions, hochschild, qdsl, repmod
-from .algebra import build, is_triangular
+from .algebra import build, center, is_triangular
 
 
 class InputError(Exception):
@@ -134,7 +134,7 @@ def _run_info(args):
         "zero_length": alg.zero_length,
         "triangular": is_triangular(alg),
         "gldim_le_2": repmod.gldim_at_most(alg, 2),
-        "center_dim": extensions.regular_h0(alg).dim,
+        "center_dim": center(alg).dim,
     }
     lines = [
         "algebra %s over %s" % (block.name, alg.field.name),
@@ -276,13 +276,7 @@ def _run_hcoh(args):
 # -- verb: verify -------------------------------------------------------------
 
 
-def _split_arg(tilde_block, spec):
-    if spec is None:
-        return tuple(tilde_block.new_arrows)
-    return tuple(s for s in (part.strip() for part in spec.split(",")) if s)
-
-
-def _run_verify(args):
+def _family(args) -> "extensions.Family":
     pf = _read_file(args.file)
     base_block = _get_block(pf, args.base)
     tilde_block = _get_block(pf, args.tilde)
@@ -290,21 +284,32 @@ def _run_verify(args):
         raise InputError(
             "algebra %s declares no new arrows to split" % tilde_block.name
         )
-    subset = _split_arg(tilde_block, args.split)
-    report = extensions.verify_theorem(
-        base_block, tilde_block, subset, field=_field_override(args.field)
+    return extensions.Family(
+        base_block, tilde_block, field=_field_override(args.field)
     )
+
+
+def _split_arg(fam, spec):
+    if spec is None:
+        return fam.new_arrows
+    return tuple(s for s in (part.strip() for part in spec.split(",")) if s)
+
+
+def _run_verify(args):
+    fam = _family(args)
+    subset = _split_arg(fam, args.split)
+    report = fam.verify(subset)
     d = report.to_dict()
     payload = {
         "command": "verify",
-        "base": base_block.name,
-        "tilde": tilde_block.name,
+        "base": fam.base.block.name,
+        "tilde": fam.full.block.name,
     }
     payload.update(d)
 
     lines = [
         "family %s -> partial(%s) -> %s over %s"
-        % (base_block.name, ", ".join(subset), tilde_block.name, d["field"]),
+        % (fam.base.block.name, ", ".join(subset), fam.full.block.name, d["field"]),
         "dimensions:",
         "  HH^0: C=%d B=%d Ctilde=%d" % (d["hh0_C"], d["hh0_B"], d["hh0_Ctilde"]),
         "  HH^1: C=%d B=%d Ctilde=%d" % (d["hh1_C"], d["hh1_B"], d["hh1_Ctilde"]),
@@ -382,21 +387,13 @@ def _run_verify(args):
 
 
 def _run_poset(args):
-    pf = _read_file(args.file)
-    base_block = _get_block(pf, args.base)
-    tilde_block = _get_block(pf, args.tilde)
-    if not tilde_block.new_arrows:
-        raise InputError(
-            "algebra %s declares no new arrows to split" % tilde_block.name
-        )
-    field = _field_override(args.field)
-    po = extensions.poset(base_block, tilde_block, field=field)
-    d = po.to_dict()
-    field_name = (field or exactla.field_from_spec(base_block.field_spec)).name
+    fam = _family(args)
+    d = fam.poset().to_dict()
+    field_name = fam.base.field.name
     payload = {
         "command": "poset",
-        "base": base_block.name,
-        "tilde": tilde_block.name,
+        "base": fam.base.block.name,
+        "tilde": fam.full.block.name,
         "field": field_name,
     }
     payload.update(d)
@@ -405,7 +402,7 @@ def _run_poset(args):
         and d["surjective"]
         and d["triangles_commute"]
         and d["minimum"] == []
-        and set(d["maximum"]) == set(tilde_block.new_arrows)
+        and set(d["maximum"]) == set(fam.new_arrows)
     )
 
     def fmt_arrows(arrows):
@@ -413,7 +410,7 @@ def _run_poset(args):
 
     lines = [
         "poset of partial extensions %s -> %s over %s"
-        % (base_block.name, tilde_block.name, field_name)
+        % (fam.base.block.name, fam.full.block.name, field_name)
     ]
     for n in d["nodes"]:
         lines.append("  node %-16s dim HH^1 = %d" % (fmt_arrows(n["arrows"]), n["dim_hh1"]))

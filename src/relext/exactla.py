@@ -420,12 +420,6 @@ class Subspace:
     def zero(field: Field, ambient_dim: int) -> "Subspace":
         return Subspace(field, ambient_dim, ())
 
-    @staticmethod
-    def full(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(
-            field, ambient_dim, Matrix.identity(field, ambient_dim).entries
-        )
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -23,7 +23,7 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import bimod, exactla, repmod
@@ -51,11 +51,6 @@ def regular_bimodule_of(alg) -> Bimodule:
     if alg._regular is None:
         alg._regular = bimod.regular_bimodule(alg)
     return alg._regular
-
-
-def regular_h0(alg) -> Subspace:
-    """H0 of the regular bimodule, which is the center of the algebra."""
-    return center(alg)
 
 
 def regular_h1(alg) -> CohomologySpace:
@@ -180,55 +175,6 @@ def split_presentation(
     )
 
 
-def _check_family(base_alg, full_alg, all_new):
-    """Gates shared by every construction over the same (base, full) pair."""
-    reduced = quotient_by_arrows(full_alg, all_new)
-    if reduced.dim != base_alg.dim or [p.label() for p in reduced.basis] != [
-        p.label() for p in base_alg.basis
-    ]:
-        raise SplitError(
-            "the full extension does not reduce to the declared base algebra"
-        )
-    ext_dim = repmod.ext2_dimension(base_alg)
-    if ext_dim != full_alg.dim - base_alg.dim:
-        raise SplitError(
-            "extension ideal dimension %d does not match the expected %d"
-            % (full_alg.dim - base_alg.dim, ext_dim)
-        )
-
-
-def _check_subset_split(full_alg, subset, complement):
-    parts = [list(part) for part in (subset, complement) if part]
-    if parts and not bimod.direct_sum_check(full_alg, parts):
-        raise SplitError("the chosen arrow subset does not split the ideal")
-
-
-def _subset_complement(full_block, subset):
-    all_new = tuple(full_block.new_arrows)
-    for n in subset:
-        if n not in all_new:
-            raise SplitError("%s is not one of the declared new arrows" % n)
-    return all_new, tuple(n for n in all_new if n not in subset)
-
-
-def build_split(
-    base_block: AlgebraBlock,
-    full_block: AlgebraBlock,
-    subset,
-    field=None,
-) -> SplitPresentation:
-    """Presentation, over the declared base, of the partial extension cut
-    out by `subset` of the full extension's new arrows."""
-    subset = tuple(subset)
-    base_alg = build(base_block, field=field)
-    full_alg = build(full_block, field=field)
-    all_new, complement = _subset_complement(full_block, subset)
-    _check_family(base_alg, full_alg, all_new)
-    _check_subset_split(full_alg, subset, complement)
-    partial = quotient_by_arrows(full_alg, complement) if complement else full_alg
-    return split_presentation(base_alg, partial, subset)
-
-
 # -- cohomology projections ---------------------------------------------------
 
 
@@ -298,8 +244,8 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> Matrix:
     indexed by the class basis of the total algebra, rows by the base's."""
     f = sp.field
     if degree == 0:
-        src = regular_h0(sp.total)
-        tgt = regular_h0(sp.base)
+        src = center(sp.total)
+        tgt = center(sp.base)
         cols = []
         for z in src.basis:
             pz = sp.project_coords(list(z))
@@ -659,115 +605,6 @@ def _center_flags(zb: Subspace, esec: Bimodule, stationary: set):
     return annihilates, symmetric, positive
 
 
-def verify_theorem(
-    base_block: AlgebraBlock,
-    full_block: AlgebraBlock,
-    subset,
-    field=None,
-) -> TheoremReport:
-    subset = tuple(subset)
-    c_alg = build(base_block, field=field)
-    ct_alg = build(full_block, field=field)
-    all_new, complement = _subset_complement(full_block, subset)
-    _check_family(c_alg, ct_alg, all_new)
-    _check_subset_split(ct_alg, subset, complement)
-    b_alg = quotient_by_arrows(ct_alg, complement) if complement else ct_alg
-
-    sp_cb = split_presentation(c_alg, b_alg, subset)
-    sp_bct = split_presentation(b_alg, ct_alg, complement)
-    sp_cct = split_presentation(c_alg, ct_alg, all_new)
-
-    eprime_b = sp_cb.ext
-    eprime_c = sp_cb.ext_over_base
-    esec_ct = sp_bct.ext
-    esec_b = sp_bct.ext_over_base
-    e_ct = sp_cct.ext
-    e_c = sp_cct.ext_over_base
-
-    h1_b_eprime = h1(b_alg, eprime_b)
-    h1_ct_esec = h1(ct_alg, esec_ct)
-
-    base_inside_b = bimod.base_sub_bimodule(
-        b_alg, subset, acting=c_alg, embed=sp_cb.section
-    )
-    b_inside_ct = bimod.base_sub_bimodule(
-        ct_alg, complement, acting=b_alg, embed=sp_bct.section
-    )
-
-    phi0_bc = hochschild_projection(sp_cb, 0)
-    phi1_bc = hochschild_projection(sp_cb, 1)
-    phi0_ctb = hochschild_projection(sp_bct, 0)
-    phi1_ctb = hochschild_projection(sp_bct, 1)
-
-    # the degree 0 kernel must literally be (ideal span) intersect (center)
-    zb = regular_h0(b_alg)
-    f = c_alg.field
-    coeff_kernel = exactla.kernel(phi0_bc)
-    k1_vecs = []
-    for lam in coeff_kernel.basis:
-        vec = [f.zero()] * b_alg.dim
-        for r, c in enumerate(lam):
-            if f.is_zero(c):
-                continue
-            for t, zc in enumerate(zb.basis[r]):
-                vec[t] = f.add(vec[t], f.mul(c, zc))
-        k1_vecs.append(vec)
-    k1 = Subspace.from_vectors(f, b_alg.dim, k1_vecs)
-    ideal_units = []
-    for g in eprime_b.amb_index:
-        u = [f.zero()] * b_alg.dim
-        u[g] = f.one()
-        ideal_units.append(u)
-    ideal_span = Subspace.from_vectors(f, b_alg.dim, ideal_units)
-    k2 = exactla.intersect(zb, ideal_span)
-    kernel_deg0_matches = k1 == k2
-
-    stationary_b = {b_alg.idem_index[v] for v in b_alg.quiver.vertices}
-    center_flags = _center_flags(zb, esec_b, stationary_b)
-
-    lifts_ok = True
-    for d in regular_h1(c_alg).derivations.basis:
-        if not lift_derivation(sp_cct, list(d)).ok:
-            lifts_ok = False
-        if not lift_derivation(sp_cb, list(d)).ok:
-            lifts_ok = False
-
-    return TheoremReport(
-        field_name=repr(c_alg.field),
-        subset=subset,
-        hh0_C=regular_h0(c_alg).dim,
-        hh0_B=zb.dim,
-        hh0_Ctilde=regular_h0(ct_alg).dim,
-        hh1_C=regular_h1(c_alg).dim,
-        hh1_B=regular_h1(b_alg).dim,
-        hh1_Ctilde=regular_h1(ct_alg).dim,
-        h0_B_Eprime=h0(eprime_b).dim,
-        h0_Ct_Esec=h0(esec_ct).dim,
-        h1_C_Eprime=h1(c_alg, eprime_c).dim,
-        h1_B_Eprime=h1_b_eprime.dim,
-        h1_Ct_Esec=h1_ct_esec.dim,
-        h1_B_Esec=h1(b_alg, esec_b).dim,
-        h1_Ct_E=h1(ct_alg, e_ct).dim,
-        end_Ce_Eprime=bimod.end_enveloping(eprime_c),
-        end_Be_Esec=bimod.end_enveloping(esec_b),
-        curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, base_inside_b),
-        curlyE_Esec_B=bimod.curly_E_dimension(esec_b, b_inside_ct),
-        phi0_rank_BC=exactla.rank(phi0_bc),
-        phi1_rank_BC=exactla.rank(phi1_bc),
-        phi0_rank_CtB=exactla.rank(phi0_ctb),
-        phi1_rank_CtB=exactla.rank(phi1_ctb),
-        kernel_deg0_matches=kernel_deg0_matches,
-        ideal_classes_embed=_ideal_classes_embed(b_alg, eprime_b, h1_b_eprime, sp_cb),
-        ideal_classes_embed_tilde=_ideal_classes_embed(
-            ct_alg, esec_ct, h1_ct_esec, sp_bct
-        ),
-        center_annihilates_complement=center_flags[0],
-        center_symmetric_on_complement=center_flags[1],
-        center_positive_part_annihilates=center_flags[2],
-        lifts_ok=lifts_ok,
-    )
-
-
 # -- the poset of partial extensions -------------------------------------------
 
 
@@ -833,69 +670,224 @@ class ExtensionPoset:
         }
 
 
+
+
+# -- the family C < B_S < Ctilde -----------------------------------------------
+
+
+class Family:
+    """The tower C < B_S < Ctilde of one relation extension: the base C, the
+    full extension Ctilde, and the partial extension B_S for every subset S
+    of Ctilde's new arrows that splits the ideal.
+
+    The family gates run once, here: Ctilde modulo all new arrows must be
+    C (same basis labels and structure constants), and the new-arrow ideal
+    must have the dimension of Ext^2 of C.  Partial extensions are cached
+    per subset; split presentations are not, so their bimodules die with
+    the caller's use of them.
+    """
+
+    def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
+        self.base = build(base_block, field=field)
+        self.full = build(full_block, field=field)
+        self.new_arrows = tuple(full_block.new_arrows)
+        reduced = quotient_by_arrows(self.full, self.new_arrows)
+        if [p.label() for p in reduced.basis] != [
+            p.label() for p in self.base.basis
+        ] or reduced.mult_coords != self.base.mult_coords:
+            raise SplitError(
+                "the full extension does not reduce to the declared base algebra"
+            )
+        ext_dim = repmod.ext2_dimension(self.base)
+        if ext_dim != self.full.dim - self.base.dim:
+            raise SplitError(
+                "extension ideal dimension %d does not match the expected %d"
+                % (self.full.dim - self.base.dim, ext_dim)
+            )
+        self._partials = {self.new_arrows: self.full, (): self.base}
+
+    def partial(self, subset) -> BoundQuiverAlgebra:
+        """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
+        and of its complement are checked to split the new-arrow ideal."""
+        for n in subset:
+            if n not in self.new_arrows:
+                raise SplitError("%s is not one of the declared new arrows" % n)
+        key = tuple(n for n in self.new_arrows if n in subset)
+        alg = self._partials.get(key)
+        if alg is None:
+            complement = tuple(n for n in self.new_arrows if n not in key)
+            if not bimod.direct_sum_check(self.full, [key, complement]):
+                raise SplitError("the chosen arrow subset does not split the ideal")
+            alg = self._partials[key] = quotient_by_arrows(self.full, complement)
+        return alg
+
+    def split(self, lower, upper) -> SplitPresentation:
+        """B_upper over B_lower; the new arrows keep the order of `upper`."""
+        extra = tuple(n for n in upper if n not in lower)
+        return split_presentation(self.partial(lower), self.partial(upper), extra)
+
+    def verify(self, subset) -> TheoremReport:
+        """The four identities and their map-level checks for C < B_S < Ctilde."""
+        subset = tuple(subset)
+        c_alg = self.base
+        b_alg = self.partial(subset)
+        ct_alg = self.full
+
+        sp_cb = self.split((), subset)
+        sp_bct = self.split(subset, self.new_arrows)
+        sp_cct = self.split((), self.new_arrows)
+
+        eprime_b = sp_cb.ext
+        eprime_c = sp_cb.ext_over_base
+        esec_ct = sp_bct.ext
+        esec_b = sp_bct.ext_over_base
+        e_ct = sp_cct.ext
+        e_c = sp_cct.ext_over_base
+
+        h1_b_eprime = h1(b_alg, eprime_b)
+        h1_ct_esec = h1(ct_alg, esec_ct)
+
+        base_inside_b = bimod.base_sub_bimodule(
+            b_alg, subset, acting=c_alg, embed=sp_cb.section
+        )
+        b_inside_ct = bimod.base_sub_bimodule(
+            ct_alg, sp_bct.new_arrows, acting=b_alg, embed=sp_bct.section
+        )
+
+        phi0_bc = hochschild_projection(sp_cb, 0)
+        phi1_bc = hochschild_projection(sp_cb, 1)
+        phi0_ctb = hochschild_projection(sp_bct, 0)
+        phi1_ctb = hochschild_projection(sp_bct, 1)
+
+        # the degree 0 kernel must literally be (ideal span) intersect (center)
+        zb = center(b_alg)
+        f = c_alg.field
+        coeff_kernel = exactla.kernel(phi0_bc)
+        k1_vecs = []
+        for lam in coeff_kernel.basis:
+            vec = [f.zero()] * b_alg.dim
+            for r, c in enumerate(lam):
+                if f.is_zero(c):
+                    continue
+                for t, zc in enumerate(zb.basis[r]):
+                    vec[t] = f.add(vec[t], f.mul(c, zc))
+            k1_vecs.append(vec)
+        k1 = Subspace.from_vectors(f, b_alg.dim, k1_vecs)
+        ideal_units = []
+        for g in eprime_b.amb_index:
+            u = [f.zero()] * b_alg.dim
+            u[g] = f.one()
+            ideal_units.append(u)
+        ideal_span = Subspace.from_vectors(f, b_alg.dim, ideal_units)
+        k2 = exactla.intersect(zb, ideal_span)
+        kernel_deg0_matches = k1 == k2
+
+        stationary_b = {b_alg.idem_index[v] for v in b_alg.quiver.vertices}
+        center_flags = _center_flags(zb, esec_b, stationary_b)
+
+        lifts_ok = True
+        for d in regular_h1(c_alg).derivations.basis:
+            if not lift_derivation(sp_cct, list(d)).ok:
+                lifts_ok = False
+            if not lift_derivation(sp_cb, list(d)).ok:
+                lifts_ok = False
+
+        return TheoremReport(
+            field_name=repr(c_alg.field),
+            subset=subset,
+            hh0_C=center(c_alg).dim,
+            hh0_B=zb.dim,
+            hh0_Ctilde=center(ct_alg).dim,
+            hh1_C=regular_h1(c_alg).dim,
+            hh1_B=regular_h1(b_alg).dim,
+            hh1_Ctilde=regular_h1(ct_alg).dim,
+            h0_B_Eprime=h0(eprime_b).dim,
+            h0_Ct_Esec=h0(esec_ct).dim,
+            h1_C_Eprime=h1(c_alg, eprime_c).dim,
+            h1_B_Eprime=h1_b_eprime.dim,
+            h1_Ct_Esec=h1_ct_esec.dim,
+            h1_B_Esec=h1(b_alg, esec_b).dim,
+            h1_Ct_E=h1(ct_alg, e_ct).dim,
+            end_Ce_Eprime=bimod.end_enveloping(eprime_c),
+            end_Be_Esec=bimod.end_enveloping(esec_b),
+            curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, base_inside_b),
+            curlyE_Esec_B=bimod.curly_E_dimension(esec_b, b_inside_ct),
+            phi0_rank_BC=exactla.rank(phi0_bc),
+            phi1_rank_BC=exactla.rank(phi1_bc),
+            phi0_rank_CtB=exactla.rank(phi0_ctb),
+            phi1_rank_CtB=exactla.rank(phi1_ctb),
+            kernel_deg0_matches=kernel_deg0_matches,
+            ideal_classes_embed=_ideal_classes_embed(
+                b_alg, eprime_b, h1_b_eprime, sp_cb
+            ),
+            ideal_classes_embed_tilde=_ideal_classes_embed(
+                ct_alg, esec_ct, h1_ct_esec, sp_bct
+            ),
+            center_annihilates_complement=center_flags[0],
+            center_symmetric_on_complement=center_flags[1],
+            center_positive_part_annihilates=center_flags[2],
+            lifts_ok=lifts_ok,
+        )
+
+    def poset(self) -> ExtensionPoset:
+        """All valid arrow subsets ordered by inclusion, each carrying its
+        degree 1 cohomology dimension; Hasse edges carry the projection map."""
+        nodes = []
+        by_arrows = {}
+        for r in range(len(self.new_arrows) + 1):
+            for combo in combinations(self.new_arrows, r):
+                try:
+                    alg = self.partial(combo)
+                except SplitError:
+                    continue
+                by_arrows[combo] = len(nodes)
+                nodes.append(
+                    PosetNode(arrows=combo, algebra=alg, dim_hh1=regular_h1(alg).dim)
+                )
+
+        edges = []
+        proj_mats = {}
+        for (t_arr, ti) in by_arrows.items():
+            for (s_arr, si) in by_arrows.items():
+                if set(t_arr) < set(s_arr):
+                    mat = hochschild_projection(self.split(t_arr, s_arr), 1)
+                    proj_mats[(si, ti)] = mat
+                    if len(s_arr) == len(t_arr) + 1:
+                        rank = exactla.rank(mat)
+                        edges.append(
+                            PosetEdge(
+                                lower=ti,
+                                upper=si,
+                                phi_rank=rank,
+                                surjective=rank == nodes[ti].dim_hh1,
+                                monotone=nodes[ti].dim_hh1 <= nodes[si].dim_hh1,
+                            )
+                        )
+
+        top = by_arrows[self.new_arrows]
+        triangles = True
+        for (si, ti), mat in proj_mats.items():
+            if si == top:
+                continue
+            via = mat.mul(proj_mats[(top, si)])
+            if via != proj_mats[(top, ti)]:
+                triangles = False
+        return ExtensionPoset(
+            nodes=nodes,
+            edges=edges,
+            triangles_commute=triangles,
+            minimum=by_arrows[()],
+            maximum=top,
+        )
+
+
+def verify_theorem(
+    base_block: AlgebraBlock, full_block: AlgebraBlock, subset, field=None
+) -> TheoremReport:
+    return Family(base_block, full_block, field).verify(subset)
+
+
 def poset(
     base_block: AlgebraBlock, full_block: AlgebraBlock, field=None
 ) -> ExtensionPoset:
-    """All valid arrow subsets ordered by inclusion, each carrying its
-    degree 1 cohomology dimension; Hasse edges carry the projection map."""
-    c_alg = build(base_block, field=field)
-    ct_alg = build(full_block, field=field)
-    all_new = tuple(full_block.new_arrows)
-    _check_family(c_alg, ct_alg, all_new)
-
-    nodes = []
-    by_arrows = {}
-    for r in range(len(all_new) + 1):
-        for combo in combinations(all_new, r):
-            complement = tuple(n for n in all_new if n not in combo)
-            try:
-                _check_subset_split(ct_alg, combo, complement)
-            except SplitError:
-                continue
-            alg = quotient_by_arrows(ct_alg, complement) if complement else ct_alg
-            node = PosetNode(
-                arrows=combo, algebra=alg, dim_hh1=regular_h1(alg).dim
-            )
-            by_arrows[combo] = len(nodes)
-            nodes.append(node)
-
-    if () not in by_arrows or all_new not in by_arrows:
-        raise SplitError("the poset lost its minimum or maximum node")
-
-    def presentation(lower: PosetNode, upper: PosetNode) -> SplitPresentation:
-        extra = tuple(n for n in upper.arrows if n not in lower.arrows)
-        return split_presentation(lower.algebra, upper.algebra, extra)
-
-    edges = []
-    proj_mats = {}
-    for (t_arr, ti) in by_arrows.items():
-        for (s_arr, si) in by_arrows.items():
-            if set(t_arr) < set(s_arr):
-                mat = hochschild_projection(presentation(nodes[ti], nodes[si]), 1)
-                proj_mats[(si, ti)] = mat
-                if len(s_arr) == len(t_arr) + 1:
-                    edges.append(
-                        PosetEdge(
-                            lower=ti,
-                            upper=si,
-                            phi_rank=exactla.rank(mat),
-                            surjective=exactla.rank(mat) == nodes[ti].dim_hh1,
-                            monotone=nodes[ti].dim_hh1 <= nodes[si].dim_hh1,
-                        )
-                    )
-
-    top = by_arrows[all_new]
-    triangles = True
-    for (si, ti), mat in proj_mats.items():
-        if si == top:
-            continue
-        via = mat.mul(proj_mats[(top, si)])
-        if via != proj_mats[(top, ti)]:
-            triangles = False
-    return ExtensionPoset(
-        nodes=nodes,
-        edges=edges,
-        triangles_commute=triangles,
-        minimum=by_arrows[()],
-        maximum=top,
-    )
+    return Family(base_block, full_block, field).poset()

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from relext import bimod, extensions, qdsl
+from relext import extensions, qdsl
 from relext.algebra import build
 from relext.fixtures import fixture_text
 
@@ -21,47 +21,51 @@ def files():
 
 
 @pytest.fixture(scope="session")
-def algebras(files):
+def families(files):
+    """Per fixture: the tower C -> B_S -> Ctilde, gated once; every verifier
+    report, poset and presentation below takes its algebras from it."""
+    return {
+        n: extensions.Family(files[n].block("C"), files[n].block("Ctilde"))
+        for n in FIXTURES
+    }
+
+
+@pytest.fixture(scope="session")
+def algebras(files, families):
+    """Every declared block; C and Ctilde are the family's own objects."""
     out = {}
     for n, pf in files.items():
+        shared = {"C": families[n].base, "Ctilde": families[n].full}
         for b in pf.blocks:
-            out[(n, b.name)] = build(b)
+            out[(n, b.name)] = shared[b.name] if b.name in shared else build(b)
     return out
 
 
 @pytest.fixture(scope="session")
-def presentations(algebras, files):
+def presentations(families, files):
     """Per fixture: the three split presentations of the family
-    C -> B -> Ctilde, sharing the session algebra objects."""
+    C -> B -> Ctilde, with B the partial extension named by the B block."""
     out = {}
-    for n in FIXTURES:
-        c = algebras[(n, "C")]
-        b = algebras[(n, "B")]
-        ct = algebras[(n, "Ctilde")]
+    for n, fam in families.items():
         sub = tuple(files[n].block("B").new_arrows)
-        comp = tuple(
-            a for a in files[n].block("Ctilde").new_arrows if a not in sub
-        )
         out[n] = {
-            "CB": extensions.split_presentation(c, b, sub),
-            "BCt": extensions.split_presentation(b, ct, comp),
-            "CCt": extensions.split_presentation(
-                c, ct, tuple(files[n].block("Ctilde").new_arrows)
-            ),
+            "CB": fam.split((), sub),
+            "BCt": fam.split(sub, fam.new_arrows),
+            "CCt": fam.split((), fam.new_arrows),
         }
     return out
 
 
 @pytest.fixture(scope="session")
-def corpus_pairs(algebras, presentations):
+def corpus_pairs(presentations):
     """Every (algebra, coefficient bimodule) pair the dual-method oracle and
     complex identities must cover, with readable tags."""
     pairs = []
     for n in FIXTURES:
-        c = algebras[(n, "C")]
-        b = algebras[(n, "B")]
-        ct = algebras[(n, "Ctilde")]
         sp = presentations[n]
+        c = sp["CB"].base
+        b = sp["CB"].total
+        ct = sp["CCt"].total
         pairs += [
             (n + ":C,C", c, extensions.regular_bimodule_of(c)),
             (n + ":B,B", b, extensions.regular_bimodule_of(b)),
@@ -76,22 +80,16 @@ def corpus_pairs(algebras, presentations):
 
 
 @pytest.fixture(scope="session")
-def reports(files):
+def reports(families):
     """TheoremReport for every subset of the new arrows, both fixtures."""
     out = {}
-    for n in FIXTURES:
-        base = files[n].block("C")
-        full = files[n].block("Ctilde")
-        arrows = tuple(full.new_arrows)
-        for r in range(len(arrows) + 1):
-            for combo in combinations(arrows, r):
-                out[(n, combo)] = extensions.verify_theorem(base, full, combo)
+    for n, fam in families.items():
+        for r in range(len(fam.new_arrows) + 1):
+            for combo in combinations(fam.new_arrows, r):
+                out[(n, combo)] = fam.verify(combo)
     return out
 
 
 @pytest.fixture(scope="session")
-def posets(files):
-    return {
-        n: extensions.poset(files[n].block("C"), files[n].block("Ctilde"))
-        for n in FIXTURES
-    }
+def posets(families):
+    return {n: fam.poset() for n, fam in families.items()}

@@ -257,3 +257,52 @@ def test_unknown_split_arrow(capsys):
         "--split", "bogus",
     )
     assert code == 2 and err.startswith("error:")
+
+
+# C has the commutativity relation a.b = 2 c.d, while Ctilde modulo e has
+# a.b = c.d: same basis labels, different products
+PRODUCT_MISMATCH = """\
+algebra C
+vertices 1 2 3 4
+arrow a 1 2
+arrow b 2 4
+arrow c 1 3
+arrow d 3 4
+rel a.b - 2*c.d
+end
+
+algebra Ctilde
+extension_of C
+vertices 1 2 3 4
+arrow a 1 2
+arrow b 2 4
+arrow c 1 3
+arrow d 3 4
+arrow e 4 1
+new e
+rel a.b - c.d
+rel b.e
+rel d.e
+rel e.a
+rel e.c
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("verify", "--split", ","),
+        ("verify", "--split", "e"),
+        ("poset",),
+    ],
+)
+def test_base_disagreeing_on_products_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "mismatch.quiv"
+    path.write_text(PRODUCT_MISMATCH)
+    code, out, err = run(
+        capsys, argv[0], str(path), "--base", "C", "--tilde", "Ctilde", *argv[1:]
+    )
+    assert code == 2 and out == ""
+    assert "does not reduce to the declared base algebra" in err

@@ -3,15 +3,16 @@ four-identity verifier, and the extension poset."""
 
 import gc
 import weakref
+from itertools import combinations
 
 import pytest
 
 from relext import exactla, extensions, hochschild, qdsl
-from relext.algebra import build
+from relext.algebra import build, center
 from relext.exactla import Matrix
 from relext.extensions import (
+    Family,
     SplitError,
-    build_split,
     hochschild_projection,
     lift_derivation,
     split_presentation,
@@ -23,11 +24,13 @@ from relext.extensions import (
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
-def test_build_split_shapes(files, name):
+def test_family_split_shapes(files, name):
     base = files[name].block("C")
     full = files[name].block("Ctilde")
-    sp = build_split(base, full, ("eps",))
+    fam = Family(base, full)
+    sp = fam.split((), ("eps",))
     assert sp.new_arrows == ("eps",)
+    assert sp.base is fam.base and sp.total is fam.partial(("eps",))
     assert sp.base.dim + sp.ext.dim == sp.total.dim
     # the bundled B block presents the same algebra
     b = build(files[name].block("B"))
@@ -62,11 +65,37 @@ def test_projection_section_identity(presentations):
         assert sp.project_coords(sp.include_coords(unit)) == unit
 
 
-def test_unknown_subset_rejected(files):
+def test_unknown_subset_rejected(families):
+    fam = families["ex1"]
     with pytest.raises(SplitError):
-        build_split(
-            files["ex1"].block("C"), files["ex1"].block("Ctilde"), ("nope",)
-        )
+        fam.partial(("nope",))
+    with pytest.raises(SplitError):
+        fam.split((), ("eps", "nope"))
+    with pytest.raises(SplitError):
+        fam.verify(("nope",))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_family_builds_each_partial_once(files, monkeypatch, name):
+    """verify on every subset and then poset share one family: one quotient
+    for the gate, one per valid proper non-empty subset, none for C or Ctilde."""
+    calls = []
+    real = extensions.quotient_by_arrows
+
+    def counting(alg, arrows):
+        calls.append(tuple(arrows))
+        return real(alg, arrows)
+
+    monkeypatch.setattr(extensions, "quotient_by_arrows", counting)
+    fam = Family(files[name].block("C"), files[name].block("Ctilde"))
+    assert calls == [("eps", "eps2")]
+    for r in range(len(fam.new_arrows) + 1):
+        for combo in combinations(fam.new_arrows, r):
+            fam.verify(combo)
+    po = fam.poset()
+    assert [n.arrows for n in po.nodes] == [(), ("eps",), ("eps2",), ("eps", "eps2")]
+    assert po.nodes[0].algebra is fam.base and po.nodes[3].algebra is fam.full
+    assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
 
 
 def test_opposite_relation_rule():
@@ -121,14 +150,14 @@ def test_projection_surjective_on_families(presentations, name):
         sp = presentations[name][key]
         p0 = hochschild_projection(sp, 0)
         p1 = hochschild_projection(sp, 1)
-        assert exactla.rank(p0) == extensions.regular_h0(sp.base).dim
+        assert exactla.rank(p0) == center(sp.base).dim
         assert exactla.rank(p1) == extensions.regular_h1(sp.base).dim
 
 
 def test_projection_maps_unit_to_unit(presentations):
     sp = presentations["ex2"]["BCt"]
-    src = extensions.regular_h0(sp.total)
-    tgt = extensions.regular_h0(sp.base)
+    src = center(sp.total)
+    tgt = center(sp.base)
     one_src = src.coordinates_of(list(sp.total.one().coords))
     one_tgt = tgt.coordinates_of(list(sp.base.one().coords))
     m = hochschild_projection(sp, 0)
@@ -323,7 +352,7 @@ def test_cohomology_caches_die_with_the_algebra(files):
     alg = build(files["ex2"].block("Ctilde"))
     m = extensions.regular_bimodule_of(alg)
     assert extensions.regular_bimodule_of(alg) is m
-    assert extensions.regular_h0(alg).dim == 3
+    assert center(alg).dim == 3
     assert extensions.regular_h1(alg) is extensions.regular_h1(alg)
     assert hochschild.bar_h(alg, m, 1) == 3
     assert hochschild.calculator(alg, m) is hochschild.calculator(alg, m)
