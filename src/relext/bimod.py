@@ -407,40 +407,89 @@ def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     return acc == total
 
 
-def _hom_equations(m: Bimodule, n: Bimodule) -> list:
-    """Rows, over the flattened dim(M) x dim(N) unknowns, of the conditions
-    a.f(x) = f(a.x) and f(x).a = f(x.a) for every acting basis element a."""
+def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
+    """The equations a.f(x) - f(a.x) = l and f(x).a - f(x.a) = r on a linear
+    map f: M -> N, one row per acting basis element a, basis element x_i of
+    M and coordinate j of N, with (l, r) = sides(a, i) (both 0 when sides is
+    None).
+
+    A solution preserves the vertex bigrade: the idempotent rows force every
+    other entry to 0, since the idempotents act as the bigrade projections.
+    So only the graded entries are unknowns; var maps (i, j) to the column of
+    the entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
+    (var, rows, values), dense rows over those columns, without the rows
+    that are zero with value zero."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
-    dm, dn = m.dim, n.dim
-    total = dm * dn
+    var = {}
+    graded = []  # per i: (j, column) of its graded entries
+    for i in range(m.dim):
+        own = []
+        for j in range(n.dim):
+            if m.src[i] == n.src[j] and m.tgt[i] == n.tgt[j]:
+                var[(i, j)] = len(var)
+                own.append((j, var[(i, j)]))
+        graded.append(own)
+    nvars = len(var)
+
+    def sparse(mat):
+        return [
+            [(j, x) for j, x in enumerate(row) if not f.is_zero(x)]
+            for row in mat.entries
+        ]
+
+    zero = [f.zero()] * n.dim
     rows = []
+    values = []
     for a in range(m.acting.dim):
-        for lm, ln in (
-            (m.left_mats[a], n.left_mats[a]),
-            (m.right_mats[a], n.right_mats[a]),
-        ):
-            for i in range(dm):
-                for j in range(dn):
-                    row = [f.zero()] * total
-                    for k in range(dm):
-                        c = lm.entries[i][k]
-                        if not f.is_zero(c):
-                            row[k * dn + j] = f.add(row[k * dn + j], c)
-                    for l in range(dn):
-                        c = ln.entries[l][j]
-                        if not f.is_zero(c):
-                            row[i * dn + l] = f.sub(row[i * dn + l], c)
+        actions = [
+            (sparse(m.left_mats[a]), sparse(n.left_mats[a])),
+            (sparse(m.right_mats[a]), sparse(n.right_mats[a])),
+        ]
+        for i in range(m.dim):
+            lr = sides(a, i) if sides is not None else (zero, zero)
+            for (am, an), value in zip(actions, lr):
+                eqs = [{} for _ in range(n.dim)]
+                # a acting on f(x_i): F[i][k] times the action on n_k
+                for k, col in graded[i]:
+                    for j, c in an[k]:
+                        eqs[j][col] = f.add(eqs[j].get(col, f.zero()), c)
+                # f of a acting on x_i: its coefficient on x_g times F[g][j]
+                for g, c in am[i]:
+                    for j, col in graded[g]:
+                        eqs[j][col] = f.sub(eqs[j].get(col, f.zero()), c)
+                for j, eq in enumerate(eqs):
+                    eq = {col: c for col, c in eq.items() if not f.is_zero(c)}
+                    if not eq and f.is_zero(value[j]):
+                        continue
+                    row = [f.zero()] * nvars
+                    for col, c in eq.items():
+                        row[col] = c
                     rows.append(row)
-    return rows
+                    values.append(value[j])
+    return var, rows, values
+
+
+def _graded_kernel(m: Bimodule, n: Bimodule, var, rows) -> Subspace:
+    """Kernel of rows over the graded columns, in the flattened
+    dim(M) x dim(N) coordinates."""
+    f = m.field
+    ker = exactla.kernel(Matrix(f, len(rows), len(var), rows))
+    vectors = []
+    for v in ker.basis:
+        flat = [f.zero()] * (m.dim * n.dim)
+        for (i, j), col in var.items():
+            flat[i * n.dim + j] = v[col]
+        vectors.append(flat)
+    return Subspace.from_vectors(f, m.dim * n.dim, vectors)
 
 
 def bimodule_hom_space(m: Bimodule, n: Bimodule) -> Subspace:
     """Bimodule maps f: M -> N as flattened dim(M) x dim(N) matrices
     (row convention: coords(f(x)) = x . F)."""
-    rows = _hom_equations(m, n)
-    return exactla.kernel(Matrix(m.field, len(rows), m.dim * n.dim, rows))
+    var, rows, _ = hom_equations(m, n)
+    return _graded_kernel(m, n, var, rows)
 
 
 def end_enveloping(m: Bimodule) -> int:
@@ -455,30 +504,31 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
     amb = m.ambient
-    dm, dn = m.dim, n.dim
-    total = dm * dn
     # the hom conditions followed by the bilinear ones, as one system
-    eq_rows = _hom_equations(m, n)
-    for i in range(dm):
+    var, rows, _ = hom_equations(m, n)
+    nvars = len(var)
+    for i in range(m.dim):
         gi = m.amb_index[i]
-        for j in range(dm):
+        for j in range(m.dim):
             gj = m.amb_index[j]
             # x_i . f(x_j) + f(x_i) . x_j = 0, one equation per ambient coord
-            coeff = [[f.zero()] * total for _ in range(amb.dim)]
-            for k in range(dn):
+            coeff = [[f.zero()] * nvars for _ in range(amb.dim)]
+            for k in range(n.dim):
                 gk = n.amb_index[k]
-                left = amb.mult_coords[gi][gk]  # x_i . n_k
-                for t, c in enumerate(left):
-                    if not f.is_zero(c):
-                        coeff[t][j * dn + k] = f.add(coeff[t][j * dn + k], c)
-                right = amb.mult_coords[gk][gj]  # n_k . x_j
-                for t, c in enumerate(right):
-                    if not f.is_zero(c):
-                        coeff[t][i * dn + k] = f.add(coeff[t][i * dn + k], c)
+                # x_i . n_k weighs F[j][k]; n_k . x_j weighs F[i][k]
+                for col, prod in (
+                    (var.get((j, k)), amb.mult_coords[gi][gk]),
+                    (var.get((i, k)), amb.mult_coords[gk][gj]),
+                ):
+                    if col is None:
+                        continue
+                    for t, c in enumerate(prod):
+                        if not f.is_zero(c):
+                            coeff[t][col] = f.add(coeff[t][col], c)
             for t in range(amb.dim):
                 if any(not f.is_zero(c) for c in coeff[t]):
-                    eq_rows.append(coeff[t])
-    return exactla.kernel(Matrix(f, len(eq_rows), total, eq_rows))
+                    rows.append(coeff[t])
+    return _graded_kernel(m, n, var, rows)
 
 
 def curly_E_dimension(m: Bimodule, n: Bimodule) -> int:

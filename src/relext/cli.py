@@ -597,13 +597,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         text, ok = _RUNNERS[args.verb](args)
-    except InputError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except (qdsl.ParseError, exactla.FieldError, extensions.SplitError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     sys.stdout.write(text)

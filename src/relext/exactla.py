@@ -501,8 +501,3 @@ class Subspace:
                 "ambient dimension mismatch: %d vs %d"
                 % (self.ambient_dim, other.ambient_dim)
             )
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-

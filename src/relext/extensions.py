@@ -310,57 +310,16 @@ def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
     f = base.field
     dvals = _derivation_values(base, dvec)
 
-    # taking c stationary in the conditions forces alpha to preserve the
-    # vertex bigrading, so only graded entries are unknowns
-    var = {}
-    for g in range(e.dim):
-        for k in range(e.dim):
-            if e.src[g] == e.src[k] and e.tgt[g] == e.tgt[k]:
-                var[(g, k)] = len(var)
-    nvars = len(var)
+    def sides(j, i):
+        # d(c) x and x d(c) for c the base basis element j and x = x_i
+        unit = e.zero_vec()
+        unit[i] = f.one()
+        return e.left_act(dvals[j], unit), e.right_act(dvals[j], unit)
 
-    rows = []
-    rhs = []
-
-    def add_equations(act_mat, lhs_vec, i):
-        # alpha(x_i) acted by c minus alpha(x_i acted by c) = lhs, where
-        # `act_mat` is the matrix of the action on the relevant side
-        for t in range(e.dim):
-            row = [f.zero()] * nvars
-            nonzero = False
-            for k in range(e.dim):
-                pos = var.get((i, k))
-                if pos is not None and not f.is_zero(act_mat.entries[k][t]):
-                    row[pos] = f.add(row[pos], act_mat.entries[k][t])
-                    nonzero = True
-            for g in range(e.dim):
-                w = act_mat.entries[i][g]
-                if f.is_zero(w):
-                    continue
-                pos = var.get((g, t))
-                if pos is not None:
-                    row[pos] = f.sub(row[pos], w)
-                    nonzero = True
-            if nonzero or not f.is_zero(lhs_vec[t]):
-                rows.append(row)
-                rhs.append(lhs_vec[t])
-
-    for j in range(base.dim):
-        dj = dvals[j]
-        for i in range(e.dim):
-            unit = e.zero_vec()
-            unit[i] = f.one()
-            # x d(c) = alpha(x) c - alpha(xc)
-            add_equations(e.right_mats[j], e.right_act(dj, unit), i)
-            # d(c) x = c alpha(x) - alpha(cx)
-            add_equations(e.left_mats[j], e.left_act(dj, unit), i)
-
-    if rows:
-        sol = exactla.solve(Matrix(f, len(rows), nvars, rows), rhs)
-        if sol is None:
-            return LiftWitness(list(dvec), None)
-    else:
-        sol = [f.zero()] * nvars
+    var, rows, rhs = bimod.hom_equations(e, e, sides)
+    sol = exactla.solve(Matrix(f, len(rows), len(var), rows), rhs)
+    if sol is None:
+        return LiftWitness(list(dvec), None)
 
     entries = [[f.zero()] * e.dim for _ in range(e.dim)]
     for (g, k), pos in var.items():
@@ -375,6 +334,7 @@ def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
     """Exact check of both lifting conditions for a candidate alpha."""
     f = e.field
     base_dim = len(dvals)
+    alpha_t = alpha.transpose()
     for j in range(base_dim):
         dj = dvals[j]
         for i in range(e.dim):
@@ -385,7 +345,7 @@ def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
             lhs = e.right_act(dj, unit)
             rhs = e.right_act_basis(j, ax)
             xc = e.right_act_basis(j, unit)
-            axc = alpha.transpose().mat_vec(xc)
+            axc = alpha_t.mat_vec(xc)
             if any(
                 not f.is_zero(f.sub(f.sub(rhs[t], axc[t]), lhs[t]))
                 for t in range(e.dim)
@@ -395,7 +355,7 @@ def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
             lhs = e.left_act(dj, unit)
             rhs = e.left_act_basis(j, ax)
             cx = e.left_act_basis(j, unit)
-            acx = alpha.transpose().mat_vec(cx)
+            acx = alpha_t.mat_vec(cx)
             if any(
                 not f.is_zero(f.sub(f.sub(rhs[t], acx[t]), lhs[t]))
                 for t in range(e.dim)
@@ -779,7 +739,7 @@ class Family:
             u[g] = f.one()
             ideal_units.append(u)
         ideal_span = Subspace.from_vectors(f, b_alg.dim, ideal_units)
-        k2 = exactla.intersect(zb, ideal_span)
+        k2 = zb.intersect(ideal_span)
         kernel_deg0_matches = k1 == k2
 
         stationary_b = {b_alg.idem_index[v] for v in b_alg.quiver.vertices}

@@ -53,16 +53,6 @@ class ArrowLayout:
             out.append(m)
         return out
 
-    def project(self, k: int, mvec):
-        """Slice the block of arrow k out of a full M vector; the rest of
-        the vector must be zero there or the derivation value is invalid."""
-        f = self.bimodule.field
-        block = set(self.blocks[k])
-        for i, c in enumerate(mvec):
-            if i not in block and not f.is_zero(c):
-                raise ValueError("value of a derivation leaves its bigraded slice")
-        return [mvec[i] for i in self.blocks[k]]
-
 
 def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
     if m.acting is not alg:

@@ -1,11 +1,13 @@
 """Bimodules: axioms, arrow ideals, direct sums, hom spaces, the map space
 of the square-zero pairing."""
 
+from itertools import combinations
+
 import pytest
 
-from relext import bimod
+from relext import bimod, exactla, extensions, qdsl
 from relext.algebra import center
-from relext.exactla import Matrix
+from relext.exactla import Matrix, PrimeField, QQ
 
 
 @pytest.mark.parametrize("key", [("ex1", "C"), ("ex2", "Ctilde")])
@@ -107,3 +109,120 @@ def test_zero_bimodule(algebras):
     z = bimod.zero_bimodule(alg)
     assert z.dim == 0
     z.verify()
+
+
+def _reference_hom_equations(m, n):
+    """Rows, over the flattened dim(M) x dim(N) unknowns, of the conditions
+    a.f(x) = f(a.x) and f(x).a = f(x.a) for every acting basis element a.
+    This is the dense system the graded builder replaced."""
+    f = m.field
+    dm, dn = m.dim, n.dim
+    total = dm * dn
+    rows = []
+    for a in range(m.acting.dim):
+        for lm, ln in (
+            (m.left_mats[a], n.left_mats[a]),
+            (m.right_mats[a], n.right_mats[a]),
+        ):
+            for i in range(dm):
+                for j in range(dn):
+                    row = [f.zero()] * total
+                    for k in range(dm):
+                        c = lm.entries[i][k]
+                        if not f.is_zero(c):
+                            row[k * dn + j] = f.add(row[k * dn + j], c)
+                    for l in range(dn):
+                        c = ln.entries[l][j]
+                        if not f.is_zero(c):
+                            row[i * dn + l] = f.sub(row[i * dn + l], c)
+                    rows.append(row)
+    return rows
+
+
+def _reference_curly_E_equations(m, n):
+    """The dense hom rows followed by the rows of x.f(y) + f(x).y = 0."""
+    f = m.field
+    amb = m.ambient
+    dm, dn = m.dim, n.dim
+    total = dm * dn
+    rows = _reference_hom_equations(m, n)
+    for i in range(dm):
+        gi = m.amb_index[i]
+        for j in range(dm):
+            gj = m.amb_index[j]
+            coeff = [[f.zero()] * total for _ in range(amb.dim)]
+            for k in range(dn):
+                gk = n.amb_index[k]
+                for t, c in enumerate(amb.mult_coords[gi][gk]):
+                    if not f.is_zero(c):
+                        coeff[t][j * dn + k] = f.add(coeff[t][j * dn + k], c)
+                for t, c in enumerate(amb.mult_coords[gk][gj]):
+                    if not f.is_zero(c):
+                        coeff[t][i * dn + k] = f.add(coeff[t][i * dn + k], c)
+            rows += [r for r in coeff if any(not f.is_zero(c) for c in r)]
+    return rows
+
+
+def _reference_kernel(m, n, rows):
+    return exactla.kernel(Matrix(m.field, len(rows), m.dim * n.dim, rows))
+
+
+def _valid_splits(fam):
+    """split((), S) and split(S, all) for every subset S that splits."""
+    for r in range(len(fam.new_arrows) + 1):
+        for combo in combinations(fam.new_arrows, r):
+            try:
+                fam.partial(combo)
+            except extensions.SplitError:
+                continue
+            yield fam.split((), combo)
+            yield fam.split(combo, fam.new_arrows)
+
+
+def _families(files, chain_text, field):
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in (2, 3)]
+    return [extensions.Family(pf.block("C"), pf.block("Ctilde"), field) for pf in pfs]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_graded_systems_match_dense_reference(files, chain_text, field):
+    """End and the map space of the square-zero pairing, solved over the
+    graded unknowns, equal the dense solutions as canonical bases."""
+    pairs = 0
+    for fam in _families(files, chain_text, field):
+        for sp in _valid_splits(fam):
+            e = sp.ext_over_base
+            base_inside = bimod.base_sub_bimodule(
+                sp.total, sp.new_arrows, acting=sp.base, embed=sp.section
+            )
+            dense = _reference_hom_equations(e, e)
+            assert bimod.bimodule_hom_space(e, e) == _reference_kernel(e, e, dense)
+            dense = _reference_curly_E_equations(e, base_inside)
+            assert bimod.curly_E(e, base_inside) == _reference_kernel(
+                e, base_inside, dense
+            )
+            pairs += 1
+    assert pairs == 40
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_pairing_space_of_radical_matches_dense_reference(
+    files, chain_text, field
+):
+    """The pairing space of the radical of Ctilde over C is nonzero and
+    smaller than its End, so here the bilinear rows cut; the pairing
+    spaces above are 0 on these families."""
+    for fam in _families(files, chain_text, field):
+        sp = fam.split((), fam.new_arrows)
+        total = sp.total
+        rad = bimod.sub_bimodule(
+            total,
+            [g for g, p in enumerate(total.basis) if p.arrows],
+            acting=sp.base,
+            embed=sp.section,
+        )
+        dense = _reference_curly_E_equations(rad, rad)
+        space = bimod.curly_E(rad, rad)
+        assert space == _reference_kernel(rad, rad, dense)
+        assert 0 < space.dim < bimod.end_enveloping(rad)

@@ -77,7 +77,7 @@ def test_subspace_modular_dimension_law(uwn):
     us, ws, n = uwn
     u = Subspace.from_vectors(QQ, n, us)
     w = Subspace.from_vectors(QQ, n, ws)
-    assert u.sum(w).dim + exactla.intersect(u, w).dim == u.dim + w.dim
+    assert u.sum(w).dim + u.intersect(w).dim == u.dim + w.dim
     for v in us:
         assert u.contains(v)
 
