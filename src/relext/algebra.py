@@ -19,6 +19,11 @@ set of reduction-irreducible paths.  Relations mixing term lengths are
 accepted and go through the same filtration; the consistency checks run on
 every build (declared relations vanish, reduction is multiplicative,
 associativity, unit law) and raise AlgebraBuildError on any discrepancy.
+
+The structure constants are stored sparsely: products[i] maps j to the
+nonzero coordinates {k: c} of b_i b_j, and no table stores a zero, so two
+algebras on the same basis have the same products iff their tables compare
+equal.
 """
 
 from __future__ import annotations
@@ -107,10 +112,10 @@ class BoundQuiverAlgebra:
     dim: int
     zero_length: int  # every path of length >= this is zero in the algebra
     basis_index: dict  # Path -> int
-    mult_coords: list  # dim x dim lists of coordinate tuples
+    products: list  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
-    _nf_cache: dict
+    _nf_cache: dict  # Path -> {k: c}, shared with products: read only
     _echelon: exactla.Echelon
     _center: exactla.Subspace | None = None  # set by center()
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
@@ -143,47 +148,48 @@ class BoundQuiverAlgebra:
 
     # -- normal forms ------------------------------------------------------
 
-    def nf_coords(self, path: Path) -> tuple:
-        """Coordinates of a quiver path's class in the path basis."""
-        f = self.field
+    def nf_coords(self, path: Path) -> dict:
+        """Nonzero coordinates {k: c} of a quiver path's class in the path
+        basis."""
         if path in self._nf_cache:
             return self._nf_cache[path]
-        if path.length >= self.zero_length:
-            out = tuple(f.zero() for _ in range(self.dim))
-        else:
-            red = self._echelon.reduce({path: f.one()})
-            coords = [f.zero()] * self.dim
-            for p, c in red.items():
+        out = {}
+        if path.length < self.zero_length:
+            for p, c in self._echelon.reduce({path: self.field.one()}).items():
                 i = self.basis_index.get(p)
                 if i is None:
                     raise AlgebraBuildError(
                         "reduction of %s leaves non-basis path %s"
                         % (path.label(), p.label())
                     )
-                coords[i] = c
-            out = tuple(coords)
+                out[i] = c
         self._nf_cache[path] = out
         return out
 
-    def product_coords(self, i: int, j: int) -> tuple:
-        return self.mult_coords[i][j]
+    def product_coords(self, i: int, j: int) -> dict:
+        """The nonzero coordinates of b_i b_j."""
+        return self.products[i].get(j, {})
+
+    def multiply_sparse(self, a: dict, b: dict) -> dict:
+        """The product of two sparse elements {i: c}, without zeros."""
+        f = self.field
+        out = {}
+        for i, ca in a.items():
+            for j, cell in self.products[i].items():
+                cb = b.get(j)
+                if cb is None:
+                    continue
+                c = f.mul(ca, cb)
+                for k, ck in cell.items():
+                    x = f.mul(c, ck)
+                    old = out.get(k)
+                    out[k] = x if old is None else f.add(old, x)
+        return f.sparse(out)
 
     def multiply_coords(self, a: tuple, b: tuple) -> tuple:
         f = self.field
-        out = [f.zero()] * self.dim
-        for i, ca in enumerate(a):
-            if f.is_zero(ca):
-                continue
-            row = self.mult_coords[i]
-            for j, cb in enumerate(b):
-                if f.is_zero(cb):
-                    continue
-                cell = row[j]
-                c = f.mul(ca, cb)
-                for k, ck in enumerate(cell):
-                    if not f.is_zero(ck):
-                        out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
+        prod = self.multiply_sparse(f.sparse(a), f.sparse(b))
+        return tuple(f.dense(prod, self.dim))
 
     def coords_of_vertex_pair(self, x, y) -> list:
         """Basis indices lying in e_x A e_y."""
@@ -304,7 +310,7 @@ def build(
         dim=dim,
         zero_length=zero_length,
         basis_index=basis_index,
-        mult_coords=[],
+        products=[],
         idem_index={},
         arrow_index_in_basis={},
         _nf_cache={},
@@ -323,18 +329,14 @@ def build(
             )
         alg.arrow_index_in_basis[a.name] = basis_index[p]
 
-    zero_row = tuple(f.zero() for _ in range(dim))
-    mult = []
     for p in basis:
-        row = []
-        for r in basis:
+        row = {}
+        for j, r in enumerate(basis):
             pq = compose(p, r)
-            if pq is None or pq.length >= zero_length:
-                row.append(zero_row)
-            else:
-                row.append(alg.nf_coords(pq))
-        mult.append(row)
-    alg.mult_coords = mult
+            cell = alg.nf_coords(pq) if pq is not None else None
+            if cell:
+                row[j] = cell
+        alg.products.append(row)
 
     _verify_build(alg, block, alive)
     return alg
@@ -342,19 +344,14 @@ def build(
 
 def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
     f = alg.field
+    products = alg.products
     # declared relations vanish
     for rel in block.relations:
-        acc = [f.zero()] * alg.dim
+        acc = {}
         for p, c in _relation_vector(alg.quiver, f, rel).items():
-            coords = (
-                alg.nf_coords(p)
-                if p.length < alg.zero_length
-                else tuple(f.zero() for _ in range(alg.dim))
-            )
-            for k, x in enumerate(coords):
-                if not f.is_zero(x):
-                    acc[k] = f.add(acc[k], f.mul(c, x))
-        if any(not f.is_zero(x) for x in acc):
+            for k, x in alg.nf_coords(p).items():
+                acc[k] = f.add(acc.get(k, f.zero()), f.mul(c, x))
+        if f.sparse(acc):
             raise AlgebraBuildError(
                 "a declared relation of %r does not vanish" % alg.block.name
             )
@@ -366,45 +363,37 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
             pq = compose(p, r)
             if pq is None:
                 continue
-            lhs = (
-                alg.nf_coords(pq)
-                if pq.length < alg.zero_length
-                else tuple(f.zero() for _ in range(alg.dim))
-            )
-            rhs = alg.multiply_coords(pc, alg.nf_coords(r))
-            if lhs != rhs:
+            if alg.nf_coords(pq) != alg.multiply_sparse(pc, alg.nf_coords(r)):
                 raise AlgebraBuildError(
                     "inconsistent reduction at %s * %s in %r"
                     % (p.label(), r.label(), alg.block.name)
                 )
-    # associativity on all basis triples, using table sparsity
-    nonzero = [
-        [
-            [(k, c) for k, c in enumerate(alg.mult_coords[i][j]) if not f.is_zero(c)]
-            for j in range(alg.dim)
-        ]
-        for i in range(alg.dim)
-    ]
+    # associativity on all basis triples (i, j, l): acc[l] holds
+    # (b_i b_j) b_l - b_i (b_j b_l), over the nonzero products only
     for i in range(alg.dim):
+        row_i = products[i]
         for j in range(alg.dim):
-            ij = nonzero[i][j]
-            for l in range(alg.dim):
-                acc = {}
-                for k, c in ij:
-                    for m, d in nonzero[k][l]:
-                        acc[m] = f.add(acc.get(m, f.zero()), f.mul(c, d))
-                for k, c in nonzero[j][l]:
-                    for m, d in nonzero[i][k]:
-                        acc[m] = f.sub(acc.get(m, f.zero()), f.mul(c, d))
-                if any(not f.is_zero(x) for x in acc.values()):
-                    raise AlgebraBuildError(
-                        "associativity fails on basis triple (%d,%d,%d)" % (i, j, l)
-                    )
+            acc = {}
+            for k, c in row_i.get(j, {}).items():
+                for l, cell in products[k].items():
+                    out = acc.setdefault(l, {})
+                    for m, d in cell.items():
+                        out[m] = f.add(out.get(m, f.zero()), f.mul(c, d))
+            for l, cell in products[j].items():
+                out = acc.setdefault(l, {})
+                for k, c in cell.items():
+                    for m, d in row_i.get(k, {}).items():
+                        out[m] = f.sub(out.get(m, f.zero()), f.mul(c, d))
+            bad = [l for l, out in acc.items() if f.sparse(out)]
+            if bad:
+                raise AlgebraBuildError(
+                    "associativity fails on basis triple (%d,%d,%d)" % (i, j, min(bad))
+                )
     # unit law
-    e = alg.one()
+    one = f.sparse(alg.one().coords)
     for i in range(alg.dim):
-        b = alg.basis_element(i)
-        if (e * b).coords != b.coords or (b * e).coords != b.coords:
+        b = {i: f.one()}
+        if alg.multiply_sparse(one, b) != b or alg.multiply_sparse(b, one) != b:
             raise AlgebraBuildError("unit law fails at basis %d" % i)
 
 
@@ -454,43 +443,45 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
 def ideal_subspace(alg: BoundQuiverAlgebra, arrows) -> exactla.Subspace:
     """The two-sided ideal generated by the given arrows, as a subspace."""
     f = alg.field
-    gens = [
-        list(alg.basis_element(alg.arrow_index_in_basis[a]).coords) for a in arrows
-    ]
-    span = exactla.Subspace.from_vectors(f, alg.dim, gens)
+    units = [{i: f.one()} for i in range(alg.dim)]
+    span = exactla.Subspace.from_sparse(
+        f, alg.dim, [units[alg.arrow_index_in_basis[a]] for a in arrows]
+    )
     while True:
         extra = []
         for vec in span.basis:
-            for i in range(alg.dim):
-                left = alg.multiply_coords(alg.basis_element(i).coords, vec)
-                if not span.contains(left):
-                    extra.append(list(left))
-                right = alg.multiply_coords(vec, alg.basis_element(i).coords)
-                if not span.contains(right):
-                    extra.append(list(right))
+            vec = f.sparse(vec)
+            for unit in units:
+                for prod in (alg.multiply_sparse(unit, vec), alg.multiply_sparse(vec, unit)):
+                    if prod and not span.contains(f.dense(prod, alg.dim)):
+                        extra.append(prod)
         if not extra:
             return span
-        span = exactla.Subspace.from_vectors(
-            f, alg.dim, [list(v) for v in span.basis] + extra
+        span = exactla.Subspace.from_sparse(
+            f, alg.dim, [f.sparse(v) for v in span.basis] + extra
         )
 
 
 def center(alg: BoundQuiverAlgebra) -> exactla.Subspace:
-    """{z : zb = bz for all b}, the kernel of the stacked commutator maps;
-    computed once per algebra.  It is also the degree 0 Hochschild
-    cohomology of the regular bimodule."""
+    """{z : zb = bz for all b}, the kernel of the commutator maps, one block
+    of rows (z b_j - b_j z)_k per basis element b_j; computed once per
+    algebra.  It is also the degree 0 Hochschild cohomology of the regular
+    bimodule."""
     if alg._center is None:
         f = alg.field
         rows = []
         for j in range(alg.dim):
-            for k in range(alg.dim):
-                rows.append(
-                    [
-                        f.sub(alg.mult_coords[i][j][k], alg.mult_coords[j][i][k])
-                        for i in range(alg.dim)
-                    ]
-                )
-        alg._center = exactla.kernel(exactla.Matrix.from_rows(f, rows))
+            eqs = {}  # k -> {i: coefficient of z_i in (z b_j - b_j z)_k}
+            for i, row in enumerate(alg.products):
+                for k, c in row.get(j, {}).items():
+                    eq = eqs.setdefault(k, {})
+                    eq[i] = f.add(eq.get(i, f.zero()), c)
+            for i, cell in alg.products[j].items():
+                for k, c in cell.items():
+                    eq = eqs.setdefault(k, {})
+                    eq[i] = f.sub(eq.get(i, f.zero()), c)
+            rows += [eq for eq in map(f.sparse, eqs.values()) if eq]
+        alg._center = exactla.null_space(f, alg.dim, rows)
     return alg._center
 
 

@@ -3,17 +3,18 @@
 The bimodules this package cares about are spans of basis paths of a larger
 algebra (an arrow ideal of a split extension, or the extension's base sitting
 inside it), acted on by a possibly smaller algebra through the path-to-path
-section.  A Bimodule stores one left and one right action matrix per acting
-basis element plus the vertex bigrade of each of its basis elements; an
-ambient-realized instance also remembers where its basis and the acting
-algebra's basis live in the ambient algebra, which is what evaluates mixed
-products like x.f(y) for the obstruction space of bimodule maps into the
-base.
+section.  A Bimodule stores each side's action as a sparse table, one per
+acting basis element a holding only the nonzero coordinates {i: {j: c}} of
+a.x_i (or x_i.a) on x_j, plus the vertex bigrade of each of its basis
+elements; an ambient-realized instance also remembers where its basis and
+the acting algebra's basis live in the ambient algebra, which is what
+evaluates mixed products like x.f(y) for the obstruction space of bimodule
+maps into the base.  Vectors handed to the actions are sparse {i: c} too.
 
 Construction verifies closure under both actions and the section premise
 sigma(a).sigma(b) - sigma(ab) annihilating the module from either side;
 those two facts make the bimodule axioms inherited from ambient
-associativity.  Bimodules given by raw action matrices (from_actions) get
+associativity.  Bimodules given by raw action tables (from_actions) get
 the axioms checked directly instead.
 """
 
@@ -23,19 +24,41 @@ from dataclasses import dataclass
 
 from . import exactla
 from .algebra import BoundQuiverAlgebra, ideal_subspace
-from .exactla import Matrix, Subspace
+from .exactla import Subspace
 
 
-def _row_apply(field, vec, mat: Matrix):
-    """Row vector times matrix."""
-    out = [field.zero()] * mat.cols
-    for i, c in enumerate(vec):
-        if field.is_zero(c):
+def _row_apply(field, vec: dict, mat: dict) -> dict:
+    """Sparse row vector times sparse matrix {i: {j: c}}."""
+    out = {}
+    for i, c in vec.items():
+        row = mat.get(i)
+        if row is None:
             continue
-        row = mat.entries[i]
-        for j, x in enumerate(row):
-            if not field.is_zero(x):
-                out[j] = field.add(out[j], field.mul(c, x))
+        for j, x in row.items():
+            y = field.mul(c, x)
+            old = out.get(j)
+            out[j] = y if old is None else field.add(old, y)
+    return field.sparse(out)
+
+
+def _combine(field, coeffs: dict, mats) -> dict:
+    """sum of coeffs[k] * mats[k] over sparse matrices {i: {j: c}}."""
+    out = {}
+    for k, c in coeffs.items():
+        for i, row in mats[k].items():
+            acc = out.setdefault(i, {})
+            for j, x in row.items():
+                acc[j] = field.add(acc.get(j, field.zero()), field.mul(c, x))
+    return {i: row for i, row in ((i, field.sparse(r)) for i, r in out.items()) if row}
+
+
+def _compose(field, s: dict, t: dict) -> dict:
+    """The sparse matrix product s . t."""
+    out = {}
+    for i, row in s.items():
+        img = _row_apply(field, row, t)
+        if img:
+            out[i] = img
     return out
 
 
@@ -43,8 +66,8 @@ def _row_apply(field, vec, mat: Matrix):
 class Bimodule:
     acting: BoundQuiverAlgebra
     dim: int
-    left_mats: list  # per acting basis index: dim x dim Matrix, row convention
-    right_mats: list
+    left: list  # per acting basis index a: {i: {j: c}}, nonzero coords of a.x_i
+    right: list  # per acting basis index a: {i: {j: c}}, nonzero coords of x_i.a
     src: tuple  # vertex of e_v . m = m, per basis element
     tgt: tuple  # vertex of m . e_v = m
     ambient: BoundQuiverAlgebra | None = None
@@ -61,7 +84,6 @@ class Bimodule:
         amb_index,
         embed=None,
     ) -> "Bimodule":
-        f = ambient.field
         if acting.field is not ambient.field:
             raise ValueError("acting and ambient algebras use different fields")
         amb_index = tuple(amb_index)
@@ -73,29 +95,29 @@ class Bimodule:
             embed = tuple(embed)
         pos = {g: i for i, g in enumerate(amb_index)}
         dim = len(amb_index)
-
-        def restrict(coords):
-            out = [f.zero()] * dim
-            for k, c in enumerate(coords):
-                if f.is_zero(c):
-                    continue
-                j = pos.get(k)
-                if j is None:
-                    raise ValueError(
-                        "span is not closed under the action: product hits %s"
-                        % ambient.basis[k].label()
-                    )
-                out[j] = c
-            return out
+        products = ambient.products
 
         left = []
         right = []
         for a in range(acting.dim):
             ea = embed[a]
-            lrows = [restrict(ambient.mult_coords[ea][g]) for g in amb_index]
-            rrows = [restrict(ambient.mult_coords[g][ea]) for g in amb_index]
-            left.append(Matrix(f, dim, dim, lrows))
-            right.append(Matrix(f, dim, dim, rrows))
+            lt = {}
+            rt = {}
+            for i, g in enumerate(amb_index):
+                for table, cell in ((lt, products[ea].get(g)), (rt, products[g].get(ea))):
+                    if cell is None:
+                        continue
+                    img = table[i] = {}
+                    for k, c in cell.items():
+                        j = pos.get(k)
+                        if j is None:
+                            raise ValueError(
+                                "span is not closed under the action: product hits %s"
+                                % ambient.basis[k].label()
+                            )
+                        img[j] = c
+            left.append(lt)
+            right.append(rt)
         src = tuple(ambient.basis[g].source for g in amb_index)
         tgt = tuple(ambient.basis[g].target for g in amb_index)
         m = Bimodule(acting, dim, left, right, src, tgt, ambient, amb_index, embed)
@@ -103,11 +125,24 @@ class Bimodule:
         return m
 
     @staticmethod
-    def from_actions(
-        acting: BoundQuiverAlgebra, left_mats, right_mats, src, tgt
-    ) -> "Bimodule":
-        dim = len(src)
-        m = Bimodule(acting, dim, list(left_mats), list(right_mats), tuple(src), tuple(tgt))
+    def from_actions(acting: BoundQuiverAlgebra, left, right, src, tgt) -> "Bimodule":
+        """A bimodule from action tables per acting basis element, each
+        {i: {j: c}} with the coordinates of a.x_i (or x_i.a) on x_j; zero
+        entries are dropped."""
+        f = acting.field
+
+        def clean(table):
+            rows = {i: f.sparse(row) for i, row in table.items()}
+            return {i: row for i, row in rows.items() if row}
+
+        m = Bimodule(
+            acting,
+            len(src),
+            [clean(t) for t in left],
+            [clean(t) for t in right],
+            tuple(src),
+            tuple(tgt),
+        )
         m.verify()
         return m
 
@@ -117,38 +152,31 @@ class Bimodule:
     def field(self):
         return self.acting.field
 
-    def left_act_basis(self, a: int, vec):
-        return _row_apply(self.field, vec, self.left_mats[a])
+    def left_act(self, acoords: dict, vec: dict) -> dict:
+        """a.x for sparse a = {acting index: c} and x = {index: c}."""
+        return self._act(self.left, acoords, vec)
 
-    def right_act_basis(self, a: int, vec):
-        return _row_apply(self.field, vec, self.right_mats[a])
+    def right_act(self, acoords: dict, vec: dict) -> dict:
+        """x.a for sparse a = {acting index: c} and x = {index: c}."""
+        return self._act(self.right, acoords, vec)
 
-    def left_act(self, acoords, vec):
+    def commutator(self, a: int, i: int) -> dict:
+        """a.x_i - x_i.a for the acting basis element a, sparse."""
         f = self.field
-        out = [f.zero()] * self.dim
-        for a, c in enumerate(acoords):
-            if f.is_zero(c):
-                continue
-            img = self.left_act_basis(a, vec)
-            for j, x in enumerate(img):
-                if not f.is_zero(x):
-                    out[j] = f.add(out[j], f.mul(c, x))
-        return out
+        out = dict(self.left[a].get(i, {}))
+        for j, c in self.right[a].get(i, {}).items():
+            out[j] = f.sub(out.get(j, f.zero()), c)
+        return f.sparse(out)
 
-    def right_act(self, acoords, vec):
+    def _act(self, tables, acoords, vec):
         f = self.field
-        out = [f.zero()] * self.dim
-        for a, c in enumerate(acoords):
-            if f.is_zero(c):
-                continue
-            img = self.right_act_basis(a, vec)
-            for j, x in enumerate(img):
-                if not f.is_zero(x):
-                    out[j] = f.add(out[j], f.mul(c, x))
-        return out
-
-    def zero_vec(self):
-        return [self.field.zero()] * self.dim
+        out = {}
+        for a, c in acoords.items():
+            for j, x in _row_apply(f, vec, tables[a]).items():
+                y = f.mul(c, x)
+                old = out.get(j)
+                out[j] = y if old is None else f.add(old, y)
+        return f.sparse(out)
 
     def diagonal_indices(self):
         """Basis positions of the diagonal part, the sum of e_v . M . e_v."""
@@ -169,26 +197,25 @@ class Bimodule:
     def verify(self):
         f = self.field
         A = self.acting
-        if len(self.left_mats) != A.dim or len(self.right_mats) != A.dim:
-            raise ValueError("need one action matrix per acting basis element")
-        for m in list(self.left_mats) + list(self.right_mats):
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError("action matrix has wrong shape")
+        if len(self.left) != A.dim or len(self.right) != A.dim:
+            raise ValueError("need one action table per acting basis element")
+        for table in self.left + self.right:
+            for i, row in table.items():
+                if not 0 <= i < self.dim or any(not 0 <= j < self.dim for j in row):
+                    raise ValueError("action table has an index out of range")
         # idempotents act as the bigrade projections
+        one = f.one()
         for v in A.quiver.vertices:
             iv = A.idem_index[v]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    want_l = f.one() if (i == j and self.src[i] == v) else f.zero()
-                    want_r = f.one() if (i == j and self.tgt[i] == v) else f.zero()
-                    if self.left_mats[iv].entries[i][j] != want_l:
-                        raise ValueError(
-                            "left action of idempotent at %r is not the bigrade projection" % (v,)
-                        )
-                    if self.right_mats[iv].entries[i][j] != want_r:
-                        raise ValueError(
-                            "right action of idempotent at %r is not the bigrade projection" % (v,)
-                        )
+            for side, table, grade in (
+                ("left", self.left[iv], self.src),
+                ("right", self.right[iv], self.tgt),
+            ):
+                if table != {i: {i: one} for i in range(self.dim) if grade[i] == v}:
+                    raise ValueError(
+                        "%s action of idempotent at %r is not the bigrade projection"
+                        % (side, v)
+                    )
         if self.ambient is not None:
             self._verify_section_premise()
         else:
@@ -201,71 +228,41 @@ class Bimodule:
         A = self.acting
         amb = self.ambient
         for a in range(A.dim):
+            amb_row = amb.products[self.embed[a]]
+            own_row = A.products[a]
             for b in range(A.dim):
-                prod = amb.mult_coords[self.embed[a]][self.embed[b]]
-                delta = list(prod)
-                for k, c in enumerate(A.mult_coords[a][b]):
-                    if not f.is_zero(c):
-                        g = self.embed[k]
-                        delta[g] = f.sub(delta[g], c)
-                if all(f.is_zero(x) for x in delta):
+                delta = dict(amb_row.get(self.embed[b], {}))
+                for k, c in own_row.get(b, {}).items():
+                    g = self.embed[k]
+                    delta[g] = f.sub(delta.get(g, f.zero()), c)
+                delta = f.sparse(delta)
+                if not delta:
                     continue
-                for i in range(self.dim):
-                    g = self.amb_index[i]
+                for g in self.amb_index:
                     # delta . m and m . delta must both vanish
-                    dm = amb.multiply_coords(tuple(delta), self._amb_unit(g))
-                    md = amb.multiply_coords(self._amb_unit(g), tuple(delta))
-                    if any(not f.is_zero(x) for x in dm) or any(
-                        not f.is_zero(x) for x in md
+                    unit = {g: f.one()}
+                    if amb.multiply_sparse(delta, unit) or amb.multiply_sparse(
+                        unit, delta
                     ):
                         raise ValueError(
                             "section defect does not annihilate the span"
                         )
 
-    def _amb_unit(self, g):
-        f = self.field
-        out = [f.zero()] * self.ambient.dim
-        out[g] = f.one()
-        return tuple(out)
-
     def _verify_axioms(self):
         f = self.field
         A = self.acting
+        L, R = self.left, self.right
         for a in range(A.dim):
             for b in range(A.dim):
-                ab = A.mult_coords[a][b]
+                ab = A.product_coords(a, b)
                 # left: L[b] L[a] = sum_k ab_k L[k]
-                lhs = self.left_mats[b].mul(self.left_mats[a])
-                acc = Matrix.zero(f, self.dim, self.dim)
-                for k, c in enumerate(ab):
-                    if f.is_zero(c):
-                        continue
-                    m = self.left_mats[k]
-                    for i in range(self.dim):
-                        for j in range(self.dim):
-                            x = m.entries[i][j]
-                            if not f.is_zero(x):
-                                acc.entries[i][j] = f.add(acc.entries[i][j], f.mul(c, x))
-                if lhs != acc:
+                if _compose(f, L[b], L[a]) != _combine(f, ab, L):
                     raise ValueError("left action is not associative")
                 # right: R[a] R[b] = sum_k ab_k R[k]
-                rhs = self.right_mats[a].mul(self.right_mats[b])
-                acc = Matrix.zero(f, self.dim, self.dim)
-                for k, c in enumerate(ab):
-                    if f.is_zero(c):
-                        continue
-                    m = self.right_mats[k]
-                    for i in range(self.dim):
-                        for j in range(self.dim):
-                            x = m.entries[i][j]
-                            if not f.is_zero(x):
-                                acc.entries[i][j] = f.add(acc.entries[i][j], f.mul(c, x))
-                if rhs != acc:
+                if _compose(f, R[a], R[b]) != _combine(f, ab, R):
                     raise ValueError("right action is not associative")
                 # middle: L[a] and R[b] commute
-                if self.left_mats[a].mul(self.right_mats[b]) != self.right_mats[
-                    b
-                ].mul(self.left_mats[a]):
+                if _compose(f, L[a], R[b]) != _compose(f, R[b], L[a]):
                     raise ValueError("left and right actions do not commute")
 
     def __repr__(self):
@@ -342,24 +339,17 @@ def arrow_ideal_bimodule(
         if hits == 1:
             span.append(i)
     ideal = ideal_subspace(ambient, arrow_set)
-    coord_span = Subspace.from_vectors(
-        f,
-        ambient.dim,
-        [
-            [f.one() if k == g else f.zero() for k in range(ambient.dim)]
-            for g in span
-        ],
-    )
+    coord_span = Subspace.from_sparse(f, ambient.dim, [{g: f.one()} for g in span])
     if ideal != coord_span:
         raise ValueError(
             "ideal of %s is not spanned by the paths through those arrows"
             % sorted(arrow_set)
         )
     # square-zero, checked on the ideal itself
+    in_span = set(span)
     for g in span:
-        for h in span:
-            prod = ambient.mult_coords[g][h]
-            if any(not f.is_zero(c) for c in prod):
+        for h in ambient.products[g]:
+            if h in in_span:
                 raise ValueError(
                     "extension ideal does not square to zero: %s * %s != 0"
                     % (ambient.basis[g].label(), ambient.basis[h].label())
@@ -410,15 +400,15 @@ def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
 def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
     """The equations a.f(x) - f(a.x) = l and f(x).a - f(x.a) = r on a linear
     map f: M -> N, one row per acting basis element a, basis element x_i of
-    M and coordinate j of N, with (l, r) = sides(a, i) (both 0 when sides is
-    None).
+    M and coordinate j of N, with (l, r) = sides(a, i) as sparse N vectors
+    (both 0 when sides is None).
 
     A solution preserves the vertex bigrade: the idempotent rows force every
     other entry to 0, since the idempotents act as the bigrade projections.
     So only the graded entries are unknowns; var maps (i, j) to the column of
     the entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
-    (var, rows, values), dense rows over those columns, without the rows
-    that are zero with value zero."""
+    (var, rows, values), sparse rows {column: c} over those columns, without
+    the rows that are zero with value zero."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
@@ -431,58 +421,49 @@ def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
                 var[(i, j)] = len(var)
                 own.append((j, var[(i, j)]))
         graded.append(own)
-    nvars = len(var)
 
-    def sparse(mat):
-        return [
-            [(j, x) for j, x in enumerate(row) if not f.is_zero(x)]
-            for row in mat.entries
-        ]
-
-    zero = [f.zero()] * n.dim
+    no_sides = ({}, {})
     rows = []
     values = []
     for a in range(m.acting.dim):
-        actions = [
-            (sparse(m.left_mats[a]), sparse(n.left_mats[a])),
-            (sparse(m.right_mats[a]), sparse(n.right_mats[a])),
-        ]
+        actions = ((m.left[a], n.left[a]), (m.right[a], n.right[a]))
         for i in range(m.dim):
-            lr = sides(a, i) if sides is not None else (zero, zero)
+            lr = sides(a, i) if sides is not None else no_sides
             for (am, an), value in zip(actions, lr):
-                eqs = [{} for _ in range(n.dim)]
+                eqs = {}  # coordinate j of N -> row
                 # a acting on f(x_i): F[i][k] times the action on n_k
                 for k, col in graded[i]:
-                    for j, c in an[k]:
-                        eqs[j][col] = f.add(eqs[j].get(col, f.zero()), c)
+                    for j, c in an.get(k, {}).items():
+                        eq = eqs.setdefault(j, {})
+                        eq[col] = f.add(eq.get(col, f.zero()), c)
                 # f of a acting on x_i: its coefficient on x_g times F[g][j]
-                for g, c in am[i]:
+                for g, c in am.get(i, {}).items():
                     for j, col in graded[g]:
-                        eqs[j][col] = f.sub(eqs[j].get(col, f.zero()), c)
-                for j, eq in enumerate(eqs):
-                    eq = {col: c for col, c in eq.items() if not f.is_zero(c)}
-                    if not eq and f.is_zero(value[j]):
-                        continue
-                    row = [f.zero()] * nvars
-                    for col, c in eq.items():
-                        row[col] = c
-                    rows.append(row)
-                    values.append(value[j])
+                        eq = eqs.setdefault(j, {})
+                        eq[col] = f.sub(eq.get(col, f.zero()), c)
+                for j in eqs.keys() | value.keys():
+                    eq = f.sparse(eqs.get(j, {}))
+                    if eq or j in value:
+                        rows.append(eq)
+                        values.append(value.get(j, f.zero()))
     return var, rows, values
 
 
 def _graded_kernel(m: Bimodule, n: Bimodule, var, rows) -> Subspace:
     """Kernel of rows over the graded columns, in the flattened
-    dim(M) x dim(N) coordinates."""
+    dim(M) x dim(N) coordinates.  Columns are numbered in the order of the
+    flattened positions, so the canonical basis stays canonical."""
     f = m.field
-    ker = exactla.kernel(Matrix(f, len(rows), len(var), rows))
-    vectors = []
-    for v in ker.basis:
-        flat = [f.zero()] * (m.dim * n.dim)
-        for (i, j), col in var.items():
-            flat[i * n.dim + j] = v[col]
-        vectors.append(flat)
-    return Subspace.from_vectors(f, m.dim * n.dim, vectors)
+    ker = exactla.null_space(f, len(var), rows)
+    flat = [i * n.dim + j for (i, j) in var]
+    return Subspace(
+        f,
+        m.dim * n.dim,
+        tuple(
+            tuple(f.dense({flat[c]: x for c, x in f.sparse(v).items()}, m.dim * n.dim))
+            for v in ker.basis
+        ),
+    )
 
 
 def bimodule_hom_space(m: Bimodule, n: Bimodule) -> Subspace:
@@ -503,31 +484,28 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     if m.ambient is None or n.ambient is None or m.ambient is not n.ambient:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
-    amb = m.ambient
+    products = m.ambient.products
     # the hom conditions followed by the bilinear ones, as one system
     var, rows, _ = hom_equations(m, n)
-    nvars = len(var)
     for i in range(m.dim):
         gi = m.amb_index[i]
         for j in range(m.dim):
             gj = m.amb_index[j]
             # x_i . f(x_j) + f(x_i) . x_j = 0, one equation per ambient coord
-            coeff = [[f.zero()] * nvars for _ in range(amb.dim)]
+            coeff = {}
             for k in range(n.dim):
                 gk = n.amb_index[k]
                 # x_i . n_k weighs F[j][k]; n_k . x_j weighs F[i][k]
                 for col, prod in (
-                    (var.get((j, k)), amb.mult_coords[gi][gk]),
-                    (var.get((i, k)), amb.mult_coords[gk][gj]),
+                    (var.get((j, k)), products[gi].get(gk)),
+                    (var.get((i, k)), products[gk].get(gj)),
                 ):
-                    if col is None:
+                    if col is None or prod is None:
                         continue
-                    for t, c in enumerate(prod):
-                        if not f.is_zero(c):
-                            coeff[t][col] = f.add(coeff[t][col], c)
-            for t in range(amb.dim):
-                if any(not f.is_zero(c) for c in coeff[t]):
-                    rows.append(coeff[t])
+                    for t, c in prod.items():
+                        eq = coeff.setdefault(t, {})
+                        eq[col] = f.add(eq.get(col, f.zero()), c)
+            rows += [eq for eq in map(f.sparse, coeff.values()) if eq]
     return _graded_kernel(m, n, var, rows)
 
 

@@ -236,6 +236,8 @@ def _parse_arrow_list(alg, spec: str) -> tuple:
     names = tuple(s for s in (part.strip() for part in spec.split(",")) if s)
     if not names:
         raise InputError("expected a comma-separated arrow list")
+    if len(set(names)) != len(names):
+        raise InputError("arrow list %s repeats a name" % ",".join(names))
     known = {a.name for a in alg.quiver.arrows}
     for n in names:
         if n not in known:

@@ -5,9 +5,12 @@ F_p); a Field object supplies the arithmetic.  Every rank, kernel, solve,
 span and normal-form question in the package goes through one sparse
 elimination engine, Echelon, whose rows are dicts keyed by any totally
 ordered keys: paths in the algebra builder, cochain indices in the bar
-complex, and negated column indices behind the dense Matrix entry points
-here.  Those entry points return the canonical reduced row echelon form, so
-two spans are equal iff their echelonized bases compare equal.
+complex, and negated column indices behind the linear-system entry points
+here.  Those take sparse rows {column: x} (null_space, solve_rows,
+Subspace.from_sparse); the dense Matrix ones (rref, rank, kernel, solve,
+Subspace.from_vectors) hand their rows to the same path.  They return the
+canonical reduced row echelon form, so two spans are equal iff their
+echelonized bases compare equal.
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ class Field:
 
     def is_zero(self, a):
         return a == self.zero()
+
+    def sparse(self, vec) -> dict:
+        """The nonzero entries of a dense vector, or of a dict {key: scalar},
+        as a dict."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return {k: c for k, c in items if not self.is_zero(c)}
+
+    def dense(self, vec: dict, n: int) -> list:
+        """The length-n list of a sparse vector {index: scalar}."""
+        out = [self.zero()] * n
+        for k, c in vec.items():
+            out[k] = c
+        return out
 
     def format(self, a) -> str:
         raise NotImplementedError
@@ -330,12 +346,17 @@ class Echelon:
 
 
 def _column_echelon(field: Field, rows) -> Echelon:
-    """Echelon of dense rows keyed by -column, so the pivot of a row is its
-    leftmost nonzero entry."""
+    """Echelon of sparse rows {column: x} keyed by -column, so the pivot of a
+    row is its leftmost nonzero entry."""
     ech = Echelon(field)
     for row in rows:
-        ech.insert({-j: x for j, x in enumerate(row)})
+        ech.insert({-j: x for j, x in row.items()})
     return ech
+
+
+def _sparse_rows(m: Matrix) -> list:
+    """The rows of a dense matrix as {column: x}; the echelon drops zeros."""
+    return [dict(enumerate(row)) for row in m.entries]
 
 
 def _dense(field: Field, row: dict, ncols: int) -> list:
@@ -348,7 +369,7 @@ def _dense(field: Field, row: dict, ncols: int) -> list:
 def rref(m: Matrix) -> tuple:
     """Canonical reduced row echelon form: (Matrix, rank, pivot_columns)."""
     f = m.field
-    rows = _column_echelon(f, m.entries).reduced_rows()
+    rows = _column_echelon(f, _sparse_rows(m)).reduced_rows()
     pivots = [-max(row) for row in rows]
     work = [_dense(f, row, m.cols) for row in rows]
     work += [[f.zero()] * m.cols for _ in range(m.rows - len(rows))]
@@ -356,24 +377,25 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return _column_echelon(m.field, m.entries).rank
+    return _column_echelon(m.field, _sparse_rows(m)).rank
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right null space; dim = cols - rank."""
-    f = m.field
-    red, rk, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r_i, pc in enumerate(pivots):
-            # pivot row r_i: x_pc + sum(red[r_i][j] x_j over free j) = 0
-            v[pc] = f.neg(red.entries[r_i][fc])
-        vectors.append(v)
-    return Subspace.from_vectors(f, m.cols, vectors)
+    return null_space(m.field, m.cols, _sparse_rows(m))
+
+
+def null_space(field: Field, ncols: int, rows) -> "Subspace":
+    """Canonical basis of {x : row . x = 0} for sparse rows {column: x}."""
+    reduced = _column_echelon(field, rows).reduced_rows()
+    pivots = {-max(row): row for row in reduced}
+    vectors = {c: {c: field.one()} for c in range(ncols) if c not in pivots}
+    for pc, row in pivots.items():
+        # pivot row: x_pc + sum(row[-j] x_j over free j) = 0
+        for k, x in row.items():
+            if -k != pc:
+                vectors[-k][pc] = field.neg(x)
+    return Subspace.from_sparse(field, ncols, vectors.values())
 
 
 def solve(m: Matrix, rhs: list) -> list | None:
@@ -381,17 +403,41 @@ def solve(m: Matrix, rhs: list) -> list | None:
     the system is inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length %d != rows %d" % (len(rhs), m.rows))
-    f = m.field
-    # the right-hand side is column m.cols, the smallest key
-    ech = _column_echelon(f, [row + [b] for row, b in zip(m.entries, rhs)])
-    if -m.cols in ech.rows:
-        return None
-    sol = [f.zero()] * m.cols
-    for row in ech.reduced_rows():
-        sol[-max(row)] = row.get(-m.cols, f.zero())
-    if any(not f.is_zero(f.sub(a, b)) for a, b in zip(m.mat_vec(sol), rhs)):
-        raise ArithmeticError("solve: the solution fails substitution")
+    sol = _particular_solution(m.field, m.cols, _sparse_rows(m), rhs)
+    if sol is not None:
+        _check_substitution(m.field, m.mat_vec(sol), rhs)
     return sol
+
+
+def solve_rows(field: Field, ncols: int, rows, rhs) -> list | None:
+    """solve() for sparse rows {column: x} with right-hand sides rhs."""
+    sol = _particular_solution(field, ncols, rows, rhs)
+    if sol is not None:
+        images = []
+        for row in rows:
+            acc = field.zero()
+            for j, x in row.items():
+                acc = field.add(acc, field.mul(x, sol[j]))
+            images.append(acc)
+        _check_substitution(field, images, rhs)
+    return sol
+
+
+def _particular_solution(field: Field, ncols: int, rows, rhs) -> list | None:
+    f = field
+    # the right-hand side is column ncols, the smallest key
+    ech = _column_echelon(f, [{**row, ncols: b} for row, b in zip(rows, rhs)])
+    if -ncols in ech.rows:
+        return None
+    sol = [f.zero()] * ncols
+    for row in ech.reduced_rows():
+        sol[-max(row)] = row.get(-ncols, f.zero())
+    return sol
+
+
+def _check_substitution(field: Field, images, rhs):
+    if any(not field.is_zero(field.sub(a, b)) for a, b in zip(images, rhs)):
+        raise ArithmeticError("solve: the solution fails substitution")
 
 
 @dataclass(frozen=True)
@@ -407,11 +453,16 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
+        rows = [dict(enumerate(v)) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient_dim")
-        rows = _column_echelon(field, rows).reduced_rows()
+        return Subspace.from_sparse(field, ambient_dim, rows)
+
+    @staticmethod
+    def from_sparse(field: Field, ambient_dim: int, vectors) -> "Subspace":
+        """The span of sparse vectors {coordinate: x}."""
+        rows = _column_echelon(field, vectors).reduced_rows()
         return Subspace(
             field, ambient_dim, tuple(tuple(_dense(field, r, ambient_dim)) for r in rows)
         )

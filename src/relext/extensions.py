@@ -33,7 +33,7 @@ from .exactla import Matrix, Subspace
 from .hochschild import (
     CohomologySpace,
     arrow_layout,
-    derivation_to_cochain,
+    derivation_values,
     h0,
     h1,
 )
@@ -100,7 +100,6 @@ def split_presentation(
     base: BoundQuiverAlgebra, total: BoundQuiverAlgebra, new_arrow_names
 ) -> SplitPresentation:
     new_arrow_names = tuple(new_arrow_names)
-    f = base.field
 
     base_names = {a.name for a in base.quiver.arrows}
     total_names = {a.name for a in total.quiver.arrows}
@@ -154,10 +153,8 @@ def split_presentation(
         si = section[i]
         for j in range(base.dim):
             lhs = total.product_coords(si, section[j])
-            rhs = [f.zero()] * total.dim
-            for k, c in enumerate(base.product_coords(i, j)):
-                rhs[section[k]] = c
-            if list(lhs) != rhs:
+            rhs = {section[k]: c for k, c in base.product_coords(i, j).items()}
+            if lhs != rhs:
                 raise SplitError(
                     "products of base paths %s and %s disagree between the "
                     "base and total algebras"
@@ -296,11 +293,6 @@ class LiftWitness:
         return self.alpha is not None
 
 
-def _derivation_values(alg, dvec) -> list:
-    flat = derivation_to_cochain(alg, regular_bimodule_of(alg), dvec)
-    return [flat[j * alg.dim : (j + 1) * alg.dim] for j in range(alg.dim)]
-
-
 def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
     """Solve for a linear alpha on the extension ideal satisfying both
     lifting conditions against the normalized base derivation d (given in
@@ -308,16 +300,15 @@ def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
     base = sp.base
     e = sp.ext_over_base
     f = base.field
-    dvals = _derivation_values(base, dvec)
+    dvals = derivation_values(base, regular_bimodule_of(base), dvec)
 
     def sides(j, i):
         # d(c) x and x d(c) for c the base basis element j and x = x_i
-        unit = e.zero_vec()
-        unit[i] = f.one()
+        unit = {i: f.one()}
         return e.left_act(dvals[j], unit), e.right_act(dvals[j], unit)
 
     var, rows, rhs = bimod.hom_equations(e, e, sides)
-    sol = exactla.solve(Matrix(f, len(rows), len(var), rows), rhs)
+    sol = exactla.solve_rows(f, len(var), rows, rhs)
     if sol is None:
         return LiftWitness(list(dvec), None)
 
@@ -331,35 +322,32 @@ def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
 
 
 def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
-    """Exact check of both lifting conditions for a candidate alpha."""
+    """Exact check of both lifting conditions for a candidate alpha, on
+    every pair (base basis element c, basis element x of the ideal)."""
     f = e.field
-    base_dim = len(dvals)
-    alpha_t = alpha.transpose()
-    for j in range(base_dim):
-        dj = dvals[j]
+    one = f.one()
+    # alpha as a sparse matrix: row g holds alpha(x_g)
+    amat = {g: row for g, row in enumerate(map(f.sparse, alpha.entries)) if row}
+
+    def minus_alpha(u, v):
+        """u - alpha(v)"""
+        out = dict(u)
+        for g, c in v.items():
+            for t, x in amat.get(g, {}).items():
+                out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
+        return f.sparse(out)
+
+    for j, dj in enumerate(dvals):
         for i in range(e.dim):
-            unit = e.zero_vec()
-            unit[i] = f.one()
-            ax = list(alpha.entries[i])
+            unit = {i: one}
+            ax = amat.get(i, {})
             # alpha(x) c - alpha(xc) vs x d(c)
-            lhs = e.right_act(dj, unit)
-            rhs = e.right_act_basis(j, ax)
-            xc = e.right_act_basis(j, unit)
-            axc = alpha_t.mat_vec(xc)
-            if any(
-                not f.is_zero(f.sub(f.sub(rhs[t], axc[t]), lhs[t]))
-                for t in range(e.dim)
-            ):
+            lhs = minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {}))
+            if lhs != e.right_act(dj, unit):
                 return False
             # c alpha(x) - alpha(cx) vs d(c) x
-            lhs = e.left_act(dj, unit)
-            rhs = e.left_act_basis(j, ax)
-            cx = e.left_act_basis(j, unit)
-            acx = alpha_t.mat_vec(cx)
-            if any(
-                not f.is_zero(f.sub(f.sub(rhs[t], acx[t]), lhs[t]))
-                for t in range(e.dim)
-            ):
+            lhs = minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {}))
+            if lhs != e.left_act(dj, unit):
                 return False
     return True
 
@@ -543,24 +531,17 @@ def _center_flags(zb: Subspace, esec: Bimodule, stationary: set):
     symmetric = True
     positive = True
     for z in zb.basis:
-        z = list(z)
-        zpos = [f.zero() if i in stationary else c for i, c in enumerate(z)]
+        z = f.sparse(z)
+        zpos = {i: c for i, c in z.items() if i not in stationary}
         for i in range(esec.dim):
-            unit = esec.zero_vec()
-            unit[i] = f.one()
+            unit = {i: f.one()}
             ze = esec.left_act(z, unit)
             ez = esec.right_act(z, unit)
-            if any(not f.is_zero(c) for c in ze) or any(
-                not f.is_zero(c) for c in ez
-            ):
+            if ze or ez:
                 annihilates = False
-            if any(not f.is_zero(f.sub(a, b)) for a, b in zip(ze, ez)):
+            if ze != ez:
                 symmetric = False
-            zpe = esec.left_act(zpos, unit)
-            epz = esec.right_act(zpos, unit)
-            if any(not f.is_zero(c) for c in zpe) or any(
-                not f.is_zero(c) for c in epz
-            ):
+            if esec.left_act(zpos, unit) or esec.right_act(zpos, unit):
                 positive = False
     return annihilates, symmetric, positive
 
@@ -654,7 +635,7 @@ class Family:
         reduced = quotient_by_arrows(self.full, self.new_arrows)
         if [p.label() for p in reduced.basis] != [
             p.label() for p in self.base.basis
-        ] or reduced.mult_coords != self.base.mult_coords:
+        ] or reduced.products != self.base.products:
             raise SplitError(
                 "the full extension does not reduce to the declared base algebra"
             )
@@ -665,6 +646,7 @@ class Family:
                 % (self.full.dim - self.base.dim, ext_dim)
             )
         self._partials = {self.new_arrows: self.full, (): self.base}
+        self._over_full = None  # set by _full_split_part
 
     def partial(self, subset) -> BoundQuiverAlgebra:
         """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
@@ -672,6 +654,8 @@ class Family:
         for n in subset:
             if n not in self.new_arrows:
                 raise SplitError("%s is not one of the declared new arrows" % n)
+        if len(set(subset)) != len(subset):
+            raise SplitError("arrow subset %s repeats a name" % ",".join(subset))
         key = tuple(n for n in self.new_arrows if n in subset)
         alg = self._partials.get(key)
         if alg is None:
@@ -695,14 +679,11 @@ class Family:
 
         sp_cb = self.split((), subset)
         sp_bct = self.split(subset, self.new_arrows)
-        sp_cct = self.split((), self.new_arrows)
 
         eprime_b = sp_cb.ext
         eprime_c = sp_cb.ext_over_base
         esec_ct = sp_bct.ext
         esec_b = sp_bct.ext_over_base
-        e_ct = sp_cct.ext
-        e_c = sp_cct.ext_over_base
 
         h1_b_eprime = h1(b_alg, eprime_b)
         h1_ct_esec = h1(ct_alg, esec_ct)
@@ -745,10 +726,8 @@ class Family:
         stationary_b = {b_alg.idem_index[v] for v in b_alg.quiver.vertices}
         center_flags = _center_flags(zb, esec_b, stationary_b)
 
-        lifts_ok = True
+        h1_ct_e, lifts_ok = self._full_split_part()
         for d in regular_h1(c_alg).derivations.basis:
-            if not lift_derivation(sp_cct, list(d)).ok:
-                lifts_ok = False
             if not lift_derivation(sp_cb, list(d)).ok:
                 lifts_ok = False
 
@@ -767,7 +746,7 @@ class Family:
             h1_B_Eprime=h1_b_eprime.dim,
             h1_Ct_Esec=h1_ct_esec.dim,
             h1_B_Esec=h1(b_alg, esec_b).dim,
-            h1_Ct_E=h1(ct_alg, e_ct).dim,
+            h1_Ct_E=h1_ct_e,
             end_Ce_Eprime=bimod.end_enveloping(eprime_c),
             end_Be_Esec=bimod.end_enveloping(esec_b),
             curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, base_inside_b),
@@ -788,6 +767,23 @@ class Family:
             center_positive_part_annihilates=center_flags[2],
             lifts_ok=lifts_ok,
         )
+
+    def _full_split_part(self) -> tuple:
+        """(dim H^1(Ctilde, E), do all base derivations lift through C <
+        Ctilde): the part of verify that does not depend on S, computed
+        once per family."""
+        if self._over_full is None:
+            sp = self.split((), self.new_arrows)
+            self._over_full = (
+                h1(self.full, sp.ext).dim,
+                all(
+                    [
+                        lift_derivation(sp, list(d)).ok
+                        for d in regular_h1(self.base).derivations.basis
+                    ]
+                ),
+            )
+        return self._over_full
 
     def poset(self) -> ExtensionPoset:
         """All valid arrow subsets ordered by inclusion, each carrying its

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .bimod import Bimodule
-from .exactla import Matrix, Subspace
+from .exactla import Subspace
 from .quiver import Path
 
 
@@ -46,8 +46,9 @@ class ArrowLayout:
     def embed(self, vec):
         """Arrow-coordinate vector -> per-arrow M vectors."""
         out = []
+        zero = self.bimodule.field.zero()
         for k, block in enumerate(self.blocks):
-            m = self.bimodule.zero_vec()
+            m = [zero] * self.bimodule.dim
             for u, i in enumerate(block):
                 m[i] = vec[self.offsets[k] + u]
             out.append(m)
@@ -78,39 +79,36 @@ def h0(m: Bimodule) -> Subspace:
     f = m.field
     rows = []
     for a in range(m.acting.dim):
-        la, ra = m.left_mats[a], m.right_mats[a]
-        for j in range(m.dim):
-            rows.append(
-                [f.sub(la.entries[i][j], ra.entries[i][j]) for i in range(m.dim)]
-            )
-    return exactla.kernel(Matrix(f, len(rows), m.dim, rows))
+        eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
+        for i in range(m.dim):
+            for j, c in m.commutator(a, i).items():
+                eqs.setdefault(j, {})[i] = c
+        rows += eqs.values()
+    return exactla.null_space(f, m.dim, rows)
 
 
 # -- degree 1, arrow coordinates ----------------------------------------------
 
 
-def _path_value(layout: ArrowLayout, arrows: tuple, dvals: list):
+def _path_value(layout: ArrowLayout, arrows: tuple, dvals: list) -> dict:
     """d(path) for a path given by quiver arrow indices, via the Leibniz
-    rule, with d(arrow k) = dvals[k] as an M vector."""
+    rule, with d(arrow k) = dvals[k] as a sparse M vector."""
     alg = layout.algebra
     m = layout.bimodule
     f = m.field
     q = alg.quiver
-    out = m.zero_vec()
+    out = {}
     for j in range(len(arrows)):
         val = dvals[arrows[j]]
-        if all(f.is_zero(c) for c in val):
+        if not val:
             continue
         if j > 0:
-            pre = alg.nf_coords(Path(q, None, arrows[:j]))
-            val = m.left_act(pre, val)
+            val = m.left_act(alg.nf_coords(Path(q, None, arrows[:j])), val)
         if j + 1 < len(arrows):
-            suf = alg.nf_coords(Path(q, None, arrows[j + 1 :]))
-            val = m.right_act(suf, val)
-        for t, c in enumerate(val):
-            if not f.is_zero(c):
-                out[t] = f.add(out[t], c)
-    return out
+            val = m.right_act(alg.nf_coords(Path(q, None, arrows[j + 1 :])), val)
+        for t, c in val.items():
+            out[t] = f.add(out.get(t, f.zero()), c)
+    return f.sparse(out)
 
 
 def derivation_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
@@ -121,59 +119,50 @@ def derivation_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
     q = alg.quiver
     rows = []
     for rel in alg.block.relations:
-        # accumulate the M.dim x total constraint block of this relation
-        acc = [[f.zero()] * layout.total for _ in range(m.dim)]
+        # the constraint rows of this relation, one per M coordinate t
+        acc = {}
         for term in rel.terms:
             c = f.from_fraction(term.coeff)
             arrows = tuple(q.arrow_index[n] for n in term.arrows)
-            for k_pos in range(len(arrows)):
-                k = arrows[k_pos]
+            for k_pos, k in enumerate(arrows):
+                pre = alg.nf_coords(Path(q, None, arrows[:k_pos])) if k_pos > 0 else None
+                suf = (
+                    alg.nf_coords(Path(q, None, arrows[k_pos + 1 :]))
+                    if k_pos + 1 < len(arrows)
+                    else None
+                )
                 for u, i in enumerate(layout.blocks[k]):
-                    unit = m.zero_vec()
-                    unit[i] = f.one()
                     # contribution of this single unknown along this term
-                    val = unit
-                    if k_pos > 0:
-                        pre = alg.nf_coords(Path(q, None, arrows[:k_pos]))
+                    val = {i: f.one()}
+                    if pre is not None:
                         val = m.left_act(pre, val)
-                    if k_pos + 1 < len(arrows):
-                        suf = alg.nf_coords(Path(q, None, arrows[k_pos + 1 :]))
+                    if suf is not None:
                         val = m.right_act(suf, val)
                     col = layout.offsets[k] + u
-                    for t, x in enumerate(val):
-                        if not f.is_zero(x):
-                            acc[t][col] = f.add(acc[t][col], f.mul(c, x))
-        for row in acc:
-            if any(not f.is_zero(x) for x in row):
-                rows.append(row)
-    mat = Matrix(f, len(rows), layout.total, rows)
-    return exactla.kernel(mat)
+                    for t, x in val.items():
+                        eq = acc.setdefault(t, {})
+                        eq[col] = f.add(eq.get(col, f.zero()), f.mul(c, x))
+        rows += [eq for eq in map(f.sparse, acc.values()) if eq]
+    return exactla.null_space(f, layout.total, rows)
 
 
 def inner_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
     """Span of c |-> c.x - x.c over diagonal x, in arrow coordinates."""
     layout = arrow_layout(alg, m)
     f = m.field
+    slots = [{i: u for u, i in enumerate(block)} for block in layout.blocks]
     vecs = []
     for i in m.diagonal_indices():
-        unit = m.zero_vec()
-        unit[i] = f.one()
-        vec = [f.zero()] * layout.total
+        vec = {}
         for k, a in enumerate(alg.quiver.arrows):
             ia = alg.arrow_index_in_basis[a.name]
-            ax = m.left_act_basis(ia, unit)
-            xa = m.right_act_basis(ia, unit)
-            diff = [f.sub(p_, q_) for p_, q_ in zip(ax, xa)]
-            for u, idx in enumerate(layout.blocks[k]):
-                vec[layout.offsets[k] + u] = diff[idx]
-            # the difference must not leave the bigraded slice
-            block = set(layout.blocks[k])
-            for t, c in enumerate(diff):
-                if t not in block and not f.is_zero(c):
+            for t, c in m.commutator(ia, i).items():
+                # the difference must not leave the bigraded slice
+                if t not in slots[k]:
                     raise ValueError("inner derivation leaves the arrow slice")
+                vec[layout.offsets[k] + slots[k][t]] = c
         vecs.append(vec)
-    total = layout.total
-    return Subspace.from_vectors(f, total, vecs)
+    return Subspace.from_sparse(f, layout.total, vecs)
 
 
 @dataclass(eq=False)
@@ -222,20 +211,26 @@ def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
     return CohomologySpace(alg, m, layout, der, inn)
 
 
+def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec) -> list:
+    """d(b_p) as a sparse M vector for every basis element b_p of alg, for
+    the derivation with the given arrow coordinates."""
+    layout = arrow_layout(alg, m)
+    f = m.field
+    dvals = [
+        f.sparse({i: vec[layout.offsets[k] + u] for u, i in enumerate(block)})
+        for k, block in enumerate(layout.blocks)
+    ]
+    return [_path_value(layout, p.arrows, dvals) if p.length else {} for p in alg.basis]
+
+
 def derivation_to_cochain(
     alg: BoundQuiverAlgebra, m: Bimodule, vec
 ) -> list:
     """Flat degree 1 bar cochain (basis index, M coordinate) of the
     derivation with the given arrow coordinates."""
-    layout = arrow_layout(alg, m)
-    f = m.field
-    dvals = layout.embed(vec)
-    out = [f.zero()] * (alg.dim * m.dim)
-    for p_idx, p in enumerate(alg.basis):
-        if p.length == 0:
-            continue
-        val = _path_value(layout, p.arrows, dvals)
-        for t, c in enumerate(val):
+    out = [m.field.zero()] * (alg.dim * m.dim)
+    for p_idx, val in enumerate(derivation_values(alg, m, vec)):
+        for t, c in val.items():
             out[p_idx * m.dim + t] = c
     return out
 
@@ -261,15 +256,11 @@ class HochschildCalculator:
     @property
     def prod_fibers(self):
         if self._fibers is None:
-            f = self.field
-            A = self.alg
-            fibers = [[] for _ in range(A.dim)]
-            for g in range(A.dim):
-                row = A.mult_coords[g]
-                for h in range(A.dim):
-                    for p, c in enumerate(row[h]):
-                        if not f.is_zero(c):
-                            fibers[p].append((g, h, c))
+            fibers = [[] for _ in range(self.alg.dim)]
+            for g, row in enumerate(self.alg.products):
+                for h, cell in row.items():
+                    for p, c in cell.items():
+                        fibers[p].append((g, h, c))
             self._fibers = fibers
         return self._fibers
 
@@ -281,25 +272,16 @@ class HochschildCalculator:
 
     def b1_column(self, i: int) -> dict:
         """b1 of the i-th M basis vector: a |-> a.x - x.a."""
-        f = self.field
-        m = self.m
-        unit = m.zero_vec()
-        unit[i] = f.one()
         col = {}
         for a in range(self.alg.dim):
-            ax = m.left_act_basis(a, unit)
-            xa = m.right_act_basis(a, unit)
-            for t in range(m.dim):
-                c = f.sub(ax[t], xa[t])
-                if not f.is_zero(c):
-                    col[self.c1_key(a, t)] = c
+            for t, c in self.m.commutator(a, i).items():
+                col[self.c1_key(a, t)] = c
         return col
 
     def b2_apply(self, f1: dict) -> dict:
         """b2 of a sparse degree 1 cochain {(a, t) key: coeff}."""
         f = self.field
         m = self.m
-        A = self.alg
         out = {}
 
         def add(key, c):
@@ -312,20 +294,16 @@ class HochschildCalculator:
         for key, v in f1.items():
             a, t = divmod(key, m.dim)
             # c0 . f(c1) over c0 = g
-            for g in range(A.dim):
-                row = m.left_mats[g].entries[t]
-                for t2, x in enumerate(row):
-                    if not f.is_zero(x):
-                        add(self.c2_key(g, a, t2), f.mul(v, x))
+            for g, table in enumerate(m.left):
+                for t2, x in table.get(t, {}).items():
+                    add(self.c2_key(g, a, t2), f.mul(v, x))
             # -f(c0 c1)
             for g, h, c in self.prod_fibers[a]:
                 add(self.c2_key(g, h, t), f.neg(f.mul(v, c)))
             # f(c0) . c1 over c1 = h
-            for h in range(A.dim):
-                row = m.right_mats[h].entries[t]
-                for t2, x in enumerate(row):
-                    if not f.is_zero(x):
-                        add(self.c2_key(a, h, t2), f.mul(v, x))
+            for h, table in enumerate(m.right):
+                for t2, x in table.get(t, {}).items():
+                    add(self.c2_key(a, h, t2), f.mul(v, x))
         return out
 
     def b3_apply(self, f2: dict) -> dict:
@@ -350,11 +328,9 @@ class HochschildCalculator:
             gh, t = divmod(key, dm)
             g, h = divmod(gh, da)
             # c0 . F(c1, c2)
-            for k in range(da):
-                row = m.left_mats[k].entries[t]
-                for t2, x in enumerate(row):
-                    if not f.is_zero(x):
-                        add(c3_key(k, g, h, t2), f.mul(v, x))
+            for k, table in enumerate(m.left):
+                for t2, x in table.get(t, {}).items():
+                    add(c3_key(k, g, h, t2), f.mul(v, x))
             # -F(c0 c1, c2)
             for k, l, c in self.prod_fibers[g]:
                 add(c3_key(k, l, h, t), f.neg(f.mul(v, c)))
@@ -362,11 +338,9 @@ class HochschildCalculator:
             for k, l, c in self.prod_fibers[h]:
                 add(c3_key(g, k, l, t), f.mul(v, c))
             # -F(c0, c1) . c2
-            for k in range(da):
-                row = m.right_mats[k].entries[t]
-                for t2, x in enumerate(row):
-                    if not f.is_zero(x):
-                        add(c3_key(g, h, k, t2), f.neg(f.mul(v, x)))
+            for k, table in enumerate(m.right):
+                for t2, x in table.get(t, {}).items():
+                    add(c3_key(g, h, k, t2), f.neg(f.mul(v, x)))
         return out
 
     def _build_b2(self):

@@ -196,11 +196,9 @@ def projective(alg: BoundQuiverAlgebra, i) -> Representation:
         dst_pos = {g: k for k, g in enumerate(dst_list)}
         rows = []
         for g in src_list:
-            prod = alg.mult_coords[g][ia]
             row = [f.zero()] * len(dst_list)
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    row[dst_pos[k]] = c
+            for k, c in alg.product_coords(g, ia).items():
+                row[dst_pos[k]] = c
             rows.append(row)
         rho[a.name] = _matrix(f, dims[a.source], dims[a.target], rows)
     return Representation(alg, dims, rho)
@@ -227,11 +225,10 @@ def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
         dst_list = by_source[a.target]
         rows = []
         for p in src_list:
-            row = []
-            for q in dst_list:
-                # coefficient of p inside a.q
-                row.append(alg.mult_coords[ia][q][p])
-            rows.append(row)
+            # coefficient of p inside a.q
+            rows.append(
+                [alg.product_coords(ia, q).get(p, f.zero()) for q in dst_list]
+            )
         rho[a.name] = _matrix(f, dims[a.source], dims[a.target], rows)
     return Representation(alg, dims, rho)
 

@@ -259,6 +259,21 @@ def test_unknown_split_arrow(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_repeated_split_arrow(capsys):
+    code, out, err = run(
+        capsys, "verify", EX1, "--base", "C", "--tilde", "Ctilde",
+        "--split", "eps,eps",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "repeats" in err
+
+
+def test_hcoh_repeated_arrow(capsys):
+    code, out, err = run(capsys, "hcoh", EX1, "Ctilde", "--arrows", "eps,eps")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "repeats" in err
+
+
 # C has the commutativity relation a.b = 2 c.d, while Ctilde modulo e has
 # a.b = c.d: same basis labels, different products
 PRODUCT_MISMATCH = """\

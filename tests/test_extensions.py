@@ -41,19 +41,13 @@ def test_family_split_shapes(files, name):
 def test_split_products_match_pair_form(presentations):
     # (c,e)(c',e') = (cc', ce' + ec'): check on every basis pair
     sp = presentations["ex2"]["CB"]
-    b, e, f = sp.total, sp.ext, sp.field
+    b, e = sp.total, sp.ext
     for i in range(sp.base.dim):
         si = sp.section[i]
         for g in e.amb_index:
-            left = b.product_coords(si, g)
-            right = b.product_coords(g, si)
             # both products stay inside the ideal span
-            for t, c in enumerate(left):
-                if not f.is_zero(c):
-                    assert t in set(e.amb_index)
-            for t, c in enumerate(right):
-                if not f.is_zero(c):
-                    assert t in set(e.amb_index)
+            assert set(b.product_coords(si, g)) <= set(e.amb_index)
+            assert set(b.product_coords(g, si)) <= set(e.amb_index)
 
 
 def test_projection_section_identity(presentations):
@@ -73,6 +67,48 @@ def test_unknown_subset_rejected(families):
         fam.split((), ("eps", "nope"))
     with pytest.raises(SplitError):
         fam.verify(("nope",))
+
+
+def test_repeated_arrow_name_rejected(families):
+    fam = families["ex1"]
+    with pytest.raises(SplitError, match="repeats"):
+        fam.partial(("eps", "eps"))
+    with pytest.raises(SplitError, match="repeats"):
+        fam.split((), ("eps", "eps"))
+    with pytest.raises(SplitError, match="repeats"):
+        fam.verify(("eps", "eps"))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_verify_builds_the_full_split_once(files, monkeypatch, name):
+    """verify on every subset computes the part over C < Ctilde once per
+    family: h^1 of Ctilde with coefficients in E and the lifts through it do
+    not depend on the subset.  The reports equal those of one fresh family
+    per subset."""
+    pf = files[name]
+    fresh = {}
+    subsets = [
+        combo
+        for r in range(3)
+        for combo in combinations(Family(pf.block("C"), pf.block("Ctilde")).new_arrows, r)
+    ]
+    for combo in subsets:
+        fresh[combo] = Family(pf.block("C"), pf.block("Ctilde")).verify(combo).to_dict()
+
+    calls = []
+    real = extensions.split_presentation
+
+    def counting(base, total, new_arrow_names):
+        calls.append((base, total))
+        return real(base, total, new_arrow_names)
+
+    monkeypatch.setattr(extensions, "split_presentation", counting)
+    fam = Family(pf.block("C"), pf.block("Ctilde"))
+    for combo in reversed(subsets):
+        assert fam.verify(combo).to_dict() == fresh[combo]
+    # once for the part that does not depend on S, and once each as the
+    # split C < B_S of S = all new arrows and B_S < Ctilde of S = ()
+    assert calls.count((fam.base, fam.full)) == 3
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
