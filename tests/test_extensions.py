@@ -86,14 +86,12 @@ def test_verify_builds_the_full_split_once(files, monkeypatch, name):
     not depend on the subset.  The reports equal those of one fresh family
     per subset."""
     pf = files[name]
-    fresh = {}
-    subsets = [
-        combo
-        for r in range(3)
-        for combo in combinations(Family(pf.block("C"), pf.block("Ctilde")).new_arrows, r)
-    ]
-    for combo in subsets:
-        fresh[combo] = Family(pf.block("C"), pf.block("Ctilde")).verify(combo).to_dict()
+    new = tuple(pf.block("Ctilde").new_arrows)
+    subsets = [c for r in range(len(new) + 1) for c in combinations(new, r)]
+    fresh = {
+        c: Family(pf.block("C"), pf.block("Ctilde")).verify(c).to_dict()
+        for c in subsets
+    }
 
     calls = []
     real = extensions.split_presentation

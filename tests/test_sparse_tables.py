@@ -1,5 +1,5 @@
-"""The sparse structure constants and action tables against the dense tables
-they replaced: the dim x dim x dim product table of an algebra and the two
+"""The sparse structure constants and action tables against dense reference
+builders: the dim x dim x dim product table of an algebra and the two
 dim M x dim M action matrices per acting basis element of a bimodule."""
 
 from itertools import combinations
@@ -15,8 +15,8 @@ FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
 
 def _reference_mult_coords(alg):
-    """The dense product table the builder used to store: entry [i][j] is
-    the coordinate tuple of b_i b_j, zero rows included."""
+    """The dense product table: entry [i][j] is the coordinate tuple of
+    b_i b_j, zero rows included."""
     f = alg.field
     zero_row = tuple(f.zero() for _ in range(alg.dim))
     mult = []
@@ -36,8 +36,8 @@ def _reference_mult_coords(alg):
 
 
 def _reference_actions(m):
-    """The dense left and right action matrices that from_ambient_span used
-    to store, restricted from the dense product table of the ambient."""
+    """The dense left and right action matrices of an ambient-realized
+    bimodule, restricted from the dense product table of the ambient."""
     f = m.field
     mult = _reference_mult_coords(m.ambient)
     pos = {g: i for i, g in enumerate(m.amb_index)}
