@@ -41,6 +41,12 @@ def _row_apply(field, vec: dict, mat: dict) -> dict:
     return field.sparse(out)
 
 
+def _nonzero(field, mat: dict) -> dict:
+    """A sparse matrix {i: {j: c}} without zero entries or empty rows."""
+    rows = {i: field.sparse(row) for i, row in mat.items()}
+    return {i: row for i, row in rows.items() if row}
+
+
 def _combine(field, coeffs: dict, mats) -> dict:
     """sum of coeffs[k] * mats[k] over sparse matrices {i: {j: c}}."""
     out = {}
@@ -49,7 +55,7 @@ def _combine(field, coeffs: dict, mats) -> dict:
             acc = out.setdefault(i, {})
             for j, x in row.items():
                 acc[j] = field.add(acc.get(j, field.zero()), field.mul(c, x))
-    return {i: row for i, row in ((i, field.sparse(r)) for i, r in out.items()) if row}
+    return _nonzero(field, out)
 
 
 def _compose(field, s: dict, t: dict) -> dict:
@@ -130,16 +136,11 @@ class Bimodule:
         {i: {j: c}} with the coordinates of a.x_i (or x_i.a) on x_j; zero
         entries are dropped."""
         f = acting.field
-
-        def clean(table):
-            rows = {i: f.sparse(row) for i, row in table.items()}
-            return {i: row for i, row in rows.items() if row}
-
         m = Bimodule(
             acting,
             len(src),
-            [clean(t) for t in left],
-            [clean(t) for t in right],
+            [_nonzero(f, t) for t in left],
+            [_nonzero(f, t) for t in right],
             tuple(src),
             tuple(tgt),
         )
