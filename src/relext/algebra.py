@@ -116,10 +116,14 @@ class BoundQuiverAlgebra:
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
     _nf_cache: dict  # Path -> {k: c}, shared with products: read only
-    _echelon: exactla.Echelon
+    _echelon: exactla.Echelon | None  # None for a restriction
     _center: exactla.Subspace | None = None  # set by center()
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
+    _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
+    # for a restriction (quotient_by_arrows): the parent algebra, the parent
+    # arrow index of each own arrow, and own basis index by parent index
+    _parent: tuple | None = None
 
     # -- elements ----------------------------------------------------------
 
@@ -154,7 +158,13 @@ class BoundQuiverAlgebra:
         if path in self._nf_cache:
             return self._nf_cache[path]
         out = {}
-        if path.length < self.zero_length:
+        if self._parent is not None:
+            parent, arrow_map, pos = self._parent
+            lifted = Path(
+                parent.quiver, path.vertex, tuple(arrow_map[k] for k in path.arrows)
+            )
+            out = {pos[g]: c for g, c in parent.nf_coords(lifted).items() if g in pos}
+        elif path.length < self.zero_length:
             for p, c in self._echelon.reduce({path: self.field.one()}).items():
                 i = self.basis_index.get(p)
                 if i is None:
@@ -192,10 +202,14 @@ class BoundQuiverAlgebra:
         return tuple(f.dense(prod, self.dim))
 
     def coords_of_vertex_pair(self, x, y) -> list:
-        """Basis indices lying in e_x A e_y."""
-        return [
-            i for i, p in enumerate(self.basis) if p.source == x and p.target == y
-        ]
+        """Basis indices lying in e_x A e_y, in basis order; the basis is
+        indexed by (source, target) once per algebra."""
+        if self._vertex_pairs is None:
+            pairs = {}
+            for i, p in enumerate(self.basis):
+                pairs.setdefault((p.source, p.target), []).append(i)
+            self._vertex_pairs = pairs
+        return list(self._vertex_pairs.get((x, y), ()))
 
     def __repr__(self):
         return "BoundQuiverAlgebra(%s, dim %d, %s)" % (
@@ -397,14 +411,46 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
             raise AlgebraBuildError("unit law fails at basis %d" % i)
 
 
-def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
-    """The bound quiver algebra with the listed arrows deleted.
+def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
+    """Basis indices of the paths through any of the named arrows, whose
+    span is checked to be the two-sided ideal the arrows generate; raises
+    ValueError when it is not.
 
-    Relation terms containing a deleted arrow are dropped; relations left
-    with no term disappear.  This presents the quotient of the original
-    algebra by the two-sided ideal the deleted arrows generate, and the
-    dimension identity dim(quotient) + dim(ideal) = dim(original) is
-    checked on every call.
+    The span contains the arrows, and each path through one of them has
+    that arrow as a factor, so the span lies in the ideal.  It is the whole
+    ideal exactly when it is closed under products with every basis element
+    on both sides, which is checked on the nonzero structure constants: a
+    product with a factor in the span has all its coordinates in the span.
+    """
+    idx = {alg.quiver.arrow_index[n] for n in arrows}
+    span = tuple(g for g, p in enumerate(alg.basis) if idx.intersection(p.arrows))
+    inside = set(span)
+    for g, row in enumerate(alg.products):
+        for h, cell in row.items():
+            if (g in inside or h in inside) and not inside.issuperset(cell):
+                raise ValueError(
+                    "ideal of %s is not spanned by the paths through those arrows"
+                    % sorted(arrows)
+                )
+    return span
+
+
+def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
+    """The algebra modulo the two-sided ideal J of the listed arrows: alg
+    restricted to the basis paths that avoid them.
+
+    Its presentation deletes the arrows, drops the relation terms through
+    them and the relations left with no term.  arrow_ideal_paths checks that
+    J is the span of the basis paths through the arrows, so the classes of
+    the other basis paths form a basis of alg/J, and the structure constants
+    and normal forms are alg's with the coordinates on J dropped.  That is
+    why no build and none of its checks run here: alg/J is associative
+    with the class of alg's unit as unit, each relation of the presentation
+    is a relation of alg minus terms lying in J, so it vanishes, and normal
+    forms stay multiplicative because reducing modulo J is an algebra map.
+    The dimension identity dim(quotient) + dim(J) = dim(alg) holds by
+    construction.  Every path at least alg.zero_length long is zero here
+    too, so zero_length is alg's.
     """
     arrows = frozenset(arrows)
     block = alg.block
@@ -413,6 +459,7 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         raise ValueError("not arrows of %r: %s" % (block.name, sorted(unknown)))
     if not arrows:
         return alg
+    dropped = arrow_ideal_paths(alg, arrows)
 
     kept_arrows = tuple(a for a in block.arrows if a[0] not in arrows)
     kept_rels = []
@@ -429,37 +476,44 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         extension_of=None,
         new_arrows=(),
     )
-    quot = build(sub_block, field=alg.field, max_len_cap=max(alg.zero_length, 2))
-
-    ideal_dim = ideal_subspace(alg, arrows).dim
-    if quot.dim + ideal_dim != alg.dim:
-        raise AlgebraBuildError(
-            "quotient dimension %d + ideal dimension %d != %d"
-            % (quot.dim, ideal_dim, alg.dim)
-        )
-    return quot
-
-
-def ideal_subspace(alg: BoundQuiverAlgebra, arrows) -> exactla.Subspace:
-    """The two-sided ideal generated by the given arrows, as a subspace."""
-    f = alg.field
-    units = [{i: f.one()} for i in range(alg.dim)]
-    span = exactla.Subspace.from_sparse(
-        f, alg.dim, [units[alg.arrow_index_in_basis[a]] for a in arrows]
+    q = Quiver(sub_block.vertices, kept_arrows)
+    arrow_map = tuple(alg.quiver.arrow_index[a[0]] for a in kept_arrows)
+    own_arrow = {k: i for i, k in enumerate(arrow_map)}
+    gone = set(dropped)
+    kept_idx = [g for g in range(alg.dim) if g not in gone]
+    pos = {g: i for i, g in enumerate(kept_idx)}
+    # the deleted arrows keep the relative order of the others, and with it
+    # the basis order
+    basis = tuple(
+        Path(q, p.vertex, tuple(own_arrow[k] for k in p.arrows))
+        for p in (alg.basis[g] for g in kept_idx)
     )
-    while True:
-        extra = []
-        for vec in span.basis:
-            vec = f.sparse(vec)
-            for unit in units:
-                for prod in (alg.multiply_sparse(unit, vec), alg.multiply_sparse(vec, unit)):
-                    if prod and not span.contains(f.dense(prod, alg.dim)):
-                        extra.append(prod)
-        if not extra:
-            return span
-        span = exactla.Subspace.from_sparse(
-            f, alg.dim, [f.sparse(v) for v in span.basis] + extra
-        )
+    products = []
+    for g in kept_idx:
+        row = {}
+        for h, cell in alg.products[g].items():
+            if h in pos:
+                cell = {pos[k]: c for k, c in cell.items() if k in pos}
+                if cell:
+                    row[pos[h]] = cell
+        products.append(row)
+    return BoundQuiverAlgebra(
+        block=sub_block,
+        quiver=q,
+        field=alg.field,
+        basis=basis,
+        dim=len(basis),
+        zero_length=alg.zero_length,
+        basis_index={p: i for i, p in enumerate(basis)},
+        products=products,
+        idem_index={v: pos[g] for v, g in alg.idem_index.items()},
+        arrow_index_in_basis={
+            a[0]: pos[alg.arrow_index_in_basis[a[0]]] for a in kept_arrows
+        },
+        _nf_cache={},
+        _echelon=None,
+        _parent=(alg, arrow_map, pos),
+    )
 
 
 def center(alg: BoundQuiverAlgebra) -> exactla.Subspace:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactla
-from .algebra import BoundQuiverAlgebra, ideal_subspace
+from .algebra import BoundQuiverAlgebra, arrow_ideal_paths
 from .exactla import Subspace
 
 
@@ -224,10 +224,16 @@ class Bimodule:
 
     def _verify_section_premise(self):
         """sigma(a)sigma(b) - sigma(ab) must annihilate the span on the
-        relevant side; with ambient associativity this yields the axioms."""
+        relevant side; with ambient associativity this yields the axioms.
+
+        When the acting algebra is the ambient one and sigma is the identity
+        on its basis, sigma(a)sigma(b) - sigma(ab) is ab - ab = 0 by
+        definition, so there is nothing to check."""
         f = self.field
         A = self.acting
         amb = self.ambient
+        if A is amb and self.embed == tuple(range(A.dim)):
+            return
         for a in range(A.dim):
             amb_row = amb.products[self.embed[a]]
             own_row = A.products[a]
@@ -309,13 +315,9 @@ def sub_bimodule(
     return Bimodule.from_ambient_span(acting, ambient, amb_index, embed)
 
 
-def arrow_ideal_bimodule(
-    ambient: BoundQuiverAlgebra,
-    arrow_names,
-    acting: BoundQuiverAlgebra | None = None,
-    embed=None,
-) -> Bimodule:
-    """The two-sided ideal of the named arrows, as a square-zero bimodule.
+def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
+    """The two-sided ideal of the named arrows, as a square-zero bimodule
+    over the ambient algebra.
 
     Raises when a surviving path runs through two of the named arrows or
     when the ideal fails to square to zero, and when the ideal is not the
@@ -326,9 +328,7 @@ def arrow_ideal_bimodule(
     unknown = arrow_set - set(ambient.arrow_index_in_basis)
     if unknown:
         raise ValueError("not arrows of %r: %s" % (ambient.block.name, sorted(unknown)))
-    f = ambient.field
-    span = []
-    for i, p in enumerate(ambient.basis):
+    for p in ambient.basis:
         hits = sum(
             1 for k in p.arrows if ambient.quiver.arrows[k].name in arrow_set
         )
@@ -337,15 +337,7 @@ def arrow_ideal_bimodule(
                 "path %s runs through two of the new arrows; "
                 "the extension ideal does not square to zero" % p.label()
             )
-        if hits == 1:
-            span.append(i)
-    ideal = ideal_subspace(ambient, arrow_set)
-    coord_span = Subspace.from_sparse(f, ambient.dim, [{g: f.one()} for g in span])
-    if ideal != coord_span:
-        raise ValueError(
-            "ideal of %s is not spanned by the paths through those arrows"
-            % sorted(arrow_set)
-        )
+    span = arrow_ideal_paths(ambient, arrow_set)
     # square-zero, checked on the ideal itself
     in_span = set(span)
     for g in span:
@@ -355,7 +347,7 @@ def arrow_ideal_bimodule(
                     "extension ideal does not square to zero: %s * %s != 0"
                     % (ambient.basis[g].label(), ambient.basis[h].label())
                 )
-    return sub_bimodule(ambient, tuple(span), acting, embed)
+    return sub_bimodule(ambient, span)
 
 
 def base_sub_bimodule(
@@ -377,25 +369,30 @@ def base_sub_bimodule(
 
 def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     """Do the arrow ideals of the given disjoint arrow sets decompose the
-    ideal of their union as a direct sum?"""
+    ideal of their union as a direct sum?
+
+    Raises when the ideal of the union is not the span of the basis paths
+    through its arrows.  Given that span, the ideal of a part whose own path
+    span is not an ideal is larger than that span, so the dimensions of the
+    parts add up to more than the union's and the sum is not direct.  When
+    every part's ideal is its path span, the sum is the union's path span,
+    and it is direct iff no basis path runs through two parts."""
     parts = [set(p) for p in parts]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if parts[i] & parts[j]:
                 return False
-    union = set().union(*parts) if parts else set()
-    total = ideal_subspace(ambient, union)
-    subs = [ideal_subspace(ambient, p) for p in parts]
-    if sum(s.dim for s in subs) != total.dim:
-        return False
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if subs[i].intersect(subs[j]).dim != 0:
-                return False
-    acc = Subspace.zero(ambient.field, ambient.dim)
-    for s in subs:
-        acc = acc.sum(s)
-    return acc == total
+    arrow_ideal_paths(ambient, set().union(*parts))
+    seen = set()
+    for p in parts:
+        try:
+            span = arrow_ideal_paths(ambient, p)
+        except ValueError:
+            return False
+        if seen.intersection(span):
+            return False
+        seen.update(span)
+    return True
 
 
 def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:

@@ -15,7 +15,7 @@ echelonized bases compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 
@@ -450,6 +450,9 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of coordinate tuples, RREF rows, no zero rows
+    # per basis row: (pivot column, its nonzero (column, x) pairs); set by
+    # _pivot_rows, not part of equality
+    _rows: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -475,20 +478,38 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, v: list) -> list:
-        """Residue of v modulo this subspace (zero iff v is contained)."""
+    def _pivot_rows(self) -> tuple:
+        """Each basis row as (pivot column, nonzero (column, x) pairs), found
+        once per subspace."""
+        if self._rows is None:
+            f = self.field
+            rows = []
+            for row in self.basis:
+                entries = tuple((j, x) for j, x in enumerate(row) if not f.is_zero(x))
+                rows.append((entries[0][0], entries))
+            object.__setattr__(self, "_rows", tuple(rows))
+        return self._rows
+
+    def _eliminate(self, v: list) -> list:
+        """Subtract v[pivot] times each basis row from v, in basis order, in
+        place; returns those multiples."""
         f = self.field
-        v = list(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient_dim")
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
+        coeffs = [f.zero()] * len(self.basis)
+        for i, (lead, entries) in enumerate(self._pivot_rows()):
             c = v[lead]
             if f.is_zero(c):
                 continue
-            for j in range(lead, self.ambient_dim):
-                if not f.is_zero(row[j]):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+            coeffs[i] = c
+            for j, x in entries:
+                v[j] = f.sub(v[j], f.mul(c, x))
+        return coeffs
+
+    def reduce(self, v: list) -> list:
+        """Residue of v modulo this subspace (zero iff v is contained)."""
+        v = list(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient_dim")
+        self._eliminate(v)
         return v
 
     def contains(self, v) -> bool:
@@ -499,16 +520,7 @@ class Subspace:
         """Coefficients of v in the stored basis, or None if v is outside."""
         f = self.field
         v = list(v)
-        coeffs = [f.zero()] * len(self.basis)
-        for i, row in enumerate(self.basis):
-            lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
-            c = v[lead]
-            if f.is_zero(c):
-                continue
-            coeffs[i] = c
-            for j in range(lead, self.ambient_dim):
-                if not f.is_zero(row[j]):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        coeffs = self._eliminate(v)
         if any(not f.is_zero(x) for x in v):
             return None
         return coeffs

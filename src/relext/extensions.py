@@ -74,6 +74,7 @@ class SplitPresentation:
     projection: tuple   # total basis index -> base basis index or None
     ext: Bimodule            # ideal of the new arrows, acting algebra = total
     ext_over_base: Bimodule  # the same span, acting algebra = base
+    _derivation_map: tuple | None = None  # set by derivation_map
 
     @property
     def field(self):
@@ -94,6 +95,37 @@ class SplitPresentation:
                 out[b] = c
             # coordinates on new-arrow paths are killed
         return out
+
+    def derivation_map(self) -> tuple:
+        """(pairs, n): the projection of derivations c |-> p(d(sigma(c)))
+        in arrow coordinates, as pairs (total coordinate, base coordinate)
+        over the n base coordinates; built once per presentation.
+
+        The value of d at a base arrow a is read from a's slice of the
+        total coordinates, and the projection keeps the paths of the base,
+        which the section matches by label, hence with the same source and
+        target: every kept coordinate lands in a's slice over the base.
+        That is checked here, once per slice entry."""
+        if self._derivation_map is None:
+            lt = arrow_layout(self.total, regular_bimodule_of(self.total))
+            lb = arrow_layout(self.base, regular_bimodule_of(self.base))
+            pos_t = {a.name: k for k, a in enumerate(self.total.quiver.arrows)}
+            pairs = []
+            for kb, a in enumerate(self.base.quiver.arrows):
+                kt = pos_t[a.name]
+                block_pos = {b: u for u, b in enumerate(lb.blocks[kb])}
+                for u, g in enumerate(lt.blocks[kt]):
+                    b = self.projection[g]
+                    if b is None:
+                        continue
+                    if b not in block_pos:
+                        raise SplitError(
+                            "projected derivation leaves the bigraded slice of %s"
+                            % a.name
+                        )
+                    pairs.append((lt.offsets[kt] + u, lb.offsets[kb] + block_pos[b]))
+            self._derivation_map = (tuple(pairs), lb.total)
+        return self._derivation_map
 
 
 def split_presentation(
@@ -131,14 +163,53 @@ def split_presentation(
     for i, g in enumerate(section):
         projection[g] = i
 
-    if new_arrow_names:
-        ext = bimod.arrow_ideal_bimodule(total, new_arrow_names)
-        ext_over_base = bimod.arrow_ideal_bimodule(
-            total, new_arrow_names, acting=base, embed=section
-        )
-    else:
-        ext = bimod.sub_bimodule(total, ())
-        ext_over_base = bimod.sub_bimodule(total, (), acting=base, embed=section)
+    ext = bimod.arrow_ideal_bimodule(total, new_arrow_names)
+    if base.field is not total.field:
+        raise ValueError("acting and ambient algebras use different fields")
+
+    # the section must be multiplicative, so the base is a subalgebra and
+    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose;
+    # a pair (i, j) can break that only where one side's product is nonzero
+    f = total.field
+    defects = []  # (i, j, sigma(b_i)sigma(b_j) - sigma(b_i b_j)), nonzero
+    for i in range(base.dim):
+        row = total.products[section[i]]
+        nonzero = set(base.products[i])
+        nonzero.update(projection[g] for g in row if projection[g] is not None)
+        for j in sorted(nonzero):
+            lhs = row.get(section[j], {})
+            rhs = {section[k]: c for k, c in base.product_coords(i, j).items()}
+            if lhs != rhs:
+                delta = dict(lhs)
+                for g, c in rhs.items():
+                    delta[g] = f.sub(delta.get(g, f.zero()), c)
+                defects.append((i, j, f.sparse(delta)))
+    # a defect that does not even annihilate the ideal breaks the bimodule
+    # axioms of the base's action, and is reported as Bimodule.verify does
+    for _, _, delta in defects:
+        for g in ext.amb_index:
+            unit = {g: f.one()}
+            if total.multiply_sparse(delta, unit) or total.multiply_sparse(unit, delta):
+                raise ValueError("section defect does not annihilate the span")
+    # The base acts on the ideal through the section: a basis element c
+    # acts as sigma(c) does, so its tables are ext's at sigma(c).  With the
+    # section multiplicative (checked below before anything is returned)
+    # and sending each idempotent to the total's idempotent at the same
+    # vertex (it matches the stationary paths by label), these tables
+    # satisfy everything Bimodule.verify checks: the idempotents act as the
+    # bigrade projections because they do in ext, and the section defect is
+    # zero.
+    ext_over_base = Bimodule(
+        acting=base,
+        dim=ext.dim,
+        left=[ext.left[g] for g in section],
+        right=[ext.right[g] for g in section],
+        src=ext.src,
+        tgt=ext.tgt,
+        ambient=total,
+        amb_index=ext.amb_index,
+        embed=section,
+    )
 
     # the base paths and the ideal paths must partition the total basis
     covered = set(section) | set(ext.amb_index)
@@ -146,20 +217,13 @@ def split_presentation(
         raise SplitError(
             "total algebra does not split as base plus the new-arrow ideal"
         )
-
-    # the section must be multiplicative, so the base is a subalgebra and
-    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose
-    for i in range(base.dim):
-        si = section[i]
-        for j in range(base.dim):
-            lhs = total.product_coords(si, section[j])
-            rhs = {section[k]: c for k, c in base.product_coords(i, j).items()}
-            if lhs != rhs:
-                raise SplitError(
-                    "products of base paths %s and %s disagree between the "
-                    "base and total algebras"
-                    % (base.basis[i].label(), base.basis[j].label())
-                )
+    if defects:
+        i, j, _ = defects[0]
+        raise SplitError(
+            "products of base paths %s and %s disagree between the "
+            "base and total algebras"
+            % (base.basis[i].label(), base.basis[j].label())
+        )
 
     return SplitPresentation(
         base=base,
@@ -178,26 +242,10 @@ def split_presentation(
 def project_derivation(sp: SplitPresentation, vec) -> list:
     """Arrow coordinates over the base of the projected derivation
     c |-> p(d(sigma(c))), for d given in arrow coordinates over the total."""
-    lt = arrow_layout(sp.total, regular_bimodule_of(sp.total))
-    lb = arrow_layout(sp.base, regular_bimodule_of(sp.base))
-    f = sp.field
-    pos_t = {a.name: k for k, a in enumerate(sp.total.quiver.arrows)}
-    out = [f.zero()] * lb.total
-    for kb, a in enumerate(sp.base.quiver.arrows):
-        kt = pos_t[a.name]
-        val = [f.zero()] * sp.total.dim
-        for u, g in enumerate(lt.blocks[kt]):
-            val[g] = vec[lt.offsets[kt] + u]
-        proj = sp.project_coords(val)
-        block_pos = {g: u for u, g in enumerate(lb.blocks[kb])}
-        for g, c in enumerate(proj):
-            if f.is_zero(c):
-                continue
-            if g not in block_pos:
-                raise SplitError(
-                    "projected derivation leaves the bigraded slice of %s" % a.name
-                )
-            out[lb.offsets[kb] + block_pos[g]] = c
+    pairs, n = sp.derivation_map()
+    out = [sp.field.zero()] * n
+    for t, b in pairs:
+        out[b] = vec[t]
     return out
 
 
@@ -218,22 +266,6 @@ def include_coefficient_derivation(alg, coeff: Bimodule, vec) -> list:
                 continue
             out[lr.offsets[k] + reg_pos[coeff.amb_index[i]]] = c
     return out
-
-
-def class_coordinates(space: CohomologySpace, reps, vec) -> list:
-    """Coordinates of a cocycle's class in the basis of classes given by
-    `reps`; unique because the representatives are independent modulo the
-    inner derivations."""
-    f = space.algebra.field
-    cols = [list(b) for b in space.inner.basis] + [list(r) for r in reps]
-    n = space.layout.total
-    mat = Matrix(
-        f, n, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    )
-    sol = exactla.solve(mat, list(vec))
-    if sol is None:
-        raise SplitError("vector does not represent a class of this space")
-    return sol[space.inner.dim :]
 
 
 def hochschild_projection(sp: SplitPresentation, degree: int) -> Matrix:
@@ -265,18 +297,17 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> Matrix:
     for b in src.inner.basis:
         if not tgt.inner.contains(project_derivation(sp, list(b))):
             raise SplitError("projection of an inner derivation is not inner")
-    tgt_reps = tgt.representatives()
     cols = []
     for r in src.representatives():
         pr = project_derivation(sp, r)
         if not tgt.derivations.contains(pr):
             raise SplitError("projection of a derivation breaks a base relation")
-        cols.append(class_coordinates(tgt, tgt_reps, pr))
+        cols.append(tgt.class_coordinates(pr))
     return Matrix(
         f,
-        len(tgt_reps),
+        tgt.dim,
         len(cols),
-        [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt_reps))],
+        [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)],
     )
 
 
@@ -623,9 +654,11 @@ class Family:
 
     The family gates run once, here: Ctilde modulo all new arrows must be
     C (same basis labels and structure constants), and the new-arrow ideal
-    must have the dimension of Ext^2 of C.  Partial extensions are cached
-    per subset; split presentations are not, so their bimodules die with
-    the caller's use of them.
+    must have the dimension of Ext^2 of C.  Only C and Ctilde are built:
+    every other B_S is Ctilde restricted to the basis paths that avoid the
+    new arrows outside S (quotient_by_arrows), cached per subset.  Split
+    presentations are not cached, so their bimodules die with the caller's
+    use of them.
     """
 
     def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
@@ -650,7 +683,8 @@ class Family:
 
     def partial(self, subset) -> BoundQuiverAlgebra:
         """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
-        and of its complement are checked to split the new-arrow ideal."""
+        and of its complement are checked to split the new-arrow ideal; the
+        gate has checked that the new-arrow ideal is spanned by its paths."""
         for n in subset:
             if n not in self.new_arrows:
                 raise SplitError("%s is not one of the declared new arrows" % n)

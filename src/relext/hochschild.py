@@ -174,6 +174,7 @@ class CohomologySpace:
     layout: ArrowLayout
     derivations: Subspace
     inner: Subspace
+    _classes: tuple | None = None  # set by _class_basis
 
     @property
     def dim(self) -> int:
@@ -187,18 +188,68 @@ class CohomologySpace:
         diff = [f.sub(a, b) for a, b in zip(u, v)]
         return all(f.is_zero(c) for c in self.inner.reduce(diff))
 
+    def _class_basis(self) -> tuple:
+        """(echelon, w, representatives), computed once per space.
+
+        w lists the inner basis and then the representatives: the
+        derivation basis vectors outside the span of the inner basis and
+        the representatives before them, so w is a basis of the
+        derivations.  The echelon holds the rows [w_k | t_k], coordinate j
+        keyed by -j and a tag t_k keyed by -(n + k) below every coordinate
+        key, so every pivot is a coordinate; reducing [v | 0] leaves
+        [residue | -(coordinates of v in w)], with residue 0 iff v lies in
+        the span of w."""
+        if self._classes is None:
+            f = self.algebra.field
+            n = self.layout.total
+            ech = exactla.Echelon(f)
+            w = []
+            reps = []
+
+            def add(vec):
+                ech.insert({**_keyed(vec), -(n + len(w)): f.one()})
+                w.append(vec)
+
+            for b in self.inner.basis:
+                add(f.sparse(b))
+            for b in self.derivations.basis:
+                vec = f.sparse(b)
+                if any(k > -n for k in ech.reduce(_keyed(vec))):
+                    add(vec)
+                    reps.append(b)
+            self._classes = (ech, w, tuple(reps))
+        return self._classes
+
     def representatives(self) -> list:
         """Derivations whose classes form a basis of H1."""
+        return [list(r) for r in self._class_basis()[2]]
+
+    def class_coordinates(self, vec) -> list:
+        """Coordinates of a derivation's class in the basis of classes of
+        representatives(); unique because w is a basis of the derivations.
+        The solution is checked by substitution."""
         f = self.algebra.field
-        reps = []
-        span = self.inner
-        for b in self.derivations.basis:
-            if not span.contains(list(b)):
-                reps.append(list(b))
-                span = span.sum(
-                    Subspace.from_vectors(f, span.ambient_dim, [list(b)])
-                )
-        return reps
+        n = self.layout.total
+        ech, w, _ = self._class_basis()
+        vec = f.sparse(vec)
+        res = ech.reduce(_keyed(vec))
+        if any(k > -n for k in res):
+            raise ValueError("vector does not represent a class of this space")
+        coords = [f.neg(res.get(-(n + k), f.zero())) for k in range(len(w))]
+        acc = {}
+        for c, wk in zip(coords, w):
+            if f.is_zero(c):
+                continue
+            for j, x in wk.items():
+                acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, x))
+        if f.sparse(acc) != vec:
+            raise ArithmeticError("class coordinates fail substitution")
+        return coords[self.inner.dim :]
+
+
+def _keyed(vec: dict) -> dict:
+    """A sparse vector as an echelon row, coordinate j keyed by -j."""
+    return {-j: x for j, x in vec.items()}
 
 
 def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:

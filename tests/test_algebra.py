@@ -128,6 +128,22 @@ def test_quotient_by_arrows(files, algebras):
             assert red.product_coords(i, j) == c.product_coords(i, j)
 
 
+def test_vertex_pair_index(algebras, families):
+    """coords_of_vertex_pair reads an index built once per algebra, with the
+    indices of e_x A e_y in basis order, as a scan over the basis gives."""
+    algs = list(algebras.values()) + [
+        fam.partial(s) for fam in families.values() for s in (("eps",), ("eps2",))
+    ]
+    for alg in algs:
+        for x in alg.quiver.vertices:
+            for y in alg.quiver.vertices:
+                scan = [
+                    i for i, p in enumerate(alg.basis) if p.source == x and p.target == y
+                ]
+                assert alg.coords_of_vertex_pair(x, y) == scan
+        assert sum(map(len, alg._vertex_pairs.values())) == alg.dim
+
+
 def test_field_override_prime(files):
     blk = files["ex2"].block("Ctilde")
     alg = build(blk, field=exactla.PrimeField(5))

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from relext import bimod, exactla, extensions, qdsl
-from relext.algebra import center
+from relext.algebra import build, center
 from relext.exactla import Matrix, PrimeField, QQ
+from relext.quiver import Path
 
 
 @pytest.mark.parametrize("key", [("ex1", "C"), ("ex2", "Ctilde")])
@@ -45,6 +46,24 @@ def test_sub_bimodule_requires_closure(algebras):
     k = alg.arrow_index_in_basis["alpha"]
     with pytest.raises(ValueError):
         bimod.sub_bimodule(alg, (k,))
+
+
+def test_ambient_span_with_non_multiplicative_embed_rejected():
+    """The section premise is skipped only for the identity embedding: an
+    ambient span acted on by the ambient algebra itself through a basis
+    permutation that is not multiplicative still fails it."""
+    text = (
+        "algebra A\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\narrow c 1 3\nend\n"
+    )
+    alg = build(qdsl.parse(text).block("A"))
+    ab = alg.basis_index[Path.from_arrow_names(alg.quiver, ["a", "b"])]
+    c = alg.arrow_index_in_basis["c"]
+    swap = list(range(alg.dim))
+    swap[ab], swap[c] = c, ab
+    # a.b - c is the defect at (a, b), and e_1 (a.b - c) = a.b - c != 0
+    with pytest.raises(ValueError, match="section defect does not annihilate the span"):
+        bimod.Bimodule.from_ambient_span(alg, alg, range(alg.dim), swap)
+    bimod.Bimodule.from_ambient_span(alg, alg, range(alg.dim), range(alg.dim))
 
 
 def test_section_embed_and_base_sub(algebras, files):

@@ -321,3 +321,55 @@ def test_base_disagreeing_on_products_rejected(capsys, tmp_path, argv):
     )
     assert code == 2 and out == ""
     assert "does not reduce to the declared base algebra" in err
+
+
+# relation extension whose two new arrows 1 -> 4 are tied by the binomial
+# delta.eps2 - delta.eps: the ideal of eps2 holds delta.eps, a path that
+# avoids eps2, so neither single arrow splits the ideal
+NON_SPLITTING = """\
+algebra C
+vertices 1 2 3 4
+arrow alpha 4 2
+arrow beta 2 1
+arrow gamma 4 3
+arrow delta 3 1
+rel alpha.beta
+rel gamma.delta
+end
+
+algebra Ctilde
+extension_of C
+vertices 1 2 3 4
+arrow alpha 4 2
+arrow beta 2 1
+arrow gamma 4 3
+arrow delta 3 1
+arrow eps 1 4
+arrow eps2 1 4
+new eps eps2
+rel alpha.beta
+rel beta.eps2
+rel gamma.delta
+rel eps.gamma
+rel delta.eps2 - delta.eps
+rel beta.eps.alpha - beta.eps2.alpha
+end
+"""
+
+
+def test_non_splitting_subset(capsys, tmp_path):
+    path = tmp_path / "nonsplit.quiv"
+    path.write_text(NON_SPLITTING)
+    fam = ["--base", "C", "--tilde", "Ctilde"]
+    for split in ("eps", "eps2"):
+        code, out, err = run(capsys, "verify", str(path), *fam, "--split", split)
+        assert code == 2 and out == ""
+        assert "the chosen arrow subset does not split the ideal" in err
+    code, out, _ = run(capsys, "poset", str(path), *fam, "--format", "json")
+    d = json.loads(out)
+    assert code == 0
+    assert [n["arrows"] for n in d["nodes"]] == [[], ["eps", "eps2"]]
+    assert d["edges"] == []
+    code, out, err = run(capsys, "hcoh", str(path), "Ctilde", "--arrows", "eps2")
+    assert code == 2 and out == ""
+    assert "ideal of ['eps2'] is not spanned by the paths through those arrows" in err

@@ -248,6 +248,51 @@ def test_sparse_engine_matches_dense_reference(fmr):
     )
 
 
+def _reference_reduce(u, v):
+    """Subspace.reduce before its pivot rows were cached: find each basis
+    row's leading entry by scanning the dense row."""
+    f = u.field
+    v = list(v)
+    coeffs = [f.zero()] * u.dim
+    for i, row in enumerate(u.basis):
+        lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
+        c = v[lead]
+        if f.is_zero(c):
+            continue
+        coeffs[i] = c
+        for j in range(lead, u.ambient_dim):
+            if not f.is_zero(row[j]):
+                v[j] = f.sub(v[j], f.mul(c, row[j]))
+    return v, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices().flatmap(
+    lambda fmr: st.lists(
+        st.lists(
+            st.sampled_from([fmr[0].zero()] * 3 + [fmr[0].one(), fmr[0].from_int(2), fmr[0].from_int(-1)]),
+            min_size=fmr[1].cols,
+            max_size=fmr[1].cols,
+        ),
+        max_size=4,
+    ).map(lambda probes: (fmr[0], fmr[1], probes))
+))
+def test_subspace_reduce_matches_dense_reference(fmp):
+    field, m, probes = fmp
+    u = Subspace.from_vectors(field, m.cols, m.entries)
+    # the spanning rows, sums of two of them, and the free probes
+    vecs = list(m.entries) + probes
+    vecs += [[field.add(a, b) for a, b in zip(x, y)] for x, y in zip(vecs, vecs[1:])]
+    for v in vecs:
+        residue, coeffs = _reference_reduce(u, v)
+        inside = all(field.is_zero(x) for x in residue)
+        assert u.reduce(v) == residue
+        assert u.contains(v) == inside
+        assert u.coordinates_of(v) == (coeffs if inside else None)
+    for v in m.entries:
+        assert u.contains(v)
+
+
 def test_solve_raises_when_substitution_fails(monkeypatch):
     m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)]])
     assert exactla.solve(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]

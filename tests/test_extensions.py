@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from relext import exactla, extensions, hochschild, qdsl
+from relext import algebra, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
 from relext.exactla import Matrix
 from relext.extensions import (
@@ -112,15 +112,24 @@ def test_verify_builds_the_full_split_once(files, monkeypatch, name):
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
 def test_family_builds_each_partial_once(files, monkeypatch, name):
     """verify on every subset and then poset share one family: one quotient
-    for the gate, one per valid proper non-empty subset, none for C or Ctilde."""
+    for the gate, one per valid proper non-empty subset, none for C or Ctilde.
+    A quotient restricts Ctilde's tables, so only C and Ctilde are built."""
     calls = []
+    builds = []
     real = extensions.quotient_by_arrows
+    real_build = extensions.build
 
     def counting(alg, arrows):
         calls.append(tuple(arrows))
         return real(alg, arrows)
 
+    def counting_build(block, field=None):
+        builds.append(block.name)
+        return real_build(block, field=field)
+
     monkeypatch.setattr(extensions, "quotient_by_arrows", counting)
+    monkeypatch.setattr(extensions, "build", counting_build)
+    monkeypatch.setattr(algebra, "build", counting_build)
     fam = Family(files[name].block("C"), files[name].block("Ctilde"))
     assert calls == [("eps", "eps2")]
     for r in range(len(fam.new_arrows) + 1):
@@ -130,6 +139,7 @@ def test_family_builds_each_partial_once(files, monkeypatch, name):
     assert [n.arrows for n in po.nodes] == [(), ("eps",), ("eps2",), ("eps", "eps2")]
     assert po.nodes[0].algebra is fam.base and po.nodes[3].algebra is fam.full
     assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
+    assert builds == ["C", "Ctilde"]
 
 
 def test_opposite_relation_rule():
