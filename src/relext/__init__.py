@@ -8,6 +8,7 @@ from .algebra import (
     AlgebraBuildError,
     AlgebraElement,
     BoundQuiverAlgebra,
+    IdealNotSpanned,
     NotFiniteDimensionalError,
     build,
     center,
@@ -60,6 +61,7 @@ __all__ = [
     "AlgebraBuildError",
     "AlgebraElement",
     "BoundQuiverAlgebra",
+    "IdealNotSpanned",
     "NotFiniteDimensionalError",
     "build",
     "center",

@@ -43,6 +43,11 @@ class AlgebraBuildError(ValueError):
     pass
 
 
+class IdealNotSpanned(ValueError):
+    """The ideal of some arrows is larger than the span of the basis paths
+    through them."""
+
+
 @dataclass
 class AlgebraElement:
     algebra: "BoundQuiverAlgebra"
@@ -412,23 +417,19 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
 
 
 def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
-    """Basis indices of the paths through any of the named arrows, whose
-    span is checked to be the two-sided ideal the arrows generate; raises
-    ValueError when it is not.
+    """Basis indices of the paths through any of the named arrows; raises
+    IdealNotSpanned unless their span is the two-sided ideal of the arrows.
 
-    The span contains the arrows, and each path through one of them has
-    that arrow as a factor, so the span lies in the ideal.  It is the whole
-    ideal exactly when it is closed under products with every basis element
-    on both sides, which is checked on the nonzero structure constants: a
-    product with a factor in the span has all its coordinates in the span.
-    """
+    The span lies in the ideal and holds the arrows, so it is the ideal iff
+    it is closed under products with basis elements on both sides, which
+    is checked on the nonzero structure constants."""
     idx = {alg.quiver.arrow_index[n] for n in arrows}
     span = tuple(g for g, p in enumerate(alg.basis) if idx.intersection(p.arrows))
     inside = set(span)
     for g, row in enumerate(alg.products):
         for h, cell in row.items():
             if (g in inside or h in inside) and not inside.issuperset(cell):
-                raise ValueError(
+                raise IdealNotSpanned(
                     "ideal of %s is not spanned by the paths through those arrows"
                     % sorted(arrows)
                 )
@@ -436,22 +437,16 @@ def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
 
 
 def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
-    """The algebra modulo the two-sided ideal J of the listed arrows: alg
-    restricted to the basis paths that avoid them.
+    """alg modulo the two-sided ideal J of the listed arrows, as alg
+    restricted to the basis paths that avoid them; raises IdealNotSpanned
+    unless J is the span of the paths through them.
 
-    Its presentation deletes the arrows, drops the relation terms through
-    them and the relations left with no term.  arrow_ideal_paths checks that
-    J is the span of the basis paths through the arrows, so the classes of
-    the other basis paths form a basis of alg/J, and the structure constants
-    and normal forms are alg's with the coordinates on J dropped.  That is
-    why no build and none of its checks run here: alg/J is associative
-    with the class of alg's unit as unit, each relation of the presentation
-    is a relation of alg minus terms lying in J, so it vanishes, and normal
-    forms stay multiplicative because reducing modulo J is an algebra map.
-    The dimension identity dim(quotient) + dim(J) = dim(alg) holds by
-    construction.  Every path at least alg.zero_length long is zero here
-    too, so zero_length is alg's.
-    """
+    Given that span, the other basis paths give a basis of alg/J, whose
+    products and normal forms are alg's with the coordinates on J dropped,
+    so the checks of a build hold: reducing modulo J is an algebra map, and
+    each relation of the presentation (alg's, minus the terms in J)
+    vanishes.  dim(quotient) + dim(J) = dim(alg) by construction, and
+    zero_length is alg's."""
     arrows = frozenset(arrows)
     block = alg.block
     unknown = arrows - {a[0] for a in block.arrows}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactla
-from .algebra import BoundQuiverAlgebra, arrow_ideal_paths
+from .algebra import BoundQuiverAlgebra, IdealNotSpanned, arrow_ideal_paths
 from .exactla import Subspace
 
 
@@ -229,31 +229,21 @@ class Bimodule:
         When the acting algebra is the ambient one and sigma is the identity
         on its basis, sigma(a)sigma(b) - sigma(ab) is ab - ab = 0 by
         definition, so there is nothing to check."""
-        f = self.field
         A = self.acting
-        amb = self.ambient
-        if A is amb and self.embed == tuple(range(A.dim)):
+        if A is self.ambient and self.embed == tuple(range(A.dim)):
             return
-        for a in range(A.dim):
-            amb_row = amb.products[self.embed[a]]
-            own_row = A.products[a]
-            for b in range(A.dim):
-                delta = dict(amb_row.get(self.embed[b], {}))
-                for k, c in own_row.get(b, {}).items():
-                    g = self.embed[k]
-                    delta[g] = f.sub(delta.get(g, f.zero()), c)
-                delta = f.sparse(delta)
-                if not delta:
-                    continue
-                for g in self.amb_index:
-                    # delta . m and m . delta must both vanish
-                    unit = {g: f.one()}
-                    if amb.multiply_sparse(delta, unit) or amb.multiply_sparse(
-                        unit, delta
-                    ):
-                        raise ValueError(
-                            "section defect does not annihilate the span"
-                        )
+        self.check_section_defects(section_defects(A, self.ambient, self.embed))
+
+    def check_section_defects(self, defects):
+        """Raise unless each defect (a, b, delta) of section_defects
+        annihilates the span on both sides: delta . m = m . delta = 0."""
+        f = self.field
+        amb = self.ambient
+        for _, _, delta in defects:
+            for g in self.amb_index:
+                unit = {g: f.one()}
+                if amb.multiply_sparse(delta, unit) or amb.multiply_sparse(unit, delta):
+                    raise ValueError("section defect does not annihilate the span")
 
     def _verify_axioms(self):
         f = self.field
@@ -292,6 +282,39 @@ def section_embed(acting: BoundQuiverAlgebra, ambient: BoundQuiverAlgebra) -> tu
             )
         out.append(j)
     return tuple(out)
+
+
+def section_defects(
+    acting: BoundQuiverAlgebra, ambient: BoundQuiverAlgebra, embed
+) -> list:
+    """(a, b, sigma(a)sigma(b) - sigma(ab)) for each pair of acting basis
+    elements with a nonzero defect, in order of (a, b), the defect as a
+    sparse ambient vector.  A pair can have one only where ab or
+    sigma(a)sigma(b) is nonzero, so only those pairs are visited."""
+    f = ambient.field
+    pos = {}
+    for a, g in enumerate(embed):
+        pos.setdefault(g, []).append(a)
+    out = []
+    for a in range(acting.dim):
+        amb_row = ambient.products[embed[a]]
+        own_row = acting.products[a]
+        visit = set(own_row)
+        visit.update(b for g in amb_row for b in pos.get(g, ()))
+        for b in sorted(visit):
+            lhs = amb_row.get(embed[b], {})
+            rhs = {}
+            for k, c in own_row.get(b, {}).items():
+                g = embed[k]
+                rhs[g] = f.add(rhs[g], c) if g in rhs else c
+            if lhs != rhs:
+                delta = dict(lhs)
+                for g, c in rhs.items():
+                    delta[g] = f.sub(delta.get(g, f.zero()), c)
+                delta = f.sparse(delta)
+                if delta:
+                    out.append((a, b, delta))
+    return out
 
 
 def regular_bimodule(alg: BoundQuiverAlgebra) -> Bimodule:
@@ -369,29 +392,29 @@ def base_sub_bimodule(
 
 def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     """Do the arrow ideals of the given disjoint arrow sets decompose the
-    ideal of their union as a direct sum?
+    ideal of their union as a direct sum, each of these ideals being the
+    span of the basis paths through its arrows?  False when one of them is
+    not such a span.
 
-    Raises when the ideal of the union is not the span of the basis paths
-    through its arrows.  Given that span, the ideal of a part whose own path
-    span is not an ideal is larger than that span, so the dimensions of the
-    parts add up to more than the union's and the sum is not direct.  When
-    every part's ideal is its path span, the sum is the union's path span,
-    and it is direct iff no basis path runs through two parts."""
+    With every ideal a span of basis paths, the sum is direct iff no basis
+    path runs through two parts.  With the union's ideal such a span, a
+    part's ideal larger than its paths' span makes the dimensions of the
+    parts add up to more than the union's, so False is then exact."""
     parts = [set(p) for p in parts]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if parts[i] & parts[j]:
                 return False
-    arrow_ideal_paths(ambient, set().union(*parts))
     seen = set()
-    for p in parts:
-        try:
+    try:
+        arrow_ideal_paths(ambient, set().union(*parts))
+        for p in parts:
             span = arrow_ideal_paths(ambient, p)
-        except ValueError:
-            return False
-        if seen.intersection(span):
-            return False
-        seen.update(span)
+            if seen.intersection(span):
+                return False
+            seen.update(span)
+    except IdealNotSpanned:
+        return False
     return True
 
 

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import bimod, exactla, repmod
-from .algebra import BoundQuiverAlgebra, build, center, quotient_by_arrows
+from .algebra import (
+    BoundQuiverAlgebra,
+    IdealNotSpanned,
+    build,
+    center,
+    quotient_by_arrows,
+)
 from .bimod import Bimodule
 from .exactla import Matrix, Subspace
 from .hochschild import (
@@ -99,13 +105,9 @@ class SplitPresentation:
     def derivation_map(self) -> tuple:
         """(pairs, n): the projection of derivations c |-> p(d(sigma(c)))
         in arrow coordinates, as pairs (total coordinate, base coordinate)
-        over the n base coordinates; built once per presentation.
-
-        The value of d at a base arrow a is read from a's slice of the
-        total coordinates, and the projection keeps the paths of the base,
-        which the section matches by label, hence with the same source and
-        target: every kept coordinate lands in a's slice over the base.
-        That is checked here, once per slice entry."""
+        over the n base coordinates; built once per presentation.  Each
+        kept coordinate of a base arrow's slice must land in its slice over
+        the base, which is checked once per slice entry."""
         if self._derivation_map is None:
             lt = arrow_layout(self.total, regular_bimodule_of(self.total))
             lb = arrow_layout(self.base, regular_bimodule_of(self.base))
@@ -168,37 +170,12 @@ def split_presentation(
         raise ValueError("acting and ambient algebras use different fields")
 
     # the section must be multiplicative, so the base is a subalgebra and
-    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose;
-    # a pair (i, j) can break that only where one side's product is nonzero
-    f = total.field
-    defects = []  # (i, j, sigma(b_i)sigma(b_j) - sigma(b_i b_j)), nonzero
-    for i in range(base.dim):
-        row = total.products[section[i]]
-        nonzero = set(base.products[i])
-        nonzero.update(projection[g] for g in row if projection[g] is not None)
-        for j in sorted(nonzero):
-            lhs = row.get(section[j], {})
-            rhs = {section[k]: c for k, c in base.product_coords(i, j).items()}
-            if lhs != rhs:
-                delta = dict(lhs)
-                for g, c in rhs.items():
-                    delta[g] = f.sub(delta.get(g, f.zero()), c)
-                defects.append((i, j, f.sparse(delta)))
-    # a defect that does not even annihilate the ideal breaks the bimodule
-    # axioms of the base's action, and is reported as Bimodule.verify does
-    for _, _, delta in defects:
-        for g in ext.amb_index:
-            unit = {g: f.one()}
-            if total.multiply_sparse(delta, unit) or total.multiply_sparse(unit, delta):
-                raise ValueError("section defect does not annihilate the span")
-    # The base acts on the ideal through the section: a basis element c
-    # acts as sigma(c) does, so its tables are ext's at sigma(c).  With the
-    # section multiplicative (checked below before anything is returned)
-    # and sending each idempotent to the total's idempotent at the same
-    # vertex (it matches the stationary paths by label), these tables
-    # satisfy everything Bimodule.verify checks: the idempotents act as the
-    # bigrade projections because they do in ext, and the section defect is
-    # zero.
+    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose
+    defects = bimod.section_defects(base, total, section)
+    # The base acts on the ideal as sigma(c) does, so its tables are ext's
+    # at sigma(c).  The section sends idempotents to idempotents (it matches
+    # labels) and is checked multiplicative below, so these tables pass what
+    # Bimodule.verify checks.
     ext_over_base = Bimodule(
         acting=base,
         dim=ext.dim,
@@ -210,6 +187,9 @@ def split_presentation(
         amb_index=ext.amb_index,
         embed=section,
     )
+    # a defect that does not even annihilate the ideal breaks the bimodule
+    # axioms of the base's action, and is reported as Bimodule.verify does
+    ext_over_base.check_section_defects(defects)
 
     # the base paths and the ideal paths must partition the total basis
     covered = set(section) | set(ext.amb_index)
@@ -656,17 +636,21 @@ class Family:
     C (same basis labels and structure constants), and the new-arrow ideal
     must have the dimension of Ext^2 of C.  Only C and Ctilde are built:
     every other B_S is Ctilde restricted to the basis paths that avoid the
-    new arrows outside S (quotient_by_arrows), cached per subset.  Split
-    presentations are not cached, so their bimodules die with the caller's
-    use of them.
+    new arrows outside S (quotient_by_arrows), cached per subset.  That
+    needs the new-arrow ideal to be the span of its paths; where it is
+    not, Ctilde is reported as not reducing to C.  Split presentations are
+    not cached, so their bimodules die with the caller's use of them.
     """
 
     def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
         self.base = build(base_block, field=field)
         self.full = build(full_block, field=field)
         self.new_arrows = tuple(full_block.new_arrows)
-        reduced = quotient_by_arrows(self.full, self.new_arrows)
-        if [p.label() for p in reduced.basis] != [
+        try:
+            reduced = quotient_by_arrows(self.full, self.new_arrows)
+        except IdealNotSpanned:
+            reduced = None
+        if reduced is None or [p.label() for p in reduced.basis] != [
             p.label() for p in self.base.basis
         ] or reduced.products != self.base.products:
             raise SplitError(

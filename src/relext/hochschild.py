@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .bimod import Bimodule
-from .exactla import Subspace
+from .exactla import Matrix, Subspace
 from .quiver import Path
 
 
@@ -189,67 +189,71 @@ class CohomologySpace:
         return all(f.is_zero(c) for c in self.inner.reduce(diff))
 
     def _class_basis(self) -> tuple:
-        """(echelon, w, representatives), computed once per space.
+        """(w, rows), found once per space by one RREF of the rows
+        [v_k | tag k], tag k in column n + m - 1 - k, for v the inner basis
+        then the derivation basis (m vectors of length n).
 
-        w lists the inner basis and then the representatives: the
-        derivation basis vectors outside the span of the inner basis and
-        the representatives before them, so w is a basis of the
-        derivations.  The echelon holds the rows [w_k | t_k], coordinate j
-        keyed by -j and a tag t_k keyed by -(n + k) below every coordinate
-        key, so every pivot is a coordinate; reducing [v | 0] leaves
-        [residue | -(coordinates of v in w)], with residue 0 iff v lies in
-        the span of w."""
+        A row with a tag pivot is a relation among the v_k led by its
+        largest k, so the tag pivots mark the v_k spanned by earlier ones.
+        The others, as (k, v_k), form w: the inner basis, then the
+        representatives.  A row with a coordinate pivot p is [r | t] with
+        r = sum t_k v_k and t zero off w; rows holds each as (p, r, t)."""
         if self._classes is None:
             f = self.algebra.field
             n = self.layout.total
-            ech = exactla.Echelon(f)
-            w = []
-            reps = []
-
-            def add(vec):
-                ech.insert({**_keyed(vec), -(n + len(w)): f.one()})
-                w.append(vec)
-
-            for b in self.inner.basis:
-                add(f.sparse(b))
-            for b in self.derivations.basis:
-                vec = f.sparse(b)
-                if any(k > -n for k in ech.reduce(_keyed(vec))):
-                    add(vec)
-                    reps.append(b)
-            self._classes = (ech, w, tuple(reps))
+            vecs = list(self.inner.basis) + list(self.derivations.basis)
+            m = len(vecs)
+            rows = [list(v) + [f.zero()] * m for v in vecs]
+            for k, row in enumerate(rows):
+                row[n + m - 1 - k] = f.one()
+            ech, _, pivots = exactla.rref(Matrix(f, m, n + m, rows))
+            spanned = {n + m - 1 - p for p in pivots if p >= n}
+            w = tuple((k, f.sparse(vecs[k])) for k in range(m) if k not in spanned)
+            coords = []
+            for row, p in zip(ech.entries, pivots):
+                if p < n:
+                    t = {k: row[n + m - 1 - k] for k, _ in w}
+                    coords.append((p, f.sparse(row[:n]), f.sparse(t)))
+            self._classes = (w, tuple(coords))
         return self._classes
 
     def representatives(self) -> list:
         """Derivations whose classes form a basis of H1."""
-        return [list(r) for r in self._class_basis()[2]]
+        f, n = self.algebra.field, self.layout.total
+        return [f.dense(v, n) for _, v in self._class_basis()[0][self.inner.dim :]]
 
     def class_coordinates(self, vec) -> list:
         """Coordinates of a derivation's class in the basis of classes of
         representatives(); unique because w is a basis of the derivations.
-        The solution is checked by substitution."""
+        A vector v of their span is sum v[p] r over the rows (p, r, t), so
+        its coordinates in w are sum v[p] t; they are checked by
+        substitution."""
         f = self.algebra.field
-        n = self.layout.total
-        ech, w, _ = self._class_basis()
+        w, rows = self._class_basis()
         vec = f.sparse(vec)
-        res = ech.reduce(_keyed(vec))
-        if any(k > -n for k in res):
-            raise ValueError("vector does not represent a class of this space")
-        coords = [f.neg(res.get(-(n + k), f.zero())) for k in range(len(w))]
-        acc = {}
-        for c, wk in zip(coords, w):
-            if f.is_zero(c):
+        res = dict(vec)
+        coords = {}
+        for p, r, t in rows:
+            c = vec.get(p)
+            if c is None:
                 continue
-            for j, x in wk.items():
-                acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, x))
+            _axpy(f, res, f.neg(c), r)
+            _axpy(f, coords, c, t)
+        if f.sparse(res):
+            raise ValueError("vector does not represent a class of this space")
+        acc = {}
+        for k, v in w:
+            if k in coords:
+                _axpy(f, acc, coords[k], v)
         if f.sparse(acc) != vec:
             raise ArithmeticError("class coordinates fail substitution")
-        return coords[self.inner.dim :]
+        return [coords.get(k, f.zero()) for k, _ in w[self.inner.dim :]]
 
 
-def _keyed(vec: dict) -> dict:
-    """A sparse vector as an echelon row, coordinate j keyed by -j."""
-    return {-j: x for j, x in vec.items()}
+def _axpy(f, acc: dict, c, vec: dict):
+    """acc += c * vec, in place, for sparse vectors."""
+    for j, x in vec.items():
+        acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, x))
 
 
 def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:

@@ -66,6 +66,36 @@ def test_ambient_span_with_non_multiplicative_embed_rejected():
     bimod.Bimodule.from_ambient_span(alg, alg, range(alg.dim), range(alg.dim))
 
 
+def _all_pair_defects(acting, ambient, embed):
+    f = ambient.field
+    out = []
+    for a in range(acting.dim):
+        for b in range(acting.dim):
+            delta = dict(ambient.product_coords(embed[a], embed[b]))
+            for k, c in acting.product_coords(a, b).items():
+                delta[embed[k]] = f.sub(delta.get(embed[k], f.zero()), c)
+            if f.sparse(delta):
+                out.append((a, b, f.sparse(delta)))
+    return out
+
+
+def test_section_defects_match_all_pairs(algebras):
+    """Visiting only the pairs with a nonzero product finds the defects of
+    the loop over every pair, in the same order, also for embeddings that
+    are not multiplicative or not injective."""
+    c = algebras[("ex1", "C")]
+    ct = algebras[("ex1", "Ctilde")]
+    sec = bimod.section_embed(c, ct)
+    rev = tuple(reversed(range(ct.dim)))
+    cases = [(c, ct, sec), (ct, ct, rev), (ct, ct, tuple(g // 2 for g in range(ct.dim)))]
+    found = 0
+    for acting, ambient, embed in cases:
+        want = _all_pair_defects(acting, ambient, embed)
+        assert bimod.section_defects(acting, ambient, embed) == want
+        found += len(want)
+    assert found
+
+
 def test_section_embed_and_base_sub(algebras, files):
     c = algebras[("ex1", "C")]
     ct = algebras[("ex1", "Ctilde")]

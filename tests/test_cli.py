@@ -323,6 +323,38 @@ def test_base_disagreeing_on_products_rejected(capsys, tmp_path, argv):
     assert "does not reduce to the declared base algebra" in err
 
 
+# a commutative square whose new arrow c meets the old path a.b in the
+# relation a.b - c.d: the ideal of c holds a.b, so it is not the span of the
+# paths through c, and Ctilde modulo c kills a.b
+SQUARE_TILDE = """\
+algebra Ctilde
+extension_of C
+vertices 1 2 3 4
+arrow a 1 2
+arrow b 2 4
+arrow c 1 3
+arrow d 3 4
+new c
+rel a.b - c.d
+end
+"""
+SQUARE_BASE = "algebra C\nvertices 1 2 3 4\narrow a 1 2\narrow b 2 4\narrow d 3 4\n"
+
+
+@pytest.mark.parametrize("base_rels", ["", "rel a.b\n"], ids=["free", "ab"])
+@pytest.mark.parametrize("verb", ["verify", "poset"])
+def test_ideal_not_spanned_by_paths_does_not_reduce(capsys, tmp_path, verb, base_rels):
+    """The gate reports a new-arrow ideal larger than its paths' span as
+    Ctilde not reducing to C: with C free on its arrows Ctilde modulo c
+    differs from C; with a.b = 0 in C it equals C, but the tower cannot be
+    formed by restricting Ctilde's tables."""
+    path = tmp_path / "square.quiv"
+    path.write_text(SQUARE_BASE + base_rels + "end\n\n" + SQUARE_TILDE)
+    code, out, err = run(capsys, verb, str(path), "--base", "C", "--tilde", "Ctilde")
+    assert code == 2 and out == ""
+    assert "does not reduce to the declared base algebra" in err
+
+
 # relation extension whose two new arrows 1 -> 4 are tied by the binomial
 # delta.eps2 - delta.eps: the ideal of eps2 holds delta.eps, a path that
 # avoids eps2, so neither single arrow splits the ideal

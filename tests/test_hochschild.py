@@ -5,7 +5,7 @@ import pytest
 
 from relext import bimod, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import PrimeField, QQ
+from relext.exactla import Matrix, PrimeField, QQ, Subspace, solve
 from relext.hochschild import (
     calculator,
     cup01,
@@ -101,6 +101,48 @@ def test_representatives_are_cocycles_and_independent(algebras):
         assert not space.inner.contains(list(r))
         for s in reps[i + 1 :]:
             assert not space.same_class(list(r), list(s))
+
+
+def _reference_classes(space):
+    """Representatives grown one Subspace sum at a time, and a dense solve
+    for class coordinates against the inner basis and those representatives."""
+    f = space.algebra.field
+    reps = []
+    span = space.inner
+    for b in space.derivations.basis:
+        if not span.contains(list(b)):
+            reps.append(list(b))
+            span = span.sum(Subspace.from_vectors(f, span.ambient_dim, [list(b)]))
+    cols = [list(b) for b in space.inner.basis] + reps
+    n = space.layout.total
+    mat = Matrix(f, n, len(cols), [[c[i] for c in cols] for i in range(n)])
+
+    def coordinates(vec):
+        sol = solve(mat, list(vec))
+        return None if sol is None else sol[space.inner.dim :]
+
+    return reps, coordinates
+
+
+def test_class_basis_matches_dense_reference(corpus_pairs):
+    inside = outside = 0
+    for tag, alg, m in corpus_pairs:
+        space = h1(alg, m)
+        f = alg.field
+        n = space.layout.total
+        reps, coordinates = _reference_classes(space)
+        assert space.representatives() == reps, tag
+        units = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
+        for v in [list(b) for b in space.derivations.basis] + units:
+            want = coordinates(v)
+            if want is None:
+                with pytest.raises(ValueError, match="does not represent a class"):
+                    space.class_coordinates(v)
+                outside += 1
+            else:
+                assert space.class_coordinates(v) == want, tag
+                inside += 1
+    assert inside and outside
 
 
 def test_inner_space_inside_derivation_space(corpus_pairs):
