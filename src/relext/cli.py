@@ -469,12 +469,10 @@ def _run_cup(args):
     calc = hochschild.calculator(alg, m)
 
     unit = hochschild.unit_cochain(alg)
-    unit_ok = True
-    for c in cochains:
-        left = hochschild.cup01(alg, unit, c)
-        right = hochschild.cup10(alg, c, unit)
-        if list(left) != list(c) or list(right) != list(c):
-            unit_ok = False
+    unit_ok = all(
+        hochschild.cup01(alg, unit, c) == c == hochschild.cup10(alg, c, unit)
+        for c in cochains
+    )
 
     pairs = []
     all_ok = unit_ok
@@ -482,9 +480,7 @@ def _run_cup(args):
         for j in range(i, len(cochains)):
             fg = hochschild.cup_product(alg, cochains[i], cochains[j])
             gf = hochschild.cup_product(alg, cochains[j], cochains[i])
-            cocycle = all(
-                f.is_zero(c) for c in calc.b3_apply(fg).values()
-            ) and all(f.is_zero(c) for c in calc.b3_apply(gf).values())
+            cocycle = not calc.coboundary(2, fg) and not calc.coboundary(2, gf)
             diff = dict(fg)
             for k, v in gf.items():
                 diff[k] = f.sub(diff.get(k, f.zero()), v)

@@ -640,9 +640,19 @@ class Family:
     needs the new-arrow ideal to be the span of its paths; where it is
     not, Ctilde is reported as not reducing to C.  Split presentations are
     not cached, so their bimodules die with the caller's use of them.
+    C and Ctilde share one field object: `field`, or else the field that
+    both blocks must declare.
     """
 
     def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
+        if field is None:
+            if base_block.field_spec != full_block.field_spec:
+                raise ValueError(
+                    "algebras %s and %s declare different fields, %s and %s"
+                    % (base_block.name, full_block.name,
+                       base_block.field_spec, full_block.field_spec)
+                )
+            field = exactla.field_from_spec(base_block.field_spec)
         self.base = build(base_block, field=field)
         self.full = build(full_block, field=field)
         self.new_arrows = tuple(full_block.new_arrows)

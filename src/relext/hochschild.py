@@ -5,18 +5,19 @@ arrow coordinates: a derivation vanishing on the stationary paths is
 determined by its values d(a) in the bigraded slice e_src(a) . M . e_tgt(a),
 subject to one linear constraint per declared relation; inner derivations
 come from the diagonal part of M.  The oracle re-derives the same dimensions
-from the full bar complex, b(i+1) acting on Hom(A^tensor i, M) by
+from the full bar complex, b acting on an n-cochain f in Hom(A^tensor n, M) by
 
-    (b f)(c0,...,ci) = c0 f(c1...) + sum_j (-1)^j f(.. c_{j-1} c_j ..)
-                       + (-1)^(i+1) f(...) ci,
+    (b f)(c0,...,cn) = c0 f(c1,...,cn) + sum_j (-1)^j f(..., c_{j-1} c_j, ...)
+                       + (-1)^(n+1) f(c0,...,c_{n-1}) cn,    j = 1..n.
 
-whose degree 2 kernel is large enough (dim A squared times dim M rows) that
-it goes straight to an exactla.Echelon over integer cochain keys, without
-dense matrices.
+HochschildCalculator.coboundary applies it in degrees 0, 1 and 2 to sparse
+cochains over integer keys; the degree 2 kernel is large enough (dim A
+squared times dim M rows) that it goes straight to an exactla.Echelon,
+without dense matrices.
 
 Cup products are supported in total degree at most 2 with coefficients in
-the algebra itself, and membership in the image of b2 decides whether a
-degree 2 cocycle is a coboundary.
+the algebra itself, on the same sparse cochains, and membership in the
+image of b2 decides whether a degree 2 cocycle is a coboundary.
 """
 
 from __future__ import annotations
@@ -278,16 +279,15 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec) -> list:
     return [_path_value(layout, p.arrows, dvals) if p.length else {} for p in alg.basis]
 
 
-def derivation_to_cochain(
-    alg: BoundQuiverAlgebra, m: Bimodule, vec
-) -> list:
-    """Flat degree 1 bar cochain (basis index, M coordinate) of the
-    derivation with the given arrow coordinates."""
-    out = [m.field.zero()] * (alg.dim * m.dim)
-    for p_idx, val in enumerate(derivation_values(alg, m, vec)):
-        for t, c in val.items():
-            out[p_idx * m.dim + t] = c
-    return out
+def derivation_to_cochain(alg: BoundQuiverAlgebra, m: Bimodule, vec) -> dict:
+    """The degree 1 bar cochain of the derivation with the given arrow
+    coordinates, sparse under the key p * dim M + t of (basis index p, M
+    coordinate t)."""
+    return {
+        p * m.dim + t: c
+        for p, val in enumerate(derivation_values(alg, m, vec))
+        for t, c in val.items()
+    }
 
 
 # -- bar complex oracle -------------------------------------------------------
@@ -295,7 +295,12 @@ def derivation_to_cochain(
 
 class HochschildCalculator:
     """Bar-complex machinery for one (algebra, bimodule) pair, with the
-    degree 2 image echelon cached for coboundary tests."""
+    degree 2 image echelon cached for coboundary tests.
+
+    An n-cochain is a sparse dict without zeros.  The value at the basis
+    elements (c1, ..., cn) of the algebra in M coordinate t is stored under
+    the key ((c1 * dim A + c2) * ... + cn) * dim M + t; a 0-cochain is an
+    element of M."""
 
     def __init__(self, alg: BoundQuiverAlgebra, m: Bimodule):
         if m.acting is not alg:
@@ -319,24 +324,14 @@ class HochschildCalculator:
             self._fibers = fibers
         return self._fibers
 
-    def c1_key(self, a: int, t: int) -> int:
-        return a * self.m.dim + t
-
-    def c2_key(self, g: int, h: int, t: int) -> int:
-        return (g * self.alg.dim + h) * self.m.dim + t
-
-    def b1_column(self, i: int) -> dict:
-        """b1 of the i-th M basis vector: a |-> a.x - x.a."""
-        col = {}
-        for a in range(self.alg.dim):
-            for t, c in self.m.commutator(a, i).items():
-                col[self.c1_key(a, t)] = c
-        return col
-
-    def b2_apply(self, f1: dict) -> dict:
-        """b2 of a sparse degree 1 cochain {(a, t) key: coeff}."""
+    def coboundary(self, n: int, cochain: dict) -> dict:
+        """The (n+1)-cochain b f of the module docstring, for a sparse
+        n-cochain f; the oracle uses n = 0, 1 and 2.  Its j-th middle term
+        splits the j-th argument of f over the products that hit it."""
         f = self.field
         m = self.m
+        da, dm = self.alg.dim, m.dim
+        first = da**n  # key weight of c0 among the n + 1 arguments
         out = {}
 
         def add(key, c):
@@ -346,66 +341,33 @@ class HochschildCalculator:
             else:
                 out[key] = nv
 
-        for key, v in f1.items():
-            a, t = divmod(key, m.dim)
-            # c0 . f(c1) over c0 = g
+        for key, v in cochain.items():
+            args, t = divmod(key, dm)
+            # c0 . f(c1, ..., cn)
             for g, table in enumerate(m.left):
                 for t2, x in table.get(t, {}).items():
-                    add(self.c2_key(g, a, t2), f.mul(v, x))
-            # -f(c0 c1)
-            for g, h, c in self.prod_fibers[a]:
-                add(self.c2_key(g, h, t), f.neg(f.mul(v, c)))
-            # f(c0) . c1 over c1 = h
+                    add((g * first + args) * dm + t2, f.mul(v, x))
+            # (-1)^j f(..., c_{j-1} c_j, ...), argument j of f has weight low
+            for j in range(1, n + 1):
+                low = da ** (n - j)
+                high, rest = divmod(args, low * da)
+                c, tail = divmod(rest, low)
+                sv = f.neg(v) if j % 2 else v
+                for g, h, x in self.prod_fibers[c]:
+                    add((((high * da + g) * da + h) * low + tail) * dm + t, f.mul(sv, x))
+            # (-1)^(n+1) f(c0, ..., c_{n-1}) . cn
+            sv = v if n % 2 else f.neg(v)
             for h, table in enumerate(m.right):
                 for t2, x in table.get(t, {}).items():
-                    add(self.c2_key(a, h, t2), f.mul(v, x))
-        return out
-
-    def b3_apply(self, f2: dict) -> dict:
-        """b3 of a sparse degree 2 cochain {(g, h, t) key: coeff}."""
-        f = self.field
-        m = self.m
-        A = self.alg
-        dm, da = m.dim, A.dim
-        out = {}
-
-        def add(key, c):
-            nv = f.add(out.get(key, f.zero()), c)
-            if f.is_zero(nv):
-                out.pop(key, None)
-            else:
-                out[key] = nv
-
-        def c3_key(k, g, h, t):
-            return ((k * da + g) * da + h) * dm + t
-
-        for key, v in f2.items():
-            gh, t = divmod(key, dm)
-            g, h = divmod(gh, da)
-            # c0 . F(c1, c2)
-            for k, table in enumerate(m.left):
-                for t2, x in table.get(t, {}).items():
-                    add(c3_key(k, g, h, t2), f.mul(v, x))
-            # -F(c0 c1, c2)
-            for k, l, c in self.prod_fibers[g]:
-                add(c3_key(k, l, h, t), f.neg(f.mul(v, c)))
-            # +F(c0, c1 c2)
-            for k, l, c in self.prod_fibers[h]:
-                add(c3_key(g, k, l, t), f.mul(v, c))
-            # -F(c0, c1) . c2
-            for k, table in enumerate(m.right):
-                for t2, x in table.get(t, {}).items():
-                    add(c3_key(g, h, k, t2), f.neg(f.mul(v, x)))
+                    add((args * da + h) * dm + t2, f.mul(sv, x))
         return out
 
     def _build_b2(self):
         if self._b2 is None:
             ech = exactla.Echelon(self.field)
-            f = self.field
-            for a in range(self.alg.dim):
-                for t in range(self.m.dim):
-                    col = self.b2_apply({self.c1_key(a, t): f.one()})
-                    ech.insert(col)
+            one = self.field.one()
+            for key in range(self.alg.dim * self.m.dim):
+                ech.insert(self.coboundary(1, {key: one}))
             self._b2 = ech
         return self._b2
 
@@ -413,8 +375,9 @@ class HochschildCalculator:
     def b1_rank(self) -> int:
         if self._b1_rank is None:
             ech = exactla.Echelon(self.field)
+            one = self.field.one()
             for i in range(self.m.dim):
-                ech.insert(self.b1_column(i))
+                ech.insert(self.coboundary(0, {i: one}))
             self._b1_rank = ech.rank
         return self._b1_rank
 
@@ -434,17 +397,15 @@ class HochschildCalculator:
     def verify_complex(self) -> bool:
         """b2 b1 = 0 on every M basis vector, b3 b2 = 0 on every degree 1
         basis cochain; raises on any failure."""
-        f = self.field
+        one = self.field.one()
         for i in range(self.m.dim):
-            if self.b2_apply(self.b1_column(i)):
+            if self.coboundary(1, self.coboundary(0, {i: one})):
                 raise ValueError("b2 after b1 is nonzero on basis vector %d" % i)
-        for a in range(self.alg.dim):
-            for t in range(self.m.dim):
-                col = self.b2_apply({self.c1_key(a, t): f.one()})
-                if self.b3_apply(col):
-                    raise ValueError(
-                        "b3 after b2 is nonzero on cochain (%d, %d)" % (a, t)
-                    )
+        for key in range(self.alg.dim * self.m.dim):
+            if self.coboundary(2, self.coboundary(1, {key: one})):
+                raise ValueError(
+                    "b3 after b2 is nonzero on cochain (%d, %d)" % divmod(key, self.m.dim)
+                )
         return True
 
 
@@ -471,55 +432,49 @@ def verify_complex(alg: BoundQuiverAlgebra, m: Bimodule) -> bool:
 # -- cup products (coefficients in the algebra, total degree <= 2) ------------
 
 
-def unit_cochain(alg: BoundQuiverAlgebra):
+def unit_cochain(alg: BoundQuiverAlgebra) -> dict:
     """The unit of A as a degree 0 cochain."""
-    return list(alg.one().coords)
+    return {alg.idem_index[v]: alg.field.one() for v in alg.quiver.vertices}
 
 
-def cup00(alg: BoundQuiverAlgebra, x, y) -> list:
-    return list(alg.multiply_coords(tuple(x), tuple(y)))
-
-
-def cup01(alg: BoundQuiverAlgebra, x, f1) -> list:
-    """(x cup f)(c) = x . f(c), a degree 1 cochain."""
-    fld = alg.field
-    d = alg.dim
-    out = [fld.zero()] * (d * d)
-    for c in range(d):
-        seg = alg.multiply_coords(tuple(x), tuple(f1[c * d : (c + 1) * d]))
-        for t, v in enumerate(seg):
-            out[c * d + t] = v
-    return out
-
-
-def cup10(alg: BoundQuiverAlgebra, f1, x) -> list:
-    """(f cup x)(c) = f(c) . x, a degree 1 cochain."""
-    fld = alg.field
-    d = alg.dim
-    out = [fld.zero()] * (d * d)
-    for c in range(d):
-        seg = alg.multiply_coords(tuple(f1[c * d : (c + 1) * d]), tuple(x))
-        for t, v in enumerate(seg):
-            out[c * d + t] = v
-    return out
-
-
-def cup_product(alg: BoundQuiverAlgebra, f1, g1) -> dict:
-    """(f cup g)(c0, c1) = f(c0) . g(c1) as a sparse degree 2 cochain, for
-    two degree 1 cochains with coefficients in the algebra."""
-    fld = alg.field
-    d = alg.dim
+def _values(cochain: dict, d: int) -> dict:
+    """A degree 1 cochain with coefficients in A as {c: f(c)}, each f(c)
+    sparse, for d = dim A."""
     out = {}
-    for c0 in range(d):
-        fc0 = tuple(f1[c0 * d : (c0 + 1) * d])
-        if all(fld.is_zero(c) for c in fc0):
-            continue
-        for c1 in range(d):
-            gc1 = tuple(g1[c1 * d : (c1 + 1) * d])
-            if all(fld.is_zero(c) for c in gc1):
-                continue
-            prod = alg.multiply_coords(fc0, gc1)
-            for t, v in enumerate(prod):
-                if not fld.is_zero(v):
-                    out[(c0 * d + c1) * d + t] = v
+    for key, v in cochain.items():
+        c, t = divmod(key, d)
+        out.setdefault(c, {})[t] = v
     return out
+
+
+def cup01(alg: BoundQuiverAlgebra, x: dict, f1: dict) -> dict:
+    """(x cup f)(c) = x . f(c), a degree 1 cochain."""
+    d = alg.dim
+    return {
+        c * d + t: v
+        for c, fc in _values(f1, d).items()
+        for t, v in alg.multiply_sparse(x, fc).items()
+    }
+
+
+def cup10(alg: BoundQuiverAlgebra, f1: dict, x: dict) -> dict:
+    """(f cup x)(c) = f(c) . x, a degree 1 cochain."""
+    d = alg.dim
+    return {
+        c * d + t: v
+        for c, fc in _values(f1, d).items()
+        for t, v in alg.multiply_sparse(fc, x).items()
+    }
+
+
+def cup_product(alg: BoundQuiverAlgebra, f1: dict, g1: dict) -> dict:
+    """(f cup g)(c0, c1) = f(c0) . g(c1), a degree 2 cochain, for two
+    degree 1 cochains with coefficients in the algebra."""
+    d = alg.dim
+    gv = _values(g1, d)
+    return {
+        (c0 * d + c1) * d + t: v
+        for c0, fc0 in _values(f1, d).items()
+        for c1, gc1 in gv.items()
+        for t, v in alg.multiply_sparse(fc0, gc1).items()
+    }

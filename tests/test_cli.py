@@ -227,6 +227,37 @@ def test_field_override(capsys):
     assert d["degrees"]["1"]["dim"] == 3
 
 
+def _ex1_with_fields(tmp_path, specs):
+    """ex1 with `field <spec>` declared in its blocks C, B, Ctilde in turn."""
+    lines = []
+    specs = iter(specs)
+    for line in open(EX1, encoding="utf-8").read().splitlines():
+        lines.append(line)
+        if line.startswith("algebra "):
+            lines.append("field %s" % next(specs))
+    path = tmp_path / "ex1_fields.quiv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["verify", "poset"])
+def test_family_uses_the_declared_field(capsys, tmp_path, verb):
+    declared = _ex1_with_fields(tmp_path, ["F5"] * 3)
+    for fmt in ("human", "json"):
+        family = ["--base", "C", "--tilde", "Ctilde", "--format", fmt]
+        want = run(capsys, verb, EX1, *family, "--field", "F5")
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, verb, declared, *family) == want
+
+
+@pytest.mark.parametrize("verb", ["verify", "poset"])
+def test_family_rejects_mismatched_fields(capsys, tmp_path, verb):
+    mixed = _ex1_with_fields(tmp_path, ["F5", "F5", "Q"])
+    code, out, err = run(capsys, verb, mixed, "--base", "C", "--tilde", "Ctilde")
+    assert code == 2 and out == ""
+    assert err == "error: algebras C and Ctilde declare different fields, F5 and Q\n"
+
+
 def test_bad_field_spec(capsys):
     code, _, err = run(capsys, "info", EX1, "C", "--field", "F4")
     assert code == 2 and err.startswith("error:")

@@ -1,9 +1,12 @@
 """Degree 0/1 cohomology: the derivation method against the full-complex
-oracle, complex identities, and the cup product."""
+oracle, complex identities, the coboundary against hand-written references,
+and the cup product."""
+
+from itertools import combinations
 
 import pytest
 
-from relext import bimod, hochschild, qdsl
+from relext import bimod, extensions, hochschild, qdsl
 from relext.algebra import build, center
 from relext.exactla import Matrix, PrimeField, QQ, Subspace, solve
 from relext.hochschild import (
@@ -91,11 +94,9 @@ def test_representatives_are_cocycles_and_independent(algebras):
     assert len(reps) == space.dim
     for r in reps:
         assert space.is_cocycle(r)
-        flat = derivation_to_cochain(alg, m, r)
-        img = calc.b2_apply(
-            {i: c for i, c in enumerate(flat) if not f.is_zero(c)}
-        )
-        assert all(f.is_zero(c) for c in img.values())
+        cochain = derivation_to_cochain(alg, m, r)
+        assert cochain and _no_zero(f, cochain)
+        assert calc.coboundary(1, cochain) == {}
     # no nonzero combination of representatives is inner: reduce pairwise
     for i, r in enumerate(reps):
         assert not space.inner.contains(list(r))
@@ -198,6 +199,10 @@ def test_trivial_arrow_actions_give_no_inner_derivations(algebras):
     assert inner_space(alg, m).dim == 0
 
 
+def _no_zero(f, cochain):
+    return all(not f.is_zero(c) for c in cochain.values())
+
+
 def test_cup_products(algebras):
     alg = algebras[("ex1", "Ctilde")]
     m = bimod.regular_bimodule(alg)
@@ -206,20 +211,19 @@ def test_cup_products(algebras):
     space = h1(alg, m)
     reps = [derivation_to_cochain(alg, m, r) for r in space.representatives()]
     one = unit_cochain(alg)
-
-    # degree 0 cup degree 0 is the algebra product
-    z = list(alg.one().coords)
-    assert hochschild.cup00(alg, z, z) == list(alg.multiply_coords(z, z))
+    assert reps and _no_zero(f, one) and all(_no_zero(f, c) for c in reps)
 
     for c in reps:
         # unit laws
-        assert list(cup01(alg, one, c)) == list(c)
-        assert list(cup10(alg, c, one)) == list(c)
+        left, right = cup01(alg, one, c), cup10(alg, c, one)
+        assert left == c and right == c
+        assert _no_zero(f, left) and _no_zero(f, right)
     for ci in reps:
         for cj in reps:
             fg = cup_product(alg, ci, cj)
+            assert _no_zero(f, fg)
             # the product of cocycles is a cocycle
-            assert all(f.is_zero(x) for x in calc.b3_apply(fg).values())
+            assert calc.coboundary(2, fg) == {}
             # graded commutativity on classes: f x g - g x f bounds
             gf = cup_product(alg, cj, ci)
             diff = dict(fg)
@@ -237,8 +241,137 @@ def test_coboundaries_are_coboundaries(algebras):
     assert calc.is_coboundary({})
     for a in range(0, alg.dim, 3):
         for t in range(0, m.dim, 4):
-            img = calc.b2_apply({calc.c1_key(a, t): f.one()})
+            img = calc.coboundary(1, {a * m.dim + t: f.one()})
+            assert _no_zero(f, img)
             assert calc.is_coboundary(img)
+
+
+# -- the coboundary against hand-written b1, b2, b3 ----------------------------
+
+
+def _add(f, out, key, c):
+    nv = f.add(out.get(key, f.zero()), c)
+    if f.is_zero(nv):
+        out.pop(key, None)
+    else:
+        out[key] = nv
+
+
+def reference_b1(calc, i):
+    """b1 of the i-th M basis vector: a |-> a.x - x.a."""
+    col = {}
+    for a in range(calc.alg.dim):
+        for t, c in calc.m.commutator(a, i).items():
+            col[a * calc.m.dim + t] = c
+    return col
+
+
+def reference_b2(calc, f1):
+    """b2 of a sparse degree 1 cochain {(a, t) key: coeff}."""
+    f, m, da = calc.field, calc.m, calc.alg.dim
+    out = {}
+    for key, v in f1.items():
+        a, t = divmod(key, m.dim)
+        # c0 . f(c1) over c0 = g
+        for g, table in enumerate(m.left):
+            for t2, x in table.get(t, {}).items():
+                _add(f, out, (g * da + a) * m.dim + t2, f.mul(v, x))
+        # -f(c0 c1)
+        for g, h, c in calc.prod_fibers[a]:
+            _add(f, out, (g * da + h) * m.dim + t, f.neg(f.mul(v, c)))
+        # f(c0) . c1 over c1 = h
+        for h, table in enumerate(m.right):
+            for t2, x in table.get(t, {}).items():
+                _add(f, out, (a * da + h) * m.dim + t2, f.mul(v, x))
+    return out
+
+
+def reference_b3(calc, f2):
+    """b3 of a sparse degree 2 cochain {(g, h, t) key: coeff}."""
+    f, m, da = calc.field, calc.m, calc.alg.dim
+    dm = m.dim
+    out = {}
+
+    def c3_key(k, g, h, t):
+        return ((k * da + g) * da + h) * dm + t
+
+    for key, v in f2.items():
+        gh, t = divmod(key, dm)
+        g, h = divmod(gh, da)
+        # c0 . F(c1, c2)
+        for k, table in enumerate(m.left):
+            for t2, x in table.get(t, {}).items():
+                _add(f, out, c3_key(k, g, h, t2), f.mul(v, x))
+        # -F(c0 c1, c2)
+        for k, l, c in calc.prod_fibers[g]:
+            _add(f, out, c3_key(k, l, h, t), f.neg(f.mul(v, c)))
+        # +F(c0, c1 c2)
+        for k, l, c in calc.prod_fibers[h]:
+            _add(f, out, c3_key(g, k, l, t), f.mul(v, c))
+        # -F(c0, c1) . c2
+        for k, table in enumerate(m.right):
+            for t2, x in table.get(t, {}).items():
+                _add(f, out, c3_key(g, h, k, t2), f.neg(f.mul(v, x)))
+    return out
+
+
+def _coboundary_cases(files, chain_text, field):
+    """(tag, algebra, bimodule): every ex1/ex2 block and the chain family
+    at k <= 3 with regular coefficients, and the new-arrow ideal of every
+    split of each family, over the acting algebra and over the base."""
+    families = {
+        n: extensions.Family(pf.block("C"), pf.block("Ctilde"), field=field)
+        for n, pf in files.items()
+    }
+    for k in (1, 2, 3):
+        pf = qdsl.parse(chain_text(k))
+        families["chain%d" % k] = extensions.Family(
+            pf.block("C"), pf.block("Ctilde"), field=field
+        )
+    for n, pf in files.items():
+        for blk in pf.blocks:
+            alg = build(blk, field=field)
+            yield "%s:%s" % (n, blk.name), alg, bimod.regular_bimodule(alg)
+    for n, fam in families.items():
+        if n.startswith("chain"):
+            for alg in (fam.base, fam.full):
+                yield "%s:%s" % (n, alg.block.name), alg, bimod.regular_bimodule(alg)
+        subsets = [
+            s for r in range(len(fam.new_arrows) + 1)
+            for s in combinations(fam.new_arrows, r)
+        ]
+        for upper in subsets:
+            for lower in subsets:
+                if set(lower) < set(upper):
+                    sp = fam.split(lower, upper)
+                    tag = "%s:%s<%s" % (n, ",".join(lower), ",".join(upper))
+                    yield tag + ":E", sp.total, sp.ext
+                    yield tag + ":E/base", sp.base, sp.ext_over_base
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_coboundary_matches_references(files, chain_text, field):
+    """coboundary equals b1 on every basis vector of M, b2 on every basis
+    1-cochain, and b3 on every image of b2 and on every basis 2-cochain
+    that such an image touches, as whole dicts.  The images of b2 go to
+    zero, so the basis 2-cochains are what gives b3 nonzero values."""
+    cases = splits = 0
+    one = field.one()
+    for tag, alg, m in _coboundary_cases(files, chain_text, field):
+        calc = calculator(alg, m)
+        for i in range(m.dim):
+            assert calc.coboundary(0, {i: one}) == reference_b1(calc, i), tag
+        touched = set()
+        for key in range(alg.dim * m.dim):
+            img = calc.coboundary(1, {key: one})
+            assert img == reference_b2(calc, {key: one}), tag
+            assert calc.coboundary(2, img) == reference_b3(calc, img), tag
+            touched.update(img)
+        for key in touched:
+            assert calc.coboundary(2, {key: one}) == reference_b3(calc, {key: one}), tag
+        cases += 1
+        splits += tag.endswith("E")
+    assert cases > 50 and splits > 20
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
