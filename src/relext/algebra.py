@@ -17,8 +17,9 @@ For homogeneous relations (all terms of one relation the same length, the
 only kind the bundled presentations use) the computed basis is provably the
 set of reduction-irreducible paths.  Relations mixing term lengths are
 accepted and go through the same filtration; the consistency checks run on
-every build (declared relations vanish, reduction is multiplicative,
-associativity, unit law) and raise AlgebraBuildError on any discrepancy.
+every build (declared relations vanish, the structure constants are graded,
+reduction is multiplicative, associativity, unit law) and raise
+AlgebraBuildError on any discrepancy.
 
 The structure constants are stored sparsely: products[i] maps j to the
 nonzero coordinates {k: c} of b_i b_j, and no table stores a zero, so two
@@ -348,11 +349,12 @@ def build(
             )
         alg.arrow_index_in_basis[a.name] = basis_index[p]
 
+    # b_p b_r is zero unless r starts where p ends
+    starts = _by_source(basis)
     for p in basis:
         row = {}
-        for j, r in enumerate(basis):
-            pq = compose(p, r)
-            cell = alg.nf_coords(pq) if pq is not None else None
+        for j in starts.get(p.target, ()):
+            cell = alg.nf_coords(compose(p, basis[j]))
             if cell:
                 row[j] = cell
         alg.products.append(row)
@@ -361,8 +363,28 @@ def build(
     return alg
 
 
+def _by_source(paths) -> dict:
+    """Vertex -> indices of the paths starting there, in ascending order."""
+    out = {}
+    for i, p in enumerate(paths):
+        out.setdefault(p.source, []).append(i)
+    return out
+
+
 def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
+    """Raise AlgebraBuildError unless the declared relations vanish, the
+    structure constants are graded, reduction is multiplicative on the
+    generated paths, and the basis is associative with the idempotents as
+    unit.
+
+    Graded: each nonzero b_i b_j has tgt(b_i) = src(b_j) and only
+    coordinates k with src(b_k) = src(b_i), tgt(b_k) = tgt(b_j).  It holds
+    because qdsl rejects non-parallel relation terms, so normal forms keep
+    endpoints.  Given it, (b_i b_j) b_l and b_i (b_j b_l) both vanish when
+    tgt(b_i) != src(b_j), so associativity is checked on composable pairs
+    (i, j) only, as multiplicativity is on composable paths."""
     f = alg.field
+    basis = alg.basis
     products = alg.products
     # declared relations vanish
     for rel in block.relations:
@@ -374,24 +396,38 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
             raise AlgebraBuildError(
                 "a declared relation of %r does not vanish" % alg.block.name
             )
+    # the structure constants are graded
+    for i, row in enumerate(products):
+        src, tgt = basis[i].source, basis[i].target
+        for j, cell in row.items():
+            for k in cell:
+                if not (
+                    tgt == basis[j].source
+                    and basis[k].source == src
+                    and basis[k].target == basis[j].target
+                ):
+                    raise AlgebraBuildError(
+                        "structure constant (%d,%d,%d) of %r breaks the grading"
+                        % (i, j, k, alg.block.name)
+                    )
     # reduction is multiplicative on classes of generated paths
     enumerated = [p for L in sorted(alive) if L < alg.zero_length for p in alive[L]]
+    starts = _by_source(enumerated)
     for p in enumerated:
         pc = alg.nf_coords(p)
-        for r in enumerated:
-            pq = compose(p, r)
-            if pq is None:
-                continue
-            if alg.nf_coords(pq) != alg.multiply_sparse(pc, alg.nf_coords(r)):
+        for s in starts.get(p.target, ()):
+            r = enumerated[s]
+            if alg.nf_coords(compose(p, r)) != alg.multiply_sparse(pc, alg.nf_coords(r)):
                 raise AlgebraBuildError(
                     "inconsistent reduction at %s * %s in %r"
                     % (p.label(), r.label(), alg.block.name)
                 )
-    # associativity on all basis triples (i, j, l): acc[l] holds
-    # (b_i b_j) b_l - b_i (b_j b_l), over the nonzero products only
+    # associativity on composable basis pairs (i, j) and every l: acc[l]
+    # holds (b_i b_j) b_l - b_i (b_j b_l), over the nonzero products only
+    starts = _by_source(basis)
     for i in range(alg.dim):
         row_i = products[i]
-        for j in range(alg.dim):
+        for j in starts.get(basis[i].target, ()):
             acc = {}
             for k, c in row_i.get(j, {}).items():
                 for l, cell in products[k].items():

@@ -309,6 +309,7 @@ class HochschildCalculator:
         self.m = m
         self.field = alg.field
         self._fibers = None
+        self._acts = None
         self._b2 = None
         self._b1_rank = None
 
@@ -324,13 +325,29 @@ class HochschildCalculator:
             self._fibers = fibers
         return self._fibers
 
+    # acts_at = (left_at, right_at): left_at[t] = nonzero (g, t2, x) with x the
+    # t2-coordinate of basis_g . m_t, in g order, then the table row's order
+    @property
+    def acts_at(self):
+        if self._acts is None:
+
+            def index(tables):
+                at = [[] for _ in range(self.m.dim)]
+                for g, table in enumerate(tables):
+                    for t, row in table.items():
+                        at[t] += ((g, t2, x) for t2, x in row.items())
+                return at
+
+            self._acts = (index(self.m.left), index(self.m.right))
+        return self._acts
+
     def coboundary(self, n: int, cochain: dict) -> dict:
         """The (n+1)-cochain b f of the module docstring, for a sparse
         n-cochain f; the oracle uses n = 0, 1 and 2.  Its j-th middle term
         splits the j-th argument of f over the products that hit it."""
         f = self.field
-        m = self.m
-        da, dm = self.alg.dim, m.dim
+        left_at, right_at = self.acts_at
+        da, dm = self.alg.dim, self.m.dim
         first = da**n  # key weight of c0 among the n + 1 arguments
         out = {}
 
@@ -344,9 +361,8 @@ class HochschildCalculator:
         for key, v in cochain.items():
             args, t = divmod(key, dm)
             # c0 . f(c1, ..., cn)
-            for g, table in enumerate(m.left):
-                for t2, x in table.get(t, {}).items():
-                    add((g * first + args) * dm + t2, f.mul(v, x))
+            for g, t2, x in left_at[t]:
+                add((g * first + args) * dm + t2, f.mul(v, x))
             # (-1)^j f(..., c_{j-1} c_j, ...), argument j of f has weight low
             for j in range(1, n + 1):
                 low = da ** (n - j)
@@ -357,9 +373,8 @@ class HochschildCalculator:
                     add((((high * da + g) * da + h) * low + tail) * dm + t, f.mul(sv, x))
             # (-1)^(n+1) f(c0, ..., c_{n-1}) . cn
             sv = v if n % 2 else f.neg(v)
-            for h, table in enumerate(m.right):
-                for t2, x in table.get(t, {}).items():
-                    add((args * da + h) * dm + t2, f.mul(sv, x))
+            for h, t2, x in right_at[t]:
+                add((args * da + h) * dm + t2, f.mul(sv, x))
         return out
 
     def _build_b2(self):

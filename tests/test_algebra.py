@@ -4,12 +4,16 @@ import pytest
 
 from relext import exactla, qdsl
 from relext.algebra import (
+    AlgebraBuildError,
     NotFiniteDimensionalError,
+    _verify_build,
     build,
     center,
     is_triangular,
     quotient_by_arrows,
 )
+from relext.exactla import QQ, PrimeField
+from relext.quiver import compose
 
 DIMS = {
     ("ex1", "C"): 11,
@@ -180,3 +184,90 @@ def test_inhomogeneous_relation_builds_consistently():
         e = alg.basis_element(alg.arrow_index_in_basis[nm]).coords
         dc = e if dc is None else alg.multiply_coords(dc, e)
     assert [f.add(x, y) for x, y in zip(abc, dc)] == [f.zero()] * alg.dim
+
+
+# -- the vertex-indexed build against an all-pairs reference -------------------
+
+
+def reference_products(alg):
+    """The structure constants from every basis pair (p, r): the normal form
+    of the composite path, or nothing when p and r do not compose."""
+    out = []
+    for p in alg.basis:
+        row = {}
+        for j, r in enumerate(alg.basis):
+            pq = compose(p, r)
+            cell = alg.nf_coords(pq) if pq is not None else None
+            if cell:
+                row[j] = cell
+        out.append(row)
+    return out
+
+
+def test_products_match_all_pairs_reference(files, chain_text):
+    """Every ex1/ex2 block and the chain family at k <= 3 over Q and F7, and
+    chain k=8 Ctilde over F32003: equal tables, rows in the same order."""
+    cases = []
+    for field in (QQ, PrimeField(7)):
+        blocks = [b for n in sorted(files) for b in files[n].blocks]
+        for k in (1, 2, 3):
+            blocks += qdsl.parse(chain_text(k)).blocks
+        cases += [(blk, field) for blk in blocks]
+    cases.append((qdsl.parse(chain_text(8)).block("Ctilde"), PrimeField(32003)))
+    for blk, field in cases:
+        alg = build(blk, field=field)
+        ref = reference_products(alg)
+        assert alg.products == ref, (blk.name, field.name)
+        assert [list(row) for row in alg.products] == [list(row) for row in ref]
+
+
+# -- failure paths of the build checks ------------------------------------------
+
+
+def _built(files):
+    """A fresh ex2 Ctilde, the basis paths by length (the nonzero paths the
+    checks enumerate), and its arrow basis indices."""
+    alg = build(files["ex2"].block("Ctilde"))
+    alive = {}
+    for p in alg.basis:
+        alive.setdefault(p.length, []).append(p)
+    _verify_build(alg, alg.block, alive)
+    arrows = sorted(alg.arrow_index_in_basis.values())
+    return alg, alive, arrows
+
+
+def test_verify_build_rejects_wrong_structure_constant(files):
+    alg, alive, arrows = _built(files)
+    f = alg.field
+    i, j = next((i, j) for i in arrows for j in arrows if alg.products[i].get(j))
+    # a new cell: the build's cells are shared with the normal-form cache
+    alg.products[i][j] = {k: f.add(c, f.one()) for k, c in alg.products[i][j].items()}
+    with pytest.raises(AlgebraBuildError, match="associativity fails|inconsistent reduction"):
+        _verify_build(alg, alg.block, alive)
+
+
+def test_verify_build_rejects_entry_at_non_composable_pair(files):
+    alg, alive, arrows = _built(files)
+    basis = alg.basis
+    i, j = next(
+        (i, j) for i in arrows for j in arrows if basis[i].target != basis[j].source
+    )
+    alg.products[i][j] = {i: alg.field.one()}
+    with pytest.raises(
+        AlgebraBuildError,
+        match=r"structure constant \(%d,%d,%d\) of 'Ctilde' breaks the grading" % (i, j, i),
+    ):
+        _verify_build(alg, alg.block, alive)
+
+
+def test_verify_build_rejects_off_grade_coordinate(files):
+    alg, alive, arrows = _built(files)
+    basis = alg.basis
+    i, j = next((i, j) for i in arrows for j in arrows if alg.products[i].get(j))
+    k = next(k for k in arrows if basis[k].source != basis[i].source)
+    alg.products[i][j] = {**alg.products[i][j], k: alg.field.one()}
+    with pytest.raises(
+        AlgebraBuildError,
+        match=r"structure constant \(%d,%d,%d\) of 'Ctilde' breaks the grading" % (i, j, k),
+    ):
+        _verify_build(alg, alg.block, alive)

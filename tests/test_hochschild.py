@@ -1,6 +1,6 @@
 """Degree 0/1 cohomology: the derivation method against the full-complex
-oracle, complex identities, the coboundary against hand-written references,
-and the cup product."""
+oracle, complex identities, the coboundary and its action index against
+hand-written references, and the cup product."""
 
 from itertools import combinations
 
@@ -372,6 +372,26 @@ def test_coboundary_matches_references(files, chain_text, field):
         cases += 1
         splits += tag.endswith("E")
     assert cases > 50 and splits > 20
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_action_index_holds_the_nonzero_table_entries(files, chain_text, field):
+    """acts_at lists every nonzero entry of m.left and m.right exactly once,
+    under the coordinate acted on, in ascending acting index."""
+    for tag, alg, m in _coboundary_cases(files, chain_text, field):
+        for tables, at in zip((m.left, m.right), calculator(alg, m).acts_at):
+            want = {
+                (g, t, t2): x
+                for g, table in enumerate(tables)
+                for t, row in table.items()
+                for t2, x in row.items()
+                if not field.is_zero(x)
+            }
+            got = [(g, t, t2, x) for t, lst in enumerate(at) for g, t2, x in lst]
+            assert len(got) == len(want), tag
+            assert {(g, t, t2): x for g, t, t2, x in got} == want, tag
+            for lst in at:
+                assert [g for g, _, _ in lst] == sorted(g for g, _, _ in lst), tag
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
