@@ -80,6 +80,7 @@ class Bimodule:
     amb_index: tuple | None = None  # ambient basis index per bimodule basis elt
     embed: tuple | None = None  # ambient basis index per acting basis elt
     _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
+    _layout: "ArrowLayout | None" = None  # set by hochschild.arrow_layout
 
     # -- construction ------------------------------------------------------
 

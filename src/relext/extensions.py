@@ -311,34 +311,36 @@ def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
     base = sp.base
     e = sp.ext_over_base
     f = base.field
+    one = f.one()
     dvals = derivation_values(base, regular_bimodule_of(base), dvec)
-
-    def sides(j, i):
-        # d(c) x and x d(c) for c the base basis element j and x = x_i
-        unit = {i: f.one()}
-        return e.left_act(dvals[j], unit), e.right_act(dvals[j], unit)
-
-    var, rows, rhs = bimod.hom_equations(e, e, sides)
+    # sides[j][i] = (d(c) x, x d(c)) for c the base basis element j and
+    # x = x_i, found once for the equations and for the check
+    sides = [
+        [(e.left_act(dj, {i: one}), e.right_act(dj, {i: one})) for i in range(e.dim)]
+        for dj in dvals
+    ]
+    var, rows, rhs = bimod.hom_equations(e, e, lambda j, i: sides[j][i])
     sol = exactla.solve_rows(f, len(var), rows, rhs)
     if sol is None:
         return LiftWitness(list(dvec), None)
 
-    entries = [[f.zero()] * e.dim for _ in range(e.dim)]
+    amat = {}  # row g holds alpha(x_g), sparse
     for (g, k), pos in var.items():
-        entries[g][k] = sol[pos]
-    alpha = Matrix(f, e.dim, e.dim, entries)
-    if not _lift_holds(e, dvals, alpha):
+        if not f.is_zero(sol[pos]):
+            amat.setdefault(g, {})[k] = sol[pos]
+    if not _lift_holds(e, sides, amat):
         raise SplitError("solved lift fails the defining conditions")
+    alpha = Matrix(f, e.dim, e.dim, [f.dense(amat.get(g, {}), e.dim) for g in range(e.dim)])
     return LiftWitness(list(dvec), alpha)
 
 
-def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
-    """Exact check of both lifting conditions for a candidate alpha, on
-    every pair (base basis element c, basis element x of the ideal)."""
+def _lift_holds(e: Bimodule, sides, amat: dict) -> bool:
+    """Exact check of both lifting conditions for alpha, given by its sparse
+    rows, on every pair (base basis element c, basis element x of the
+    ideal): alpha(x) c - alpha(xc) and c alpha(x) - alpha(cx) are evaluated
+    from the action tables and compared with x d(c) and d(c) x."""
     f = e.field
     one = f.one()
-    # alpha as a sparse matrix: row g holds alpha(x_g)
-    amat = {g: row for g, row in enumerate(map(f.sparse, alpha.entries)) if row}
 
     def minus_alpha(u, v):
         """u - alpha(v)"""
@@ -348,17 +350,12 @@ def _lift_holds(e: Bimodule, dvals, alpha: Matrix) -> bool:
                 out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
         return f.sparse(out)
 
-    for j, dj in enumerate(dvals):
-        for i in range(e.dim):
-            unit = {i: one}
+    for j, row in enumerate(sides):
+        for i, (dx, xd) in enumerate(row):
             ax = amat.get(i, {})
-            # alpha(x) c - alpha(xc) vs x d(c)
-            lhs = minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {}))
-            if lhs != e.right_act(dj, unit):
+            if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
                 return False
-            # c alpha(x) - alpha(cx) vs d(c) x
-            lhs = minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {}))
-            if lhs != e.left_act(dj, unit):
+            if minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
                 return False
     return True
 

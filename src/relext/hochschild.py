@@ -57,19 +57,22 @@ class ArrowLayout:
 
 
 def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
+    """The arrow-coordinate layout of m, scanned once per bimodule."""
     if m.acting is not alg:
         raise ValueError("bimodule is not over this algebra")
-    blocks = []
-    offsets = []
-    run = 0
-    for a in alg.quiver.arrows:
-        block = [
-            i for i in range(m.dim) if m.src[i] == a.source and m.tgt[i] == a.target
-        ]
-        blocks.append(block)
-        offsets.append(run)
-        run += len(block)
-    return ArrowLayout(alg, m, blocks, offsets, run)
+    if m._layout is None:
+        blocks = []
+        offsets = []
+        run = 0
+        for a in alg.quiver.arrows:
+            block = [
+                i for i in range(m.dim) if m.src[i] == a.source and m.tgt[i] == a.target
+            ]
+            blocks.append(block)
+            offsets.append(run)
+            run += len(block)
+        m._layout = ArrowLayout(alg, m, blocks, offsets, run)
+    return m._layout
 
 
 # -- degree 0 -----------------------------------------------------------------

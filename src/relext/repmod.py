@@ -8,7 +8,9 @@ the regular module (the injective cogenerator) is graded by path source.
 
 Projective covers are minimal: one summand P_v per basis vector of the top.
 Syzygies are kernels of covers, kept as subrepresentations with explicit
-inclusion maps, which is what the extension-group computations consume.
+inclusion maps.  Two callers read this module: ext2_dimension counts
+dim Ext^2 from hom dimensions along one minimal resolution, and
+gldim_at_most bounds the projective dimensions of the simples.
 """
 
 from __future__ import annotations
@@ -114,15 +116,6 @@ class ModuleMap:
             if lhs != rhs:
                 raise ValueError("map does not commute with arrow %r" % (a.name,))
 
-    def compose(self, then: "ModuleMap") -> "ModuleMap":
-        if then.source is not self.target:
-            raise ValueError("composition target/source mismatch")
-        return ModuleMap(
-            self.source,
-            then.target,
-            {v: self.mats[v].mul(then.mats[v]) for v in self.mats},
-        )
-
     def is_surjective(self) -> bool:
         return all(
             exactla.rank(self.mats[v]) == self.target.dims[v] for v in self.mats
@@ -158,13 +151,6 @@ class ModuleMap:
             },
         )
         return ker, incl
-
-
-def zero_rep(alg: BoundQuiverAlgebra) -> Representation:
-    f = alg.field
-    dims = {v: 0 for v in alg.quiver.vertices}
-    rho = {a.name: Matrix.zero(f, 0, 0) for a in alg.quiver.arrows}
-    return Representation(alg, dims, rho)
 
 
 def simple(alg: BoundQuiverAlgebra, vertex) -> Representation:
@@ -263,18 +249,6 @@ class CoverData:
     cover_map: ModuleMap
     gens: list
 
-    def summand_offsets(self, alg) -> list:
-        """Per summand: vertex -> row offset of its block inside the cover."""
-        run = {v: 0 for v in alg.quiver.vertices}
-        out = []
-        for gv, _ in self.gens:
-            paths = projective_paths(alg, gv)
-            here = dict(run)
-            out.append(here)
-            for v in alg.quiver.vertices:
-                run[v] += len(paths[v])
-        return out
-
 
 def projective_cover(m: Representation) -> CoverData:
     alg = m.algebra
@@ -295,11 +269,12 @@ def projective_cover(m: Representation) -> CoverData:
                 cur = cur.sum(Subspace.from_vectors(f, m.dims[v], [e]))
     summands = [projective(alg, gv) for gv, _ in gens]
     cover = direct_sum(alg, summands)
+    paths = [projective_paths(alg, gv) for gv, _ in gens]
     mats = {}
     for w in alg.quiver.vertices:
         rows = []
-        for gv, lift in gens:
-            for g in projective_paths(alg, gv)[w]:
+        for (gv, lift), pw in zip(gens, paths):
+            for g in pw[w]:
                 pm = m.path_matrix(alg.basis[g])
                 rows.append(pm.transpose().mat_vec(list(lift)))
         mats[w] = _matrix(f, cover.dims[w], m.dims[w], rows)
@@ -310,34 +285,32 @@ def projective_cover(m: Representation) -> CoverData:
 
 
 @dataclass(eq=False)
-class SyzygyData:
-    cover: Representation
-    cover_map: ModuleMap
+class SyzygyData(CoverData):
+    """A cover together with its kernel, the syzygy, and the inclusion."""
+
     kernel: Representation
     inclusion: ModuleMap
-    gens: list
 
 
 def syzygy(m: Representation) -> SyzygyData:
     cd = projective_cover(m)
-    ker, incl = cd.cover_map.kernel()
-    return SyzygyData(cd.cover, cd.cover_map, ker, incl, cd.gens)
+    return SyzygyData(cd.cover, cd.cover_map, cd.gens, *cd.cover_map.kernel())
 
 
 def is_projective(m: Representation) -> bool:
-    if m.is_zero():
-        return True
-    cd = projective_cover(m)
-    return cd.cover.total_dim == m.total_dim
+    """A module is projective iff its minimal cover is an isomorphism."""
+    return m.is_zero() or projective_cover(m).cover.total_dim == m.total_dim
 
 
 def pd_at_most(m: Representation, n: int) -> bool:
-    """Projective dimension bound via iterated minimal syzygies."""
+    """pd M <= n, with one minimal cover per step: M is projective iff its
+    cover has M's dimension, and otherwise pd M <= n iff pd(Omega M) <= n-1."""
     cur = m
     for _ in range(n):
-        if is_projective(cur):
+        cd = projective_cover(cur)
+        if cd.cover.total_dim == cur.total_dim:
             return True
-        cur = syzygy(cur).kernel
+        cur = cd.cover_map.kernel()[0]
     return is_projective(cur)
 
 
@@ -345,34 +318,10 @@ def gldim_at_most(alg: BoundQuiverAlgebra, n: int) -> bool:
     return all(pd_at_most(simple(alg, v), n) for v in alg.quiver.vertices)
 
 
-@dataclass(eq=False)
-class HomSpace:
-    """Hom_A(M, N) as a subspace of flattened per-vertex matrices."""
-
-    source: Representation
-    target: Representation
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def matrices(self, vec) -> dict:
-        f = self.source.algebra.field
-        out = {}
-        pos = 0
-        for v in self.source.algebra.quiver.vertices:
-            nr, nc = self.source.dims[v], self.target.dims[v]
-            rows = [
-                [vec[pos + i * nc + j] for j in range(nc)] for i in range(nr)
-            ]
-            out[v] = _matrix(f, nr, nc, rows)
-            pos += nr * nc
-        return out
-
-
-def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Solve the arrow-commutation equations for maps M -> N."""
+def hom_space(m: Representation, n: Representation) -> Subspace:
+    """Hom_A(M, N) in the flattened per-vertex matrices F_v (vertex order,
+    row-major): the solutions of rho_M(a) F_y = F_x rho_N(a) for every arrow
+    a: x -> y, one sparse row per entry (i, j) of that equation."""
     alg = m.algebra
     if n.algebra is not alg:
         raise ValueError("modules over different algebras")
@@ -382,81 +331,45 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     for v in alg.quiver.vertices:
         offs[v] = pos
         pos += m.dims[v] * n.dims[v]
-    total = pos
     rows = []
     for a in alg.quiver.arrows:
         x, y = a.source, a.target
-        rm = m.rho[a.name]  # m.dims[x] x m.dims[y]
-        rn = n.rho[a.name]  # n.dims[x] x n.dims[y]
+        rm = m.rho[a.name].entries  # m.dims[x] x m.dims[y]
+        rn = n.rho[a.name].entries  # n.dims[x] x n.dims[y]
         for i in range(m.dims[x]):
             for j in range(n.dims[y]):
-                row = [f.zero()] * total
-                # (rm . F_y)[i][j] : sum_k rm[i][k] F_y[k][j]
-                for k in range(m.dims[y]):
-                    c = rm.entries[i][k]
-                    if not f.is_zero(c):
-                        row[offs[y] + k * n.dims[y] + j] = f.add(
-                            row[offs[y] + k * n.dims[y] + j], c
-                        )
-                # -(F_x . rn)[i][j] : sum_l F_x[i][l] rn[l][j]
+                # (rm . F_y)[i][j] = sum_k rm[i][k] F_y[k][j]
+                row = {
+                    offs[y] + k * n.dims[y] + j: c
+                    for k, c in enumerate(rm[i])
+                    if not f.is_zero(c)
+                }
+                # minus (F_x . rn)[i][j] = sum_l F_x[i][l] rn[l][j]
                 for l in range(n.dims[x]):
-                    c = rn.entries[l][j]
+                    c = rn[l][j]
                     if not f.is_zero(c):
                         idx = offs[x] + i * n.dims[x] + l
-                        row[idx] = f.sub(row[idx], c)
+                        row[idx] = f.sub(row.get(idx, f.zero()), c)
                 rows.append(row)
-    mat = Matrix(f, len(rows), total, rows)
-    return HomSpace(m, n, exactla.kernel(mat))
-
-
-def _cover_hom_images(syz: SyzygyData, omega2_incl: ModuleMap, n: Representation):
-    """Flattened Hom(Omega^2, N) vectors of maps restricted from Hom(P1, N).
-
-    A map out of the cover P1 = direct sum of P_v is freely determined by the
-    image of each summand generator, one basis vector of N_v at a time.
-    """
-    alg = n.algebra
-    f = alg.field
-    cd = CoverData(syz.cover, syz.cover_map, syz.gens)
-    offsets = cd.summand_offsets(alg)
-    k2 = omega2_incl.source
-    vecs = []
-    for k, (gv, _) in enumerate(syz.gens):
-        paths = projective_paths(alg, gv)
-        for j in range(n.dims[gv]):
-            # phi sends the generator of summand k to the j-th basis vector
-            mats = {}
-            for w in alg.quiver.vertices:
-                full = Matrix.zero(f, syz.cover.dims[w], n.dims[w])
-                base = offsets[k][w]
-                for r, g in enumerate(paths[w]):
-                    pm = n.path_matrix(alg.basis[g])
-                    full.entries[base + r] = list(pm.entries[j])
-                mats[w] = full
-            phi = ModuleMap(syz.cover, n, mats)
-            psi = omega2_incl.compose(phi)
-            flat = []
-            for v in alg.quiver.vertices:
-                for row in psi.mats[v].entries:
-                    flat.extend(row)
-            vecs.append(flat)
-    return vecs
+    return exactla.null_space(f, pos, rows)
 
 
 def ext2_of_modules(m: Representation, n: Representation) -> int:
-    """dim Ext^2(M, N) = dim Hom(Omega^2 M, N) minus the maps that extend
-    to the projective cover of Omega M."""
+    """dim Ext^2(M, N), counted from hom dimensions along the minimal
+    resolution P1 -> P0 -> M.
+
+    Ext^2(M, N) = Ext^1(Omega M, N), as Ext^1 and Ext^2 vanish on P0.
+    Hom(-, N) turns 0 -> Omega^2 M -> P1 -> Omega M -> 0 into the exact
+    sequence
+        0 -> Hom(Omega M, N) -> Hom(P1, N) -> Hom(Omega^2 M, N)
+          -> Ext^1(Omega M, N) -> Ext^1(P1, N) = 0,
+    so dim Ext^2 = dim Hom(Omega^2 M, N) - dim Hom(P1, N) + dim Hom(Omega M, N).
+    Hom(P_v, N) = N e_v (Yoneda), so dim Hom(P1, N) is the sum of dim N e_v
+    over the generators v of the cover."""
     s1 = syzygy(m)
     s2 = syzygy(s1.kernel)
-    h = hom_space(s2.kernel, n)
-    vecs = _cover_hom_images(s2, s2.inclusion, n)
-    f = m.algebra.field
-    amb = h.space.ambient_dim
-    restricted = Subspace.from_vectors(f, amb, vecs)
-    for b in restricted.basis:
-        if not h.space.contains(list(b)):
-            raise ValueError("restricted cover map escaped the hom space")
-    return h.dim - restricted.dim
+    hom_p1 = sum(n.dims[v] for v, _ in s2.gens)
+    return hom_space(s2.kernel, n).dim - hom_p1 + hom_space(s1.kernel, n).dim
 
 
 def ext2_dimension(alg: BoundQuiverAlgebra) -> int:

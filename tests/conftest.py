@@ -4,6 +4,8 @@ coefficient bimodules of each extension family, and cached verifier reports.
 Everything heavy is session-scoped so the suite builds each object once.
 """
 
+import os
+import sys
 from itertools import combinations
 
 import pytest
@@ -12,31 +14,19 @@ from relext import extensions, qdsl
 from relext.algebra import build
 from relext.fixtures import fixture_text
 
+# bench/chain.py generates the chain family; it is only read from here
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+import chain as bench_chain  # noqa: E402
+
 FIXTURES = ("ex1", "ex2")
-
-
-def _chain_text(k: int) -> str:
-    """The type-A chain 1 -> ... -> 2k+1 with zero relations a(2j+1).a(2j+2),
-    and its relation extension by arrows e(j+1): 2j+3 -> 2j+1."""
-    verts = "vertices " + " ".join(str(i) for i in range(1, 2 * k + 2))
-    arrows = ["arrow a%d %d %d" % (i, i, i + 1) for i in range(1, 2 * k + 1)]
-    rels = ["rel a%d.a%d" % (2 * j + 1, 2 * j + 2) for j in range(k)]
-    news = ["arrow e%d %d %d" % (j + 1, 2 * j + 3, 2 * j + 1) for j in range(k)]
-    ext = []
-    for j in range(k):
-        ext += ["rel a%d.e%d" % (2 * j + 2, j + 1), "rel e%d.a%d" % (j + 1, 2 * j + 1)]
-        if j:
-            ext.append("rel e%d.e%d" % (j + 1, j))
-    new = "new " + " ".join("e%d" % (j + 1) for j in range(k))
-    base = ["algebra C", verts] + arrows + rels + ["end"]
-    full = ["algebra Ctilde", "extension_of C", verts] + arrows + news + [new]
-    return "\n".join(base + full + rels + ext + ["end", ""])
 
 
 @pytest.fixture(scope="session")
 def chain_text():
-    """The chain family generator, k -> presentation text."""
-    return _chain_text
+    """The chain family generator of bench/chain.py, k -> presentation text."""
+    return lambda k: bench_chain.render(bench_chain.chain(k))
 
 
 @pytest.fixture(scope="session")

@@ -235,6 +235,46 @@ def test_lift_every_derivation_basis_element(presentations, name):
             assert lift_derivation(sp, list(d)).ok
 
 
+def test_lift_check_rejects_broken_alpha(presentations):
+    """The check of a solved lift accepts the witness's alpha, and rejects
+    it with one entry moved off the vertex bigrade or with one side of the
+    conditions negated."""
+    moved = negated = 0
+    for name, key in [(n, k) for n in ("ex1", "ex2") for k in ("CB", "CCt")]:
+        sp = presentations[name][key]
+        e = sp.ext_over_base
+        f = sp.field
+        one = f.one()
+        for d in extensions.regular_h1(sp.base).derivations.basis:
+            w = lift_derivation(sp, list(d))
+            dvals = hochschild.derivation_values(
+                sp.base, extensions.regular_bimodule_of(sp.base), list(d)
+            )
+            sides = [
+                [(e.left_act(dj, {i: one}), e.right_act(dj, {i: one})) for i in range(e.dim)]
+                for dj in dvals
+            ]
+            amat = {g: f.sparse(row) for g, row in enumerate(w.alpha.entries) if f.sparse(row)}
+            assert extensions._lift_holds(e, sides, amat)
+            off = [(g, k) for g in range(e.dim) for k in range(e.dim)
+                   if (e.src[g], e.tgt[g]) != (e.src[k], e.tgt[k])]
+            if off:
+                g, k = off[0]
+                bad = {r: dict(v) for r, v in amat.items()}
+                bad.setdefault(g, {})[k] = f.add(bad.get(g, {}).get(k, f.zero()), one)
+                assert not extensions._lift_holds(e, sides, bad)
+                moved += 1
+            hits = [(j, i) for j, row in enumerate(sides) for i, (dx, _) in enumerate(row) if dx]
+            if hits:
+                j, i = hits[0]
+                dx, xd = sides[j][i]
+                broken = [list(row) for row in sides]
+                broken[j][i] = ({t: f.neg(c) for t, c in dx.items()}, xd)
+                assert not extensions._lift_holds(e, broken, amat)
+                negated += 1
+    assert moved and negated
+
+
 # -- the verifier --------------------------------------------------------------
 
 

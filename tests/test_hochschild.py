@@ -1,6 +1,6 @@
 """Degree 0/1 cohomology: the derivation method against the full-complex
 oracle, complex identities, the coboundary and its action index against
-hand-written references, and the cup product."""
+hand-written references, the cached arrow layout, and the cup product."""
 
 from itertools import combinations
 
@@ -74,6 +74,24 @@ def test_dual_method_agreement_whole_corpus(corpus_pairs):
 def test_complex_identities_whole_corpus(corpus_pairs):
     for tag, alg, m in corpus_pairs:
         assert hochschild.verify_complex(alg, m), tag
+
+
+def test_arrow_layout_is_scanned_once_per_bimodule(corpus_pairs):
+    """Repeated calls return the layout cached on the bimodule, and it
+    equals a fresh scan of M for each arrow's bigraded slice."""
+    for tag, alg, m in corpus_pairs:
+        layout = hochschild.arrow_layout(alg, m)
+        assert hochschild.arrow_layout(alg, m) is layout, tag
+        assert m._layout is layout, tag
+        blocks = [
+            [i for i in range(m.dim) if (m.src[i], m.tgt[i]) == (a.source, a.target)]
+            for a in alg.quiver.arrows
+        ]
+        offsets = [sum(map(len, blocks[:k])) for k in range(len(blocks))]
+        assert layout.algebra is alg and layout.bimodule is m, tag
+        assert (layout.blocks, layout.offsets, layout.total) == (
+            blocks, offsets, sum(map(len, blocks))
+        ), tag
 
 
 def test_inner_dimension_rank_nullity(algebras):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from relext import repmod
+from relext import exactla, qdsl, repmod
+from relext.algebra import build
+from relext.exactla import QQ, Matrix, PrimeField, Subspace
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -52,6 +54,25 @@ def test_gldim_at_most_two_for_base(algebras, name):
     assert repmod.gldim_at_most(algebras[(name, "C")], 2)
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_pd_builds_one_cover_per_step(algebras, monkeypatch, name):
+    """pd_at_most(M, n) with pd M = s <= n builds s + 1 projective covers:
+    one per syzygy step, and none twice."""
+    calls = []
+    cover = repmod.projective_cover
+    monkeypatch.setattr(repmod, "projective_cover", lambda m: calls.append(m) or cover(m))
+    for alg_name in ("C", "B", "Ctilde"):
+        alg = algebras[(name, alg_name)]
+        for v in alg.quiver.vertices:
+            s = repmod.simple(alg, v)
+            pd = next((n for n in range(4) if repmod.pd_at_most(s, n)), None)
+            if pd is None:
+                continue
+            calls.clear()
+            assert repmod.pd_at_most(s, 3)
+            assert len(calls) == pd + 1, (alg_name, v)
+
+
 EXT2 = {"ex1": 2, "ex2": 8}
 
 
@@ -71,9 +92,123 @@ def test_injective_cogenerator_dimension(algebras):
 
 def test_zero_and_direct_sum(algebras):
     alg = algebras[("ex1", "C")]
-    z = repmod.zero_rep(alg)
+    z = repmod.direct_sum(alg, [])
     assert z.is_zero() and repmod.is_projective(z)
     s1 = repmod.simple(alg, alg.quiver.vertices[0])
     s2 = repmod.simple(alg, alg.quiver.vertices[1])
     d = repmod.direct_sum(alg, [s1, s2])
     assert d.total_dim == 2
+
+
+# -- references: the explicit restriction, the dense hom builder, two covers
+# per pd step --------------------------------------------------------------
+
+
+def reference_hom_space(m, n):
+    """Hom(M, N) from the dense system, one row per equation entry."""
+    alg = m.algebra
+    f = alg.field
+    offs = {}
+    pos = 0
+    for v in alg.quiver.vertices:
+        offs[v] = pos
+        pos += m.dims[v] * n.dims[v]
+    rows = []
+    for a in alg.quiver.arrows:
+        x, y = a.source, a.target
+        rm, rn = m.rho[a.name], n.rho[a.name]
+        for i in range(m.dims[x]):
+            for j in range(n.dims[y]):
+                row = [f.zero()] * pos
+                for k in range(m.dims[y]):
+                    idx = offs[y] + k * n.dims[y] + j
+                    row[idx] = f.add(row[idx], rm.entries[i][k])
+                for l in range(n.dims[x]):
+                    idx = offs[x] + i * n.dims[x] + l
+                    row[idx] = f.sub(row[idx], rn.entries[l][j])
+                rows.append(row)
+    return exactla.kernel(Matrix(f, len(rows), pos, rows))
+
+
+def _cover_hom_images(syz, n):
+    """Flattened Hom(Omega^2, N) vectors of the maps restricted from
+    Hom(P1, N): summand k's generator goes to the j-th basis vector of N."""
+    alg = n.algebra
+    f = alg.field
+    run = {v: 0 for v in alg.quiver.vertices}
+    offsets = []
+    for gv, _ in syz.gens:
+        offsets.append(dict(run))
+        for v, paths in repmod.projective_paths(alg, gv).items():
+            run[v] += len(paths)
+    incl = syz.inclusion
+    vecs = []
+    for k, (gv, _) in enumerate(syz.gens):
+        paths = repmod.projective_paths(alg, gv)
+        for j in range(n.dims[gv]):
+            mats = {}
+            for w in alg.quiver.vertices:
+                full = Matrix.zero(f, syz.cover.dims[w], n.dims[w])
+                for r, g in enumerate(paths[w]):
+                    pm = n.path_matrix(alg.basis[g])
+                    full.entries[offsets[k][w] + r] = list(pm.entries[j])
+                mats[w] = full
+            phi = repmod.ModuleMap(syz.cover, n, mats)
+            psi = repmod.ModuleMap(
+                incl.source, n, {v: incl.mats[v].mul(phi.mats[v]) for v in mats}
+            )
+            vecs.append([x for v in alg.quiver.vertices for row in psi.mats[v].entries
+                         for x in row])
+    return vecs
+
+
+def reference_ext2(alg):
+    """dim Hom(Omega^2 M, N) minus the maps that extend to the cover of
+    Omega M, for M = DA and N = A."""
+    n = repmod.regular(alg)
+    s1 = repmod.syzygy(repmod.injective_cogenerator(alg))
+    s2 = repmod.syzygy(s1.kernel)
+    h = reference_hom_space(s2.kernel, n)
+    restricted = Subspace.from_vectors(alg.field, h.ambient_dim, _cover_hom_images(s2, n))
+    for b in restricted.basis:
+        assert h.contains(list(b)), "restricted cover map escaped the hom space"
+    return h.dim - restricted.dim
+
+
+def reference_gldim_at_most(alg, n):
+    """The pd loop that builds one cover for is_projective and another for
+    the syzygy."""
+
+    def pd_at_most(m):
+        cur = m
+        for _ in range(n):
+            if repmod.is_projective(cur):
+                return True
+            cur = repmod.syzygy(cur).kernel
+        return repmod.is_projective(cur)
+
+    return all(pd_at_most(repmod.simple(alg, v)) for v in alg.quiver.vertices)
+
+
+def _reference_cases(files, chain_text, field):
+    blocks = [b for n in ("ex1", "ex2") for b in files[n].blocks]
+    for k in range(1, 5):
+        blocks += qdsl.parse(chain_text(k)).blocks
+    return [build(b, field) for b in blocks]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_counts_match_references(files, chain_text, field):
+    """Every ex1/ex2 block and chain k <= 4 (C and Ctilde): Ext^2 by the
+    count equals the explicit restriction, gldim bounds equal the two-cover
+    loop's, and the sparse hom space equals the dense one literally."""
+    algs = _reference_cases(files, chain_text, field)
+    assert len(algs) == 14
+    for alg in algs:
+        assert repmod.ext2_dimension(alg) == reference_ext2(alg)
+        for n in range(4):
+            assert repmod.gldim_at_most(alg, n) == reference_gldim_at_most(alg, n)
+        dual, reg = repmod.injective_cogenerator(alg), repmod.regular(alg)
+        h = repmod.hom_space(dual, reg)
+        assert isinstance(h, Subspace)
+        assert h == reference_hom_space(dual, reg)
