@@ -33,7 +33,7 @@ from .extensions import (
     SplitPresentation,
     TheoremReport,
     hochschild_projection,
-    lift_derivation,
+    lift_derivations,
     poset,
     split_presentation,
     verify_theorem,
@@ -88,7 +88,7 @@ __all__ = [
     "SplitPresentation",
     "TheoremReport",
     "hochschild_projection",
-    "lift_derivation",
+    "lift_derivations",
     "poset",
     "split_presentation",
     "verify_theorem",

@@ -419,18 +419,18 @@ def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     return True
 
 
-def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
-    """The equations a.f(x) - f(a.x) = l and f(x).a - f(x.a) = r on a linear
+def hom_equations(m: Bimodule, n: Bimodule) -> tuple:
+    """The equations a.f(x) - f(a.x) = 0 and f(x).a - f(x.a) = 0 on a linear
     map f: M -> N, one row per acting basis element a, basis element x_i of
-    M and coordinate j of N, with (l, r) = sides(a, i) as sparse N vectors
-    (both 0 when sides is None).
+    M, side (0 left, 1 right) and coordinate j of N.
 
     A solution preserves the vertex bigrade: the idempotent rows force every
     other entry to 0, since the idempotents act as the bigrade projections.
     So only the graded entries are unknowns; var maps (i, j) to the column of
     the entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
-    (var, rows, values), sparse rows {column: c} over those columns, without
-    the rows that are zero with value zero."""
+    (var, rows, keys), sparse rows {column: c} over those columns without
+    the zero rows, and the key (a, i, side, j) of each row, where a caller
+    places its right-hand sides; a key without a row has a zero left side."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
@@ -444,14 +444,12 @@ def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
                 own.append((j, var[(i, j)]))
         graded.append(own)
 
-    no_sides = ({}, {})
     rows = []
-    values = []
+    keys = []
     for a in range(m.acting.dim):
         actions = ((m.left[a], n.left[a]), (m.right[a], n.right[a]))
         for i in range(m.dim):
-            lr = sides(a, i) if sides is not None else no_sides
-            for (am, an), value in zip(actions, lr):
+            for side, (am, an) in enumerate(actions):
                 eqs = {}  # coordinate j of N -> row
                 # a acting on f(x_i): F[i][k] times the action on n_k
                 for k, col in graded[i]:
@@ -463,12 +461,12 @@ def hom_equations(m: Bimodule, n: Bimodule, sides=None) -> tuple:
                     for j, col in graded[g]:
                         eq = eqs.setdefault(j, {})
                         eq[col] = f.sub(eq.get(col, f.zero()), c)
-                for j in eqs.keys() | value.keys():
-                    eq = f.sparse(eqs.get(j, {}))
-                    if eq or j in value:
+                for j, eq in eqs.items():
+                    eq = f.sparse(eq)
+                    if eq:
                         rows.append(eq)
-                        values.append(value.get(j, f.zero()))
-    return var, rows, values
+                        keys.append((a, i, side, j))
+    return var, rows, keys
 
 
 def _graded_kernel(m: Bimodule, n: Bimodule, var, rows) -> Subspace:

@@ -7,7 +7,7 @@ elimination engine, Echelon, whose rows are dicts keyed by any totally
 ordered keys: paths in the algebra builder, cochain indices in the bar
 complex, and negated column indices behind the linear-system entry points
 here.  Those take sparse rows {column: x} (null_space, solve_rows,
-Subspace.from_sparse); the dense Matrix ones (rref, rank, kernel, solve,
+Subspace.from_sparse); the dense Matrix ones (rref, rank, kernel,
 Subspace.from_vectors) hand their rows to the same path.  They return the
 canonical reduced row echelon form, so two spans are equal iff their
 echelonized bases compare equal.
@@ -398,46 +398,45 @@ def null_space(field: Field, ncols: int, rows) -> "Subspace":
     return Subspace.from_sparse(field, ncols, vectors.values())
 
 
-def solve(m: Matrix, rhs: list) -> list | None:
-    """A particular solution of m x = rhs (free variables 0), or None when
-    the system is inconsistent."""
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length %d != rows %d" % (len(rhs), m.rows))
-    sol = _particular_solution(m.field, m.cols, _sparse_rows(m), rhs)
-    if sol is not None:
-        _check_substitution(m.field, m.mat_vec(sol), rhs)
-    return sol
+def solve_rows(field: Field, ncols: int, rows: list, rhs_list) -> list:
+    """Particular solutions (free variables 0) of row . x = rhs[r] for the
+    sparse rows {column: x}, one per sparse right-hand side {row index: b}
+    in rhs_list, each a sparse {column: x} or None when that side is
+    inconsistent.  Side k is column ncols + k, keyed below every unknown,
+    so one echelon serves every side: a row is zero on the unknowns iff its
+    pivot is a side's column, and side k is consistent iff no such row has
+    an entry in column ncols + k.  The canonical reduced form is unique, so
+    each solution is the one its side would get alone."""
+    aug = [dict(row) for row in rows]
+    for k, rhs in enumerate(rhs_list):
+        for r, b in rhs.items():
+            aug[r][ncols + k] = b
+    sols = [{} for _ in rhs_list]
+    for row in _column_echelon(field, aug).reduced_rows():
+        for k, x in row.items():
+            if -k >= ncols:
+                sols[-k - ncols][-max(row)] = x
+    # a side with an entry in a row that is zero on the unknowns is inconsistent
+    sols = [None if any(c >= ncols for c in sol) else sol for sol in sols]
+    _check_substitution(field, rows, rhs_list, sols)
+    return sols
 
 
-def solve_rows(field: Field, ncols: int, rows, rhs) -> list | None:
-    """solve() for sparse rows {column: x} with right-hand sides rhs."""
-    sol = _particular_solution(field, ncols, rows, rhs)
-    if sol is not None:
-        images = []
-        for row in rows:
-            acc = field.zero()
-            for j, x in row.items():
-                acc = field.add(acc, field.mul(x, sol[j]))
-            images.append(acc)
-        _check_substitution(field, images, rhs)
-    return sol
-
-
-def _particular_solution(field: Field, ncols: int, rows, rhs) -> list | None:
-    f = field
-    # the right-hand side is column ncols, the smallest key
-    ech = _column_echelon(f, [{**row, ncols: b} for row, b in zip(rows, rhs)])
-    if -ncols in ech.rows:
-        return None
-    sol = [f.zero()] * ncols
-    for row in ech.reduced_rows():
-        sol[-max(row)] = row.get(-ncols, f.zero())
-    return sol
-
-
-def _check_substitution(field: Field, images, rhs):
-    if any(not field.is_zero(field.sub(a, b)) for a, b in zip(images, rhs)):
-        raise ArithmeticError("solve: the solution fails substitution")
+def _check_substitution(field: Field, rows, rhs_list, sols):
+    """Raise unless every solution reproduces its side on every row."""
+    by_column = {}  # column -> [(row index, x)]
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            by_column.setdefault(j, []).append((r, x))
+    for rhs, sol in zip(rhs_list, sols):
+        if sol is None:
+            continue
+        images = {}
+        for j, s in sol.items():
+            for r, x in by_column.get(j, ()):
+                images[r] = field.add(images.get(r, field.zero()), field.mul(x, s))
+        if field.sparse(images) != field.sparse(rhs):
+            raise ArithmeticError("solve: the solution fails substitution")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ algebra.  On top of that this module provides:
   * a solver for the lifting conditions that let a base derivation extend
     to the total algebra: given d on the base, find a linear alpha on the
     extension ideal with x d(c) = alpha(x) c - alpha(xc) and
-    d(c) x = c alpha(x) - alpha(cx),
+    d(c) x = c alpha(x) - alpha(cx); every d of one presentation is a
+    right-hand side of one system, and each alpha is checked on the pairs
+    where a term can be nonzero,
   * a verifier for the four dimension identities tying the cohomology of
     the base, a partial extension and the full extension together, with
     the kernel bookkeeping behind each identity,
@@ -297,66 +299,96 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> Matrix:
 @dataclass(eq=False)
 class LiftWitness:
     derivation: list
-    alpha: Matrix | None  # row g = coordinates of alpha(basis g), or None
+    alpha: dict | None  # {g: {k: c}}, the nonzero coordinates of alpha(x_g)
 
     @property
     def ok(self) -> bool:
         return self.alpha is not None
 
 
-def lift_derivation(sp: SplitPresentation, dvec) -> LiftWitness:
-    """Solve for a linear alpha on the extension ideal satisfying both
-    lifting conditions against the normalized base derivation d (given in
-    arrow coordinates); alpha is None when the system has no solution."""
+def lift_derivations(sp: SplitPresentation, dvecs) -> list:
+    """A LiftWitness per normalized base derivation d (in arrow coordinates):
+    a linear alpha on the extension ideal with x d(c) = alpha(x) c - alpha(xc)
+    and d(c) x = c alpha(x) - alpha(cx), or None where none exists.  The
+    left side of this system does not depend on d, so it is built once and
+    every d is one right-hand side of a single solve."""
     base = sp.base
     e = sp.ext_over_base
     f = base.field
     one = f.one()
-    dvals = derivation_values(base, regular_bimodule_of(base), dvec)
-    # sides[j][i] = (d(c) x, x d(c)) for c the base basis element j and
-    # x = x_i, found once for the equations and for the check
-    sides = [
-        [(e.left_act(dj, {i: one}), e.right_act(dj, {i: one})) for i in range(e.dim)]
-        for dj in dvals
-    ]
-    var, rows, rhs = bimod.hom_equations(e, e, lambda j, i: sides[j][i])
-    sol = exactla.solve_rows(f, len(var), rows, rhs)
-    if sol is None:
-        return LiftWitness(list(dvec), None)
+    reg = regular_bimodule_of(base)
+    var, rows, keys = bimod.hom_equations(e, e)
+    at = {key: r for r, key in enumerate(keys)}
+    all_sides = []
+    rhs_list = []
+    for dvec in dvecs:
+        # sides[(j, i)] = (d(c) x, x d(c)) for c the base basis element j
+        # with d(c) != 0 and x = x_i, found once for the solve and the check
+        sides = {}
+        rhs = {}
+        for j, dj in enumerate(derivation_values(base, reg, dvec)):
+            if not dj:
+                continue
+            for i in range(e.dim):
+                x = {i: one}
+                pair = sides[(j, i)] = (e.left_act(dj, x), e.right_act(dj, x))
+                for side, vec in enumerate(pair):
+                    for t, c in vec.items():
+                        r = at.setdefault((j, i, side, t), len(rows))
+                        if r == len(rows):
+                            rows.append({})  # no left side: 0 = c
+                        rhs[r] = c
+        all_sides.append(sides)
+        rhs_list.append(rhs)
 
-    amat = {}  # row g holds alpha(x_g), sparse
-    for (g, k), pos in var.items():
-        if not f.is_zero(sol[pos]):
-            amat.setdefault(g, {})[k] = sol[pos]
-    if not _lift_holds(e, sides, amat):
-        raise SplitError("solved lift fails the defining conditions")
-    alpha = Matrix(f, e.dim, e.dim, [f.dense(amat.get(g, {}), e.dim) for g in range(e.dim)])
-    return LiftWitness(list(dvec), alpha)
+    sols = exactla.solve_rows(f, len(var), rows, rhs_list)
+    unknown = list(var)  # column -> (g, k), the entry alpha(x_g) on x_k
+    out = []
+    for dvec, sides, sol in zip(dvecs, all_sides, sols):
+        alpha = None
+        if sol is not None:
+            alpha = {}
+            for col, x in sol.items():
+                g, k = unknown[col]
+                alpha.setdefault(g, {})[k] = x
+            if not _lift_holds(e, sides, alpha):
+                raise SplitError("solved lift fails the defining conditions")
+        out.append(LiftWitness(list(dvec), alpha))
+    return out
 
 
-def _lift_holds(e: Bimodule, sides, amat: dict) -> bool:
+def _lift_holds(e: Bimodule, sides, alpha: dict) -> bool:
     """Exact check of both lifting conditions for alpha, given by its sparse
-    rows, on every pair (base basis element c, basis element x of the
-    ideal): alpha(x) c - alpha(xc) and c alpha(x) - alpha(cx) are evaluated
-    from the action tables and compared with x d(c) and d(c) x."""
+    rows: alpha(x) c - alpha(xc) and c alpha(x) - alpha(cx) are evaluated
+    from the action tables and compared with x d(c) and d(c) x, which sides
+    holds for every pair (c, x) with d(c) != 0.
+
+    Only the pairs (c, x) of a base basis element and a basis element of
+    the ideal with alpha(x) != 0, xc != 0, cx != 0 or d(c) != 0 are
+    visited.  On any other pair alpha(x) c and c alpha(x) vanish with
+    alpha(x), alpha(xc) and alpha(cx) vanish with xc and cx, and x d(c) and
+    d(c) x vanish with d(c), so both sides of both conditions are 0."""
     f = e.field
     one = f.one()
+    acting = range(e.acting.dim)
+    pairs = set(sides) | {(j, i) for i in alpha for j in acting}
+    pairs.update((j, i) for j in acting for i in e.left[j].keys() | e.right[j].keys())
 
     def minus_alpha(u, v):
         """u - alpha(v)"""
         out = dict(u)
         for g, c in v.items():
-            for t, x in amat.get(g, {}).items():
+            for t, x in alpha.get(g, {}).items():
                 out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
         return f.sparse(out)
 
-    for j, row in enumerate(sides):
-        for i, (dx, xd) in enumerate(row):
-            ax = amat.get(i, {})
-            if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
-                return False
-            if minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
-                return False
+    for j, i in pairs:
+        dx, xd = sides.get((j, i), ({}, {}))
+        ax = alpha.get(i, {})
+        if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
+            return False
+        if minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
+            return False
     return True
 
 
@@ -671,6 +703,7 @@ class Family:
             )
         self._partials = {self.new_arrows: self.full, (): self.base}
         self._over_full = None  # set by _full_split_part
+        self._lifts = {}  # subset S -> do all derivations lift to B_S
 
     def partial(self, subset) -> BoundQuiverAlgebra:
         """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
@@ -752,9 +785,7 @@ class Family:
         center_flags = _center_flags(zb, esec_b, stationary_b)
 
         h1_ct_e, lifts_ok = self._full_split_part()
-        for d in regular_h1(c_alg).derivations.basis:
-            if not lift_derivation(sp_cb, list(d)).ok:
-                lifts_ok = False
+        lifts_ok = self._lifts_ok(sp_cb) and lifts_ok
 
         return TheoremReport(
             field_name=repr(c_alg.field),
@@ -799,16 +830,17 @@ class Family:
         once per family."""
         if self._over_full is None:
             sp = self.split((), self.new_arrows)
-            self._over_full = (
-                h1(self.full, sp.ext).dim,
-                all(
-                    [
-                        lift_derivation(sp, list(d)).ok
-                        for d in regular_h1(self.base).derivations.basis
-                    ]
-                ),
-            )
+            self._over_full = (h1(self.full, sp.ext).dim, self._lifts_ok(sp))
         return self._over_full
+
+    def _lifts_ok(self, sp: SplitPresentation) -> bool:
+        """Does every base derivation lift through sp, a split C < B_S?
+        Solved once per subset S, whatever order sp lists its arrows in."""
+        key = tuple(n for n in self.new_arrows if n in sp.new_arrows)
+        if key not in self._lifts:
+            dvecs = [list(d) for d in regular_h1(self.base).derivations.basis]
+            self._lifts[key] = all(w.ok for w in lift_derivations(sp, dvecs))
+        return self._lifts[key]
 
     def poset(self) -> ExtensionPoset:
         """All valid arrow subsets ordered by inclusion, each carrying its

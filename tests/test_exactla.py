@@ -46,21 +46,37 @@ def test_kernel_annihilates_and_rank_nullity(m):
         assert all(x == 0 for x in m.mat_vec(list(v)))
 
 
+def _sparse_rows(m):
+    return [m.field.sparse(row) for row in m.entries]
+
+
+def _solve_one(m, rhs):
+    """solve_rows for one dense right-hand side, its solution dense."""
+    f = m.field
+    (sol,) = exactla.solve_rows(f, m.cols, _sparse_rows(m), [f.sparse(rhs)])
+    return None if sol is None else f.dense(sol, m.cols)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices().flatmap(lambda m: st.tuples(st.just(m), vectors(m.cols))))
 def test_solve_reproduces_consistent_rhs(mx):
     m, x = mx
     rhs = m.mat_vec(x)
-    sol = exactla.solve(m, rhs)
+    sol = _solve_one(m, rhs)
     assert sol is not None
     assert m.mat_vec(sol) == rhs
 
 
 def test_solve_detects_inconsistency():
     m = Matrix.from_rows(QQ, [[Fraction(0)]])
-    assert exactla.solve(m, [Fraction(1)]) is None
+    assert _solve_one(m, [Fraction(1)]) is None
     m2 = Matrix.from_rows(QQ, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
-    assert exactla.solve(m2, [Fraction(0), Fraction(1)]) is None
+    assert _solve_one(m2, [Fraction(0), Fraction(1)]) is None
+    # an inconsistent side leaves the others alone
+    sols = exactla.solve_rows(
+        QQ, 2, _sparse_rows(m2), [{1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}, {}]
+    )
+    assert sols == [None, {0: Fraction(2)}, {}]
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,10 +258,47 @@ def test_sparse_engine_matches_dense_reference(fmr):
     assert exactla.rref(m) == _reference_rref(m)
     assert exactla.rank(m) == _reference_rref(m)[1]
     assert exactla.kernel(m).basis == _reference_kernel(m)
-    assert exactla.solve(m, rhs) == _reference_solve(m, rhs)
+    assert _solve_one(m, rhs) == _reference_solve(m, rhs)
     assert Subspace.from_vectors(field, m.cols, m.entries).basis == _reference_span(
         field, m.cols, m.entries
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices().flatmap(
+    lambda fmr: st.tuples(
+        st.just(fmr),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.sampled_from([fmr[0].zero(), fmr[0].one(), fmr[0].from_int(3)]),
+                    min_size=max(fmr[1].rows, fmr[1].cols),
+                    max_size=max(fmr[1].rows, fmr[1].cols),
+                ),
+            ),
+            max_size=5,
+        ),
+    )
+))
+def test_solve_rows_batch_matches_one_at_a_time(case):
+    """Right-hand sides m x for random x, which are consistent, mixed with
+    free ones, mostly inconsistent on rank deficient m: solving all of them
+    from one echelon gives each the solution, or None, that solving it alone
+    gives, and that the dense reference gives."""
+    (field, m, _), picks = case
+    sides = []
+    for image, vec in picks:
+        rhs = m.mat_vec(vec[: m.cols]) if image else vec[: m.rows]
+        sides.append(field.sparse(rhs))
+    rows = _sparse_rows(m)
+    batch = exactla.solve_rows(field, m.cols, rows, sides)
+    assert batch == [exactla.solve_rows(field, m.cols, rows, [rhs])[0] for rhs in sides]
+    for rhs, sol in zip(sides, batch):
+        want = _reference_solve(m, field.dense(rhs, m.rows))
+        assert (None if sol is None else field.dense(sol, m.cols)) == want
+    for (image, _), sol in zip(picks, batch):
+        assert sol is not None or not image
 
 
 def _reference_reduce(u, v):
@@ -295,10 +348,16 @@ def test_subspace_reduce_matches_dense_reference(fmp):
 
 def test_solve_raises_when_substitution_fails(monkeypatch):
     m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)]])
-    assert exactla.solve(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]
-    monkeypatch.setattr(Matrix, "mat_vec", lambda self, v: [Fraction(0)] * self.rows)
+    assert _solve_one(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]
+    real = exactla.Echelon.reduced_rows
+
+    def doubled(self):
+        """the reduced rows with every right-hand side entry doubled"""
+        return [{k: 2 * x if k <= -m.cols else x for k, x in row.items()} for row in real(self)]
+
+    monkeypatch.setattr(exactla.Echelon, "reduced_rows", doubled)
     with pytest.raises(ArithmeticError):
-        exactla.solve(m, [Fraction(3)])
+        _solve_one(m, [Fraction(3)])
 
 
 def test_echelon_normal_form_and_reduced_rows():

@@ -9,12 +9,12 @@ import pytest
 
 from relext import algebra, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import Matrix
+from relext.exactla import QQ, Matrix, PrimeField
 from relext.extensions import (
     Family,
     SplitError,
     hochschild_projection,
-    lift_derivation,
+    lift_derivations,
     split_presentation,
     verify_theorem,
 )
@@ -217,11 +217,9 @@ def test_lift_zero_derivation(presentations):
     sp = presentations["ex1"]["CCt"]
     layout = arrow_layout(sp.base, extensions.regular_bimodule_of(sp.base))
     zero = [sp.field.zero()] * layout.total
-    w = lift_derivation(sp, zero)
+    (w,) = lift_derivations(sp, [zero])
     assert w.ok
-    assert all(
-        sp.field.is_zero(x) for row in w.alpha.entries for x in row
-    )
+    assert w.alpha == {}
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -229,10 +227,160 @@ def test_lift_every_derivation_basis_element(presentations, name):
     for key in ("CB", "CCt"):
         sp = presentations[name][key]
         space = extensions.regular_h1(sp.base)
-        for d in space.derivations.basis:
-            assert lift_derivation(sp, list(d)).ok
-        for d in space.inner.basis:
-            assert lift_derivation(sp, list(d)).ok
+        for basis in (space.derivations.basis, space.inner.basis):
+            witnesses = lift_derivations(sp, [list(d) for d in basis])
+            assert len(witnesses) == len(basis)
+            assert all(w.ok for w in witnesses)
+
+
+def _reference_lift(sp, dvec):
+    """alpha of one derivation, or None, as the lift was solved before all
+    derivations shared one system: the (d(c) x, x d(c)) of every pair
+    (c, x) are the right-hand sides of the graded hom equations, and one
+    echelon with the right-hand side as its smallest column is solved per
+    derivation."""
+    e = sp.ext_over_base
+    f = sp.field
+    one = f.one()
+    dvals = hochschild.derivation_values(
+        sp.base, extensions.regular_bimodule_of(sp.base), dvec
+    )
+    var = {}
+    graded = []
+    for i in range(e.dim):
+        graded.append([])
+        for j in range(e.dim):
+            if (e.src[i], e.tgt[i]) == (e.src[j], e.tgt[j]):
+                var[(i, j)] = len(var)
+                graded[i].append((j, var[(i, j)]))
+    rows = []
+    for a, da in enumerate(dvals):
+        actions = ((e.left[a], e.left[a]), (e.right[a], e.right[a]))
+        for i in range(e.dim):
+            lr = (e.left_act(da, {i: one}), e.right_act(da, {i: one}))
+            for (am, an), value in zip(actions, lr):
+                eqs = {}
+                for k, col in graded[i]:
+                    for j, c in an.get(k, {}).items():
+                        eq = eqs.setdefault(j, {})
+                        eq[col] = f.add(eq.get(col, f.zero()), c)
+                for g, c in am.get(i, {}).items():
+                    for j, col in graded[g]:
+                        eq = eqs.setdefault(j, {})
+                        eq[col] = f.sub(eq.get(col, f.zero()), c)
+                for j in eqs.keys() | value.keys():
+                    eq = f.sparse(eqs.get(j, {}))
+                    if eq or j in value:
+                        rows.append({**eq, len(var): value.get(j, f.zero())})
+    ech = exactla._column_echelon(f, rows)
+    if -len(var) in ech.rows:
+        return None
+    unknown = list(var)
+    alpha = {}
+    for row in ech.reduced_rows():
+        x = row.get(-len(var), f.zero())
+        if not f.is_zero(x):
+            g, k = unknown[-max(row)]
+            alpha.setdefault(g, {})[k] = x
+    return alpha
+
+
+def _split_pairs(fam):
+    """split((), S) and split(S, all) for every subset S that splits."""
+    for r in range(len(fam.new_arrows) + 1):
+        for combo in combinations(fam.new_arrows, r):
+            try:
+                fam.partial(combo)
+            except SplitError:
+                continue
+            yield fam.split((), combo)
+            yield fam.split(combo, fam.new_arrows)
+
+
+# z.a = 0 but z.b != 0: a -> b, b -> 0, c -> 0 is no derivation of C (it
+# sends the relation a.c to b.c), and it has no lift, since x d(a) = z.b
+# would have to be alpha(z) a, a multiple of z.a = 0
+UNLIFTABLE = (
+    "algebra C\nvertices 1 2 3\narrow a 1 2\narrow b 1 2\narrow c 2 3\nrel a.c\nend\n"
+    "algebra T\nvertices 1 2 3\narrow a 1 2\narrow b 1 2\narrow c 2 3\narrow z 3 1\n"
+    "rel a.c\nrel z.a\nrel c.z\nend\n"
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_lifts_match_per_derivation_reference(files, chain_text, field):
+    """One system for all derivations of a split gives each the verdict and
+    the alpha of its own solve, on every split of ex1, ex2 and chain k <= 4,
+    and on a split where some inputs have no lift.  The inputs are the
+    derivation and inner bases and every arrow coordinate unit vector."""
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in (1, 2, 3, 4)]
+    pf = qdsl.parse(UNLIFTABLE)
+    splits = [split_presentation(
+        build(pf.block("C"), field=field), build(pf.block("T"), field=field), ("z",)
+    )]
+    for pf in pfs:
+        splits += _split_pairs(Family(pf.block("C"), pf.block("Ctilde"), field))
+    verdicts = set()
+    for sp in splits:
+        space = extensions.regular_h1(sp.base)
+        n = space.layout.total
+        dvecs = [list(d) for d in space.derivations.basis + space.inner.basis]
+        dvecs += [[field.one() if t == u else field.zero() for t in range(n)] for u in range(n)]
+        got = lift_derivations(sp, dvecs)
+        assert [w.derivation for w in got] == dvecs
+        assert [w.alpha for w in got] == [_reference_lift(sp, d) for d in dvecs]
+        verdicts.update(w.ok for w in got)
+    assert verdicts == {True, False}
+
+
+def _lift_sides(sp, dvec):
+    """{(j, i): (d(c_j) x_i, x_i d(c_j))} over the pairs with d(c_j) != 0."""
+    e = sp.ext_over_base
+    one = sp.field.one()
+    dvals = hochschild.derivation_values(
+        sp.base, extensions.regular_bimodule_of(sp.base), dvec
+    )
+    return {
+        (j, i): (e.left_act(dj, {i: one}), e.right_act(dj, {i: one}))
+        for j, dj in enumerate(dvals)
+        if dj
+        for i in range(e.dim)
+    }
+
+
+def _failing_pairs(e, sides, alpha):
+    """The pairs (c_j, x_i), all of them, on which a lifting condition fails;
+    the check before it skipped the pairs where every term is 0."""
+    f = e.field
+    one = f.one()
+
+    def minus_alpha(u, v):
+        out = dict(u)
+        for g, c in v.items():
+            for t, x in alpha.get(g, {}).items():
+                out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
+        return f.sparse(out)
+
+    out = set()
+    for j in range(e.acting.dim):
+        for i in range(e.dim):
+            dx, xd = sides.get((j, i), ({}, {}))
+            ax = alpha.get(i, {})
+            if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
+                out.add((j, i))
+            elif minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
+                out.add((j, i))
+    return out
+
+
+def _lift_cases(presentations):
+    for name in ("ex1", "ex2"):
+        for key in ("CB", "BCt", "CCt"):
+            sp = presentations[name][key]
+            for d in extensions.regular_h1(sp.base).derivations.basis:
+                (w,) = lift_derivations(sp, [list(d)])
+                yield sp.ext_over_base, sp.field, _lift_sides(sp, list(d)), w.alpha
 
 
 def test_lift_check_rejects_broken_alpha(presentations):
@@ -240,39 +388,96 @@ def test_lift_check_rejects_broken_alpha(presentations):
     it with one entry moved off the vertex bigrade or with one side of the
     conditions negated."""
     moved = negated = 0
-    for name, key in [(n, k) for n in ("ex1", "ex2") for k in ("CB", "CCt")]:
-        sp = presentations[name][key]
-        e = sp.ext_over_base
-        f = sp.field
+    for e, f, sides, amat in _lift_cases(presentations):
         one = f.one()
-        for d in extensions.regular_h1(sp.base).derivations.basis:
-            w = lift_derivation(sp, list(d))
-            dvals = hochschild.derivation_values(
-                sp.base, extensions.regular_bimodule_of(sp.base), list(d)
-            )
-            sides = [
-                [(e.left_act(dj, {i: one}), e.right_act(dj, {i: one})) for i in range(e.dim)]
-                for dj in dvals
-            ]
-            amat = {g: f.sparse(row) for g, row in enumerate(w.alpha.entries) if f.sparse(row)}
-            assert extensions._lift_holds(e, sides, amat)
-            off = [(g, k) for g in range(e.dim) for k in range(e.dim)
-                   if (e.src[g], e.tgt[g]) != (e.src[k], e.tgt[k])]
-            if off:
-                g, k = off[0]
-                bad = {r: dict(v) for r, v in amat.items()}
-                bad.setdefault(g, {})[k] = f.add(bad.get(g, {}).get(k, f.zero()), one)
-                assert not extensions._lift_holds(e, sides, bad)
-                moved += 1
-            hits = [(j, i) for j, row in enumerate(sides) for i, (dx, _) in enumerate(row) if dx]
-            if hits:
-                j, i = hits[0]
-                dx, xd = sides[j][i]
-                broken = [list(row) for row in sides]
-                broken[j][i] = ({t: f.neg(c) for t, c in dx.items()}, xd)
-                assert not extensions._lift_holds(e, broken, amat)
-                negated += 1
+        assert extensions._lift_holds(e, sides, amat)
+        assert not _failing_pairs(e, sides, amat)
+        off = [(g, k) for g in range(e.dim) for k in range(e.dim)
+               if (e.src[g], e.tgt[g]) != (e.src[k], e.tgt[k])]
+        if off:
+            g, k = off[0]
+            bad = {r: dict(v) for r, v in amat.items()}
+            bad.setdefault(g, {})[k] = f.add(bad.get(g, {}).get(k, f.zero()), one)
+            assert not extensions._lift_holds(e, sides, bad)
+            moved += 1
+        hits = [p for p, (dx, _) in sides.items() if dx]
+        if hits:
+            dx, xd = sides[hits[0]]
+            broken = dict(sides)
+            broken[hits[0]] = ({t: f.neg(c) for t, c in dx.items()}, xd)
+            assert not extensions._lift_holds(e, broken, amat)
+            negated += 1
     assert moved and negated
+
+
+def test_lift_check_visits_every_pair_a_term_can_be_nonzero_on(presentations):
+    """Breaks that fail only on pairs (c, x) the check visits for one reason
+    alone.  Adding a parallel basis element to one alpha(y) breaks it on
+    pairs with xc = cx = 0 and d(c) = 0, visited because alpha(x) != 0, or
+    on pairs with alpha(x) = 0 and d(c) = 0, visited because xc or cx is
+    not 0.  Giving d(c) x a value where alpha(x) = 0 and xc = cx = 0 breaks
+    it on a pair visited because d(c) != 0.  The full pairwise check fails
+    each break on such pairs only, and the sparse check rejects it."""
+    by_alpha = by_action = by_d = 0
+    for e, f, sides, amat in _lift_cases(presentations):
+        one = f.one()
+        acted = {
+            (j, i) for j in range(e.acting.dim) for i in e.left[j].keys() | e.right[j].keys()
+        }
+        for i in range(e.dim):
+            for k in range(e.dim):
+                if (e.src[i], e.tgt[i]) != (e.src[k], e.tgt[k]):
+                    continue
+                bad = {r: dict(v) for r, v in amat.items()}
+                bad[i] = f.sparse({**bad.get(i, {}), k: f.add(bad.get(i, {}).get(k, f.zero()), one)})
+                if not bad[i]:
+                    del bad[i]
+                fails = _failing_pairs(e, sides, bad)
+                if fails and not fails & (acted | set(sides)):
+                    assert not extensions._lift_holds(e, sides, bad)
+                    by_alpha += 1
+                if fails and all(p in acted and p not in sides and p[1] not in bad for p in fails):
+                    assert not extensions._lift_holds(e, sides, bad)
+                    by_action += 1
+        for j, i in sorted(set(sides) - acted):
+            if i not in amat:
+                broken = dict(sides)
+                broken[(j, i)] = ({i: one}, sides[(j, i)][1])
+                assert _failing_pairs(e, broken, amat) == {(j, i)}
+                assert not extensions._lift_holds(e, broken, amat)
+                by_d += 1
+    assert by_alpha and by_action and by_d
+
+
+def test_lift_that_fails_its_check_raises(presentations, monkeypatch):
+    """A solved alpha that fails the independent check is an internal
+    fault, reported as SplitError, not as a derivation without a lift."""
+    sp = presentations["ex2"]["CCt"]
+    dvecs = [list(d) for d in extensions.regular_h1(sp.base).derivations.basis]
+    monkeypatch.setattr(extensions, "_lift_holds", lambda e, sides, alpha: False)
+    with pytest.raises(SplitError, match="fails the defining conditions"):
+        lift_derivations(sp, dvecs)
+
+
+def test_lifts_are_solved_once_per_subset(files, monkeypatch):
+    """verify with S = all new arrows lifts through the same split C < Ctilde
+    as the part of verify that does not depend on S, so one solve serves
+    both, and a second verify of S, in another order, solves nothing."""
+    calls = []
+    real = extensions.lift_derivations
+
+    def counting(sp, dvecs):
+        calls.append(sp.new_arrows)
+        return real(sp, dvecs)
+
+    monkeypatch.setattr(extensions, "lift_derivations", counting)
+    fam = Family(files["ex2"].block("C"), files["ex2"].block("Ctilde"))
+    assert fam.verify(("eps", "eps2")).lifts_ok
+    assert calls == [("eps", "eps2")]
+    fam.verify(("eps2", "eps"))
+    assert calls == [("eps", "eps2")]
+    fam.verify(("eps",))
+    assert calls == [("eps", "eps2"), ("eps",)]
 
 
 # -- the verifier --------------------------------------------------------------

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from relext import bimod, extensions, hochschild, qdsl
+from relext import bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import Matrix, PrimeField, QQ, Subspace, solve
+from relext.exactla import PrimeField, QQ, Subspace
 from relext.hochschild import (
     calculator,
     cup01,
@@ -123,8 +123,8 @@ def test_representatives_are_cocycles_and_independent(algebras):
 
 
 def _reference_classes(space):
-    """Representatives grown one Subspace sum at a time, and a dense solve
-    for class coordinates against the inner basis and those representatives."""
+    """Representatives grown one Subspace sum at a time, and a solve for
+    class coordinates against the inner basis and those representatives."""
     f = space.algebra.field
     reps = []
     span = space.inner
@@ -134,11 +134,11 @@ def _reference_classes(space):
             span = span.sum(Subspace.from_vectors(f, span.ambient_dim, [list(b)]))
     cols = [list(b) for b in space.inner.basis] + reps
     n = space.layout.total
-    mat = Matrix(f, n, len(cols), [[c[i] for c in cols] for i in range(n)])
+    rows = [f.sparse([c[i] for c in cols]) for i in range(n)]
 
     def coordinates(vec):
-        sol = solve(mat, list(vec))
-        return None if sol is None else sol[space.inner.dim :]
+        (sol,) = exactla.solve_rows(f, len(cols), rows, [f.sparse(list(vec))])
+        return None if sol is None else f.dense(sol, len(cols))[space.inner.dim :]
 
     return reps, coordinates
 
