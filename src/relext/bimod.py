@@ -477,12 +477,7 @@ def _graded_kernel(m: Bimodule, n: Bimodule, var, rows) -> Subspace:
     ker = exactla.null_space(f, len(var), rows)
     flat = [i * n.dim + j for (i, j) in var]
     return Subspace(
-        f,
-        m.dim * n.dim,
-        tuple(
-            tuple(f.dense({flat[c]: x for c, x in f.sparse(v).items()}, m.dim * n.dim))
-            for v in ker.basis
-        ),
+        f, m.dim * n.dim, tuple({flat[c]: x for c, x in v.items()} for v in ker.rows)
     )
 
 
@@ -500,27 +495,33 @@ def end_enveloping(m: Bimodule) -> int:
 
 def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     """Bimodule maps f: M -> N with x.f(y) + f(x).y = 0 in the ambient
-    algebra for all x, y in M."""
+    algebra for all x, y in M.  The bilinear equation of (x_i, x_j) has the
+    term F[j][k] (x_i . n_k) for each nonzero product x_i . n_k and the term
+    F[i][k] (n_k . x_j) for each nonzero n_k . x_j; only those are visited."""
     if m.ambient is None or n.ambient is None or m.ambient is not n.ambient:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
     products = m.ambient.products
+    n_at = {g: k for k, g in enumerate(n.amb_index)}
+    left = [  # per i: (k, x_i . n_k) over the nonzero products
+        [(n_at[g], prod) for g, prod in products[gi].items() if g in n_at]
+        for gi in m.amb_index
+    ]
+    into = {}  # ambient h -> [(k, n_k . b_h)] over the nonzero products
+    for k, gk in enumerate(n.amb_index):
+        for h, prod in products[gk].items():
+            into.setdefault(h, []).append((k, prod))
+    right = [into.get(gj, []) for gj in m.amb_index]
     # the hom conditions followed by the bilinear ones, as one system
     var, rows, _ = hom_equations(m, n)
     for i in range(m.dim):
-        gi = m.amb_index[i]
         for j in range(m.dim):
-            gj = m.amb_index[j]
             # x_i . f(x_j) + f(x_i) . x_j = 0, one equation per ambient coord
             coeff = {}
-            for k in range(n.dim):
-                gk = n.amb_index[k]
-                # x_i . n_k weighs F[j][k]; n_k . x_j weighs F[i][k]
-                for col, prod in (
-                    (var.get((j, k)), products[gi].get(gk)),
-                    (var.get((i, k)), products[gk].get(gj)),
-                ):
-                    if col is None or prod is None:
+            for terms, row_of_f in ((left[i], j), (right[j], i)):
+                for k, prod in terms:
+                    col = var.get((row_of_f, k))
+                    if col is None:
                         continue
                     for t, c in prod.items():
                         eq = coeff.setdefault(t, {})

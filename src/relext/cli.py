@@ -162,7 +162,8 @@ def _degree_sections(alg, m, degrees, want_reps: bool):
         entry = {"dim": space.dim}
         if want_reps:
             entry["representatives"] = [
-                _format_element(alg, m.to_ambient(list(v))) for v in space.basis
+                _format_element(alg, m.to_ambient(m.field.dense(v, m.dim)))
+                for v in space.rows
             ]
         payload["0"] = entry
         lines.append("dim %s = %d" % (degrees["0"], space.dim))

@@ -6,11 +6,13 @@ span and normal-form question in the package goes through one sparse
 elimination engine, Echelon, whose rows are dicts keyed by any totally
 ordered keys: paths in the algebra builder, cochain indices in the bar
 complex, and negated column indices behind the linear-system entry points
-here.  Those take sparse rows {column: x} (null_space, solve_rows,
-Subspace.from_sparse); the dense Matrix ones (rref, rank, kernel,
-Subspace.from_vectors) hand their rows to the same path.  They return the
-canonical reduced row echelon form, so two spans are equal iff their
-echelonized bases compare equal.
+here, which take sparse rows {column: x}: null_space, solve_rows, rank and
+Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
+span as sparse rows, so two spans are equal iff their rows compare equal.
+
+A linear map is the list of the images of its source basis, each a sparse
+{coordinate: x}; rank takes such a list and compose chains two of them.
+Matrix is a plain dense record, read and returned only by rref.
 """
 
 from __future__ import annotations
@@ -180,81 +182,12 @@ def field_from_spec(spec: str) -> Field:
 
 @dataclass
 class Matrix:
-    """Dense row-major matrix over an exact field."""
+    """A dense row-major matrix: the record rref reads and returns."""
 
     field: Field
     rows: int
     cols: int
     entries: list
-
-    @staticmethod
-    def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        m = Matrix.zero(field, n, n)
-        for i in range(n):
-            m.entries[i][i] = field.one()
-        return m
-
-    @staticmethod
-    def from_rows(field: Field, rows: list) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return Matrix(field, len(rows), ncols, rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def mat_vec(self, v: list) -> list:
-        f = self.field
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        out = []
-        for row in self.entries:
-            s = f.zero()
-            for a, x in zip(row, v):
-                if not f.is_zero(a) and not f.is_zero(x):
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return out
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        out = Matrix.zero(f, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if f.is_zero(a):
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not f.is_zero(b):
-                        orow[j] = f.add(orow[j], f.mul(a, b))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
 
 class Echelon:
@@ -354,11 +287,6 @@ def _column_echelon(field: Field, rows) -> Echelon:
     return ech
 
 
-def _sparse_rows(m: Matrix) -> list:
-    """The rows of a dense matrix as {column: x}; the echelon drops zeros."""
-    return [dict(enumerate(row)) for row in m.entries]
-
-
 def _dense(field: Field, row: dict, ncols: int) -> list:
     out = [field.zero()] * ncols
     for k, x in row.items():
@@ -369,20 +297,32 @@ def _dense(field: Field, row: dict, ncols: int) -> list:
 def rref(m: Matrix) -> tuple:
     """Canonical reduced row echelon form: (Matrix, rank, pivot_columns)."""
     f = m.field
-    rows = _column_echelon(f, _sparse_rows(m)).reduced_rows()
+    rows = _column_echelon(f, (dict(enumerate(row)) for row in m.entries)).reduced_rows()
     pivots = [-max(row) for row in rows]
     work = [_dense(f, row, m.cols) for row in rows]
     work += [[f.zero()] * m.cols for _ in range(m.rows - len(rows))]
     return Matrix(f, m.rows, m.cols, work), len(rows), pivots
 
 
-def rank(m: Matrix) -> int:
-    return _column_echelon(m.field, _sparse_rows(m)).rank
+def rank(field: Field, rows) -> int:
+    """Rank of sparse rows {column: x}, such as the images of a linear map."""
+    return _column_echelon(field, rows).rank
 
 
-def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of the right null space; dim = cols - rank."""
-    return null_space(m.field, m.cols, _sparse_rows(m))
+def compose(field: Field, outer: list, inner: list) -> list:
+    """outer after inner, for linear maps given as the lists of the images
+    of their source bases, each a sparse {coordinate: x}; the coordinates
+    of inner's images index outer's list."""
+    out = []
+    for img in inner:
+        acc = {}
+        for k, c in img.items():
+            for t, x in outer[k].items():
+                y = field.mul(c, x)
+                old = acc.get(t)
+                acc[t] = y if old is None else field.add(old, y)
+        out.append(field.sparse(acc))
+    return out
 
 
 def null_space(field: Field, ncols: int, rows) -> "Subspace":
@@ -439,35 +379,42 @@ def _check_substitution(field: Field, rows, rhs_list, sols):
             raise ArithmeticError("solve: the solution fails substitution")
 
 
+def _check_coordinates(ambient_dim: int, vec: dict):
+    if vec and (min(vec) < 0 or max(vec) >= ambient_dim):
+        raise ValueError("coordinate outside range(%d): %r" % (ambient_dim, sorted(vec)))
+
+
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of field^ambient_dim with a canonical RREF basis.
+    """Subspace of field^ambient_dim, held as its canonical reduced basis:
+    sparse rows {coordinate: x} in ascending order of their pivots, where
+    the pivot of a row is its smallest coordinate, with coefficient 1, and
+    no row has an entry on another row's pivot.  So the coefficient of a
+    vector v on the row with pivot p is v[p], and v lies in the span iff
+    v - sum v[p] row_p = 0.  Vectors are sparse {coordinate: x} too, and
+    every entry point raises ValueError on a coordinate outside
+    range(ambient_dim).
 
-    Equality of subspaces is literal equality of the stored bases.
+    Equality of subspaces is literal equality of the stored rows.
     """
 
     field: Field
     ambient_dim: int
-    basis: tuple  # tuple of coordinate tuples, RREF rows, no zero rows
-    # per basis row: (pivot column, its nonzero (column, x) pairs); set by
-    # _pivot_rows, not part of equality
-    _rows: tuple | None = dc_field(default=None, compare=False, repr=False)
+    rows: tuple  # canonical reduced rows, pivots ascending
+    # pivot -> row index, not part of equality
+    _at: dict = dc_field(init=False, compare=False, repr=False)
 
-    @staticmethod
-    def from_vectors(field: Field, ambient_dim: int, vectors) -> "Subspace":
-        rows = [dict(enumerate(v)) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient_dim")
-        return Subspace.from_sparse(field, ambient_dim, rows)
+    def __post_init__(self):
+        object.__setattr__(self, "_at", {min(row): i for i, row in enumerate(self.rows)})
 
     @staticmethod
     def from_sparse(field: Field, ambient_dim: int, vectors) -> "Subspace":
         """The span of sparse vectors {coordinate: x}."""
+        vectors = list(vectors)
+        for v in vectors:
+            _check_coordinates(ambient_dim, v)
         rows = _column_echelon(field, vectors).reduced_rows()
-        return Subspace(
-            field, ambient_dim, tuple(tuple(_dense(field, r, ambient_dim)) for r in rows)
-        )
+        return Subspace(field, ambient_dim, tuple({-k: x for k, x in r.items()} for r in rows))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -475,87 +422,58 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def _pivot_rows(self) -> tuple:
-        """Each basis row as (pivot column, nonzero (column, x) pairs), found
-        once per subspace."""
-        if self._rows is None:
-            f = self.field
-            rows = []
-            for row in self.basis:
-                entries = tuple((j, x) for j, x in enumerate(row) if not f.is_zero(x))
-                rows.append((entries[0][0], entries))
-            object.__setattr__(self, "_rows", tuple(rows))
-        return self._rows
-
-    def _eliminate(self, v: list) -> list:
-        """Subtract v[pivot] times each basis row from v, in basis order, in
-        place; returns those multiples."""
+    def reduce(self, v: dict) -> dict:
+        """Residue of v modulo this subspace, v - sum v[p] row_p; empty iff
+        v lies in it."""
+        _check_coordinates(self.ambient_dim, v)
         f = self.field
-        coeffs = [f.zero()] * len(self.basis)
-        for i, (lead, entries) in enumerate(self._pivot_rows()):
-            c = v[lead]
-            if f.is_zero(c):
+        res = dict(v)
+        for p, c in v.items():
+            i = self._at.get(p)
+            if i is None or f.is_zero(c):
                 continue
-            coeffs[i] = c
-            for j, x in entries:
-                v[j] = f.sub(v[j], f.mul(c, x))
-        return coeffs
+            for k, x in self.rows[i].items():
+                res[k] = f.sub(res.get(k, f.zero()), f.mul(c, x))
+        return f.sparse(res)
 
-    def reduce(self, v: list) -> list:
-        """Residue of v modulo this subspace (zero iff v is contained)."""
-        v = list(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient_dim")
-        self._eliminate(v)
-        return v
+    def contains(self, v: dict) -> bool:
+        return not self.reduce(v)
 
-    def contains(self, v) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(v))
-
-    def coordinates_of(self, v) -> list | None:
-        """Coefficients of v in the stored basis, or None if v is outside."""
-        f = self.field
-        v = list(v)
-        coeffs = self._eliminate(v)
-        if any(not f.is_zero(x) for x in v):
+    def coordinates_of(self, v: dict) -> dict | None:
+        """The coefficients {row index: x} of v on the rows, or None if v is
+        outside."""
+        if self.reduce(v):
             return None
-        return coeffs
+        f = self.field
+        return {self._at[p]: c for p, c in v.items() if p in self._at and not f.is_zero(c)}
+
+    def combination(self, coords: dict) -> dict:
+        """sum coords[i] rows[i], the vector with these coordinates."""
+        f = self.field
+        out = {}
+        for i, c in coords.items():
+            for k, x in self.rows[i].items():
+                out[k] = f.add(out.get(k, f.zero()), f.mul(c, x))
+        return f.sparse(out)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
+        return Subspace.from_sparse(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Canonical intersection; dims satisfy the Grassmann formula."""
+        """Canonical intersection: sum lam_i rows[i] lies in other iff
+        sum lam_i (rows[i] mod other) = 0, so lam runs over a null space."""
         self._check_compatible(other)
-        f = self.field
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
-            return Subspace.zero(f, self.ambient_dim)
-        # columns: [basis(self) | -basis(other)]; kernel rows give lambda|mu
-        cols = da + db
-        ents = []
-        for coord in range(self.ambient_dim):
-            row = [self.basis[i][coord] for i in range(da)]
-            row += [f.neg(other.basis[j][coord]) for j in range(db)]
-            ents.append(row)
-        ker = kernel(Matrix(f, self.ambient_dim, cols, ents))
-        vecs = []
-        for kv in ker.basis:
-            v = [f.zero()] * self.ambient_dim
-            for i in range(da):
-                c = kv[i]
-                if f.is_zero(c):
-                    continue
-                for coord in range(self.ambient_dim):
-                    v[coord] = f.add(v[coord], f.mul(c, self.basis[i][coord]))
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient_dim, vecs)
+        eqs = {}  # coordinate -> {i: entry of rows[i] mod other}
+        for i, row in enumerate(self.rows):
+            for k, x in other.reduce(row).items():
+                eqs.setdefault(k, {})[i] = x
+        lams = null_space(self.field, self.dim, eqs.values()).rows
+        return Subspace.from_sparse(
+            self.field, self.ambient_dim, [self.combination(lam) for lam in lams]
+        )
 
     def _check_compatible(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

@@ -5,8 +5,9 @@ algebra is the base plus some new arrows whose two-sided ideal squares to
 zero, together with the section re-reading every base path inside the total
 algebra.  On top of that this module provides:
 
-  * the degree 0 and 1 cohomology projection maps as explicit matrices,
-    with well-definedness checked (inner derivations land on inner ones),
+  * the degree 0 and 1 cohomology projection maps, each as the sparse
+    images of the source class basis, with well-definedness checked (inner
+    derivations land on inner ones),
   * a solver for the lifting conditions that let a base derivation extend
     to the total algebra: given d on the base, find a linear alpha on the
     extension ideal with x d(c) = alpha(x) c - alpha(xc) and
@@ -37,7 +38,7 @@ from .algebra import (
     quotient_by_arrows,
 )
 from .bimod import Bimodule
-from .exactla import Matrix, Subspace
+from .exactla import Subspace
 from .hochschild import (
     CohomologySpace,
     arrow_layout,
@@ -82,39 +83,32 @@ class SplitPresentation:
     projection: tuple   # total basis index -> base basis index or None
     ext: Bimodule            # ideal of the new arrows, acting algebra = total
     ext_over_base: Bimodule  # the same span, acting algebra = base
-    _derivation_map: tuple | None = None  # set by derivation_map
+    _derivation_map: dict | None = None  # set by derivation_map
 
     @property
     def field(self):
         return self.base.field
 
-    def include_coords(self, coords):
-        out = [self.field.zero()] * self.total.dim
-        for i, c in enumerate(coords):
-            out[self.section[i]] = c
-        return out
+    def include_coords(self, coords: dict) -> dict:
+        return {self.section[i]: c for i, c in coords.items()}
 
-    def project_coords(self, coords):
-        f = self.field
-        out = [f.zero()] * self.base.dim
-        for g, c in enumerate(coords):
-            b = self.projection[g]
-            if b is not None:
-                out[b] = c
-            # coordinates on new-arrow paths are killed
-        return out
+    def project_coords(self, coords: dict) -> dict:
+        """Sparse coordinates over the base; those on new-arrow paths are
+        killed."""
+        proj = self.projection
+        return {proj[g]: c for g, c in coords.items() if proj[g] is not None}
 
-    def derivation_map(self) -> tuple:
-        """(pairs, n): the projection of derivations c |-> p(d(sigma(c)))
-        in arrow coordinates, as pairs (total coordinate, base coordinate)
-        over the n base coordinates; built once per presentation.  Each
-        kept coordinate of a base arrow's slice must land in its slice over
-        the base, which is checked once per slice entry."""
+    def derivation_map(self) -> dict:
+        """The projection of derivations c |-> p(d(sigma(c))) in arrow
+        coordinates, as {total coordinate: base coordinate}; built once per
+        presentation.  Each kept coordinate of a base arrow's slice must
+        land in its slice over the base, which is checked once per slice
+        entry."""
         if self._derivation_map is None:
             lt = arrow_layout(self.total, regular_bimodule_of(self.total))
             lb = arrow_layout(self.base, regular_bimodule_of(self.base))
             pos_t = {a.name: k for k, a in enumerate(self.total.quiver.arrows)}
-            pairs = []
+            to_base = {}
             for kb, a in enumerate(self.base.quiver.arrows):
                 kt = pos_t[a.name]
                 block_pos = {b: u for u, b in enumerate(lb.blocks[kb])}
@@ -127,8 +121,8 @@ class SplitPresentation:
                             "projected derivation leaves the bigraded slice of %s"
                             % a.name
                         )
-                    pairs.append((lt.offsets[kt] + u, lb.offsets[kb] + block_pos[b]))
-            self._derivation_map = (tuple(pairs), lb.total)
+                    to_base[lt.offsets[kt] + u] = lb.offsets[kb] + block_pos[b]
+            self._derivation_map = to_base
         return self._derivation_map
 
 
@@ -221,76 +215,60 @@ def split_presentation(
 # -- cohomology projections ---------------------------------------------------
 
 
-def project_derivation(sp: SplitPresentation, vec) -> list:
-    """Arrow coordinates over the base of the projected derivation
-    c |-> p(d(sigma(c))), for d given in arrow coordinates over the total."""
-    pairs, n = sp.derivation_map()
-    out = [sp.field.zero()] * n
-    for t, b in pairs:
-        out[b] = vec[t]
-    return out
+def project_derivation(sp: SplitPresentation, vec: dict) -> dict:
+    """Sparse arrow coordinates over the base of the projected derivation
+    c |-> p(d(sigma(c))), for d given by its sparse arrow coordinates over
+    the total."""
+    to_base = sp.derivation_map()
+    return {to_base[t]: c for t, c in vec.items() if t in to_base}
 
 
-def include_coefficient_derivation(alg, coeff: Bimodule, vec) -> list:
+def include_coefficient_derivation(alg, coeff: Bimodule, vec: dict) -> dict:
     """A derivation valued in an ideal of the algebra is a derivation of
-    the algebra itself; re-coordinate it accordingly."""
+    the algebra itself; re-coordinate its sparse arrow coordinates
+    accordingly."""
     if coeff.ambient is not alg or coeff.acting is not alg:
         raise SplitError("coefficient bimodule does not live inside this algebra")
     lc = arrow_layout(alg, coeff)
     lr = arrow_layout(alg, regular_bimodule_of(alg))
-    f = alg.field
-    out = [f.zero()] * lr.total
+    to_reg = {}
     for k in range(len(alg.quiver.arrows)):
         reg_pos = {g: u for u, g in enumerate(lr.blocks[k])}
         for u, i in enumerate(lc.blocks[k]):
-            c = vec[lc.offsets[k] + u]
-            if f.is_zero(c):
-                continue
-            out[lr.offsets[k] + reg_pos[coeff.amb_index[i]]] = c
-    return out
+            to_reg[lc.offsets[k] + u] = lr.offsets[k] + reg_pos[coeff.amb_index[i]]
+    return {to_reg[t]: c for t, c in vec.items()}
 
 
-def hochschild_projection(sp: SplitPresentation, degree: int) -> Matrix:
-    """Matrix of the projection map on cohomology classes; columns are
-    indexed by the class basis of the total algebra, rows by the base's."""
+def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
+    """The projection map on cohomology classes, as the images of the
+    class basis of the total algebra, each sparse on the base's class
+    basis."""
     f = sp.field
     if degree == 0:
-        src = center(sp.total)
         tgt = center(sp.base)
-        cols = []
-        for z in src.basis:
-            pz = sp.project_coords(list(z))
-            coords = tgt.coordinates_of(pz)
+        images = []
+        for z in center(sp.total).rows:
+            coords = tgt.coordinates_of(sp.project_coords(z))
             if coords is None:
                 raise SplitError("projection of a central element is not central")
-            cols.append(coords)
-        return Matrix(
-            f,
-            tgt.dim,
-            len(cols),
-            [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)],
-        )
+            images.append(coords)
+        return images
     if degree != 1:
         raise ValueError("projection matrices are built in degrees 0 and 1")
 
     src = regular_h1(sp.total)
     tgt = regular_h1(sp.base)
     # well-definedness: inner derivations must project to inner derivations
-    for b in src.inner.basis:
-        if not tgt.inner.contains(project_derivation(sp, list(b))):
+    for b in src.inner.rows:
+        if not tgt.inner.contains(project_derivation(sp, b)):
             raise SplitError("projection of an inner derivation is not inner")
-    cols = []
+    images = []
     for r in src.representatives():
-        pr = project_derivation(sp, r)
+        pr = project_derivation(sp, f.sparse(r))
         if not tgt.derivations.contains(pr):
             raise SplitError("projection of a derivation breaks a base relation")
-        cols.append(tgt.class_coordinates(pr))
-    return Matrix(
-        f,
-        tgt.dim,
-        len(cols),
-        [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)],
-    )
+        images.append(f.sparse(tgt.class_coordinates(pr)))
+    return images
 
 
 # -- lifting a base derivation through the extension --------------------------
@@ -544,19 +522,22 @@ class TheoremReport:
 
 def _ideal_classes_embed(alg, coeff: Bimodule, space: CohomologySpace, sp) -> bool:
     """Classes of ideal-valued derivations must stay independent inside the
-    algebra's own degree 1 cohomology and die under the projection."""
+    algebra's own degree 1 cohomology and die under the projection.  The
+    span of the inner derivations and the classes so far grows in one
+    echelon; an insert that adds no row means a dependent class."""
     f = alg.field
     reg = regular_h1(alg)
     base_inner = regular_h1(sp.base).inner
-    span = reg.inner
+    span = exactla.Echelon(f)
+    for row in reg.inner.rows:
+        span.insert(row)
     count = 0
     for r in space.representatives():
-        m = include_coefficient_derivation(alg, coeff, r)
+        m = include_coefficient_derivation(alg, coeff, f.sparse(r))
         if not reg.derivations.contains(m):
             return False
-        if span.contains(m):
+        if span.insert(m) is None:
             return False
-        span = span.sum(Subspace.from_vectors(f, span.ambient_dim, [m]))
         count += 1
         if not base_inner.contains(project_derivation(sp, m)):
             return False
@@ -570,8 +551,7 @@ def _center_flags(zb: Subspace, esec: Bimodule, stationary: set):
     annihilates = True
     symmetric = True
     positive = True
-    for z in zb.basis:
-        z = f.sparse(z)
+    for z in zb.rows:
         zpos = {i: c for i, c in z.items() if i not in stationary}
         for i in range(esec.dim):
             unit = {i: f.one()}
@@ -761,23 +741,17 @@ class Family:
         # the degree 0 kernel must literally be (ideal span) intersect (center)
         zb = center(b_alg)
         f = c_alg.field
-        coeff_kernel = exactla.kernel(phi0_bc)
-        k1_vecs = []
-        for lam in coeff_kernel.basis:
-            vec = [f.zero()] * b_alg.dim
-            for r, c in enumerate(lam):
-                if f.is_zero(c):
-                    continue
-                for t, zc in enumerate(zb.basis[r]):
-                    vec[t] = f.add(vec[t], f.mul(c, zc))
-            k1_vecs.append(vec)
-        k1 = Subspace.from_vectors(f, b_alg.dim, k1_vecs)
-        ideal_units = []
-        for g in eprime_b.amb_index:
-            u = [f.zero()] * b_alg.dim
-            u[g] = f.one()
-            ideal_units.append(u)
-        ideal_span = Subspace.from_vectors(f, b_alg.dim, ideal_units)
+        eqs = {}  # phi0 kills sum lam_j z_j iff sum lam_j phi0(z_j) = 0
+        for j, img in enumerate(phi0_bc):
+            for t, x in img.items():
+                eqs.setdefault(t, {})[j] = x
+        coeff_kernel = exactla.null_space(f, zb.dim, eqs.values())
+        k1 = Subspace.from_sparse(
+            f, b_alg.dim, [zb.combination(lam) for lam in coeff_kernel.rows]
+        )
+        ideal_span = Subspace.from_sparse(
+            f, b_alg.dim, [{g: f.one()} for g in eprime_b.amb_index]
+        )
         k2 = zb.intersect(ideal_span)
         kernel_deg0_matches = k1 == k2
 
@@ -807,10 +781,10 @@ class Family:
             end_Be_Esec=bimod.end_enveloping(esec_b),
             curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, base_inside_b),
             curlyE_Esec_B=bimod.curly_E_dimension(esec_b, b_inside_ct),
-            phi0_rank_BC=exactla.rank(phi0_bc),
-            phi1_rank_BC=exactla.rank(phi1_bc),
-            phi0_rank_CtB=exactla.rank(phi0_ctb),
-            phi1_rank_CtB=exactla.rank(phi1_ctb),
+            phi0_rank_BC=exactla.rank(f, phi0_bc),
+            phi1_rank_BC=exactla.rank(f, phi1_bc),
+            phi0_rank_CtB=exactla.rank(f, phi0_ctb),
+            phi1_rank_CtB=exactla.rank(f, phi1_ctb),
             kernel_deg0_matches=kernel_deg0_matches,
             ideal_classes_embed=_ideal_classes_embed(
                 b_alg, eprime_b, h1_b_eprime, sp_cb
@@ -838,7 +812,8 @@ class Family:
         Solved once per subset S, whatever order sp lists its arrows in."""
         key = tuple(n for n in self.new_arrows if n in sp.new_arrows)
         if key not in self._lifts:
-            dvecs = [list(d) for d in regular_h1(self.base).derivations.basis]
+            der = regular_h1(self.base).derivations
+            dvecs = [self.base.field.dense(d, der.ambient_dim) for d in der.rows]
             self._lifts[key] = all(w.ok for w in lift_derivations(sp, dvecs))
         return self._lifts[key]
 
@@ -858,15 +833,16 @@ class Family:
                     PosetNode(arrows=combo, algebra=alg, dim_hh1=regular_h1(alg).dim)
                 )
 
+        f = self.base.field
         edges = []
-        proj_mats = {}
+        proj_mats = {}  # (upper, lower) -> images of upper's classes
         for (t_arr, ti) in by_arrows.items():
             for (s_arr, si) in by_arrows.items():
                 if set(t_arr) < set(s_arr):
                     mat = hochschild_projection(self.split(t_arr, s_arr), 1)
                     proj_mats[(si, ti)] = mat
                     if len(s_arr) == len(t_arr) + 1:
-                        rank = exactla.rank(mat)
+                        rank = exactla.rank(f, mat)
                         edges.append(
                             PosetEdge(
                                 lower=ti,
@@ -882,8 +858,7 @@ class Family:
         for (si, ti), mat in proj_mats.items():
             if si == top:
                 continue
-            via = mat.mul(proj_mats[(top, si)])
-            if via != proj_mats[(top, ti)]:
+            if exactla.compose(f, mat, proj_mats[(top, si)]) != proj_mats[(top, ti)]:
                 triangles = False
         return ExtensionPoset(
             nodes=nodes,

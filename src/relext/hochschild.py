@@ -184,13 +184,17 @@ class CohomologySpace:
     def dim(self) -> int:
         return self.derivations.dim - self.inner.dim
 
-    def is_cocycle(self, vec) -> bool:
+    def is_cocycle(self, vec: dict) -> bool:
+        """Is the derivation with these sparse arrow coordinates a cocycle?"""
         return self.derivations.contains(vec)
 
-    def same_class(self, u, v) -> bool:
+    def same_class(self, u: dict, v: dict) -> bool:
+        """Do two sparse derivations differ by an inner one?"""
         f = self.algebra.field
-        diff = [f.sub(a, b) for a, b in zip(u, v)]
-        return all(f.is_zero(c) for c in self.inner.reduce(diff))
+        diff = dict(u)
+        for k, c in v.items():
+            diff[k] = f.sub(diff.get(k, f.zero()), c)
+        return not self.inner.reduce(diff)
 
     def _class_basis(self) -> tuple:
         """(w, rows), found once per space by one RREF of the rows
@@ -205,14 +209,14 @@ class CohomologySpace:
         if self._classes is None:
             f = self.algebra.field
             n = self.layout.total
-            vecs = list(self.inner.basis) + list(self.derivations.basis)
+            vecs = self.inner.rows + self.derivations.rows
             m = len(vecs)
-            rows = [list(v) + [f.zero()] * m for v in vecs]
+            rows = [f.dense(v, n) + [f.zero()] * m for v in vecs]
             for k, row in enumerate(rows):
                 row[n + m - 1 - k] = f.one()
             ech, _, pivots = exactla.rref(Matrix(f, m, n + m, rows))
             spanned = {n + m - 1 - p for p in pivots if p >= n}
-            w = tuple((k, f.sparse(vecs[k])) for k in range(m) if k not in spanned)
+            w = tuple((k, vecs[k]) for k in range(m) if k not in spanned)
             coords = []
             for row, p in zip(ech.entries, pivots):
                 if p < n:
@@ -264,8 +268,8 @@ def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
     layout = arrow_layout(alg, m)
     der = derivation_space(alg, m)
     inn = inner_space(alg, m)
-    for b in inn.basis:
-        if not der.contains(list(b)):
+    for b in inn.rows:
+        if not der.contains(b):
             raise ValueError("an inner derivation failed the relation constraints")
     return CohomologySpace(alg, m, layout, der, inn)
 

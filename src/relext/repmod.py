@@ -1,10 +1,12 @@
 """Right modules over a bound quiver algebra, as quiver representations.
 
 A right module M assigns to each vertex v the space M_v = M.e_v and to each
-arrow a: x -> y a dims[x] by dims[y] matrix acting on row vectors, so the
-matrix of a path is the product of its arrow matrices in path order.  The
-indecomposable projective P_i = e_i.A is graded by path target; the dual of
-the regular module (the injective cogenerator) is graded by path source.
+arrow a: x -> y a linear map M_x -> M_y acting on row vectors, given as the
+list of the images of the basis of M_x, each a sparse {coordinate: x} on
+the basis of M_y; so the map of a path composes its arrow maps in path
+order.  A module map holds one such list per vertex.  The indecomposable
+projective P_i = e_i.A is graded by path target; the dual of the regular
+module (the injective cogenerator) is graded by path source.
 
 Projective covers are minimal: one summand P_v per basis vector of the top.
 Syzygies are kernels of covers, kept as subrepresentations with explicit
@@ -19,22 +21,21 @@ from dataclasses import dataclass
 
 from . import exactla
 from .algebra import BoundQuiverAlgebra
-from .exactla import Matrix, Subspace
+from .exactla import Subspace
 from .quiver import Path
 
 
-def _matrix(field, nrows, ncols, rows) -> Matrix:
-    rows = [list(r) for r in rows]
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        raise ValueError("shape mismatch building %dx%d matrix" % (nrows, ncols))
-    return Matrix(field, nrows, ncols, rows)
+def _fits(images, nsource: int, ntarget: int) -> bool:
+    return len(images) == nsource and all(
+        not img or (min(img) >= 0 and max(img) < ntarget) for img in images
+    )
 
 
 @dataclass(eq=False)
 class Representation:
     algebra: BoundQuiverAlgebra
     dims: dict  # vertex -> int
-    rho: dict  # arrow name -> Matrix, dims[source] x dims[target]
+    rho: dict  # arrow name -> images of the basis of M_source, sparse on M_target
 
     def __post_init__(self):
         A = self.algebra
@@ -46,42 +47,36 @@ class Representation:
             m = self.rho.get(a.name)
             if m is None:
                 raise ValueError("missing matrix for arrow %r" % (a.name,))
-            if m.rows != self.dims[a.source] or m.cols != self.dims[a.target]:
+            if not _fits(m, self.dims[a.source], self.dims[a.target]):
                 raise ValueError(
-                    "matrix for %r is %dx%d, expected %dx%d"
-                    % (a.name, m.rows, m.cols, self.dims[a.source], self.dims[a.target])
+                    "matrix for %r does not map %d coordinates into %d"
+                    % (a.name, self.dims[a.source], self.dims[a.target])
                 )
         # the declared relations must act by zero
         for rel in A.block.relations:
-            acc = None
+            acc = [{} for _ in range(self.dims[rel.source])]
             for t in rel.terms:
                 pm = self.path_matrix(Path.from_arrow_names(A.quiver, t.arrows))
                 c = f.from_fraction(t.coeff)
-                scaled = [[f.mul(c, x) for x in row] for row in pm.entries]
-                if acc is None:
-                    acc = scaled
-                else:
-                    acc = [
-                        [f.add(a_, b_) for a_, b_ in zip(r1, r2)]
-                        for r1, r2 in zip(acc, scaled)
-                    ]
-            if acc is not None and any(
-                not f.is_zero(x) for row in acc for x in row
-            ):
+                for row, img in zip(acc, pm):
+                    for j, x in img.items():
+                        row[j] = f.add(row.get(j, f.zero()), f.mul(c, x))
+            if any(f.sparse(row) for row in acc):
                 raise ValueError("a relation does not annihilate this representation")
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims[v] for v in self.algebra.quiver.vertices)
 
-    def path_matrix(self, path: Path) -> Matrix:
+    def path_matrix(self, path: Path) -> list:
+        """The images of the basis of M at the path's source."""
         f = self.algebra.field
         if path.length == 0:
-            return Matrix.identity(f, self.dims[path.vertex])
+            return [{i: f.one()} for i in range(self.dims[path.vertex])]
         q = self.algebra.quiver
         m = self.rho[q.arrows[path.arrows[0]].name]
         for i in path.arrows[1:]:
-            m = m.mul(self.rho[q.arrows[i].name])
+            m = exactla.compose(f, self.rho[q.arrows[i].name], m)
         return m
 
     def is_zero(self) -> bool:
@@ -98,27 +93,29 @@ class Representation:
 class ModuleMap:
     source: Representation
     target: Representation
-    mats: dict  # vertex -> Matrix, dims_source[v] x dims_target[v]
+    mats: dict  # vertex -> images of the basis of source_v, sparse on target_v
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra:
             raise ValueError("modules over different algebras")
         A = self.source.algebra
+        f = A.field
         for v in A.quiver.vertices:
             m = self.mats.get(v)
             if m is None:
                 raise ValueError("missing matrix at vertex %r" % (v,))
-            if m.rows != self.source.dims[v] or m.cols != self.target.dims[v]:
+            if not _fits(m, self.source.dims[v], self.target.dims[v]):
                 raise ValueError("map shape mismatch at vertex %r" % (v,))
         for a in A.quiver.arrows:
-            lhs = self.source.rho[a.name].mul(self.mats[a.target])
-            rhs = self.mats[a.source].mul(self.target.rho[a.name])
+            lhs = exactla.compose(f, self.mats[a.target], self.source.rho[a.name])
+            rhs = exactla.compose(f, self.target.rho[a.name], self.mats[a.source])
             if lhs != rhs:
                 raise ValueError("map does not commute with arrow %r" % (a.name,))
 
     def is_surjective(self) -> bool:
+        f = self.source.algebra.field
         return all(
-            exactla.rank(self.mats[v]) == self.target.dims[v] for v in self.mats
+            exactla.rank(f, self.mats[v]) == self.target.dims[v] for v in self.mats
         )
 
     def kernel(self):
@@ -127,39 +124,31 @@ class ModuleMap:
         f = A.field
         bases = {}  # vertex -> Subspace of row vectors killed by mats[v]
         for v in A.quiver.vertices:
-            bases[v] = exactla.kernel(self.mats[v].transpose())
+            eqs = {}  # target coordinate t -> {i: entry t of the image of i}
+            for i, img in enumerate(self.mats[v]):
+                for t, x in img.items():
+                    eqs.setdefault(t, {})[i] = x
+            bases[v] = exactla.null_space(f, self.source.dims[v], eqs.values())
         dims = {v: bases[v].dim for v in bases}
         rho = {}
         for a in A.quiver.arrows:
-            rows = []
-            for bvec in bases[a.source].basis:
-                img = self.source.rho[a.name].transpose().mat_vec(list(bvec))
+            images = []
+            for img in exactla.compose(f, self.source.rho[a.name], bases[a.source].rows):
                 coords = bases[a.target].coordinates_of(img)
                 if coords is None:
                     raise ValueError(
                         "kernel is not closed under arrow %r" % (a.name,)
                     )
-                rows.append(coords)
-            rho[a.name] = _matrix(f, dims[a.source], dims[a.target], rows)
+                images.append(coords)
+            rho[a.name] = images
         ker = Representation(A, dims, rho)
-        incl = ModuleMap(
-            ker,
-            self.source,
-            {
-                v: _matrix(f, dims[v], self.source.dims[v], [list(b) for b in bases[v].basis])
-                for v in bases
-            },
-        )
+        incl = ModuleMap(ker, self.source, {v: list(bases[v].rows) for v in bases})
         return ker, incl
 
 
 def simple(alg: BoundQuiverAlgebra, vertex) -> Representation:
-    f = alg.field
     dims = {v: (1 if v == vertex else 0) for v in alg.quiver.vertices}
-    rho = {
-        a.name: Matrix.zero(f, dims[a.source], dims[a.target])
-        for a in alg.quiver.arrows
-    }
+    rho = {a.name: [{} for _ in range(dims[a.source])] for a in alg.quiver.arrows}
     return Representation(alg, dims, rho)
 
 
@@ -171,22 +160,16 @@ def projective_paths(alg: BoundQuiverAlgebra, i) -> dict:
 def projective(alg: BoundQuiverAlgebra, i) -> Representation:
     """The indecomposable projective e_i.A; at the generating vertex the
     stationary path sits at coordinate 0."""
-    f = alg.field
     paths = projective_paths(alg, i)
     dims = {v: len(paths[v]) for v in alg.quiver.vertices}
     rho = {}
     for a in alg.quiver.arrows:
         ia = alg.arrow_index_in_basis[a.name]
-        src_list = paths[a.source]
-        dst_list = paths[a.target]
-        dst_pos = {g: k for k, g in enumerate(dst_list)}
-        rows = []
-        for g in src_list:
-            row = [f.zero()] * len(dst_list)
-            for k, c in alg.product_coords(g, ia).items():
-                row[dst_pos[k]] = c
-            rows.append(row)
-        rho[a.name] = _matrix(f, dims[a.source], dims[a.target], rows)
+        dst_pos = {g: k for k, g in enumerate(paths[a.target])}
+        rho[a.name] = [
+            {dst_pos[k]: c for k, c in alg.product_coords(g, ia).items()}
+            for g in paths[a.source]
+        ]
     return Representation(alg, dims, rho)
 
 
@@ -198,7 +181,6 @@ def regular(alg: BoundQuiverAlgebra) -> Representation:
 def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
     """The dual of A as a right module: basis p* for paths p, p* sitting at
     the source of p, with (p* . a) = sum of q* over a.q reducing to p."""
-    f = alg.field
     by_source = {
         v: [i for i, p in enumerate(alg.basis) if p.source == v]
         for v in alg.quiver.vertices
@@ -207,37 +189,27 @@ def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
     rho = {}
     for a in alg.quiver.arrows:
         ia = alg.arrow_index_in_basis[a.name]
-        src_list = by_source[a.source]  # p* with source(p) = a.source
-        dst_list = by_source[a.target]
-        rows = []
-        for p in src_list:
-            # coefficient of p inside a.q
-            rows.append(
-                [alg.product_coords(ia, q).get(p, f.zero()) for q in dst_list]
-            )
-        rho[a.name] = _matrix(f, dims[a.source], dims[a.target], rows)
+        # p* with source(p) = a.source; a.q has the source of a
+        src_pos = {p: k for k, p in enumerate(by_source[a.source])}
+        images = [{} for _ in src_pos]
+        for u, q in enumerate(by_source[a.target]):
+            for p, c in alg.product_coords(ia, q).items():
+                images[src_pos[p]][u] = c
+        rho[a.name] = images
     return Representation(alg, dims, rho)
 
 
 def direct_sum(alg: BoundQuiverAlgebra, reps) -> Representation:
-    f = alg.field
     reps = list(reps)
-    dims = {
-        v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices
-    }
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
     rho = {}
     for a in alg.quiver.arrows:
-        nr, nc = dims[a.source], dims[a.target]
-        m = Matrix.zero(f, nr, nc)
-        ro = co = 0
+        images = []
+        shift = 0
         for r in reps:
-            blk = r.rho[a.name]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    m.entries[ro + i][co + j] = blk.entries[i][j]
-            ro += r.dims[a.source]
-            co += r.dims[a.target]
-        rho[a.name] = m
+            images += [{shift + j: x for j, x in img.items()} for img in r.rho[a.name]]
+            shift += r.dims[a.target]
+        rho[a.name] = images
     return Representation(alg, dims, rho)
 
 
@@ -255,29 +227,25 @@ def projective_cover(m: Representation) -> CoverData:
     f = alg.field
     gens = []
     for v in alg.quiver.vertices:
-        rows = []
+        # the radical at v, the images of the arrows into v, then the top
+        span = exactla.Echelon(f)
         for a in alg.quiver.arrows:
             if a.target == v:
-                rows.extend(m.rho[a.name].entries)
-        rad = Subspace.from_vectors(f, m.dims[v], rows)
-        cur = rad
+                for img in m.rho[a.name]:
+                    span.insert(img)
         for j in range(m.dims[v]):
-            e = [f.zero()] * m.dims[v]
-            e[j] = f.one()
-            if not cur.contains(e):
-                gens.append((v, tuple(e)))
-                cur = cur.sum(Subspace.from_vectors(f, m.dims[v], [e]))
+            if span.insert({j: f.one()}) is not None:
+                gens.append((v, {j: f.one()}))
     summands = [projective(alg, gv) for gv, _ in gens]
     cover = direct_sum(alg, summands)
     paths = [projective_paths(alg, gv) for gv, _ in gens]
     mats = {}
     for w in alg.quiver.vertices:
-        rows = []
+        images = []
         for (gv, lift), pw in zip(gens, paths):
             for g in pw[w]:
-                pm = m.path_matrix(alg.basis[g])
-                rows.append(pm.transpose().mat_vec(list(lift)))
-        mats[w] = _matrix(f, cover.dims[w], m.dims[w], rows)
+                images += exactla.compose(f, m.path_matrix(alg.basis[g]), [lift])
+        mats[w] = images
     cover_map = ModuleMap(cover, m, mats)
     if not cover_map.is_surjective():
         raise ValueError("projective cover failed to surject")
@@ -334,22 +302,19 @@ def hom_space(m: Representation, n: Representation) -> Subspace:
     rows = []
     for a in alg.quiver.arrows:
         x, y = a.source, a.target
-        rm = m.rho[a.name].entries  # m.dims[x] x m.dims[y]
-        rn = n.rho[a.name].entries  # n.dims[x] x n.dims[y]
+        rm = m.rho[a.name]  # images of the basis of M_x in M_y
+        ncols = {}  # j -> [(l, entry j of the image of N_x's basis vector l)]
+        for l, img in enumerate(n.rho[a.name]):
+            for j, c in img.items():
+                ncols.setdefault(j, []).append((l, c))
         for i in range(m.dims[x]):
             for j in range(n.dims[y]):
                 # (rm . F_y)[i][j] = sum_k rm[i][k] F_y[k][j]
-                row = {
-                    offs[y] + k * n.dims[y] + j: c
-                    for k, c in enumerate(rm[i])
-                    if not f.is_zero(c)
-                }
+                row = {offs[y] + k * n.dims[y] + j: c for k, c in rm[i].items()}
                 # minus (F_x . rn)[i][j] = sum_l F_x[i][l] rn[l][j]
-                for l in range(n.dims[x]):
-                    c = rn[l][j]
-                    if not f.is_zero(c):
-                        idx = offs[x] + i * n.dims[x] + l
-                        row[idx] = f.sub(row.get(idx, f.zero()), c)
+                for l, c in ncols.get(j, ()):
+                    idx = offs[x] + i * n.dims[x] + l
+                    row[idx] = f.sub(row.get(idx, f.zero()), c)
                 rows.append(row)
     return exactla.null_space(f, pos, rows)
 

@@ -1,0 +1,248 @@
+"""Dense references for relext.exactla and its callers.
+
+These are the dense operations the sparse subspace rows and image lists
+replaced: Matrix arithmetic on the entries of an exactla.Matrix record,
+Gauss-Jordan elimination with the leftmost pivot first, rank, kernel and
+solve, and a Subspace over dense coordinate tuples.  The tests compare the
+sparse engine, and the modules built on it, against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from relext.exactla import Matrix
+
+
+# -- matrix arithmetic ---------------------------------------------------------
+
+
+def zero(field, rows: int, cols: int) -> Matrix:
+    z = field.zero()
+    return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+
+
+def identity(field, n: int) -> Matrix:
+    m = zero(field, n, n)
+    for i in range(n):
+        m.entries[i][i] = field.one()
+    return m
+
+
+def from_rows(field, rows) -> Matrix:
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return Matrix(field, len(rows), ncols, rows)
+
+
+def from_images(field, images, ncols: int) -> Matrix:
+    """The matrix whose rows are the sparse images of a linear map."""
+    return Matrix(field, len(images), ncols, [field.dense(img, ncols) for img in images])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(
+        m.field,
+        m.cols,
+        m.rows,
+        [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)],
+    )
+
+
+def mat_vec(m: Matrix, v: list) -> list:
+    f = m.field
+    if len(v) != m.cols:
+        raise ValueError("length mismatch")
+    out = []
+    for row in m.entries:
+        s = f.zero()
+        for a, x in zip(row, v):
+            if not f.is_zero(a) and not f.is_zero(x):
+                s = f.add(s, f.mul(a, x))
+        out.append(s)
+    return out
+
+
+def mul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    f = a.field
+    out = zero(f, a.rows, b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.entries[i][k]
+            if f.is_zero(x):
+                continue
+            for j in range(b.cols):
+                y = b.entries[k][j]
+                if not f.is_zero(y):
+                    out.entries[i][j] = f.add(out.entries[i][j], f.mul(x, y))
+    return out
+
+
+# -- Gauss-Jordan elimination, leftmost pivot first ----------------------------
+
+
+def rref_in_place(field, rows) -> tuple:
+    """Reduce rows to canonical RREF; returns (rank, pivot_columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if not field.is_zero(rows[i][c])), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.inv(rows[r][c])
+        if not field.is_zero(field.sub(inv, field.one())):
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            factor = rows[i][c]
+            if i == r or field.is_zero(factor):
+                continue
+            rowi = rows[i]
+            for j in range(c, ncols):
+                if not field.is_zero(prow[j]):
+                    rowi[j] = field.sub(rowi[j], field.mul(factor, prow[j]))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
+
+
+def rref(m: Matrix) -> tuple:
+    work = [row[:] for row in m.entries]
+    rank_, pivots = rref_in_place(m.field, work)
+    return Matrix(m.field, m.rows, m.cols, work), rank_, pivots
+
+
+def rank(m: Matrix) -> int:
+    return rref(m)[1]
+
+
+def span(field, vectors) -> tuple:
+    """The canonical RREF basis of the span of dense vectors."""
+    rows = [list(v) for v in vectors]
+    rank_ = rref_in_place(field, rows)[0] if rows else 0
+    return tuple(tuple(r) for r in rows[:rank_])
+
+
+def kernel(m: Matrix) -> "DenseSubspace":
+    """The right null space {x : m x = 0}."""
+    f = m.field
+    red, _, pivots = rref(m)
+    vectors = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for r_i, pc in enumerate(pivots):
+            v[pc] = f.neg(red.entries[r_i][fc])
+        vectors.append(v)
+    return DenseSubspace(f, m.cols, span(f, vectors))
+
+
+def solve(m: Matrix, rhs: list):
+    """A solution of m x = rhs with the free variables 0, or None."""
+    f = m.field
+    work = [row[:] + [b] for row, b in zip(m.entries, rhs)]
+    _, pivots = rref_in_place(f, work) if work else (0, [])
+    if m.cols in pivots:
+        return None
+    sol = [f.zero()] * m.cols
+    for r_i, pc in enumerate(pivots):
+        sol[pc] = work[r_i][m.cols]
+    return sol
+
+
+# -- subspaces over dense coordinate tuples ------------------------------------
+
+
+@dataclass(frozen=True)
+class DenseSubspace:
+    """A span held as its canonical RREF basis of dense tuples; equality is
+    literal on that basis."""
+
+    field: object
+    ambient_dim: int
+    basis: tuple
+
+    @staticmethod
+    def from_vectors(field, ambient_dim: int, vectors) -> "DenseSubspace":
+        vectors = [list(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length != ambient_dim")
+        return DenseSubspace(field, ambient_dim, span(field, vectors))
+
+    @staticmethod
+    def of(space) -> "DenseSubspace":
+        """The dense form of a sparse exactla.Subspace."""
+        f, n = space.field, space.ambient_dim
+        return DenseSubspace(f, n, tuple(tuple(f.dense(r, n)) for r in space.rows))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def _eliminate(self, v: list) -> list:
+        """Subtract v[lead] times each basis row from v in place, leads
+        found by scanning the dense rows; returns those multiples."""
+        f = self.field
+        coeffs = [f.zero()] * self.dim
+        for i, row in enumerate(self.basis):
+            lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
+            c = v[lead]
+            if f.is_zero(c):
+                continue
+            coeffs[i] = c
+            for j in range(lead, self.ambient_dim):
+                if not f.is_zero(row[j]):
+                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        return coeffs
+
+    def reduce(self, v) -> list:
+        v = list(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient_dim")
+        self._eliminate(v)
+        return v
+
+    def contains(self, v) -> bool:
+        return all(self.field.is_zero(x) for x in self.reduce(v))
+
+    def coordinates_of(self, v):
+        v = list(v)
+        coeffs = self._eliminate(v)
+        if any(not self.field.is_zero(x) for x in v):
+            return None
+        return coeffs
+
+    def sum(self, other: "DenseSubspace") -> "DenseSubspace":
+        return DenseSubspace.from_vectors(
+            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
+        )
+
+    def intersect(self, other: "DenseSubspace") -> "DenseSubspace":
+        """The kernel of [basis(self) | -basis(other)] gives the coefficient
+        pairs (lambda, mu) with lambda . self = mu . other."""
+        f = self.field
+        da, db = self.dim, other.dim
+        if da == 0 or db == 0:
+            return DenseSubspace(f, self.ambient_dim, ())
+        ents = []
+        for coord in range(self.ambient_dim):
+            row = [self.basis[i][coord] for i in range(da)]
+            row += [f.neg(other.basis[j][coord]) for j in range(db)]
+            ents.append(row)
+        vecs = []
+        for kv in kernel(Matrix(f, self.ambient_dim, da + db, ents)).basis:
+            v = [f.zero()] * self.ambient_dim
+            for i in range(da):
+                for coord in range(self.ambient_dim):
+                    v[coord] = f.add(v[coord], f.mul(kv[i], self.basis[i][coord]))
+            vecs.append(v)
+        return DenseSubspace.from_vectors(f, self.ambient_dim, vecs)

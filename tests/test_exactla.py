@@ -1,10 +1,13 @@
-"""Exact linear algebra: echelon form, solving, kernels, subspace lattice."""
+"""Exact linear algebra: echelon form, solving, kernels, subspace lattice,
+linear maps as image lists; the sparse engine against dense references."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as ref
+from dense_reference import DenseSubspace
 from relext import exactla
 from relext.exactla import QQ, Matrix, PrimeField, Subspace, field_from_spec
 
@@ -19,7 +22,7 @@ def rational_matrices(max_side=4):
             st.lists(scalars, min_size=rc[1], max_size=rc[1]),
             min_size=rc[0],
             max_size=rc[0],
-        ).map(lambda rows: Matrix.from_rows(QQ, rows))
+        ).map(lambda rows: ref.from_rows(QQ, rows))
     )
 
 
@@ -40,10 +43,10 @@ def test_rref_idempotent_and_rank_bound(m):
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_kernel_annihilates_and_rank_nullity(m):
-    ker = exactla.kernel(m)
-    assert ker.dim == m.cols - exactla.rank(m)
-    for v in ker.basis:
-        assert all(x == 0 for x in m.mat_vec(list(v)))
+    ker = exactla.null_space(QQ, m.cols, _sparse_rows(m))
+    assert ker.dim == m.cols - exactla.rank(QQ, _sparse_rows(m))
+    for v in ker.rows:
+        assert all(x == 0 for x in ref.mat_vec(m, QQ.dense(v, m.cols)))
 
 
 def _sparse_rows(m):
@@ -61,16 +64,16 @@ def _solve_one(m, rhs):
 @given(rational_matrices().flatmap(lambda m: st.tuples(st.just(m), vectors(m.cols))))
 def test_solve_reproduces_consistent_rhs(mx):
     m, x = mx
-    rhs = m.mat_vec(x)
+    rhs = ref.mat_vec(m, x)
     sol = _solve_one(m, rhs)
     assert sol is not None
-    assert m.mat_vec(sol) == rhs
+    assert ref.mat_vec(m, sol) == rhs
 
 
 def test_solve_detects_inconsistency():
-    m = Matrix.from_rows(QQ, [[Fraction(0)]])
+    m = ref.from_rows(QQ, [[Fraction(0)]])
     assert _solve_one(m, [Fraction(1)]) is None
-    m2 = Matrix.from_rows(QQ, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    m2 = ref.from_rows(QQ, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
     assert _solve_one(m2, [Fraction(0), Fraction(1)]) is None
     # an inconsistent side leaves the others alone
     sols = exactla.solve_rows(
@@ -79,37 +82,59 @@ def test_solve_detects_inconsistency():
     assert sols == [None, {0: Fraction(2)}, {}]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.lists(vectors(n), min_size=0, max_size=3),
-            st.lists(vectors(n), min_size=0, max_size=3),
-            st.just(n),
+F7 = PrimeField(7)
+
+
+def field_vectors(field, n):
+    """Vectors of length n over Q or F_7, mostly zero so spans overlap."""
+    if field is QQ:
+        entries = st.sampled_from([Fraction(0)] * 3 + [Fraction(x, d) for x in (-2, -1, 1, 3) for d in (1, 2)])
+    else:
+        entries = st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, 6])
+    return st.lists(entries, min_size=n, max_size=n)
+
+
+def spanning_sets(max_vectors=3):
+    """(field, n, us, ws): two lists of vectors in field^n, Q or F_7."""
+    return st.tuples(st.sampled_from([QQ, F7]), st.integers(1, 4)).flatmap(
+        lambda fn: st.tuples(
+            st.just(fn[0]),
+            st.just(fn[1]),
+            st.lists(field_vectors(*fn), max_size=max_vectors),
+            st.lists(field_vectors(*fn), max_size=max_vectors),
         )
     )
-)
-def test_subspace_modular_dimension_law(uwn):
-    us, ws, n = uwn
-    u = Subspace.from_vectors(QQ, n, us)
-    w = Subspace.from_vectors(QQ, n, ws)
+
+
+def _span(field, n, vectors):
+    return Subspace.from_sparse(field, n, [field.sparse(v) for v in vectors])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets())
+def test_subspace_modular_dimension_law(case):
+    """The Grassmann formula over Q and F_7."""
+    f, n, us, ws = case
+    u = _span(f, n, us)
+    w = _span(f, n, ws)
     assert u.sum(w).dim + u.intersect(w).dim == u.dim + w.dim
     for v in us:
-        assert u.contains(v)
+        assert u.contains(f.sparse(v))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=4).map(lambda vs: (n, vs))))
 def test_subspace_coordinates_reconstruct(nvs):
     n, vs = nvs
-    u = Subspace.from_vectors(QQ, n, vs)
+    u = _span(QQ, n, vs)
     for v in vs:
-        coords = u.coordinates_of(v)
+        coords = u.coordinates_of(QQ.sparse(v))
         assert coords is not None
+        assert u.combination(coords) == QQ.sparse(v)
         rebuilt = [Fraction(0)] * n
-        for c, b in zip(coords, u.basis):
-            for i, x in enumerate(b):
-                rebuilt[i] += c * x
+        for i, c in coords.items():
+            for j, x in u.rows[i].items():
+                rebuilt[j] += c * x
         assert rebuilt == [Fraction(x) for x in v]
 
 
@@ -124,14 +149,20 @@ def test_prime_field_axioms(a, b, c):
 
 
 def test_matrix_multiplication_associative():
+    """The dense reference arithmetic, and compose on the same maps: the
+    rows of a are the images of a map, so a . b is b after a."""
+
     def mat(rows):
-        return Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in rows])
+        return ref.from_rows(QQ, [[Fraction(x) for x in r] for r in rows])
 
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 1]])
     c = mat([[2], [5]])
-    assert a.mul(b).mul(c) == a.mul(b.mul(c))
-    assert a.transpose().transpose() == a
+    assert ref.mul(ref.mul(a, b), c) == ref.mul(a, ref.mul(b, c))
+    assert ref.transpose(ref.transpose(a)) == a
+    ab = exactla.compose(QQ, _sparse_rows(b), _sparse_rows(a))
+    assert ab == _sparse_rows(ref.mul(a, b))
+    assert exactla.compose(QQ, _sparse_rows(c), ab) == _sparse_rows(ref.mul(ref.mul(a, b), c))
 
 
 def test_field_from_spec():
@@ -143,89 +174,6 @@ def test_field_from_spec():
         pass
     else:
         raise AssertionError("expected FieldError")
-
-
-# -- dense reference: Gauss-Jordan elimination, leftmost pivot first --------
-
-
-def _reference_rref_in_place(field, rows):
-    """Reduce rows to canonical RREF; returns (rank, pivot_columns).  This is
-    the dense Gauss-Jordan elimination the sparse engine replaced."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find a pivot row at or below r
-        sel = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        # normalize pivot to 1
-        inv = field.inv(rows[r][c])
-        if not field.is_zero(field.sub(inv, field.one())):
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        # eliminate everywhere else
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if field.is_zero(factor):
-                continue
-            rowi = rows[i]
-            for j in range(c, ncols):
-                if not field.is_zero(prow[j]):
-                    rowi[j] = field.sub(rowi[j], field.mul(factor, prow[j]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
-def _reference_rref(m):
-    work = [row[:] for row in m.entries]
-    rank, pivots = _reference_rref_in_place(m.field, work)
-    return Matrix(m.field, m.rows, m.cols, work), rank, pivots
-
-
-def _reference_span(field, n, vectors):
-    rows = [list(v) for v in vectors]
-    rank = _reference_rref_in_place(field, rows)[0] if rows else 0
-    return tuple(tuple(r) for r in rows[:rank])
-
-
-def _reference_kernel(m):
-    f = m.field
-    red, _, pivots = _reference_rref(m)
-    vectors = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r_i, pc in enumerate(pivots):
-            v[pc] = f.neg(red.entries[r_i][fc])
-        vectors.append(v)
-    return _reference_span(f, m.cols, vectors)
-
-
-def _reference_solve(m, rhs):
-    f = m.field
-    work = [row[:] + [b] for row, b in zip(m.entries, rhs)]
-    _, pivots = _reference_rref_in_place(f, work) if work else (0, [])
-    if m.cols in pivots:
-        return None
-    sol = [f.zero()] * m.cols
-    for r_i, pc in enumerate(pivots):
-        sol[pc] = work[r_i][m.cols]
-    return sol
-
-
-F7 = PrimeField(7)
 
 
 def field_matrices(max_side=5):
@@ -255,12 +203,13 @@ def field_matrices(max_side=5):
 @given(field_matrices())
 def test_sparse_engine_matches_dense_reference(fmr):
     field, m, rhs = fmr
-    assert exactla.rref(m) == _reference_rref(m)
-    assert exactla.rank(m) == _reference_rref(m)[1]
-    assert exactla.kernel(m).basis == _reference_kernel(m)
-    assert _solve_one(m, rhs) == _reference_solve(m, rhs)
-    assert Subspace.from_vectors(field, m.cols, m.entries).basis == _reference_span(
-        field, m.cols, m.entries
+    rows = _sparse_rows(m)
+    assert exactla.rref(m) == ref.rref(m)
+    assert exactla.rank(field, rows) == ref.rank(m)
+    assert DenseSubspace.of(exactla.null_space(field, m.cols, rows)) == ref.kernel(m)
+    assert _solve_one(m, rhs) == ref.solve(m, rhs)
+    assert DenseSubspace.of(Subspace.from_sparse(field, m.cols, rows)) == (
+        DenseSubspace.from_vectors(field, m.cols, m.entries)
     )
 
 
@@ -289,34 +238,16 @@ def test_solve_rows_batch_matches_one_at_a_time(case):
     (field, m, _), picks = case
     sides = []
     for image, vec in picks:
-        rhs = m.mat_vec(vec[: m.cols]) if image else vec[: m.rows]
+        rhs = ref.mat_vec(m, vec[: m.cols]) if image else vec[: m.rows]
         sides.append(field.sparse(rhs))
     rows = _sparse_rows(m)
     batch = exactla.solve_rows(field, m.cols, rows, sides)
     assert batch == [exactla.solve_rows(field, m.cols, rows, [rhs])[0] for rhs in sides]
     for rhs, sol in zip(sides, batch):
-        want = _reference_solve(m, field.dense(rhs, m.rows))
+        want = ref.solve(m, field.dense(rhs, m.rows))
         assert (None if sol is None else field.dense(sol, m.cols)) == want
     for (image, _), sol in zip(picks, batch):
         assert sol is not None or not image
-
-
-def _reference_reduce(u, v):
-    """Subspace.reduce before its pivot rows were cached: find each basis
-    row's leading entry by scanning the dense row."""
-    f = u.field
-    v = list(v)
-    coeffs = [f.zero()] * u.dim
-    for i, row in enumerate(u.basis):
-        lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
-        c = v[lead]
-        if f.is_zero(c):
-            continue
-        coeffs[i] = c
-        for j in range(lead, u.ambient_dim):
-            if not f.is_zero(row[j]):
-                v[j] = f.sub(v[j], f.mul(c, row[j]))
-    return v, coeffs
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,22 +263,26 @@ def _reference_reduce(u, v):
 ))
 def test_subspace_reduce_matches_dense_reference(fmp):
     field, m, probes = fmp
-    u = Subspace.from_vectors(field, m.cols, m.entries)
+    u = Subspace.from_sparse(field, m.cols, _sparse_rows(m))
+    dense = DenseSubspace.from_vectors(field, m.cols, m.entries)
     # the spanning rows, sums of two of them, and the free probes
     vecs = list(m.entries) + probes
     vecs += [[field.add(a, b) for a, b in zip(x, y)] for x, y in zip(vecs, vecs[1:])]
     for v in vecs:
-        residue, coeffs = _reference_reduce(u, v)
+        residue = dense.reduce(v)
+        coeffs = dense.coordinates_of(v)
         inside = all(field.is_zero(x) for x in residue)
-        assert u.reduce(v) == residue
-        assert u.contains(v) == inside
-        assert u.coordinates_of(v) == (coeffs if inside else None)
+        assert u.reduce(field.sparse(v)) == field.sparse(residue)
+        assert u.contains(field.sparse(v)) == inside
+        assert u.coordinates_of(field.sparse(v)) == (
+            field.sparse(coeffs) if inside else None
+        )
     for v in m.entries:
-        assert u.contains(v)
+        assert u.contains(field.sparse(v))
 
 
 def test_solve_raises_when_substitution_fails(monkeypatch):
-    m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)]])
+    m = ref.from_rows(QQ, [[Fraction(1), Fraction(2)]])
     assert _solve_one(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]
     real = exactla.Echelon.reduced_rows
 
@@ -373,3 +308,69 @@ def test_echelon_normal_form_and_reduced_rows():
     # the normal form holds no pivot key
     assert ech.reduce({3: q(1), 0: q(4)}) == {1: -1, 0: 4}
     assert ech.reduced_rows() == [{3: 1, 1: 1}, {2: 1, 1: -1}]
+
+
+def test_subspace_rejects_coordinates_outside_the_ambient_space():
+    f = QQ
+    u = Subspace.from_sparse(f, 2, [{0: f.one(), 1: f.one()}])
+    for v in ({2: f.one()}, {-1: f.one()}, {0: f.one(), 2: f.zero()}):
+        for op in (u.contains, u.reduce, u.coordinates_of):
+            with pytest.raises(ValueError, match="outside range"):
+                op(v)
+    with pytest.raises(ValueError, match="outside range"):
+        Subspace.from_sparse(f, 2, [{2: f.one()}])
+    # inside the range the answers stand
+    assert u.coordinates_of({0: f.one(), 1: f.one()}) == {0: f.one()}
+    assert u.reduce({0: f.one()}) == {1: -f.one()}
+    assert u.reduce({1: f.one()}) == {1: f.one()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_sets(max_vectors=4).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(field_vectors(c[0], c[1]), max_size=4))
+))
+def test_sparse_subspaces_match_dense_reference(case):
+    """Over Q and F_7: the sparse rows are the dense canonical basis, and
+    reduce, contains, coordinates_of, sum, intersect and == agree with the
+    dense Subspace."""
+    (f, n, us, ws), probes = case
+    u, w = _span(f, n, us), _span(f, n, ws)
+    du = DenseSubspace.from_vectors(f, n, us)
+    dw = DenseSubspace.from_vectors(f, n, ws)
+    assert DenseSubspace.of(u) == du and DenseSubspace.of(w) == dw
+    assert DenseSubspace.of(u.sum(w)) == du.sum(dw)
+    assert DenseSubspace.of(u.intersect(w)) == du.intersect(dw)
+    assert (u == w) == (du == dw)
+    assert u == _span(f, n, us[::-1])
+    for v in us + ws + probes:
+        sv = f.sparse(v)
+        assert u.reduce(sv) == f.sparse(du.reduce(v))
+        assert u.contains(sv) == du.contains(v)
+        coords = du.coordinates_of(v)
+        assert u.coordinates_of(sv) == (None if coords is None else f.sparse(coords))
+
+
+def linear_maps():
+    """(field, a, b, (p, q, r)): a: F^p -> F^q and b: F^r -> F^p as the
+    dense images of their source bases, over Q or F_7."""
+    return st.tuples(
+        st.sampled_from([QQ, F7]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)
+    ).flatmap(lambda c: st.tuples(
+        st.just(c[0]),
+        st.lists(field_vectors(c[0], c[2]), min_size=c[1], max_size=c[1]),
+        st.lists(field_vectors(c[0], c[1]), min_size=c[3], max_size=c[3]),
+        st.just(c[1:]),
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_maps())
+def test_rank_and_compose_match_dense_reference(case):
+    """rank of an image list is the rank of its dense matrix, and compose
+    is the dense product in the row convention: b's rows times a."""
+    f, a, b, (p, q, r) = case
+    ma, mb = Matrix(f, p, q, a), Matrix(f, r, p, b)
+    sa, sb = _sparse_rows(ma), _sparse_rows(mb)
+    assert exactla.rank(f, sa) == ref.rank(ma)
+    assert exactla.rank(f, sb) == ref.rank(mb)
+    assert exactla.compose(f, sa, sb) == _sparse_rows(ref.mul(mb, ma))

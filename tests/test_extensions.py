@@ -9,7 +9,8 @@ import pytest
 
 from relext import algebra, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import QQ, Matrix, PrimeField
+import dense_reference as ref
+from relext.exactla import QQ, PrimeField
 from relext.extensions import (
     Family,
     SplitError,
@@ -54,8 +55,7 @@ def test_projection_section_identity(presentations):
     sp = presentations["ex1"]["CCt"]
     f = sp.field
     for i in range(sp.base.dim):
-        unit = [f.zero()] * sp.base.dim
-        unit[i] = f.one()
+        unit = {i: f.one()}
         assert sp.project_coords(sp.include_coords(unit)) == unit
 
 
@@ -183,9 +183,11 @@ def test_non_subalgebra_section_rejected():
 def test_projection_is_identity_on_trivial_split(algebras):
     c = algebras[("ex2", "C")]
     sp = split_presentation(c, c, ())
+    targets = (center(c).dim, extensions.regular_h1(c).dim)
     for deg in (0, 1):
         m = hochschild_projection(sp, deg)
-        assert m == Matrix.identity(c.field, m.rows)
+        # the images of the identity on a space of the target's dimension
+        assert m == [{i: c.field.one()} for i in range(targets[deg])]
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -194,18 +196,24 @@ def test_projection_surjective_on_families(presentations, name):
         sp = presentations[name][key]
         p0 = hochschild_projection(sp, 0)
         p1 = hochschild_projection(sp, 1)
-        assert exactla.rank(p0) == center(sp.base).dim
-        assert exactla.rank(p1) == extensions.regular_h1(sp.base).dim
+        assert exactla.rank(sp.field, p0) == center(sp.base).dim
+        assert exactla.rank(sp.field, p1) == extensions.regular_h1(sp.base).dim
 
 
 def test_projection_maps_unit_to_unit(presentations):
     sp = presentations["ex2"]["BCt"]
     src = center(sp.total)
     tgt = center(sp.base)
-    one_src = src.coordinates_of(list(sp.total.one().coords))
-    one_tgt = tgt.coordinates_of(list(sp.base.one().coords))
+    f = sp.field
+    one_src = src.coordinates_of(f.sparse(sp.total.one().coords))
+    one_tgt = tgt.coordinates_of(f.sparse(sp.base.one().coords))
     m = hochschild_projection(sp, 0)
-    assert m.mat_vec(one_src) == one_tgt
+    assert exactla.compose(f, m, [one_src]) == [one_tgt]
+    # the dense reference: the images as rows, applied to the row vector
+    mat = ref.from_images(f, m, tgt.dim)
+    assert ref.mat_vec(ref.transpose(mat), f.dense(one_src, src.dim)) == f.dense(
+        one_tgt, tgt.dim
+    )
 
 
 # -- lifting -------------------------------------------------------------------
@@ -227,8 +235,9 @@ def test_lift_every_derivation_basis_element(presentations, name):
     for key in ("CB", "CCt"):
         sp = presentations[name][key]
         space = extensions.regular_h1(sp.base)
-        for basis in (space.derivations.basis, space.inner.basis):
-            witnesses = lift_derivations(sp, [list(d) for d in basis])
+        for basis in (space.derivations.rows, space.inner.rows):
+            n = space.layout.total
+            witnesses = lift_derivations(sp, [sp.field.dense(d, n) for d in basis])
             assert len(witnesses) == len(basis)
             assert all(w.ok for w in witnesses)
 
@@ -325,7 +334,7 @@ def test_lifts_match_per_derivation_reference(files, chain_text, field):
     for sp in splits:
         space = extensions.regular_h1(sp.base)
         n = space.layout.total
-        dvecs = [list(d) for d in space.derivations.basis + space.inner.basis]
+        dvecs = [field.dense(d, n) for d in space.derivations.rows + space.inner.rows]
         dvecs += [[field.one() if t == u else field.zero() for t in range(n)] for u in range(n)]
         got = lift_derivations(sp, dvecs)
         assert [w.derivation for w in got] == dvecs
@@ -378,9 +387,11 @@ def _lift_cases(presentations):
     for name in ("ex1", "ex2"):
         for key in ("CB", "BCt", "CCt"):
             sp = presentations[name][key]
-            for d in extensions.regular_h1(sp.base).derivations.basis:
-                (w,) = lift_derivations(sp, [list(d)])
-                yield sp.ext_over_base, sp.field, _lift_sides(sp, list(d)), w.alpha
+            der = extensions.regular_h1(sp.base).derivations
+            for d in der.rows:
+                d = sp.field.dense(d, der.ambient_dim)
+                (w,) = lift_derivations(sp, [d])
+                yield sp.ext_over_base, sp.field, _lift_sides(sp, d), w.alpha
 
 
 def test_lift_check_rejects_broken_alpha(presentations):
@@ -453,7 +464,8 @@ def test_lift_that_fails_its_check_raises(presentations, monkeypatch):
     """A solved alpha that fails the independent check is an internal
     fault, reported as SplitError, not as a derivation without a lift."""
     sp = presentations["ex2"]["CCt"]
-    dvecs = [list(d) for d in extensions.regular_h1(sp.base).derivations.basis]
+    der = extensions.regular_h1(sp.base).derivations
+    dvecs = [sp.field.dense(d, der.ambient_dim) for d in der.rows]
     monkeypatch.setattr(extensions, "_lift_holds", lambda e, sides, alpha: False)
     with pytest.raises(SplitError, match="fails the defining conditions"):
         lift_derivations(sp, dvecs)

@@ -8,7 +8,8 @@ import pytest
 
 from relext import bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
-from relext.exactla import PrimeField, QQ, Subspace
+from dense_reference import DenseSubspace
+from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
     calculator,
     cup01,
@@ -111,29 +112,31 @@ def test_representatives_are_cocycles_and_independent(algebras):
     reps = space.representatives()
     assert len(reps) == space.dim
     for r in reps:
-        assert space.is_cocycle(r)
+        assert space.is_cocycle(f.sparse(r))
         cochain = derivation_to_cochain(alg, m, r)
         assert cochain and _no_zero(f, cochain)
         assert calc.coboundary(1, cochain) == {}
     # no nonzero combination of representatives is inner: reduce pairwise
     for i, r in enumerate(reps):
-        assert not space.inner.contains(list(r))
+        assert not space.inner.contains(f.sparse(r))
         for s in reps[i + 1 :]:
-            assert not space.same_class(list(r), list(s))
+            assert not space.same_class(f.sparse(r), f.sparse(s))
 
 
 def _reference_classes(space):
-    """Representatives grown one Subspace sum at a time, and a solve for
-    class coordinates against the inner basis and those representatives."""
+    """Representatives grown one dense Subspace sum at a time, and a solve
+    for class coordinates against the inner basis and those
+    representatives."""
     f = space.algebra.field
-    reps = []
-    span = space.inner
-    for b in space.derivations.basis:
-        if not span.contains(list(b)):
-            reps.append(list(b))
-            span = span.sum(Subspace.from_vectors(f, span.ambient_dim, [list(b)]))
-    cols = [list(b) for b in space.inner.basis] + reps
     n = space.layout.total
+    reps = []
+    span = DenseSubspace.of(space.inner)
+    for b in space.derivations.rows:
+        b = f.dense(b, n)
+        if not span.contains(b):
+            reps.append(b)
+            span = span.sum(DenseSubspace.from_vectors(f, n, [b]))
+    cols = [f.dense(b, n) for b in space.inner.rows] + reps
     rows = [f.sparse([c[i] for c in cols]) for i in range(n)]
 
     def coordinates(vec):
@@ -152,7 +155,7 @@ def test_class_basis_matches_dense_reference(corpus_pairs):
         reps, coordinates = _reference_classes(space)
         assert space.representatives() == reps, tag
         units = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
-        for v in [list(b) for b in space.derivations.basis] + units:
+        for v in [f.dense(b, n) for b in space.derivations.rows] + units:
             want = coordinates(v)
             if want is None:
                 with pytest.raises(ValueError, match="does not represent a class"):
@@ -168,8 +171,8 @@ def test_inner_space_inside_derivation_space(corpus_pairs):
     for tag, alg, m in corpus_pairs:
         der = derivation_space(alg, m)
         inn = inner_space(alg, m)
-        for v in inn.basis:
-            assert der.contains(list(v)), tag
+        for v in inn.rows:
+            assert der.contains(v), tag
 
 
 def test_single_arrow_path_algebra():

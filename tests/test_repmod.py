@@ -2,7 +2,9 @@
 
 import pytest
 
-from relext import exactla, qdsl, repmod
+import dense_reference as ref
+from dense_reference import DenseSubspace
+from relext import qdsl, repmod
 from relext.algebra import build
 from relext.exactla import QQ, Matrix, PrimeField, Subspace
 
@@ -105,7 +107,8 @@ def test_zero_and_direct_sum(algebras):
 
 
 def reference_hom_space(m, n):
-    """Hom(M, N) from the dense system, one row per equation entry."""
+    """Hom(M, N) from the dense system, one row per equation entry, over
+    the dense matrices of the arrow maps."""
     alg = m.algebra
     f = alg.field
     offs = {}
@@ -116,7 +119,8 @@ def reference_hom_space(m, n):
     rows = []
     for a in alg.quiver.arrows:
         x, y = a.source, a.target
-        rm, rn = m.rho[a.name], n.rho[a.name]
+        rm = ref.from_images(f, m.rho[a.name], m.dims[y])
+        rn = ref.from_images(f, n.rho[a.name], n.dims[y])
         for i in range(m.dims[x]):
             for j in range(n.dims[y]):
                 row = [f.zero()] * pos
@@ -127,7 +131,12 @@ def reference_hom_space(m, n):
                     idx = offs[x] + i * n.dims[x] + l
                     row[idx] = f.sub(row[idx], rn.entries[l][j])
                 rows.append(row)
-    return exactla.kernel(Matrix(f, len(rows), pos, rows))
+    return ref.kernel(Matrix(f, len(rows), pos, rows))
+
+
+def _images(m):
+    """The sparse images of the rows of a dense matrix."""
+    return [m.field.sparse(row) for row in m.entries]
 
 
 def _cover_hom_images(syz, n):
@@ -148,16 +157,20 @@ def _cover_hom_images(syz, n):
         for j in range(n.dims[gv]):
             mats = {}
             for w in alg.quiver.vertices:
-                full = Matrix.zero(f, syz.cover.dims[w], n.dims[w])
+                full = ref.zero(f, syz.cover.dims[w], n.dims[w])
                 for r, g in enumerate(paths[w]):
                     pm = n.path_matrix(alg.basis[g])
-                    full.entries[offsets[k][w] + r] = list(pm.entries[j])
+                    full.entries[offsets[k][w] + r] = f.dense(pm[j], n.dims[w])
                 mats[w] = full
-            phi = repmod.ModuleMap(syz.cover, n, mats)
-            psi = repmod.ModuleMap(
-                incl.source, n, {v: incl.mats[v].mul(phi.mats[v]) for v in mats}
-            )
-            vecs.append([x for v in alg.quiver.vertices for row in psi.mats[v].entries
+            # phi: P1 -> N and psi = phi after the inclusion; building each
+            # ModuleMap checks that it commutes with every arrow
+            repmod.ModuleMap(syz.cover, n, {w: _images(m) for w, m in mats.items()})
+            psi = {
+                v: ref.mul(ref.from_images(f, incl.mats[v], syz.cover.dims[v]), mats[v])
+                for v in mats
+            }
+            repmod.ModuleMap(incl.source, n, {v: _images(m) for v, m in psi.items()})
+            vecs.append([x for v in alg.quiver.vertices for row in psi[v].entries
                          for x in row])
     return vecs
 
@@ -169,7 +182,7 @@ def reference_ext2(alg):
     s1 = repmod.syzygy(repmod.injective_cogenerator(alg))
     s2 = repmod.syzygy(s1.kernel)
     h = reference_hom_space(s2.kernel, n)
-    restricted = Subspace.from_vectors(alg.field, h.ambient_dim, _cover_hom_images(s2, n))
+    restricted = DenseSubspace.from_vectors(alg.field, h.ambient_dim, _cover_hom_images(s2, n))
     for b in restricted.basis:
         assert h.contains(list(b)), "restricted cover map escaped the hom space"
     return h.dim - restricted.dim
@@ -211,4 +224,4 @@ def test_counts_match_references(files, chain_text, field):
         dual, reg = repmod.injective_cogenerator(alg), repmod.regular(alg)
         h = repmod.hom_space(dual, reg)
         assert isinstance(h, Subspace)
-        assert h == reference_hom_space(dual, reg)
+        assert DenseSubspace.of(h) == reference_hom_space(dual, reg)

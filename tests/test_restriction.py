@@ -45,15 +45,14 @@ def _reference_ideal_subspace(alg, arrows):
     )
     while True:
         extra = []
-        for vec in span.basis:
-            vec = f.sparse(vec)
+        for vec in span.rows:
             for unit in units:
                 for prod in (alg.multiply_sparse(unit, vec), alg.multiply_sparse(vec, unit)):
-                    if prod and not span.contains(f.dense(prod, alg.dim)):
+                    if prod and not span.contains(prod):
                         extra.append(prod)
         if not extra:
             return span
-        span = Subspace.from_sparse(f, alg.dim, [f.sparse(v) for v in span.basis] + extra)
+        span = Subspace.from_sparse(f, alg.dim, list(span.rows) + extra)
 
 
 def _path_span(alg, arrows):
