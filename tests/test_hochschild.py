@@ -1,13 +1,18 @@
-"""Degree 0/1 cohomology: the derivation method against the full-complex
-oracle, complex identities, the coboundary and its action index against
-hand-written references, the cached arrow layout, and the cup product."""
+"""Degree 0/1 cohomology: the derivation method against the bar-complex
+oracle, which runs relative to the vertex idempotents, complex identities,
+the coboundary and its action index against hand-written references and
+against the full bar complex of bar_reference, the oracle's input contract,
+the cached arrow layout, and the cup product."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relext import bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
+from bar_reference import FullBarCalculator
 from dense_reference import DenseSubspace
 from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
@@ -75,6 +80,7 @@ def test_dual_method_agreement_whole_corpus(corpus_pairs):
 def test_complex_identities_whole_corpus(corpus_pairs):
     for tag, alg, m in corpus_pairs:
         assert hochschild.verify_complex(alg, m), tag
+        assert FullBarCalculator(alg, m).verify_complex(), tag
 
 
 def test_arrow_layout_is_scanned_once_per_bimodule(corpus_pairs):
@@ -100,7 +106,16 @@ def test_inner_dimension_rank_nullity(algebras):
         alg = algebras[key]
         m = bimod.regular_bimodule(alg)
         # dim Inn(A, A) = rank b^1 = dim A - dim Z(A)
-        assert calculator(alg, m).b1_rank == alg.dim - center(alg).dim
+        assert FullBarCalculator(alg, m).b1_rank == alg.dim - center(alg).dim
+
+
+def test_relative_inner_dimension_rank_nullity(algebras):
+    for key in sorted(HH):
+        alg = algebras[key]
+        m = bimod.regular_bimodule(alg)
+        calc = calculator(alg, m)
+        # Z(A) lies in A^E = C^0, so rank b^1 = |C^0| - dim Z(A)
+        assert calc.b1_rank == len(calc.c0_keys) - center(alg).dim, key
 
 
 def test_representatives_are_cocycles_and_independent(algebras):
@@ -112,7 +127,7 @@ def test_representatives_are_cocycles_and_independent(algebras):
     reps = space.representatives()
     assert len(reps) == space.dim
     for r in reps:
-        assert space.is_cocycle(f.sparse(r))
+        assert space.derivations.contains(f.sparse(r))
         cochain = derivation_to_cochain(alg, m, r)
         assert cochain and _no_zero(f, cochain)
         assert calc.coboundary(1, cochain) == {}
@@ -120,7 +135,7 @@ def test_representatives_are_cocycles_and_independent(algebras):
     for i, r in enumerate(reps):
         assert not space.inner.contains(f.sparse(r))
         for s in reps[i + 1 :]:
-            assert not space.same_class(f.sparse(r), f.sparse(s))
+            assert space.inner.reduce(f.sparse([f.sub(x, y) for x, y in zip(r, s)]))
 
 
 def _reference_classes(space):
@@ -256,7 +271,7 @@ def test_cup_products(algebras):
 def test_coboundaries_are_coboundaries(algebras):
     alg = algebras[("ex1", "C")]
     m = bimod.regular_bimodule(alg)
-    calc = calculator(alg, m)
+    calc = FullBarCalculator(alg, m)
     f = alg.field
     # b^2 of a handful of unit 1-cochains must be coboundaries; zero too
     assert calc.is_coboundary({})
@@ -265,6 +280,20 @@ def test_coboundaries_are_coboundaries(algebras):
             img = calc.coboundary(1, {a * m.dim + t: f.one()})
             assert _no_zero(f, img)
             assert calc.is_coboundary(img)
+
+
+def test_relative_coboundaries_are_coboundaries(algebras):
+    alg = algebras[("ex1", "C")]
+    m = bimod.regular_bimodule(alg)
+    calc = calculator(alg, m)
+    f = alg.field
+    # b^2 of every relative unit 1-cochain is a coboundary; zero too
+    assert calc.is_coboundary({})
+    assert calc.c1_keys
+    for key in calc.c1_keys:
+        img = calc.coboundary(1, {key: f.one()})
+        assert _no_zero(f, img)
+        assert calc.is_coboundary(img)
 
 
 # -- the coboundary against hand-written b1, b2, b3 ----------------------------
@@ -379,7 +408,7 @@ def test_coboundary_matches_references(files, chain_text, field):
     cases = splits = 0
     one = field.one()
     for tag, alg, m in _coboundary_cases(files, chain_text, field):
-        calc = calculator(alg, m)
+        calc = FullBarCalculator(alg, m)
         for i in range(m.dim):
             assert calc.coboundary(0, {i: one}) == reference_b1(calc, i), tag
         touched = set()
@@ -400,7 +429,7 @@ def test_action_index_holds_the_nonzero_table_entries(files, chain_text, field):
     """acts_at lists every nonzero entry of m.left and m.right exactly once,
     under the coordinate acted on, in ascending acting index."""
     for tag, alg, m in _coboundary_cases(files, chain_text, field):
-        for tables, at in zip((m.left, m.right), calculator(alg, m).acts_at):
+        for tables, at in zip((m.left, m.right), FullBarCalculator(alg, m).acts_at):
             want = {
                 (g, t, t2): x
                 for g, table in enumerate(tables)
@@ -413,6 +442,264 @@ def test_action_index_holds_the_nonzero_table_entries(files, chain_text, field):
             assert {(g, t, t2): x for g, t, t2, x in got} == want, tag
             for lst in at:
                 assert [g for g, _, _ in lst] == sorted(g for g, _, _ in lst), tag
+
+
+def _relative_keys(alg, m, n):
+    """The keys of the relative basis n-cochains, n = 0, 1 or 2, read off
+    the ends of the basis paths and m.src/m.tgt rather than the idempotents:
+    composable tuples of paths of positive length, with a value in
+    e_v M e_w for v the source of the first and w the target of the last."""
+    ends = [(p.source, p.target) for p in alg.basis]
+    if n == 0:
+        return [t for t in range(m.dim) if m.src[t] == m.tgt[t]]
+    tuples = [(c,) for c, p in enumerate(alg.basis) if p.length]
+    for _ in range(n - 1):
+        tuples = [
+            cs + (c,)
+            for cs in tuples
+            for c, p in enumerate(alg.basis)
+            if p.length and ends[cs[-1]][1] == ends[c][0]
+        ]
+    keys = []
+    for cs in tuples:
+        args = 0
+        for c in cs:
+            args = args * alg.dim + c
+        grade = (ends[cs[0]][0], ends[cs[-1]][1])
+        keys += [args * m.dim + t for t in range(m.dim) if (m.src[t], m.tgt[t]) == grade]
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_relative_coboundary_matches_references(files, chain_text, field):
+    """The relative basis cochains are the keys of _relative_keys, and on
+    each of them in degrees 0, 1 and 2 the coboundary equals the
+    hand-written full b1, b2 and b3, as whole dicts; so does b3 on every
+    image of b2."""
+    cases = 0
+    one = field.one()
+    for tag, alg, m in _coboundary_cases(files, chain_text, field):
+        calc = calculator(alg, m)
+        ref = FullBarCalculator(alg, m)
+        assert calc.c0_keys == _relative_keys(alg, m, 0), tag
+        assert calc.c1_keys == _relative_keys(alg, m, 1), tag
+        for t in calc.c0_keys:
+            assert calc.coboundary(0, {t: one}) == reference_b1(ref, t), tag
+        for key in calc.c1_keys:
+            img = calc.coboundary(1, {key: one})
+            assert img == reference_b2(ref, {key: one}), tag
+            assert calc.coboundary(2, img) == reference_b3(ref, img), tag
+        for key in _relative_keys(alg, m, 2):
+            assert calc.coboundary(2, {key: one}) == reference_b3(ref, {key: one}), tag
+        cases += 1
+    assert cases > 50
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_relative_action_index_holds_the_radical_table_entries(files, chain_text, field):
+    """The relative acts_at lists every nonzero entry of m.left and m.right
+    whose acting basis element is not an idempotent exactly once, under the
+    coordinate acted on, in ascending acting index; prod_fibers lists the
+    products of two such elements."""
+    for tag, alg, m in _coboundary_cases(files, chain_text, field):
+        calc = calculator(alg, m)
+        idem = set(alg.idem_index.values())
+        for tables, at in zip((m.left, m.right), calc.acts_at):
+            want = {
+                (g, t, t2): x
+                for g, table in enumerate(tables)
+                if g not in idem
+                for t, row in table.items()
+                for t2, x in row.items()
+            }
+            got = [(g, t, t2, x) for t, lst in enumerate(at) for g, t2, x in lst]
+            assert len(got) == len(want), tag
+            assert {(g, t, t2): x for g, t, t2, x in got} == want, tag
+            for lst in at:
+                assert [g for g, _, _ in lst] == sorted(g for g, _, _ in lst), tag
+        fibers = {
+            (p, g, h): c
+            for g, row in enumerate(alg.products)
+            for h, cell in row.items()
+            if g not in idem and h not in idem
+            for p, c in cell.items()
+        }
+        got = [(p, g, h, c) for p, lst in enumerate(calc.prod_fibers) for g, h, c in lst]
+        assert len(got) == len(fibers), tag
+        assert {(p, g, h): c for p, g, h, c in got} == fibers, tag
+
+
+# -- the relative complex against the full one ---------------------------------
+
+
+FIELDS = [QQ, PrimeField(7)]
+_AGREEMENT = {}  # field name -> cases of _agreement_cases, built once
+
+
+def _agreement_cases(files, chain_text, field):
+    """(tag, algebra, bimodule, full reference, regular?): every ex1/ex2
+    block and both blocks of the chain family at k <= 4, with coefficients
+    in the algebra and in the arrow ideal (as hcoh builds it) of each new
+    arrow and of all of them."""
+    if field.name not in _AGREEMENT:
+        pfs = [(n, files[n]) for n in sorted(files)]
+        pfs += [("chain%d" % k, qdsl.parse(chain_text(k))) for k in (1, 2, 3, 4)]
+        cases = []
+        for n, pf in pfs:
+            for blk in pf.blocks:
+                alg = build(blk, field=field)
+                tag = "%s:%s" % (n, blk.name)
+                m = bimod.regular_bimodule(alg)
+                cases.append((tag, alg, m, FullBarCalculator(alg, m), True))
+                news = tuple(blk.new_arrows)
+                for arrows in sorted({(a,) for a in news} | {news} - {()}):
+                    m = bimod.arrow_ideal_bimodule(alg, arrows)
+                    cases.append(
+                        ("%s,(%s)" % (tag, ",".join(arrows)), alg, m,
+                         FullBarCalculator(alg, m), False)
+                    )
+        _AGREEMENT[field.name] = cases
+    return _AGREEMENT[field.name]
+
+
+def _minus(f, u, v):
+    out = dict(u)
+    for k, x in v.items():
+        out[k] = f.sub(out.get(k, f.zero()), x)
+    return f.sparse(out)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_relative_complex_agrees_with_full_reference(files, chain_text, field):
+    """On every agreement case: the same H0 and H1 dimensions, the full
+    coboundary on every relative basis cochain of degree 0, 1 and 2, and
+    the same coboundary verdict on every cup product of H1 representatives
+    and on every cup commutator."""
+    one = field.one()
+    ideals = commutators = 0
+    for tag, alg, m, ref, regular in _agreement_cases(files, chain_text, field):
+        calc = calculator(alg, m)
+        assert (calc.bar_h(0), calc.bar_h(1)) == (ref.bar_h(0), ref.bar_h(1)), tag
+        for n in (0, 1, 2):
+            for key in _relative_keys(alg, m, n):
+                assert calc.coboundary(n, {key: one}) == ref.coboundary(n, {key: one}), tag
+        ideals += not regular
+        if not regular:
+            continue
+        reps = [derivation_to_cochain(alg, m, r) for r in h1(alg, m).representatives()]
+        for ci in reps:
+            for cj in reps:
+                fg, gf = cup_product(alg, ci, cj), cup_product(alg, cj, ci)
+                assert calc.is_coboundary(fg) == ref.is_coboundary(fg), tag
+                diff = _minus(field, fg, gf)
+                assert calc.is_coboundary(diff) == ref.is_coboundary(diff), tag
+                commutators += 1
+    assert ideals > 10 and commutators > 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_relative_complex_agrees_with_full_reference_on_random_cochains(
+    files, chain_text, data
+):
+    """On a drawn agreement case, random relative cochains of degree 0, 1
+    and 2 have the full coboundary, and b(psi) + chi for random relative
+    psi and chi is a coboundary for both complexes or for neither."""
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    cases = _agreement_cases(files, chain_text, field)
+    tag, alg, m, ref, _ = data.draw(st.sampled_from(cases), label="case")
+    calc = calculator(alg, m)
+
+    def cochain(n):
+        keys = _relative_keys(alg, m, n)
+        if not keys:
+            return {}
+        picked = data.draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+        coeffs = st.integers(-3, 3).map(field.from_int)
+        return field.sparse({k: data.draw(coeffs) for k in picked})
+
+    for n in (0, 1, 2):
+        fn = cochain(n)
+        assert calc.coboundary(n, fn) == ref.coboundary(n, fn), tag
+    psi, chi = cochain(1), cochain(2)
+    img = calc.coboundary(1, psi)
+    assert calc.is_coboundary(img) and ref.is_coboundary(img), tag
+    phi = _minus(field, img, chi)
+    assert calc.is_coboundary(phi) == ref.is_coboundary(phi), tag
+
+
+# -- the oracle's input contract ------------------------------------------------
+
+
+def test_coboundary_rejects_cochains_not_relative_to_the_vertices(algebras):
+    """An idempotent argument, arguments that do not compose, a value
+    outside e_s(c1) M e_t(cn) and a key out of range each raise ValueError
+    naming the key, from coboundary and from is_coboundary."""
+    alg = algebras[("ex1", "C")]
+    m = bimod.regular_bimodule(alg)
+    calc = calculator(alg, m)
+    one = alg.field.one()
+    da, dm = alg.dim, m.dim
+    arrows = {(p.source, p.target): c for c, p in enumerate(alg.basis) if p.length == 1}
+    (u, w), c = next(iter(arrows.items()))
+    e_u, e_w = alg.idem_index[u], alg.idem_index[w]
+    good1 = c * dm + c  # c with the value c, in e_u M e_w
+    # an arrow that does not start at w, so (c, d) does not compose
+    d = next(a for (s, _), a in arrows.items() if s != w)
+    bad = {
+        0: [(c, "outside e_%s M e_%s" % (u, u)), (da * dm, "out of range")],
+        1: [
+            (e_u * dm + e_u, "argument 1 is the idempotent"),
+            (c * dm + e_u, "outside e_%s M e_%s" % (u, w)),
+        ],
+        2: [
+            ((c * da + d) * dm + c, "arguments 1 and 2 do not compose"),
+            ((e_u * da + c) * dm + c, "argument 1 is the idempotent"),
+            ((c * da + e_w) * dm + c, "argument 2 is the idempotent"),
+            (-1, "out of range"),
+        ],
+    }
+    good = {0: {e_u: one}, 1: {good1: one}, 2: {}}
+    for n, cases in bad.items():
+        for key, why in cases:
+            cochain = dict(good[n])
+            cochain[key] = one
+            with pytest.raises(ValueError, match=r"key %d\b.*%s" % (key, why)):
+                calc.coboundary(n, cochain)
+            if n == 2:
+                with pytest.raises(ValueError, match=r"key %d\b.*%s" % (key, why)):
+                    calc.is_coboundary(cochain)
+    full = FullBarCalculator(alg, m)
+    assert calc.coboundary(1, {good1: one}) == full.coboundary(1, {good1: one})
+
+
+def test_calculator_rejects_bases_without_one_bigrade(algebras):
+    """The calculator raises when the idempotents' rows give a basis element
+    of M two left grades or none, or scale a basis element of A."""
+    alg = algebras[("ex1", "C")]
+    f = alg.field
+    m = bimod.regular_bimodule(alg)
+    t = next(t for t in range(m.dim) if m.src[t] != m.src[0])
+    e_v = alg.idem_index[m.src[0]]
+    e_t = alg.idem_index[m.src[t]]
+    twice = list(m.left)
+    twice[e_v] = dict(m.left[e_v])
+    twice[e_v][t] = {t: f.one()}
+    never = list(m.left)
+    never[e_t] = {i: row for i, row in m.left[e_t].items() if i != t}
+    for left, count in ((twice, "2 of them"), (never, "0 of them")):
+        bad = bimod.Bimodule(alg, m.dim, left, m.right, m.src, m.tgt)
+        want = "basis element %d of the bimodule .*left: %s" % (t, count)
+        with pytest.raises(ValueError, match=want):
+            hochschild.HochschildCalculator(alg, bad)
+    products = list(alg.products)
+    products[e_t] = dict(alg.products[e_t])
+    products[e_t][t] = {t: f.from_int(2)}
+    scaled = replace(alg, products=products)
+    zero = bimod.Bimodule(scaled, 0, [{}] * alg.dim, [{}] * alg.dim, (), ())
+    want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t
+    with pytest.raises(ValueError, match=want):
+        hochschild.HochschildCalculator(scaled, zero)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
