@@ -6,7 +6,6 @@ from .quiver import Arrow, Path, Quiver, compose, enumerate_paths, is_acyclic
 from .qdsl import AlgebraBlock, ParseError, PresentationFile, parse, serialize
 from .algebra import (
     AlgebraBuildError,
-    AlgebraElement,
     BoundQuiverAlgebra,
     IdealNotSpanned,
     NotFiniteDimensionalError,
@@ -59,7 +58,6 @@ __all__ = [
     "parse",
     "serialize",
     "AlgebraBuildError",
-    "AlgebraElement",
     "BoundQuiverAlgebra",
     "IdealNotSpanned",
     "NotFiniteDimensionalError",

@@ -49,66 +49,6 @@ class IdealNotSpanned(ValueError):
     through them."""
 
 
-@dataclass
-class AlgebraElement:
-    algebra: "BoundQuiverAlgebra"
-    coords: tuple
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return AlgebraElement(
-            self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return AlgebraElement(
-            self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, tuple(f.mul(other, a) for a in self.coords))
-
-    def __rmul__(self, scalar):
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, tuple(f.mul(scalar, a) for a in self.coords))
-
-    def __neg__(self):
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, tuple(f.neg(a) for a in self.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
-
-    def is_zero(self) -> bool:
-        f = self.algebra.field
-        return all(f.is_zero(c) for c in self.coords)
-
-    def __repr__(self):
-        A = self.algebra
-        f = A.field
-        parts = []
-        for i, c in enumerate(self.coords):
-            if f.is_zero(c):
-                continue
-            lbl = A.basis[i].label()
-            parts.append(lbl if c == f.one() else "%s*%s" % (f.format(c), lbl))
-        return " + ".join(parts) if parts else "0"
-
-
 @dataclass(eq=False)
 class BoundQuiverAlgebra:
     block: qdsl.AlgebraBlock
@@ -130,31 +70,6 @@ class BoundQuiverAlgebra:
     # for a restriction (quotient_by_arrows): the parent algebra, the parent
     # arrow index of each own arrow, and own basis index by parent index
     _parent: tuple | None = None
-
-    # -- elements ----------------------------------------------------------
-
-    def zero(self) -> AlgebraElement:
-        z = self.field.zero()
-        return AlgebraElement(self, tuple(z for _ in range(self.dim)))
-
-    def one(self) -> AlgebraElement:
-        f = self.field
-        coords = [f.zero()] * self.dim
-        for v in self.quiver.vertices:
-            coords[self.idem_index[v]] = f.one()
-        return AlgebraElement(self, tuple(coords))
-
-    def idempotent(self, vertex) -> AlgebraElement:
-        f = self.field
-        coords = [f.zero()] * self.dim
-        coords[self.idem_index[vertex]] = f.one()
-        return AlgebraElement(self, tuple(coords))
-
-    def basis_element(self, i: int) -> AlgebraElement:
-        f = self.field
-        coords = [f.zero()] * self.dim
-        coords[i] = f.one()
-        return AlgebraElement(self, tuple(coords))
 
     # -- normal forms ------------------------------------------------------
 
@@ -202,11 +117,6 @@ class BoundQuiverAlgebra:
                     out[k] = x if old is None else f.add(old, x)
         return f.sparse(out)
 
-    def multiply_coords(self, a: tuple, b: tuple) -> tuple:
-        f = self.field
-        prod = self.multiply_sparse(f.sparse(a), f.sparse(b))
-        return tuple(f.dense(prod, self.dim))
-
     def coords_of_vertex_pair(self, x, y) -> list:
         """Basis indices lying in e_x A e_y, in basis order; the basis is
         indexed by (source, target) once per algebra."""
@@ -223,12 +133,6 @@ class BoundQuiverAlgebra:
             self.dim,
             self.field.name,
         )
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    if a.algebra is not b.algebra:
-        raise ValueError("elements of different algebras")
-    return AlgebraElement(a.algebra, a.algebra.multiply_coords(a.coords, b.coords))
 
 
 def _relation_vector(q: Quiver, field: Field, rel: qdsl.RelationExpr) -> dict:
@@ -445,7 +349,7 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
                     "associativity fails on basis triple (%d,%d,%d)" % (i, j, min(bad))
                 )
     # unit law
-    one = f.sparse(alg.one().coords)
+    one = {i: f.one() for i in alg.idem_index.values()}
     for i in range(alg.dim):
         b = {i: f.one()}
         if alg.multiply_sparse(one, b) != b or alg.multiply_sparse(b, one) != b:

@@ -184,15 +184,13 @@ class Bimodule:
         """Basis positions of the diagonal part, the sum of e_v . M . e_v."""
         return [i for i in range(self.dim) if self.src[i] == self.tgt[i]]
 
-    def to_ambient(self, vec):
+    def to_ambient(self, vec: dict) -> dict:
+        """The sparse ambient vector of a sparse vector of M; raises
+        ValueError on a coordinate outside range(dim)."""
         if self.ambient is None:
             raise ValueError("bimodule has no ambient realization")
-        f = self.field
-        out = [f.zero()] * self.ambient.dim
-        for i, c in enumerate(vec):
-            if not f.is_zero(c):
-                out[self.amb_index[i]] = c
-        return out
+        exactla._check_coordinates(self.dim, vec)
+        return {self.amb_index[i]: c for i, c in vec.items()}
 
     # -- verification ------------------------------------------------------
 

@@ -11,8 +11,8 @@ Verbs:
   cup FILE ALGEBRA             cup-product checks on degree 1 classes
 
 Common flags: --format {human,json}, --field SPEC (Q or F<p>), and for the
-cohomology verbs --degree {0,1,both} and --oracle (recompute dimensions by
-the full-complex method and flag agreement).
+cohomology verbs --degree {0,1,both} and --oracle (recompute dimensions from
+the bar complex relative to the vertex idempotents and flag agreement).
 
 Exit status: 0 when everything asked for holds, 1 when a mathematical check
 fails (an identity row, oracle disagreement, a cup-product property), 2 for
@@ -67,14 +67,14 @@ def _build_algebra(pf, name: str, field_spec):
     return build(_get_block(pf, name), field=_field_override(field_spec))
 
 
-def _format_element(alg, coords) -> str:
+def _format_element(alg, vec: dict) -> str:
+    """An element of alg, given by its sparse coordinates, term by term in
+    basis order."""
     f = alg.field
     terms = []
-    for i, c in enumerate(coords):
-        if f.is_zero(c):
-            continue
+    for i in sorted(vec):
         label = alg.basis[i].label()
-        s = f.format(c)
+        s = f.format(vec[i])
         if s == "1":
             terms.append((False, label))
         elif s == "-1":
@@ -94,15 +94,13 @@ def _format_element(alg, coords) -> str:
 
 def _representative_entries(alg, m, layout, vec):
     """(arrow name, element string) pairs for the nonzero arrow values of a
-    derivation given in arrow coordinates; elements print in ambient terms."""
-    values = layout.embed(vec)
+    derivation given in sparse arrow coordinates; elements print in ambient
+    terms."""
     out = []
-    f = m.field
-    for k, arrow in enumerate(alg.quiver.arrows):
-        v = values[k]
-        if all(f.is_zero(c) for c in v):
-            continue
-        out.append((arrow.name, _format_element(alg, m.to_ambient(v))))
+    for arrow, o, block in zip(alg.quiver.arrows, layout.offsets, layout.blocks):
+        v = {i: vec[o + u] for u, i in enumerate(block) if o + u in vec}
+        if v:
+            out.append((arrow.name, _format_element(alg, m.to_ambient(v))))
     return out
 
 
@@ -162,8 +160,7 @@ def _degree_sections(alg, m, degrees, want_reps: bool):
         entry = {"dim": space.dim}
         if want_reps:
             entry["representatives"] = [
-                _format_element(alg, m.to_ambient(m.field.dense(v, m.dim)))
-                for v in space.rows
+                _format_element(alg, m.to_ambient(v)) for v in space.rows
             ]
         payload["0"] = entry
         lines.append("dim %s = %d" % (degrees["0"], space.dim))

@@ -243,7 +243,6 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
     """The projection map on cohomology classes, as the images of the
     class basis of the total algebra, each sparse on the base's class
     basis."""
-    f = sp.field
     if degree == 0:
         tgt = center(sp.base)
         images = []
@@ -264,10 +263,10 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
             raise SplitError("projection of an inner derivation is not inner")
     images = []
     for r in src.representatives():
-        pr = project_derivation(sp, f.sparse(r))
+        pr = project_derivation(sp, r)
         if not tgt.derivations.contains(pr):
             raise SplitError("projection of a derivation breaks a base relation")
-        images.append(f.sparse(tgt.class_coordinates(pr)))
+        images.append(tgt.class_coordinates(pr))
     return images
 
 
@@ -276,7 +275,7 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
 
 @dataclass(eq=False)
 class LiftWitness:
-    derivation: list
+    derivation: dict  # the base derivation, in sparse arrow coordinates
     alpha: dict | None  # {g: {k: c}}, the nonzero coordinates of alpha(x_g)
 
     @property
@@ -285,11 +284,13 @@ class LiftWitness:
 
 
 def lift_derivations(sp: SplitPresentation, dvecs) -> list:
-    """A LiftWitness per normalized base derivation d (in arrow coordinates):
-    a linear alpha on the extension ideal with x d(c) = alpha(x) c - alpha(xc)
-    and d(c) x = c alpha(x) - alpha(cx), or None where none exists.  The
-    left side of this system does not depend on d, so it is built once and
-    every d is one right-hand side of a single solve."""
+    """A LiftWitness per normalized base derivation d, in sparse arrow
+    coordinates: a linear alpha on the extension ideal with
+    x d(c) = alpha(x) c - alpha(xc) and d(c) x = c alpha(x) - alpha(cx), or
+    None where none exists.  The left side of this system does not depend
+    on d, so it is built once and every d is one right-hand side of a
+    single solve.  Raises ValueError on a coordinate outside the base's
+    arrow layout."""
     base = sp.base
     e = sp.ext_over_base
     f = base.field
@@ -331,7 +332,7 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
                 alpha.setdefault(g, {})[k] = x
             if not _lift_holds(e, sides, alpha):
                 raise SplitError("solved lift fails the defining conditions")
-        out.append(LiftWitness(list(dvec), alpha))
+        out.append(LiftWitness(dvec, alpha))
     return out
 
 
@@ -525,15 +526,14 @@ def _ideal_classes_embed(alg, coeff: Bimodule, space: CohomologySpace, sp) -> bo
     algebra's own degree 1 cohomology and die under the projection.  The
     span of the inner derivations and the classes so far grows in one
     echelon; an insert that adds no row means a dependent class."""
-    f = alg.field
     reg = regular_h1(alg)
     base_inner = regular_h1(sp.base).inner
-    span = exactla.Echelon(f)
+    span = exactla.Echelon(alg.field)
     for row in reg.inner.rows:
         span.insert(row)
     count = 0
     for r in space.representatives():
-        m = include_coefficient_derivation(alg, coeff, f.sparse(r))
+        m = include_coefficient_derivation(alg, coeff, r)
         if not reg.derivations.contains(m):
             return False
         if span.insert(m) is None:
@@ -813,8 +813,7 @@ class Family:
         key = tuple(n for n in self.new_arrows if n in sp.new_arrows)
         if key not in self._lifts:
             der = regular_h1(self.base).derivations
-            dvecs = [self.base.field.dense(d, der.ambient_dim) for d in der.rows]
-            self._lifts[key] = all(w.ok for w in lift_derivations(sp, dvecs))
+            self._lifts[key] = all(w.ok for w in lift_derivations(sp, der.rows))
         return self._lifts[key]
 
     def poset(self) -> ExtensionPoset:

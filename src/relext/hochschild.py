@@ -56,17 +56,6 @@ class ArrowLayout:
     offsets: list
     total: int
 
-    def embed(self, vec):
-        """Arrow-coordinate vector -> per-arrow M vectors."""
-        out = []
-        zero = self.bimodule.field.zero()
-        for k, block in enumerate(self.blocks):
-            m = [zero] * self.bimodule.dim
-            for u, i in enumerate(block):
-                m[i] = vec[self.offsets[k] + u]
-            out.append(m)
-        return out
-
 
 def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
     """The arrow-coordinate layout of m, scanned once per bimodule."""
@@ -226,12 +215,13 @@ class CohomologySpace:
         return self._classes
 
     def representatives(self) -> list:
-        """Derivations whose classes form a basis of H1."""
-        f, n = self.algebra.field, self.layout.total
-        return [f.dense(v, n) for _, v in self._class_basis()[0][self.inner.dim :]]
+        """Derivations whose classes form a basis of H1, as sparse arrow
+        coordinates."""
+        return [v for _, v in self._class_basis()[0][self.inner.dim :]]
 
-    def class_coordinates(self, vec) -> list:
-        """Coordinates of a derivation's class in the basis of classes of
+    def class_coordinates(self, vec: dict) -> dict:
+        """Coordinates {class index: x} of the class of a derivation, given
+        by its sparse arrow coordinates, in the basis of classes of
         representatives(); unique because w is a basis of the derivations.
         A vector v of their span is sum v[p] r over the rows (p, r, t), so
         its coordinates in w are sum v[p] t; they are checked by
@@ -255,7 +245,9 @@ class CohomologySpace:
                 _axpy(f, acc, coords[k], v)
         if f.sparse(acc) != vec:
             raise ArithmeticError("class coordinates fail substitution")
-        return [coords.get(k, f.zero()) for k, _ in w[self.inner.dim :]]
+        return f.sparse(
+            {i: coords[k] for i, (k, _) in enumerate(w[self.inner.dim :]) if k in coords}
+        )
 
 
 def _axpy(f, acc: dict, c, vec: dict):
@@ -274,22 +266,23 @@ def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
     return CohomologySpace(alg, m, layout, der, inn)
 
 
-def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec) -> list:
+def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     """d(b_p) as a sparse M vector for every basis element b_p of alg, for
-    the derivation with the given arrow coordinates."""
+    the derivation with the given sparse arrow coordinates; raises
+    ValueError on a coordinate outside the layout."""
     layout = arrow_layout(alg, m)
-    f = m.field
+    exactla._check_coordinates(layout.total, vec)
     dvals = [
-        f.sparse({i: vec[layout.offsets[k] + u] for u, i in enumerate(block)})
-        for k, block in enumerate(layout.blocks)
+        {i: vec[o + u] for u, i in enumerate(block) if o + u in vec}
+        for o, block in zip(layout.offsets, layout.blocks)
     ]
     return [_path_value(layout, p.arrows, dvals) if p.length else {} for p in alg.basis]
 
 
-def derivation_to_cochain(alg: BoundQuiverAlgebra, m: Bimodule, vec) -> dict:
-    """The degree 1 bar cochain of the derivation with the given arrow
-    coordinates, sparse under the key p * dim M + t of (basis index p, M
-    coordinate t)."""
+def derivation_to_cochain(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> dict:
+    """The degree 1 bar cochain of the derivation with the given sparse
+    arrow coordinates, sparse under the key p * dim M + t of (basis index p,
+    M coordinate t)."""
     return {
         p * m.dim + t: c
         for p, val in enumerate(derivation_values(alg, m, vec))

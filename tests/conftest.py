@@ -12,6 +12,7 @@ import pytest
 
 from relext import extensions, qdsl
 from relext.algebra import build
+from relext.exactla import PrimeField
 from relext.fixtures import fixture_text
 
 # bench/chain.py generates the chain family; it is only read from here
@@ -55,8 +56,7 @@ def algebras(files, families):
     return out
 
 
-@pytest.fixture(scope="session")
-def presentations(families, files):
+def _presentations(families, files):
     """Per fixture: the three split presentations of the family
     C -> B -> Ctilde, with B the partial extension named by the B block."""
     out = {}
@@ -70,8 +70,7 @@ def presentations(families, files):
     return out
 
 
-@pytest.fixture(scope="session")
-def corpus_pairs(presentations):
+def _corpus_pairs(presentations):
     """Every (algebra, coefficient bimodule) pair the dual-method oracle and
     complex identities must cover, with readable tags."""
     pairs = []
@@ -91,6 +90,28 @@ def corpus_pairs(presentations):
             (n + ":Ct,E", ct, sp["CCt"].ext),
         ]
     return pairs
+
+
+@pytest.fixture(scope="session")
+def presentations(families, files):
+    return _presentations(families, files)
+
+
+@pytest.fixture(scope="session")
+def corpus_pairs(presentations):
+    return _corpus_pairs(presentations)
+
+
+@pytest.fixture(scope="session")
+def corpus_pairs_by_field(files, corpus_pairs):
+    """corpus_pairs over Q and over F7, by field name."""
+    families = {
+        n: extensions.Family(
+            files[n].block("C"), files[n].block("Ctilde"), field=PrimeField(7)
+        )
+        for n in FIXTURES
+    }
+    return {"Q": corpus_pairs, "F7": _corpus_pairs(_presentations(families, files))}
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ These are the dense operations the sparse subspace rows and image lists
 replaced: Matrix arithmetic on the entries of an exactla.Matrix record,
 Gauss-Jordan elimination with the leftmost pivot first, rank, kernel and
 solve, and a Subspace over dense coordinate tuples.  The tests compare the
-sparse engine, and the modules built on it, against them.
+sparse engine, and the modules built on it, against them, and check with
+stores_no_zero that its sparse tables and vectors hold no zero.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from relext.exactla import Matrix
+
+
+def stores_no_zero(field, table):
+    """Every {i: {j: c}} of the table holds nonzero c and no empty row."""
+    return all(
+        row and all(not field.is_zero(c) for c in row.values())
+        for row in table.values()
+    )
 
 
 # -- matrix arithmetic ---------------------------------------------------------

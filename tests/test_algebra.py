@@ -40,43 +40,60 @@ CENTER_DIMS = {
 }
 
 
+def unit(alg):
+    """The identity of alg, the sum of the vertex idempotents, as a sparse
+    element."""
+    return {i: alg.field.one() for i in alg.idem_index.values()}
+
+
+def basis_element(alg, i):
+    return {i: alg.field.one()}
+
+
+def arrow_product(alg, names):
+    """The product of the named arrows, left to right, as a sparse element."""
+    word = None
+    for nm in names:
+        e = basis_element(alg, alg.arrow_index_in_basis[nm])
+        word = e if word is None else alg.multiply_sparse(word, e)
+    return word
+
+
 @pytest.mark.parametrize("key", sorted(CENTER_DIMS))
 def test_center_dimensions(algebras, key):
     alg = algebras[key]
     z = center(alg)
     assert z.dim == CENTER_DIMS[key]
     # each center basis vector really commutes with every basis element
-    f = alg.field
     for zc in z.rows:
-        zc = f.dense(zc, alg.dim)
         for i in range(alg.dim):
-            e = alg.basis_element(i).coords
-            assert alg.multiply_coords(zc, e) == alg.multiply_coords(e, zc)
+            e = basis_element(alg, i)
+            assert alg.multiply_sparse(zc, e) == alg.multiply_sparse(e, zc)
     # the identity is central
-    assert z.contains(f.sparse(alg.one().coords))
+    assert z.contains(unit(alg))
 
 
 @pytest.mark.parametrize("key", sorted(DIMS))
 def test_ring_axioms(algebras, key):
     alg = algebras[key]
-    one = alg.one().coords
+    one = unit(alg)
     n = alg.dim
     # identity on every basis element
     for i in range(n):
-        e = alg.basis_element(i).coords
-        assert alg.multiply_coords(one, e) == e
-        assert alg.multiply_coords(e, one) == e
+        e = basis_element(alg, i)
+        assert alg.multiply_sparse(one, e) == e
+        assert alg.multiply_sparse(e, one) == e
     # associativity on a deterministic sample of triples
     idx = list(range(0, n, 2)) or [0]
     for i in idx:
-        a = alg.basis_element(i).coords
+        a = basis_element(alg, i)
         for j in idx:
-            b = alg.basis_element(j).coords
-            ab = alg.multiply_coords(a, b)
+            b = basis_element(alg, j)
+            ab = alg.multiply_sparse(a, b)
             for k in idx:
-                c = alg.basis_element(k).coords
-                bc = alg.multiply_coords(b, c)
-                assert alg.multiply_coords(ab, c) == alg.multiply_coords(a, bc)
+                c = basis_element(alg, k)
+                bc = alg.multiply_sparse(b, c)
+                assert alg.multiply_sparse(ab, c) == alg.multiply_sparse(a, bc)
 
 
 @pytest.mark.parametrize("key", sorted(DIMS))
@@ -84,33 +101,22 @@ def test_declared_relations_vanish(algebras, key):
     alg = algebras[key]
     f = alg.field
     for rel in alg.block.relations:
-        total = [f.zero()] * alg.dim
+        total = {}
         for t in rel.terms:
-            word = None
-            for nm in t.arrows:
-                e = alg.basis_element(alg.arrow_index_in_basis[nm]).coords
-                word = e if word is None else alg.multiply_coords(word, e)
-            for i, c in enumerate(word):
-                total[i] = f.add(total[i], f.mul(t.coeff, c))
-        assert all(f.is_zero(c) for c in total)
+            for i, c in arrow_product(alg, t.arrows).items():
+                total[i] = f.add(total.get(i, f.zero()), f.mul(t.coeff, c))
+        assert all(f.is_zero(c) for c in total.values())
 
 
 def test_zero_length_truncates(algebras):
     alg = algebras[("ex1", "Ctilde")]
-    f = alg.field
-    # any product of zero_length arrows is zero
-    arrows = [alg.basis_element(alg.arrow_index_in_basis[a.name]).coords
-              for a in alg.quiver.arrows]
-    prod = arrows[0]
-    # multiply enough arrows in every composable way: all length->zero_length
+    # any product of basis paths of total length >= zero_length is zero
     for i in range(alg.dim):
         for j in range(alg.dim):
             p, q = alg.basis[i], alg.basis[j]
             if p.length + q.length >= alg.zero_length:
-                out = alg.multiply_coords(
-                    alg.basis_element(i).coords, alg.basis_element(j).coords
-                )
-                assert all(f.is_zero(c) for c in out)
+                out = alg.multiply_sparse(basis_element(alg, i), basis_element(alg, j))
+                assert out == {}
 
 
 def test_triangularity(algebras):
@@ -176,15 +182,13 @@ def test_inhomogeneous_relation_builds_consistently():
     assert alg.dim == 11
     assert "a.b.c" not in [p.label() for p in alg.basis]
     f = alg.field
-    abc = None
-    for nm in ("a", "b", "c"):
-        e = alg.basis_element(alg.arrow_index_in_basis[nm]).coords
-        abc = e if abc is None else alg.multiply_coords(abc, e)
-    dc = None
-    for nm in ("d", "c"):
-        e = alg.basis_element(alg.arrow_index_in_basis[nm]).coords
-        dc = e if dc is None else alg.multiply_coords(dc, e)
-    assert [f.add(x, y) for x, y in zip(abc, dc)] == [f.zero()] * alg.dim
+    abc = arrow_product(alg, ("a", "b", "c"))
+    dc = arrow_product(alg, ("d", "c"))
+    assert abc and dc
+    total = {
+        i: f.add(abc.get(i, f.zero()), dc.get(i, f.zero())) for i in abc.keys() | dc.keys()
+    }
+    assert all(f.is_zero(c) for c in total.values())
 
 
 # -- the vertex-indexed build against an all-pairs reference -------------------

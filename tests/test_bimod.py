@@ -150,6 +150,19 @@ def test_square_zero_pairing_space_vanishes_on_ideal_vs_base(
     assert bimod.curly_E_dimension(eprime_c, base_inside) == 0
 
 
+def test_to_ambient_maps_sparse_vectors_and_checks_their_range(presentations):
+    """to_ambient re-indexes a sparse vector of an ideal by its basis paths,
+    and rejects a coordinate outside range(dim), negative ones included,
+    instead of wrapping it into amb_index."""
+    e = presentations["ex1"]["CCt"].ext
+    one = e.field.one()
+    assert e.to_ambient({}) == {}
+    assert e.to_ambient({i: one for i in range(e.dim)}) == {g: one for g in e.amb_index}
+    for bad in (-1, e.dim):
+        with pytest.raises(ValueError, match=r"coordinate outside range\(%d\)" % e.dim):
+            e.to_ambient({bad: one})
+
+
 def test_zero_bimodule(algebras):
     alg = algebras[("ex1", "C")]
     z = bimod.zero_bimodule(alg)

@@ -205,8 +205,8 @@ def test_projection_maps_unit_to_unit(presentations):
     src = center(sp.total)
     tgt = center(sp.base)
     f = sp.field
-    one_src = src.coordinates_of(f.sparse(sp.total.one().coords))
-    one_tgt = tgt.coordinates_of(f.sparse(sp.base.one().coords))
+    one_src = src.coordinates_of({i: f.one() for i in sp.total.idem_index.values()})
+    one_tgt = tgt.coordinates_of({i: f.one() for i in sp.base.idem_index.values()})
     m = hochschild_projection(sp, 0)
     assert exactla.compose(f, m, [one_src]) == [one_tgt]
     # the dense reference: the images as rows, applied to the row vector
@@ -219,13 +219,23 @@ def test_projection_maps_unit_to_unit(presentations):
 # -- lifting -------------------------------------------------------------------
 
 
-def test_lift_zero_derivation(presentations):
-    from relext.hochschild import arrow_layout
-
+def test_lift_rejects_coordinates_outside_the_base_layout(presentations):
+    """A base derivation with two entries past its arrow layout does not
+    lift as if they were absent."""
     sp = presentations["ex1"]["CCt"]
-    layout = arrow_layout(sp.base, extensions.regular_bimodule_of(sp.base))
-    zero = [sp.field.zero()] * layout.total
-    (w,) = lift_derivations(sp, [zero])
+    der = extensions.regular_h1(sp.base).derivations
+    n = der.ambient_dim
+    one = sp.field.one()
+    for d in der.rows:
+        assert lift_derivations(sp, [d])[0].ok
+        padded = {**d, n: one, n + 1: one}
+        with pytest.raises(ValueError, match=r"coordinate outside range\(%d\)" % n):
+            lift_derivations(sp, [padded])
+
+
+def test_lift_zero_derivation(presentations):
+    sp = presentations["ex1"]["CCt"]
+    (w,) = lift_derivations(sp, [{}])
     assert w.ok
     assert w.alpha == {}
 
@@ -236,8 +246,7 @@ def test_lift_every_derivation_basis_element(presentations, name):
         sp = presentations[name][key]
         space = extensions.regular_h1(sp.base)
         for basis in (space.derivations.rows, space.inner.rows):
-            n = space.layout.total
-            witnesses = lift_derivations(sp, [sp.field.dense(d, n) for d in basis])
+            witnesses = lift_derivations(sp, list(basis))
             assert len(witnesses) == len(basis)
             assert all(w.ok for w in witnesses)
 
@@ -334,10 +343,11 @@ def test_lifts_match_per_derivation_reference(files, chain_text, field):
     for sp in splits:
         space = extensions.regular_h1(sp.base)
         n = space.layout.total
-        dvecs = [field.dense(d, n) for d in space.derivations.rows + space.inner.rows]
-        dvecs += [[field.one() if t == u else field.zero() for t in range(n)] for u in range(n)]
+        dvecs = list(space.derivations.rows + space.inner.rows)
+        dvecs += [{u: field.one()} for u in range(n)]
         got = lift_derivations(sp, dvecs)
         assert [w.derivation for w in got] == dvecs
+        assert ref.stores_no_zero(field, {k: w.derivation for k, w in enumerate(got)})
         assert [w.alpha for w in got] == [_reference_lift(sp, d) for d in dvecs]
         verdicts.update(w.ok for w in got)
     assert verdicts == {True, False}
@@ -389,7 +399,6 @@ def _lift_cases(presentations):
             sp = presentations[name][key]
             der = extensions.regular_h1(sp.base).derivations
             for d in der.rows:
-                d = sp.field.dense(d, der.ambient_dim)
                 (w,) = lift_derivations(sp, [d])
                 yield sp.ext_over_base, sp.field, _lift_sides(sp, d), w.alpha
 
@@ -465,10 +474,9 @@ def test_lift_that_fails_its_check_raises(presentations, monkeypatch):
     fault, reported as SplitError, not as a derivation without a lift."""
     sp = presentations["ex2"]["CCt"]
     der = extensions.regular_h1(sp.base).derivations
-    dvecs = [sp.field.dense(d, der.ambient_dim) for d in der.rows]
     monkeypatch.setattr(extensions, "_lift_holds", lambda e, sides, alpha: False)
     with pytest.raises(SplitError, match="fails the defining conditions"):
-        lift_derivations(sp, dvecs)
+        lift_derivations(sp, der.rows)
 
 
 def test_lifts_are_solved_once_per_subset(files, monkeypatch):

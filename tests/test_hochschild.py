@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from relext import bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build, center
 from bar_reference import FullBarCalculator
-from dense_reference import DenseSubspace
+from dense_reference import DenseSubspace, stores_no_zero
 from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
     calculator,
@@ -127,15 +127,15 @@ def test_representatives_are_cocycles_and_independent(algebras):
     reps = space.representatives()
     assert len(reps) == space.dim
     for r in reps:
-        assert space.derivations.contains(f.sparse(r))
+        assert space.derivations.contains(r)
         cochain = derivation_to_cochain(alg, m, r)
         assert cochain and _no_zero(f, cochain)
         assert calc.coboundary(1, cochain) == {}
     # no nonzero combination of representatives is inner: reduce pairwise
     for i, r in enumerate(reps):
-        assert not space.inner.contains(f.sparse(r))
+        assert not space.inner.contains(r)
         for s in reps[i + 1 :]:
-            assert space.inner.reduce(f.sparse([f.sub(x, y) for x, y in zip(r, s)]))
+            assert space.inner.reduce(_minus(f, r, s))
 
 
 def _reference_classes(space):
@@ -161,23 +161,38 @@ def _reference_classes(space):
     return reps, coordinates
 
 
-def test_class_basis_matches_dense_reference(corpus_pairs):
+def _no_zero_vectors(f, vecs):
+    """stores_no_zero on the nonempty sparse vectors of a list."""
+    return stores_no_zero(f, {k: v for k, v in enumerate(vecs) if v})
+
+
+def test_class_basis_matches_dense_reference(corpus_pairs_by_field):
+    """Representatives and class coordinates, on the corpus over Q and F7,
+    equal the dense reference's; neither they nor the values of the
+    representatives store a zero."""
     inside = outside = 0
-    for tag, alg, m in corpus_pairs:
+    for tag, alg, m in corpus_pairs_by_field["Q"] + corpus_pairs_by_field["F7"]:
+        tag = "%s/%s" % (tag, alg.field.name)
         space = h1(alg, m)
         f = alg.field
         n = space.layout.total
         reps, coordinates = _reference_classes(space)
-        assert space.representatives() == reps, tag
-        units = [[f.one() if i == j else f.zero() for i in range(n)] for j in range(n)]
-        for v in [f.dense(b, n) for b in space.derivations.rows] + units:
-            want = coordinates(v)
+        got = space.representatives()
+        assert got == [f.sparse(r) for r in reps], tag
+        assert stores_no_zero(f, dict(enumerate(got))), tag
+        for r in got:
+            assert _no_zero_vectors(f, hochschild.derivation_values(alg, m, r)), tag
+        units = [{j: f.one()} for j in range(n)]
+        for v in list(space.derivations.rows) + units:
+            want = coordinates(f.dense(v, n))
             if want is None:
                 with pytest.raises(ValueError, match="does not represent a class"):
                     space.class_coordinates(v)
                 outside += 1
             else:
-                assert space.class_coordinates(v) == want, tag
+                coords = space.class_coordinates(v)
+                assert coords == f.sparse(want), tag
+                assert _no_zero_vectors(f, [coords]), tag
                 inside += 1
     assert inside and outside
 
@@ -626,6 +641,27 @@ def test_relative_complex_agrees_with_full_reference_on_random_cochains(
     assert calc.is_coboundary(img) and ref.is_coboundary(img), tag
     phi = _minus(field, img, chi)
     assert calc.is_coboundary(phi) == ref.is_coboundary(phi), tag
+
+
+# -- input contracts -------------------------------------------------------------
+
+
+def test_derivation_coordinates_outside_the_layout_are_rejected(algebras):
+    """On ex1 Ctilde (6 arrow coordinates) a derivation with an entry at
+    coordinate 6, 8 or -1 is not silently cut to the first 6."""
+    alg = algebras[("ex1", "Ctilde")]
+    m = bimod.regular_bimodule(alg)
+    space = h1(alg, m)
+    assert space.layout.total == 6
+    r = space.representatives()[0]
+    one = alg.field.one()
+    assert derivation_to_cochain(alg, m, r)
+    for extra in (6, 8, -1):
+        vec = dict(r)
+        vec[extra] = one
+        for fn in (hochschild.derivation_values, derivation_to_cochain):
+            with pytest.raises(ValueError, match=r"coordinate outside range\(6\)"):
+                fn(alg, m, vec)
 
 
 # -- the oracle's input contract ------------------------------------------------

@@ -11,6 +11,8 @@ from relext.algebra import build
 from relext.exactla import PrimeField, QQ
 from relext.quiver import compose
 
+from dense_reference import stores_no_zero
+
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
 
@@ -73,14 +75,6 @@ def _dense_table(m, table):
     return [f.dense(table.get(i, {}), m.dim) for i in range(m.dim)]
 
 
-def _stores_no_zero(field, table):
-    """Every {i: {j: c}} of the table holds nonzero c and no empty row."""
-    return all(
-        row and all(not field.is_zero(c) for c in row.values())
-        for row in table.values()
-    )
-
-
 def _families(files, chain_text, field):
     pfs = [files[n] for n in sorted(files)]
     pfs += [qdsl.parse(chain_text(k)) for k in (1, 2, 3)]
@@ -113,7 +107,7 @@ def test_products_match_dense_reference(files, chain_text, field):
         algebras += [fam.base, fam.full]
     for alg in algebras:
         assert _dense_products(alg) == _reference_mult_coords(alg)
-        assert all(_stores_no_zero(field, row) for row in alg.products)
+        assert all(stores_no_zero(field, row) for row in alg.products)
 
 
 @FIELDS
@@ -124,7 +118,7 @@ def test_actions_match_dense_reference(files, chain_text, field):
             left, right = _reference_actions(m)
             assert [_dense_table(m, t) for t in m.left] == left
             assert [_dense_table(m, t) for t in m.right] == right
-            assert all(_stores_no_zero(field, t) for t in m.left + m.right)
+            assert all(stores_no_zero(field, t) for t in m.left + m.right)
             count += 1
     # ex1, ex2 and chain k = 1, 2, 3: 2 regular bimodules per family and 3
     # bimodules for each of the two splits of every valid subset
@@ -141,5 +135,5 @@ def test_from_actions_drops_zero_entries(algebras):
         tables.append({0: {0: c}})
     m = bimod.Bimodule.from_actions(alg, tables, tables, (v,), (v,))
     for t in m.left + m.right:
-        assert _stores_no_zero(f, t)
+        assert stores_no_zero(f, t)
     assert sum(1 for t in m.left if t) == 1
