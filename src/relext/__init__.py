@@ -10,7 +10,6 @@ from .algebra import (
     IdealNotSpanned,
     NotFiniteDimensionalError,
     build,
-    center,
     is_triangular,
     quotient_by_arrows,
 )
@@ -31,6 +30,7 @@ from .extensions import (
     SplitError,
     SplitPresentation,
     TheoremReport,
+    center,
     hochschild_projection,
     lift_derivations,
     poset,

@@ -24,7 +24,8 @@ AlgebraBuildError on any discrepancy.
 The structure constants are stored sparsely: products[i] maps j to the
 nonzero coordinates {k: c} of b_i b_j, and no table stores a zero, so two
 algebras on the same basis have the same products iff their tables compare
-equal.
+equal.  The center is H0 of the regular bimodule and lives with the other
+cohomology (extensions.center).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class BoundQuiverAlgebra:
     arrow_index_in_basis: dict  # arrow name -> basis index
     _nf_cache: dict  # Path -> {k: c}, shared with products: read only
     _echelon: exactla.Echelon | None  # None for a restriction
-    _center: exactla.Subspace | None = None  # set by center()
+    _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
     _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
@@ -449,29 +450,6 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         _echelon=None,
         _parent=(alg, arrow_map, pos),
     )
-
-
-def center(alg: BoundQuiverAlgebra) -> exactla.Subspace:
-    """{z : zb = bz for all b}, the kernel of the commutator maps, one block
-    of rows (z b_j - b_j z)_k per basis element b_j; computed once per
-    algebra.  It is also the degree 0 Hochschild cohomology of the regular
-    bimodule."""
-    if alg._center is None:
-        f = alg.field
-        rows = []
-        for j in range(alg.dim):
-            eqs = {}  # k -> {i: coefficient of z_i in (z b_j - b_j z)_k}
-            for i, row in enumerate(alg.products):
-                for k, c in row.get(j, {}).items():
-                    eq = eqs.setdefault(k, {})
-                    eq[i] = f.add(eq.get(i, f.zero()), c)
-            for i, cell in alg.products[j].items():
-                for k, c in cell.items():
-                    eq = eqs.setdefault(k, {})
-                    eq[i] = f.sub(eq.get(i, f.zero()), c)
-            rows += [eq for eq in map(f.sparse, eqs.values()) if eq]
-        alg._center = exactla.null_space(f, alg.dim, rows)
-    return alg._center
 
 
 def is_triangular(alg: BoundQuiverAlgebra) -> bool:

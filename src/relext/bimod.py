@@ -6,16 +6,15 @@ inside it), acted on by a possibly smaller algebra through the path-to-path
 section.  A Bimodule stores each side's action as a sparse table, one per
 acting basis element a holding only the nonzero coordinates {i: {j: c}} of
 a.x_i (or x_i.a) on x_j, plus the vertex bigrade of each of its basis
-elements; an ambient-realized instance also remembers where its basis and
-the acting algebra's basis live in the ambient algebra, which is what
-evaluates mixed products like x.f(y) for the obstruction space of bimodule
-maps into the base.  Vectors handed to the actions are sparse {i: c} too.
+elements.  It also remembers where its basis and the acting algebra's
+basis live in the ambient algebra, which is what evaluates mixed products
+like x.f(y) for the obstruction space of bimodule maps into the base.
+Vectors handed to the actions are sparse {i: c} too.
 
 Construction verifies closure under both actions and the section premise
 sigma(a).sigma(b) - sigma(ab) annihilating the module from either side;
 those two facts make the bimodule axioms inherited from ambient
-associativity.  Bimodules given by raw action tables (from_actions) get
-the axioms checked directly instead.
+associativity.
 """
 
 from __future__ import annotations
@@ -41,33 +40,6 @@ def _row_apply(field, vec: dict, mat: dict) -> dict:
     return field.sparse(out)
 
 
-def _nonzero(field, mat: dict) -> dict:
-    """A sparse matrix {i: {j: c}} without zero entries or empty rows."""
-    rows = {i: field.sparse(row) for i, row in mat.items()}
-    return {i: row for i, row in rows.items() if row}
-
-
-def _combine(field, coeffs: dict, mats) -> dict:
-    """sum of coeffs[k] * mats[k] over sparse matrices {i: {j: c}}."""
-    out = {}
-    for k, c in coeffs.items():
-        for i, row in mats[k].items():
-            acc = out.setdefault(i, {})
-            for j, x in row.items():
-                acc[j] = field.add(acc.get(j, field.zero()), field.mul(c, x))
-    return _nonzero(field, out)
-
-
-def _compose(field, s: dict, t: dict) -> dict:
-    """The sparse matrix product s . t."""
-    out = {}
-    for i, row in s.items():
-        img = _row_apply(field, row, t)
-        if img:
-            out[i] = img
-    return out
-
-
 @dataclass(eq=False)
 class Bimodule:
     acting: BoundQuiverAlgebra
@@ -76,9 +48,9 @@ class Bimodule:
     right: list  # per acting basis index a: {i: {j: c}}, nonzero coords of x_i.a
     src: tuple  # vertex of e_v . m = m, per basis element
     tgt: tuple  # vertex of m . e_v = m
-    ambient: BoundQuiverAlgebra | None = None
-    amb_index: tuple | None = None  # ambient basis index per bimodule basis elt
-    embed: tuple | None = None  # ambient basis index per acting basis elt
+    ambient: BoundQuiverAlgebra
+    amb_index: tuple  # ambient basis index per bimodule basis elt
+    embed: tuple  # ambient basis index per acting basis elt
     _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
     _layout: "ArrowLayout | None" = None  # set by hochschild.arrow_layout
 
@@ -131,23 +103,6 @@ class Bimodule:
         m.verify()
         return m
 
-    @staticmethod
-    def from_actions(acting: BoundQuiverAlgebra, left, right, src, tgt) -> "Bimodule":
-        """A bimodule from action tables per acting basis element, each
-        {i: {j: c}} with the coordinates of a.x_i (or x_i.a) on x_j; zero
-        entries are dropped."""
-        f = acting.field
-        m = Bimodule(
-            acting,
-            len(src),
-            [_nonzero(f, t) for t in left],
-            [_nonzero(f, t) for t in right],
-            tuple(src),
-            tuple(tgt),
-        )
-        m.verify()
-        return m
-
     # -- actions -----------------------------------------------------------
 
     @property
@@ -187,8 +142,6 @@ class Bimodule:
     def to_ambient(self, vec: dict) -> dict:
         """The sparse ambient vector of a sparse vector of M; raises
         ValueError on a coordinate outside range(dim)."""
-        if self.ambient is None:
-            raise ValueError("bimodule has no ambient realization")
         exactla._check_coordinates(self.dim, vec)
         return {self.amb_index[i]: c for i, c in vec.items()}
 
@@ -216,10 +169,7 @@ class Bimodule:
                         "%s action of idempotent at %r is not the bigrade projection"
                         % (side, v)
                     )
-        if self.ambient is not None:
-            self._verify_section_premise()
-        else:
-            self._verify_axioms()
+        self._verify_section_premise()
 
     def _verify_section_premise(self):
         """sigma(a)sigma(b) - sigma(ab) must annihilate the span on the
@@ -244,26 +194,8 @@ class Bimodule:
                 if amb.multiply_sparse(delta, unit) or amb.multiply_sparse(unit, delta):
                     raise ValueError("section defect does not annihilate the span")
 
-    def _verify_axioms(self):
-        f = self.field
-        A = self.acting
-        L, R = self.left, self.right
-        for a in range(A.dim):
-            for b in range(A.dim):
-                ab = A.product_coords(a, b)
-                # left: L[b] L[a] = sum_k ab_k L[k]
-                if _compose(f, L[b], L[a]) != _combine(f, ab, L):
-                    raise ValueError("left action is not associative")
-                # right: R[a] R[b] = sum_k ab_k R[k]
-                if _compose(f, R[a], R[b]) != _combine(f, ab, R):
-                    raise ValueError("right action is not associative")
-                # middle: L[a] and R[b] commute
-                if _compose(f, L[a], R[b]) != _compose(f, R[b], L[a]):
-                    raise ValueError("left and right actions do not commute")
-
     def __repr__(self):
-        kind = "ambient" if self.ambient is not None else "abstract"
-        return "Bimodule(dim %d over %s, %s)" % (self.dim, self.acting.block.name, kind)
+        return "Bimodule(dim %d over %s)" % (self.dim, self.acting.block.name)
 
 
 def section_embed(acting: BoundQuiverAlgebra, ambient: BoundQuiverAlgebra) -> tuple:
@@ -320,10 +252,6 @@ def regular_bimodule(alg: BoundQuiverAlgebra) -> Bimodule:
     return Bimodule.from_ambient_span(alg, alg, tuple(range(alg.dim)))
 
 
-def zero_bimodule(alg: BoundQuiverAlgebra) -> Bimodule:
-    return Bimodule.from_ambient_span(alg, alg, ())
-
-
 def sub_bimodule(
     ambient: BoundQuiverAlgebra,
     amb_index,
@@ -332,8 +260,6 @@ def sub_bimodule(
 ) -> Bimodule:
     if acting is None:
         acting = ambient
-    elif embed is None:
-        embed = section_embed(acting, ambient)
     return Bimodule.from_ambient_span(acting, ambient, amb_index, embed)
 
 
@@ -496,7 +422,7 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     algebra for all x, y in M.  The bilinear equation of (x_i, x_j) has the
     term F[j][k] (x_i . n_k) for each nonzero product x_i . n_k and the term
     F[i][k] (n_k . x_j) for each nonzero n_k . x_j; only those are visited."""
-    if m.ambient is None or n.ambient is None or m.ambient is not n.ambient:
+    if m.ambient is not n.ambient:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
     products = m.ambient.products

@@ -28,7 +28,7 @@ import json
 import sys
 
 from . import bimod, exactla, extensions, hochschild, qdsl, repmod
-from .algebra import build, center, is_triangular
+from .algebra import build, is_triangular
 
 
 class InputError(Exception):
@@ -132,7 +132,7 @@ def _run_info(args):
         "zero_length": alg.zero_length,
         "triangular": is_triangular(alg),
         "gldim_le_2": repmod.gldim_at_most(alg, 2),
-        "center_dim": center(alg).dim,
+        "center_dim": extensions.center(alg).dim,
     }
     lines = [
         "algebra %s over %s" % (block.name, alg.field.name),

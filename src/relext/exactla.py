@@ -380,6 +380,10 @@ def _check_substitution(field: Field, rows, rhs_list, sols):
 
 
 def _check_coordinates(ambient_dim: int, vec: dict):
+    if not isinstance(vec, dict):
+        raise TypeError(
+            "expected a sparse vector {coordinate: x}, got %s" % type(vec).__name__
+        )
     if vec and (min(vec) < 0 or max(vec) >= ambient_dim):
         raise ValueError("coordinate outside range(%d): %r" % (ambient_dim, sorted(vec)))
 
@@ -392,8 +396,8 @@ class Subspace:
     no row has an entry on another row's pivot.  So the coefficient of a
     vector v on the row with pivot p is v[p], and v lies in the span iff
     v - sum v[p] row_p = 0.  Vectors are sparse {coordinate: x} too, and
-    every entry point raises ValueError on a coordinate outside
-    range(ambient_dim).
+    every entry point raises TypeError on anything else and ValueError on a
+    coordinate outside range(ambient_dim).
 
     Equality of subspaces is literal equality of the stored rows.
     """

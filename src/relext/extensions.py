@@ -34,7 +34,6 @@ from .algebra import (
     BoundQuiverAlgebra,
     IdealNotSpanned,
     build,
-    center,
     quotient_by_arrows,
 )
 from .bimod import Bimodule
@@ -60,6 +59,14 @@ def regular_bimodule_of(alg) -> Bimodule:
     if alg._regular is None:
         alg._regular = bimod.regular_bimodule(alg)
     return alg._regular
+
+
+def center(alg) -> Subspace:
+    """{z : zb = bz for all b}, H0 with coefficients in alg itself;
+    computed once per algebra."""
+    if alg._center is None:
+        alg._center = h0(regular_bimodule_of(alg))
+    return alg._center
 
 
 def regular_h1(alg) -> CohomologySpace:

@@ -80,12 +80,18 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
 
 
 def h0(m: Bimodule) -> Subspace:
-    """{x in M : a.x = x.a for all a}, cut out by every basis element."""
+    """{x in M : a.x = x.a for all a}, cut out by one block of rows
+    (a.x - x.a)_j per vertex idempotent and per arrow a, read off the
+    nonzero entries of the action tables.  That suffices: every other basis
+    element is a path, a product a.q of an arrow and a shorter path, and if
+    x commutes with a and with q then a.q.x = a.x.q = x.a.q, so by
+    induction on length x commutes with every basis element."""
     f = m.field
+    A = m.acting
     rows = []
-    for a in range(m.acting.dim):
+    for a in (*A.idem_index.values(), *A.arrow_index_in_basis.values()):
         eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
-        for i in range(m.dim):
+        for i in m.left[a].keys() | m.right[a].keys():
             for j, c in m.commutator(a, i).items():
                 eqs.setdefault(j, {})[i] = c
         rows += eqs.values()

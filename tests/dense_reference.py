@@ -6,12 +6,18 @@ Gauss-Jordan elimination with the leftmost pivot first, rank, kernel and
 solve, and a Subspace over dense coordinate tuples.  The tests compare the
 sparse engine, and the modules built on it, against them, and check with
 stores_no_zero that its sparse tables and vectors hold no zero.
+
+It also keeps the two commutant builders that hochschild.h0 replaced, each
+with one block of rows per basis element of the acting algebra instead of
+per vertex and arrow: center_reference on the structure constants and
+h0_reference on the action tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from relext import exactla
 from relext.exactla import Matrix
 
 
@@ -21,6 +27,42 @@ def stores_no_zero(field, table):
         row and all(not field.is_zero(c) for c in row.values())
         for row in table.values()
     )
+
+
+# -- commutants, one block of rows per basis element ---------------------------
+
+
+def center_reference(alg):
+    """{z : zb = bz for all b}, one block of rows (z b_j - b_j z)_k per
+    basis element b_j, on the structure constants."""
+    f = alg.field
+    rows = []
+    for j in range(alg.dim):
+        eqs = {}  # k -> {i: coefficient of z_i in (z b_j - b_j z)_k}
+        for i, row in enumerate(alg.products):
+            for k, c in row.get(j, {}).items():
+                eq = eqs.setdefault(k, {})
+                eq[i] = f.add(eq.get(i, f.zero()), c)
+        for i, cell in alg.products[j].items():
+            for k, c in cell.items():
+                eq = eqs.setdefault(k, {})
+                eq[i] = f.sub(eq.get(i, f.zero()), c)
+        rows += [eq for eq in map(f.sparse, eqs.values()) if eq]
+    return exactla.null_space(f, alg.dim, rows)
+
+
+def h0_reference(m):
+    """{x in M : a.x = x.a for all a}, one block of rows per basis element
+    a of the acting algebra, on the action tables."""
+    f = m.field
+    rows = []
+    for a in range(m.acting.dim):
+        eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
+        for i in range(m.dim):
+            for j, c in m.commutator(a, i).items():
+                eqs.setdefault(j, {})[i] = c
+        rows += eqs.values()
+    return exactla.null_space(f, m.dim, rows)
 
 
 # -- matrix arithmetic ---------------------------------------------------------

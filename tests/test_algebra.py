@@ -8,10 +8,10 @@ from relext.algebra import (
     NotFiniteDimensionalError,
     _verify_build,
     build,
-    center,
     is_triangular,
     quotient_by_arrows,
 )
+from relext.extensions import center
 from relext.exactla import QQ, PrimeField
 from relext.quiver import compose
 

@@ -8,7 +8,8 @@ import pytest
 import dense_reference as ref
 from dense_reference import DenseSubspace
 from relext import bimod, extensions, qdsl
-from relext.algebra import build, center
+from relext.algebra import build
+from relext.extensions import center
 from relext.exactla import Matrix, PrimeField, QQ
 from relext.quiver import Path
 
@@ -165,7 +166,7 @@ def test_to_ambient_maps_sparse_vectors_and_checks_their_range(presentations):
 
 def test_zero_bimodule(algebras):
     alg = algebras[("ex1", "C")]
-    z = bimod.zero_bimodule(alg)
+    z = bimod.sub_bimodule(alg, ())
     assert z.dim == 0
     z.verify()
 

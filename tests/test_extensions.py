@@ -8,7 +8,8 @@ from itertools import combinations
 import pytest
 
 from relext import algebra, exactla, extensions, hochschild, qdsl
-from relext.algebra import build, center
+from relext.algebra import build
+from relext.extensions import center
 import dense_reference as ref
 from relext.exactla import QQ, PrimeField
 from relext.extensions import (

@@ -2,7 +2,8 @@
 oracle, which runs relative to the vertex idempotents, complex identities,
 the coboundary and its action index against hand-written references and
 against the full bar complex of bar_reference, the oracle's input contract,
-the cached arrow layout, and the cup product."""
+the cached arrow layout, the cup product, and H0 from the vertices and
+arrows against the all-basis commutant builders of dense_reference."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -11,9 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relext import bimod, exactla, extensions, hochschild, qdsl
-from relext.algebra import build, center
+from relext.algebra import build
+from relext.extensions import center
 from bar_reference import FullBarCalculator
-from dense_reference import DenseSubspace, stores_no_zero
+from dense_reference import (
+    DenseSubspace,
+    center_reference,
+    h0_reference,
+    stores_no_zero,
+)
 from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
     calculator,
@@ -226,7 +233,7 @@ def test_semisimple_no_arrows():
 
 def test_zero_bimodule_cohomology(algebras):
     alg = algebras[("ex1", "C")]
-    z = bimod.zero_bimodule(alg)
+    z = bimod.sub_bimodule(alg, ())
     assert h0(z).dim == 0
     assert h1(alg, z).dim == 0
     calc = calculator(alg, z)
@@ -234,20 +241,17 @@ def test_zero_bimodule_cohomology(algebras):
 
 
 def test_trivial_arrow_actions_give_no_inner_derivations(algebras):
-    # one-dimensional bimodule where every arrow acts by zero: commutators
-    # with diagonal elements vanish, so the inner space is zero
-    alg = algebras[("ex1", "C")]
-    f = alg.field
-    v = alg.quiver.vertices[0]
-    left, right = [], []
-    for j in range(alg.dim):
-        p = alg.basis[j]
-        stat = p.length == 0 and p.vertex == v
-        table = {0: {0: f.one() if stat else f.zero()}}
-        left.append(table)
-        right.append(table)
-    m = bimod.Bimodule.from_actions(alg, left, right, (v,), (v,))
+    # one-dimensional bimodule where every arrow acts by zero: the span of
+    # the cycle beta.eps.alpha of ex2 B.  Commutators with diagonal
+    # elements vanish, so the inner space is zero
+    alg = algebras[("ex2", "B")]
+    (i,) = [i for i, p in enumerate(alg.basis) if p.label() == "beta.eps.alpha"]
+    m = bimod.sub_bimodule(alg, (i,))
+    assert m.diagonal_indices() == [0]
+    for name, a in alg.arrow_index_in_basis.items():
+        assert not m.left[a] and not m.right[a], name
     assert inner_space(alg, m).dim == 0
+    assert h0(m).dim == 1
 
 
 def _no_zero(f, cochain):
@@ -664,6 +668,30 @@ def test_derivation_coordinates_outside_the_layout_are_rejected(algebras):
                 fn(alg, m, vec)
 
 
+def test_sparse_entry_points_reject_dense_lists(presentations):
+    """A dense list is not read as a sparse vector: on ex1 Ctilde the list
+    [1, 0, 0, 0, 0, 0] used to give derivation_values nonzero values, and a
+    lift, without an error, and reduce and to_ambient failed on an
+    unrelated error."""
+    sp = presentations["ex1"]["CCt"]
+    alg = sp.total
+    m = bimod.regular_bimodule(alg)
+    space = h1(alg, m)
+    one, zero = alg.field.one(), alg.field.zero()
+    dense = [one] + [zero] * (space.layout.total - 1)
+    calls = [
+        lambda: hochschild.derivation_values(alg, m, dense),
+        lambda: derivation_to_cochain(alg, m, dense),
+        lambda: space.derivations.reduce(dense),
+        lambda: m.to_ambient([one] + [zero] * (m.dim - 1)),
+        lambda: extensions.lift_derivations(sp, [[one, zero, zero]]),
+    ]
+    want = r"expected a sparse vector \{coordinate: x\}, got list"
+    for call in calls:
+        with pytest.raises(TypeError, match=want):
+            call()
+
+
 # -- the oracle's input contract ------------------------------------------------
 
 
@@ -724,7 +752,9 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras):
     never = list(m.left)
     never[e_t] = {i: row for i, row in m.left[e_t].items() if i != t}
     for left, count in ((twice, "2 of them"), (never, "0 of them")):
-        bad = bimod.Bimodule(alg, m.dim, left, m.right, m.src, m.tgt)
+        bad = bimod.Bimodule(
+            alg, m.dim, left, m.right, m.src, m.tgt, m.ambient, m.amb_index, m.embed
+        )
         want = "basis element %d of the bimodule .*left: %s" % (t, count)
         with pytest.raises(ValueError, match=want):
             hochschild.HochschildCalculator(alg, bad)
@@ -732,7 +762,10 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras):
     products[e_t] = dict(alg.products[e_t])
     products[e_t][t] = {t: f.from_int(2)}
     scaled = replace(alg, products=products)
-    zero = bimod.Bimodule(scaled, 0, [{}] * alg.dim, [{}] * alg.dim, (), ())
+    no_tables = [{}] * alg.dim
+    zero = bimod.Bimodule(
+        scaled, 0, no_tables, no_tables, (), (), scaled, (), tuple(range(alg.dim))
+    )
     want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t
     with pytest.raises(ValueError, match=want):
         hochschild.HochschildCalculator(scaled, zero)
@@ -740,11 +773,36 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_center_is_regular_h0(files, chain_text, field):
-    """The center and H0 of the regular bimodule are one subspace, equal as
-    canonical bases, not only in dimension."""
-    blocks = [b for n in sorted(files) for b in files[n].blocks]
-    for k in (3, 5):
-        blocks += qdsl.parse(chain_text(k)).blocks
-    for blk in blocks:
-        alg = build(blk, field=field)
-        assert center(alg) == h0(bimod.regular_bimodule(alg)), blk.name
+    """H0 from rows for the vertices and arrows only equals the all-basis
+    h0_reference as canonical bases, not only in dimension: on the regular
+    bimodule of every block, on the ideal of each single new arrow and of
+    all of them, and on every split's ext and ext_over_base.  The center,
+    H0 of the regular bimodule, equals the structure-constant
+    center_reference."""
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in (1, 2, 3, 5)]
+    count = 0
+    for pf in pfs:
+        fam = extensions.Family(pf.block("C"), pf.block("Ctilde"), field)
+        bimodules = []
+        for blk in pf.blocks:
+            alg = build(blk, field=field)
+            assert center(alg) == center_reference(alg), blk.name
+            bimodules.append(bimod.regular_bimodule(alg))
+        for arrows in [(a,) for a in fam.new_arrows] + [fam.new_arrows]:
+            bimodules.append(bimod.arrow_ideal_bimodule(fam.full, arrows))
+        for r in range(len(fam.new_arrows) + 1):
+            for combo in combinations(fam.new_arrows, r):
+                try:
+                    fam.partial(combo)
+                except extensions.SplitError:
+                    continue
+                for sp in (fam.split((), combo), fam.split(combo, fam.new_arrows)):
+                    bimodules += [sp.ext, sp.ext_over_base]
+        for m in bimodules:
+            assert h0(m) == h0_reference(m), m
+        count += len(bimodules)
+    # ex1, ex2 and chain k = 1, 2, 3, 5: the regular bimodules of their
+    # 14 blocks, 21 arrow ideals, and 4 bimodules for each of the 54 valid
+    # subsets
+    assert count == 14 + 21 + 4 * 54

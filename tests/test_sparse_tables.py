@@ -124,16 +124,3 @@ def test_actions_match_dense_reference(files, chain_text, field):
     # bimodules for each of the two splits of every valid subset
     assert count == 2 * 5 + 6 * (4 + 4 + 2 + 4 + 8)
 
-
-def test_from_actions_drops_zero_entries(algebras):
-    alg = algebras[("ex1", "C")]
-    f = alg.field
-    v = alg.quiver.vertices[0]
-    tables = []
-    for p in alg.basis:
-        c = f.one() if p.length == 0 and p.vertex == v else f.zero()
-        tables.append({0: {0: c}})
-    m = bimod.Bimodule.from_actions(alg, tables, tables, (v,), (v,))
-    for t in m.left + m.right:
-        assert stores_no_zero(f, t)
-    assert sum(1 for t in m.left if t) == 1
