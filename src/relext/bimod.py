@@ -74,29 +74,39 @@ class Bimodule:
             embed = tuple(embed)
         pos = {g: i for i, g in enumerate(amb_index)}
         dim = len(amb_index)
+        if len(pos) != dim:
+            raise ValueError("span lists a basis path twice")
         products = ambient.products
 
+        def restrict(cell):
+            img = {}
+            for k, c in cell.items():
+                j = pos.get(k)
+                if j is None:
+                    raise ValueError(
+                        "span is not closed under the action: product hits %s"
+                        % ambient.basis[k].label()
+                    )
+                img[j] = c
+            return img
+
+        # Both tables are read off the nonzero ambient products only: the
+        # left one from the row of each embedded a, the right one in one
+        # pass over the rows of the span, filed under the acting a whose
+        # image is the right factor.  Each table row lists i ascending.
         left = []
-        right = []
         for a in range(acting.dim):
-            ea = embed[a]
-            lt = {}
-            rt = {}
-            for i, g in enumerate(amb_index):
-                for table, cell in ((lt, products[ea].get(g)), (rt, products[g].get(ea))):
-                    if cell is None:
-                        continue
-                    img = table[i] = {}
-                    for k, c in cell.items():
-                        j = pos.get(k)
-                        if j is None:
-                            raise ValueError(
-                                "span is not closed under the action: product hits %s"
-                                % ambient.basis[k].label()
-                            )
-                        img[j] = c
-            left.append(lt)
-            right.append(rt)
+            row = products[embed[a]]
+            hits = sorted((pos[g], cell) for g, cell in row.items() if g in pos)
+            left.append({i: restrict(cell) for i, cell in hits})
+        acting_at = {}  # ambient index -> acting indices embedded there
+        for a, ea in enumerate(embed):
+            acting_at.setdefault(ea, []).append(a)
+        right = [{} for _ in range(acting.dim)]
+        for i, g in enumerate(amb_index):
+            for h, cell in products[g].items():
+                for a in acting_at.get(h, ()):
+                    right[a][i] = restrict(cell)
         src = tuple(ambient.basis[g].source for g in amb_index)
         tgt = tuple(ambient.basis[g].target for g in amb_index)
         m = Bimodule(acting, dim, left, right, src, tgt, ambient, amb_index, embed)
@@ -263,9 +273,9 @@ def sub_bimodule(
     return Bimodule.from_ambient_span(acting, ambient, amb_index, embed)
 
 
-def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
-    """The two-sided ideal of the named arrows, as a square-zero bimodule
-    over the ambient algebra.
+def square_zero_ideal_paths(ambient: BoundQuiverAlgebra, arrow_names) -> tuple:
+    """Basis indices of the paths through the named arrows, once their span
+    is checked to be a square-zero two-sided ideal.
 
     Raises when a surviving path runs through two of the named arrows or
     when the ideal fails to square to zero, and when the ideal is not the
@@ -295,7 +305,13 @@ def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
                     "extension ideal does not square to zero: %s * %s != 0"
                     % (ambient.basis[g].label(), ambient.basis[h].label())
                 )
-    return sub_bimodule(ambient, span)
+    return span
+
+
+def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
+    """The two-sided ideal of the named arrows, as a square-zero bimodule
+    over the ambient algebra; square_zero_ideal_paths checks its span."""
+    return sub_bimodule(ambient, square_zero_ideal_paths(ambient, arrow_names))
 
 
 def base_sub_bimodule(

@@ -81,20 +81,52 @@ def regular_h1(alg) -> CohomologySpace:
 @dataclass(eq=False)
 class SplitPresentation:
     """total = base + new arrows, with the ideal of the new arrows squaring
-    to zero and the base sitting inside as a subalgebra, path by path."""
+    to zero and the base sitting inside as a subalgebra, path by path.
+
+    The section and the projection are index maps between the two bases.
+    The ideal, as a bimodule over the total and over the base, is built on
+    first use: projections read only the index maps."""
 
     base: BoundQuiverAlgebra
     total: BoundQuiverAlgebra
     new_arrows: tuple
     section: tuple      # base basis index -> total basis index
     projection: tuple   # total basis index -> base basis index or None
-    ext: Bimodule            # ideal of the new arrows, acting algebra = total
-    ext_over_base: Bimodule  # the same span, acting algebra = base
+    _ext: Bimodule | None = None  # set by ext
+    _ext_over_base: Bimodule | None = None  # set by ext_over_base
     _derivation_map: dict | None = None  # set by derivation_map
 
     @property
     def field(self):
         return self.base.field
+
+    @property
+    def ext(self) -> Bimodule:
+        """The ideal of the new arrows, acting algebra = total."""
+        if self._ext is None:
+            self._ext = bimod.arrow_ideal_bimodule(self.total, self.new_arrows)
+        return self._ext
+
+    @property
+    def ext_over_base(self) -> Bimodule:
+        """The same span, acting algebra = base.  The base acts on the ideal
+        as sigma(c) does, so its tables are ext's at sigma(c).  The section
+        sends idempotents to idempotents (it matches labels) and is
+        multiplicative, so these tables pass what Bimodule.verify checks."""
+        if self._ext_over_base is None:
+            ext = self.ext
+            self._ext_over_base = Bimodule(
+                acting=self.base,
+                dim=ext.dim,
+                left=[ext.left[g] for g in self.section],
+                right=[ext.right[g] for g in self.section],
+                src=ext.src,
+                tgt=ext.tgt,
+                ambient=self.total,
+                amb_index=ext.amb_index,
+                embed=self.section,
+            )
+        return self._ext_over_base
 
     def include_coords(self, coords: dict) -> dict:
         return {self.section[i]: c for i, c in coords.items()}
@@ -133,9 +165,28 @@ class SplitPresentation:
         return self._derivation_map
 
 
+def _index_maps(base_index, total_index, total_dim) -> tuple:
+    """(section, projection) of a base whose basis sits at base_index in
+    some ambient basis, inside a total sitting at total_index: the section
+    sends base basis index i to the total index of the same ambient path,
+    and the projection is its inverse, None off the section."""
+    at = {g: j for j, g in enumerate(total_index)}
+    section = tuple(at[g] for g in base_index)
+    projection = [None] * total_dim
+    for i, j in enumerate(section):
+        projection[j] = i
+    return section, tuple(projection)
+
+
 def split_presentation(
     base: BoundQuiverAlgebra, total: BoundQuiverAlgebra, new_arrow_names
 ) -> SplitPresentation:
+    """The split of total over base along the named new arrows, for any
+    pair of algebras, with every check: the arrows match, each new arrow is
+    opposite to a base relation, the new-arrow ideal is a span of paths
+    squaring to zero, the label-matched section is multiplicative, and the
+    base paths and the ideal paths partition the total basis.  Family.split
+    reads the same maps off the family's index sets instead."""
     new_arrow_names = tuple(new_arrow_names)
 
     base_names = {a.name for a in base.quiver.arrows}
@@ -149,50 +200,22 @@ def split_presentation(
         raise SplitError(
             "arrows of the total algebra are not base arrows plus the new ones"
         )
+    _check_opposite_relations(base.block.relations, total, new_arrow_names)
 
-    # every new arrow x -> y must be opposite to a base relation y -> x
-    for a in total.quiver.arrows:
-        if a.name not in new_arrow_names:
-            continue
-        if not any(
-            rel.source == a.target and rel.target == a.source
-            for rel in base.block.relations
-        ):
-            raise SplitError(
-                "new arrow %s (%s -> %s) is not opposite to any base relation"
-                % (a.name, a.source, a.target)
-            )
-
-    section = bimod.section_embed(base, total)
-    projection = [None] * total.dim
-    for i, g in enumerate(section):
-        projection[g] = i
-
-    ext = bimod.arrow_ideal_bimodule(total, new_arrow_names)
+    section, projection = _index_maps(
+        bimod.section_embed(base, total), range(total.dim), total.dim
+    )
+    sp = SplitPresentation(base, total, new_arrow_names, section, projection)
+    ext = sp.ext
     if base.field is not total.field:
         raise ValueError("acting and ambient algebras use different fields")
 
     # the section must be multiplicative, so the base is a subalgebra and
-    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose
-    defects = bimod.section_defects(base, total, section)
-    # The base acts on the ideal as sigma(c) does, so its tables are ext's
-    # at sigma(c).  The section sends idempotents to idempotents (it matches
-    # labels) and is checked multiplicative below, so these tables pass what
-    # Bimodule.verify checks.
-    ext_over_base = Bimodule(
-        acting=base,
-        dim=ext.dim,
-        left=[ext.left[g] for g in section],
-        right=[ext.right[g] for g in section],
-        src=ext.src,
-        tgt=ext.tgt,
-        ambient=total,
-        amb_index=ext.amb_index,
-        embed=section,
-    )
+    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose;
     # a defect that does not even annihilate the ideal breaks the bimodule
     # axioms of the base's action, and is reported as Bimodule.verify does
-    ext_over_base.check_section_defects(defects)
+    defects = bimod.section_defects(base, total, section)
+    sp.ext_over_base.check_section_defects(defects)
 
     # the base paths and the ideal paths must partition the total basis
     covered = set(section) | set(ext.amb_index)
@@ -207,16 +230,21 @@ def split_presentation(
             "base and total algebras"
             % (base.basis[i].label(), base.basis[j].label())
         )
+    return sp
 
-    return SplitPresentation(
-        base=base,
-        total=total,
-        new_arrows=new_arrow_names,
-        section=section,
-        projection=tuple(projection),
-        ext=ext,
-        ext_over_base=ext_over_base,
-    )
+
+def _check_opposite_relations(relations, total, new_arrow_names):
+    """Every new arrow x -> y must be opposite to a relation y -> x."""
+    for a in total.quiver.arrows:
+        if a.name not in new_arrow_names:
+            continue
+        if not any(
+            rel.source == a.target and rel.target == a.source for rel in relations
+        ):
+            raise SplitError(
+                "new arrow %s (%s -> %s) is not opposite to any base relation"
+                % (a.name, a.source, a.target)
+            )
 
 
 # -- cohomology projections ---------------------------------------------------
@@ -654,10 +682,38 @@ class Family:
     every other B_S is Ctilde restricted to the basis paths that avoid the
     new arrows outside S (quotient_by_arrows), cached per subset.  That
     needs the new-arrow ideal to be the span of its paths; where it is
-    not, Ctilde is reported as not reducing to C.  Split presentations are
-    not cached, so their bimodules die with the caller's use of them.
-    C and Ctilde share one field object: `field`, or else the field that
-    both blocks must declare.
+    not, Ctilde is reported as not reducing to C.  C and Ctilde share one
+    field object: `field`, or else the field that both blocks must declare.
+
+    Each B_S carries the tuple of the Ctilde basis indices of its basis,
+    found once per node by section_embed, and split(S, T) reads the
+    section B_S -> B_T and the projection back off two such tuples.  The
+    checks split_presentation makes on each pair follow from facts checked
+    once per family, here:
+
+      (a) C is a subalgebra of Ctilde, path by path: section_defects of C
+          in Ctilde is empty;
+      (b) the ideal J of all new arrows squares to zero and no basis path
+          runs through two new arrows (square_zero_ideal_paths);
+      (c) every new arrow x -> y is opposite to a relation y -> x of C,
+          which by (a) vanishes in Ctilde and so in every B_S;
+      (d) partial() runs direct_sum_check on J_S + J_{not S} for every S,
+          so the ideal of S is the span of the paths through S.
+
+    Take S < T and two basis paths p, q of B_S.  If neither runs through a
+    new arrow, pq in Ctilde lies in the span of C's paths by (a).  If both
+    do, pq = 0 by (b).  Otherwise pq lies in the ideal of S, the span of
+    the paths through S by (d), and by (b) none of those runs through an
+    arrow of T - S.  So Ctilde's pq has no coordinate on a path through an
+    arrow of T - S, and B_S's product, Ctilde's with the paths through the
+    arrows outside S dropped, is B_T's: the section is multiplicative.
+    The paths of B_T that avoid T - S are those of B_S, and the others span
+    the ideal of T - S in B_T (its product with any path of B_T lies in the
+    ideal of the arrows outside S, which by (d) is the span of its paths,
+    and B_T keeps of those the ones through T - S), so the partition holds
+    by the choice of the index sets.  The projection checks of
+    hochschild_projection and derivation_map and the triangle check of
+    poset still run on every pair.
     """
 
     def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
@@ -689,31 +745,66 @@ class Family:
                 % (self.full.dim - self.base.dim, ext_dim)
             )
         self._partials = {self.new_arrows: self.full, (): self.base}
+        # Ctilde basis index of each basis path, per subset
+        self._index = {
+            self.new_arrows: tuple(range(self.full.dim)),
+            (): bimod.section_embed(self.base, self.full),
+        }
+        self._check_split_facts()
         self._over_full = None  # set by _full_split_part
         self._lifts = {}  # subset S -> do all derivations lift to B_S
+
+    def _check_split_facts(self):
+        """Facts (a) to (c) of the class docstring, raising SplitError."""
+        defects = bimod.section_defects(self.base, self.full, self._index[()])
+        if defects:
+            i, j, _ = defects[0]
+            raise SplitError(
+                "the base is not a subalgebra of the full extension: products "
+                "of base paths %s and %s disagree between the base and total "
+                "algebras" % (self.base.basis[i].label(), self.base.basis[j].label())
+            )
+        try:
+            bimod.square_zero_ideal_paths(self.full, self.new_arrows)
+        except ValueError as err:
+            raise SplitError(str(err)) from None
+        _check_opposite_relations(self.base.block.relations, self.full, self.new_arrows)
 
     def partial(self, subset) -> BoundQuiverAlgebra:
         """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
         and of its complement are checked to split the new-arrow ideal; the
         gate has checked that the new-arrow ideal is spanned by its paths."""
+        return self._partials[self._key(subset)]
+
+    def _key(self, subset) -> tuple:
+        """S in declaration order, with B_S built and indexed."""
         for n in subset:
             if n not in self.new_arrows:
                 raise SplitError("%s is not one of the declared new arrows" % n)
         if len(set(subset)) != len(subset):
             raise SplitError("arrow subset %s repeats a name" % ",".join(subset))
         key = tuple(n for n in self.new_arrows if n in subset)
-        alg = self._partials.get(key)
-        if alg is None:
+        if key not in self._partials:
             complement = tuple(n for n in self.new_arrows if n not in key)
             if not bimod.direct_sum_check(self.full, [key, complement]):
                 raise SplitError("the chosen arrow subset does not split the ideal")
             alg = self._partials[key] = quotient_by_arrows(self.full, complement)
-        return alg
+            self._index[key] = bimod.section_embed(alg, self.full)
+        return key
 
     def split(self, lower, upper) -> SplitPresentation:
-        """B_upper over B_lower; the new arrows keep the order of `upper`."""
+        """B_upper over B_lower; the new arrows keep the order of `upper`.
+        The section and projection are index maps between the two Ctilde
+        index sets; the ideal's bimodules are built only if read."""
+        lo, up = self._key(lower), self._key(upper)
+        if not set(lo) <= set(up):
+            raise SplitError(
+                "arrow subset %s does not contain %s" % (",".join(up), ",".join(lo))
+            )
         extra = tuple(n for n in upper if n not in lower)
-        return split_presentation(self.partial(lower), self.partial(upper), extra)
+        total = self._partials[up]
+        section, projection = _index_maps(self._index[lo], self._index[up], total.dim)
+        return SplitPresentation(self._partials[lo], total, extra, section, projection)
 
     def verify(self, subset) -> TheoremReport:
         """The four identities and their map-level checks for C < B_S < Ctilde."""

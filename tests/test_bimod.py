@@ -296,3 +296,60 @@ def test_pairing_space_of_radical_matches_dense_reference(
         space = bimod.curly_E(rad, rad)
         assert DenseSubspace.of(space) == _reference_kernel(rad, rad, dense)
         assert 0 < space.dim < bimod.end_enveloping(rad)
+
+
+def _probe_tables(acting, ambient, amb_index, embed):
+    """Both action tables by probing every (acting, span) pair of basis
+    indices, i ascending in each row."""
+    pos = {g: i for i, g in enumerate(amb_index)}
+    left, right = [], []
+    for ea in embed:
+        lt, rt = {}, {}
+        for i, g in enumerate(amb_index):
+            for table, cell in ((lt, ambient.products[ea].get(g)),
+                                (rt, ambient.products[g].get(ea))):
+                if cell is not None:
+                    table[i] = {pos[k]: c for k, c in cell.items()}
+        left.append(lt)
+        right.append(rt)
+    return left, right
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_span_tables_match_probing(files, chain_text, field):
+    """from_ambient_span's tables, read off the nonzero products, equal
+    the ones probed pair by pair, key order included: for the regular
+    bimodule of C, of Ctilde and of every partial extension, and for the
+    arrow ideal and the base span acted on by C, on ex1/ex2 and on chain
+    k <= 4."""
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in range(1, 5)]
+    seen = 0
+    for pf in pfs:
+        fam = extensions.Family(pf.block("C"), pf.block("Ctilde"), field)
+        ct, new = fam.full, fam.new_arrows
+        cases = [bimod.arrow_ideal_bimodule(ct, new),
+                 bimod.base_sub_bimodule(ct, new, fam.base,
+                                         bimod.section_embed(fam.base, ct))]
+        for r in range(len(new) + 1):
+            for combo in combinations(new, r):
+                try:
+                    alg = fam.partial(combo)
+                except extensions.SplitError:
+                    continue
+                cases.append(bimod.regular_bimodule(alg))
+        for m in cases:
+            ref_left, ref_right = _probe_tables(
+                m.acting, m.ambient, m.amb_index, m.embed)
+            for own, probed in ((m.left, ref_left), (m.right, ref_right)):
+                assert own == probed
+                assert [list(t) for t in own] == [list(t) for t in probed]
+            seen += 1
+    # 2 spans per family, then 4 partials per fixture and 2**k per chain
+    assert seen == 2 * 6 + 4 + 4 + 2 + 4 + 8 + 16
+
+
+def test_span_listing_a_path_twice_is_refused(algebras):
+    alg = algebras[("ex1", "C")]
+    with pytest.raises(ValueError, match="twice"):
+        bimod.Bimodule.from_ambient_span(alg, alg, (0, 0))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, literal human output, and the
 frozen JSON schema."""
 
+import hashlib
 import json
 
 import pytest
@@ -195,6 +196,28 @@ def test_poset_json(capsys):
     assert d["triangles_commute"] is True
 
 
+# sha256 of `poset chain.quiv --base C --tilde Ctilde --format json` on the
+# chain family of bench/chain.py, by (k, field)
+POSET_SHA256 = {
+    (5, "Q"): "6cceda4af0a17c26249c04f5c4da624c30acf05cdd4686731a5626eaff3359bc",
+    (6, "Q"): "e14b69ac99ad7d0ed0950d44ce895a90eb18c378abf562d8547090edfe3f7ddf",
+    (5, "F7"): "245d828b0fb997333114e87846bcbfac545891f49841d6a6629ce18e380df420",
+}
+
+
+@pytest.mark.parametrize("k, fld", sorted(POSET_SHA256))
+def test_poset_json_is_pinned_on_the_chain(capsys, tmp_path, chain_text, k, fld):
+    path = tmp_path / "chain.quiv"
+    path.write_text(chain_text(k))
+    field = [] if fld == "Q" else ["--field", fld]
+    code, out, err = run(
+        capsys, "poset", str(path), "--base", "C", "--tilde", "Ctilde",
+        "--format", "json", *field,
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == POSET_SHA256[(k, fld)]
+
+
 # -- ext2 and cup ----------------------------------------------------------------
 
 
@@ -352,6 +375,33 @@ def test_base_disagreeing_on_products_rejected(capsys, tmp_path, argv):
     )
     assert code == 2 and out == ""
     assert "does not reduce to the declared base algebra" in err
+
+
+@pytest.mark.parametrize("verb", ["verify", "poset"])
+def test_base_not_a_subalgebra_names_the_paths(capsys, monkeypatch, verb):
+    """e_1 e_1 in ex1's Ctilde given a coordinate on a path through the new
+    arrows passes the reduction and Ext^2 gates; the refusal names the two
+    base paths whose products disagree."""
+    from relext import extensions
+
+    real = extensions.build
+
+    def corrupting(block, field=None):
+        alg = real(block, field=field)
+        if block.name == "Ctilde":
+            v = alg.idem_index[alg.quiver.vertices[0]]
+            k = next(g for g, p in enumerate(alg.basis)
+                     if any(alg.quiver.arrows[a].name in ("eps", "eps2")
+                            for a in p.arrows))
+            alg.products[v] = {**alg.products[v],
+                               v: {v: alg.field.one(), k: alg.field.one()}}
+        return alg
+
+    monkeypatch.setattr(extensions, "build", corrupting)
+    code, out, err = run(capsys, verb, EX1, "--base", "C", "--tilde", "Ctilde")
+    assert code == 2 and out == ""
+    assert "not a subalgebra" in err
+    assert "products of base paths e_1 and e_1 disagree" in err
 
 
 # a commutative square whose new arrow c meets the old path a.b in the

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from relext import algebra, exactla, extensions, hochschild, qdsl
+from relext import algebra, bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build
 from relext.extensions import center
 import dense_reference as ref
@@ -66,6 +66,8 @@ def test_unknown_subset_rejected(families):
         fam.partial(("nope",))
     with pytest.raises(SplitError):
         fam.split((), ("eps", "nope"))
+    with pytest.raises(SplitError, match="does not contain"):
+        fam.split(("eps",), ("eps2",))
     with pytest.raises(SplitError):
         fam.verify(("nope",))
 
@@ -95,13 +97,14 @@ def test_verify_builds_the_full_split_once(files, monkeypatch, name):
     }
 
     calls = []
-    real = extensions.split_presentation
+    real = Family.split
 
-    def counting(base, total, new_arrow_names):
-        calls.append((base, total))
-        return real(base, total, new_arrow_names)
+    def counting(self, lower, upper):
+        sp = real(self, lower, upper)
+        calls.append((sp.base, sp.total))
+        return sp
 
-    monkeypatch.setattr(extensions, "split_presentation", counting)
+    monkeypatch.setattr(Family, "split", counting)
     fam = Family(pf.block("C"), pf.block("Ctilde"))
     for combo in reversed(subsets):
         assert fam.verify(combo).to_dict() == fresh[combo]
@@ -141,6 +144,147 @@ def test_family_builds_each_partial_once(files, monkeypatch, name):
     assert po.nodes[0].algebra is fam.base and po.nodes[3].algebra is fam.full
     assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
     assert builds == ["C", "Ctilde"]
+
+
+def _comparable_pairs(fam):
+    """(S, T) for every pair of valid subsets with S in T, T = S included."""
+    nodes = []
+    for r in range(len(fam.new_arrows) + 1):
+        for combo in combinations(fam.new_arrows, r):
+            try:
+                fam.partial(combo)
+            except SplitError:
+                continue
+            nodes.append(combo)
+    return [(s, t) for s in nodes for t in nodes if set(s) <= set(t)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_family_splits_match_checked_split_presentation(files, chain_text, field):
+    """On every comparable pair of ex1, ex2 and chain k <= 4, the family's
+    index maps equal those of the fully checked split_presentation of the
+    same two partials, which raises nothing, and the family builds no
+    bimodule until one is read."""
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in range(1, 5)]
+    count = 0
+    for pf in pfs:
+        fam = Family(pf.block("C"), pf.block("Ctilde"), field)
+        for lower, upper in _comparable_pairs(fam):
+            sp = fam.split(lower, upper)
+            assert sp._ext is None and sp._ext_over_base is None
+            ref = split_presentation(fam.partial(lower), fam.partial(upper), sp.new_arrows)
+            assert (sp.base, sp.total) == (ref.base, ref.total)
+            assert sp.new_arrows == ref.new_arrows
+            assert sp.section == ref.section
+            assert sp.projection == ref.projection
+            assert sp.derivation_map() == ref.derivation_map()
+            count += 1
+    # 9 pairs per 2-arrow fixture, 3**k for chain k
+    assert count == 9 + 9 + 3 + 9 + 27 + 81
+
+
+def _corrupted_family(files, monkeypatch, corrupt):
+    """Family of ex1 with corrupt(Ctilde) applied right after the build;
+    returns the SplitError raised and the built (C, Ctilde)."""
+    built = {}
+    real = extensions.build
+
+    def corrupting(block, field=None):
+        alg = built[block.name] = real(block, field=field)
+        if block.name == "Ctilde":
+            corrupt(alg)
+        return alg
+
+    monkeypatch.setattr(extensions, "build", corrupting)
+    with pytest.raises(SplitError) as err:
+        Family(files["ex1"].block("C"), files["ex1"].block("Ctilde"))
+    return err.value, built["C"], built["Ctilde"]
+
+
+def _new_paths(alg, names):
+    return [g for g, p in enumerate(alg.basis)
+            if any(alg.quiver.arrows[k].name in names for k in p.arrows)]
+
+
+def test_family_refuses_a_base_that_is_not_a_subalgebra(files, monkeypatch):
+    """A product of two base paths with a coordinate on a new-arrow path
+    passes the reduction and Ext^2 gates, which drop such coordinates; the
+    family's subalgebra check and split_presentation both refuse it."""
+    names = ("eps", "eps2")
+
+    def corrupt(alg):
+        v = alg.idem_index[alg.quiver.vertices[0]]
+        k = _new_paths(alg, names)[0]
+        alg.products[v] = {**alg.products[v], v: {v: alg.field.one(), k: alg.field.one()}}
+
+    err, c, ct = _corrupted_family(files, monkeypatch, corrupt)
+    assert "not a subalgebra" in str(err)
+    named = "products of base paths e_1 and e_1 disagree"
+    assert named in str(err)
+    with pytest.raises(SplitError, match=named):
+        split_presentation(c, ct, names)
+
+
+def test_family_refuses_an_ideal_that_does_not_square_to_zero(files, monkeypatch):
+    """A nonzero product of two new-arrow paths keeps the ideal closed and
+    leaves C unchanged, so the gates pass it; the family's square-zero
+    check refuses it, and so does split_presentation."""
+    names = ("eps", "eps2")
+
+    def corrupt(alg):
+        g, h = _new_paths(alg, names)[:2]
+        alg.products[g] = {**alg.products[g], h: {h: alg.field.one()}}
+
+    err, c, ct = _corrupted_family(files, monkeypatch, corrupt)
+    assert "does not square to zero" in str(err)
+    with pytest.raises(ValueError, match="does not square to zero"):
+        split_presentation(c, ct, names)
+
+
+def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
+    """poset reads each pair's projection off the index maps: no arrow
+    ideal is built, and the only spans are the regular bimodules of the
+    nodes, one per node at most.  The projection of every comparable pair
+    is still computed, and the triangle check still sees a broken
+    projection."""
+    fam = Family(files["ex2"].block("C"), files["ex2"].block("Ctilde"))
+    calls, regulars = [], []
+    real_ideal = bimod.arrow_ideal_bimodule
+    real_span = bimod.Bimodule.from_ambient_span
+    real_projection = extensions.hochschild_projection
+
+    def ideal(*args):
+        calls.append("arrow_ideal_bimodule")
+        return real_ideal(*args)
+
+    def span(acting, ambient, amb_index, embed=None):
+        regular = acting is ambient and tuple(amb_index) == tuple(range(ambient.dim))
+        regulars.append(acting if regular else None)
+        return real_span(acting, ambient, amb_index, embed)
+
+    def projection(sp, degree):
+        calls.append((sp.base.dim, sp.total.dim))
+        return real_projection(sp, degree)
+
+    monkeypatch.setattr(bimod, "arrow_ideal_bimodule", ideal)
+    monkeypatch.setattr(bimod.Bimodule, "from_ambient_span", staticmethod(span))
+    monkeypatch.setattr(extensions, "hochschild_projection", projection)
+    po = fam.poset()
+    assert po.triangles_commute
+    # 5 proper comparable pairs among 4 nodes, no arrow ideal built
+    assert len(calls) == 5 and all(isinstance(c, tuple) for c in calls)
+    assert None not in regulars
+    assert len({id(a) for a in regulars}) == len(regulars) <= 4
+
+    def broken(sp, degree):
+        images = real_projection(sp, degree)
+        if sp.base is fam.base and sp.total is fam.full:
+            images = [{} for _ in images]
+        return images
+
+    monkeypatch.setattr(extensions, "hochschild_projection", broken)
+    assert not fam.poset().triangles_commute
 
 
 def test_opposite_relation_rule():

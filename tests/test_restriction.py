@@ -152,8 +152,8 @@ def _reference_split_presentation(base, total, new_arrow_names):
         new_arrows=new_arrow_names,
         section=section,
         projection=tuple(projection),
-        ext=ext,
-        ext_over_base=ext_over_base,
+        _ext=ext,
+        _ext_over_base=ext_over_base,
     )
 
 
@@ -275,7 +275,15 @@ def test_family_reports_match_reference_builders(files, chain_text, monkeypatch,
 
     restricted = reports()
     monkeypatch.setattr(extensions, "quotient_by_arrows", _reference_quotient_by_arrows)
-    monkeypatch.setattr(extensions, "split_presentation", _reference_split_presentation)
+    monkeypatch.setattr(
+        extensions.Family,
+        "split",
+        lambda fam, lower, upper: _reference_split_presentation(
+            fam.partial(lower),
+            fam.partial(upper),
+            tuple(n for n in upper if n not in lower),
+        ),
+    )
     monkeypatch.setattr(bimod, "direct_sum_check", _reference_direct_sum_check)
     assert reports() == restricted
 
