@@ -1,25 +1,25 @@
 """Finite-dimensional bound quiver algebras kQ/I.
 
-The relation ideal is spanned length by length through the exact recurrence
-
-    I_L = Q1 * I_{L-1}  +  I_{L-1} * Q1  +  { relations whose longest term has length L },
-
-propagating only the spanning vectors that grew the rank (discarding a
-redundant vector is safe because its arrow multiples lie in the span of the
-retained vectors' multiples).  Every spanning vector enters an
-exactla.Echelon keyed by paths, whose pivot is the largest path in (length,
-arrow declaration order), so reduction rewrites long paths into shorter or
-earlier ones.  Construction stops at the first length all of whose paths
-reduce to zero; admissibility guarantees such a length exists, and a cap
-guards non-admissible input.
-
-For homogeneous relations (all terms of one relation the same length, the
-only kind the bundled presentations use) the computed basis is provably the
-set of reduction-irreducible paths.  Relations mixing term lengths are
-accepted and go through the same filtration; the consistency checks run on
-every build (declared relations vanish, the structure constants are graded,
-reduction is multiplicative, associativity, unit law) and raise
-AlgebraBuildError on any discrepancy.
+Paths are ordered by length, then by arrow declaration indices
+(Path.sort_key), an admissible order; the tip of a vector is its largest
+path.  build completes the relations to the reduced Groebner basis of I
+(Green, "Noncommutative Groebner bases, and projective resolutions", 1999),
+rules tip -> tail with tip = tail modulo I, by Buchberger on tip overlaps,
+least first: for tips u s of g and s v of h, a nonzero remainder of
+g v - u h is a new rule, which requeues each rule whose tip holds its tip.
+Overlaps of two monomials are skipped (their S-vector is zero), so the
+chain's ideal completes with no elimination.  Completion ends, as each new
+tip is a path no earlier rule reduced and none may exceed max_len_cap
+(NotFiniteDimensionalError); every path of the vanishing length lies in I,
+so no tip of a reduced basis is longer.  The basis is the tip-free paths,
+grown by arrows testing only new suffixes; a normal form rewrites tips
+until none is left.  The tips of I depend only on I and the order, and the
+enumeration builder this replaced (tests/build_reference.py) read them as
+the pivots of an echelon spanning I length by length, exactly so for
+homogeneous relations: the basis, the vanishing length and the structure
+constants agree.  _verify_build checks every build (declared relations
+vanish, graded structure constants, multiplicative reduction,
+associativity, unit law) and raises AlgebraBuildError on any discrepancy.
 
 The structure constants are stored sparsely: products[i] maps j to the
 nonzero coordinates {k: c} of b_i b_j, and no table stores a zero, so two
@@ -30,6 +30,8 @@ cohomology (extensions.center).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from . import exactla, qdsl
@@ -63,7 +65,7 @@ class BoundQuiverAlgebra:
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
     _nf_cache: dict  # Path -> {k: c}, shared with products: read only
-    _echelon: exactla.Echelon | None  # None for a restriction
+    _rules: dict | None  # tip length -> {tip arrows: tail}; None for a restriction
     _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
@@ -87,14 +89,15 @@ class BoundQuiverAlgebra:
             )
             out = {pos[g]: c for g, c in parent.nf_coords(lifted).items() if g in pos}
         elif path.length < self.zero_length:
-            for p, c in self._echelon.reduce({path: self.field.one()}).items():
-                i = self.basis_index.get(p)
-                if i is None:
+            f = self.field
+            for w, c in _reduce(f, {path.arrows: f.one()}, self._rules).items():
+                p = Path(self.quiver, None, w)
+                if p not in self.basis_index:
                     raise AlgebraBuildError(
                         "reduction of %s leaves non-basis path %s"
                         % (path.label(), p.label())
                     )
-                out[i] = c
+                out[self.basis_index[p]] = c
         self._nf_cache[path] = out
         return out
 
@@ -147,6 +150,85 @@ def _relation_vector(q: Quiver, field: Field, rel: qdsl.RelationExpr) -> dict:
     return {p: c for p, c in vec.items() if not field.is_zero(c)}
 
 
+def _order(w: tuple):
+    """The path order on arrow tuples of positive length."""
+    return (len(w), w)
+
+
+def _find_tip(w: tuple, rules: dict):
+    """(i, j, tail) for the first tip w[i:j] in w, by end position, or None."""
+    for j in range(1, len(w) + 1):
+        for n, tips in rules.items():
+            if n <= j and w[j - n : j] in tips:
+                return j - n, j, tips[w[j - n : j]]
+    return None
+
+
+def _reduce(f: Field, vec: dict, rules: dict) -> dict:
+    """The remainder of vec {arrows: c} under the rules, largest path first:
+    a rewrite makes only smaller paths, so none in the remainder comes back."""
+    vec, out = dict(vec), {}
+    while vec:
+        w = max(vec, key=_order)
+        c = vec.pop(w)
+        if f.is_zero(c):
+            continue
+        hit = _find_tip(w, rules)
+        if hit is None:
+            out[w] = c
+            continue
+        i, j, tail = hit
+        for t, x in tail.items():
+            y = w[:i] + t + w[j:]
+            vec[y] = f.add(vec.get(y, f.zero()), f.mul(c, x))
+    return out
+
+
+def _complete(f: Field, relations: list, name: str, max_len_cap: int) -> dict:
+    """The reduced Groebner basis of the ideal of the relations (vectors
+    {Path: c}), as rules {tip length: {tip arrows: tail {arrows: c}}}."""
+    rules = {}
+    queue = []
+    order = itertools.count()
+
+    def push(vec):
+        if vec:
+            heapq.heappush(queue, (_order(max(vec, key=_order)), next(order), vec))
+
+    for vec in relations:
+        push({p.arrows: c for p, c in vec.items()})
+    while queue:
+        vec = _reduce(f, heapq.heappop(queue)[2], rules)
+        if not vec:
+            continue
+        tip = max(vec, key=_order)
+        if len(tip) > max_len_cap:
+            raise NotFiniteDimensionalError(
+                "algebra %r is not finite-dimensional within cap %d"
+                % (name, max_len_cap)
+            )
+        scale = f.neg(f.inv(vec.pop(tip)))
+        tail = {w: f.mul(scale, c) for w, c in vec.items()}
+        # a rule whose tip holds the new tip is no longer reduced: requeue it
+        for tips in [r for n, r in rules.items() if n > len(tip)]:
+            for old in [t for t in tips if _find_tip(t, {len(tip): {tip: None}})]:
+                push({old: f.one(), **{w: f.neg(c) for w, c in tips.pop(old).items()}})
+        rules.setdefault(len(tip), {})[tip] = tail
+        # two monomials have a zero S-vector
+        held = [r for tips in rules.values() for r in tips.items() if tail or r[1]]
+        new = (tip, tail)
+        pairs = [(new, r) for r in held] + [(r, new) for r in held if r[0] != tip]
+        for (tg, tail_g), (th, tail_h) in pairs:
+            for k in range(1, min(len(tg), len(th))):
+                if tg[-k:] == th[:k]:  # tg = u s and th = s v: g v - u h
+                    v = th[k:]
+                    vec = {tg[:-k] + w: c for w, c in tail_h.items()}
+                    for w, c in tail_g.items():
+                        vec[w + v] = f.sub(vec.get(w + v, f.zero()), c)
+                    push(f.sparse(vec))
+    return {n: {t: _reduce(f, x, rules) for t, x in r.items()} for n, r in rules.items()}
+
+
 def build(
     block: qdsl.AlgebraBlock,
     field: Field | None = None,
@@ -157,102 +239,58 @@ def build(
         raise ValueError("max_len_cap must be >= 2")
     f = field if field is not None else exactla.field_from_spec(block.field_spec)
     q = Quiver(block.vertices, block.arrows)
+    relations = [_relation_vector(q, f, rel) for rel in block.relations]
+    rules = _complete(f, relations, block.name, max_len_cap)
 
-    rel_by_len = {}  # longest term length -> list of relation vectors
-    for rel in block.relations:
-        vec = _relation_vector(q, f, rel)
-        if not vec:
-            continue  # terms cancelled syntactically
-        L = max(p.length for p in vec)
-        rel_by_len.setdefault(L, []).append(vec)
-
-    ech = exactla.Echelon(f)
-    one = f.one()
-
-    # alive[L]: length-L paths whose class is nonzero, in declaration order
     alive = {0: [Path.stationary(q, v) for v in q.vertices]}
-    alive[1] = [Path(q, None, (i,)) for i in range(len(q.arrows))]
-
-    frontier = []  # echelon rows inserted at the previous length
-    zero_length = None
-    for L in range(2, max_len_cap + 1):
-        incoming = list(rel_by_len.get(L, ()))
-        for z in frontier:
-            for i in range(len(q.arrows)):
-                arrow_path = Path(q, None, (i,))
-                left = {}
-                right = {}
-                for p, c in z.items():
-                    lp = compose(arrow_path, p)
-                    if lp is not None:
-                        left[lp] = c
-                    rp = compose(p, arrow_path)
-                    if rp is not None:
-                        right[rp] = c
-                if left:
-                    incoming.append(left)
-                if right:
-                    incoming.append(right)
-        frontier = []
-        for vec in incoming:
-            row = ech.insert(vec)
-            if row is not None:
-                frontier.append(row)
-        nxt = []
-        for p in alive[L - 1]:
-            for i, a in enumerate(q.arrows):
-                if a.source == p.target:
-                    cand = Path(q, None, p.arrows + (i,))
-                    if not ech.contains({cand: one}):
-                        nxt.append(cand)
-        nxt.sort(key=lambda p: p.arrows)
-        alive[L] = nxt
-        if not nxt:
-            zero_length = L
-            break
-    if zero_length is None:
-        raise NotFiniteDimensionalError(
-            "algebra %r is not finite-dimensional within cap %d"
-            % (block.name, max_len_cap)
-        )
-
-    # basis: reduction-irreducible paths below the vanishing length
-    basis = []
-    for L in range(zero_length):
-        for p in alive.get(L, []):
-            if p not in ech.rows:
-                basis.append(p)
-    basis.sort(key=lambda p: p.sort_key())
-    basis = tuple(basis)
-    dim = len(basis)
-    basis_index = {p: i for i, p in enumerate(basis)}
-
     alg = BoundQuiverAlgebra(
         block=block,
         quiver=q,
         field=f,
-        basis=basis,
-        dim=dim,
-        zero_length=zero_length,
-        basis_index=basis_index,
+        basis=(),
+        dim=0,
+        zero_length=max_len_cap + 1,  # until the nonzero paths run out
+        basis_index={p: i for i, p in enumerate(alive[0])},
         products=[],
-        idem_index={},
+        idem_index={v: i for i, v in enumerate(q.vertices)},
         arrow_index_in_basis={},
-        _nf_cache={},
-        _echelon=ech,
+        _nf_cache={p: {i: f.one()} for i, p in enumerate(alive[0])},
+        _rules=rules,
     )
-    for v in q.vertices:
-        p = Path.stationary(q, v)
-        if p not in basis_index:
-            raise AlgebraBuildError("stationary path at %r was eliminated" % (v,))
-        alg.idem_index[v] = basis_index[p]
+    # alive[L]: the paths grown from alive[L-1] whose class is nonzero, in
+    # declaration order.  A normal form needs the basis up to its length.
+    basis = list(alive[0])
+    for L in range(1, max_len_cap + 1):
+        grown = [
+            (Path(q, None, p.arrows + (i,)), p in alg.basis_index)
+            for p in alive[L - 1]
+            for i, a in enumerate(q.arrows)
+            if a.source == p.target
+        ]
+        grown.sort(key=lambda g: g[0].arrows)
+        # a path grown from a basis path holds a tip only as a suffix
+        for p, free in grown:
+            if free and not any(n <= L and p.arrows[-n:] in t for n, t in rules.items()):
+                alg.basis_index[p] = len(basis)
+                alg._nf_cache[p] = {len(basis): f.one()}
+                basis.append(p)
+        alive[L] = [p for p, _ in grown if alg.nf_coords(p)]
+        if L > 1 and not alive[L]:
+            alg.zero_length = L
+            break
+    else:
+        raise NotFiniteDimensionalError(
+            "algebra %r is not finite-dimensional within cap %d"
+            % (block.name, max_len_cap)
+        )
+    alg.basis = basis = tuple(basis)
+    alg.dim = len(basis)
     for i, a in enumerate(q.arrows):
-        p = Path(q, None, (i,))
-        if p not in basis_index:
+        if Path(q, None, (i,)) not in alg.basis_index:
             raise AlgebraBuildError(
                 "arrow %r is zero in the algebra; ideal is not admissible" % (a.name,)
             )
-        alg.arrow_index_in_basis[a.name] = basis_index[p]
+        alg.arrow_index_in_basis[a.name] = alg.basis_index[Path(q, None, (i,))]
 
     # b_p b_r is zero unless r starts where p ends
     starts = _by_source(basis)
@@ -447,7 +485,7 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
             a[0]: pos[alg.arrow_index_in_basis[a[0]]] for a in kept_arrows
         },
         _nf_cache={},
-        _echelon=None,
+        _rules=None,
         _parent=(alg, arrow_map, pos),
     )
 

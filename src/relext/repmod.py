@@ -236,8 +236,9 @@ def projective_cover(m: Representation) -> CoverData:
         for j in range(m.dims[v]):
             if span.insert({j: f.one()}) is not None:
                 gens.append((v, {j: f.one()}))
-    summands = [projective(alg, gv) for gv, _ in gens]
-    cover = direct_sum(alg, summands)
+    # one P_v per vertex of the top, however many generators sit there
+    built = {gv: projective(alg, gv) for gv in dict.fromkeys(gv for gv, _ in gens)}
+    cover = direct_sum(alg, [built[gv] for gv, _ in gens])
     paths = [projective_paths(alg, gv) for gv, _ in gens]
     mats = {}
     for w in alg.quiver.vertices:

@@ -75,6 +75,21 @@ def test_pd_builds_one_cover_per_step(algebras, monkeypatch, name):
             assert len(calls) == pd + 1, (alg_name, v)
 
 
+def test_projective_cover_builds_each_projective_once(algebras, monkeypatch):
+    """P_v + P_v + P_w has two generators at v; its cover builds P_v and P_w
+    once each, and is a cover of the same dimensions."""
+    alg = algebras[("ex1", "C")]
+    v, w = alg.quiver.vertices[:2]
+    m = repmod.direct_sum(alg, [repmod.projective(alg, u) for u in (v, v, w)])
+    calls = []
+    real = repmod.projective
+    monkeypatch.setattr(repmod, "projective", lambda a, u: calls.append(u) or real(a, u))
+    cd = repmod.projective_cover(m)
+    assert [g for g, _ in cd.gens] == [v, v, w]
+    assert calls == [v, w]
+    assert cd.cover.dims == m.dims and cd.cover_map.is_surjective()
+
+
 EXT2 = {"ex1": 2, "ex2": 8}
 
 

@@ -11,6 +11,7 @@ from relext.algebra import build
 from relext.exactla import PrimeField, QQ
 from relext.quiver import compose
 
+import build_reference
 from dense_reference import stores_no_zero
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
@@ -18,26 +19,24 @@ FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
 def _reference_mult_coords(alg):
     """The dense product table: entry [i][j] is the coordinate tuple of
-    b_i b_j, zero rows included."""
-    if alg._echelon is None:
-        # a restriction made by quotient_by_arrows has no reduction of its
-        # own: reduce with the build of its presentation, on the same basis
-        ref = build(alg.block, field=alg.field)
-        assert [p.label() for p in ref.basis] == [p.label() for p in alg.basis]
-        return _reference_mult_coords(ref)
+    b_i b_j, zero rows included, each composite path reduced by the echelon
+    of the enumeration builder.  A restriction made by quotient_by_arrows
+    is reduced with the build of its presentation, on the same basis."""
+    ref = build_reference.build(alg.block, field=alg.field)
+    assert [p.label() for p in ref.basis] == [p.label() for p in alg.basis]
     f = alg.field
     zero_row = tuple(f.zero() for _ in range(alg.dim))
     mult = []
-    for p in alg.basis:
+    for p in ref.basis:
         row = []
-        for r in alg.basis:
+        for r in ref.basis:
             pq = compose(p, r)
-            if pq is None or pq.length >= alg.zero_length:
+            if pq is None or pq.length >= ref.zero_length:
                 row.append(zero_row)
                 continue
             coords = [f.zero()] * alg.dim
-            for path, c in alg._echelon.reduce({pq: f.one()}).items():
-                coords[alg.basis_index[path]] = c
+            for path, c in ref._echelon.reduce({pq: f.one()}).items():
+                coords[ref.basis_index[path]] = c
             row.append(tuple(coords))
         mult.append(row)
     return mult
