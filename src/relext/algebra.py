@@ -70,6 +70,7 @@ class BoundQuiverAlgebra:
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
     _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
+    _columns: list | None = None  # set by column
     # for a restriction (quotient_by_arrows): the parent algebra, the parent
     # arrow index of each own arrow, and own basis index by parent index
     _parent: tuple | None = None
@@ -120,6 +121,17 @@ class BoundQuiverAlgebra:
                     old = out.get(k)
                     out[k] = x if old is None else f.add(old, x)
         return f.sparse(out)
+
+    def column(self, j: int) -> dict:
+        """{i: coordinates of b_i b_j} over the nonzero b_i b_j, i ascending;
+        indexed by right factor once per algebra."""
+        if self._columns is None:
+            columns = [{} for _ in range(self.dim)]
+            for i, row in enumerate(self.products):
+                for h, cell in row.items():
+                    columns[h][i] = cell
+            self._columns = columns
+        return self._columns[j]
 
     def coords_of_vertex_pair(self, x, y) -> list:
         """Basis indices lying in e_x A e_y, in basis order; the basis is

@@ -3,22 +3,23 @@
 The bimodules this package cares about are spans of basis paths of a larger
 algebra (an arrow ideal of a split extension, or the extension's base sitting
 inside it), acted on by a possibly smaller algebra through the path-to-path
-section.  A Bimodule stores each side's action as a sparse table, one per
-acting basis element a holding only the nonzero coordinates {i: {j: c}} of
-a.x_i (or x_i.a) on x_j, plus the vertex bigrade of each of its basis
-elements.  It also remembers where its basis and the acting algebra's
-basis live in the ambient algebra, which is what evaluates mixed products
-like x.f(y) for the obstruction space of bimodule maps into the base.
-Vectors handed to the actions are sparse {i: c} too.
+section.  A Bimodule is a view on the ambient algebra: amb_index and embed
+place its basis and the acting basis in the ambient basis, and both actions
+are ambient products re-indexed on the span, a.x_i at
+products[embed[a]][amb_index[i]] and x_i.a at products[amb_index[i]][embed[a]].
+The same indices evaluate mixed products like x.f(y) for the obstruction
+space of bimodule maps into the base.  Vectors are sparse {i: c}.
 
-Construction verifies closure under both actions and the section premise
-sigma(a).sigma(b) - sigma(ab) annihilating the module from either side;
-those two facts make the bimodule axioms inherited from ambient
-associativity.
+Construction verifies closure under both actions, that each acting e_v is
+embedded as the ambient's e_v, and the section premise sigma(a).sigma(b) -
+sigma(ab) annihilating the module from either side.  With the ambient's
+associative, graded and unital structure constants, those give the bimodule
+axioms, and each e_v acts as the projection onto the basis paths at v.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import exactla
@@ -26,33 +27,39 @@ from .algebra import BoundQuiverAlgebra, IdealNotSpanned, arrow_ideal_paths
 from .exactla import Subspace
 
 
-def _row_apply(field, vec: dict, mat: dict) -> dict:
-    """Sparse row vector times sparse matrix {i: {j: c}}."""
-    out = {}
-    for i, c in vec.items():
-        row = mat.get(i)
-        if row is None:
-            continue
-        for j, x in row.items():
-            y = field.mul(c, x)
-            old = out.get(j)
-            out[j] = y if old is None else field.add(old, y)
-    return field.sparse(out)
-
-
 @dataclass(eq=False)
 class Bimodule:
     acting: BoundQuiverAlgebra
-    dim: int
-    left: list  # per acting basis index a: {i: {j: c}}, nonzero coords of a.x_i
-    right: list  # per acting basis index a: {i: {j: c}}, nonzero coords of x_i.a
-    src: tuple  # vertex of e_v . m = m, per basis element
-    tgt: tuple  # vertex of m . e_v = m
     ambient: BoundQuiverAlgebra
     amb_index: tuple  # ambient basis index per bimodule basis elt
     embed: tuple  # ambient basis index per acting basis elt
     _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
     _layout: "ArrowLayout | None" = None  # set by hochschild.arrow_layout
+
+    def __post_init__(self):
+        """Refuses bad indices before any product is read, then reads dim,
+        src and tgt (the vertex of e_v . m = m and of m . e_v = m, per basis
+        element) off the ambient basis paths at amb_index."""
+        amb = self.ambient
+        if self.acting.field is not amb.field:
+            raise ValueError("acting and ambient algebras use different fields")
+        self.amb_index = tuple(self.amb_index)
+        self.embed = tuple(self.embed)
+        if len(self.embed) != self.acting.dim:
+            raise ValueError(
+                "embed lists %d ambient indices for the %d basis elements of %r"
+                % (len(self.embed), self.acting.dim, self.acting.block.name)
+            )
+        for what, index in (("span", self.amb_index), ("embed", self.embed)):
+            bad = [g for g in index if g not in range(amb.dim)]
+            if bad:
+                raise ValueError("%s index %r is outside range(%d)" % (what, bad[0], amb.dim))
+        self._pos = {g: i for i, g in enumerate(self.amb_index)}
+        self.dim = len(self.amb_index)
+        if len(self._pos) != self.dim:
+            raise ValueError("span lists a basis path twice")
+        self.src = tuple(amb.basis[g].source for g in self.amb_index)
+        self.tgt = tuple(amb.basis[g].target for g in self.amb_index)
 
     # -- construction ------------------------------------------------------
 
@@ -63,53 +70,11 @@ class Bimodule:
         amb_index,
         embed=None,
     ) -> "Bimodule":
-        if acting.field is not ambient.field:
-            raise ValueError("acting and ambient algebras use different fields")
-        amb_index = tuple(amb_index)
         if embed is None:
             if acting is not ambient:
                 raise ValueError("an embedding is required when acting != ambient")
-            embed = tuple(range(acting.dim))
-        else:
-            embed = tuple(embed)
-        pos = {g: i for i, g in enumerate(amb_index)}
-        dim = len(amb_index)
-        if len(pos) != dim:
-            raise ValueError("span lists a basis path twice")
-        products = ambient.products
-
-        def restrict(cell):
-            img = {}
-            for k, c in cell.items():
-                j = pos.get(k)
-                if j is None:
-                    raise ValueError(
-                        "span is not closed under the action: product hits %s"
-                        % ambient.basis[k].label()
-                    )
-                img[j] = c
-            return img
-
-        # Both tables are read off the nonzero ambient products only: the
-        # left one from the row of each embedded a, the right one in one
-        # pass over the rows of the span, filed under the acting a whose
-        # image is the right factor.  Each table row lists i ascending.
-        left = []
-        for a in range(acting.dim):
-            row = products[embed[a]]
-            hits = sorted((pos[g], cell) for g, cell in row.items() if g in pos)
-            left.append({i: restrict(cell) for i, cell in hits})
-        acting_at = {}  # ambient index -> acting indices embedded there
-        for a, ea in enumerate(embed):
-            acting_at.setdefault(ea, []).append(a)
-        right = [{} for _ in range(acting.dim)]
-        for i, g in enumerate(amb_index):
-            for h, cell in products[g].items():
-                for a in acting_at.get(h, ()):
-                    right[a][i] = restrict(cell)
-        src = tuple(ambient.basis[g].source for g in amb_index)
-        tgt = tuple(ambient.basis[g].target for g in amb_index)
-        m = Bimodule(acting, dim, left, right, src, tgt, ambient, amb_index, embed)
+            embed = range(acting.dim)
+        m = Bimodule(acting, ambient, amb_index, embed)
         m.verify()
         return m
 
@@ -119,30 +84,55 @@ class Bimodule:
     def field(self):
         return self.acting.field
 
+    def act(self, side: int, a: int, i: int) -> dict:
+        """a.x_i (side 0) or x_i.a (side 1) for the acting basis element a,
+        sparse."""
+        g, h = self.embed[a], self.amb_index[i]
+        if side:
+            g, h = h, g
+        cell = self.ambient.products[g].get(h)
+        pos = self._pos
+        return {pos[k]: c for k, c in cell.items()} if cell else {}
+
+    def touched(self, side: int, a: int) -> list:
+        """(i, act(side, a, i)) over the i where it is nonzero, i ascending,
+        read off the ambient row (side 0) or column (side 1) of a's image."""
+        ea = self.embed[a]
+        line = self.ambient.column(ea) if side else self.ambient.products[ea]
+        pos = self._pos
+        return sorted(
+            (pos[g], {pos[k]: c for k, c in cell.items()})
+            for g, cell in line.items()
+            if g in pos
+        )
+
     def left_act(self, acoords: dict, vec: dict) -> dict:
         """a.x for sparse a = {acting index: c} and x = {index: c}."""
-        return self._act(self.left, acoords, vec)
+        return self._act(0, acoords, vec)
 
     def right_act(self, acoords: dict, vec: dict) -> dict:
         """x.a for sparse a = {acting index: c} and x = {index: c}."""
-        return self._act(self.right, acoords, vec)
+        return self._act(1, acoords, vec)
 
     def commutator(self, a: int, i: int) -> dict:
         """a.x_i - x_i.a for the acting basis element a, sparse."""
         f = self.field
-        out = dict(self.left[a].get(i, {}))
-        for j, c in self.right[a].get(i, {}).items():
+        out = self.act(0, a, i)
+        for j, c in self.act(1, a, i).items():
             out[j] = f.sub(out.get(j, f.zero()), c)
         return f.sparse(out)
 
-    def _act(self, tables, acoords, vec):
+    def _act(self, side, acoords, vec):
         f = self.field
         out = {}
         for a, c in acoords.items():
-            for j, x in _row_apply(f, vec, tables[a]).items():
-                y = f.mul(c, x)
-                old = out.get(j)
-                out[j] = y if old is None else f.add(old, y)
+            for i, x in vec.items():
+                img = self.act(side, a, i)
+                cx = f.mul(c, x) if img else None
+                for j, y in img.items():
+                    z = f.mul(cx, y)
+                    old = out.get(j)
+                    out[j] = z if old is None else f.add(old, z)
         return f.sparse(out)
 
     def diagonal_indices(self):
@@ -158,40 +148,34 @@ class Bimodule:
     # -- verification ------------------------------------------------------
 
     def verify(self):
-        f = self.field
-        A = self.acting
-        if len(self.left) != A.dim or len(self.right) != A.dim:
-            raise ValueError("need one action table per acting basis element")
-        for table in self.left + self.right:
-            for i, row in table.items():
-                if not 0 <= i < self.dim or any(not 0 <= j < self.dim for j in row):
-                    raise ValueError("action table has an index out of range")
-        # idempotents act as the bigrade projections
-        one = f.one()
-        for v in A.quiver.vertices:
-            iv = A.idem_index[v]
-            for side, table, grade in (
-                ("left", self.left[iv], self.src),
-                ("right", self.right[iv], self.tgt),
-            ):
-                if table != {i: {i: one} for i in range(self.dim) if grade[i] == v}:
+        """Raise ValueError unless the span is closed under both actions (on
+        the nonzero ambient products that touch it), each acting e_v is
+        embedded as the ambient's e_v (the graded, unital ambient then makes
+        it act as the projection onto the paths at v), and the section
+        premise holds."""
+        amb = self.ambient
+        products, pos = amb.products, self._pos
+        images = dict.fromkeys(self.embed)
+        for cell in itertools.chain(
+            (cell for ea in images for g, cell in products[ea].items() if g in pos),
+            (cell for g in pos for h, cell in products[g].items() if h in images),
+        ):
+            for k in cell:
+                if k not in pos:
                     raise ValueError(
-                        "%s action of idempotent at %r is not the bigrade projection"
-                        % (side, v)
+                        "span is not closed under the action: product hits %s"
+                        % amb.basis[k].label()
                     )
-        self._verify_section_premise()
-
-    def _verify_section_premise(self):
-        """sigma(a)sigma(b) - sigma(ab) must annihilate the span on the
-        relevant side; with ambient associativity this yields the axioms.
-
-        When the acting algebra is the ambient one and sigma is the identity
-        on its basis, sigma(a)sigma(b) - sigma(ab) is ab - ab = 0 by
-        definition, so there is nothing to check."""
-        A = self.acting
-        if A is self.ambient and self.embed == tuple(range(A.dim)):
-            return
-        self.check_section_defects(section_defects(A, self.ambient, self.embed))
+        for v, a in self.acting.idem_index.items():
+            if self.embed[a] != amb.idem_index.get(v):
+                raise ValueError(
+                    "the idempotent at %r is embedded as %s, not as the "
+                    "ambient's e_%s" % (v, amb.basis[self.embed[a]].label(), v)
+                )
+        # sigma(a)sigma(b) - sigma(ab) must annihilate the span; it is
+        # ab - ab = 0 when the ambient acts on itself through the identity
+        if self.acting is not amb or self.embed != tuple(range(amb.dim)):
+            self.check_section_defects(section_defects(self.acting, amb, self.embed))
 
     def check_section_defects(self, defects):
         """Raise unless each defect (a, b, delta) of section_defects
@@ -387,7 +371,10 @@ def hom_equations(m: Bimodule, n: Bimodule) -> tuple:
     rows = []
     keys = []
     for a in range(m.acting.dim):
-        actions = ((m.left[a], n.left[a]), (m.right[a], n.right[a]))
+        actions = []
+        for side in (0, 1):
+            am = dict(m.touched(side, a))
+            actions.append((am, am if n is m else dict(n.touched(side, a))))
         for i in range(m.dim):
             for side, (am, an) in enumerate(actions):
                 eqs = {}  # coordinate j of N -> row
@@ -441,17 +428,16 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     if m.ambient is not n.ambient:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
-    products = m.ambient.products
-    n_at = {g: k for k, g in enumerate(n.amb_index)}
+    amb = m.ambient
+    n_at = n._pos
     left = [  # per i: (k, x_i . n_k) over the nonzero products
-        [(n_at[g], prod) for g, prod in products[gi].items() if g in n_at]
+        [(n_at[g], prod) for g, prod in amb.products[gi].items() if g in n_at]
         for gi in m.amb_index
     ]
-    into = {}  # ambient h -> [(k, n_k . b_h)] over the nonzero products
-    for k, gk in enumerate(n.amb_index):
-        for h, prod in products[gk].items():
-            into.setdefault(h, []).append((k, prod))
-    right = [into.get(gj, []) for gj in m.amb_index]
+    right = [  # per j: (k, n_k . x_j) over the nonzero products
+        [(n_at[g], prod) for g, prod in amb.column(gj).items() if g in n_at]
+        for gj in m.amb_index
+    ]
     # the hom conditions followed by the bilinear ones, as one system
     var, rows, _ = hom_equations(m, n)
     for i in range(m.dim):

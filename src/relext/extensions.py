@@ -109,22 +109,14 @@ class SplitPresentation:
 
     @property
     def ext_over_base(self) -> Bimodule:
-        """The same span, acting algebra = base.  The base acts on the ideal
-        as sigma(c) does, so its tables are ext's at sigma(c).  The section
-        sends idempotents to idempotents (it matches labels) and is
-        multiplicative, so these tables pass what Bimodule.verify checks."""
+        """The same span, acting algebra = base: the base acts on the ideal
+        as sigma(c) does, through the section.  ext is closed under the
+        total's action, and the section sends idempotents to idempotents
+        (it matches labels) and is multiplicative, so this view passes what
+        Bimodule.verify checks."""
         if self._ext_over_base is None:
-            ext = self.ext
             self._ext_over_base = Bimodule(
-                acting=self.base,
-                dim=ext.dim,
-                left=[ext.left[g] for g in self.section],
-                right=[ext.right[g] for g in self.section],
-                src=ext.src,
-                tgt=ext.tgt,
-                ambient=self.total,
-                amb_index=ext.amb_index,
-                embed=self.section,
+                self.base, self.total, self.ext.amb_index, self.section
             )
         return self._ext_over_base
 
@@ -358,24 +350,26 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
     sols = exactla.solve_rows(f, len(var), rows, rhs_list)
     unknown = list(var)  # column -> (g, k), the entry alpha(x_g) on x_k
     out = []
-    for dvec, sides, sol in zip(dvecs, all_sides, sols):
+    for dvec, sol in zip(dvecs, sols):
         alpha = None
         if sol is not None:
             alpha = {}
             for col, x in sol.items():
                 g, k = unknown[col]
                 alpha.setdefault(g, {})[k] = x
-            if not _lift_holds(e, sides, alpha):
-                raise SplitError("solved lift fails the defining conditions")
         out.append(LiftWitness(dvec, alpha))
+    checks = [(sides, w.alpha) for sides, w in zip(all_sides, out) if w.ok]
+    if checks and not _lift_holds(e, checks):
+        raise SplitError("solved lift fails the defining conditions")
     return out
 
 
-def _lift_holds(e: Bimodule, sides, alpha: dict) -> bool:
-    """Exact check of both lifting conditions for alpha, given by its sparse
-    rows: alpha(x) c - alpha(xc) and c alpha(x) - alpha(cx) are evaluated
-    from the action tables and compared with x d(c) and d(c) x, which sides
-    holds for every pair (c, x) with d(c) != 0.
+def _lift_holds(e: Bimodule, checks) -> bool:
+    """Exact check of both lifting conditions for each (sides, alpha) of
+    checks, alpha given by its sparse rows: alpha(x) c - alpha(xc) and
+    c alpha(x) - alpha(cx) are evaluated from the ambient products, read
+    once for all of checks, and compared with x d(c) and d(c) x, which
+    sides holds for every pair (c, x) with d(c) != 0.
 
     Only the pairs (c, x) of a base basis element and a basis element of
     the ideal with alpha(x) != 0, xc != 0, cx != 0 or d(c) != 0 are
@@ -385,10 +379,13 @@ def _lift_holds(e: Bimodule, sides, alpha: dict) -> bool:
     f = e.field
     one = f.one()
     acting = range(e.acting.dim)
-    pairs = set(sides) | {(j, i) for i in alpha for j in acting}
-    pairs.update((j, i) for j in acting for i in e.left[j].keys() | e.right[j].keys())
+    acted = {}  # (j, i) -> [c_j x_i, x_i c_j], where one of them is nonzero
+    for j in acting:
+        for side in (0, 1):
+            for i, img in e.touched(side, j):
+                acted.setdefault((j, i), [{}, {}])[side] = img
 
-    def minus_alpha(u, v):
+    def minus_alpha(alpha, u, v):
         """u - alpha(v)"""
         out = dict(u)
         for g, c in v.items():
@@ -396,13 +393,15 @@ def _lift_holds(e: Bimodule, sides, alpha: dict) -> bool:
                 out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
         return f.sparse(out)
 
-    for j, i in pairs:
-        dx, xd = sides.get((j, i), ({}, {}))
-        ax = alpha.get(i, {})
-        if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
-            return False
-        if minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
-            return False
+    for sides, alpha in checks:
+        for j, i in set(sides) | acted.keys() | {(j, i) for i in alpha for j in acting}:
+            dx, xd = sides.get((j, i), ({}, {}))
+            cx, xc = acted.get((j, i), ({}, {}))
+            ax = alpha.get(i, {})
+            if minus_alpha(alpha, e.right_act({j: one}, ax), xc) != xd:
+                return False
+            if minus_alpha(alpha, e.left_act({j: one}, ax), cx) != dx:
+                return False
     return True
 
 

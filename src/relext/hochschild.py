@@ -18,8 +18,9 @@ with every ci radical.  The idempotent terms of the full complex cancel in
 pairs on such cochains (HochschildCalculator says how), and since E is
 separable and A = E + rad A the relative complex computes the same
 cohomology as the full one (Cibils, Tensor Hochschild homology and
-cohomology, 2000; Happel, LNM 1404, 1989).  The oracle reads only the
-structure constants and the action tables, never the arrows or relations.
+cohomology, 2000; Happel, LNM 1404, 1989).  The oracle reads only structure
+constants, A's and those of M's ambient algebra through M's index maps,
+never the arrows or relations.
 
 HochschildCalculator.coboundary applies b in degrees 0, 1 and 2 to sparse
 cochains over the full complex's integer keys, and the image of the degree
@@ -82,16 +83,16 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
 def h0(m: Bimodule) -> Subspace:
     """{x in M : a.x = x.a for all a}, cut out by one block of rows
     (a.x - x.a)_j per vertex idempotent and per arrow a, read off the
-    nonzero entries of the action tables.  That suffices: every other basis
-    element is a path, a product a.q of an arrow and a shorter path, and if
-    x commutes with a and with q then a.q.x = a.x.q = x.a.q, so by
-    induction on length x commutes with every basis element."""
+    nonzero ambient products.  That suffices: every other basis element is
+    a path, a product a.q of an arrow and a shorter path, and if x commutes
+    with a and with q then a.q.x = a.x.q = x.a.q, so by induction on length
+    x commutes with every basis element."""
     f = m.field
     A = m.acting
     rows = []
     for a in (*A.idem_index.values(), *A.arrow_index_in_basis.values()):
         eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
-        for i in m.left[a].keys() | m.right[a].keys():
+        for i in {i for side in (0, 1) for i, _ in m.touched(side, a)}:
             for j, c in m.commutator(a, i).items():
                 eqs.setdefault(j, {})[i] = c
         rows += eqs.values()
@@ -327,9 +328,9 @@ class HochschildCalculator:
     idempotents, with the degree 2 image echelon cached for coboundary tests.
 
     Each basis element x of A or M has one bigrade (v, w), e_v . x = x = x . e_w,
-    read off the idempotents' rows of the structure constants and the action
-    tables (never off arrows, relations or m.src).  An n-cochain is a sparse
-    dict without zeros, under the full complex's key
+    read off the idempotents' rows and columns of the structure constants
+    of A and of M's ambient algebra (never off arrows, relations or m.src).
+    An n-cochain is a sparse dict without zeros, under the full complex's key
     ((c1 * dim A + c2) * ... + cn) * dim M + t for its value in M coordinate t
     at (c1, ..., cn); it is relative when every ci is a radical basis element
     (not an idempotent), the ci compose (the right grade of each is the left
@@ -360,23 +361,19 @@ class HochschildCalculator:
         self.field = alg.field
         idems = alg.idem_index
         self._idem = set(idems.values())
-        products = alg.products
         self._a_grades = _bigrades(
             alg.field,
             alg.dim,
             "algebra %s" % alg.block.name,
-            {v: products[i] for v, i in idems.items()},
-            {
-                v: {g: row[i] for g, row in enumerate(products) if i in row}
-                for v, i in idems.items()
-            },
+            {v: alg.products[i] for v, i in idems.items()},
+            {v: alg.column(i) for v, i in idems.items()},
         )
         self._m_grades = _bigrades(
             alg.field,
             m.dim,
             "the bimodule",
-            {v: m.left[i] for v, i in idems.items()},
-            {v: m.right[i] for v, i in idems.items()},
+            {v: dict(m.touched(0, i)) for v, i in idems.items()},
+            {v: dict(m.touched(1, i)) for v, i in idems.items()},
         )
         slices = {}
         for t, grade in enumerate(self._m_grades):
@@ -412,23 +409,22 @@ class HochschildCalculator:
         return self._fibers
 
     # acts_at = (left_at, right_at): left_at[t] = nonzero (g, t2, x) with x the
-    # t2-coordinate of basis_g . m_t for radical g, in g order, then the table
-    # row's order
+    # t2-coordinate of basis_g . m_t for radical g, in g order, then the
+    # order of the ambient product's coordinates
     @property
     def acts_at(self):
         if self._acts is None:
-            idem = self._idem
 
-            def index(tables):
+            def index(side):
                 at = [[] for _ in range(self.m.dim)]
-                for g, table in enumerate(tables):
-                    if g in idem:
+                for g in range(self.alg.dim):
+                    if g in self._idem:
                         continue
-                    for t, row in table.items():
-                        at[t] += ((g, t2, x) for t2, x in row.items())
+                    for t, img in self.m.touched(side, g):
+                        at[t] += ((g, t2, x) for t2, x in img.items())
                 return at
 
-            self._acts = (index(self.m.left), index(self.m.right))
+            self._acts = (index(0), index(1))
         return self._acts
 
     def _why_not_relative(self, n: int, key: int):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from relext import exactla
 
+from dense_reference import action_tables
+
 
 class FullBarCalculator:
     """Bar-complex machinery for one (algebra, bimodule) pair over the full
@@ -23,6 +25,7 @@ class FullBarCalculator:
         self.m = m
         self.field = alg.field
         self._fibers = None
+        self._tables = None
         self._acts = None
         self._b2 = None
         self._b1_rank = None
@@ -39,6 +42,13 @@ class FullBarCalculator:
             self._fibers = fibers
         return self._fibers
 
+    # tables = (left, right), the action tables of dense_reference.action_tables
+    @property
+    def tables(self):
+        if self._tables is None:
+            self._tables = action_tables(self.m)
+        return self._tables
+
     # acts_at = (left_at, right_at): left_at[t] = nonzero (g, t2, x) with x the
     # t2-coordinate of basis_g . m_t, in g order, then the table row's order
     @property
@@ -52,7 +62,7 @@ class FullBarCalculator:
                         at[t] += ((g, t2, x) for t2, x in row.items())
                 return at
 
-            self._acts = (index(self.m.left), index(self.m.right))
+            self._acts = tuple(map(index, self.tables))
         return self._acts
 
     def coboundary(self, n: int, cochain: dict) -> dict:

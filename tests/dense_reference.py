@@ -6,6 +6,7 @@ Gauss-Jordan elimination with the leftmost pivot first, rank, kernel and
 solve, and a Subspace over dense coordinate tuples.  The tests compare the
 sparse engine, and the modules built on it, against them, and check with
 stores_no_zero that its sparse tables and vectors hold no zero.
+action_tables rebuilds a bimodule's two action tables from its accessor.
 
 It also keeps the two commutant builders that hochschild.h0 replaced, each
 with one block of rows per basis element of the acting algebra instead of
@@ -26,6 +27,16 @@ def stores_no_zero(field, table):
     return all(
         row and all(not field.is_zero(c) for c in row.values())
         for row in table.values()
+    )
+
+
+def action_tables(m):
+    """(left, right) of a bimodule m: per acting basis element a, the table
+    {i: {j: c}} of the nonzero coordinates of a.x_i, or of x_i.a, i
+    ascending, rebuilt from Bimodule.touched.  These are the tables a
+    Bimodule stored before it read its actions off the ambient products."""
+    return tuple(
+        [dict(m.touched(side, a)) for a in range(m.acting.dim)] for side in (0, 1)
     )
 
 

@@ -1,6 +1,8 @@
 """Bimodules: axioms, arrow ideals, direct sums, hom spaces, the map space
 of the square-zero pairing."""
 
+import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -12,6 +14,7 @@ from relext.algebra import build
 from relext.extensions import center
 from relext.exactla import Matrix, PrimeField, QQ
 from relext.quiver import Path
+from families import squares
 
 
 @pytest.mark.parametrize("key", [("ex1", "C"), ("ex2", "Ctilde")])
@@ -189,10 +192,11 @@ def _reference_hom_equations(m, n):
     dm, dn = m.dim, n.dim
     total = dm * dn
     rows = []
+    m_tables, n_tables = ref.action_tables(m), ref.action_tables(n)
     for a in range(m.acting.dim):
         for lm, ln in (
-            (_dense_action(m, m.left[a]), _dense_action(n, n.left[a])),
-            (_dense_action(m, m.right[a]), _dense_action(n, n.right[a])),
+            (_dense_action(m, m_tables[0][a]), _dense_action(n, n_tables[0][a])),
+            (_dense_action(m, m_tables[1][a]), _dense_action(n, n_tables[1][a])),
         ):
             for i in range(dm):
                 for j in range(dn):
@@ -317,18 +321,23 @@ def _probe_tables(acting, ambient, amb_index, embed):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_span_tables_match_probing(files, chain_text, field):
-    """from_ambient_span's tables, read off the nonzero products, equal
-    the ones probed pair by pair, key order included: for the regular
-    bimodule of C, of Ctilde and of every partial extension, and for the
-    arrow ideal and the base span acted on by C, on ex1/ex2 and on chain
-    k <= 4."""
+    """The actions read off the nonzero ambient products, by touched and by
+    act, equal the tables probed pair by pair, key order included: for the
+    regular bimodule of C, of Ctilde and of every partial extension, and
+    for the arrow ideal over Ctilde, listed in basis order and reversed,
+    and over C, and the base span acted on by C, on ex1/ex2, chain k <= 4
+    and squares k <= 3."""
     pfs = [files[n] for n in sorted(files)]
     pfs += [qdsl.parse(chain_text(k)) for k in range(1, 5)]
+    pfs += [qdsl.parse(squares(k)) for k in range(1, 4)]
     seen = 0
     for pf in pfs:
         fam = extensions.Family(pf.block("C"), pf.block("Ctilde"), field)
         ct, new = fam.full, fam.new_arrows
-        cases = [bimod.arrow_ideal_bimodule(ct, new),
+        ideal = bimod.arrow_ideal_bimodule(ct, new)
+        cases = [ideal,
+                 bimod.sub_bimodule(ct, ideal.amb_index[::-1]),
+                 fam.split((), new).ext_over_base,
                  bimod.base_sub_bimodule(ct, new, fam.base,
                                          bimod.section_embed(fam.base, ct))]
         for r in range(len(new) + 1):
@@ -339,17 +348,70 @@ def test_span_tables_match_probing(files, chain_text, field):
                     continue
                 cases.append(bimod.regular_bimodule(alg))
         for m in cases:
-            ref_left, ref_right = _probe_tables(
-                m.acting, m.ambient, m.amb_index, m.embed)
-            for own, probed in ((m.left, ref_left), (m.right, ref_right)):
-                assert own == probed
-                assert [list(t) for t in own] == [list(t) for t in probed]
+            probed = _probe_tables(m.acting, m.ambient, m.amb_index, m.embed)
+            for side, (own, want) in enumerate(zip(ref.action_tables(m), probed)):
+                assert own == want
+                assert [list(t) for t in own] == [list(t) for t in want]
+                assert [
+                    [m.act(side, a, i) for i in range(m.dim)]
+                    for a in range(m.acting.dim)
+                ] == [[t.get(i, {}) for i in range(m.dim)] for t in want]
             seen += 1
-    # 2 spans per family, then 4 partials per fixture and 2**k per chain
-    assert seen == 2 * 6 + 4 + 4 + 2 + 4 + 8 + 16
+    # 4 spans per family, then 4 partials per fixture and 2**k per chain
+    # and per squares
+    assert seen == 4 * 9 + 4 + 4 + (2 + 4 + 8 + 16) + (2 + 4 + 8)
 
 
 def test_span_listing_a_path_twice_is_refused(algebras):
     alg = algebras[("ex1", "C")]
     with pytest.raises(ValueError, match="twice"):
         bimod.Bimodule.from_ambient_span(alg, alg, (0, 0))
+
+
+def test_span_indices_are_checked_before_any_product_is_read(algebras):
+    """An index outside range(ambient.dim), negative ones included, and an
+    embed of the wrong length are refused by name, on an ambient whose
+    products cannot be read."""
+    alg = algebras[("ex1", "C")]
+    assert alg.dim == 11
+    unreadable = replace(alg, products=None)
+    for bad in (11, -1):
+        with pytest.raises(ValueError, match=r"span index %d is outside range\(11\)" % bad):
+            bimod.Bimodule.from_ambient_span(alg, unreadable, (bad,), range(11))
+    with pytest.raises(ValueError, match="embed lists 10 ambient indices for the 11 "):
+        bimod.Bimodule.from_ambient_span(alg, unreadable, (), range(10))
+    with pytest.raises(ValueError, match=r"embed index -1 is outside range\(11\)"):
+        bimod.Bimodule.from_ambient_span(alg, unreadable, (), (-1, *range(1, 11)))
+
+
+def test_span_not_closed_under_one_action_is_refused(algebras, files):
+    """Mutation check of the closure pass: the new-arrow ideal of ex2's
+    Ctilde minus one of its paths of length >= 2 is refused, naming that
+    path.  A path that starts with a new arrow is hit only by the right
+    action, one that ends with a new arrow only by the left."""
+    ct = algebras[("ex2", "Ctilde")]
+    new = tuple(files["ex2"].block("Ctilde").new_arrows)
+    span = bimod.square_zero_ideal_paths(ct, new)
+    new_arrows = {ct.quiver.arrow_index[n] for n in new}
+    ends = set()
+    for g in span:
+        p = ct.basis[g]
+        if p.length < 2:
+            continue
+        rest = tuple(h for h in span if h != g)
+        want = "not closed under the action: product hits %s$" % re.escape(p.label())
+        with pytest.raises(ValueError, match=want):
+            bimod.sub_bimodule(ct, rest)
+        ends.add((p.arrows[0] in new_arrows, p.arrows[-1] in new_arrows))
+    assert {(True, False), (False, True)} <= ends
+
+
+def test_embedding_that_swaps_the_idempotents_is_refused():
+    """k x k on vertices 1 and 2, acting on itself with e_1 and e_2
+    swapped: the swap is multiplicative, so the section premise holds, but
+    e_1 would act as the projection onto e_2.  The bimodule so twisted has
+    H0 = 0; the view read through the swap would report 2."""
+    alg = build(qdsl.parse("algebra A\nvertices 1 2\nend\n").block("A"))
+    assert bimod.section_defects(alg, alg, (1, 0)) == []
+    with pytest.raises(ValueError, match="idempotent at '1' is embedded as"):
+        bimod.Bimodule.from_ambient_span(alg, alg, range(2), (1, 0))

@@ -417,8 +417,9 @@ def _reference_lift(sp, dvec):
                 var[(i, j)] = len(var)
                 graded[i].append((j, var[(i, j)]))
     rows = []
+    left, right = ref.action_tables(e)
     for a, da in enumerate(dvals):
-        actions = ((e.left[a], e.left[a]), (e.right[a], e.right[a]))
+        actions = ((left[a], left[a]), (right[a], right[a]))
         for i in range(e.dim):
             lr = (e.left_act(da, {i: one}), e.right_act(da, {i: one}))
             for (am, an), value in zip(actions, lr):
@@ -531,9 +532,9 @@ def _failing_pairs(e, sides, alpha):
         for i in range(e.dim):
             dx, xd = sides.get((j, i), ({}, {}))
             ax = alpha.get(i, {})
-            if minus_alpha(e.right_act({j: one}, ax), e.right[j].get(i, {})) != xd:
+            if minus_alpha(e.right_act({j: one}, ax), e.act(1, j, i)) != xd:
                 out.add((j, i))
-            elif minus_alpha(e.left_act({j: one}, ax), e.left[j].get(i, {})) != dx:
+            elif minus_alpha(e.left_act({j: one}, ax), e.act(0, j, i)) != dx:
                 out.add((j, i))
     return out
 
@@ -555,7 +556,7 @@ def test_lift_check_rejects_broken_alpha(presentations):
     moved = negated = 0
     for e, f, sides, amat in _lift_cases(presentations):
         one = f.one()
-        assert extensions._lift_holds(e, sides, amat)
+        assert extensions._lift_holds(e, [(sides, amat)])
         assert not _failing_pairs(e, sides, amat)
         off = [(g, k) for g in range(e.dim) for k in range(e.dim)
                if (e.src[g], e.tgt[g]) != (e.src[k], e.tgt[k])]
@@ -563,14 +564,16 @@ def test_lift_check_rejects_broken_alpha(presentations):
             g, k = off[0]
             bad = {r: dict(v) for r, v in amat.items()}
             bad.setdefault(g, {})[k] = f.add(bad.get(g, {}).get(k, f.zero()), one)
-            assert not extensions._lift_holds(e, sides, bad)
+            assert not extensions._lift_holds(e, [(sides, bad)])
+            # one call checks every lift of a split, and fails if one fails
+            assert not extensions._lift_holds(e, [(sides, amat), (sides, bad)])
             moved += 1
         hits = [p for p, (dx, _) in sides.items() if dx]
         if hits:
             dx, xd = sides[hits[0]]
             broken = dict(sides)
             broken[hits[0]] = ({t: f.neg(c) for t, c in dx.items()}, xd)
-            assert not extensions._lift_holds(e, broken, amat)
+            assert not extensions._lift_holds(e, [(broken, amat)])
             negated += 1
     assert moved and negated
 
@@ -586,8 +589,9 @@ def test_lift_check_visits_every_pair_a_term_can_be_nonzero_on(presentations):
     by_alpha = by_action = by_d = 0
     for e, f, sides, amat in _lift_cases(presentations):
         one = f.one()
+        left, right = ref.action_tables(e)
         acted = {
-            (j, i) for j in range(e.acting.dim) for i in e.left[j].keys() | e.right[j].keys()
+            (j, i) for j in range(e.acting.dim) for i in left[j].keys() | right[j].keys()
         }
         for i in range(e.dim):
             for k in range(e.dim):
@@ -599,17 +603,17 @@ def test_lift_check_visits_every_pair_a_term_can_be_nonzero_on(presentations):
                     del bad[i]
                 fails = _failing_pairs(e, sides, bad)
                 if fails and not fails & (acted | set(sides)):
-                    assert not extensions._lift_holds(e, sides, bad)
+                    assert not extensions._lift_holds(e, [(sides, bad)])
                     by_alpha += 1
                 if fails and all(p in acted and p not in sides and p[1] not in bad for p in fails):
-                    assert not extensions._lift_holds(e, sides, bad)
+                    assert not extensions._lift_holds(e, [(sides, bad)])
                     by_action += 1
         for j, i in sorted(set(sides) - acted):
             if i not in amat:
                 broken = dict(sides)
                 broken[(j, i)] = ({i: one}, sides[(j, i)][1])
                 assert _failing_pairs(e, broken, amat) == {(j, i)}
-                assert not extensions._lift_holds(e, broken, amat)
+                assert not extensions._lift_holds(e, [(broken, amat)])
                 by_d += 1
     assert by_alpha and by_action and by_d
 
@@ -619,7 +623,7 @@ def test_lift_that_fails_its_check_raises(presentations, monkeypatch):
     fault, reported as SplitError, not as a derivation without a lift."""
     sp = presentations["ex2"]["CCt"]
     der = extensions.regular_h1(sp.base).derivations
-    monkeypatch.setattr(extensions, "_lift_holds", lambda e, sides, alpha: False)
+    monkeypatch.setattr(extensions, "_lift_holds", lambda e, checks: False)
     with pytest.raises(SplitError, match="fails the defining conditions"):
         lift_derivations(sp, der.rows)
 

@@ -18,6 +18,7 @@ from bar_reference import FullBarCalculator
 from dense_reference import (
     DenseSubspace,
     center_reference,
+    action_tables,
     h0_reference,
     stores_no_zero,
 )
@@ -248,8 +249,9 @@ def test_trivial_arrow_actions_give_no_inner_derivations(algebras):
     (i,) = [i for i, p in enumerate(alg.basis) if p.label() == "beta.eps.alpha"]
     m = bimod.sub_bimodule(alg, (i,))
     assert m.diagonal_indices() == [0]
+    left, right = action_tables(m)
     for name, a in alg.arrow_index_in_basis.items():
-        assert not m.left[a] and not m.right[a], name
+        assert not left[a] and not right[a], name
     assert inner_space(alg, m).dim == 0
     assert h0(m).dim == 1
 
@@ -338,18 +340,19 @@ def reference_b1(calc, i):
 def reference_b2(calc, f1):
     """b2 of a sparse degree 1 cochain {(a, t) key: coeff}."""
     f, m, da = calc.field, calc.m, calc.alg.dim
+    left, right = calc.tables
     out = {}
     for key, v in f1.items():
         a, t = divmod(key, m.dim)
         # c0 . f(c1) over c0 = g
-        for g, table in enumerate(m.left):
+        for g, table in enumerate(left):
             for t2, x in table.get(t, {}).items():
                 _add(f, out, (g * da + a) * m.dim + t2, f.mul(v, x))
         # -f(c0 c1)
         for g, h, c in calc.prod_fibers[a]:
             _add(f, out, (g * da + h) * m.dim + t, f.neg(f.mul(v, c)))
         # f(c0) . c1 over c1 = h
-        for h, table in enumerate(m.right):
+        for h, table in enumerate(right):
             for t2, x in table.get(t, {}).items():
                 _add(f, out, (a * da + h) * m.dim + t2, f.mul(v, x))
     return out
@@ -359,6 +362,7 @@ def reference_b3(calc, f2):
     """b3 of a sparse degree 2 cochain {(g, h, t) key: coeff}."""
     f, m, da = calc.field, calc.m, calc.alg.dim
     dm = m.dim
+    left, right = calc.tables
     out = {}
 
     def c3_key(k, g, h, t):
@@ -368,7 +372,7 @@ def reference_b3(calc, f2):
         gh, t = divmod(key, dm)
         g, h = divmod(gh, da)
         # c0 . F(c1, c2)
-        for k, table in enumerate(m.left):
+        for k, table in enumerate(left):
             for t2, x in table.get(t, {}).items():
                 _add(f, out, c3_key(k, g, h, t2), f.mul(v, x))
         # -F(c0 c1, c2)
@@ -378,7 +382,7 @@ def reference_b3(calc, f2):
         for k, l, c in calc.prod_fibers[h]:
             _add(f, out, c3_key(g, k, l, t), f.mul(v, c))
         # -F(c0, c1) . c2
-        for k, table in enumerate(m.right):
+        for k, table in enumerate(right):
             for t2, x in table.get(t, {}).items():
                 _add(f, out, c3_key(g, h, k, t2), f.neg(f.mul(v, x)))
     return out
@@ -445,10 +449,10 @@ def test_coboundary_matches_references(files, chain_text, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_action_index_holds_the_nonzero_table_entries(files, chain_text, field):
-    """acts_at lists every nonzero entry of m.left and m.right exactly once,
-    under the coordinate acted on, in ascending acting index."""
+    """acts_at lists every nonzero entry of the two action tables exactly
+    once, under the coordinate acted on, in ascending acting index."""
     for tag, alg, m in _coboundary_cases(files, chain_text, field):
-        for tables, at in zip((m.left, m.right), FullBarCalculator(alg, m).acts_at):
+        for tables, at in zip(action_tables(m), FullBarCalculator(alg, m).acts_at):
             want = {
                 (g, t, t2): x
                 for g, table in enumerate(tables)
@@ -516,14 +520,14 @@ def test_relative_coboundary_matches_references(files, chain_text, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_relative_action_index_holds_the_radical_table_entries(files, chain_text, field):
-    """The relative acts_at lists every nonzero entry of m.left and m.right
+    """The relative acts_at lists every nonzero entry of the two action tables
     whose acting basis element is not an idempotent exactly once, under the
     coordinate acted on, in ascending acting index; prod_fibers lists the
     products of two such elements."""
     for tag, alg, m in _coboundary_cases(files, chain_text, field):
         calc = calculator(alg, m)
         idem = set(alg.idem_index.values())
-        for tables, at in zip((m.left, m.right), calc.acts_at):
+        for tables, at in zip(action_tables(m), calc.acts_at):
             want = {
                 (g, t, t2): x
                 for g, table in enumerate(tables)
@@ -737,35 +741,44 @@ def test_coboundary_rejects_cochains_not_relative_to_the_vertices(algebras):
     assert calc.coboundary(1, {good1: one}) == full.coboundary(1, {good1: one})
 
 
-def test_calculator_rejects_bases_without_one_bigrade(algebras):
+def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
     """The calculator raises when the idempotents' rows give a basis element
-    of M two left grades or none, or scale a basis element of A."""
-    alg = algebras[("ex1", "C")]
-    f = alg.field
-    m = bimod.regular_bimodule(alg)
-    t = next(t for t in range(m.dim) if m.src[t] != m.src[0])
-    e_v = alg.idem_index[m.src[0]]
-    e_t = alg.idem_index[m.src[t]]
-    twice = list(m.left)
-    twice[e_v] = dict(m.left[e_v])
-    twice[e_v][t] = {t: f.one()}
-    never = list(m.left)
-    never[e_t] = {i: row for i, row in m.left[e_t].items() if i != t}
-    for left, count in ((twice, "2 of them"), (never, "0 of them")):
-        bad = bimod.Bimodule(
-            alg, m.dim, left, m.right, m.src, m.tgt, m.ambient, m.amb_index, m.embed
-        )
+    of M two left grades or none, or scale a basis element of A.  M reads
+    its actions off its ambient's products, so the bimodule side is reached
+    through the ambient of an ext_over_base with corrupted idempotent rows:
+    its acting algebra, the base, keeps its own products."""
+    sp = presentations["ex1"]["CCt"]
+    base, total, e = sp.base, sp.total, sp.ext_over_base
+    f = base.field
+    t = next(t for t in range(e.dim) if e.src[t] != e.src[0])
+    g = e.amb_index[t]
+    e_v = total.idem_index[e.src[0]]
+    e_t = total.idem_index[e.src[t]]
+
+    def with_row(row, cell):
+        products = list(total.products)
+        products[row] = {h: c for h, c in total.products[row].items() if h != g}
+        if cell:
+            products[row][g] = cell
+        return replace(total, products=products)
+
+    for ambient, count in (
+        (with_row(e_v, {g: f.one()}), "2 of them"),
+        (with_row(e_t, None), "0 of them"),
+    ):
+        bad = bimod.Bimodule(base, ambient, e.amb_index, sp.section)
         want = "basis element %d of the bimodule .*left: %s" % (t, count)
         with pytest.raises(ValueError, match=want):
-            hochschild.HochschildCalculator(alg, bad)
+            hochschild.HochschildCalculator(base, bad)
+    alg = algebras[("ex1", "C")]
+    m = bimod.regular_bimodule(alg)
+    t = next(t for t in range(m.dim) if m.src[t] != m.src[0])
+    e_t = alg.idem_index[m.src[t]]
     products = list(alg.products)
     products[e_t] = dict(alg.products[e_t])
     products[e_t][t] = {t: f.from_int(2)}
     scaled = replace(alg, products=products)
-    no_tables = [{}] * alg.dim
-    zero = bimod.Bimodule(
-        scaled, 0, no_tables, no_tables, (), (), scaled, (), tuple(range(alg.dim))
-    )
+    zero = bimod.Bimodule(scaled, scaled, (), range(alg.dim))
     want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t
     with pytest.raises(ValueError, match=want):
         hochschild.HochschildCalculator(scaled, zero)

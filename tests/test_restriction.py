@@ -22,6 +22,8 @@ from relext.algebra import (
 from relext.exactla import PrimeField, QQ, Subspace
 from relext.quiver import Path, enumerate_paths
 
+from dense_reference import action_tables
+
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
 # a commutative square: c.d reduces to a.b, so the ideal of c holds a.b,
@@ -198,7 +200,7 @@ def _assert_same_algebra(alg, ref):
 
 def _bimodule_fields(m):
     return (
-        m.dim, m.left, m.right, m.src, m.tgt, m.amb_index, m.embed,
+        m.dim, action_tables(m), m.src, m.tgt, m.amb_index, m.embed,
         m.acting.block.name, m.ambient.block.name,
     )
 

@@ -12,7 +12,7 @@ from relext.exactla import PrimeField, QQ
 from relext.quiver import compose
 
 import build_reference
-from dense_reference import stores_no_zero
+from dense_reference import action_tables, stores_no_zero
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
@@ -115,9 +115,10 @@ def test_actions_match_dense_reference(files, chain_text, field):
     for fam in _families(files, chain_text, field):
         for m in _bimodules(fam):
             left, right = _reference_actions(m)
-            assert [_dense_table(m, t) for t in m.left] == left
-            assert [_dense_table(m, t) for t in m.right] == right
-            assert all(stores_no_zero(field, t) for t in m.left + m.right)
+            own_left, own_right = action_tables(m)
+            assert [_dense_table(m, t) for t in own_left] == left
+            assert [_dense_table(m, t) for t in own_right] == right
+            assert all(stores_no_zero(field, t) for t in own_left + own_right)
             count += 1
     # ex1, ex2 and chain k = 1, 2, 3: 2 regular bimodules per family and 3
     # bimodules for each of the two splits of every valid subset
