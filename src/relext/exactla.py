@@ -4,10 +4,9 @@ Scalars are plain values (fractions.Fraction for Q, small ints in [0, p) for
 F_p); a Field object supplies the arithmetic.  Every rank, kernel, solve,
 span and normal-form question in the package goes through one sparse
 elimination engine, Echelon, whose rows are dicts keyed by any totally
-ordered keys: paths in the algebra builder, cochain indices in the bar
-complex, and negated column indices behind the linear-system entry points
-here, which take sparse rows {column: x}: null_space, solve_rows, rank and
-Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
+ordered keys: cochain indices in the bar complex, and negated column
+indices behind the linear-system entry points here, which take sparse rows
+{column: x}: null_space, solve_rows, rank and Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
 span as sparse rows, so two spans are equal iff their rows compare equal.
 
 A linear map is the list of the images of its source basis, each a sparse
@@ -122,9 +121,29 @@ class RationalField(Field):
         return "%d/%d" % (a.numerator, a.denominator)
 
 
+# Miller-Rabin on the first 13 prime bases is exact below _PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    # b witnesses n composite unless b^d = 1 or some b^(d 2^r) = -1
+    return all(
+        pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+        for b in _PRIME_BASES
+    )
+
+
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _PRIME_BOUND:
+            raise FieldError("F_p needs p below %d, got %r" % (_PRIME_BOUND, p))
+        if not _is_prime(p):
             raise FieldError("F_p needs a prime p, got %r" % (p,))
         self.p = p
         self.name = "F%d" % p
@@ -196,10 +215,8 @@ class Echelon:
     A row is a dict {key: scalar} without zero entries; keys may be any
     totally ordered hashable values.  The pivot of a row is its largest key
     and carries coefficient 1, and no two rows share a pivot.  `insert` and
-    `contains` eliminate only while the leading key is a pivot; `reduce`
-    eliminates every pivot key, which gives the unique normal form of a
-    vector modulo the span; `reduced_rows` back-substitutes once, into the
-    canonical reduced form.
+    `contains` eliminate only while the leading key is a pivot;
+    `reduced_rows` back-substitutes once, into the canonical reduced form.
     """
 
     def __init__(self, field: Field):
@@ -251,18 +268,6 @@ class Echelon:
 
     def contains(self, vec: dict) -> bool:
         return not self._reduce_lead(vec)
-
-    def reduce(self, vec: dict) -> dict:
-        """Normal form of vec modulo the span: no key of it is a pivot."""
-        f = self.field
-        vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
-        rows = self.rows
-        while True:
-            hits = [k for k in vec if k in rows]
-            if not hits:
-                return vec
-            top = max(hits)
-            self._subtract(vec, top, rows[top])
 
     def reduced_rows(self) -> list:
         """The rows in canonical reduced form (no row holds another row's

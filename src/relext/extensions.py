@@ -120,9 +120,6 @@ class SplitPresentation:
             )
         return self._ext_over_base
 
-    def include_coords(self, coords: dict) -> dict:
-        return {self.section[i]: c for i, c in coords.items()}
-
     def project_coords(self, coords: dict) -> dict:
         """Sparse coordinates over the base; those on new-arrow paths are
         killed."""
@@ -634,13 +631,6 @@ class ExtensionPoset:
     @property
     def surjective(self) -> bool:
         return all(e.surjective for e in self.edges)
-
-    def node_index(self, arrows) -> int:
-        key = tuple(arrows)
-        for i, n in enumerate(self.nodes):
-            if n.arrows == key:
-                return i
-        raise KeyError(key)
 
     def to_dict(self) -> dict:
         return {

@@ -31,6 +31,19 @@ from relext.exactla import Field
 from relext.quiver import Path, Quiver, compose
 
 
+def normal_form(ech: exactla.Echelon, vec: dict) -> dict:
+    """vec modulo the echelon's span: eliminate pivot keys, largest first,
+    until none is left."""
+    f = ech.field
+    vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
+    while True:
+        hits = [k for k in vec if k in ech.rows]
+        if not hits:
+            return vec
+        top = max(hits)
+        ech._subtract(vec, top, ech.rows[top])
+
+
 @dataclass(eq=False)
 class ReferenceAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms reduce by the echelon of the ideal."""
@@ -50,7 +63,7 @@ class ReferenceAlgebra(BoundQuiverAlgebra):
             )
             out = {pos[g]: c for g, c in parent.nf_coords(lifted).items() if g in pos}
         elif path.length < self.zero_length:
-            for p, c in self._echelon.reduce({path: self.field.one()}).items():
+            for p, c in normal_form(self._echelon, {path: self.field.one()}).items():
                 i = self.basis_index.get(p)
                 if i is None:
                     raise AlgebraBuildError(

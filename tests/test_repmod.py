@@ -4,9 +4,11 @@ import pytest
 
 import dense_reference as ref
 from dense_reference import DenseSubspace
+from families import squares
 from relext import qdsl, repmod
 from relext.algebra import build
 from relext.exactla import QQ, Matrix, PrimeField, Subspace
+from relext.quiver import Path
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -240,3 +242,73 @@ def test_counts_match_references(files, chain_text, field):
         h = repmod.hom_space(dual, reg)
         assert isinstance(h, Subspace)
         assert DenseSubspace.of(h) == reference_hom_space(dual, reg)
+
+
+# -- the declared relations hold by construction (repmod's docstring); the
+# constructor checks shapes only, and this reference checks the relations --
+
+
+def relations_act_by_zero(rep):
+    """Every declared relation acts by zero on rep: the sum of its terms'
+    path matrices, weighted by the coefficients, vanishes."""
+    alg = rep.algebra
+    f = alg.field
+    for rel in alg.block.relations:
+        acc = [{} for _ in range(rep.dims[rel.source])]
+        for t in rel.terms:
+            pm = rep.path_matrix(Path.from_arrow_names(alg.quiver, t.arrows))
+            c = f.from_fraction(t.coeff)
+            for row, img in zip(acc, pm):
+                for j, x in img.items():
+                    row[j] = f.add(row.get(j, f.zero()), f.mul(c, x))
+        if any(f.sparse(row) for row in acc):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_built_modules_satisfy_the_relations(files, chain_text, monkeypatch, field):
+    """Every module that ext2_dimension and gldim_at_most(alg, 2) construct,
+    on the reference cases and on squares k <= 3 (commutativity relations):
+    projectives, the dual, simples, direct sums and kernels."""
+    algs = _reference_cases(files, chain_text, field)
+    algs += [build(b, field) for k in range(1, 4) for b in qdsl.parse(squares(k)).blocks]
+    built = []
+    init = repmod.Representation.__post_init__
+
+    def checked_init(rep):
+        init(rep)
+        assert relations_act_by_zero(rep), (rep.algebra.block.name, rep)
+        built.append(rep)
+
+    monkeypatch.setattr(repmod.Representation, "__post_init__", checked_init)
+    for alg in algs:
+        built.clear()
+        repmod.ext2_dimension(alg)
+        repmod.gldim_at_most(alg, 2)
+        assert built
+
+
+def test_constructor_accepts_a_module_breaking_the_relations(algebras):
+    """On ex1's C every arrow map the 1x1 identity: alpha.beta acts as the
+    identity, so the helper flags what the constructor lets through."""
+    alg = algebras[("ex1", "C")]
+    f = alg.field
+    dims = {v: 1 for v in alg.quiver.vertices}
+    rep = repmod.Representation(alg, dims, {a.name: [{0: f.one()}] for a in alg.quiver.arrows})
+    assert not relations_act_by_zero(rep)
+    assert relations_act_by_zero(repmod.simple(alg, alg.quiver.vertices[0]))
+
+
+def test_constructor_refuses_bad_shapes(algebras):
+    alg = algebras[("ex1", "C")]
+    f = alg.field
+    dims = {v: 1 for v in alg.quiver.vertices}
+    rho = {a.name: [{}] for a in alg.quiver.arrows}
+    with pytest.raises(ValueError, match="missing dimension for vertex '5'"):
+        repmod.Representation(alg, {v: 1 for v in alg.quiver.vertices[:-1]}, rho)
+    with pytest.raises(ValueError, match="missing matrix for arrow 'gamma'"):
+        repmod.Representation(alg, dims, {n: m for n, m in rho.items() if n != "gamma"})
+    for bad in ([], [{}, {}], [{1: f.one()}], [{-1: f.one()}]):
+        with pytest.raises(ValueError, match="matrix for 'alpha' does not map 1 coordinates into 1"):
+            repmod.Representation(alg, dims, dict(rho, alpha=bad))

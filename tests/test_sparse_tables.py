@@ -35,7 +35,7 @@ def _reference_mult_coords(alg):
                 row.append(zero_row)
                 continue
             coords = [f.zero()] * alg.dim
-            for path, c in ref._echelon.reduce({pq: f.one()}).items():
+            for path, c in build_reference.normal_form(ref._echelon, {pq: f.one()}).items():
                 coords[ref.basis_index[path]] = c
             row.append(tuple(coords))
         mult.append(row)
