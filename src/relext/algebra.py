@@ -65,15 +65,12 @@ class BoundQuiverAlgebra:
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
     _nf_cache: dict  # Path -> {k: c}, shared with products: read only
-    _rules: dict | None  # tip length -> {tip arrows: tail}; None for a restriction
+    _rules: dict  # tip length -> {tip arrows: tail}, the reduced Groebner basis
     _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
     _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
     _columns: list | None = None  # set by column
-    # for a restriction (quotient_by_arrows): the parent algebra, the parent
-    # arrow index of each own arrow, and own basis index by parent index
-    _parent: tuple | None = None
 
     # -- normal forms ------------------------------------------------------
 
@@ -83,13 +80,7 @@ class BoundQuiverAlgebra:
         if path in self._nf_cache:
             return self._nf_cache[path]
         out = {}
-        if self._parent is not None:
-            parent, arrow_map, pos = self._parent
-            lifted = Path(
-                parent.quiver, path.vertex, tuple(arrow_map[k] for k in path.arrows)
-            )
-            out = {pos[g]: c for g, c in parent.nf_coords(lifted).items() if g in pos}
-        elif path.length < self.zero_length:
+        if path.length < self.zero_length:
             f = self.field
             for w, c in _reduce(f, {path.arrows: f.one()}, self._rules).items():
                 p = Path(self.quiver, None, w)
@@ -433,11 +424,16 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
     unless J is the span of the paths through them.
 
     Given that span, the other basis paths give a basis of alg/J, whose
-    products and normal forms are alg's with the coordinates on J dropped,
-    so the checks of a build hold: reducing modulo J is an algebra map, and
-    each relation of the presentation (alg's, minus the terms in J)
-    vanishes.  dim(quotient) + dim(J) = dim(alg) by construction, and
-    zero_length is alg's."""
+    products are alg's with the coordinates on J dropped, so the checks of
+    a build hold: reducing modulo J is an algebra map, and each relation of
+    the presentation (alg's, minus the terms in J) vanishes.
+    dim(quotient) + dim(J) = dim(alg) by construction, and zero_length is
+    alg's.  Its rules are alg's whose tips avoid the arrows, minus the tail
+    terms through them (which lie in J), re-indexed to the kept arrows.  A
+    kept path never meets a tip through a dropped arrow, so the kept paths
+    free of these tips are alg's basis paths avoiding the arrows, dim(alg/J)
+    of them: the kept tips are the quotient ideal's, and the rules its
+    reduced Groebner basis."""
     arrows = frozenset(arrows)
     block = alg.block
     unknown = arrows - {a[0] for a in block.arrows}
@@ -463,16 +459,25 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         new_arrows=(),
     )
     q = Quiver(sub_block.vertices, kept_arrows)
-    arrow_map = tuple(alg.quiver.arrow_index[a[0]] for a in kept_arrows)
-    own_arrow = {k: i for i, k in enumerate(arrow_map)}
+    own_arrow = {alg.quiver.arrow_index[a[0]]: i for i, a in enumerate(kept_arrows)}
+
+    def own(w):
+        return tuple(own_arrow[k] for k in w)
+
     gone = set(dropped)
     kept_idx = [g for g in range(alg.dim) if g not in gone]
     pos = {g: i for i, g in enumerate(kept_idx)}
+    rules = {}
+    for n, tips in alg._rules.items():
+        for tip, tail in tips.items():
+            if own_arrow.keys() >= set(tip):
+                rules.setdefault(n, {})[own(tip)] = {
+                    own(w): c for w, c in tail.items() if own_arrow.keys() >= set(w)
+                }
     # the deleted arrows keep the relative order of the others, and with it
     # the basis order
     basis = tuple(
-        Path(q, p.vertex, tuple(own_arrow[k] for k in p.arrows))
-        for p in (alg.basis[g] for g in kept_idx)
+        Path(q, p.vertex, own(p.arrows)) for p in (alg.basis[g] for g in kept_idx)
     )
     products = []
     for g in kept_idx:
@@ -483,6 +488,7 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
                 if cell:
                     row[pos[h]] = cell
         products.append(row)
+    one = alg.field.one()
     return BoundQuiverAlgebra(
         block=sub_block,
         quiver=q,
@@ -496,9 +502,8 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         arrow_index_in_basis={
             a[0]: pos[alg.arrow_index_in_basis[a[0]]] for a in kept_arrows
         },
-        _nf_cache={},
-        _rules=None,
-        _parent=(alg, arrow_map, pos),
+        _nf_cache={p: {i: one} for i, p in enumerate(basis)},
+        _rules=rules,
     )
 
 

@@ -298,23 +298,6 @@ def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
     return sub_bimodule(ambient, square_zero_ideal_paths(ambient, arrow_names))
 
 
-def base_sub_bimodule(
-    ambient: BoundQuiverAlgebra,
-    new_arrow_names,
-    acting: BoundQuiverAlgebra | None = None,
-    embed=None,
-) -> Bimodule:
-    """The span of basis paths avoiding the named arrows, acted on by
-    `acting` (default: the ambient algebra itself)."""
-    arrow_set = set(new_arrow_names)
-    span = tuple(
-        i
-        for i, p in enumerate(ambient.basis)
-        if not any(ambient.quiver.arrows[k].name in arrow_set for k in p.arrows)
-    )
-    return sub_bimodule(ambient, span, acting, embed)
-
-
 def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
     """Do the arrow ideals of the given disjoint arrow sets decompose the
     ideal of their union as a direct sum, each of these ideals being the

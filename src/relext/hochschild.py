@@ -102,32 +102,15 @@ def h0(m: Bimodule) -> Subspace:
 # -- degree 1, arrow coordinates ----------------------------------------------
 
 
-def _path_value(layout: ArrowLayout, arrows: tuple, dvals: list) -> dict:
-    """d(path) for a path given by quiver arrow indices, via the Leibniz
-    rule, with d(arrow k) = dvals[k] as a sparse M vector."""
-    alg = layout.algebra
-    m = layout.bimodule
-    f = m.field
-    q = alg.quiver
-    out = {}
-    for j in range(len(arrows)):
-        val = dvals[arrows[j]]
-        if not val:
-            continue
-        if j > 0:
-            val = m.left_act(alg.nf_coords(Path(q, None, arrows[:j])), val)
-        if j + 1 < len(arrows):
-            val = m.right_act(alg.nf_coords(Path(q, None, arrows[j + 1 :])), val)
-        for t, c in val.items():
-            out[t] = f.add(out.get(t, f.zero()), c)
-    return f.sparse(out)
-
-
 def derivation_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
     """Derivations d with d(e_v) = 0, in arrow coordinates: the kernel of
-    the relation constraints sum_t c_t d(p_t) = 0."""
+    the relation constraints sum_t c_t d(p_t) = 0.  By the Leibniz rule the
+    unknown x_i of d(a_k) enters d(a_1...a_n) as a_1...a_(k-1).x_i.a_(k+1)...a_n,
+    found by acting with the term's arrows one at a time, which M's being a
+    bimodule allows: (ab).x = a.(b.x)."""
     layout = arrow_layout(alg, m)
     f = m.field
+    one = f.one()
     q = alg.quiver
     rows = []
     for rel in alg.block.relations:
@@ -135,21 +118,16 @@ def derivation_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
         acc = {}
         for term in rel.terms:
             c = f.from_fraction(term.coeff)
-            arrows = tuple(q.arrow_index[n] for n in term.arrows)
-            for k_pos, k in enumerate(arrows):
-                pre = alg.nf_coords(Path(q, None, arrows[:k_pos])) if k_pos > 0 else None
-                suf = (
-                    alg.nf_coords(Path(q, None, arrows[k_pos + 1 :]))
-                    if k_pos + 1 < len(arrows)
-                    else None
-                )
+            arrows = [alg.arrow_index_in_basis[n] for n in term.arrows]
+            for k_pos, name in enumerate(term.arrows):
+                k = q.arrow_index[name]
                 for u, i in enumerate(layout.blocks[k]):
                     # contribution of this single unknown along this term
-                    val = {i: f.one()}
-                    if pre is not None:
-                        val = m.left_act(pre, val)
-                    if suf is not None:
-                        val = m.right_act(suf, val)
+                    val = {i: one}
+                    for a in arrows[k_pos + 1 :]:
+                        val = m.right_act({a: one}, val)
+                    for a in reversed(arrows[:k_pos]):
+                        val = m.left_act({a: one}, val)
                     col = layout.offsets[k] + u
                     for t, x in val.items():
                         eq = acc.setdefault(t, {})
@@ -276,14 +254,33 @@ def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
 def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     """d(b_p) as a sparse M vector for every basis element b_p of alg, for
     the derivation with the given sparse arrow coordinates; raises
-    ValueError on a coordinate outside the layout."""
+    ValueError on a coordinate outside the layout.
+
+    One pass over the basis, in order: a basis path of positive length is
+    q.a for its last arrow a and a basis path q met earlier, since a
+    subpath of a tip-free path is tip-free (and a restriction's basis is
+    the full algebra's paths avoiding some arrows), so by the Leibniz rule
+    d(q.a) = d(q).a + q.d(a)."""
     layout = arrow_layout(alg, m)
     exactla._check_coordinates(layout.total, vec)
     dvals = [
         {i: vec[o + u] for u, i in enumerate(block) if o + u in vec}
         for o, block in zip(layout.offsets, layout.blocks)
     ]
-    return [_path_value(layout, p.arrows, dvals) if p.length else {} for p in alg.basis]
+    f = m.field
+    one = f.one()
+    q = alg.quiver
+    out = []
+    for p in alg.basis:
+        val = {}
+        if p.arrows:
+            k, qi = p.arrows[-1], alg.idem_index[p.source]
+            if p.length > 1:
+                qi = alg.basis_index[Path(q, None, p.arrows[:-1])]
+            val = m.right_act({alg.arrow_index_in_basis[q.arrows[k].name]: one}, out[qi])
+            _axpy(f, val, one, m.left_act({qi: one}, dvals[k]))
+        out.append(f.sparse(val))
+    return out
 
 
 def derivation_to_cochain(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> dict:

@@ -107,6 +107,10 @@ def _parse_term(tok: str, line_no: int, col: int):
             raise ParseError(
                 "syntax", "bad coefficient %r" % (head,), line_no, col
             )
+        if re.search(r"/0+\Z", head):
+            raise ParseError(
+                "syntax", "coefficient %r has a zero denominator" % (head,), line_no, col
+            )
         coeff = Fraction(head)
     elif _RAT.match(tok):
         raise ParseError(

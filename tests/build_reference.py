@@ -56,13 +56,7 @@ class ReferenceAlgebra(BoundQuiverAlgebra):
         if path in self._nf_cache:
             return self._nf_cache[path]
         out = {}
-        if self._parent is not None:
-            parent, arrow_map, pos = self._parent
-            lifted = Path(
-                parent.quiver, path.vertex, tuple(arrow_map[k] for k in path.arrows)
-            )
-            out = {pos[g]: c for g, c in parent.nf_coords(lifted).items() if g in pos}
-        elif path.length < self.zero_length:
+        if path.length < self.zero_length:
             for p, c in normal_form(self._echelon, {path: self.field.one()}).items():
                 i = self.basis_index.get(p)
                 if i is None:

@@ -110,7 +110,7 @@ def test_section_embed_and_base_sub(algebras, files):
     for i, g in enumerate(sec):
         assert c.basis[i].label() == ct.basis[g].label()
     new = tuple(files["ex1"].block("Ctilde").new_arrows)
-    base = bimod.base_sub_bimodule(ct, new, acting=c, embed=sec)
+    base = bimod.sub_bimodule(ct, sec, acting=c, embed=sec)
     ideal = bimod.arrow_ideal_bimodule(ct, new)
     assert base.dim + ideal.dim == ct.dim
     assert set(base.amb_index) | set(ideal.amb_index) == set(range(ct.dim))
@@ -148,10 +148,7 @@ def test_square_zero_pairing_space_vanishes_on_ideal_vs_base(
     # square-zero pairing condition: always zero for these families
     sp = presentations[name]["CB"]
     eprime_c = sp.ext_over_base
-    base_inside = bimod.base_sub_bimodule(
-        sp.total, sp.new_arrows, acting=sp.base, embed=sp.section
-    )
-    assert bimod.curly_E_dimension(eprime_c, base_inside) == 0
+    assert bimod.curly_E_dimension(eprime_c, sp.base_inside) == 0
 
 
 def test_to_ambient_maps_sparse_vectors_and_checks_their_range(presentations):
@@ -265,9 +262,7 @@ def test_graded_systems_match_dense_reference(files, chain_text, field):
     for fam in _families(files, chain_text, field):
         for sp in _valid_splits(fam):
             e = sp.ext_over_base
-            base_inside = bimod.base_sub_bimodule(
-                sp.total, sp.new_arrows, acting=sp.base, embed=sp.section
-            )
+            base_inside = sp.base_inside
             dense = _reference_hom_equations(e, e)
             assert DenseSubspace.of(bimod.bimodule_hom_space(e, e)) == _reference_kernel(
                 e, e, dense
@@ -338,8 +333,7 @@ def test_span_tables_match_probing(files, chain_text, field):
         cases = [ideal,
                  bimod.sub_bimodule(ct, ideal.amb_index[::-1]),
                  fam.split((), new).ext_over_base,
-                 bimod.base_sub_bimodule(ct, new, fam.base,
-                                         bimod.section_embed(fam.base, ct))]
+                 fam.split((), new).base_inside]
         for r in range(len(new) + 1):
             for combo in combinations(new, r):
                 try:

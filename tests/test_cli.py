@@ -305,6 +305,16 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.quiv"
+    bad.write_text(
+        "algebra A\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\nrel 1/0*a.b\nend\n"
+    )
+    code, out, err = run(capsys, "info", str(bad), "A")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "line 5" in err and "'1/0'" in err
+
+
 def test_unknown_split_arrow(capsys):
     code, _, err = run(
         capsys, "verify", EX1, "--base", "C", "--tilde", "Ctilde",

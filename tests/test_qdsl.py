@@ -126,6 +126,12 @@ ERROR_CASES = [
         "",
     ),
     (
+        "syntax",
+        "algebra A\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\nrel 1/0*a.b\nend\n",
+        5,
+        "zero denominator",
+    ),
+    (
         "zero-coefficient",
         "algebra A\nvertices 1 2\narrow a 1 2\narrow b 2 2\nrel 0*a.b\nend\n",
         5,
@@ -165,7 +171,7 @@ _TOKENS = st.sampled_from(
     [
         "algebra", "vertices", "arrow", "rel", "end", "new", "field",
         "extension_of", "A", "a", "b", "1", "2", "a.b", "2*a.b", "-",
-        "+", "#x", "0*a.b", "Q", "F5",
+        "+", "#x", "0*a.b", "1/0*a.b", "Q", "F5",
     ]
 )
 _TOKEN_LINES = st.lists(

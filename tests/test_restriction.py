@@ -23,6 +23,7 @@ from relext.exactla import PrimeField, QQ, Subspace
 from relext.quiver import Path, enumerate_paths
 
 from dense_reference import action_tables
+from families import squares
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
@@ -168,6 +169,15 @@ def _families(files, chain_text, field):
     return [extensions.Family(pf.block("C"), pf.block("Ctilde"), field) for pf in pfs]
 
 
+def _families_and_squares(files, chain_text, field):
+    """_families, then squares k <= 3, whose relations are not monomial."""
+    fams = _families(files, chain_text, field)
+    for k in (1, 2, 3):
+        pf = qdsl.parse(squares(k))
+        fams.append(extensions.Family(pf.block("C"), pf.block("Ctilde"), field))
+    return fams
+
+
 def _subsets(names):
     return [c for r in range(len(names) + 1) for c in combinations(names, r)]
 
@@ -288,6 +298,54 @@ def test_family_reports_match_reference_builders(files, chain_text, monkeypatch,
     )
     monkeypatch.setattr(bimod, "direct_sum_check", _reference_direct_sum_check)
     assert reports() == restricted
+
+
+@FIELDS
+def test_restrictions_carry_reduced_groebner_basis(files, chain_text, field):
+    """A restriction reduces by its own rules, which are the reduced
+    Groebner basis that building its presentation completes: reduced bases
+    are unique."""
+    count = 0
+    for fam in _families_and_squares(files, chain_text, field):
+        for s in _subsets(fam.new_arrows):
+            alg = quotient_by_arrows(fam.full, s)
+            assert alg._rules == _reference_quotient_by_arrows(fam.full, s)._rules, s
+            count += 1
+    # 4 subsets per fixture, 2 + 4 + 8 for chain k <= 3, 2 + 4 + 8 for squares
+    assert count == 4 + 4 + 14 + 14
+
+
+@FIELDS
+def test_split_views_match_arrow_scan(files, chain_text, field):
+    """On every comparable pair, the base inside the total and the ideal
+    over the base are views passing Bimodule.verify, and the base sits at
+    the total's paths that avoid the new arrows, in ascending order."""
+    count = 0
+    for fam in _families_and_squares(files, chain_text, field):
+        valid = []
+        for s in _subsets(fam.new_arrows):
+            try:
+                fam.partial(s)
+            except extensions.SplitError:
+                continue
+            valid.append(s)
+        for lower in valid:
+            for upper in valid:
+                if not set(lower) <= set(upper):
+                    continue
+                sp = fam.split(lower, upper)
+                sp.base_inside.verify()
+                sp.ext_over_base.verify()
+                names = set(sp.new_arrows)
+                scan = tuple(
+                    i
+                    for i, p in enumerate(sp.total.basis)
+                    if not any(sp.total.quiver.arrows[k].name in names for k in p.arrows)
+                )
+                assert sp.base_inside.amb_index == sp.base_inside.embed == scan
+                count += 1
+    # comparable pairs: 9 per 2-arrow family, 3, 9, 27 for k = 1, 2, 3
+    assert count == 9 + 9 + 3 + 9 + 27 + 3 + 9 + 27
 
 
 # -- the closure check -------------------------------------------------------------

@@ -94,9 +94,7 @@ def _bimodules(fam):
             for sp in (fam.split((), combo), fam.split(combo, fam.new_arrows)):
                 yield sp.ext
                 yield sp.ext_over_base
-                yield bimod.base_sub_bimodule(
-                    sp.total, sp.new_arrows, acting=sp.base, embed=sp.section
-                )
+                yield sp.base_inside
 
 
 @FIELDS
