@@ -1,12 +1,13 @@
 """Exact linear algebra over Q or a prime field F_p.
 
-Scalars are plain values (fractions.Fraction for Q, small ints in [0, p) for
-F_p); a Field object supplies the arithmetic.  Every rank, kernel, solve,
-span and normal-form question in the package goes through one sparse
-elimination engine, Echelon, whose rows are dicts keyed by any totally
-ordered keys: cochain indices in the bar complex, and negated column
-indices behind the linear-system entry points here, which take sparse rows
-{column: x}: null_space, solve_rows, rank and Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
+Scalars are plain values (for Q an int when integral, a fractions.Fraction
+otherwise; small ints in [0, p) for F_p); a Field object supplies the
+arithmetic.  Every rank, kernel, solve, span and normal-form question in the
+package goes through one sparse elimination engine, Echelon, whose rows are
+dicts keyed by any totally ordered keys: cochain indices in the bar complex,
+and negated column indices behind the linear-system entry points here, which
+take sparse rows {column: x}: null_space, solve_rows, rank and
+Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
 span as sparse rows, so two spans are equal iff their rows compare equal.
 
 A linear map is the list of the images of its source basis, each a sparse
@@ -79,29 +80,34 @@ class Field:
         return self.name
 
 
+def _int_if_integral(x):
+    """x as an int when its denominator is 1, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def from_fraction(self, fr):
-        return Fraction(fr)
+        return _int_if_integral(Fraction(fr))
 
     def add(self, a, b):
-        return a + b
+        return _int_if_integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _int_if_integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _int_if_integral(a * b)
 
     def neg(self, a):
         return -a
@@ -109,7 +115,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _int_if_integral(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0

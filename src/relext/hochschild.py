@@ -51,8 +51,6 @@ from .quiver import Path
 class ArrowLayout:
     """Coordinates for derivation values: one bigraded block per arrow."""
 
-    algebra: BoundQuiverAlgebra
-    bimodule: Bimodule
     blocks: list  # per arrow (declaration order): list of M basis indices
     offsets: list
     total: int
@@ -73,7 +71,7 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
             blocks.append(block)
             offsets.append(run)
             run += len(block)
-        m._layout = ArrowLayout(alg, m, blocks, offsets, run)
+        m._layout = ArrowLayout(blocks, offsets, run)
     return m._layout
 
 

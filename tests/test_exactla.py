@@ -150,6 +150,39 @@ def test_prime_field_axioms(a, b, c):
         assert f.mul(a, f.inv(a)) == f.one()
 
 
+def is_q_value(x) -> bool:
+    """An int, or a Fraction that is not an integer: the values QQ makes."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+# Q values as the field makes them: ints and non-integral Fractions
+q_values = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(
+        lambda x: x.denominator != 1
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_values, q_values, scalars)
+def test_rational_field_matches_fraction_and_returns_ints_when_integral(a, b, fr):
+    x, y = Fraction(a), Fraction(b)
+    results = [
+        (QQ.add(a, b), x + y),
+        (QQ.sub(a, b), x - y),
+        (QQ.mul(a, b), x * y),
+        (QQ.neg(a), -x),
+        (QQ.from_fraction(fr), fr),
+        (QQ.from_int(a.numerator), Fraction(a.numerator)),
+    ]
+    if a != 0:
+        results.append((QQ.inv(a), 1 / x))
+    for got, want in results:
+        assert got == want and is_q_value(got), (a, b, fr, got)
+    assert is_q_value(QQ.zero()) and is_q_value(QQ.one())
+
+
 def test_matrix_multiplication_associative():
     """The dense reference arithmetic, and compose on the same maps: the
     rows of a are the images of a map, so a . b is b after a."""
