@@ -17,9 +17,15 @@ until none is left.  The tips of I depend only on I and the order, and the
 enumeration builder this replaced (tests/build_reference.py) read them as
 the pivots of an echelon spanning I length by length, exactly so for
 homogeneous relations: the basis, the vanishing length and the structure
-constants agree.  _verify_build checks every build (declared relations
-vanish, graded structure constants, multiplicative reduction,
-associativity, unit law) and raises AlgebraBuildError on any discrepancy.
+constants agree.  _verify_build certifies every build from the arrows and
+raises AlgebraBuildError on any discrepancy: graded structure constants,
+each basis path its first arrow times the rest, associativity on the
+triples whose first factor is an arrow, the unit law per basis element,
+and the declared relations vanishing in the table.  By induction on the
+length of the first factor, associativity then holds on all triples, so
+the table is an algebra generated by the arrows in which I vanishes, a
+quotient of kQ/I; as the tip-free paths span kQ/I (every rule has
+tip - tail in I, by construction), it is kQ/I (Bergman's diamond lemma).
 
 The structure constants are stored sparsely: products[i] maps j to the
 nonzero coordinates {k: c} of b_i b_j, and no table stores a zero, so two
@@ -305,7 +311,7 @@ def build(
                 row[j] = cell
         alg.products.append(row)
 
-    _verify_build(alg, block, alive)
+    _verify_build(alg, block)
     return alg
 
 
@@ -317,31 +323,38 @@ def _by_source(paths) -> dict:
     return out
 
 
-def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
-    """Raise AlgebraBuildError unless the declared relations vanish, the
-    structure constants are graded, reduction is multiplicative on the
-    generated paths, and the basis is associative with the idempotents as
-    unit.
+def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock):
+    """Raise AlgebraBuildError unless the structure constants are graded,
+    each basis path is its first arrow times the rest, the table is
+    associative on the triples whose first factor is an arrow, the
+    idempotents act as unit, and the declared relations vanish in the table.
 
     Graded: each nonzero b_i b_j has tgt(b_i) = src(b_j) and only
     coordinates k with src(b_k) = src(b_i), tgt(b_k) = tgt(b_j).  It holds
     because qdsl rejects non-parallel relation terms, so normal forms keep
-    endpoints.  Given it, (b_i b_j) b_l and b_i (b_j b_l) both vanish when
-    tgt(b_i) != src(b_j), so associativity is checked on composable pairs
-    (i, j) only, as multiplicativity is on composable paths."""
+    endpoints.  Given it, e_v b = 0 unless v = src(b) and b e_v = 0 unless
+    v = tgt(b), so the unit law is read as e_src(b) b = b = b e_tgt(b) per
+    basis element, and (b_a b_j) b_l and b_a (b_j b_l) both vanish unless
+    tgt(b_a) = src(b_j), so associativity is checked on composable pairs.
+
+    These checks certify the table as kQ/I, with b_p the class of p.  By
+    induction on the length of p, (b_p y) z = b_p (y z) for all y, z: e_v
+    keeps the basis elements starting at v and kills the others, and y z
+    starts where y does; for p = a r, b_p = b_a b_r, and associativity with
+    the arrow a first and the induction give (b_p y) z = (b_a (b_r y)) z =
+    b_a ((b_r y) z) = b_a (b_r (y z)) = b_p (y z).  So the table is an
+    associative algebra with unit the sum of the e_v, generated by the
+    arrows, in which the declared relations vanish: a quotient of kQ/I.
+    The premise is that every rule has tip - tail in I, which _complete
+    gives by construction and no check here reads.  With it the tip-free
+    paths, the basis, span kQ/I, so dim kQ/I <= dim and the quotient map
+    is an isomorphism."""
     f = alg.field
+    one = f.one()
+    q = alg.quiver
     basis = alg.basis
     products = alg.products
-    # declared relations vanish
-    for rel in block.relations:
-        acc = {}
-        for p, c in _relation_vector(alg.quiver, f, rel).items():
-            for k, x in alg.nf_coords(p).items():
-                acc[k] = f.add(acc.get(k, f.zero()), f.mul(c, x))
-        if f.sparse(acc):
-            raise AlgebraBuildError(
-                "a declared relation of %r does not vanish" % alg.block.name
-            )
+    name = alg.block.name
     # the structure constants are graded
     for i, row in enumerate(products):
         src, tgt = basis[i].source, basis[i].target
@@ -354,28 +367,26 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
                 ):
                     raise AlgebraBuildError(
                         "structure constant (%d,%d,%d) of %r breaks the grading"
-                        % (i, j, k, alg.block.name)
+                        % (i, j, k, name)
                     )
-    # reduction is multiplicative on classes of generated paths
-    enumerated = [p for L in sorted(alive) if L < alg.zero_length for p in alive[L]]
-    starts = _by_source(enumerated)
-    for p in enumerated:
-        pc = alg.nf_coords(p)
-        for s in starts.get(p.target, ()):
-            r = enumerated[s]
-            if alg.nf_coords(compose(p, r)) != alg.multiply_sparse(pc, alg.nf_coords(r)):
+    # each basis path is its first arrow times the rest
+    for k, p in enumerate(basis):
+        if p.arrows:
+            a = alg.basis_index[Path(q, None, p.arrows[:1])]
+            r = alg.basis_index[Path(q, None if p.length > 1 else p.target, p.arrows[1:])]
+            if products[a].get(r) != {k: one}:
                 raise AlgebraBuildError(
-                    "inconsistent reduction at %s * %s in %r"
-                    % (p.label(), r.label(), alg.block.name)
+                    "inconsistent reduction at %s * %s in %r: not the basis path %s"
+                    % (basis[a].label(), basis[r].label(), name, p.label())
                 )
-    # associativity on composable basis pairs (i, j) and every l: acc[l]
-    # holds (b_i b_j) b_l - b_i (b_j b_l), over the nonzero products only
+    # associativity with an arrow first: for each composable pair (a, j),
+    # acc[l] holds (b_a b_j) b_l - b_a (b_j b_l), over the nonzero products
     starts = _by_source(basis)
-    for i in range(alg.dim):
-        row_i = products[i]
-        for j in starts.get(basis[i].target, ()):
+    for a in alg.arrow_index_in_basis.values():
+        row_a = products[a]
+        for j in starts.get(basis[a].target, ()):
             acc = {}
-            for k, c in row_i.get(j, {}).items():
+            for k, c in row_a.get(j, {}).items():
                 for l, cell in products[k].items():
                     out = acc.setdefault(l, {})
                     for m, d in cell.items():
@@ -383,19 +394,37 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
             for l, cell in products[j].items():
                 out = acc.setdefault(l, {})
                 for k, c in cell.items():
-                    for m, d in row_i.get(k, {}).items():
+                    for m, d in row_a.get(k, {}).items():
                         out[m] = f.sub(out.get(m, f.zero()), f.mul(c, d))
             bad = [l for l, out in acc.items() if f.sparse(out)]
             if bad:
+                l = min(bad)
                 raise AlgebraBuildError(
-                    "associativity fails on basis triple (%d,%d,%d)" % (i, j, min(bad))
+                    "associativity fails on basis triple (%d,%d,%d) = (%s, %s, %s) of %r"
+                    % (a, j, l, basis[a].label(), basis[j].label(), basis[l].label(), name)
                 )
-    # unit law
-    one = {i: f.one() for i in alg.idem_index.values()}
-    for i in range(alg.dim):
-        b = {i: f.one()}
-        if alg.multiply_sparse(one, b) != b or alg.multiply_sparse(b, one) != b:
-            raise AlgebraBuildError("unit law fails at basis %d" % i)
+    # the unit law, per basis element
+    for k, p in enumerate(basis):
+        e_src, e_tgt = alg.idem_index[p.source], alg.idem_index[p.target]
+        if products[e_src].get(k) != {k: one} or products[k].get(e_tgt) != {k: one}:
+            raise AlgebraBuildError(
+                "unit law fails at basis %d (%s) of %r" % (k, p.label(), name)
+            )
+    # the declared relations vanish, each term the table product of its
+    # arrows from e_src
+    for rel in block.relations:
+        acc = {}
+        for t in rel.terms:
+            vec = {alg.idem_index[rel.source]: f.from_fraction(t.coeff)}
+            for n in t.arrows:
+                vec = alg.multiply_sparse(vec, {alg.arrow_index_in_basis[n]: one})
+            for k, x in vec.items():
+                acc[k] = f.add(acc.get(k, f.zero()), x)
+        if f.sparse(acc):
+            raise AlgebraBuildError(
+                "declared relation '%s' of %r does not vanish in the structure constants"
+                % (qdsl._format_relation(rel), name)
+            )
 
 
 def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:

@@ -24,6 +24,7 @@ machine output is JSON with frozen keys as documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -525,6 +526,8 @@ def _run_cup(args):
 # -- argument parsing and dispatch --------------------------------------------
 
 
+# one parser per process: it holds no input, and each parse makes a new Namespace
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="relext",

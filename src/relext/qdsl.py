@@ -28,6 +28,7 @@ from fractions import Fraction
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _RAT = re.compile(r"-?\d+(/\d+)?\Z")
+_TOKEN = re.compile(r"\S+")
 
 
 class ParseError(ValueError):
@@ -82,19 +83,7 @@ class PresentationFile:
 
 def _tokens_with_cols(line: str):
     """Whitespace-split tokens with their 1-based start columns."""
-    out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
 def _parse_term(tok: str, line_no: int, col: int):

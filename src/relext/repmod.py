@@ -17,9 +17,9 @@ gldim_at_most bounds the projective dimensions of the simples.
 Modules satisfy the declared relations by construction, so the constructor
 checks shapes only:
 - projective, injective_cogenerator: arrow maps are structure constants
-  that _verify_build checked (relations vanish, reduction multiplicative,
-  associative), so a path acts by right multiplication by its normal form
-  (on DA, by the transpose of left multiplication), a relation by 0.
+  that _verify_build certified as those of kQ/I, so a path acts by right
+  multiplication by its normal form (on DA, by the transpose of left
+  multiplication), a relation by 0.
 - simple: every arrow map is 0; qdsl rejects relation terms under 2 arrows.
 - direct_sum: acts blockwise on its summands.
 - ModuleMap.kernel: a submodule through an injective inclusion, which

@@ -25,7 +25,6 @@ from relext.algebra import (
     NotFiniteDimensionalError,
     _by_source,
     _relation_vector,
-    _verify_build,
 )
 from relext.exactla import Field
 from relext.quiver import Path, Quiver, compose
@@ -187,5 +186,101 @@ def build(
                 row[j] = cell
         alg.products.append(row)
 
-    _verify_build(alg, block, alive)
+    all_pairs_certificate(alg, block, alive)
     return alg
+
+
+def alive_paths(alg: BoundQuiverAlgebra) -> dict:
+    """Length -> the paths grown by arrows from the previous length's whose
+    class is nonzero, in declaration order, below the vanishing length."""
+    q = alg.quiver
+    alive = {0: [Path.stationary(q, v) for v in q.vertices]}
+    for L in range(1, alg.zero_length):
+        grown = [
+            Path(q, None, p.arrows + (i,))
+            for p in alive[L - 1]
+            for i, a in enumerate(q.arrows)
+            if a.source == p.target
+        ]
+        alive[L] = sorted((p for p in grown if alg.nf_coords(p)), key=lambda p: p.arrows)
+    return alive
+
+
+def all_pairs_certificate(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, alive):
+    """Raise AlgebraBuildError unless the declared relations vanish, the
+    structure constants are graded, reduction is multiplicative on the
+    generated paths, and the basis is associative with the idempotents as
+    unit.
+
+    Graded: each nonzero b_i b_j has tgt(b_i) = src(b_j) and only
+    coordinates k with src(b_k) = src(b_i), tgt(b_k) = tgt(b_j).  Given it,
+    (b_i b_j) b_l and b_i (b_j b_l) both vanish when tgt(b_i) != src(b_j),
+    so associativity is checked on composable pairs (i, j) only, as
+    multiplicativity is on composable paths."""
+    f = alg.field
+    basis = alg.basis
+    products = alg.products
+    # declared relations vanish
+    for rel in block.relations:
+        acc = {}
+        for p, c in _relation_vector(alg.quiver, f, rel).items():
+            for k, x in alg.nf_coords(p).items():
+                acc[k] = f.add(acc.get(k, f.zero()), f.mul(c, x))
+        if f.sparse(acc):
+            raise AlgebraBuildError(
+                "a declared relation of %r does not vanish" % alg.block.name
+            )
+    # the structure constants are graded
+    for i, row in enumerate(products):
+        src, tgt = basis[i].source, basis[i].target
+        for j, cell in row.items():
+            for k in cell:
+                if not (
+                    tgt == basis[j].source
+                    and basis[k].source == src
+                    and basis[k].target == basis[j].target
+                ):
+                    raise AlgebraBuildError(
+                        "structure constant (%d,%d,%d) of %r breaks the grading"
+                        % (i, j, k, alg.block.name)
+                    )
+    # reduction is multiplicative on classes of generated paths
+    enumerated = [p for L in sorted(alive) if L < alg.zero_length for p in alive[L]]
+    starts = _by_source(enumerated)
+    for p in enumerated:
+        pc = alg.nf_coords(p)
+        for s in starts.get(p.target, ()):
+            r = enumerated[s]
+            if alg.nf_coords(compose(p, r)) != alg.multiply_sparse(pc, alg.nf_coords(r)):
+                raise AlgebraBuildError(
+                    "inconsistent reduction at %s * %s in %r"
+                    % (p.label(), r.label(), alg.block.name)
+                )
+    # associativity on composable basis pairs (i, j) and every l: acc[l]
+    # holds (b_i b_j) b_l - b_i (b_j b_l), over the nonzero products only
+    starts = _by_source(basis)
+    for i in range(alg.dim):
+        row_i = products[i]
+        for j in starts.get(basis[i].target, ()):
+            acc = {}
+            for k, c in row_i.get(j, {}).items():
+                for l, cell in products[k].items():
+                    out = acc.setdefault(l, {})
+                    for m, d in cell.items():
+                        out[m] = f.add(out.get(m, f.zero()), f.mul(c, d))
+            for l, cell in products[j].items():
+                out = acc.setdefault(l, {})
+                for k, c in cell.items():
+                    for m, d in row_i.get(k, {}).items():
+                        out[m] = f.sub(out.get(m, f.zero()), f.mul(c, d))
+            bad = [l for l, out in acc.items() if f.sparse(out)]
+            if bad:
+                raise AlgebraBuildError(
+                    "associativity fails on basis triple (%d,%d,%d)" % (i, j, min(bad))
+                )
+    # unit law
+    one = {i: f.one() for i in alg.idem_index.values()}
+    for i in range(alg.dim):
+        b = {i: f.one()}
+        if alg.multiply_sparse(one, b) != b or alg.multiply_sparse(b, one) != b:
+            raise AlgebraBuildError("unit law fails at basis %d" % i)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from families import squares
 from relext import exactla, qdsl
 from relext.algebra import (
     AlgebraBuildError,
@@ -12,6 +13,7 @@ from relext.algebra import (
     quotient_by_arrows,
 )
 from relext.extensions import center
+from relext.fixtures import fixture_text
 from relext.exactla import QQ, PrimeField
 from relext.quiver import compose
 
@@ -230,29 +232,25 @@ def test_products_match_all_pairs_reference(files, chain_text):
 
 
 def _built(files):
-    """A fresh ex2 Ctilde, the basis paths by length (the nonzero paths the
-    checks enumerate), and its arrow basis indices."""
+    """A fresh ex2 Ctilde and its arrow basis indices."""
     alg = build(files["ex2"].block("Ctilde"))
-    alive = {}
-    for p in alg.basis:
-        alive.setdefault(p.length, []).append(p)
-    _verify_build(alg, alg.block, alive)
+    _verify_build(alg, alg.block)
     arrows = sorted(alg.arrow_index_in_basis.values())
-    return alg, alive, arrows
+    return alg, arrows
 
 
 def test_verify_build_rejects_wrong_structure_constant(files):
-    alg, alive, arrows = _built(files)
+    alg, arrows = _built(files)
     f = alg.field
     i, j = next((i, j) for i in arrows for j in arrows if alg.products[i].get(j))
     # a new cell: the build's cells are shared with the normal-form cache
     alg.products[i][j] = {k: f.add(c, f.one()) for k, c in alg.products[i][j].items()}
     with pytest.raises(AlgebraBuildError, match="associativity fails|inconsistent reduction"):
-        _verify_build(alg, alg.block, alive)
+        _verify_build(alg, alg.block)
 
 
 def test_verify_build_rejects_entry_at_non_composable_pair(files):
-    alg, alive, arrows = _built(files)
+    alg, arrows = _built(files)
     basis = alg.basis
     i, j = next(
         (i, j) for i in arrows for j in arrows if basis[i].target != basis[j].source
@@ -262,11 +260,11 @@ def test_verify_build_rejects_entry_at_non_composable_pair(files):
         AlgebraBuildError,
         match=r"structure constant \(%d,%d,%d\) of 'Ctilde' breaks the grading" % (i, j, i),
     ):
-        _verify_build(alg, alg.block, alive)
+        _verify_build(alg, alg.block)
 
 
 def test_verify_build_rejects_off_grade_coordinate(files):
-    alg, alive, arrows = _built(files)
+    alg, arrows = _built(files)
     basis = alg.basis
     i, j = next((i, j) for i in arrows for j in arrows if alg.products[i].get(j))
     k = next(k for k in arrows if basis[k].source != basis[i].source)
@@ -275,4 +273,84 @@ def test_verify_build_rejects_off_grade_coordinate(files):
         AlgebraBuildError,
         match=r"structure constant \(%d,%d,%d\) of 'Ctilde' breaks the grading" % (i, j, k),
     ):
-        _verify_build(alg, alg.block, alive)
+        _verify_build(alg, alg.block)
+
+
+def _cell_index(alg, label):
+    return [p.label() for p in alg.basis].index(label)
+
+
+def test_verify_build_rejects_wrong_constant_with_a_path_first(files):
+    """b_(beta.eps) b_alpha doubled: no arrow is its first factor, so the
+    associativity of (beta, eps, alpha) rejects it."""
+    alg, arrows = _built(files)
+    i, j = _cell_index(alg, "beta.eps"), _cell_index(alg, "alpha")
+    f = alg.field
+    alg.products[i][j] = {k: f.add(c, c) for k, c in alg.products[i][j].items()}
+    beta, eps = _cell_index(alg, "beta"), _cell_index(alg, "eps")
+    with pytest.raises(
+        AlgebraBuildError,
+        match=r"associativity fails on basis triple \(%d,%d,%d\) = \(beta, eps, alpha\) "
+        r"of 'Ctilde'" % (beta, eps, j),
+    ):
+        _verify_build(alg, alg.block)
+
+
+def test_verify_build_rejects_path_not_its_first_arrow_times_the_rest(files):
+    alg, arrows = _built(files)
+    i, j = _cell_index(alg, "beta"), _cell_index(alg, "eps.alpha")
+    k = _cell_index(alg, "beta.eps.alpha")
+    f = alg.field
+    alg.products[i][j] = {k: f.add(f.one(), f.one())}
+    with pytest.raises(
+        AlgebraBuildError,
+        match=r"inconsistent reduction at beta \* eps\.alpha in 'Ctilde': "
+        r"not the basis path beta\.eps\.alpha",
+    ):
+        _verify_build(alg, alg.block)
+
+
+def test_verify_build_rejects_wrong_unit_entry(files):
+    """e_2 b_beta doubled: alpha.beta = 0 is the only product through e_2
+    on the left of beta, so only the unit law sees it."""
+    alg, arrows = _built(files)
+    k = _cell_index(alg, "beta")
+    f = alg.field
+    alg.products[alg.idem_index["2"]][k] = {k: f.add(f.one(), f.one())}
+    with pytest.raises(
+        AlgebraBuildError, match=r"unit law fails at basis %d \(beta\) of 'Ctilde'" % k
+    ):
+        _verify_build(alg, alg.block)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ("ex2:Ctilde", "squares2:Ctilde"))
+def test_verify_build_rejects_every_doubled_structure_constant(files, field, name):
+    """The checks pin the table down: doubling any one nonzero product,
+    whatever its factors, fails the build check."""
+    source, block = name.split(":")
+    pf = files["ex2"] if source == "ex2" else qdsl.parse(squares(2))
+    alg = build(pf.block(block), field=field)
+    f = field
+    cells = [(i, j) for i, row in enumerate(alg.products) for j in row]
+    assert len(cells) > alg.dim
+    for i, j in cells:
+        cell = alg.products[i][j]
+        alg.products[i][j] = {k: f.add(c, c) for k, c in cell.items()}
+        with pytest.raises(AlgebraBuildError):
+            _verify_build(alg, alg.block)
+        alg.products[i][j] = cell
+    _verify_build(alg, alg.block)
+
+
+def test_verify_build_rejects_table_where_a_declared_relation_survives(files):
+    """ex2's Ctilde table checked against its block plus rel beta.eps:
+    beta.eps is a basis path of the table, so the relation survives."""
+    alg, arrows = _built(files)
+    text = fixture_text("ex2.quiv").replace("rel eps.gamma\n", "rel eps.gamma\nrel beta.eps\n")
+    block = qdsl.parse(text).block("Ctilde")
+    with pytest.raises(
+        AlgebraBuildError,
+        match=r"declared relation 'rel beta\.eps' of 'Ctilde' does not vanish",
+    ):
+        _verify_build(alg, block)

@@ -496,3 +496,43 @@ def test_non_splitting_subset(capsys, tmp_path):
     code, out, err = run(capsys, "hcoh", str(path), "Ctilde", "--arrows", "eps2")
     assert code == 2 and out == ""
     assert "ideal of ['eps2'] is not spanned by the paths through those arrows" in err
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; argparse errors exit 2."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_leaks_no_option_between_calls(capsys, monkeypatch):
+    """A sequence that switches --format, --field and --degree away from
+    their defaults and back, and --split on and off, with an argparse error
+    in the middle, gives what each call gives through a fresh parser."""
+    calls = [
+        ("info", EX1, "C"),
+        ("info", EX1, "C", "--format", "json"),
+        ("info", EX1, "C"),
+        ("hh", EX2, "B", "--field", "F7", "--format", "json"),
+        ("hh", EX2, "B", "--format", "json"),
+        ("hh", EX1, "Ctilde", "--degree", "0"),
+        ("hh", EX1, "Ctilde", "--degree", "2"),
+        ("hh", EX1, "Ctilde"),
+        ("verify", EX1, "--base", "C", "--tilde", "Ctilde", "--split", "eps"),
+        ("verify", EX1, "--base", "C", "--tilde", "Ctilde"),
+    ]
+    assert cli._parser() is cli._parser()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    for argv, got, want in zip(calls, reused, fresh):
+        assert got == want, argv
+    assert reused[0] == reused[2] and reused[4][1] != reused[3][1]
+    assert reused[5][1] != reused[7][1] and reused[8][1] != reused[9][1]

@@ -1,6 +1,7 @@
 """The Groebner build against the enumeration builder it replaced, the
-completion step on an input where Buchberger adds an element, and a
-property over small random admissible presentations."""
+completion step on an input where Buchberger adds an element, a property
+over small random admissible presentations, and the build certificate on
+the arrows against the all-pairs one it replaced."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 import build_reference
 from families import squares
 from relext import qdsl
-from relext.algebra import AlgebraBuildError, NotFiniteDimensionalError, build
+from relext.algebra import (
+    AlgebraBuildError,
+    NotFiniteDimensionalError,
+    _verify_build,
+    build,
+)
 from relext.exactla import QQ, PrimeField
 from relext.fixtures import fixture_text
 from relext.quiver import Path, Quiver, enumerate_paths
@@ -44,25 +50,43 @@ def tables(alg):
     return [p.label() for p in alg.basis], alg.zero_length, alg.products
 
 
-def test_build_matches_enumeration_reference(files, chain_text):
+def reference_cases(files, chain_text):
     """Every ex1/ex2 block, chain and squares k <= 4, the mixed-length
-    relation and the commutative square, over Q and F7: the same basis in
-    the same order, the same vanishing length and the same products."""
+    relation and the commutative square, each over Q and F7: 50 pairs."""
     texts = [fixture_text(n + ".quiv") for n in sorted(files)]
     texts += [chain_text(k) for k in range(1, 5)]
     texts += [squares(k) for k in range(1, 5)]
     texts += [INHOMOGENEOUS, SQUARE]
-    cases = 0
-    for text in texts:
-        for blk in qdsl.parse(text).blocks:
-            for field in FIELDS:
-                got = build(blk, field=field)
-                assert tables(got) == tables(build_reference.build(blk, field=field)), (
-                    blk.name,
-                    field.name,
-                )
-                cases += 1
-    assert cases == 50
+    return [(blk, f) for text in texts for blk in qdsl.parse(text).blocks for f in FIELDS]
+
+
+def certify_both_ways(alg):
+    """Run the certificate on the arrows and the all-pairs one on alg."""
+    _verify_build(alg, alg.block)
+    build_reference.all_pairs_certificate(
+        alg, alg.block, build_reference.alive_paths(alg)
+    )
+
+
+def test_build_matches_enumeration_reference(files, chain_text):
+    """The same basis in the same order, the same vanishing length and the
+    same products."""
+    cases = reference_cases(files, chain_text)
+    for blk, field in cases:
+        got = build(blk, field=field)
+        assert tables(got) == tables(build_reference.build(blk, field=field)), (
+            blk.name,
+            field.name,
+        )
+    assert len(cases) == 50
+
+
+def test_both_certificates_accept_every_build(files, chain_text):
+    """Each build of the 50 cases, by either builder, passes the
+    certificate on the arrows and the all-pairs one."""
+    for blk, field in reference_cases(files, chain_text):
+        for builder in (build, build_reference.build):
+            certify_both_ways(builder(blk, field=field))
 
 
 def test_squares_dimensions():
@@ -102,6 +126,7 @@ def test_completion_requeues_a_rule_holding_a_new_tip(field):
     assert alg.zero_length == 3
     for word in ("x.x", "x.y", "x.x.y"):
         assert alg.nf_coords(Path.from_arrow_names(alg.quiver, word.split("."))) == {}
+    certify_both_ways(alg)
 
 
 def test_infinite_dimensional_is_refused_by_both():
@@ -116,11 +141,12 @@ def test_infinite_dimensional_is_refused_by_both():
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, mixed=False):
     """Three or four vertices and 3 to 6 arrows, acyclic two times in
     three, with up to 3 monomial relations and, where the quiver has
     parallel paths of one length, 1 to 3 homogeneous binomials p - q,
-    p + 2 q or p - 3 q; every relation has length 2 or 3."""
+    p + 2 q or p - 3 q; every term has length 2 or 3.  With mixed, the
+    binomials may join parallel paths of lengths 2 and 3."""
     n = draw(st.integers(3, 4))
     ends = st.tuples(st.integers(1, n), st.integers(1, n))
     if draw(st.integers(0, 2)):
@@ -136,7 +162,8 @@ def presentations(draw):
         for p in paths
         for r in paths
         if p.sort_key() < r.sort_key()
-        and (p.length, p.source, p.target) == (r.length, r.source, r.target)
+        and (p.source, p.target) == (r.source, r.target)
+        and (mixed or p.length == r.length)
         for sign, coeff in (("-", ""), ("+", "2*"), ("-", "3*"))
     ]
     rels = []
@@ -162,3 +189,16 @@ def outcome(builder, blk, field):
 def test_random_presentations_match_reference(blk):
     for field in FIELDS:
         assert outcome(build, blk, field) == outcome(build_reference.build, blk, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(mixed=True))
+def test_random_builds_pass_both_certificates(blk):
+    """Mixed lengths included, where the enumeration builder is no
+    reference: every build that ends within the cap passes both."""
+    for field in FIELDS:
+        try:
+            alg = build(blk, field=field, max_len_cap=6)
+        except NotFiniteDimensionalError:
+            continue
+        certify_both_ways(alg)

@@ -187,3 +187,52 @@ def test_fuzzed_input_never_crashes(text):
         qdsl.parse(text)
     except qdsl.ParseError:
         pass
+
+
+# -- the tokenizer against the character loop it replaced -----------------------
+
+
+def _tokens_by_loop(line):
+    """The character loop that qdsl._tokens_with_cols replaced."""
+    out = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not line[j].isspace():
+            j += 1
+        out.append((line[i:j], i + 1))
+        i = j
+    return out
+
+
+# Unicode whitespace beyond ASCII, the information separators \x1c-\x1f
+# and \x85 included: str.isspace and the \s of re agree on each of them
+_SPACES = " \t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_SPACES))))
+def test_tokenizer_matches_character_loop(line):
+    assert qdsl._tokens_with_cols(line) == _tokens_by_loop(line)
+
+
+def test_columns_count_unicode_whitespace():
+    """Each of U+3000, U+00A0 and a tab is one column, as in the loop."""
+    cases = [
+        ("algebra A\nvertices 1\u30002\narrow\xa0a\t1 3\nend\n", "unknown-name", 3, 11),
+        (
+            "algebra A\nvertices 1 2\narrow a 1 2\narrow b 2 1\n"
+            "rel\u3000a.b\xa0+ a.c\nend\n",
+            "unknown-arrow",
+            5,
+            11,
+        ),
+    ]
+    for text, kind, line, col in cases:
+        with pytest.raises(qdsl.ParseError) as info:
+            qdsl.parse(text)
+        assert (info.value.kind, info.value.line, info.value.col) == (kind, line, col)
