@@ -34,7 +34,6 @@ from .extensions import (
     hochschild_projection,
     lift_derivations,
     poset,
-    split_presentation,
     verify_theorem,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "hochschild_projection",
     "lift_derivations",
     "poset",
-    "split_presentation",
     "verify_theorem",
 ]
 

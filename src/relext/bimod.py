@@ -118,9 +118,8 @@ class Bimodule:
         """a.x_i - x_i.a for the acting basis element a, sparse."""
         f = self.field
         out = self.act(0, a, i)
-        for j, c in self.act(1, a, i).items():
-            out[j] = f.sub(out.get(j, f.zero()), c)
-        return f.sparse(out)
+        f.axpy(out, f.neg(f.one()), self.act(1, a, i))
+        return out
 
     def _act(self, side, acoords, vec):
         f = self.field

@@ -66,6 +66,13 @@ class Field:
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         return {k: c for k, c in items if not self.is_zero(c)}
 
+    def axpy(self, acc: dict, c, vec: dict):
+        """acc += c * vec in place, for sparse vectors, dropping the entries
+        of acc that cancel: the one kernel behind every elimination step,
+        written by each field as a plain loop with no method call per
+        entry."""
+        raise NotImplementedError
+
     def dense(self, vec: dict, n: int) -> list:
         """The length-n list of a sparse vector {index: scalar}."""
         out = [self.zero()] * n
@@ -119,6 +126,21 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return a == 0
+
+    def sparse(self, vec) -> dict:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return {k: c for k, c in items if c != 0}
+
+    def axpy(self, acc: dict, c, vec: dict):
+        get = acc.get
+        for k, x in vec.items():
+            y = get(k, 0) + c * x
+            if y == 0:
+                acc.pop(k, None)
+            elif type(y) is int or y.denominator != 1:
+                acc[k] = y
+            else:
+                acc[k] = y.numerator
 
     def format(self, a) -> str:
         a = Fraction(a)
@@ -189,6 +211,21 @@ class PrimeField(Field):
     def is_zero(self, a):
         return a % self.p == 0
 
+    def sparse(self, vec) -> dict:
+        p = self.p
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return {k: c for k, c in items if c % p != 0}
+
+    def axpy(self, acc: dict, c, vec: dict):
+        p = self.p
+        get = acc.get
+        for k, x in vec.items():
+            y = (get(k, 0) + c * x) % p
+            if y:
+                acc[k] = y
+            else:
+                acc.pop(k, None)
+
     def format(self, a) -> str:
         return "%d mod %d" % (a % self.p, self.p)
 
@@ -236,14 +273,7 @@ class Echelon:
     def _subtract(self, vec: dict, key, row: dict):
         """vec -= vec[key] * row, dropping the entries that cancel."""
         f = self.field
-        c = vec[key]
-        for k, x in row.items():
-            old = vec.get(k)
-            nv = f.neg(f.mul(c, x)) if old is None else f.sub(old, f.mul(c, x))
-            if f.is_zero(nv):
-                del vec[k]
-            else:
-                vec[k] = nv
+        f.axpy(vec, f.neg(vec[key]), row)
 
     def _reduce_lead(self, vec: dict) -> dict:
         f = self.field
@@ -328,11 +358,8 @@ def compose(field: Field, outer: list, inner: list) -> list:
     for img in inner:
         acc = {}
         for k, c in img.items():
-            for t, x in outer[k].items():
-                y = field.mul(c, x)
-                old = acc.get(t)
-                acc[t] = y if old is None else field.add(old, y)
-        out.append(field.sparse(acc))
+            field.axpy(acc, c, outer[k])
+        out.append(acc)
     return out
 
 
@@ -444,14 +471,13 @@ class Subspace:
         v lies in it."""
         _check_coordinates(self.ambient_dim, v)
         f = self.field
-        res = dict(v)
-        for p, c in v.items():
+        res = f.sparse(v)
+        # no row has an entry on another row's pivot, so res[p] stays v[p]
+        for p, c in list(res.items()):
             i = self._at.get(p)
-            if i is None or f.is_zero(c):
-                continue
-            for k, x in self.rows[i].items():
-                res[k] = f.sub(res.get(k, f.zero()), f.mul(c, x))
-        return f.sparse(res)
+            if i is not None:
+                f.axpy(res, f.neg(c), self.rows[i])
+        return res
 
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
@@ -469,9 +495,8 @@ class Subspace:
         f = self.field
         out = {}
         for i, c in coords.items():
-            for k, x in self.rows[i].items():
-                out[k] = f.add(out.get(k, f.zero()), f.mul(c, x))
-        return f.sparse(out)
+            f.axpy(out, c, self.rows[i])
+        return out
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

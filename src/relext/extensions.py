@@ -175,61 +175,6 @@ def _index_maps(base_index, total_index, total_dim) -> tuple:
     return section, tuple(projection)
 
 
-def split_presentation(
-    base: BoundQuiverAlgebra, total: BoundQuiverAlgebra, new_arrow_names
-) -> SplitPresentation:
-    """The split of total over base along the named new arrows, for any
-    pair of algebras, with every check: the arrows match, each new arrow is
-    opposite to a base relation, the new-arrow ideal is a span of paths
-    squaring to zero, the label-matched section is multiplicative, and the
-    base paths and the ideal paths partition the total basis.  Family.split
-    reads the same maps off the family's index sets instead."""
-    new_arrow_names = tuple(new_arrow_names)
-
-    base_names = {a.name for a in base.quiver.arrows}
-    total_names = {a.name for a in total.quiver.arrows}
-    for n in new_arrow_names:
-        if n not in total_names:
-            raise SplitError("new arrow %s is not an arrow of the total algebra" % n)
-        if n in base_names:
-            raise SplitError("new arrow %s already belongs to the base" % n)
-    if total_names - base_names != set(new_arrow_names):
-        raise SplitError(
-            "arrows of the total algebra are not base arrows plus the new ones"
-        )
-    _check_opposite_relations(base.block.relations, total, new_arrow_names)
-
-    section, projection = _index_maps(
-        bimod.section_embed(base, total), range(total.dim), total.dim
-    )
-    sp = SplitPresentation(base, total, new_arrow_names, section, projection)
-    ext = sp.ext
-    if base.field is not total.field:
-        raise ValueError("acting and ambient algebras use different fields")
-
-    # the section must be multiplicative, so the base is a subalgebra and
-    # the product takes the form (c,e)(c',e') = (cc', ce'+ec') on the nose;
-    # a defect that does not even annihilate the ideal breaks the bimodule
-    # axioms of the base's action, and is reported as Bimodule.verify does
-    defects = bimod.section_defects(base, total, section)
-    sp.ext_over_base.check_section_defects(defects)
-
-    # the base paths and the ideal paths must partition the total basis
-    covered = set(section) | set(ext.amb_index)
-    if len(section) + ext.dim != total.dim or covered != set(range(total.dim)):
-        raise SplitError(
-            "total algebra does not split as base plus the new-arrow ideal"
-        )
-    if defects:
-        i, j, _ = defects[0]
-        raise SplitError(
-            "products of base paths %s and %s disagree between the "
-            "base and total algebras"
-            % (base.basis[i].label(), base.basis[j].label())
-        )
-    return sp
-
-
 def _check_opposite_relations(relations, total, new_arrow_names):
     """Every new arrow x -> y must be opposite to a relation y -> x."""
     for a in total.quiver.arrows:
@@ -274,7 +219,20 @@ def include_coefficient_derivation(alg, coeff: Bimodule, vec: dict) -> dict:
 def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
     """The projection map on cohomology classes, as the images of the
     class basis of the total algebra, each sparse on the base's class
-    basis."""
+    basis.
+
+    In degree 1 the map is well defined because inner derivations project
+    to inner ones, checked as an identity on the stored ad(x) of the total
+    (CohomologySpace.ad): p is an algebra map fixing the base's arrows, so
+    for x in the diagonal of the total, p(ad(x)(a)) = a p(x) - p(x) a =
+    ad(p(x))(a) on every base arrow a, and project_derivation(ad(x)) must
+    equal the base's ad(p(x)) entry for entry, with ad(0) = {} where p
+    kills x.  The ad(x) span the total's inner derivations, so this says
+    more than membership of their projections in the base's, and needs no
+    reduction.  A projected representative then gets its class coordinates
+    in one reduction, which raises exactly when it lies outside the span
+    of the base's inner basis and representatives, that is outside its
+    derivations."""
     if degree == 0:
         tgt = center(sp.base)
         images = []
@@ -289,16 +247,17 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
 
     src = regular_h1(sp.total)
     tgt = regular_h1(sp.base)
-    # well-definedness: inner derivations must project to inner derivations
-    for b in src.inner.rows:
-        if not tgt.inner.contains(project_derivation(sp, b)):
+    for x, vec in src.ad.items():
+        px = sp.projection[x]
+        if project_derivation(sp, vec) != ({} if px is None else tgt.ad.get(px)):
             raise SplitError("projection of an inner derivation is not inner")
     images = []
     for r in src.representatives():
         pr = project_derivation(sp, r)
-        if not tgt.derivations.contains(pr):
-            raise SplitError("projection of a derivation breaks a base relation")
-        images.append(tgt.class_coordinates(pr))
+        try:
+            images.append(tgt.class_coordinates(pr))
+        except ValueError:
+            raise SplitError("projection of a derivation breaks a base relation") from None
     return images
 
 
@@ -394,9 +353,8 @@ def _lift_holds(e: Bimodule, checks) -> bool:
         """u - alpha(v)"""
         out = dict(u)
         for g, c in v.items():
-            for t, x in alpha.get(g, {}).items():
-                out[t] = f.sub(out.get(t, f.zero()), f.mul(c, x))
-        return f.sparse(out)
+            f.axpy(out, f.neg(c), alpha.get(g, {}))
+        return out
 
     for sides, alpha in checks:
         for j, i in set(sides) | acted.keys() | {(j, i) for i in alpha for j in acting}:
@@ -685,8 +643,9 @@ class Family:
     Each B_S carries the tuple of the Ctilde basis indices of its basis,
     found once per node by section_embed, and split(S, T) reads the
     section B_S -> B_T and the projection back off two such tuples.  The
-    checks split_presentation makes on each pair follow from facts checked
-    once per family, here:
+    checks a split of two arbitrary algebras needs on each pair (the arrows
+    match, the section is multiplicative, base and ideal paths partition
+    the total basis) follow from facts checked once per family, here:
 
       (a) C is a subalgebra of Ctilde, path by path: section_defects of C
           in Ctilde is empty;

@@ -134,23 +134,37 @@ def derivation_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
     return exactla.null_space(f, layout.total, rows)
 
 
-def inner_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
-    """Span of c |-> c.x - x.c over diagonal x, in arrow coordinates."""
+def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
+    """{i: ad(x_i)} over the diagonal x_i, i ascending: the sparse arrow
+    coordinates of c |-> c.x_i - x_i.c, read arrow by arrow off the nonzero
+    products a.x_i and x_i.a (Bimodule.touched), so a pair whose products
+    both vanish costs nothing.  Raises ValueError when a difference, after
+    cancellation, leaves the bigraded slice of its arrow."""
     layout = arrow_layout(alg, m)
     f = m.field
-    slots = [{i: u for u, i in enumerate(block)} for block in layout.blocks]
-    vecs = []
-    for i in m.diagonal_indices():
-        vec = {}
-        for k, a in enumerate(alg.quiver.arrows):
-            ia = alg.arrow_index_in_basis[a.name]
-            for t, c in m.commutator(ia, i).items():
-                # the difference must not leave the bigraded slice
-                if t not in slots[k]:
+    ad = {i: {} for i in m.diagonal_indices()}
+    for k, a in enumerate(alg.quiver.arrows):
+        ia = alg.arrow_index_in_basis[a.name]
+        vals = {}  # i -> a.x_i - x_i.a in M coordinates
+        for side, sign in ((0, f.one()), (1, f.neg(f.one()))):
+            for i, img in m.touched(side, ia):
+                if i in ad:
+                    f.axpy(vals.setdefault(i, {}), sign, img)
+        col = {t: layout.offsets[k] + u for u, t in enumerate(layout.blocks[k])}
+        for i, val in vals.items():
+            for t, c in val.items():
+                if t not in col:
                     raise ValueError("inner derivation leaves the arrow slice")
-                vec[layout.offsets[k] + slots[k][t]] = c
-        vecs.append(vec)
-    return Subspace.from_sparse(f, layout.total, vecs)
+                ad[i][col[t]] = c
+    return ad
+
+
+def inner_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
+    """Span of the inner derivations c |-> c.x - x.c over diagonal x, in
+    arrow coordinates; h1 keeps the ad(x) themselves as CohomologySpace.ad."""
+    return Subspace.from_sparse(
+        m.field, arrow_layout(alg, m).total, _inner_derivations(alg, m).values()
+    )
 
 
 @dataclass(eq=False)
@@ -162,6 +176,7 @@ class CohomologySpace:
     layout: ArrowLayout
     derivations: Subspace
     inner: Subspace
+    ad: dict  # diagonal index i of the bimodule -> ad(x_i), spanning inner
     _classes: tuple | None = None  # set by _class_basis
 
     @property
@@ -218,35 +233,31 @@ class CohomologySpace:
             c = vec.get(p)
             if c is None:
                 continue
-            _axpy(f, res, f.neg(c), r)
-            _axpy(f, coords, c, t)
-        if f.sparse(res):
+            f.axpy(res, f.neg(c), r)
+            f.axpy(coords, c, t)
+        if res:
             raise ValueError("vector does not represent a class of this space")
         acc = {}
         for k, v in w:
             if k in coords:
-                _axpy(f, acc, coords[k], v)
-        if f.sparse(acc) != vec:
+                f.axpy(acc, coords[k], v)
+        if acc != vec:
             raise ArithmeticError("class coordinates fail substitution")
-        return f.sparse(
-            {i: coords[k] for i, (k, _) in enumerate(w[self.inner.dim :]) if k in coords}
-        )
-
-
-def _axpy(f, acc: dict, c, vec: dict):
-    """acc += c * vec, in place, for sparse vectors."""
-    for j, x in vec.items():
-        acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, x))
+        return {i: coords[k] for i, (k, _) in enumerate(w[self.inner.dim :]) if k in coords}
 
 
 def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
+    """H1(alg, m) in arrow coordinates.  The ad(x) that span the inner
+    derivations are built once, off the nonzero products, and kept as
+    `ad`; hochschild_projection checks its identity on them."""
     layout = arrow_layout(alg, m)
     der = derivation_space(alg, m)
-    inn = inner_space(alg, m)
+    ad = _inner_derivations(alg, m)
+    inn = Subspace.from_sparse(m.field, layout.total, ad.values())
     for b in inn.rows:
         if not der.contains(b):
             raise ValueError("an inner derivation failed the relation constraints")
-    return CohomologySpace(alg, m, layout, der, inn)
+    return CohomologySpace(alg, m, layout, der, inn, ad)
 
 
 def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
@@ -276,8 +287,8 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
             if p.length > 1:
                 qi = alg.basis_index[Path(q, None, p.arrows[:-1])]
             val = m.right_act({alg.arrow_index_in_basis[q.arrows[k].name]: one}, out[qi])
-            _axpy(f, val, one, m.left_act({qi: one}, dvals[k]))
-        out.append(f.sparse(val))
+            f.axpy(val, one, m.left_act({qi: one}, dvals[k]))
+        out.append(val)
     return out
 
 

@@ -183,6 +183,80 @@ def test_rational_field_matches_fraction_and_returns_ints_when_integral(a, b, fr
     assert is_q_value(QQ.zero()) and is_q_value(QQ.one())
 
 
+def _exact(field, x):
+    """x as a Fraction (Q) or as its residue in range(p) (F_p)."""
+    return Fraction(x) if field is QQ else x % field.p
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, acc, c, vec, cancel): sparse acc, a scalar c and vec over Q
+    or F_7, where acc[k] = -c vec[k] on the keys of cancel, so those
+    entries must cancel; vec may hold zeros, which must leave acc alone."""
+    field = draw(st.sampled_from([QQ, F7]))
+    values = q_values if field is QQ else st.integers(0, 6)
+    nonzero = values.filter(lambda x: _exact(field, x) != 0)
+    keys = st.integers(0, 7)
+    vec = draw(st.dictionaries(keys, values, max_size=6))
+    c = draw(values)
+    acc = draw(st.dictionaries(keys, nonzero, max_size=6))
+    cancel = draw(st.sets(st.sampled_from(sorted(vec)))) if vec else set()
+    for k in cancel:
+        x = -_exact(field, c) * _exact(field, vec[k])
+        y = (x.numerator if x.denominator == 1 else x) if field is QQ else x % field.p
+        if _exact(field, y) == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = y
+    return field, acc, c, vec, {k for k in cancel if k in acc}
+
+
+@settings(max_examples=300, deadline=None)
+@given(axpy_cases())
+def test_axpy_matches_elementwise_arithmetic(case):
+    """Field.axpy is acc + c vec entry by entry, in Fraction or mod p
+    arithmetic, keeps exactly the nonzero sums (the cancelled entries are
+    dropped, no zero is added), leaves the keys outside vec alone, and over
+    Q makes every integral value an int."""
+    field, acc, c, vec, cancel = case
+    want = {}
+    for k in acc.keys() | vec.keys():
+        x = _exact(field, acc.get(k, 0)) + _exact(field, c) * _exact(field, vec.get(k, 0))
+        if _exact(field, x) != 0:
+            want[k] = _exact(field, x)
+    before = dict(acc)
+    field.axpy(acc, c, vec)
+    assert {k: _exact(field, x) for k, x in acc.items()} == want
+    assert not cancel & acc.keys()
+    assert all(acc[k] is before[k] for k in before.keys() - vec.keys())
+    if field is QQ:
+        assert all(is_q_value(x) for x in acc.values()), acc
+    else:
+        assert all(0 < x < field.p for x in acc.values()), acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, F7]).flatmap(
+        lambda f: st.tuples(
+            st.just(f),
+            st.lists(q_values if f is QQ else st.integers(-14, 14), max_size=8),
+        )
+    )
+)
+def test_sparse_keeps_what_is_zero_rejects(case):
+    """Field.sparse of a list or a dict keeps the entries the field's
+    is_zero rejects, the values themselves, in order; over F_7 a multiple
+    of 7 counts as zero."""
+    field, dense = case
+    want = {k: x for k, x in enumerate(dense) if _exact(field, x) != 0}
+    assert field.sparse(dense) == want
+    got = field.sparse(dict(enumerate(dense)))
+    assert got == want and list(got) == list(want)
+    assert all(got[k] is dense[k] for k in got)
+    assert all(field.is_zero(x) != (k in want) for k, x in enumerate(dense))
+
+
 def test_matrix_multiplication_associative():
     """The dense reference arithmetic, and compose on the same maps: the
     rows of a are the images of a map, so a . b is b after a."""

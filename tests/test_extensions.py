@@ -17,9 +17,11 @@ from relext.extensions import (
     SplitError,
     hochschild_projection,
     lift_derivations,
-    split_presentation,
     verify_theorem,
 )
+from families import squares
+from projection_reference import reference_projection
+from split_reference import split_presentation
 
 
 # -- presentations -------------------------------------------------------------
@@ -359,6 +361,111 @@ def test_projection_maps_unit_to_unit(presentations):
     assert ref.mat_vec(ref.transpose(mat), f.dense(one_src, src.dim)) == f.dense(
         one_tgt, tgt.dim
     )
+
+
+def _projection_families(files, chain_text, field):
+    """Families of ex1, ex2, chain k <= 4 and squares k <= 3."""
+    pfs = [files[n] for n in sorted(files)]
+    pfs += [qdsl.parse(chain_text(k)) for k in range(1, 5)]
+    pfs += [qdsl.parse(squares(k)) for k in range(1, 4)]
+    return [Family(pf.block("C"), pf.block("Ctilde"), field) for pf in pfs]
+
+
+def _outcome(project, sp):
+    """("images", the images) or ("error", type, message) of project(sp)."""
+    try:
+        return ("images", project(sp))
+    except SplitError as err:
+        return ("error", type(err), str(err))
+
+
+def _degree1(sp):
+    return hochschild_projection(sp, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_projection_matches_reduction_reference(files, chain_text, field):
+    """On every comparable pair of ex1, ex2, chain k <= 4 and squares k <= 3,
+    the identity check on the stored ad(x) and one reduction per
+    representative give the images of the reduction reference.  With an
+    extra representative, an arrow coordinate whose projection is no
+    derivation of the base, both raise the same SplitError: class
+    coordinates fail to reduce where the reference's membership test
+    fails."""
+    pairs = errors = 0
+    for fam in _projection_families(files, chain_text, field):
+        for lower, upper in _comparable_pairs(fam):
+            sp = fam.split(lower, upper)
+            got = _outcome(_degree1, sp)
+            assert got[0] == "images"
+            assert got == _outcome(reference_projection, sp)
+            pairs += 1
+            src = extensions.regular_h1(sp.total)
+            der = extensions.regular_h1(sp.base).derivations
+            dm = sp.derivation_map()
+            outside = [t for t in dm if not der.contains({dm[t]: field.one()})]
+            if not outside:
+                continue
+            reps = src.representatives()
+            src.representatives = lambda: reps + [{outside[0]: field.one()}]
+            try:
+                got = _outcome(_degree1, sp)
+                assert got == _outcome(reference_projection, sp)
+            finally:
+                del src.representatives
+            assert got[1:] == (SplitError, "projection of a derivation breaks a base relation")
+            errors += 1
+    # 9 pairs per 2-arrow fixture, 3**k for chain k and squares k
+    assert pairs == 9 + 9 + 3 + 9 + 27 + 81 + 3 + 9 + 27
+    assert errors > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_projection_identity_sees_a_shifted_derivation_map(files, chain_text, field):
+    """Shifting a derivation_map entry that some ad(x) reads breaks
+    p(ad(x)) = ad(p(x)), and the identity check raises on every proper
+    pair where the base has two coordinates to shift between."""
+    raised = 0
+    for fam in _projection_families(files, chain_text, field):
+        for lower, upper in _comparable_pairs(fam):
+            sp = fam.split(lower, upper)
+            n = extensions.regular_h1(sp.base).layout.total
+            ad = extensions.regular_h1(sp.total).ad.values()
+            dm = sp.derivation_map()
+            read = [t for t in dm if any(t in vec for vec in ad)]
+            if lower == upper or not read or n < 2:
+                continue
+            dm[read[0]] = (dm[read[0]] + 1) % n
+            with pytest.raises(SplitError, match="inner derivation is not inner"):
+                hochschild_projection(sp, 1)
+            raised += 1
+    assert raised > 20
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_projection_identity_sees_a_corrupted_ad(files, chain_text, field):
+    """Doubling one stored ad(x) of the total whose projection is nonzero
+    makes the identity check raise, on every proper pair of ex1, ex2,
+    chain k <= 4 and squares k <= 3 that has one, though the inner space,
+    built before, is intact and the reduction reference still passes."""
+    raised = 0
+    for fam in _projection_families(files, chain_text, field):
+        for lower, upper in _comparable_pairs(fam):
+            sp = fam.split(lower, upper)
+            ad = extensions.regular_h1(sp.total).ad
+            seen = [x for x, vec in ad.items() if extensions.project_derivation(sp, vec)]
+            if lower == upper or not seen:
+                continue
+            kept = ad[seen[0]]
+            ad[seen[0]] = {t: field.add(c, c) for t, c in kept.items()}
+            try:
+                with pytest.raises(SplitError, match="inner derivation is not inner"):
+                    hochschild_projection(sp, 1)
+                assert _outcome(reference_projection, sp)[0] == "images"
+            finally:
+                ad[seen[0]] = kept
+            raised += 1
+    assert raised > 20
 
 
 # -- lifting -------------------------------------------------------------------
