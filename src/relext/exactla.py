@@ -5,10 +5,13 @@ otherwise; small ints in [0, p) for F_p); a Field object supplies the
 arithmetic.  Every rank, kernel, solve, span and normal-form question in the
 package goes through one sparse elimination engine, Echelon, whose rows are
 dicts keyed by any totally ordered keys: cochain indices in the bar complex,
-and negated column indices behind the linear-system entry points here, which
-take sparse rows {column: x}: null_space, solve_rows, rank and
-Subspace.from_sparse.  A Subspace holds the canonical reduced basis of its
-span as sparse rows, so two spans are equal iff their rows compare equal.
+columns in null_space, and negated columns behind solve_rows, rank,
+Subspace.from_sparse and rref.  The entry points take sparse rows
+{column: x}; null_space and solve_rows raise TypeError on a row that is not
+a dict and ValueError on a column outside range(ncols), and solve_rows does
+the same for a right-hand side {row index: b}.  A Subspace holds the
+canonical reduced basis of its span as sparse rows, so two spans are equal
+iff their rows compare equal.
 
 A linear map is the list of the images of its source basis, each a sparse
 {coordinate: x}; rank takes such a list and compose chains two of them.
@@ -364,16 +367,23 @@ def compose(field: Field, outer: list, inner: list) -> list:
 
 
 def null_space(field: Field, ncols: int, rows) -> "Subspace":
-    """Canonical basis of {x : row . x = 0} for sparse rows {column: x}."""
-    reduced = _column_echelon(field, rows).reduced_rows()
-    pivots = {-max(row): row for row in reduced}
-    vectors = {c: {c: field.one()} for c in range(ncols) if c not in pivots}
-    for pc, row in pivots.items():
-        # pivot row: x_pc + sum(row[-j] x_j over free j) = 0
-        for k, x in row.items():
-            if -k != pc:
-                vectors[-k][pc] = field.neg(x)
-    return Subspace.from_sparse(field, ncols, vectors.values())
+    """Canonical basis of {x : row . x = 0} for sparse rows {column: x},
+    read off one elimination: a reduced row with pivot pc, its largest
+    column, reads x_pc = -sum row[c] x_c over free columns c < pc.  So the
+    vector of a free column c, {c: 1} plus -row[c] at each such pc, has its
+    smallest coordinate c with coefficient 1 and no other free column: the
+    vectors, c ascending, are the canonical rows of a Subspace."""
+    ech = Echelon(field)
+    for row in rows:
+        _check_coordinates(ncols, row)
+        ech.insert(row)
+    ech.reduced_rows()
+    vectors = {c: {c: field.one()} for c in range(ncols) if c not in ech.rows}
+    for pc, row in ech.rows.items():
+        for c, x in row.items():
+            if c != pc:
+                vectors[c][pc] = field.neg(x)
+    return Subspace(field, ncols, tuple(vectors.values()))
 
 
 def solve_rows(field: Field, ncols: int, rows: list, rhs_list) -> list:
@@ -385,8 +395,11 @@ def solve_rows(field: Field, ncols: int, rows: list, rhs_list) -> list:
     pivot is a side's column, and side k is consistent iff no such row has
     an entry in column ncols + k.  The canonical reduced form is unique, so
     each solution is the one its side would get alone."""
+    for row in rows:
+        _check_coordinates(ncols, row)
     aug = [dict(row) for row in rows]
     for k, rhs in enumerate(rhs_list):
+        _check_coordinates(len(rows), rhs)
         for r, b in rhs.items():
             aug[r][ncols + k] = b
     sols = [{} for _ in rhs_list]

@@ -159,14 +159,6 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
     return ad
 
 
-def inner_space(alg: BoundQuiverAlgebra, m: Bimodule) -> Subspace:
-    """Span of the inner derivations c |-> c.x - x.c over diagonal x, in
-    arrow coordinates; h1 keeps the ad(x) themselves as CohomologySpace.ad."""
-    return Subspace.from_sparse(
-        m.field, arrow_layout(alg, m).total, _inner_derivations(alg, m).values()
-    )
-
-
 @dataclass(eq=False)
 class CohomologySpace:
     """H1 presented as normalized derivations modulo inner ones."""
@@ -184,66 +176,61 @@ class CohomologySpace:
         return self.derivations.dim - self.inner.dim
 
     def _class_basis(self) -> tuple:
-        """(w, rows), found once per space by one RREF of the rows
-        [v_k | tag k], tag k in column n + m - 1 - k, for v the inner basis
-        then the derivation basis (m vectors of length n).
-
-        A row with a tag pivot is a relation among the v_k led by its
-        largest k, so the tag pivots mark the v_k spanned by earlier ones.
-        The others, as (k, v_k), form w: the inner basis, then the
-        representatives.  A row with a coordinate pivot p is [r | t] with
-        r = sum t_k v_k and t zero off w; rows holds each as (p, r, t)."""
+        """(reps, rows) from one RREF in derivation coordinates.  Der's rows
+        are canonical, so a derivation v is sum v[p_k] der_k over their
+        pivots p_k (h1 checks inner in Der).  The RREF is of the inner rows
+        in these coordinates, der_k in column m - 1 - k: der_k lies in
+        span(inner, der_0, ..., der_(k-1)) iff a vector of that row space
+        has largest index k, iff k is a pivot.  reps are the other k,
+        ascending; rows are the RREF rows (k, {j: x}) by pivot k, and there
+        are dim inner of them, as the inner rows are independent."""
         if self._classes is None:
             f = self.algebra.field
-            n = self.layout.total
-            vecs = self.inner.rows + self.derivations.rows
-            m = len(vecs)
-            rows = [f.dense(v, n) + [f.zero()] * m for v in vecs]
-            for k, row in enumerate(rows):
-                row[n + m - 1 - k] = f.one()
-            ech, _, pivots = exactla.rref(Matrix(f, m, n + m, rows))
-            spanned = {n + m - 1 - p for p in pivots if p >= n}
-            w = tuple((k, vecs[k]) for k in range(m) if k not in spanned)
-            coords = []
-            for row, p in zip(ech.entries, pivots):
-                if p < n:
-                    t = {k: row[n + m - 1 - k] for k, _ in w}
-                    coords.append((p, f.sparse(row[:n]), f.sparse(t)))
-            self._classes = (w, tuple(coords))
+            m = self.derivations.dim
+            col = {min(row): m - 1 - k for k, row in enumerate(self.derivations.rows)}
+            mat = [
+                f.dense({col[p]: c for p, c in b.items() if p in col}, m)
+                for b in self.inner.rows
+            ]
+            ech, rank, pivots = exactla.rref(Matrix(f, len(mat), m, mat))
+            if rank != self.inner.dim:
+                raise ArithmeticError("the inner basis is dependent in derivation coordinates")
+            rows = tuple(
+                (m - 1 - p, {m - 1 - j: x for j, x in f.sparse(row).items()})
+                for row, p in zip(ech.entries, pivots)
+            )
+            spanned = {k for k, _ in rows}
+            self._classes = (tuple(k for k in range(m) if k not in spanned), rows)
         return self._classes
 
     def representatives(self) -> list:
         """Derivations whose classes form a basis of H1, as sparse arrow
         coordinates."""
-        return [v for _, v in self._class_basis()[0][self.inner.dim :]]
+        return [self.derivations.rows[k] for k in self._class_basis()[0]]
 
     def class_coordinates(self, vec: dict) -> dict:
         """Coordinates {class index: x} of the class of a derivation, given
         by its sparse arrow coordinates, in the basis of classes of
-        representatives(); unique because w is a basis of the derivations.
-        A vector v of their span is sum v[p] r over the rows (p, r, t), so
-        its coordinates in w are sum v[p] t; they are checked by
-        substitution."""
+        representatives(); raises ValueError when vec is no derivation.
+        Its derivation coordinates, less the RREF rows (inner derivations)
+        at their pivots, lie on the representatives only; they are checked
+        by substitution, vec - sum x_i rep_i must be inner."""
         f = self.algebra.field
-        w, rows = self._class_basis()
-        vec = f.sparse(vec)
-        res = dict(vec)
-        coords = {}
-        for p, r, t in rows:
-            c = vec.get(p)
-            if c is None:
-                continue
-            f.axpy(res, f.neg(c), r)
-            f.axpy(coords, c, t)
-        if res:
+        reps, rows = self._class_basis()
+        coords = self.derivations.coordinates_of(vec)
+        if coords is None:
             raise ValueError("vector does not represent a class of this space")
-        acc = {}
-        for k, v in w:
-            if k in coords:
-                f.axpy(acc, coords[k], v)
-        if acc != vec:
+        for k, row in rows:
+            c = coords.get(k)
+            if c is not None:
+                f.axpy(coords, f.neg(c), row)
+        out = {i: coords[k] for i, k in enumerate(reps) if k in coords}
+        res = f.sparse(vec)
+        for i, c in out.items():
+            f.axpy(res, f.neg(c), self.derivations.rows[reps[i]])
+        if not self.inner.contains(res):
             raise ArithmeticError("class coordinates fail substitution")
-        return {i: coords[k] for i, (k, _) in enumerate(w[self.inner.dim :]) if k in coords}
+        return out
 
 
 def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:

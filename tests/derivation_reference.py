@@ -6,12 +6,15 @@ prefix and suffix acting through its normal form.  derivation_space builds
 the relation constraints the same way, one prefix and one suffix normal
 form per arrow of each relation term.  The tests compare hochschild's
 one-pass evaluation and arrow-by-arrow constraints with these.
+
+inner_space is the span of the inner derivations as a Subspace, which
+hochschild dropped once h1 kept the ad(x) themselves; the tests read it.
 """
 
 from __future__ import annotations
 
 from relext import exactla
-from relext.hochschild import arrow_layout
+from relext.hochschild import _inner_derivations, arrow_layout
 from relext.quiver import Path
 
 
@@ -76,3 +79,11 @@ def derivation_space(alg, m) -> exactla.Subspace:
                         eq[col] = f.add(eq.get(col, f.zero()), f.mul(c, x))
         rows += [eq for eq in map(f.sparse, acc.values()) if eq]
     return exactla.null_space(f, layout.total, rows)
+
+
+def inner_space(alg, m) -> exactla.Subspace:
+    """Span of the inner derivations c |-> c.x - x.c over diagonal x, in
+    arrow coordinates."""
+    return exactla.Subspace.from_sparse(
+        m.field, arrow_layout(alg, m).total, _inner_derivations(alg, m).values()
+    )

@@ -53,7 +53,7 @@ def test_derivations_match_normal_form_reference(
         assert der == ref.derivation_space(alg, m), tag
         total = hochschild.arrow_layout(alg, m).total
         units = [{t: field.one()} for t in range(total)]
-        for vec in der.rows + hochschild.inner_space(alg, m).rows + tuple(units):
+        for vec in der.rows + ref.inner_space(alg, m).rows + tuple(units):
             assert hochschild.derivation_values(alg, m, vec) == ref.derivation_values(
                 alg, m, vec
             ), tag

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import class_reference
 import dense_reference as ref
 from dense_reference import DenseSubspace
 from relext import exactla
@@ -417,6 +418,77 @@ def test_subspace_reduce_matches_dense_reference(fmp):
         )
     for v in m.entries:
         assert u.contains(field.sparse(v))
+
+
+def kernel_cases():
+    """(field, ncols, rows) over Q or F_7, ncols = 0 allowed, with zero
+    rows, repeated rows and sums of two rows mixed in."""
+    return st.tuples(st.sampled_from([QQ, F7]), st.integers(0, 5)).flatmap(
+        lambda fn: st.tuples(
+            st.just(fn[0]),
+            st.just(fn[1]),
+            st.lists(field_vectors(*fn), max_size=5),
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(["zero", "repeat", "sum"])),
+                max_size=3,
+            ),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_null_space_matches_two_pass_reference(case):
+    """null_space, read off one elimination, equals the canonical basis the
+    two-pass reference gets by a second echelon."""
+    field, n, vecs, picks = case
+    rows = [field.sparse(v) for v in vecs]
+    for i, j, how in picks:
+        if how == "zero" or not rows:
+            rows.append({})
+            continue
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        row = dict(a)
+        if how == "sum":
+            field.axpy(row, field.one(), b)
+        rows.append(row)
+    assert exactla.null_space(field, n, rows) == class_reference.null_space(field, n, rows)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exactla.null_space(QQ, 2, [{5: 1}]),
+        lambda: exactla.null_space(QQ, 2, [{0: 1, 5: 1}]),
+        lambda: exactla.null_space(F7, 2, [{-1: 1}]),
+        lambda: exactla.solve_rows(QQ, 1, [{1: 1}], [{}]),
+        lambda: exactla.solve_rows(F7, 2, [{0: 1}, {0: 1, 2: 3}], [{0: 1}]),
+        lambda: exactla.solve_rows(QQ, 2, [{0: 1}, {1: 1}], [{-1: 5}]),
+        lambda: exactla.solve_rows(QQ, 2, [{0: 1}], [{}, {3: 5}]),
+    ],
+    ids=["null-space-beyond", "null-space-one-beyond", "null-space-negative",
+         "solve-beyond", "solve-second-row-beyond", "side-negative", "side-beyond"],
+)
+def test_rows_and_sides_outside_their_range_are_rejected(call):
+    with pytest.raises(ValueError, match="outside range"):
+        call()
+
+
+@pytest.mark.parametrize("row", [[0, 1], ((0, 1),), None], ids=["list", "tuple", "none"])
+def test_rows_and_sides_that_are_not_dicts_are_rejected(row):
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.null_space(QQ, 2, [{0: 1}, row])
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.solve_rows(QQ, 2, [{0: 1}, row], [{}])
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.solve_rows(QQ, 2, [{0: 1}], [row])
+
+
+def test_rows_inside_the_columns_still_solve():
+    assert exactla.null_space(QQ, 2, [{1: 1}]).rows == ({0: 1},)
+    assert exactla.null_space(QQ, 2, [{0: 1, 1: -1}]).rows == ({0: 1, 1: 1},)
+    assert exactla.null_space(QQ, 0, [{}]).rows == ()
+    assert exactla.solve_rows(QQ, 2, [{1: 2}], [{0: 3}]) == [{1: Fraction(3, 2)}]
 
 
 def test_solve_raises_when_substitution_fails(monkeypatch):

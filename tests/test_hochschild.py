@@ -2,9 +2,12 @@
 oracle, which runs relative to the vertex idempotents, complex identities,
 the coboundary and its action index against hand-written references and
 against the full bar complex of bar_reference, the oracle's input contract,
-the cached arrow layout, the cup product, and H0 from the vertices and
-arrows against the all-basis commutant builders of dense_reference."""
+the cached arrow layout, the cup product, H0 from the vertices and arrows
+against the all-basis commutant builders of dense_reference, and the class
+basis in derivation coordinates against the tagged RREF of
+class_reference."""
 
+import os
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,6 +18,7 @@ from relext import bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build
 from relext.extensions import center
 from bar_reference import FullBarCalculator
+from class_reference import TaggedClasses
 from dense_reference import (
     DenseSubspace,
     center_reference,
@@ -22,6 +26,8 @@ from dense_reference import (
     h0_reference,
     stores_no_zero,
 )
+from derivation_reference import inner_space
+from families import squares
 from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
     calculator,
@@ -32,7 +38,6 @@ from relext.hochschild import (
     derivation_to_cochain,
     h0,
     h1,
-    inner_space,
     unit_cochain,
 )
 
@@ -202,6 +207,110 @@ def test_class_basis_matches_dense_reference(corpus_pairs_by_field):
                 assert _no_zero_vectors(f, [coords]), tag
                 inside += 1
     assert inside and outside
+
+
+HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "halfsquare.quiv")
+
+
+def _tagged_corpus(files, chain_text, corpus_pairs_by_field, field):
+    """(tag, algebra, bimodule) over the field: the ex1/ex2 pairs, and the
+    regular bimodule of every partial extension of ex1, ex2, chain k <= 4,
+    squares k <= 3 and both families of halfsquare.quiv."""
+    out = list(corpus_pairs_by_field[field.name])
+    with open(HALFSQUARE, encoding="utf-8") as fh:
+        half = qdsl.parse(fh.read())
+    towers = [(n, files[n], "C", "Ctilde") for n in sorted(files)]
+    towers += [("chain%d" % k, qdsl.parse(chain_text(k)), "C", "Ctilde") for k in (1, 2, 3, 4)]
+    towers += [("squares%d" % k, qdsl.parse(squares(k)), "C", "Ctilde") for k in (1, 2, 3)]
+    towers += [("halfsquare", half, "C", "Ctilde"), ("halfsquare", half, "D", "Dtilde")]
+    for name, pf, base, tilde in towers:
+        fam = extensions.Family(pf.block(base), pf.block(tilde), field)
+        for r in range(len(fam.new_arrows) + 1):
+            for combo in combinations(fam.new_arrows, r):
+                try:
+                    alg = fam.partial(combo)
+                except extensions.SplitError:
+                    continue
+                tag = "%s:%s_%s" % (name, base, ",".join(combo))
+                out.append((tag, alg, bimod.regular_bimodule(alg)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_class_basis_matches_tagged_reference(files, chain_text, corpus_pairs_by_field, field):
+    """Representatives and class coordinates, read in derivation
+    coordinates, equal those of the tagged RREF of class_reference on the
+    derivation basis, the inner basis, a combination of the derivations and
+    every unit vector (most of which are no derivation)."""
+    corpus = _tagged_corpus(files, chain_text, corpus_pairs_by_field, field)
+    nonzero = outside = 0
+    for tag, alg, m in corpus:
+        space = h1(alg, m)
+        ref = TaggedClasses(space)
+        assert space.representatives() == ref.representatives(), tag
+        f = alg.field
+        total = space.layout.total
+        mix = {}
+        for k, row in enumerate(space.derivations.rows):
+            f.axpy(mix, f.from_int(k + 1), row)
+        units = [{j: f.one()} for j in range(total)]
+        for v in [*space.derivations.rows, *space.inner.rows, mix, *units]:
+            try:
+                want = ref.class_coordinates(v)
+            except ValueError:
+                with pytest.raises(ValueError, match="does not represent a class"):
+                    space.class_coordinates(v)
+                outside += 1
+                continue
+            assert space.class_coordinates(v) == want, tag
+            nonzero += bool(want)
+    # ex1/ex2 pairs, 4 partials of each fixture, 2 + 4 + 8 + 16 of chain
+    # k <= 4, 2 + 4 + 8 of squares k <= 3 and 2 + 2 of halfsquare
+    assert len(corpus) == 16 + 8 + 30 + 14 + 4
+    assert nonzero > 100 and outside > 100
+
+
+def _space_with_classes(algebras):
+    """H1 of ex2's Ctilde, which has inner derivations, RREF rows and
+    representatives; (space, k, rep) with k the pivot of an RREF row."""
+    alg = algebras[("ex2", "Ctilde")]
+    space = h1(alg, bimod.regular_bimodule(alg))
+    reps, rows = space._class_basis()
+    assert reps and rows
+    return space, rows[0][0], reps[0]
+
+
+def test_class_coordinates_substitution_catches_a_corrupt_row(algebras):
+    """An RREF row with an entry planted on a representative gives wrong
+    coordinates to every derivation with a nonzero entry at its pivot, and
+    the substitution check raises."""
+    space, k, rep = _space_with_classes(algebras)
+    f = space.algebra.field
+    der_k = space.derivations.rows[k]
+    assert space.class_coordinates(der_k) == TaggedClasses(space).class_coordinates(der_k)
+    reps, rows = space._classes
+    corrupt = dict(rows[0][1])
+    corrupt[rep] = f.add(corrupt.get(rep, f.zero()), f.one())
+    space._classes = (reps, ((k, f.sparse(corrupt)),) + rows[1:])
+    with pytest.raises(ArithmeticError, match="fail substitution"):
+        space.class_coordinates(der_k)
+
+
+def test_class_basis_checks_the_rank_of_the_inner_rows(algebras):
+    """An inner row with no entry on a pivot of Der reads as zero in
+    derivation coordinates; h1 rules it out by checking inner inside Der,
+    and _class_basis by the rank."""
+    space, _, _ = _space_with_classes(algebras)
+    f = space.algebra.field
+    pivots = {min(row) for row in space.derivations.rows}
+    j = next(j for j in range(space.layout.total) if j not in pivots)
+    inner = exactla.Subspace.from_sparse(
+        f, space.layout.total, space.inner.rows + ({j: f.one()},)
+    )
+    assert inner.dim == space.inner.dim + 1
+    bad = replace(space, inner=inner, _classes=None)
+    with pytest.raises(ArithmeticError, match="dependent"):
+        bad.representatives()
 
 
 def test_inner_space_inside_derivation_space(corpus_pairs):
