@@ -2,7 +2,7 @@
 partial relation extensions, all over exact arithmetic."""
 
 from .exactla import QQ, Field, FieldError, Matrix, PrimeField, Subspace, field_from_spec
-from .quiver import Arrow, Path, Quiver, compose, enumerate_paths, is_acyclic
+from .quiver import Arrow, Path, Quiver, compose, is_acyclic
 from .qdsl import AlgebraBlock, ParseError, PresentationFile, parse, serialize
 from .algebra import (
     AlgebraBuildError,
@@ -22,7 +22,7 @@ from .bimod import (
     end_enveloping,
     regular_bimodule,
 )
-from .hochschild import CohomologySpace, bar_h, cup_product, h0, h1, is_coboundary
+from .hochschild import CohomologySpace, cup_product, h0, h1
 from .extensions import (
     ExtensionPoset,
     Family,
@@ -49,7 +49,6 @@ __all__ = [
     "Path",
     "Quiver",
     "compose",
-    "enumerate_paths",
     "is_acyclic",
     "AlgebraBlock",
     "ParseError",
@@ -73,11 +72,9 @@ __all__ = [
     "end_enveloping",
     "regular_bimodule",
     "CohomologySpace",
-    "bar_h",
     "cup_product",
     "h0",
     "h1",
-    "is_coboundary",
     "ExtensionPoset",
     "Family",
     "LiftWitness",

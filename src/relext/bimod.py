@@ -327,16 +327,21 @@ def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
 
 def hom_equations(m: Bimodule, n: Bimodule) -> tuple:
     """The equations a.f(x) - f(a.x) = 0 and f(x).a - f(x.a) = 0 on a linear
-    map f: M -> N, one row per acting basis element a, basis element x_i of
-    M, side (0 left, 1 right) and coordinate j of N.
+    map f: M -> N, one row per acting arrow a, basis element x_i of M, side
+    (0 left, 1 right) and coordinate j of N.
 
-    A solution preserves the vertex bigrade: the idempotent rows force every
-    other entry to 0, since the idempotents act as the bigrade projections.
-    So only the graded entries are unknowns; var maps (i, j) to the column of
-    the entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
+    A solution preserves the vertex bigrade, since the idempotents act as
+    the bigrade projections; so only the graded entries are unknowns, and
+    on them the idempotent rows are zero.  The arrows then suffice: every
+    other acting basis element is a path a.q of an arrow and a shorter
+    path, and if f commutes with a and with q, f(a.q.x) = a.f(q.x) =
+    a.q.f(x), so by induction on length f commutes with every basis
+    element (on the right likewise).  var maps (i, j) to the column of the
+    entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
     (var, rows, keys), sparse rows {column: c} over those columns without
-    the zero rows, and the key (a, i, side, j) of each row, where a caller
-    places its right-hand sides; a key without a row has a zero left side."""
+    the zero rows, and the key (a, i, side, j) of each row, a the acting
+    basis index of an arrow, where a caller places its right-hand sides; a
+    key without a row has a zero left side."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
@@ -352,7 +357,7 @@ def hom_equations(m: Bimodule, n: Bimodule) -> tuple:
 
     rows = []
     keys = []
-    for a in range(m.acting.dim):
+    for a in m.acting.arrow_index_in_basis.values():
         actions = []
         for side in (0, 1):
             am = dict(m.touched(side, a))

@@ -7,14 +7,15 @@ package goes through one sparse elimination engine, Echelon, whose rows are
 dicts keyed by any totally ordered keys: cochain indices in the bar complex,
 columns in null_space, and negated columns behind solve_rows, rank,
 Subspace.from_sparse and rref.  The entry points take sparse rows
-{column: x}; null_space and solve_rows raise TypeError on a row that is not
-a dict and ValueError on a column outside range(ncols), and solve_rows does
-the same for a right-hand side {row index: b}.  A Subspace holds the
-canonical reduced basis of its span as sparse rows, so two spans are equal
-iff their rows compare equal.
+{column: x}; null_space, solve_rows and rank raise TypeError on a row that
+is not a dict and ValueError on a column outside range(ncols), and
+solve_rows does the same for a right-hand side {row index: b}.  A Subspace
+holds the canonical reduced basis of its span as sparse rows, so two spans
+are equal iff their rows compare equal.
 
 A linear map is the list of the images of its source basis, each a sparse
-{coordinate: x}; rank takes such a list and compose chains two of them.
+{coordinate: x}; rank takes such a list with the target's dimension, and
+compose chains two of them.
 Matrix is a plain dense record, read and returned only by rref.
 """
 
@@ -348,8 +349,12 @@ def rref(m: Matrix) -> tuple:
     return Matrix(f, m.rows, m.cols, work), len(rows), pivots
 
 
-def rank(field: Field, rows) -> int:
-    """Rank of sparse rows {column: x}, such as the images of a linear map."""
+def rank(field: Field, ncols: int, rows) -> int:
+    """Rank of sparse rows {column: x} over range(ncols), such as the images
+    of a linear map into a space of dimension ncols."""
+    rows = list(rows)
+    for row in rows:
+        _check_coordinates(ncols, row)
     return _column_echelon(field, rows).rank
 
 

@@ -281,19 +281,31 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
     None where none exists.  The left side of this system does not depend
     on d, so it is built once and every d is one right-hand side of a
     single solve.  Raises ValueError on a coordinate outside the base's
-    arrow layout."""
+    arrow layout.
+
+    As in bimod.hom_equations, the conditions at the base arrows c suffice.
+    At an idempotent d(e) = 0 and the graded alpha commutes with e.  A
+    longer basis path is q.c for a shorter one q, and derivation_values
+    gives d(q.c) = d(q).c + q.d(c); so if the conditions hold at q for all
+    x and at c for all x, then x d(q.c) = (alpha(x) q - alpha(xq)) c +
+    alpha(xq) c - alpha(xqc) = alpha(x) q.c - alpha(x q.c), and the left
+    condition telescopes the same way.  So only the arrows get right-hand
+    sides; sides keeps every c with d(c) != 0 for _lift_holds, which
+    checks all of them."""
     base = sp.base
     e = sp.ext_over_base
     f = base.field
     one = f.one()
     reg = regular_bimodule_of(base)
+    arrows = set(base.arrow_index_in_basis.values())
     var, rows, keys = bimod.hom_equations(e, e)
     at = {key: r for r, key in enumerate(keys)}
     all_sides = []
     rhs_list = []
     for dvec in dvecs:
         # sides[(j, i)] = (d(c) x, x d(c)) for c the base basis element j
-        # with d(c) != 0 and x = x_i, found once for the solve and the check
+        # with d(c) != 0 and x = x_i, for the check; at an arrow c, also
+        # the right-hand sides of the solve
         sides = {}
         rhs = {}
         for j, dj in enumerate(derivation_values(base, reg, dvec)):
@@ -302,6 +314,8 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
             for i in range(e.dim):
                 x = {i: one}
                 pair = sides[(j, i)] = (e.left_act(dj, x), e.right_act(dj, x))
+                if j not in arrows:
+                    continue
                 for side, vec in enumerate(pair):
                     for t, c in vec.items():
                         r = at.setdefault((j, i, side, t), len(rows))
@@ -808,15 +822,16 @@ class Family:
 
         h1_ct_e, lifts_ok = self._full_split_part()
         lifts_ok = self._lifts_ok(sp_cb) and lifts_ok
+        hh0_c, hh1_c, hh1_b = center(c_alg).dim, regular_h1(c_alg).dim, regular_h1(b_alg).dim
 
         return TheoremReport(
             field_name=repr(c_alg.field),
             subset=subset,
-            hh0_C=center(c_alg).dim,
+            hh0_C=hh0_c,
             hh0_B=zb.dim,
             hh0_Ctilde=center(ct_alg).dim,
-            hh1_C=regular_h1(c_alg).dim,
-            hh1_B=regular_h1(b_alg).dim,
+            hh1_C=hh1_c,
+            hh1_B=hh1_b,
             hh1_Ctilde=regular_h1(ct_alg).dim,
             h0_B_Eprime=h0(eprime_b).dim,
             h0_Ct_Esec=h0(esec_ct).dim,
@@ -829,10 +844,10 @@ class Family:
             end_Be_Esec=bimod.end_enveloping(esec_b),
             curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, sp_cb.base_inside),
             curlyE_Esec_B=bimod.curly_E_dimension(esec_b, sp_bct.base_inside),
-            phi0_rank_BC=exactla.rank(f, phi0_bc),
-            phi1_rank_BC=exactla.rank(f, phi1_bc),
-            phi0_rank_CtB=exactla.rank(f, phi0_ctb),
-            phi1_rank_CtB=exactla.rank(f, phi1_ctb),
+            phi0_rank_BC=exactla.rank(f, hh0_c, phi0_bc),
+            phi1_rank_BC=exactla.rank(f, hh1_c, phi1_bc),
+            phi0_rank_CtB=exactla.rank(f, zb.dim, phi0_ctb),
+            phi1_rank_CtB=exactla.rank(f, hh1_b, phi1_ctb),
             kernel_deg0_matches=kernel_deg0_matches,
             ideal_classes_embed=_ideal_classes_embed(
                 b_alg, eprime_b, h1_b_eprime, sp_cb
@@ -889,7 +904,7 @@ class Family:
                     mat = hochschild_projection(self.split(t_arr, s_arr), 1)
                     proj_mats[(si, ti)] = mat
                     if len(s_arr) == len(t_arr) + 1:
-                        rank = exactla.rank(f, mat)
+                        rank = exactla.rank(f, nodes[ti].dim_hh1, mat)
                         edges.append(
                             PosetEdge(
                                 lower=ti,

@@ -79,22 +79,27 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
 
 
 def h0(m: Bimodule) -> Subspace:
-    """{x in M : a.x = x.a for all a}, cut out by one block of rows
-    (a.x - x.a)_j per vertex idempotent and per arrow a, read off the
-    nonzero ambient products.  That suffices: every other basis element is
-    a path, a product a.q of an arrow and a shorter path, and if x commutes
-    with a and with q then a.q.x = a.x.q = x.a.q, so by induction on length
-    x commutes with every basis element."""
+    """{x in M : a.x = x.a for all a}.  Each e_v acts as the projection onto
+    the paths at v, so x commutes with every e_v iff x lies on the diagonal
+    (Bimodule.diagonal_indices): only those coordinates are unknowns.  They
+    are cut out by one block of rows (a.x - x.a)_j per arrow a, read off
+    the nonzero ambient products.  That suffices: every other basis element
+    is a path, a product a.q of an arrow and a shorter path, and if x
+    commutes with a and with q then a.q.x = a.x.q = x.a.q, so by induction
+    on length x commutes with every basis element.  The kernel maps back
+    to M in ascending order, so its canonical rows stay canonical."""
     f = m.field
-    A = m.acting
+    diag = m.diagonal_indices()
+    col = {i: c for c, i in enumerate(diag)}
     rows = []
-    for a in (*A.idem_index.values(), *A.arrow_index_in_basis.values()):
-        eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
-        for i in {i for side in (0, 1) for i, _ in m.touched(side, a)}:
+    for a in m.acting.arrow_index_in_basis.values():
+        eqs = {}  # coordinate j -> {column of x_i: coefficient in (a.x - x.a)_j}
+        for i in {i for side in (0, 1) for i, _ in m.touched(side, a)} & col.keys():
             for j, c in m.commutator(a, i).items():
-                eqs.setdefault(j, {})[i] = c
+                eqs.setdefault(j, {})[col[i]] = c
         rows += eqs.values()
-    return exactla.null_space(f, m.dim, rows)
+    ker = exactla.null_space(f, len(diag), rows)
+    return Subspace(f, m.dim, tuple({diag[c]: x for c, x in v.items()} for v in ker.rows))
 
 
 # -- degree 1, arrow coordinates ----------------------------------------------
@@ -547,18 +552,6 @@ def calculator(alg: BoundQuiverAlgebra, m: Bimodule) -> HochschildCalculator:
     if calc is None or calc.alg is not alg:
         calc = m._calculator = HochschildCalculator(alg, m)
     return calc
-
-
-def bar_h(alg: BoundQuiverAlgebra, m: Bimodule, n: int) -> int:
-    return calculator(alg, m).bar_h(n)
-
-
-def is_coboundary(alg: BoundQuiverAlgebra, m: Bimodule, f2: dict) -> bool:
-    return calculator(alg, m).is_coboundary(f2)
-
-
-def verify_complex(alg: BoundQuiverAlgebra, m: Bimodule) -> bool:
-    return calculator(alg, m).verify_complex()
 
 
 # -- cup products (coefficients in the algebra, total degree <= 2) ------------

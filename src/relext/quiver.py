@@ -2,8 +2,8 @@
 
 Composition is read left to right: for arrows a: x -> y and b: y -> z the
 composite path a.b runs x -> z.  Stationary paths e_v are the length-zero
-units.  Path enumeration is deterministic: sorted by (length, arrow
-declaration index sequence), which every downstream basis choice relies on.
+units.  Paths are ordered by (length, arrow declaration index sequence),
+Path.sort_key, which every downstream basis choice relies on.
 """
 
 from __future__ import annotations
@@ -127,30 +127,6 @@ def compose(p: Path, q: Path) -> Path | None:
     if not q.arrows:
         return p
     return Path(p.quiver, None, p.arrows + q.arrows)
-
-
-def enumerate_paths(q: Quiver, max_len: int) -> list:
-    """All paths of length <= max_len, ordered by (length, arrow indices).
-
-    The listing is prefix closed: dropping the last arrow of any entry
-    yields an earlier entry.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    out = [Path.stationary(q, v) for v in q.vertices]
-    frontier = out[:]
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for i, a in enumerate(q.arrows):
-                if a.source == p.target:
-                    nxt.append(Path(q, None, p.arrows + (i,)))
-        nxt.sort(key=lambda p: p.arrows)
-        out.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
 
 
 def is_acyclic(q: Quiver) -> bool:

@@ -114,7 +114,8 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         f = self.source.algebra.field
         return all(
-            exactla.rank(f, self.mats[v]) == self.target.dims[v] for v in self.mats
+            exactla.rank(f, self.target.dims[v], self.mats[v]) == self.target.dims[v]
+            for v in self.mats
         )
 
     def kernel(self):

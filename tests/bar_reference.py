@@ -5,11 +5,16 @@ idempotent arguments: dim A^n * dim M coordinates, stored as a sparse dict
 under the key ((c1 * dim A + c2) * ... + cn) * dim M + t, the same integer
 encoding relext.hochschild uses.  The tests compare the relative complex
 against it, and run the full-complex identities on it.
+
+bar_h, is_coboundary and verify_complex are the module-level forms of the
+relative calculator's methods that relext.hochschild used to export, on the
+calculator cached on the bimodule.
 """
 
 from __future__ import annotations
 
 from relext import exactla
+from relext.hochschild import calculator
 
 from dense_reference import action_tables
 
@@ -145,3 +150,15 @@ class FullBarCalculator:
                     "b3 after b2 is nonzero on cochain (%d, %d)" % divmod(key, self.m.dim)
                 )
         return True
+
+
+def bar_h(alg, m, n: int) -> int:
+    return calculator(alg, m).bar_h(n)
+
+
+def is_coboundary(alg, m, f2: dict) -> bool:
+    return calculator(alg, m).is_coboundary(f2)
+
+
+def verify_complex(alg, m) -> bool:
+    return calculator(alg, m).verify_complex()

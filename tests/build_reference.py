@@ -12,6 +12,9 @@ the relation extensions, with their cycles, the row count grows
 exponentially with the size.  The tests compare the Groebner build with it:
 the leading terms of an ideal depend only on the ideal and the order, so the
 basis, the vanishing length and the structure constants must agree.
+
+enumerate_paths, the listing of every path up to a length, is kept here
+too; the package no longer enumerates paths.
 """
 
 from __future__ import annotations
@@ -284,3 +287,27 @@ def all_pairs_certificate(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, ali
         b = {i: f.one()}
         if alg.multiply_sparse(one, b) != b or alg.multiply_sparse(b, one) != b:
             raise AlgebraBuildError("unit law fails at basis %d" % i)
+
+
+def enumerate_paths(q: Quiver, max_len: int) -> list:
+    """All paths of length <= max_len, ordered by (length, arrow indices).
+
+    The listing is prefix closed: dropping the last arrow of any entry
+    yields an earlier entry.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    out = [Path.stationary(q, v) for v in q.vertices]
+    frontier = out[:]
+    for _ in range(max_len):
+        nxt = []
+        for p in frontier:
+            for i, a in enumerate(q.arrows):
+                if a.source == p.target:
+                    nxt.append(Path(q, None, p.arrows + (i,)))
+        nxt.sort(key=lambda p: p.arrows)
+        out.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return out

@@ -7,7 +7,8 @@ criterion.
 
 import pytest
 
-from relext import bimod, hochschild, qdsl, repmod
+import bar_reference
+from relext import bimod, qdsl, repmod
 from relext.algebra import build, is_triangular
 from relext.extensions import regular_h1
 from relext.fixtures import fixture_text
@@ -118,7 +119,7 @@ def test_criterion_09_dual_method_oracle(corpus_pairs):
         calc = calculator(alg, m)
         assert calc.bar_h(0) == h0(m).dim, tag
         assert calc.bar_h(1) == h1(alg, m).dim, tag
-        assert hochschild.verify_complex(alg, m), tag
+        assert bar_reference.verify_complex(alg, m), tag
 
 
 def test_criterion_10_second_extension_dimension(algebras):

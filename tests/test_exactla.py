@@ -47,7 +47,7 @@ def test_rref_idempotent_and_rank_bound(m):
 @given(rational_matrices())
 def test_kernel_annihilates_and_rank_nullity(m):
     ker = exactla.null_space(QQ, m.cols, _sparse_rows(m))
-    assert ker.dim == m.cols - exactla.rank(QQ, _sparse_rows(m))
+    assert ker.dim == m.cols - exactla.rank(QQ, m.cols, _sparse_rows(m))
     for v in ker.rows:
         assert all(x == 0 for x in ref.mat_vec(m, QQ.dense(v, m.cols)))
 
@@ -344,7 +344,7 @@ def test_sparse_engine_matches_dense_reference(fmr):
     field, m, rhs = fmr
     rows = _sparse_rows(m)
     assert exactla.rref(m) == ref.rref(m)
-    assert exactla.rank(field, rows) == ref.rank(m)
+    assert exactla.rank(field, m.cols, rows) == ref.rank(m)
     assert DenseSubspace.of(exactla.null_space(field, m.cols, rows)) == ref.kernel(m)
     assert _solve_one(m, rhs) == ref.solve(m, rhs)
     assert DenseSubspace.of(Subspace.from_sparse(field, m.cols, rows)) == (
@@ -484,6 +484,21 @@ def test_rows_and_sides_that_are_not_dicts_are_rejected(row):
         exactla.solve_rows(QQ, 2, [{0: 1}], [row])
 
 
+def test_rank_checks_each_row():
+    """rank checks its rows as null_space does: a column outside
+    range(ncols), negative or too large, is a ValueError, and a dense list
+    row a TypeError, where an unchecked rank returned 2 and raised
+    AttributeError."""
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.rank(QQ, 8, [{-3: 1}, {7: 2}])
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.rank(F7, 7, [{0: 1}, {7: 2}])
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.rank(QQ, 2, [{0: 1}, [0, 1]])
+    assert exactla.rank(QQ, 8, [{3: 1}, {7: 2}]) == 2
+    assert exactla.rank(QQ, 0, []) == 0
+
+
 def test_rows_inside_the_columns_still_solve():
     assert exactla.null_space(QQ, 2, [{1: 1}]).rows == ({0: 1},)
     assert exactla.null_space(QQ, 2, [{0: 1, 1: -1}]).rows == ({0: 1, 1: 1},)
@@ -579,6 +594,6 @@ def test_rank_and_compose_match_dense_reference(case):
     f, a, b, (p, q, r) = case
     ma, mb = Matrix(f, p, q, a), Matrix(f, r, p, b)
     sa, sb = _sparse_rows(ma), _sparse_rows(mb)
-    assert exactla.rank(f, sa) == ref.rank(ma)
-    assert exactla.rank(f, sb) == ref.rank(mb)
+    assert exactla.rank(f, q, sa) == ref.rank(ma)
+    assert exactla.rank(f, p, sb) == ref.rank(mb)
     assert exactla.compose(f, sa, sb) == _sparse_rows(ref.mul(mb, ma))

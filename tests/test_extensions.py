@@ -10,6 +10,7 @@ import pytest
 from relext import algebra, bimod, exactla, extensions, hochschild, qdsl
 from relext.algebra import build
 from relext.extensions import center
+import bar_reference
 import dense_reference as ref
 from relext.exactla import QQ, PrimeField
 from relext.extensions import (
@@ -343,8 +344,9 @@ def test_projection_surjective_on_families(presentations, name):
         sp = presentations[name][key]
         p0 = hochschild_projection(sp, 0)
         p1 = hochschild_projection(sp, 1)
-        assert exactla.rank(sp.field, p0) == center(sp.base).dim
-        assert exactla.rank(sp.field, p1) == extensions.regular_h1(sp.base).dim
+        n0, n1 = center(sp.base).dim, extensions.regular_h1(sp.base).dim
+        assert exactla.rank(sp.field, n0, p0) == n0
+        assert exactla.rank(sp.field, n1, p1) == n1
 
 
 def test_projection_maps_unit_to_unit(presentations):
@@ -912,7 +914,7 @@ def test_cohomology_caches_die_with_the_algebra(files):
     assert extensions.regular_bimodule_of(alg) is m
     assert center(alg).dim == 3
     assert extensions.regular_h1(alg) is extensions.regular_h1(alg)
-    assert hochschild.bar_h(alg, m, 1) == 3
+    assert bar_reference.bar_h(alg, m, 1) == 3
     assert hochschild.calculator(alg, m) is hochschild.calculator(alg, m)
     refs = [weakref.ref(alg), weakref.ref(m)]
     del alg, m

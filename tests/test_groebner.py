@@ -17,7 +17,8 @@ from relext.algebra import (
 )
 from relext.exactla import QQ, PrimeField
 from relext.fixtures import fixture_text
-from relext.quiver import Path, Quiver, enumerate_paths
+from relext.quiver import Path, Quiver
+from build_reference import enumerate_paths
 
 FIELDS = (QQ, PrimeField(7))
 

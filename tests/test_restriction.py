@@ -20,7 +20,8 @@ from relext.algebra import (
     quotient_by_arrows,
 )
 from relext.exactla import PrimeField, QQ, Subspace
-from relext.quiver import Path, enumerate_paths
+from relext.quiver import Path
+from build_reference import enumerate_paths
 
 from dense_reference import action_tables
 from families import squares
