@@ -140,6 +140,17 @@ class BoundQuiverAlgebra:
             self._vertex_pairs = pairs
         return list(self._vertex_pairs.get((x, y), ()))
 
+    def prefix_index(self, i: int) -> int:
+        """The basis index of b_i without its last arrow, for a basis path
+        b_i of positive length.  That prefix is a basis path met earlier in
+        the basis, since a subpath of a tip-free path is tip-free and build
+        grows each basis path from a shorter one (a restriction's basis is
+        the full algebra's paths avoiding some arrows, in the same order)."""
+        p = self.basis[i]
+        if p.length == 1:
+            return self.idem_index[p.source]
+        return self.basis_index[Path(self.quiver, None, p.arrows[:-1])]
+
     def __repr__(self):
         return "BoundQuiverAlgebra(%s, dim %d, %s)" % (
             self.block.name,

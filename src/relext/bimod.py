@@ -114,13 +114,6 @@ class Bimodule:
         """x.a for sparse a = {acting index: c} and x = {index: c}."""
         return self._act(1, acoords, vec)
 
-    def commutator(self, a: int, i: int) -> dict:
-        """a.x_i - x_i.a for the acting basis element a, sparse."""
-        f = self.field
-        out = self.act(0, a, i)
-        f.axpy(out, f.neg(f.one()), self.act(1, a, i))
-        return out
-
     def _act(self, side, acoords, vec):
         f = self.field
         out = {}

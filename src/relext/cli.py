@@ -17,8 +17,11 @@ the bar complex relative to the vertex idempotents and flag agreement).
 Exit status: 0 when everything asked for holds, 1 when a mathematical check
 fails (an identity row, oracle disagreement, a cup-product property), 2 for
 unusable input (unreadable file, parse error, unknown names, or a family
-that fails the structural gates).  Output is deterministic byte for byte;
-machine output is JSON with frozen keys as documented in the README.
+that fails the structural gates), 3 for an internal arithmetic failure (an
+ArithmeticError, such as a solution or class coordinates failing
+substitution, or a division by zero), reported as one line on stderr.
+Output is deterministic byte for byte; machine output is JSON with frozen
+keys as documented in the README.
 """
 
 from __future__ import annotations
@@ -599,6 +602,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
+    except ArithmeticError as e:
+        sys.stderr.write("internal error: %s\n" % e)
+        return 3
     sys.stdout.write(text)
     return 0 if ok else 1
 

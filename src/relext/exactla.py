@@ -14,8 +14,8 @@ holds the canonical reduced basis of its span as sparse rows, so two spans
 are equal iff their rows compare equal.
 
 A linear map is the list of the images of its source basis, each a sparse
-{coordinate: x}; rank takes such a list with the target's dimension, and
-compose chains two of them.
+{coordinate: x}; rank and kernel take such a list with the target's
+dimension, and compose chains two of them.
 Matrix is a plain dense record, read and returned only by rref.
 """
 
@@ -371,6 +371,20 @@ def compose(field: Field, outer: list, inner: list) -> list:
     return out
 
 
+def kernel(field: Field, ncols: int, images) -> "Subspace":
+    """Canonical basis of {lam : sum lam_j images[j] = 0}, for a linear map
+    given by the sparse images of its source basis in a space of dimension
+    ncols, each image checked as rank checks its rows: the null space of
+    the rows {j: entry t of images[j]}, one per target coordinate t."""
+    images = list(images)
+    eqs = {}  # target coordinate t -> {j: entry t of images[j]}
+    for j, img in enumerate(images):
+        _check_coordinates(ncols, img)
+        for t, x in img.items():
+            eqs.setdefault(t, {})[j] = x
+    return null_space(field, len(images), eqs.values())
+
+
 def null_space(field: Field, ncols: int, rows) -> "Subspace":
     """Canonical basis of {x : row . x = 0} for sparse rows {column: x},
     read off one elimination: a reduced row with pivot pc, its largest
@@ -522,13 +536,10 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Canonical intersection: sum lam_i rows[i] lies in other iff
-        sum lam_i (rows[i] mod other) = 0, so lam runs over a null space."""
+        sum lam_i (rows[i] mod other) = 0, so lam runs over the kernel of
+        i |-> rows[i] mod other."""
         self._check_compatible(other)
-        eqs = {}  # coordinate -> {i: entry of rows[i] mod other}
-        for i, row in enumerate(self.rows):
-            for k, x in other.reduce(row).items():
-                eqs.setdefault(k, {})[i] = x
-        lams = null_space(self.field, self.dim, eqs.values()).rows
+        lams = kernel(self.field, self.ambient_dim, map(other.reduce, self.rows)).rows
         return Subspace.from_sparse(
             self.field, self.ambient_dim, [self.combination(lam) for lam in lams]
         )

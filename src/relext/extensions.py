@@ -803,11 +803,8 @@ class Family:
         # the degree 0 kernel must literally be (ideal span) intersect (center)
         zb = center(b_alg)
         f = c_alg.field
-        eqs = {}  # phi0 kills sum lam_j z_j iff sum lam_j phi0(z_j) = 0
-        for j, img in enumerate(phi0_bc):
-            for t, x in img.items():
-                eqs.setdefault(t, {})[j] = x
-        coeff_kernel = exactla.null_space(f, zb.dim, eqs.values())
+        # phi0 kills sum lam_j z_j iff sum lam_j phi0(z_j) = 0
+        coeff_kernel = exactla.kernel(f, center(c_alg).dim, phi0_bc)
         k1 = Subspace.from_sparse(
             f, b_alg.dim, [zb.combination(lam) for lam in coeff_kernel.rows]
         )

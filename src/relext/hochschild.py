@@ -41,7 +41,6 @@ from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .bimod import Bimodule
 from .exactla import Matrix, Subspace
-from .quiver import Path
 
 
 # -- arrow-coordinate layout ------------------------------------------------
@@ -61,14 +60,13 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
     if m.acting is not alg:
         raise ValueError("bimodule is not over this algebra")
     if m._layout is None:
-        blocks = []
+        slices = {}  # (source, target) -> M basis indices, ascending
+        for i, grade in enumerate(zip(m.src, m.tgt)):
+            slices.setdefault(grade, []).append(i)
+        blocks = [list(slices.get((a.source, a.target), ())) for a in alg.quiver.arrows]
         offsets = []
         run = 0
-        for a in alg.quiver.arrows:
-            block = [
-                i for i in range(m.dim) if m.src[i] == a.source and m.tgt[i] == a.target
-            ]
-            blocks.append(block)
+        for block in blocks:
             offsets.append(run)
             run += len(block)
         m._layout = ArrowLayout(blocks, offsets, run)
@@ -79,27 +77,20 @@ def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
 
 
 def h0(m: Bimodule) -> Subspace:
-    """{x in M : a.x = x.a for all a}.  Each e_v acts as the projection onto
-    the paths at v, so x commutes with every e_v iff x lies on the diagonal
-    (Bimodule.diagonal_indices): only those coordinates are unknowns.  They
-    are cut out by one block of rows (a.x - x.a)_j per arrow a, read off
-    the nonzero ambient products.  That suffices: every other basis element
-    is a path, a product a.q of an arrow and a shorter path, and if x
-    commutes with a and with q then a.q.x = a.x.q = x.a.q, so by induction
-    on length x commutes with every basis element.  The kernel maps back
-    to M in ascending order, so its canonical rows stay canonical."""
-    f = m.field
-    diag = m.diagonal_indices()
-    col = {i: c for c, i in enumerate(diag)}
-    rows = []
-    for a in m.acting.arrow_index_in_basis.values():
-        eqs = {}  # coordinate j -> {column of x_i: coefficient in (a.x - x.a)_j}
-        for i in {i for side in (0, 1) for i, _ in m.touched(side, a)} & col.keys():
-            for j, c in m.commutator(a, i).items():
-                eqs.setdefault(j, {})[col[i]] = c
-        rows += eqs.values()
-    ker = exactla.null_space(f, len(diag), rows)
-    return Subspace(f, m.dim, tuple({diag[c]: x for c, x in v.items()} for v in ker.rows))
+    """{x in M : a.x = x.a for all a}, the kernel of x |-> ad(x).  Each e_v
+    acts as the projection onto the paths at v, so x commutes with every
+    e_v iff x lies on the diagonal (Bimodule.diagonal_indices), and then x
+    commutes with everything iff ad(x) = 0 on every arrow: every other
+    basis element is a path, a product a.q of an arrow and a shorter path,
+    and if x commutes with a and with q then a.q.x = a.x.q = x.a.q, so by
+    induction on length x commutes with every basis element.  So H0 is the
+    kernel of the map sending the diagonal x_i to the ad(x_i) that h1
+    keeps, mapped back to M in ascending order, so its canonical rows stay
+    canonical."""
+    ad = _inner_derivations(m.acting, m)
+    diag = list(ad)
+    ker = exactla.kernel(m.field, arrow_layout(m.acting, m).total, ad.values())
+    return Subspace(m.field, m.dim, tuple({diag[c]: x for c, x in v.items()} for v in ker.rows))
 
 
 # -- degree 1, arrow coordinates ----------------------------------------------
@@ -258,9 +249,8 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     ValueError on a coordinate outside the layout.
 
     One pass over the basis, in order: a basis path of positive length is
-    q.a for its last arrow a and a basis path q met earlier, since a
-    subpath of a tip-free path is tip-free (and a restriction's basis is
-    the full algebra's paths avoiding some arrows), so by the Leibniz rule
+    q.a for its last arrow a and a basis path q met earlier
+    (BoundQuiverAlgebra.prefix_index), so by the Leibniz rule
     d(q.a) = d(q).a + q.d(a)."""
     layout = arrow_layout(alg, m)
     exactla._check_coordinates(layout.total, vec)
@@ -272,12 +262,10 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     one = f.one()
     q = alg.quiver
     out = []
-    for p in alg.basis:
+    for g, p in enumerate(alg.basis):
         val = {}
         if p.arrows:
-            k, qi = p.arrows[-1], alg.idem_index[p.source]
-            if p.length > 1:
-                qi = alg.basis_index[Path(q, None, p.arrows[:-1])]
+            k, qi = p.arrows[-1], alg.prefix_index(g)
             val = m.right_act({alg.arrow_index_in_basis[q.arrows[k].name]: one}, out[qi])
             f.axpy(val, one, m.left_act({qi: one}, dvals[k]))
         out.append(val)
@@ -530,20 +518,6 @@ class HochschildCalculator:
         ValueError on a key that is not relative."""
         self._check_relative(2, f2)
         return self._build_b2().contains(f2)
-
-    def verify_complex(self) -> bool:
-        """b2 b1 = 0 on every degree 0 basis cochain, b3 b2 = 0 on every
-        degree 1 basis cochain; raises on any failure."""
-        one = self.field.one()
-        for t in self.c0_keys:
-            if self.coboundary(1, self.coboundary(0, {t: one})):
-                raise ValueError("b2 after b1 is nonzero on basis vector %d" % t)
-        for key in self.c1_keys:
-            if self.coboundary(2, self.coboundary(1, {key: one})):
-                raise ValueError(
-                    "b3 after b2 is nonzero on cochain (%d, %d)" % divmod(key, self.m.dim)
-                )
-        return True
 
 
 def calculator(alg: BoundQuiverAlgebra, m: Bimodule) -> HochschildCalculator:

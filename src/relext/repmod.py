@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .exactla import Subspace
-from .quiver import Path
 
 
 def _fits(images, nsource: int, ntarget: int) -> bool:
@@ -66,17 +65,6 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.dims[v] for v in self.algebra.quiver.vertices)
-
-    def path_matrix(self, path: Path) -> list:
-        """The images of the basis of M at the path's source."""
-        f = self.algebra.field
-        if path.length == 0:
-            return [{i: f.one()} for i in range(self.dims[path.vertex])]
-        q = self.algebra.quiver
-        m = self.rho[q.arrows[path.arrows[0]].name]
-        for i in path.arrows[1:]:
-            m = exactla.compose(f, self.rho[q.arrows[i].name], m)
-        return m
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
@@ -122,13 +110,10 @@ class ModuleMap:
         """The kernel subrepresentation and its inclusion map."""
         A = self.source.algebra
         f = A.field
-        bases = {}  # vertex -> Subspace of row vectors killed by mats[v]
-        for v in A.quiver.vertices:
-            eqs = {}  # target coordinate t -> {i: entry t of the image of i}
-            for i, img in enumerate(self.mats[v]):
-                for t, x in img.items():
-                    eqs.setdefault(t, {})[i] = x
-            bases[v] = exactla.null_space(f, self.source.dims[v], eqs.values())
+        # vertex -> Subspace of row vectors killed by mats[v]
+        bases = {
+            v: exactla.kernel(f, self.target.dims[v], self.mats[v]) for v in A.quiver.vertices
+        }
         dims = {v: bases[v].dim for v in bases}
         rho = {}
         for a in A.quiver.arrows:
@@ -239,14 +224,22 @@ def projective_cover(m: Representation) -> CoverData:
     # one P_v per vertex of the top, however many generators sit there
     built = {gv: projective(alg, gv) for gv in dict.fromkeys(gv for gv, _ in gens)}
     cover = direct_sum(alg, [built[gv] for gv, _ in gens])
-    paths = [projective_paths(alg, gv) for gv, _ in gens]
-    mats = {}
-    for w in alg.quiver.vertices:
-        images = []
-        for (gv, lift), pw in zip(gens, paths):
-            for g in pw[w]:
-                images += exactla.compose(f, m.path_matrix(alg.basis[g]), [lift])
-        mats[w] = images
+    mats = {w: [] for w in alg.quiver.vertices}
+    for gv, lift in gens:
+        # lift.p for each basis path p from gv, by the prefix walk: p = q.a
+        # with q met earlier (BoundQuiverAlgebra.prefix_index), and
+        # lift.(q.a) = (lift.q).rho(a)
+        pw = projective_paths(alg, gv)
+        image = {}
+        for g in sorted(g for ps in pw.values() for g in ps):
+            p = alg.basis[g]
+            if p.arrows:
+                rho = m.rho[alg.quiver.arrows[p.arrows[-1]].name]
+                image[g] = exactla.compose(f, rho, [image[alg.prefix_index(g)]])[0]
+            else:
+                image[g] = lift
+        for w, ps in pw.items():
+            mats[w] += (image[g] for g in ps)
     cover_map = ModuleMap(cover, m, mats)
     if not cover_map.is_surjective():
         raise ValueError("projective cover failed to surject")

@@ -11,7 +11,8 @@ action_tables rebuilds a bimodule's two action tables from its accessor.
 It also keeps the two commutant builders that hochschild.h0 replaced, each
 with one block of rows per basis element of the acting algebra instead of
 per vertex and arrow: center_reference on the structure constants and
-h0_reference on the action tables.
+h0_reference on the action tables, with commutator, the a.x_i - x_i.a
+that Bimodule used to compute for them.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def center_reference(alg):
     return exactla.null_space(f, alg.dim, rows)
 
 
+def commutator(m, a: int, i: int) -> dict:
+    """a.x_i - x_i.a for the acting basis element a of the bimodule m,
+    sparse."""
+    f = m.field
+    out = m.act(0, a, i)
+    f.axpy(out, f.neg(f.one()), m.act(1, a, i))
+    return out
+
+
 def h0_reference(m):
     """{x in M : a.x = x.a for all a}, one block of rows per basis element
     a of the acting algebra, on the action tables."""
@@ -70,7 +80,7 @@ def h0_reference(m):
     for a in range(m.acting.dim):
         eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
         for i in range(m.dim):
-            for j, c in m.commutator(a, i).items():
+            for j, c in commutator(m, a, i).items():
                 eqs.setdefault(j, {})[i] = c
         rows += eqs.values()
     return exactla.null_space(f, m.dim, rows)

@@ -2,7 +2,7 @@
 
 bimod.hom_equations and the lift's right-hand sides in
 extensions.lift_derivations have rows for the acting arrows only, and
-hochschild.h0 has arrow rows over the diagonal coordinates only; their
+hochschild.h0 is the kernel of ad on the diagonal coordinates only; their
 docstrings argue that these cut out the same spaces.  Here each keeps what
 it had before: hom_equations a row block per acting basis element,
 idempotents and paths included; h0 every coordinate of M as an unknown,
@@ -16,6 +16,8 @@ from __future__ import annotations
 from relext import exactla
 from relext.extensions import regular_bimodule_of
 from relext.hochschild import derivation_values
+
+from dense_reference import commutator
 
 
 def hom_equations(m, n) -> tuple:
@@ -68,7 +70,7 @@ def h0(m) -> exactla.Subspace:
     for a in (*A.idem_index.values(), *A.arrow_index_in_basis.values()):
         eqs = {}  # coordinate j -> {i: coefficient of x_i in (a.x - x.a)_j}
         for i in {i for side in (0, 1) for i, _ in m.touched(side, a)}:
-            for j, c in m.commutator(a, i).items():
+            for j, c in commutator(m, a, i).items():
                 eqs.setdefault(j, {})[i] = c
         rows += eqs.values()
     return exactla.null_space(m.field, m.dim, rows)

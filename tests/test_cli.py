@@ -3,15 +3,19 @@ frozen JSON schema."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from relext import cli
+from relext import cli, exactla, hochschild
 from relext.fixtures import fixture_path
 
 
 EX1 = fixture_path("ex1.quiv")
 EX2 = fixture_path("ex2.quiv")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run(capsys, *argv):
@@ -496,6 +500,68 @@ def test_non_splitting_subset(capsys, tmp_path):
     code, out, err = run(capsys, "hcoh", str(path), "Ctilde", "--arrows", "eps2")
     assert code == 2 and out == ""
     assert "ideal of ['eps2'] is not spanned by the paths through those arrows" in err
+
+
+# -- internal arithmetic failures exit 3 ------------------------------------------
+
+
+def _raise(exc):
+    def patched(*args, **kwargs):
+        raise exc
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "target, exc, argv",
+    [
+        (
+            (hochschild.CohomologySpace, "class_coordinates"),
+            ArithmeticError("class coordinates fail substitution"),
+            ("poset", EX1, "--base", "C", "--tilde", "Ctilde"),
+        ),
+        (
+            (exactla, "_check_substitution"),
+            ArithmeticError("solve: the solution fails substitution"),
+            ("verify", EX2, "--base", "C", "--tilde", "Ctilde"),
+        ),
+        (
+            (exactla.RationalField, "inv"),
+            ZeroDivisionError("inverse of zero"),
+            ("info", EX2, "Ctilde"),
+        ),
+    ],
+    ids=["class-coordinates", "solve-substitution", "field-inverse"],
+)
+def test_internal_arithmetic_failure_exits_3(capsys, monkeypatch, target, exc, argv):
+    """An ArithmeticError raised inside a verb, ZeroDivisionError included,
+    is an internal failure: exit 3 with one stderr line, neither a failed
+    check (exit 1) nor bad input (exit 2)."""
+    monkeypatch.setattr(*target, _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "internal error: %s\n" % exc
+
+
+def test_internal_arithmetic_failure_prints_no_traceback():
+    """The same in a process of its own: the interpreter exits 3 and stderr
+    holds one line and no traceback."""
+    script = (
+        "import sys\n"
+        "from relext import cli, hochschild\n"
+        "def fail(self, vec):\n"
+        "    raise ArithmeticError('class coordinates fail substitution')\n"
+        "hochschild.CohomologySpace.class_coordinates = fail\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "poset", EX1, "--base", "C", "--tilde", "Ctilde"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "internal error: class coordinates fail substitution\n"
+    assert "Traceback" not in proc.stderr
 
 
 # -- one parser per process ------------------------------------------------------

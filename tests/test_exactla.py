@@ -352,6 +352,36 @@ def test_sparse_engine_matches_dense_reference(fmr):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_kernel_of_images_is_canonical_and_matches_dense_reference(fmr):
+    """kernel of the map whose source basis goes to the matrix rows: its
+    rows are canonical and map to 0, it has dimension len(images) - rank,
+    and it is the dense right kernel of the transpose."""
+    field, m, _ = fmr
+    images = _sparse_rows(m)
+    ker = exactla.kernel(field, m.cols, images)
+    assert ker == Subspace.from_sparse(field, m.rows, ker.rows)
+    assert all(not img for img in exactla.compose(field, images, ker.rows))
+    assert ker.dim == len(images) - exactla.rank(field, m.cols, images)
+    assert DenseSubspace.of(ker) == ref.kernel(ref.transpose(m))
+
+
+def test_kernel_checks_each_image():
+    """kernel checks its images as rank checks its rows: a dense list image
+    is a TypeError, a coordinate that is negative or at least ncols a
+    ValueError."""
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.kernel(QQ, 2, [{0: 1}, [0, 1]])
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.kernel(F7, 2, [{-1: 1}])
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.kernel(QQ, 2, [{0: 1}, {2: 3}])
+    assert exactla.kernel(QQ, 2, [{0: 1}, {0: 2}, {1: 1}]).rows == ({0: 1, 1: Fraction(-1, 2)},)
+    assert exactla.kernel(QQ, 0, [{}, {}]).rows == ({0: 1}, {1: 1})
+    assert exactla.kernel(F7, 3, []).rows == ()
+
+
 @settings(max_examples=100, deadline=None)
 @given(field_matrices().flatmap(
     lambda fmr: st.tuples(

@@ -24,6 +24,7 @@ from dense_reference import (
     DenseSubspace,
     center_reference,
     action_tables,
+    commutator,
     h0_reference,
     stores_no_zero,
 )
@@ -441,7 +442,7 @@ def reference_b1(calc, i):
     """b1 of the i-th M basis vector: a |-> a.x - x.a."""
     col = {}
     for a in range(calc.alg.dim):
-        for t, c in calc.m.commutator(a, i).items():
+        for t, c in commutator(calc.m, a, i).items():
             col[a * calc.m.dim + t] = c
     return col
 

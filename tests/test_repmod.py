@@ -1,8 +1,11 @@
 """Right modules: projectives, covers, syzygies, hom spaces, Ext^2."""
 
+import os
+
 import pytest
 
 import dense_reference as ref
+from cover_reference import cover_mats, path_matrix
 from dense_reference import DenseSubspace
 from families import squares
 from relext import qdsl, repmod
@@ -176,7 +179,7 @@ def _cover_hom_images(syz, n):
             for w in alg.quiver.vertices:
                 full = ref.zero(f, syz.cover.dims[w], n.dims[w])
                 for r, g in enumerate(paths[w]):
-                    pm = n.path_matrix(alg.basis[g])
+                    pm = path_matrix(n, alg.basis[g])
                     full.entries[offsets[k][w] + r] = f.dense(pm[j], n.dims[w])
                 mats[w] = full
             # phi: P1 -> N and psi = phi after the inclusion; building each
@@ -256,7 +259,7 @@ def relations_act_by_zero(rep):
     for rel in alg.block.relations:
         acc = [{} for _ in range(rep.dims[rel.source])]
         for t in rel.terms:
-            pm = rep.path_matrix(Path.from_arrow_names(alg.quiver, t.arrows))
+            pm = path_matrix(rep, Path.from_arrow_names(alg.quiver, t.arrows))
             c = f.from_fraction(t.coeff)
             for row, img in zip(acc, pm):
                 for j, x in img.items():
@@ -266,27 +269,67 @@ def relations_act_by_zero(rep):
     return True
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
-def test_built_modules_satisfy_the_relations(files, chain_text, monkeypatch, field):
-    """Every module that ext2_dimension and gldim_at_most(alg, 2) construct,
-    on the reference cases and on squares k <= 3 (commutativity relations):
-    projectives, the dual, simples, direct sums and kernels."""
+HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "halfsquare.quiv")
+
+
+def _module_cases(files, chain_text, field):
+    """The reference cases, squares k <= 3 (commutativity relations) and
+    both families of halfsquare.quiv (non-unit coefficients)."""
     algs = _reference_cases(files, chain_text, field)
     algs += [build(b, field) for k in range(1, 4) for b in qdsl.parse(squares(k)).blocks]
+    with open(HALFSQUARE, encoding="utf-8") as fh:
+        algs += [build(b, field) for b in qdsl.parse(fh.read()).blocks]
+    return algs
+
+
+def built_modules(alg, monkeypatch, check=None):
+    """Every module that ext2_dimension and gldim_at_most(alg, 2) construct:
+    projectives, the dual, simples, direct sums and kernels, each passed
+    to check (when given) as it is built."""
     built = []
     init = repmod.Representation.__post_init__
 
     def checked_init(rep):
         init(rep)
-        assert relations_act_by_zero(rep), (rep.algebra.block.name, rep)
+        if check is not None:
+            check(rep)
         built.append(rep)
 
-    monkeypatch.setattr(repmod.Representation, "__post_init__", checked_init)
-    for alg in algs:
-        built.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(repmod.Representation, "__post_init__", checked_init)
         repmod.ext2_dimension(alg)
         repmod.gldim_at_most(alg, 2)
-        assert built
+    return built
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_built_modules_satisfy_the_relations(files, chain_text, monkeypatch, field):
+    """Every module that ext2_dimension and gldim_at_most(alg, 2) construct,
+    on the reference cases, squares k <= 3 and halfsquare."""
+
+    def check(rep):
+        assert relations_act_by_zero(rep), (rep.algebra.block.name, rep)
+
+    for alg in _module_cases(files, chain_text, field):
+        assert built_modules(alg, monkeypatch, check)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_cover_map_matches_path_by_path_reference(files, chain_text, monkeypatch, field):
+    """The prefix walk gives the cover map of every module that
+    ext2_dimension and gldim_at_most(alg, 2) construct, entry for entry as
+    the lift of each generator times the path matrix of each basis path."""
+    modules = deep = 0
+    for alg in _module_cases(files, chain_text, field):
+        for rep in built_modules(alg, monkeypatch):
+            cd = repmod.projective_cover(rep)
+            assert cd.cover_map.mats == cover_mats(rep, cd.gens), (alg.block.name, rep)
+            modules += 1
+            # the nonzero images of basis paths of length >= 2
+            for w, imgs in cd.cover_map.mats.items():
+                ps = [g for gv, _ in cd.gens for g in repmod.projective_paths(alg, gv)[w]]
+                deep += sum(bool(img) and alg.basis[g].length > 1 for g, img in zip(ps, imgs))
+    assert modules > 900 and deep > 1000
 
 
 def test_constructor_accepts_a_module_breaking_the_relations(algebras):
