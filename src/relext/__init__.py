@@ -26,6 +26,7 @@ from .hochschild import CohomologySpace, cup_product, h0, h1
 from .extensions import (
     ExtensionPoset,
     Family,
+    LiftCheckError,
     LiftWitness,
     SplitError,
     SplitPresentation,
@@ -77,6 +78,7 @@ __all__ = [
     "h1",
     "ExtensionPoset",
     "Family",
+    "LiftCheckError",
     "LiftWitness",
     "SplitError",
     "SplitPresentation",

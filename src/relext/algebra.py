@@ -77,6 +77,7 @@ class BoundQuiverAlgebra:
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
     _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
     _columns: list | None = None  # set by column
+    _prefixes: list | None = None  # set by prefix_index
 
     # -- normal forms ------------------------------------------------------
 
@@ -145,11 +146,20 @@ class BoundQuiverAlgebra:
         b_i of positive length.  That prefix is a basis path met earlier in
         the basis, since a subpath of a tip-free path is tip-free and build
         grows each basis path from a shorter one (a restriction's basis is
-        the full algebra's paths avoiding some arrows, in the same order)."""
-        p = self.basis[i]
-        if p.length == 1:
-            return self.idem_index[p.source]
-        return self.basis_index[Path(self.quiver, None, p.arrows[:-1])]
+        the full algebra's paths avoiding some arrows, in the same order).
+        Read from a table built once per algebra; None at a stationary
+        path."""
+        if self._prefixes is None:
+            prefixes = []
+            for p in self.basis:
+                if not p.arrows:
+                    prefixes.append(None)
+                elif p.length == 1:
+                    prefixes.append(self.idem_index[p.source])
+                else:
+                    prefixes.append(self.basis_index[Path(self.quiver, None, p.arrows[:-1])])
+            self._prefixes = prefixes
+        return self._prefixes[i]
 
     def __repr__(self):
         return "BoundQuiverAlgebra(%s, dim %d, %s)" % (

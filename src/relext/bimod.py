@@ -35,6 +35,7 @@ class Bimodule:
     embed: tuple  # ambient basis index per acting basis elt
     _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
     _layout: "ArrowLayout | None" = None  # set by hochschild.arrow_layout
+    _ad: dict | None = None  # set by hochschild._inner_derivations
 
     def __post_init__(self):
         """Refuses bad indices before any product is read, then reads dim,

@@ -19,7 +19,9 @@ fails (an identity row, oracle disagreement, a cup-product property), 2 for
 unusable input (unreadable file, parse error, unknown names, or a family
 that fails the structural gates), 3 for an internal arithmetic failure (an
 ArithmeticError, such as a solution or class coordinates failing
-substitution, or a division by zero), reported as one line on stderr.
+substitution, a solved derivation lift failing its defining conditions
+(extensions.LiftCheckError), or a division by zero), reported as one line
+on stderr.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
 """
@@ -599,12 +601,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         text, ok = _RUNNERS[args.verb](args)
-    except (InputError, ValueError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
     except ArithmeticError as e:
         sys.stderr.write("internal error: %s\n" % e)
         return 3
+    except (InputError, ValueError) as e:
+        sys.stderr.write("error: %s\n" % e)
+        return 2
     sys.stdout.write(text)
     return 0 if ok else 1
 

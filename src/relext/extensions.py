@@ -52,6 +52,11 @@ class SplitError(ValueError):
     pass
 
 
+class LiftCheckError(SplitError, ArithmeticError):
+    """A solved lift that fails the defining conditions: an internal fault,
+    not a derivation without a lift and not bad input."""
+
+
 # -- regular coefficients, cached on the algebra object ------------------------
 
 
@@ -281,7 +286,7 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
     None where none exists.  The left side of this system does not depend
     on d, so it is built once and every d is one right-hand side of a
     single solve.  Raises ValueError on a coordinate outside the base's
-    arrow layout.
+    arrow layout, and LiftCheckError when a solved alpha fails the check.
 
     As in bimod.hom_equations, the conditions at the base arrows c suffice.
     At an idempotent d(e) = 0 and the graded alpha commutes with e.  A
@@ -290,30 +295,43 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
     x and at c for all x, then x d(q.c) = (alpha(x) q - alpha(xq)) c +
     alpha(xq) c - alpha(xqc) = alpha(x) q.c - alpha(x q.c), and the left
     condition telescopes the same way.  So only the arrows get right-hand
-    sides; sides keeps every c with d(c) != 0 for _lift_holds, which
-    checks all of them."""
+    sides.
+
+    The sides d(c) x and x d(c) are built at each c with d(c) != 0 from the
+    nonzero products a.x and x.a of the a in d(c)'s support
+    (Bimodule.touched, each line read once per call), and kept only at the
+    pairs (c, x) where one of them is nonzero: the arrows' entries are the
+    right-hand sides, and _lift_holds checks every entry."""
     base = sp.base
     e = sp.ext_over_base
     f = base.field
-    one = f.one()
     reg = regular_bimodule_of(base)
     arrows = set(base.arrow_index_in_basis.values())
     var, rows, keys = bimod.hom_equations(e, e)
     at = {key: r for r, key in enumerate(keys)}
+    lines = {}  # acting a -> (touched(0, a), touched(1, a))
     all_sides = []
     rhs_list = []
     for dvec in dvecs:
         # sides[(j, i)] = (d(c) x, x d(c)) for c the base basis element j
-        # with d(c) != 0 and x = x_i, for the check; at an arrow c, also
-        # the right-hand sides of the solve
+        # and x = x_i, where one of them is nonzero
         sides = {}
         rhs = {}
         for j, dj in enumerate(derivation_values(base, reg, dvec)):
             if not dj:
                 continue
-            for i in range(e.dim):
-                x = {i: one}
-                pair = sides[(j, i)] = (e.left_act(dj, x), e.right_act(dj, x))
+            acc = {}  # i -> [d(c) x_i, x_i d(c)]
+            for a, c in dj.items():
+                if a not in lines:
+                    lines[a] = (e.touched(0, a), e.touched(1, a))
+                for side, line in enumerate(lines[a]):
+                    for i, img in line:
+                        f.axpy(acc.setdefault(i, [{}, {}])[side], c, img)
+            for i in sorted(acc):
+                pair = acc[i]
+                if not (pair[0] or pair[1]):
+                    continue
+                sides[(j, i)] = tuple(pair)
                 if j not in arrows:
                     continue
                 for side, vec in enumerate(pair):
@@ -338,47 +356,67 @@ def lift_derivations(sp: SplitPresentation, dvecs) -> list:
         out.append(LiftWitness(dvec, alpha))
     checks = [(sides, w.alpha) for sides, w in zip(all_sides, out) if w.ok]
     if checks and not _lift_holds(e, checks):
-        raise SplitError("solved lift fails the defining conditions")
+        raise LiftCheckError(
+            "solved lift fails the defining conditions: base %s, total %s, "
+            "%d derivations checked, ideal of dim %d"
+            % (base.block.name, sp.total.block.name, len(checks), e.dim)
+        )
     return out
 
 
 def _lift_holds(e: Bimodule, checks) -> bool:
     """Exact check of both lifting conditions for each (sides, alpha) of
     checks, alpha given by its sparse rows: alpha(x) c - alpha(xc) and
-    c alpha(x) - alpha(cx) are evaluated from the ambient products, read
-    once for all of checks, and compared with x d(c) and d(c) x, which
-    sides holds for every pair (c, x) with d(c) != 0.
+    c alpha(x) - alpha(cx) are evaluated from the nonzero ambient products
+    c.x and x.c (acted), read once for all of checks, and compared with
+    x d(c) and d(c) x, which sides holds at every pair (c, x) where one of
+    them is nonzero.
 
-    Only the pairs (c, x) of a base basis element and a basis element of
-    the ideal with alpha(x) != 0, xc != 0, cx != 0 or d(c) != 0 are
-    visited.  On any other pair alpha(x) c and c alpha(x) vanish with
-    alpha(x), alpha(xc) and alpha(cx) vanish with xc and cx, and x d(c) and
-    d(c) x vanish with d(c), so both sides of both conditions are 0."""
+    Per alpha, the pairs (c, x) of a base basis element and a basis element
+    of the ideal visited are the union of three sets:
+      (1) the pairs of sides;
+      (2) (c, x) with x in alpha's support and c.x_t or x_t.c != 0 for some
+          x_t in the support of alpha(x);
+      (3) (c, x) with xc or cx meeting alpha's support.
+    On any other pair, x d(c) and d(c) x vanish by (1); alpha(x) c and
+    c alpha(x) are sums of the products x_t.c and c.x_t over the x_t in
+    alpha(x), all 0 by (2); and alpha(xc) and alpha(cx) vanish by (3), as
+    xc and cx have no coordinate where alpha is nonzero.  So both sides of
+    both conditions are 0 there.  (2) and (3) are read off two indexes of
+    acted, built once per call."""
     f = e.field
-    one = f.one()
-    acting = range(e.acting.dim)
     acted = {}  # (j, i) -> [c_j x_i, x_i c_j], where one of them is nonzero
-    for j in acting:
+    for j in range(e.acting.dim):
         for side in (0, 1):
             for i, img in e.touched(side, j):
                 acted.setdefault((j, i), [{}, {}])[side] = img
-
-    def minus_alpha(alpha, u, v):
-        """u - alpha(v)"""
-        out = dict(u)
-        for g, c in v.items():
-            f.axpy(out, f.neg(c), alpha.get(g, {}))
-        return out
+    near = {}  # t -> the j with c_j x_t or x_t c_j != 0, for (2)
+    hits = {}  # g -> the pairs (j, i) with x_g in c_j x_i or x_i c_j, for (3)
+    for (j, i), prods in acted.items():
+        near.setdefault(i, []).append(j)
+        for g in prods[0].keys() | prods[1].keys():
+            hits.setdefault(g, []).append((j, i))
+    none = ({}, {})
 
     for sides, alpha in checks:
-        for j, i in set(sides) | acted.keys() | {(j, i) for i in alpha for j in acting}:
-            dx, xd = sides.get((j, i), ({}, {}))
-            cx, xc = acted.get((j, i), ({}, {}))
+        visit = set(sides)
+        for i, ax in alpha.items():
+            visit.update((j, i) for t in ax for j in near.get(t, ()))
+            visit.update(hits.get(i, ()))
+        for j, i in visit:
+            d_sides = sides.get((j, i), none)
+            prods = acted.get((j, i), none)
             ax = alpha.get(i, {})
-            if minus_alpha(alpha, e.right_act({j: one}, ax), xc) != xd:
-                return False
-            if minus_alpha(alpha, e.left_act({j: one}, ax), cx) != dx:
-                return False
+            # side 1: alpha(x) c - alpha(xc) = x d(c); side 0: c alpha(x) -
+            # alpha(cx) = d(c) x
+            for side in (1, 0):
+                val = {}
+                for t, c in ax.items():
+                    f.axpy(val, c, acted.get((j, t), none)[side])
+                for g, c in prods[side].items():
+                    f.axpy(val, f.neg(c), alpha.get(g, {}))
+                if val != d_sides[side]:
+                    return False
     return True
 
 

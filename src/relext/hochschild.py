@@ -134,9 +134,13 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
     """{i: ad(x_i)} over the diagonal x_i, i ascending: the sparse arrow
     coordinates of c |-> c.x_i - x_i.c, read arrow by arrow off the nonzero
     products a.x_i and x_i.a (Bimodule.touched), so a pair whose products
-    both vanish costs nothing.  Raises ValueError when a difference, after
-    cancellation, leaves the bigraded slice of its arrow."""
+    both vanish costs nothing.  Built once per bimodule and kept on it, for
+    h0 and h1 to share; callers read it and do not change it.  Raises
+    ValueError when a difference, after cancellation, leaves the bigraded
+    slice of its arrow."""
     layout = arrow_layout(alg, m)
+    if m._ad is not None:
+        return m._ad
     f = m.field
     ad = {i: {} for i in m.diagonal_indices()}
     for k, a in enumerate(alg.quiver.arrows):
@@ -152,6 +156,7 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
                 if t not in col:
                     raise ValueError("inner derivation leaves the arrow slice")
                 ad[i][col[t]] = c
+    m._ad = ad
     return ad
 
 
@@ -251,7 +256,9 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     One pass over the basis, in order: a basis path of positive length is
     q.a for its last arrow a and a basis path q met earlier
     (BoundQuiverAlgebra.prefix_index), so by the Leibniz rule
-    d(q.a) = d(q).a + q.d(a)."""
+    d(q.a) = d(q).a + q.d(a).  A term is skipped where its factor d(q) or
+    d(a) is 0, so a derivation supported on a few arrows acts only along
+    the paths through them."""
     layout = arrow_layout(alg, m)
     exactla._check_coordinates(layout.total, vec)
     dvals = [
@@ -260,14 +267,16 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     ]
     f = m.field
     one = f.one()
-    q = alg.quiver
+    in_basis = [alg.arrow_index_in_basis[a.name] for a in alg.quiver.arrows]
     out = []
     for g, p in enumerate(alg.basis):
         val = {}
         if p.arrows:
             k, qi = p.arrows[-1], alg.prefix_index(g)
-            val = m.right_act({alg.arrow_index_in_basis[q.arrows[k].name]: one}, out[qi])
-            f.axpy(val, one, m.left_act({qi: one}, dvals[k]))
+            if out[qi]:
+                val = m.right_act({in_basis[k]: one}, out[qi])
+            if dvals[k]:
+                f.axpy(val, one, m.left_act({qi: one}, dvals[k]))
         out.append(val)
     return out
 

@@ -210,14 +210,18 @@ class CoverData:
 def projective_cover(m: Representation) -> CoverData:
     alg = m.algebra
     f = alg.field
+    into = {}  # vertex -> the arrows into it, in declaration order
+    for a in alg.quiver.arrows:
+        into.setdefault(a.target, []).append(a)
     gens = []
     for v in alg.quiver.vertices:
+        if not m.dims[v]:
+            continue
         # the radical at v, the images of the arrows into v, then the top
         span = exactla.Echelon(f)
-        for a in alg.quiver.arrows:
-            if a.target == v:
-                for img in m.rho[a.name]:
-                    span.insert(img)
+        for a in into.get(v, ()):
+            for img in m.rho[a.name]:
+                span.insert(img)
         for j in range(m.dims[v]):
             if span.insert({j: f.one()}) is not None:
                 gens.append((v, {j: f.one()}))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from relext import cli, exactla, hochschild
+from relext import cli, exactla, extensions, hochschild
 from relext.fixtures import fixture_path
 
 
@@ -562,6 +562,19 @@ def test_internal_arithmetic_failure_prints_no_traceback():
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "internal error: class coordinates fail substitution\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_lift_that_fails_its_check_exits_3(capsys, monkeypatch):
+    """A solved lift that fails the defining conditions is an internal
+    fault, not bad input: exit 3 with one stderr line naming the base and
+    total blocks, the derivations checked and the dimension of the ideal."""
+    monkeypatch.setattr(extensions, "_lift_holds", lambda e, checks: False)
+    code, out, err = run(capsys, "verify", EX2, "--base", "C", "--tilde", "Ctilde")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: solved lift fails the defining conditions: base C, "
+        "total Ctilde, 4 derivations checked, ideal of dim 8\n"
+    )
 
 
 # -- one parser per process ------------------------------------------------------

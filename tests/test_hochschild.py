@@ -115,6 +115,26 @@ def test_arrow_layout_is_scanned_once_per_bimodule(corpus_pairs):
         ), tag
 
 
+def test_ad_is_built_once_per_bimodule(corpus_pairs, monkeypatch):
+    """h0 and h1 on one bimodule share the ad(x) kept on it, which equals a
+    fresh build on a new view of the same span; once it is kept, h0 reads
+    no product."""
+    reads = []
+    real = bimod.Bimodule.touched
+    monkeypatch.setattr(
+        bimod.Bimodule, "touched", lambda m, side, a: reads.append(a) or real(m, side, a)
+    )
+    for tag, alg, m in corpus_pairs:
+        hochschild.h0(m)
+        ad = m._ad
+        assert hochschild.h1(alg, m).ad is ad, tag
+        fresh = bimod.Bimodule(m.acting, m.ambient, m.amb_index, m.embed)
+        assert hochschild._inner_derivations(alg, fresh) == ad, tag
+        del reads[:]
+        hochschild.h0(m)
+        assert not reads, tag
+
+
 def test_inner_dimension_rank_nullity(algebras):
     for key in sorted(HH):
         alg = algebras[key]
