@@ -13,7 +13,7 @@ from .algebra import (
     is_triangular,
     quotient_by_arrows,
 )
-from .repmod import ext2_dimension, gldim_at_most
+from .repmod import ModuleCheckError, ext2_dimension, gldim_at_most
 from .bimod import (
     Bimodule,
     arrow_ideal_bimodule,
@@ -64,6 +64,7 @@ __all__ = [
     "center",
     "is_triangular",
     "quotient_by_arrows",
+    "ModuleCheckError",
     "ext2_dimension",
     "gldim_at_most",
     "Bimodule",

@@ -75,7 +75,7 @@ class BoundQuiverAlgebra:
     _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
     _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
-    _vertex_pairs: dict | None = None  # set by coords_of_vertex_pair
+    _endpoints: dict | None = None  # set by paths_from
     _columns: list | None = None  # set by column
     _prefixes: list | None = None  # set by prefix_index
 
@@ -131,15 +131,20 @@ class BoundQuiverAlgebra:
             self._columns = columns
         return self._columns[j]
 
-    def coords_of_vertex_pair(self, x, y) -> list:
-        """Basis indices lying in e_x A e_y, in basis order; the basis is
-        indexed by (source, target) once per algebra."""
-        if self._vertex_pairs is None:
-            pairs = {}
+    def paths_from(self, x) -> dict:
+        """{y: basis indices lying in e_x A e_y, in basis order} over the y
+        with e_x A e_y nonzero, from an index of the basis by source, then
+        target, built once per algebra and shared: read only."""
+        if self._endpoints is None:
+            index = {v: {} for v in self.quiver.vertices}
             for i, p in enumerate(self.basis):
-                pairs.setdefault((p.source, p.target), []).append(i)
-            self._vertex_pairs = pairs
-        return list(self._vertex_pairs.get((x, y), ()))
+                index[p.source].setdefault(p.target, []).append(i)
+            self._endpoints = index
+        return self._endpoints[x]
+
+    def coords_of_vertex_pair(self, x, y) -> list:
+        """Basis indices lying in e_x A e_y, in basis order."""
+        return list(self.paths_from(x).get(y, ()))
 
     def prefix_index(self, i: int) -> int:
         """The basis index of b_i without its last arrow, for a basis path
@@ -294,8 +299,7 @@ def build(
         grown = [
             (Path(q, None, p.arrows + (i,)), p in alg.basis_index)
             for p in alive[L - 1]
-            for i, a in enumerate(q.arrows)
-            if a.source == p.target
+            for i in q.out_arrows[p.target]
         ]
         grown.sort(key=lambda g: g[0].arrows)
         # a path grown from a basis path holds a tip only as a suffix

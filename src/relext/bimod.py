@@ -331,32 +331,46 @@ def hom_equations(m: Bimodule, n: Bimodule) -> tuple:
     path, and if f commutes with a and with q, f(a.q.x) = a.f(q.x) =
     a.q.f(x), so by induction on length f commutes with every basis
     element (on the right likewise).  var maps (i, j) to the column of the
-    entry F[i][j] of f (row convention: coords(f(x)) = x . F).  Returns
+    entry F[i][j] of f (row convention: coords(f(x)) = x . F), i then j
+    ascending, the j read from N's basis bucketed by bigrade.  Returns
     (var, rows, keys), sparse rows {column: c} over those columns without
     the zero rows, and the key (a, i, side, j) of each row, a the acting
     basis index of an arrow, where a caller places its right-hand sides; a
-    key without a row has a zero left side."""
+    key without a row has a zero left side.
+
+    The row of (a, i, side) has a term for each x_g in a acting on x_i and
+    for each n_k graded like x_i that a acts on, so only the i where a acts
+    on x_i or on some n_k of its bigrade are visited, in ascending order."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
+    n_of = {}  # bigrade -> the j of N in it, ascending
+    for j, grade in enumerate(zip(n.src, n.tgt)):
+        n_of.setdefault(grade, []).append(j)
+    m_of = {}  # bigrade -> the i of M in it, ascending
     var = {}
     graded = []  # per i: (j, column) of its graded entries
-    for i in range(m.dim):
+    for i, grade in enumerate(zip(m.src, m.tgt)):
+        m_of.setdefault(grade, []).append(i)
         own = []
-        for j in range(n.dim):
-            if m.src[i] == n.src[j] and m.tgt[i] == n.tgt[j]:
-                var[(i, j)] = len(var)
-                own.append((j, var[(i, j)]))
+        for j in n_of.get(grade, ()):
+            var[(i, j)] = len(var)
+            own.append((j, var[(i, j)]))
         graded.append(own)
 
     rows = []
     keys = []
     for a in m.acting.arrow_index_in_basis.values():
         actions = []
+        visit = set()
         for side in (0, 1):
             am = dict(m.touched(side, a))
-            actions.append((am, am if n is m else dict(n.touched(side, a))))
-        for i in range(m.dim):
+            an = am if n is m else dict(n.touched(side, a))
+            actions.append((am, an))
+            visit.update(am)
+            for grade in {(n.src[k], n.tgt[k]) for k in an}:
+                visit.update(m_of.get(grade, ()))
+        for i in sorted(visit):
             for side, (am, an) in enumerate(actions):
                 eqs = {}  # coordinate j of N -> row
                 # a acting on f(x_i): F[i][k] times the action on n_k

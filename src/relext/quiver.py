@@ -24,6 +24,7 @@ class Quiver:
     arrows: tuple  # of Arrow
     vertex_index: dict = field(init=False, repr=False)
     arrow_index: dict = field(init=False, repr=False)
+    out_arrows: dict = field(init=False, repr=False)  # vertex -> arrow indices, ascending
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
@@ -36,14 +37,17 @@ class Quiver:
                 raise ValueError("duplicate vertex id %r" % (v,))
             vi[v] = i
         ai = {}
+        out = {v: [] for v in self.vertices}
         for i, a in enumerate(self.arrows):
             if a.name in ai:
                 raise ValueError("duplicate arrow name %r" % (a.name,))
             if a.source not in vi or a.target not in vi:
                 raise ValueError("arrow %s has undeclared endpoint" % a.name)
             ai[a.name] = i
+            out[a.source].append(i)
         object.__setattr__(self, "vertex_index", vi)
         object.__setattr__(self, "arrow_index", ai)
+        object.__setattr__(self, "out_arrows", {v: tuple(o) for v, o in out.items()})
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
@@ -140,9 +144,9 @@ def is_acyclic(q: Quiver) -> bool:
     while stack:
         v = stack.pop()
         seen += 1
-        for a in q.arrows:
-            if a.source == v:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    stack.append(a.target)
+        for i in q.out_arrows[v]:
+            t = q.arrows[i].target
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                stack.append(t)
     return seen == len(q.vertices)

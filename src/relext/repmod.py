@@ -6,7 +6,10 @@ list of the images of the basis of M_x, each a sparse {coordinate: x} on
 the basis of M_y; so the map of a path composes its arrow maps in path
 order.  A module map holds one such list per vertex.  The indecomposable
 projective P_i = e_i.A is graded by path target; the dual of the regular
-module (the injective cogenerator) is graded by path source.
+module (the injective cogenerator) is graded by path source.  Both read
+their paths off the algebra's index of the basis by endpoints
+(BoundQuiverAlgebra.paths_from), and a sum of projectives is built in one
+pass over its summands' own paths and the arrows out of their targets.
 
 Projective covers are minimal: one summand P_v per basis vector of the top.
 Syzygies are kernels of covers, kept as subrepresentations with explicit
@@ -16,14 +19,17 @@ gldim_at_most bounds the projective dimensions of the simples.
 
 Modules satisfy the declared relations by construction, so the constructor
 checks shapes only:
-- projective, injective_cogenerator: arrow maps are structure constants
-  that _verify_build certified as those of kQ/I, so a path acts by right
+- projective_sum (projective, regular, the cover of projective_cover),
+  injective_cogenerator: arrow maps are structure constants that
+  _verify_build certified as those of kQ/I, so a path acts by right
   multiplication by its normal form (on DA, by the transpose of left
-  multiplication), a relation by 0.
+  multiplication), a relation by 0; a sum acts blockwise on its summands.
 - simple: every arrow map is 0; qdsl rejects relation terms under 2 arrows.
-- direct_sum: acts blockwise on its summands.
 - ModuleMap.kernel: a submodule through an injective inclusion, which
   ModuleMap checks commutes with every arrow.
+A cover that fails to surject, or a kernel not closed under an arrow, is an
+internal fault: ModuleCheckError, an ArithmeticError as well as a
+ValueError.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ from dataclasses import dataclass
 from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .exactla import Subspace
+
+
+class ModuleCheckError(ValueError, ArithmeticError):
+    """A module built here that fails its own check: an internal fault, not
+    bad input."""
 
 
 def _fits(images, nsource: int, ntarget: int) -> bool:
@@ -101,9 +112,9 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         f = self.source.algebra.field
+        dims = self.target.dims
         return all(
-            exactla.rank(f, self.target.dims[v], self.mats[v]) == self.target.dims[v]
-            for v in self.mats
+            exactla.rank(f, dims[v], self.mats[v]) == dims[v] for v in self.mats if dims[v]
         )
 
     def kernel(self):
@@ -112,7 +123,9 @@ class ModuleMap:
         f = A.field
         # vertex -> Subspace of row vectors killed by mats[v]
         bases = {
-            v: exactla.kernel(f, self.target.dims[v], self.mats[v]) for v in A.quiver.vertices
+            v: exactla.kernel(f, self.target.dims[v], self.mats[v])
+            if self.source.dims[v] else Subspace.zero(f, 0)
+            for v in A.quiver.vertices
         }
         dims = {v: bases[v].dim for v in bases}
         rho = {}
@@ -121,8 +134,9 @@ class ModuleMap:
             for img in exactla.compose(f, self.source.rho[a.name], bases[a.source].rows):
                 coords = bases[a.target].coordinates_of(img)
                 if coords is None:
-                    raise ValueError(
-                        "kernel is not closed under arrow %r" % (a.name,)
+                    raise ModuleCheckError(
+                        "kernel of a map from a module of dim %d over %r is not "
+                        "closed under arrow %r" % (self.source.total_dim, A.block.name, a.name)
                     )
                 images.append(coords)
             rho[a.name] = images
@@ -137,37 +151,53 @@ def simple(alg: BoundQuiverAlgebra, vertex) -> Representation:
     return Representation(alg, dims, rho)
 
 
-def projective_paths(alg: BoundQuiverAlgebra, i) -> dict:
-    """Basis paths of e_i.A at each vertex: v -> algebra basis indices."""
-    return {v: alg.coords_of_vertex_pair(i, v) for v in alg.quiver.vertices}
+def projective_sum(alg: BoundQuiverAlgebra, vertices) -> Representation:
+    """The direct sum of the projectives e_v.A over the listed vertices, one
+    summand per entry, repeats included.  At each vertex w the summands sit
+    in list order, each with its paths from v to w in basis order, so the
+    stationary path of a summand comes first among its paths at v.  Built
+    in one pass over the summands' own paths: a path g of e_v.A ending at x
+    meets only the arrows a out of x, and g.a = products[g][a] lies in
+    e_v A e_y for a: x -> y, placed at the summand's offset at y."""
+    q = alg.quiver
+    dims = {w: 0 for w in q.vertices}
+    rho = {a.name: [] for a in q.arrows}
+    place = {}  # v -> {basis index h in e_v.A: its position in e_v A e_target(h)}
+    for v in vertices:
+        paths = alg.paths_from(v)
+        pos = place.get(v)
+        if pos is None:
+            pos = place[v] = {h: r for hs in paths.values() for r, h in enumerate(hs)}
+        for x, gs in paths.items():
+            for ai in q.out_arrows[x]:
+                a = q.arrows[ai]
+                ia = alg.arrow_index_in_basis[a.name]
+                off = dims[a.target]  # this summand's offset, as dims grows below
+                rho[a.name] += (
+                    {off + pos[h]: c for h, c in alg.products[g].get(ia, {}).items()}
+                    for g in gs
+                )
+        for w, hs in paths.items():
+            dims[w] += len(hs)
+    return Representation(alg, dims, rho)
 
 
 def projective(alg: BoundQuiverAlgebra, i) -> Representation:
     """The indecomposable projective e_i.A; at the generating vertex the
     stationary path sits at coordinate 0."""
-    paths = projective_paths(alg, i)
-    dims = {v: len(paths[v]) for v in alg.quiver.vertices}
-    rho = {}
-    for a in alg.quiver.arrows:
-        ia = alg.arrow_index_in_basis[a.name]
-        dst_pos = {g: k for k, g in enumerate(paths[a.target])}
-        rho[a.name] = [
-            {dst_pos[k]: c for k, c in alg.product_coords(g, ia).items()}
-            for g in paths[a.source]
-        ]
-    return Representation(alg, dims, rho)
+    return projective_sum(alg, [i])
 
 
 def regular(alg: BoundQuiverAlgebra) -> Representation:
     """A as a right module over itself, graded by path target."""
-    return direct_sum(alg, [projective(alg, v) for v in alg.quiver.vertices])
+    return projective_sum(alg, alg.quiver.vertices)
 
 
 def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
     """The dual of A as a right module: basis p* for paths p, p* sitting at
     the source of p, with (p* . a) = sum of q* over a.q reducing to p."""
     by_source = {
-        v: [i for i, p in enumerate(alg.basis) if p.source == v]
+        v: sorted(i for ps in alg.paths_from(v).values() for i in ps)
         for v in alg.quiver.vertices
     }
     dims = {v: len(by_source[v]) for v in alg.quiver.vertices}
@@ -180,20 +210,6 @@ def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
         for u, q in enumerate(by_source[a.target]):
             for p, c in alg.product_coords(ia, q).items():
                 images[src_pos[p]][u] = c
-        rho[a.name] = images
-    return Representation(alg, dims, rho)
-
-
-def direct_sum(alg: BoundQuiverAlgebra, reps) -> Representation:
-    reps = list(reps)
-    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    rho = {}
-    for a in alg.quiver.arrows:
-        images = []
-        shift = 0
-        for r in reps:
-            images += [{shift + j: x for j, x in img.items()} for img in r.rho[a.name]]
-            shift += r.dims[a.target]
         rho[a.name] = images
     return Representation(alg, dims, rho)
 
@@ -225,15 +241,13 @@ def projective_cover(m: Representation) -> CoverData:
         for j in range(m.dims[v]):
             if span.insert({j: f.one()}) is not None:
                 gens.append((v, {j: f.one()}))
-    # one P_v per vertex of the top, however many generators sit there
-    built = {gv: projective(alg, gv) for gv in dict.fromkeys(gv for gv, _ in gens)}
-    cover = direct_sum(alg, [built[gv] for gv, _ in gens])
+    cover = projective_sum(alg, [gv for gv, _ in gens])
     mats = {w: [] for w in alg.quiver.vertices}
     for gv, lift in gens:
         # lift.p for each basis path p from gv, by the prefix walk: p = q.a
         # with q met earlier (BoundQuiverAlgebra.prefix_index), and
         # lift.(q.a) = (lift.q).rho(a)
-        pw = projective_paths(alg, gv)
+        pw = alg.paths_from(gv)
         image = {}
         for g in sorted(g for ps in pw.values() for g in ps):
             p = alg.basis[g]
@@ -246,7 +260,10 @@ def projective_cover(m: Representation) -> CoverData:
             mats[w] += (image[g] for g in ps)
     cover_map = ModuleMap(cover, m, mats)
     if not cover_map.is_surjective():
-        raise ValueError("projective cover failed to surject")
+        raise ModuleCheckError(
+            "projective cover of a module of dim %d over %r failed to surject"
+            % (m.total_dim, alg.block.name)
+        )
     return CoverData(cover, cover_map, gens)
 
 

@@ -9,7 +9,8 @@ relations with path_matrix.
 
 from __future__ import annotations
 
-from relext import exactla, repmod
+from module_reference import projective_paths
+from relext import exactla
 
 
 def path_matrix(rep, path) -> list:
@@ -31,7 +32,7 @@ def cover_mats(m, gens) -> dict:
     every basis path from its vertex, summands in generator order."""
     alg = m.algebra
     f = alg.field
-    paths = [repmod.projective_paths(alg, gv) for gv, _ in gens]
+    paths = [projective_paths(alg, gv) for gv, _ in gens]
     mats = {}
     for w in alg.quiver.vertices:
         images = []

@@ -5,7 +5,9 @@ extensions.lift_derivations have rows for the acting arrows only, and
 hochschild.h0 is the kernel of ad on the diagonal coordinates only; their
 docstrings argue that these cut out the same spaces.  Here each keeps what
 it had before: hom_equations a row block per acting basis element,
-idempotents and paths included; h0 every coordinate of M as an unknown,
+idempotents and paths included, or per acting arrow as the package had it
+before its rows followed the bigrade (every x_i of M visited and every
+pair (i, j) compared for the unknowns); h0 every coordinate of M as an unknown,
 with a row block per vertex idempotent and per arrow; the lift a
 right-hand side at every base basis element c with d(c) != 0.  The tests
 compare them with the package as Subspaces and as LiftWitness.alpha.
@@ -20,9 +22,10 @@ from relext.hochschild import derivation_values
 from dense_reference import commutator
 
 
-def hom_equations(m, n) -> tuple:
+def hom_equations(m, n, acting=None) -> tuple:
     """(var, rows, keys) of bimod.hom_equations, with the rows of every
-    acting basis element a, in basis order."""
+    acting basis element a, in basis order, or of the a listed in acting;
+    every x_i of M is visited."""
     if m.acting is not n.acting:
         raise ValueError("bimodules over different acting algebras")
     f = m.field
@@ -38,7 +41,7 @@ def hom_equations(m, n) -> tuple:
 
     rows = []
     keys = []
-    for a in range(m.acting.dim):
+    for a in range(m.acting.dim) if acting is None else acting:
         actions = []
         for side in (0, 1):
             am = dict(m.touched(side, a))

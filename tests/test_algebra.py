@@ -142,19 +142,30 @@ def test_quotient_by_arrows(files, algebras):
 
 
 def test_vertex_pair_index(algebras, families):
-    """coords_of_vertex_pair reads an index built once per algebra, with the
-    indices of e_x A e_y in basis order, as a scan over the basis gives."""
+    """coords_of_vertex_pair and paths_from read an index built once per
+    algebra, with the indices of e_x A e_y in basis order, as a scan over
+    the basis gives, and the targets y of e_x A e_y != 0 in order of their
+    first path."""
     algs = list(algebras.values()) + [
         fam.partial(s) for fam in families.values() for s in (("eps",), ("eps2",))
     ]
     for alg in algs:
         for x in alg.quiver.vertices:
+            want = {}
+            for i, p in enumerate(alg.basis):
+                if p.source == x:
+                    want.setdefault(p.target, []).append(i)
+            assert alg.paths_from(x) == want
+            assert list(alg.paths_from(x)) == list(want)
             for y in alg.quiver.vertices:
                 scan = [
                     i for i, p in enumerate(alg.basis) if p.source == x and p.target == y
                 ]
                 assert alg.coords_of_vertex_pair(x, y) == scan
-        assert sum(map(len, alg._vertex_pairs.values())) == alg.dim
+        table = alg._endpoints
+        alg.paths_from(alg.quiver.vertices[0])
+        assert alg._endpoints is table
+        assert sum(len(ps) for row in table.values() for ps in row.values()) == alg.dim
 
 
 def test_field_override_prime(files):

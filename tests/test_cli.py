@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from relext import cli, exactla, extensions, hochschild
+import relext
+from relext import cli, exactla, extensions, hochschild, repmod
 from relext.fixtures import fixture_path
 
 
@@ -575,6 +576,44 @@ def test_lift_that_fails_its_check_exits_3(capsys, monkeypatch):
         "internal error: solved lift fails the defining conditions: base C, "
         "total Ctilde, 4 derivations checked, ideal of dim 8\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("ext2", EX1, "C"), "projective cover of a module of dim 11 over 'C' failed to surject"),
+        (("info", EX1, "C"), "projective cover of a module of dim 1 over 'C' failed to surject"),
+    ],
+    ids=["ext2", "info"],
+)
+def test_cover_that_fails_to_surject_exits_3(capsys, monkeypatch, argv, err):
+    """A projective cover that fails to surject is an internal fault, not
+    bad input: repmod.ModuleCheckError, exit 3 with one stderr line naming
+    the algebra and the dimension of the module covered."""
+    monkeypatch.setattr(repmod.ModuleMap, "is_surjective", lambda self: False)
+    code, out, got = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert got == "internal error: %s\n" % err
+
+
+def test_kernel_not_closed_under_an_arrow_exits_3(capsys, monkeypatch):
+    """The same for a kernel whose arrow images leave it: the first kernel
+    ext2 takes is that of the cover (dim 18) of the dual of ex1's C."""
+    monkeypatch.setattr(exactla.Subspace, "coordinates_of", lambda self, v: None)
+    code, out, err = run(capsys, "ext2", EX1, "C")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "internal error: kernel of a map from a module of dim 18 over 'C' is not "
+        "closed under arrow "
+    )
+    assert err.count("\n") == 1
+
+
+def test_module_check_error_is_internal_and_exported():
+    assert issubclass(repmod.ModuleCheckError, ValueError)
+    assert issubclass(repmod.ModuleCheckError, ArithmeticError)
+    assert relext.ModuleCheckError is repmod.ModuleCheckError
+    assert "ModuleCheckError" in relext.__all__
 
 
 # -- one parser per process ------------------------------------------------------

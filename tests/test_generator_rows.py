@@ -89,6 +89,24 @@ def test_hom_rows_are_the_arrow_rows_of_the_all_basis_system(
 
 
 @cases
+def test_hom_rows_by_bigrade_match_the_all_i_system(files, chain_text, name, field):
+    """hom_equations, with its unknowns read from N bucketed by bigrade and
+    only the x_i visited where an arrow acts on x_i or on some n_k graded
+    like it, gives the (var, rows, keys) of the system that compares every
+    pair (i, j) and visits every x_i for every acting arrow, in the same
+    order, on every split of the family: for E over the base into itself,
+    into the base inside the total and back, and for E and the regular
+    bimodule over the total."""
+    fam = _family(name, files, chain_text, FIELDS[field])
+    for sp in _split_pairs(fam):
+        e, inside = sp.ext_over_base, sp.base_inside
+        regular = extensions.regular_bimodule_of(sp.total)
+        for m, n in ((e, e), (e, inside), (inside, e), (sp.ext, sp.ext), (regular, regular)):
+            arrows = m.acting.arrow_index_in_basis.values()
+            assert bimod.hom_equations(m, n) == gen.hom_equations(m, n, arrows)
+
+
+@cases
 def test_h0_on_the_diagonal_matches_the_all_basis_system(files, chain_text, name, field):
     """h0 over the diagonal unknowns with arrow rows gives the canonical
     rows of the all-coordinate system with idempotent rows, on the regular

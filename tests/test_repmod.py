@@ -5,6 +5,7 @@ import os
 import pytest
 
 import dense_reference as ref
+import module_reference as modref
 from cover_reference import cover_mats, path_matrix
 from dense_reference import DenseSubspace
 from families import squares
@@ -80,18 +81,26 @@ def test_pd_builds_one_cover_per_step(algebras, monkeypatch, name):
             assert len(calls) == pd + 1, (alg_name, v)
 
 
-def test_projective_cover_builds_each_projective_once(algebras, monkeypatch):
-    """P_v + P_v + P_w has two generators at v; its cover builds P_v and P_w
-    once each, and is a cover of the same dimensions."""
+def _same_module(a, b):
+    """Equal entry for entry: the same dimensions and arrow images."""
+    return a.dims == b.dims and a.rho == b.rho
+
+
+def test_projective_cover_is_the_reference_sum(algebras, monkeypatch):
+    """P_v + P_v + P_w has two generators at v; its cover is one sum built in
+    one pass, entry for entry the per-vertex projectives P_v, P_v, P_w summed
+    arrow by arrow (tests/module_reference.py), and a cover of the same
+    dimensions."""
     alg = algebras[("ex1", "C")]
     v, w = alg.quiver.vertices[:2]
-    m = repmod.direct_sum(alg, [repmod.projective(alg, u) for u in (v, v, w)])
+    m = modref.direct_sum(alg, [modref.projective(alg, u) for u in (v, v, w)])
     calls = []
-    real = repmod.projective
-    monkeypatch.setattr(repmod, "projective", lambda a, u: calls.append(u) or real(a, u))
+    real = repmod.projective_sum
+    monkeypatch.setattr(repmod, "projective_sum", lambda a, us: calls.append(list(us)) or real(a, us))
     cd = repmod.projective_cover(m)
     assert [g for g, _ in cd.gens] == [v, v, w]
-    assert calls == [v, w]
+    assert calls == [[v, v, w]]
+    assert _same_module(cd.cover, m)
     assert cd.cover.dims == m.dims and cd.cover_map.is_surjective()
 
 
@@ -114,11 +123,12 @@ def test_injective_cogenerator_dimension(algebras):
 
 def test_zero_and_direct_sum(algebras):
     alg = algebras[("ex1", "C")]
-    z = repmod.direct_sum(alg, [])
+    z = modref.direct_sum(alg, [])
     assert z.is_zero() and repmod.is_projective(z)
+    assert _same_module(repmod.projective_sum(alg, []), z)
     s1 = repmod.simple(alg, alg.quiver.vertices[0])
     s2 = repmod.simple(alg, alg.quiver.vertices[1])
-    d = repmod.direct_sum(alg, [s1, s2])
+    d = modref.direct_sum(alg, [s1, s2])
     assert d.total_dim == 2
 
 
@@ -168,12 +178,12 @@ def _cover_hom_images(syz, n):
     offsets = []
     for gv, _ in syz.gens:
         offsets.append(dict(run))
-        for v, paths in repmod.projective_paths(alg, gv).items():
+        for v, paths in modref.projective_paths(alg, gv).items():
             run[v] += len(paths)
     incl = syz.inclusion
     vecs = []
     for k, (gv, _) in enumerate(syz.gens):
-        paths = repmod.projective_paths(alg, gv)
+        paths = modref.projective_paths(alg, gv)
         for j in range(n.dims[gv]):
             mats = {}
             for w in alg.quiver.vertices:
@@ -282,10 +292,12 @@ def _module_cases(files, chain_text, field):
     return algs
 
 
-def built_modules(alg, monkeypatch, check=None):
+def built_modules(alg, monkeypatch, check=None, reference=False):
     """Every module that ext2_dimension and gldim_at_most(alg, 2) construct:
-    projectives, the dual, simples, direct sums and kernels, each passed
-    to check (when given) as it is built."""
+    sums of projectives, the dual, simples and kernels, each passed to check
+    (when given) as it is built.  With reference, the sums are built as
+    tests/module_reference.py builds them, so the per-vertex projectives
+    and the sums of the covers' summands are among the modules too."""
     built = []
     init = repmod.Representation.__post_init__
 
@@ -297,6 +309,8 @@ def built_modules(alg, monkeypatch, check=None):
 
     with monkeypatch.context() as mp:
         mp.setattr(repmod.Representation, "__post_init__", checked_init)
+        if reference:
+            mp.setattr(repmod, "projective_sum", modref.projective_sum)
         repmod.ext2_dimension(alg)
         repmod.gldim_at_most(alg, 2)
     return built
@@ -317,19 +331,49 @@ def test_built_modules_satisfy_the_relations(files, chain_text, monkeypatch, fie
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_cover_map_matches_path_by_path_reference(files, chain_text, monkeypatch, field):
     """The prefix walk gives the cover map of every module that
-    ext2_dimension and gldim_at_most(alg, 2) construct, entry for entry as
-    the lift of each generator times the path matrix of each basis path."""
+    ext2_dimension and gldim_at_most(alg, 2) construct with the reference
+    sums of projectives, entry for entry as the lift of each generator
+    times the path matrix of each basis path."""
     modules = deep = 0
     for alg in _module_cases(files, chain_text, field):
-        for rep in built_modules(alg, monkeypatch):
+        for rep in built_modules(alg, monkeypatch, reference=True):
             cd = repmod.projective_cover(rep)
             assert cd.cover_map.mats == cover_mats(rep, cd.gens), (alg.block.name, rep)
             modules += 1
             # the nonzero images of basis paths of length >= 2
             for w, imgs in cd.cover_map.mats.items():
-                ps = [g for gv, _ in cd.gens for g in repmod.projective_paths(alg, gv)[w]]
+                ps = [g for gv, _ in cd.gens for g in modref.projective_paths(alg, gv)[w]]
                 deep += sum(bool(img) and alg.basis[g].length > 1 for g, img in zip(ps, imgs))
     assert modules > 900 and deep > 1000
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_projective_sums_match_the_per_vertex_reference(files, chain_text, monkeypatch, field):
+    """The one-pass sum gives, entry for entry, the per-vertex projectives
+    summed arrow by arrow (tests/module_reference.py): for the regular
+    module, each projective, and the cover of every module whose cover
+    ext2_dimension and gldim_at_most(alg, 2) build."""
+    covers = []
+    real = repmod.projective_cover
+
+    def recording(m):
+        cd = real(m)
+        covers.append(cd)
+        return cd
+
+    for alg in _module_cases(files, chain_text, field):
+        assert _same_module(repmod.regular(alg), modref.projective_sum(alg, alg.quiver.vertices))
+        for v in alg.quiver.vertices:
+            assert _same_module(repmod.projective(alg, v), modref.projective(alg, v))
+        del covers[:]
+        with monkeypatch.context() as mp:
+            mp.setattr(repmod, "projective_cover", recording)
+            repmod.ext2_dimension(alg)
+            repmod.gldim_at_most(alg, 2)
+        assert covers
+        for cd in covers:
+            want = modref.projective_sum(alg, [gv for gv, _ in cd.gens])
+            assert _same_module(cd.cover, want), (alg.block.name, cd.gens)
 
 
 def test_constructor_accepts_a_module_breaking_the_relations(algebras):
