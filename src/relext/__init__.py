@@ -7,6 +7,7 @@ from .qdsl import AlgebraBlock, ParseError, PresentationFile, parse, serialize
 from .algebra import (
     AlgebraBuildError,
     BoundQuiverAlgebra,
+    BuildCheckError,
     IdealNotSpanned,
     NotFiniteDimensionalError,
     build,
@@ -58,6 +59,7 @@ __all__ = [
     "serialize",
     "AlgebraBuildError",
     "BoundQuiverAlgebra",
+    "BuildCheckError",
     "IdealNotSpanned",
     "NotFiniteDimensionalError",
     "build",

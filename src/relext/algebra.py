@@ -13,15 +13,20 @@ tip is a path no earlier rule reduced and none may exceed max_len_cap
 (NotFiniteDimensionalError); every path of the vanishing length lies in I,
 so no tip of a reduced basis is longer.  The basis is the tip-free paths,
 grown by arrows testing only new suffixes; a normal form rewrites tips
-until none is left.  The tips of I depend only on I and the order, and the
+until none is left.  The build grows and reduces paths as tuples of arrow
+indices and keeps the normal forms of the alive ones only while it runs;
+the algebra caches Path objects, and their normal forms, for its basis
+alone.  The tips of I depend only on I and the order, and the
 enumeration builder this replaced (tests/build_reference.py) read them as
 the pivots of an echelon spanning I length by length, exactly so for
 homogeneous relations: the basis, the vanishing length and the structure
-constants agree.  _verify_build certifies every build from the arrows and
-raises AlgebraBuildError on any discrepancy: graded structure constants,
-each basis path its first arrow times the rest, associativity on the
-triples whose first factor is an arrow, the unit law per basis element,
-and the declared relations vanishing in the table.  By induction on the
+constants agree.  _verify_build certifies every build from the arrows,
+with the same checks whatever the representation, and raises
+BuildCheckError, an internal fault and not bad input, on any discrepancy:
+graded structure constants, each basis path its first arrow times the
+rest, associativity on the triples whose first factor is an arrow, the
+unit law per basis element, and the declared relations vanishing in the
+table.  By induction on the
 length of the first factor, associativity then holds on all triples, so
 the table is an algebra generated by the arrows in which I vanishes, a
 quotient of kQ/I; as the tip-free paths span kQ/I (every rule has
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 from . import exactla, qdsl
 from .exactla import Field
-from .quiver import Path, Quiver, compose, is_acyclic
+from .quiver import Path, Quiver, is_acyclic
 
 
 class NotFiniteDimensionalError(ValueError):
@@ -51,6 +56,11 @@ class NotFiniteDimensionalError(ValueError):
 
 class AlgebraBuildError(ValueError):
     pass
+
+
+class BuildCheckError(AlgebraBuildError, ArithmeticError):
+    """A built table failed its certificate, or a reduction left a path
+    outside the basis: an internal fault, not bad input."""
 
 
 class IdealNotSpanned(ValueError):
@@ -70,7 +80,7 @@ class BoundQuiverAlgebra:
     products: list  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
-    _nf_cache: dict  # Path -> {k: c}, shared with products: read only
+    _nf_cache: dict  # basis Path -> {its index: 1}: read only
     _rules: dict  # tip length -> {tip arrows: tail}, the reduced Groebner basis
     _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
@@ -83,22 +93,16 @@ class BoundQuiverAlgebra:
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
-        basis."""
-        if path in self._nf_cache:
-            return self._nf_cache[path]
-        out = {}
-        if path.length < self.zero_length:
-            f = self.field
-            for w, c in _reduce(f, {path.arrows: f.one()}, self._rules).items():
-                p = Path(self.quiver, None, w)
-                if p not in self.basis_index:
-                    raise AlgebraBuildError(
-                        "reduction of %s leaves non-basis path %s"
-                        % (path.label(), p.label())
-                    )
-                out[self.basis_index[p]] = c
-        self._nf_cache[path] = out
-        return out
+        basis: cached for the basis paths, reduced by the rules otherwise."""
+        cell = self._nf_cache.get(path)
+        if cell is not None:
+            return cell
+        if path.length >= self.zero_length:
+            return {}
+        q, index = self.quiver, self.basis_index
+        return _normal_form(
+            self.field, self._rules, q, path.arrows, lambda w: index.get(Path(q, None, w))
+        )
 
     def product_coords(self, i: int, j: int) -> dict:
         """The nonzero coordinates of b_i b_j."""
@@ -175,14 +179,15 @@ class BoundQuiverAlgebra:
 
 
 def _relation_vector(q: Quiver, field: Field, rel: qdsl.RelationExpr) -> dict:
+    """The relation as {arrow indices: c} over the field, without zeros."""
     vec = {}
     for t in rel.terms:
-        p = Path.from_arrow_names(q, t.arrows)
+        w = q.word(t.arrows)
         c = field.from_fraction(t.coeff)
-        if p in vec:
-            c = field.add(vec[p], c)
-        vec[p] = c
-    return {p: c for p, c in vec.items() if not field.is_zero(c)}
+        if w in vec:
+            c = field.add(vec[w], c)
+        vec[w] = c
+    return {w: c for w, c in vec.items() if not field.is_zero(c)}
 
 
 def _order(w: tuple):
@@ -219,9 +224,24 @@ def _reduce(f: Field, vec: dict, rules: dict) -> dict:
     return out
 
 
+def _normal_form(f: Field, rules: dict, q: Quiver, w: tuple, where) -> dict:
+    """{k: c} of the class of the arrow word w, where(u) giving the basis
+    index of a word u left by the reduction, or None."""
+    out = {}
+    for u, c in _reduce(f, {w: f.one()}, rules).items():
+        k = where(u)
+        if k is None:
+            raise BuildCheckError(
+                "reduction of %s leaves non-basis path %s"
+                % (Path(q, None, w).label(), Path(q, None, u).label())
+            )
+        out[k] = c
+    return out
+
+
 def _complete(f: Field, relations: list, name: str, max_len_cap: int) -> dict:
     """The reduced Groebner basis of the ideal of the relations (vectors
-    {Path: c}), as rules {tip length: {tip arrows: tail {arrows: c}}}."""
+    {arrows: c}), as rules {tip length: {tip arrows: tail {arrows: c}}}."""
     rules = {}
     queue = []
     order = itertools.count()
@@ -231,7 +251,7 @@ def _complete(f: Field, relations: list, name: str, max_len_cap: int) -> dict:
             heapq.heappush(queue, (_order(max(vec, key=_order)), next(order), vec))
 
     for vec in relations:
-        push({p.arrows: c for p, c in vec.items()})
+        push(vec)
     while queue:
         vec = _reduce(f, heapq.heappop(queue)[2], rules)
         if not vec:
@@ -269,7 +289,11 @@ def build(
     field: Field | None = None,
     max_len_cap: int = 64,
 ) -> BoundQuiverAlgebra:
-    """Construct the bound quiver algebra of a validated presentation block."""
+    """Construct the bound quiver algebra of a validated presentation block.
+
+    Paths grow and reduce as words, tuples of arrow indices, the normal
+    forms of the alive ones in a dict that the products are read from and
+    that ends with the build; a Path is made per basis element only."""
     if max_len_cap < 2:
         raise ValueError("max_len_cap must be >= 2")
     f = field if field is not None else exactla.field_from_spec(block.field_spec)
@@ -277,82 +301,108 @@ def build(
     relations = [_relation_vector(q, f, rel) for rel in block.relations]
     rules = _complete(f, relations, block.name, max_len_cap)
 
-    alive = {0: [Path.stationary(q, v) for v in q.vertices]}
-    alg = BoundQuiverAlgebra(
-        block=block,
-        quiver=q,
-        field=f,
-        basis=(),
-        dim=0,
-        zero_length=max_len_cap + 1,  # until the nonzero paths run out
-        basis_index={p: i for i, p in enumerate(alive[0])},
-        products=[],
-        idem_index={v: i for i, v in enumerate(q.vertices)},
-        arrow_index_in_basis={},
-        _nf_cache={p: {i: f.one()} for i, p in enumerate(alive[0])},
-        _rules=rules,
-    )
-    # alive[L]: the paths grown from alive[L-1] whose class is nonzero, in
-    # declaration order.  A normal form needs the basis up to its length.
-    basis = list(alive[0])
+    one = f.one()
+    after = [q.out_arrows[a.target] for a in q.arrows]
+    words = [()] * len(q.vertices)  # per basis index, the stationary paths first
+    index = {}  # basis word of positive length -> basis index
+    nf = {}  # alive word -> the nonzero coordinates of its class
+    # alive: the words grown from the previous length's alive words whose
+    # class is nonzero, in declaration order.  A normal form needs the basis
+    # up to its length.
+    alive = []
     for L in range(1, max_len_cap + 1):
-        grown = [
-            (Path(q, None, p.arrows + (i,)), p in alg.basis_index)
-            for p in alive[L - 1]
-            for i in q.out_arrows[p.target]
-        ]
-        grown.sort(key=lambda g: g[0].arrows)
-        # a path grown from a basis path holds a tip only as a suffix
-        for p, free in grown:
-            if free and not any(n <= L and p.arrows[-n:] in t for n, t in rules.items()):
-                alg.basis_index[p] = len(basis)
-                alg._nf_cache[p] = {len(basis): f.one()}
-                basis.append(p)
-        alive[L] = [p for p, _ in grown if alg.nf_coords(p)]
-        if L > 1 and not alive[L]:
-            alg.zero_length = L
+        if L == 1:
+            grown = [((i,), True) for i in range(len(q.arrows))]
+        else:
+            grown = sorted((w + (i,), w in index) for w in alive for i in after[w[-1]])
+        # a word grown from a basis word holds a tip only as a suffix
+        for w, free in grown:
+            if free and not any(n <= L and w[-n:] in t for n, t in rules.items()):
+                index[w] = len(words)
+                nf[w] = {len(words): one}
+                words.append(w)
+        alive = []
+        for w, _ in grown:
+            cell = nf.get(w) or _normal_form(f, rules, q, w, index.get)
+            if cell:
+                nf[w] = cell
+                alive.append(w)
+        if L > 1 and not alive:
+            zero_length = L
             break
     else:
         raise NotFiniteDimensionalError(
             "algebra %r is not finite-dimensional within cap %d"
             % (block.name, max_len_cap)
         )
-    alg.basis = basis = tuple(basis)
-    alg.dim = len(basis)
+    arrow_index_in_basis = {}
     for i, a in enumerate(q.arrows):
-        if Path(q, None, (i,)) not in alg.basis_index:
+        if (i,) not in index:
             raise AlgebraBuildError(
                 "arrow %r is zero in the algebra; ideal is not admissible" % (a.name,)
             )
-        alg.arrow_index_in_basis[a.name] = alg.basis_index[Path(q, None, (i,))]
+        arrow_index_in_basis[a.name] = index[(i,)]
+    basis = tuple(
+        [Path.stationary(q, v) for v in q.vertices]
+        + [Path(q, None, w) for w in words[len(q.vertices) :]]
+    )
+    src, tgt = _ends(q, basis)
 
     # b_p b_r is zero unless r starts where p ends
-    starts = _by_source(basis)
-    for p in basis:
+    starts = _by_source(src)
+    products = []
+    for i, w in enumerate(words):
         row = {}
-        for j in starts.get(p.target, ()):
-            cell = alg.nf_coords(compose(p, basis[j]))
+        for j in starts.get(tgt[i], ()):
+            u = words[j]
+            # a stationary factor gives the other factor
+            cell = nf.get(w + u) if w and u else {i if w else j: one}
             if cell:
                 row[j] = cell
-        alg.products.append(row)
+        products.append(row)
 
-    _verify_build(alg, block)
+    alg = BoundQuiverAlgebra(
+        block=block,
+        quiver=q,
+        field=f,
+        basis=basis,
+        dim=len(basis),
+        zero_length=zero_length,
+        basis_index={p: i for i, p in enumerate(basis)},
+        products=products,
+        idem_index={v: i for i, v in enumerate(q.vertices)},
+        arrow_index_in_basis=arrow_index_in_basis,
+        _nf_cache={p: {i: one} for i, p in enumerate(basis)},
+        _rules=rules,
+    )
+    _verify_build(alg, block, relations)
     return alg
 
 
-def _by_source(paths) -> dict:
-    """Vertex -> indices of the paths starting there, in ascending order."""
+def _ends(q: Quiver, paths) -> tuple:
+    """The lists of the sources and of the targets of the paths."""
+    arrows = q.arrows
+    src = [arrows[p.arrows[0]].source if p.arrows else p.vertex for p in paths]
+    tgt = [arrows[p.arrows[-1]].target if p.arrows else p.vertex for p in paths]
+    return src, tgt
+
+
+def _by_source(src) -> dict:
+    """Vertex -> the indices i with src[i] that vertex, ascending."""
     out = {}
-    for i, p in enumerate(paths):
-        out.setdefault(p.source, []).append(i)
+    for i, v in enumerate(src):
+        out.setdefault(v, []).append(i)
     return out
 
 
-def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock):
-    """Raise AlgebraBuildError unless the structure constants are graded,
+def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=None):
+    """Raise BuildCheckError unless the structure constants are graded,
     each basis path is its first arrow times the rest, the table is
     associative on the triples whose first factor is an arrow, the
     idempotents act as unit, and the declared relations vanish in the table.
+    It reads the basis endpoints as two lists and the basis paths as arrow
+    tuples; relations, the block's as vectors {arrows: c}, are made from the
+    block unless the build passes its own.
 
     Graded: each nonzero b_i b_j has tgt(b_i) = src(b_j) and only
     coordinates k with src(b_k) = src(b_i), tgt(b_k) = tgt(b_j).  It holds
@@ -376,77 +426,83 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock):
     is an isomorphism."""
     f = alg.field
     one = f.one()
+    axpy = f.axpy
     q = alg.quiver
     basis = alg.basis
     products = alg.products
+    idem = alg.idem_index
     name = alg.block.name
+    src, tgt = _ends(q, basis)
     # the structure constants are graded
     for i, row in enumerate(products):
-        src, tgt = basis[i].source, basis[i].target
+        s, t = src[i], tgt[i]
         for j, cell in row.items():
             for k in cell:
-                if not (
-                    tgt == basis[j].source
-                    and basis[k].source == src
-                    and basis[k].target == basis[j].target
-                ):
-                    raise AlgebraBuildError(
+                if not (t == src[j] and src[k] == s and tgt[k] == tgt[j]):
+                    raise BuildCheckError(
                         "structure constant (%d,%d,%d) of %r breaks the grading"
                         % (i, j, k, name)
                     )
     # each basis path is its first arrow times the rest
+    index = {p.arrows: k for k, p in enumerate(basis) if p.arrows}
     for k, p in enumerate(basis):
-        if p.arrows:
-            a = alg.basis_index[Path(q, None, p.arrows[:1])]
-            r = alg.basis_index[Path(q, None if p.length > 1 else p.target, p.arrows[1:])]
+        w = p.arrows
+        if w:
+            a = index[w[:1]]
+            r = index[w[1:]] if len(w) > 1 else idem[tgt[k]]
             if products[a].get(r) != {k: one}:
-                raise AlgebraBuildError(
+                raise BuildCheckError(
                     "inconsistent reduction at %s * %s in %r: not the basis path %s"
                     % (basis[a].label(), basis[r].label(), name, p.label())
                 )
     # associativity with an arrow first: for each composable pair (a, j),
     # acc[l] holds (b_a b_j) b_l - b_a (b_j b_l), over the nonzero products
-    starts = _by_source(basis)
+    starts = _by_source(src)
     for a in alg.arrow_index_in_basis.values():
         row_a = products[a]
-        for j in starts.get(basis[a].target, ()):
+        for j in starts.get(tgt[a], ()):
             acc = {}
             for k, c in row_a.get(j, {}).items():
                 for l, cell in products[k].items():
-                    out = acc.setdefault(l, {})
-                    for m, d in cell.items():
-                        out[m] = f.add(out.get(m, f.zero()), f.mul(c, d))
+                    axpy(acc.setdefault(l, {}), c, cell)
             for l, cell in products[j].items():
                 out = acc.setdefault(l, {})
                 for k, c in cell.items():
-                    for m, d in row_a.get(k, {}).items():
-                        out[m] = f.sub(out.get(m, f.zero()), f.mul(c, d))
-            bad = [l for l, out in acc.items() if f.sparse(out)]
+                    if k in row_a:
+                        axpy(out, f.neg(c), row_a[k])
+            bad = [l for l, out in acc.items() if out]
             if bad:
                 l = min(bad)
-                raise AlgebraBuildError(
+                raise BuildCheckError(
                     "associativity fails on basis triple (%d,%d,%d) = (%s, %s, %s) of %r"
                     % (a, j, l, basis[a].label(), basis[j].label(), basis[l].label(), name)
                 )
     # the unit law, per basis element
     for k, p in enumerate(basis):
-        e_src, e_tgt = alg.idem_index[p.source], alg.idem_index[p.target]
+        e_src, e_tgt = idem[src[k]], idem[tgt[k]]
         if products[e_src].get(k) != {k: one} or products[k].get(e_tgt) != {k: one}:
-            raise AlgebraBuildError(
+            raise BuildCheckError(
                 "unit law fails at basis %d (%s) of %r" % (k, p.label(), name)
             )
-    # the declared relations vanish, each term the table product of its
+    # the declared relations vanish, each word the table product of its
     # arrows from e_src
-    for rel in block.relations:
+    if relations is None:
+        relations = [_relation_vector(q, f, rel) for rel in block.relations]
+    arrow_basis = [alg.arrow_index_in_basis[a.name] for a in q.arrows]
+    for rel, vec in zip(block.relations, relations):
         acc = {}
-        for t in rel.terms:
-            vec = {alg.idem_index[rel.source]: f.from_fraction(t.coeff)}
-            for n in t.arrows:
-                vec = alg.multiply_sparse(vec, {alg.arrow_index_in_basis[n]: one})
-            for k, x in vec.items():
-                acc[k] = f.add(acc.get(k, f.zero()), x)
-        if f.sparse(acc):
-            raise AlgebraBuildError(
+        for w, c in vec.items():
+            x = {idem[rel.source]: c}
+            for n in w:
+                y = {}
+                for k, d in x.items():
+                    cell = products[k].get(arrow_basis[n])
+                    if cell:
+                        axpy(y, d, cell)
+                x = y
+            axpy(acc, one, x)
+        if acc:
+            raise BuildCheckError(
                 "declared relation '%s' of %r does not vanish in the structure constants"
                 % (qdsl._format_relation(rel), name)
             )
@@ -460,7 +516,7 @@ def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
     it is closed under products with basis elements on both sides, which
     is checked on the nonzero structure constants."""
     idx = {alg.quiver.arrow_index[n] for n in arrows}
-    span = tuple(g for g, p in enumerate(alg.basis) if idx.intersection(p.arrows))
+    span = tuple(g for g, p in enumerate(alg.basis) if not idx.isdisjoint(p.arrows))
     inside = set(span)
     for g, row in enumerate(alg.products):
         for h, cell in row.items():
@@ -500,7 +556,7 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
     kept_arrows = tuple(a for a in block.arrows if a[0] not in arrows)
     kept_rels = []
     for rel in block.relations:
-        kept = tuple(t for t in rel.terms if not any(n in arrows for n in t.arrows))
+        kept = tuple(t for t in rel.terms if arrows.isdisjoint(t.arrows))
         if kept:
             kept_rels.append(qdsl.RelationExpr(kept, rel.source, rel.target))
     sub_block = qdsl.AlgebraBlock(
@@ -513,10 +569,14 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         new_arrows=(),
     )
     q = Quiver(sub_block.vertices, kept_arrows)
-    own_arrow = {alg.quiver.arrow_index[a[0]]: i for i, a in enumerate(kept_arrows)}
+    # alg's arrow indices -> the kept arrows' own, None at a dropped arrow
+    own = [None] * len(alg.quiver.arrows)
+    for i, a in enumerate(kept_arrows):
+        own[alg.quiver.arrow_index[a[0]]] = i
+    cut = {k for k, i in enumerate(own) if i is None}
 
-    def own(w):
-        return tuple(own_arrow[k] for k in w)
+    def word(w):
+        return tuple([own[k] for k in w])
 
     gone = set(dropped)
     kept_idx = [g for g in range(alg.dim) if g not in gone]
@@ -524,14 +584,14 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
     rules = {}
     for n, tips in alg._rules.items():
         for tip, tail in tips.items():
-            if own_arrow.keys() >= set(tip):
-                rules.setdefault(n, {})[own(tip)] = {
-                    own(w): c for w, c in tail.items() if own_arrow.keys() >= set(w)
+            if cut.isdisjoint(tip):
+                rules.setdefault(n, {})[word(tip)] = {
+                    word(w): c for w, c in tail.items() if cut.isdisjoint(w)
                 }
     # the deleted arrows keep the relative order of the others, and with it
     # the basis order
     basis = tuple(
-        Path(q, p.vertex, own(p.arrows)) for p in (alg.basis[g] for g in kept_idx)
+        Path(q, p.vertex, word(p.arrows)) for p in (alg.basis[g] for g in kept_idx)
     )
     products = []
     for g in kept_idx:

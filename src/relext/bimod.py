@@ -419,7 +419,9 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     """Bimodule maps f: M -> N with x.f(y) + f(x).y = 0 in the ambient
     algebra for all x, y in M.  The bilinear equation of (x_i, x_j) has the
     term F[j][k] (x_i . n_k) for each nonzero product x_i . n_k and the term
-    F[i][k] (n_k . x_j) for each nonzero n_k . x_j; only those are visited."""
+    F[i][k] (n_k . x_j) for each nonzero n_k . x_j, over the unknowns F[j][k]
+    and F[i][k] of the hom system; only the pairs with a term are visited,
+    in the order of (i, j), so the equations come out as from every pair."""
     if m.ambient is not n.ambient:
         raise ValueError("both bimodules must live in one ambient algebra")
     f = m.field
@@ -435,8 +437,21 @@ def curly_E(m: Bimodule, n: Bimodule) -> Subspace:
     ]
     # the hom conditions followed by the bilinear ones, as one system
     var, rows, _ = hom_equations(m, n)
+    rows_at = {}  # k -> the rows r with F[r][k] an unknown
+    ks_of = {}  # r -> the k with F[r][k] an unknown
+    for r, k in var:
+        rows_at.setdefault(k, []).append(r)
+        ks_of.setdefault(r, []).append(k)
+    right_at = {}  # k -> the j with n_k . x_j nonzero
+    for j, terms in enumerate(right):
+        for k, _ in terms:
+            right_at.setdefault(k, []).append(j)
     for i in range(m.dim):
-        for j in range(m.dim):
+        # (i, j) has a term iff F[j][k] is an unknown for a k of left[i], or
+        # F[i][k] is for a k with n_k . x_j nonzero
+        js = {j for k, _ in left[i] for j in rows_at.get(k, ())}
+        js.update(j for k in ks_of.get(i, ()) for j in right_at.get(k, ()))
+        for j in sorted(js):
             # x_i . f(x_j) + f(x_i) . x_j = 0, one equation per ambient coord
             coeff = {}
             for terms, row_of_f in ((left[i], j), (right[j], i)):

@@ -19,10 +19,11 @@ fails (an identity row, oracle disagreement, a cup-product property), 2 for
 unusable input (unreadable file, parse error, unknown names, or a family
 that fails the structural gates), 3 for an internal arithmetic failure (an
 ArithmeticError, such as a solution or class coordinates failing
-substitution, a solved derivation lift failing its defining conditions
-(extensions.LiftCheckError), a projective cover that fails to surject or a
-kernel not closed under an arrow (repmod.ModuleCheckError), or a division
-by zero), reported as one line on stderr.
+substitution, a built structure-constant table failing its certificate
+(algebra.BuildCheckError), a solved derivation lift failing its defining
+conditions (extensions.LiftCheckError), a projective cover that fails to
+surject or a kernel not closed under an arrow (repmod.ModuleCheckError),
+or a division by zero), reported as one line on stderr.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
 """

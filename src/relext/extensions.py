@@ -205,10 +205,11 @@ def project_derivation(sp: SplitPresentation, vec: dict) -> dict:
     return {to_base[t]: c for t, c in vec.items() if t in to_base}
 
 
-def include_coefficient_derivation(alg, coeff: Bimodule, vec: dict) -> dict:
-    """A derivation valued in an ideal of the algebra is a derivation of
-    the algebra itself; re-coordinate its sparse arrow coordinates
-    accordingly."""
+def _coefficient_slots_in_regular(alg, coeff: Bimodule) -> dict:
+    """{slot of coeff's arrow layout: the regular layout's slot of the same
+    arrow and path}, for a coefficient bimodule inside alg.  A derivation
+    valued in an ideal of the algebra is a derivation of the algebra
+    itself, with its sparse arrow coordinates re-keyed by this map."""
     if coeff.ambient is not alg or coeff.acting is not alg:
         raise SplitError("coefficient bimodule does not live inside this algebra")
     lc = arrow_layout(alg, coeff)
@@ -218,7 +219,7 @@ def include_coefficient_derivation(alg, coeff: Bimodule, vec: dict) -> dict:
         reg_pos = {g: u for u, g in enumerate(lr.blocks[k])}
         for u, i in enumerate(lc.blocks[k]):
             to_reg[lc.offsets[k] + u] = lr.offsets[k] + reg_pos[coeff.amb_index[i]]
-    return {to_reg[t]: c for t, c in vec.items()}
+    return to_reg
 
 
 def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
@@ -580,9 +581,10 @@ def _ideal_classes_embed(alg, coeff: Bimodule, space: CohomologySpace, sp) -> bo
     span = exactla.Echelon(alg.field)
     for row in reg.inner.rows:
         span.insert(row)
+    to_reg = _coefficient_slots_in_regular(alg, coeff)
     count = 0
     for r in space.representatives():
-        m = include_coefficient_derivation(alg, coeff, r)
+        m = {to_reg[t]: c for t, c in r.items()}
         if not reg.derivations.contains(m):
             return False
         if span.insert(m) is None:

@@ -35,6 +35,7 @@ relative image of b2 decides whether it is a coboundary.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from . import exactla
@@ -261,10 +262,13 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     the paths through them."""
     layout = arrow_layout(alg, m)
     exactla._check_coordinates(layout.total, vec)
-    dvals = [
-        {i: vec[o + u] for u, i in enumerate(block) if o + u in vec}
-        for o, block in zip(layout.offsets, layout.blocks)
-    ]
+    # d(a) per arrow a, read off vec's own slots: the arrow of a slot is the
+    # last one whose block starts at or before it
+    offsets, blocks = layout.offsets, layout.blocks
+    dvals = {}
+    for t in sorted(vec):
+        k = bisect.bisect_right(offsets, t) - 1
+        dvals.setdefault(k, {})[blocks[k][t - offsets[k]]] = vec[t]
     f = m.field
     one = f.one()
     in_basis = [alg.arrow_index_in_basis[a.name] for a in alg.quiver.arrows]
@@ -275,7 +279,7 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
             k, qi = p.arrows[-1], alg.prefix_index(g)
             if out[qi]:
                 val = m.right_act({in_basis[k]: one}, out[qi])
-            if dvals[k]:
+            if k in dvals:
                 f.axpy(val, one, m.left_act({qi: one}, dvals[k]))
         out.append(val)
     return out

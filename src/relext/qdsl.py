@@ -29,6 +29,7 @@ from fractions import Fraction
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _RAT = re.compile(r"-?\d+(/\d+)?\Z")
 _TOKEN = re.compile(r"\S+")
+_ONE = Fraction(1)
 
 
 class ParseError(ValueError):
@@ -86,35 +87,45 @@ def _tokens_with_cols(line: str):
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
-def _parse_term(tok: str, line_no: int, col: int):
-    """Split `[rat*]a.b.c` into (coefficient, arrow name tuple)."""
-    coeff = Fraction(1)
+def _error(kind: str, message: str, line_no: int, line: str, k: int) -> ParseError:
+    """The diagnostic located at the k-th token of the line."""
+    return ParseError(kind, message, line_no, _column(line, k))
+
+
+def _column(line: str, k: int) -> int:
+    """The 1-based start column of the k-th token of line.split(), which
+    splits on the whitespace that _TOKEN's \\S excludes."""
+    return _tokens_with_cols(line)[k][1]
+
+
+def _parse_term(tok: str, line_no: int, line: str, k: int):
+    """Split `[rat*]a.b.c`, the k-th token of the line, into (coefficient,
+    arrow name tuple)."""
+    coeff = _ONE
     body = tok
     if "*" in tok:
         head, _, body = tok.partition("*")
         if not _RAT.match(head):
-            raise ParseError(
-                "syntax", "bad coefficient %r" % (head,), line_no, col
-            )
+            raise _error("syntax", "bad coefficient %r" % (head,), line_no, line, k)
         if re.search(r"/0+\Z", head):
-            raise ParseError(
-                "syntax", "coefficient %r has a zero denominator" % (head,), line_no, col
+            raise _error(
+                "syntax",
+                "coefficient %r has a zero denominator" % (head,),
+                line_no,
+                line,
+                k,
             )
         coeff = Fraction(head)
+        if coeff == 0:
+            raise _error(
+                "zero-coefficient", "coefficient of %r is zero" % (tok,), line_no, line, k
+            )
     elif _RAT.match(tok):
-        raise ParseError(
-            "syntax", "term %r has no path part" % (tok,), line_no, col
-        )
-    if coeff == 0:
-        raise ParseError(
-            "zero-coefficient", "coefficient of %r is zero" % (tok,), line_no, col
-        )
+        raise _error("syntax", "term %r has no path part" % (tok,), line_no, line, k)
     names = body.split(".")
     for nm in names:
         if not _IDENT.match(nm):
-            raise ParseError(
-                "syntax", "bad arrow name %r in term" % (nm,), line_no, col
-            )
+            raise _error("syntax", "bad arrow name %r in term" % (nm,), line_no, line, k)
     return coeff, tuple(names)
 
 
@@ -126,154 +137,152 @@ class _BlockBuilder:
         self.vertices = None
         self.arrows = []
         self.arrow_names = {}
-        self.relations = []  # (terms, line, col) validated at end-of-block
+        self.relations = []  # (terms, line, line text) validated at end-of-block
         self.extension_of = None
         self.new_arrows = None
 
 
 def parse(text: str) -> PresentationFile:
+    """The presentation file of the text.  Lines are split on whitespace;
+    a token's column is found again only for the diagnostic naming it."""
     blocks = []
     names_seen = {}
     cur: _BlockBuilder | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = _tokens_with_cols(line)
+        toks = line.split()
         if not toks:
             continue
-        (kw, kcol) = toks[0]
-        args = toks[1:]
+        kw = toks[0]
+        nargs = len(toks) - 1
 
         if kw == "algebra":
             if cur is not None:
-                raise ParseError(
-                    "syntax", "algebra block not closed before new block", line_no, kcol
+                raise _error(
+                    "syntax", "algebra block not closed before new block", line_no, line, 0
                 )
-            if len(args) != 1:
-                raise ParseError("syntax", "algebra takes one name", line_no, kcol)
-            name, ncol = args[0]
+            if nargs != 1:
+                raise _error("syntax", "algebra takes one name", line_no, line, 0)
+            name = toks[1]
             if not _IDENT.match(name):
-                raise ParseError("syntax", "bad algebra name %r" % name, line_no, ncol)
+                raise _error("syntax", "bad algebra name %r" % name, line_no, line, 1)
             if name in names_seen:
-                raise ParseError(
-                    "duplicate-name", "algebra %r already defined" % name, line_no, ncol
+                raise _error(
+                    "duplicate-name", "algebra %r already defined" % name, line_no, line, 1
                 )
             names_seen[name] = line_no
             cur = _BlockBuilder(name, line_no)
             continue
 
         if cur is None:
-            raise ParseError(
-                "syntax", "directive %r outside an algebra block" % kw, line_no, kcol
+            raise _error(
+                "syntax", "directive %r outside an algebra block" % kw, line_no, line, 0
             )
 
         if kw == "field":
             if cur.field_spec is not None:
-                raise ParseError("syntax", "field given twice", line_no, kcol)
-            if len(args) != 1:
-                raise ParseError("syntax", "field takes one spec", line_no, kcol)
-            spec, scol = args[0]
+                raise _error("syntax", "field given twice", line_no, line, 0)
+            if nargs != 1:
+                raise _error("syntax", "field takes one spec", line_no, line, 0)
+            spec = toks[1]
             if spec != "Q" and not re.match(r"F\d+\Z", spec):
-                raise ParseError(
-                    "syntax", "field must be Q or F<p>, got %r" % spec, line_no, scol
+                raise _error(
+                    "syntax", "field must be Q or F<p>, got %r" % spec, line_no, line, 1
                 )
             cur.field_spec = spec
         elif kw == "vertices":
             if cur.vertices is not None:
-                raise ParseError("syntax", "vertices given twice", line_no, kcol)
-            if not args:
-                raise ParseError("syntax", "vertices needs at least one id", line_no, kcol)
-            vs = []
+                raise _error("syntax", "vertices given twice", line_no, line, 0)
+            if not nargs:
+                raise _error("syntax", "vertices needs at least one id", line_no, line, 0)
             seen = set()
-            for v, vcol in args:
+            for k in range(1, len(toks)):
+                v = toks[k]
                 if not _IDENT.match(v):
-                    raise ParseError("syntax", "bad vertex id %r" % v, line_no, vcol)
+                    raise _error("syntax", "bad vertex id %r" % v, line_no, line, k)
                 if v in seen:
-                    raise ParseError(
-                        "duplicate-name", "vertex %r listed twice" % v, line_no, vcol
+                    raise _error(
+                        "duplicate-name", "vertex %r listed twice" % v, line_no, line, k
                     )
                 seen.add(v)
-                vs.append(v)
-            cur.vertices = tuple(vs)
+            cur.vertices = tuple(toks[1:])
         elif kw == "arrow":
-            if len(args) != 3:
-                raise ParseError(
-                    "syntax", "arrow takes: name source target", line_no, kcol
-                )
-            (nm, ncol), (src, scol), (dst, dcol) = args
-            for t, c in ((nm, ncol), (src, scol), (dst, dcol)):
-                if not _IDENT.match(t):
-                    raise ParseError("syntax", "bad identifier %r" % t, line_no, c)
+            if nargs != 3:
+                raise _error("syntax", "arrow takes: name source target", line_no, line, 0)
+            _, nm, src, dst = toks
+            for k in (1, 2, 3):
+                if not _IDENT.match(toks[k]):
+                    raise _error("syntax", "bad identifier %r" % toks[k], line_no, line, k)
             if cur.vertices is None:
-                raise ParseError(
-                    "syntax", "arrow before vertices directive", line_no, kcol
-                )
+                raise _error("syntax", "arrow before vertices directive", line_no, line, 0)
             if nm in cur.arrow_names:
-                raise ParseError(
-                    "duplicate-name", "arrow %r already declared" % nm, line_no, ncol
+                raise _error(
+                    "duplicate-name", "arrow %r already declared" % nm, line_no, line, 1
                 )
             if src not in cur.vertices:
-                raise ParseError("unknown-name", "unknown vertex %r" % src, line_no, scol)
+                raise _error("unknown-name", "unknown vertex %r" % src, line_no, line, 2)
             if dst not in cur.vertices:
-                raise ParseError("unknown-name", "unknown vertex %r" % dst, line_no, dcol)
+                raise _error("unknown-name", "unknown vertex %r" % dst, line_no, line, 3)
             cur.arrow_names[nm] = (src, dst)
             cur.arrows.append((nm, src, dst))
         elif kw == "rel":
-            if not args:
-                raise ParseError("syntax", "empty relation", line_no, kcol)
+            if not nargs:
+                raise _error("syntax", "empty relation", line_no, line, 0)
             terms = []
-            sign = Fraction(1)
+            negative = False
             expect_term = True
-            for tok, col in args:
-                if tok in ("+", "-"):
+            for k in range(1, len(toks)):
+                tok = toks[k]
+                if tok == "+" or tok == "-":
                     if expect_term:
-                        raise ParseError(
-                            "syntax", "unexpected sign %r" % tok, line_no, col
-                        )
-                    sign = Fraction(1) if tok == "+" else Fraction(-1)
+                        raise _error("syntax", "unexpected sign %r" % tok, line_no, line, k)
+                    negative = tok == "-"
                     expect_term = True
                     continue
                 if not expect_term:
-                    raise ParseError(
+                    raise _error(
                         "syntax",
                         "expected + or - between terms, got %r" % tok,
                         line_no,
-                        col,
+                        line,
+                        k,
                     )
-                coeff, arrow_names = _parse_term(tok, line_no, col)
-                terms.append((sign * coeff, arrow_names, col))
-                sign = Fraction(1)
+                coeff, arrow_names = _parse_term(tok, line_no, line, k)
+                terms.append((-coeff if negative else coeff, arrow_names, k))
+                negative = False
                 expect_term = False
             if expect_term:
-                raise ParseError("syntax", "relation ends with a sign", line_no, kcol)
-            cur.relations.append((terms, line_no, kcol))
+                raise _error("syntax", "relation ends with a sign", line_no, line, 0)
+            cur.relations.append((terms, line_no, line))
         elif kw == "extension_of":
             if cur.extension_of is not None:
-                raise ParseError("syntax", "extension_of given twice", line_no, kcol)
-            if len(args) != 1:
-                raise ParseError("syntax", "extension_of takes one name", line_no, kcol)
-            base, bcol = args[0]
+                raise _error("syntax", "extension_of given twice", line_no, line, 0)
+            if nargs != 1:
+                raise _error("syntax", "extension_of takes one name", line_no, line, 0)
+            base = toks[1]
             if base not in names_seen:
-                raise ParseError(
+                raise _error(
                     "unknown-name",
                     "base algebra %r not defined earlier in this file" % base,
                     line_no,
-                    bcol,
+                    line,
+                    1,
                 )
             cur.extension_of = base
         elif kw == "new":
             if cur.new_arrows is not None:
-                raise ParseError("syntax", "new given twice", line_no, kcol)
-            if not args:
-                raise ParseError("syntax", "new needs at least one arrow", line_no, kcol)
-            cur.new_arrows = [(n, c) for n, c in args]
+                raise _error("syntax", "new given twice", line_no, line, 0)
+            if not nargs:
+                raise _error("syntax", "new needs at least one arrow", line_no, line, 0)
+            cur.new_arrows = _tokens_with_cols(line)[1:]
         elif kw == "end":
-            if args:
-                raise ParseError("syntax", "end takes no arguments", line_no, kcol)
-            blocks.append(_finish_block(cur, blocks, line_no, kcol))
+            if nargs:
+                raise _error("syntax", "end takes no arguments", line_no, line, 0)
+            blocks.append(_finish_block(cur, blocks, line_no, _column(line, 0)))
             cur = None
         else:
-            raise ParseError("syntax", "unknown directive %r" % kw, line_no, kcol)
+            raise _error("syntax", "unknown directive %r" % kw, line_no, line, 0)
 
     if cur is not None:
         raise ParseError(
@@ -291,48 +300,56 @@ def _finish_block(cur: _BlockBuilder, done_blocks, end_line, end_col) -> Algebra
 
     # validate and freeze relations
     relations = []
-    for terms, line_no, col in cur.relations:
+    for terms, line_no, line in cur.relations:
         frozen = []
         seen_paths = {}
         src_tgt = None
-        for coeff, names, tcol in terms:
+        for coeff, names, tk in terms:
             if len(names) < 2:
-                raise ParseError(
+                raise _error(
                     "short-relation",
                     "relation term %s is shorter than 2 arrows" % ".".join(names),
                     line_no,
-                    tcol,
+                    line,
+                    tk,
                 )
             for nm in names:
                 if nm not in arrow_map:
-                    raise ParseError(
-                        "unknown-arrow", "unknown arrow %r in relation" % nm, line_no, tcol
+                    raise _error(
+                        "unknown-arrow",
+                        "unknown arrow %r in relation" % nm,
+                        line_no,
+                        line,
+                        tk,
                     )
             for k in range(len(names) - 1):
                 if arrow_map[names[k]][1] != arrow_map[names[k + 1]][0]:
-                    raise ParseError(
+                    raise _error(
                         "non-composable",
                         "arrows %s and %s do not compose" % (names[k], names[k + 1]),
                         line_no,
-                        tcol,
+                        line,
+                        tk,
                     )
             st = (arrow_map[names[0]][0], arrow_map[names[-1]][1])
             if src_tgt is None:
                 src_tgt = st
             elif st != src_tgt:
-                raise ParseError(
+                raise _error(
                     "non-parallel",
                     "term %s runs %s -> %s but earlier terms run %s -> %s"
                     % (".".join(names), st[0], st[1], src_tgt[0], src_tgt[1]),
                     line_no,
-                    tcol,
+                    line,
+                    tk,
                 )
             if names in seen_paths:
-                raise ParseError(
+                raise _error(
                     "duplicate-term",
                     "path %s appears twice in one relation" % ".".join(names),
                     line_no,
-                    tcol,
+                    line,
+                    tk,
                 )
             seen_paths[names] = True
             frozen.append(RelationTerm(coeff, names))

@@ -52,6 +52,23 @@ class Quiver:
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
 
+    def word(self, names) -> tuple:
+        """The arrow indices of a composable chain of arrow names."""
+        idxs = []
+        for n in names:
+            if n not in self.arrow_index:
+                raise ValueError("unknown arrow %r" % (n,))
+            idxs.append(self.arrow_index[n])
+        if not idxs:
+            raise ValueError("empty arrow sequence; use Path.stationary")
+        for k in range(len(idxs) - 1):
+            if self.arrows[idxs[k]].target != self.arrows[idxs[k + 1]].source:
+                raise ValueError(
+                    "arrows %s and %s do not compose"
+                    % (self.arrows[idxs[k]].name, self.arrows[idxs[k + 1]].name)
+                )
+        return tuple(idxs)
+
 
 @dataclass(frozen=True)
 class Path:
@@ -73,21 +90,7 @@ class Path:
 
     @staticmethod
     def from_arrow_names(q: Quiver, names) -> "Path":
-        idxs = []
-        for n in names:
-            if n not in q.arrow_index:
-                raise ValueError("unknown arrow %r" % (n,))
-            idxs.append(q.arrow_index[n])
-        if not idxs:
-            raise ValueError("empty arrow sequence; use Path.stationary")
-        p = Path(q, None, tuple(idxs))
-        for k in range(len(idxs) - 1):
-            if q.arrows[idxs[k]].target != q.arrows[idxs[k + 1]].source:
-                raise ValueError(
-                    "arrows %s and %s do not compose"
-                    % (q.arrows[idxs[k]].name, q.arrows[idxs[k + 1]].name)
-                )
-        return p
+        return Path(q, None, q.word(names))
 
     @property
     def length(self) -> int:

@@ -6,6 +6,7 @@ from families import squares
 from relext import exactla, qdsl
 from relext.algebra import (
     AlgebraBuildError,
+    BuildCheckError,
     NotFiniteDimensionalError,
     _verify_build,
     build,
@@ -365,3 +366,15 @@ def test_verify_build_rejects_table_where_a_declared_relation_survives(files):
         match=r"declared relation 'rel beta\.eps' of 'Ctilde' does not vanish",
     ):
         _verify_build(alg, block)
+
+
+def test_reduction_leaving_a_non_basis_path_is_an_internal_fault(files):
+    """nf_coords reduces a path outside its cache by the rules; a remainder
+    outside the basis is a BuildCheckError, not bad input."""
+    alg = build(files["ex2"].block("Ctilde"))
+    p = alg.basis[_cell_index(alg, "beta.eps")]
+    del alg._nf_cache[p], alg.basis_index[p]
+    with pytest.raises(
+        BuildCheckError, match=r"reduction of beta\.eps leaves non-basis path beta\.eps"
+    ):
+        alg.nf_coords(p)

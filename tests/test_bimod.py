@@ -297,6 +297,67 @@ def test_pairing_space_of_radical_matches_dense_reference(
         assert 0 < space.dim < bimod.end_enveloping(rad)
 
 
+def _all_pairs_bilinear_rows(m, n, var):
+    """The rows of x_i.f(x_j) + f(x_i).x_j = 0 over every pair (i, j), in
+    order: the loop curly_E ran before it visited only the pairs with a
+    term."""
+    f = m.field
+    amb = m.ambient
+    n_at = n._pos
+    left = [
+        [(n_at[g], prod) for g, prod in amb.products[gi].items() if g in n_at]
+        for gi in m.amb_index
+    ]
+    right = [
+        [(n_at[g], prod) for g, prod in amb.column(gj).items() if g in n_at]
+        for gj in m.amb_index
+    ]
+    rows = []
+    for i in range(m.dim):
+        for j in range(m.dim):
+            coeff = {}
+            for terms, row_of_f in ((left[i], j), (right[j], i)):
+                for k, prod in terms:
+                    col = var.get((row_of_f, k))
+                    if col is None:
+                        continue
+                    for t, c in prod.items():
+                        eq = coeff.setdefault(t, {})
+                        eq[col] = f.add(eq.get(col, f.zero()), c)
+            rows += [eq for eq in map(f.sparse, coeff.values()) if eq]
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_curly_E_rows_match_the_all_pairs_loop(files, chain_text, field, monkeypatch):
+    """The system curly_E hands to its kernel is the hom rows followed by
+    the bilinear rows of every pair, each equation whole and in order, on
+    the pairings of every split and on the radical of Ctilde."""
+    seen = []
+    kernel = bimod._graded_kernel
+    monkeypatch.setattr(
+        bimod, "_graded_kernel", lambda m, n, var, rows: seen.append(rows) or kernel(m, n, var, rows)
+    )
+    bilinear = 0
+    for fam in _families(files, chain_text, field):
+        sp = fam.split((), fam.new_arrows)
+        rad = bimod.sub_bimodule(
+            sp.total,
+            [g for g, p in enumerate(sp.total.basis) if p.arrows],
+            acting=sp.base,
+            embed=sp.section,
+        )
+        cases = [(s.ext_over_base, s.base_inside) for s in _valid_splits(fam)]
+        for m, n in cases + [(rad, rad)]:
+            del seen[:]
+            bimod.curly_E(m, n)
+            var, hom_rows, _ = bimod.hom_equations(m, n)
+            want = _all_pairs_bilinear_rows(m, n, var)
+            assert seen == [hom_rows + want]
+            bilinear += len(want)
+    assert bilinear > 0
+
+
 def _probe_tables(acting, ambient, amb_index, embed):
     """Both action tables by probing every (acting, span) pair of basis
     indices, i ascending in each row."""

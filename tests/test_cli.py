@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import relext
-from relext import cli, exactla, extensions, hochschild, repmod
+from relext import algebra, cli, exactla, extensions, hochschild, repmod
 from relext.fixtures import fixture_path
 
 
@@ -614,6 +614,32 @@ def test_module_check_error_is_internal_and_exported():
     assert issubclass(repmod.ModuleCheckError, ArithmeticError)
     assert relext.ModuleCheckError is repmod.ModuleCheckError
     assert "ModuleCheckError" in relext.__all__
+
+
+def test_build_whose_table_fails_its_certificate_exits_3(capsys, monkeypatch):
+    """A structure constant corrupted on its way into the certificate, e_2
+    b_beta doubled in ex2's Ctilde, is an internal fault, not bad input:
+    algebra.BuildCheckError, exit 3 with one stderr line naming the check,
+    the basis element and the algebra."""
+    certify = algebra._verify_build
+
+    def corrupted(alg, block, relations=None):
+        k = [p.label() for p in alg.basis].index("beta")
+        alg.products[alg.idem_index["2"]][k] = {k: alg.field.from_int(2)}
+        certify(alg, block, relations)
+
+    monkeypatch.setattr(algebra, "_verify_build", corrupted)
+    code, out, err = run(capsys, "info", EX2, "Ctilde")
+    assert code == 3 and out == ""
+    assert err == "internal error: unit law fails at basis 5 (beta) of 'Ctilde'\n"
+
+
+def test_build_check_error_is_internal_and_exported():
+    assert issubclass(algebra.BuildCheckError, algebra.AlgebraBuildError)
+    assert issubclass(algebra.BuildCheckError, ValueError)
+    assert issubclass(algebra.BuildCheckError, ArithmeticError)
+    assert relext.BuildCheckError is algebra.BuildCheckError
+    assert "BuildCheckError" in relext.__all__
 
 
 # -- one parser per process ------------------------------------------------------
