@@ -29,6 +29,7 @@ from .extensions import (
     Family,
     LiftCheckError,
     LiftWitness,
+    ProjectionCheckError,
     SplitError,
     SplitPresentation,
     TheoremReport,
@@ -83,6 +84,7 @@ __all__ = [
     "Family",
     "LiftCheckError",
     "LiftWitness",
+    "ProjectionCheckError",
     "SplitError",
     "SplitPresentation",
     "TheoremReport",

@@ -21,9 +21,12 @@ that fails the structural gates), 3 for an internal arithmetic failure (an
 ArithmeticError, such as a solution or class coordinates failing
 substitution, a built structure-constant table failing its certificate
 (algebra.BuildCheckError), a solved derivation lift failing its defining
-conditions (extensions.LiftCheckError), a projective cover that fails to
-surject or a kernel not closed under an arrow (repmod.ModuleCheckError),
-or a division by zero), reported as one line on stderr.
+conditions (extensions.LiftCheckError), a cohomology projection failing
+p(ad(x)) = ad(p(x)) or another of its identities, or a poset node whose
+arrow layout is not Ctilde's restricted (extensions.ProjectionCheckError),
+a projective cover that fails to surject or a kernel not closed under an
+arrow (repmod.ModuleCheckError), or a division by zero), reported as one
+line on stderr.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
 """

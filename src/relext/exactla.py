@@ -109,7 +109,9 @@ class RationalField(Field):
         return int(n)
 
     def from_fraction(self, fr):
-        return _int_if_integral(Fraction(fr))
+        if type(fr) is int:
+            return fr
+        return _int_if_integral(fr if isinstance(fr, Fraction) else Fraction(fr))
 
     def add(self, a, b):
         return _int_if_integral(a + b)
@@ -124,6 +126,8 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _int_if_integral(1 / Fraction(a))
@@ -190,7 +194,12 @@ class PrimeField(Field):
         return n % self.p
 
     def from_fraction(self, fr):
-        fr = Fraction(fr)
+        if type(fr) is int:
+            return fr % self.p
+        if not isinstance(fr, Fraction):
+            fr = Fraction(fr)
+        if fr.denominator == 1:
+            return fr.numerator % self.p
         if fr.denominator % self.p == 0:
             raise FieldError("denominator divisible by %d" % self.p)
         return (fr.numerator * pow(fr.denominator, -1, self.p)) % self.p
@@ -280,8 +289,7 @@ class Echelon:
         f.axpy(vec, f.neg(vec[key]), row)
 
     def _reduce_lead(self, vec: dict) -> dict:
-        f = self.field
-        vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
+        vec = self.field.sparse(vec)
         rows = self.rows
         while vec:
             top = max(vec)
@@ -301,8 +309,9 @@ class Echelon:
         top = max(vec)
         lead = vec[top]
         if not f.is_zero(f.sub(lead, f.one())):
-            inv = f.inv(lead)
-            vec = {k: f.mul(inv, c) for k, c in vec.items()}
+            scaled = {}
+            f.axpy(scaled, f.inv(lead), vec)
+            vec = scaled
         self.rows[top] = vec
         return vec
 

@@ -57,6 +57,11 @@ class LiftCheckError(SplitError, ArithmeticError):
     not a derivation without a lift and not bad input."""
 
 
+class ProjectionCheckError(SplitError, ArithmeticError):
+    """A cohomology projection, or the arrow layouts it reads, failing an
+    identity of every valid split: an internal fault, not bad input."""
+
+
 # -- regular coefficients, cached on the algebra object ------------------------
 
 
@@ -158,7 +163,7 @@ class SplitPresentation:
                     if b is None:
                         continue
                     if b not in block_pos:
-                        raise SplitError(
+                        raise ProjectionCheckError(
                             "projected derivation leaves the bigraded slice of %s"
                             % a.name
                         )
@@ -245,26 +250,49 @@ def hochschild_projection(sp: SplitPresentation, degree: int) -> list:
         for z in center(sp.total).rows:
             coords = tgt.coordinates_of(sp.project_coords(z))
             if coords is None:
-                raise SplitError("projection of a central element is not central")
+                raise ProjectionCheckError("projection of a central element is not central")
             images.append(coords)
         return images
     if degree != 1:
         raise ValueError("projection matrices are built in degrees 0 and 1")
 
-    src = regular_h1(sp.total)
     tgt = regular_h1(sp.base)
-    for x, vec in src.ad.items():
+    for x, vec in regular_h1(sp.total).ad.items():
         px = sp.projection[x]
         if project_derivation(sp, vec) != ({} if px is None else tgt.ad.get(px)):
-            raise SplitError("projection of an inner derivation is not inner")
+            raise ProjectionCheckError("projection of an inner derivation is not inner")
+    return _class_images(sp)
+
+
+def _class_images(sp: SplitPresentation) -> list:
+    """hochschild_projection in degree 1 without its inner check, which
+    Family.poset's per-node checks imply on the edges it reads here."""
+    tgt = regular_h1(sp.base)
     images = []
-    for r in src.representatives():
+    for r in regular_h1(sp.total).representatives():
         pr = project_derivation(sp, r)
         try:
             images.append(tgt.class_coordinates(pr))
         except ValueError:
-            raise SplitError("projection of a derivation breaks a base relation") from None
+            raise ProjectionCheckError(
+                "projection of a derivation breaks a base relation"
+            ) from None
     return images
+
+
+def _check_layout_restricts(sp: SplitPresentation):
+    """Raise ProjectionCheckError unless derivation_map, which reads the
+    base's arrows in turn and the total's slots of each in order, sends
+    the slots it keeps onto the base's slots 0, 1, 2, ... in turn: that
+    is, unless each block of the base's arrow layout, read through the
+    section, is the part of the total's block that the projection keeps."""
+    kept = list(sp.derivation_map().values())
+    n = arrow_layout(sp.base, regular_bimodule_of(sp.base)).total
+    if kept != list(range(n)):
+        raise ProjectionCheckError(
+            "arrow layout of %s (%d slots) is not that of %s restricted to "
+            "it (%d slots kept)" % (sp.base.block.name, n, sp.total.block.name, len(kept))
+        )
 
 
 # -- lifting a base derivation through the extension --------------------------
@@ -723,8 +751,9 @@ class Family:
     and B_T keeps of those the ones through T - S), so the partition holds
     by the choice of the index sets.  So sp.base_inside, the base at the
     section (ascending: the total's paths avoiding T - S), is a bimodule
-    over B_S.  The projection checks of hochschild_projection and
-    derivation_map and the triangle check of poset still run on every pair.
+    over B_S.  verify runs the projection checks of hochschild_projection
+    and derivation_map on each pair it reads; poset runs them once per
+    node, and its docstring argues that this covers every pair.
     """
 
     def __init__(self, base_block: AlgebraBlock, full_block: AlgebraBlock, field=None):
@@ -762,7 +791,7 @@ class Family:
             (): bimod.section_embed(self.base, self.full),
         }
         self._check_split_facts()
-        self._over_full = None  # set by _full_split_part
+        self._over_full = None  # set by _full_split
         self._lifts = {}  # subset S -> do all derivations lift to B_S
 
     def _check_split_facts(self):
@@ -820,20 +849,22 @@ class Family:
     def verify(self, subset) -> TheoremReport:
         """The four identities and their map-level checks for C < B_S < Ctilde."""
         subset = tuple(subset)
+        key = self._key(subset)
         c_alg = self.base
-        b_alg = self.partial(subset)
+        b_alg = self._partials[key]
         ct_alg = self.full
 
-        sp_cb = self.split((), subset)
-        sp_bct = self.split(subset, self.new_arrows)
+        full, h1_e = self._full_split()
+        sp_cb = full if key == self.new_arrows else self.split((), subset)
+        sp_bct = full if not key else self.split(subset, self.new_arrows)
 
         eprime_b = sp_cb.ext
         eprime_c = sp_cb.ext_over_base
         esec_ct = sp_bct.ext
         esec_b = sp_bct.ext_over_base
 
-        h1_b_eprime = h1(b_alg, eprime_b)
-        h1_ct_esec = h1(ct_alg, esec_ct)
+        h1_b_eprime = h1_e if sp_cb is full else h1(b_alg, eprime_b)
+        h1_ct_esec = h1_e if sp_bct is full else h1(ct_alg, esec_ct)
 
         phi0_bc = hochschild_projection(sp_cb, 0)
         phi1_bc = hochschild_projection(sp_cb, 1)
@@ -857,7 +888,7 @@ class Family:
         stationary_b = {b_alg.idem_index[v] for v in b_alg.quiver.vertices}
         center_flags = _center_flags(zb, esec_b, stationary_b)
 
-        h1_ct_e, lifts_ok = self._full_split_part()
+        lifts_ok = self._lifts_ok(full)
         lifts_ok = self._lifts_ok(sp_cb) and lifts_ok
         hh0_c, hh1_c, hh1_b = center(c_alg).dim, regular_h1(c_alg).dim, regular_h1(b_alg).dim
 
@@ -876,7 +907,7 @@ class Family:
             h1_B_Eprime=h1_b_eprime.dim,
             h1_Ct_Esec=h1_ct_esec.dim,
             h1_B_Esec=h1(b_alg, esec_b).dim,
-            h1_Ct_E=h1_ct_e,
+            h1_Ct_E=h1_e.dim,
             end_Ce_Eprime=bimod.end_enveloping(eprime_c),
             end_Be_Esec=bimod.end_enveloping(esec_b),
             curlyE_Eprime_C=bimod.curly_E_dimension(eprime_c, sp_cb.base_inside),
@@ -898,13 +929,13 @@ class Family:
             lifts_ok=lifts_ok,
         )
 
-    def _full_split_part(self) -> tuple:
-        """(dim H^1(Ctilde, E), do all base derivations lift through C <
-        Ctilde): the part of verify that does not depend on S, computed
-        once per family."""
+    def _full_split(self) -> tuple:
+        """(C < Ctilde, H^1(Ctilde, E)), built once per family: verify reads
+        them on every subset, and takes the split as its own for S = () and
+        S = all, whatever order S lists the arrows in."""
         if self._over_full is None:
             sp = self.split((), self.new_arrows)
-            self._over_full = (h1(self.full, sp.ext).dim, self._lifts_ok(sp))
+            self._over_full = (sp, h1(self.full, sp.ext))
         return self._over_full
 
     def _lifts_ok(self, sp: SplitPresentation) -> bool:
@@ -918,7 +949,24 @@ class Family:
 
     def poset(self) -> ExtensionPoset:
         """All valid arrow subsets ordered by inclusion, each carrying its
-        degree 1 cohomology dimension; Hasse edges carry the projection map."""
+        degree 1 cohomology dimension; Hasse edges carry the projection map.
+
+        phi is computed on the Hasse edges and the pairs (S, top), top =
+        Ctilde, only.  Once per node, on (S, top), hochschild_projection
+        checks p(ad(x)) = ad(p(x)) and _check_layout_restricts that B_S's
+        arrow layout is Ctilde's restricted to B_S's Ctilde indices.  So a
+        layout slot is a pair (arrow, Ctilde index) on every node, and as
+        _index_maps restricts the identity on Ctilde indices,
+        derivation_map(S <- T) keeps the slots of B_S and drops the others:
+        composed with derivation_map(T <- top) it is derivation_map(S <- top)
+        exactly.  An ad(x) of B_T is the projection of ad(x') for x' = x in
+        Ctilde, so its projection to B_S is ad(p(x)): the inner identity
+        holds on every pair, and then phi(S <- T) phi(T <- U) = phi(S <- U)
+        for all S < T < U, as p_(S <- U)(r) is p_(S <- T) of phi(T <- U)'s
+        combination of representatives plus an inner derivation.  The
+        other Hasse edges read phi through _class_images, without the inner
+        check, and each checks phi(S <- T) phi(T <- top) = phi(S <- top);
+        triangles_commute speaks for every comparable pair."""
         nodes = []
         by_arrows = {}
         for r in range(len(self.new_arrows) + 1):
@@ -933,32 +981,37 @@ class Family:
                 )
 
         f = self.base.field
-        edges = []
-        proj_mats = {}  # (upper, lower) -> images of upper's classes
-        for (t_arr, ti) in by_arrows.items():
-            for (s_arr, si) in by_arrows.items():
-                if set(t_arr) < set(s_arr):
-                    mat = hochschild_projection(self.split(t_arr, s_arr), 1)
-                    proj_mats[(si, ti)] = mat
-                    if len(s_arr) == len(t_arr) + 1:
-                        rank = exactla.rank(f, nodes[ti].dim_hh1, mat)
-                        edges.append(
-                            PosetEdge(
-                                lower=ti,
-                                upper=si,
-                                phi_rank=rank,
-                                surjective=rank == nodes[ti].dim_hh1,
-                                monotone=nodes[ti].dim_hh1 <= nodes[si].dim_hh1,
-                            )
-                        )
-
         top = by_arrows[self.new_arrows]
+        from_top = {}  # node -> images of Ctilde's classes
+        for arrows, i in by_arrows.items():
+            if i != top:
+                sp = self.split(arrows, self.new_arrows)
+                _check_layout_restricts(sp)
+                from_top[i] = hochschild_projection(sp, 1)
+
+        edges = []
         triangles = True
-        for (si, ti), mat in proj_mats.items():
-            if si == top:
-                continue
-            if exactla.compose(f, mat, proj_mats[(top, si)]) != proj_mats[(top, ti)]:
-                triangles = False
+        for t_arr, ti in by_arrows.items():
+            for a in (n for n in self.new_arrows if n not in t_arr):
+                si = by_arrows.get(tuple(n for n in self.new_arrows if n in t_arr or n == a))
+                if si is None:
+                    continue
+                if si == top:
+                    mat = from_top[ti]
+                else:
+                    mat = _class_images(self.split(t_arr, nodes[si].arrows))
+                    if exactla.compose(f, mat, from_top[si]) != from_top[ti]:
+                        triangles = False
+                rank = exactla.rank(f, nodes[ti].dim_hh1, mat)
+                edges.append(
+                    PosetEdge(
+                        lower=ti,
+                        upper=si,
+                        phi_rank=rank,
+                        surjective=rank == nodes[ti].dim_hh1,
+                        monotone=nodes[ti].dim_hh1 <= nodes[si].dim_hh1,
+                    )
+                )
         return ExtensionPoset(
             nodes=nodes,
             edges=edges,

@@ -10,21 +10,22 @@ each representative gets its class coordinates.  The tests compare
 
 from __future__ import annotations
 
-from relext.extensions import SplitError, project_derivation, regular_h1
+from relext.extensions import ProjectionCheckError, project_derivation, regular_h1
 
 
 def reference_projection(sp) -> list:
     """The images of the total's class basis, each sparse on the base's
-    class basis, or SplitError with the text hochschild_projection uses."""
+    class basis, or ProjectionCheckError with the text
+    hochschild_projection uses."""
     src = regular_h1(sp.total)
     tgt = regular_h1(sp.base)
     for b in src.inner.rows:
         if not tgt.inner.contains(project_derivation(sp, b)):
-            raise SplitError("projection of an inner derivation is not inner")
+            raise ProjectionCheckError("projection of an inner derivation is not inner")
     images = []
     for r in src.representatives():
         pr = project_derivation(sp, r)
         if not tgt.derivations.contains(pr):
-            raise SplitError("projection of a derivation breaks a base relation")
+            raise ProjectionCheckError("projection of a derivation breaks a base relation")
         images.append(tgt.class_coordinates(pr))
     return images

@@ -579,6 +579,35 @@ def test_lift_that_fails_its_check_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "verb, msg",
+    [
+        ("verify", "projection of an inner derivation is not inner"),
+        ("poset", "arrow layout of C (4 slots) is not that of Ctilde restricted to it "
+         "(4 slots kept)"),
+    ],
+)
+def test_failed_projection_identity_exits_3(capsys, monkeypatch, verb, msg):
+    """A derivation_map slot that some ad(x) reads, sent to the next base
+    slot, breaks p(ad(x)) = ad(p(x)), and the order of the slots that
+    poset checks first.  That is an internal fault, not bad input: exit 3
+    with one stderr line."""
+    real = extensions.SplitPresentation.derivation_map
+
+    def shifted(sp):
+        dm = dict(real(sp))
+        ad = extensions.regular_h1(sp.total).ad.values()
+        n = extensions.regular_h1(sp.base).layout.total
+        t = next(t for t in dm if any(t in vec for vec in ad))
+        dm[t] = (dm[t] + 1) % n
+        return dm
+
+    monkeypatch.setattr(extensions.SplitPresentation, "derivation_map", shifted)
+    code, out, err = run(capsys, verb, EX2, "--base", "C", "--tilde", "Ctilde")
+    assert code == 3 and out == ""
+    assert err == "internal error: %s\n" % msg
+
+
+@pytest.mark.parametrize(
     "argv, err",
     [
         (("ext2", EX1, "C"), "projective cover of a module of dim 11 over 'C' failed to surject"),

@@ -184,6 +184,82 @@ def test_rational_field_matches_fraction_and_returns_ints_when_integral(a, b, fr
     assert is_q_value(QQ.zero()) and is_q_value(QQ.one())
 
 
+def _from_fraction_by_copy(field, fr):
+    """from_fraction through a new Fraction, for every argument type."""
+    fr = Fraction(fr)
+    if field is QQ:
+        return fr.numerator if fr.denominator == 1 else fr
+    if fr.denominator % field.p == 0:
+        raise exactla.FieldError("denominator divisible by %d" % field.p)
+    return (fr.numerator * pow(fr.denominator, -1, field.p)) % field.p
+
+
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([QQ, F7]),
+    st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-6, max_value=6, max_denominator=21),
+    ),
+)
+def test_field_fast_paths_match_the_copying_path(field, x):
+    """from_fraction reads an int or a Fraction as it is, and QQ.inv
+    returns +-1 without a Fraction: each gives the value and type of the
+    path through a new Fraction, and F_p refuses a denominator that p
+    divides on both."""
+    for arg in (x, Fraction(x), int(x) if Fraction(x).denominator == 1 else str(x)):
+        try:
+            want = _from_fraction_by_copy(field, arg)
+        except exactla.FieldError:
+            with pytest.raises(exactla.FieldError, match="denominator divisible by 7"):
+                field.from_fraction(arg)
+            continue
+        assert _same(field.from_fraction(arg), want), (field, arg)
+    if field is QQ and x != 0:
+        want = 1 / Fraction(x)
+        assert _same(QQ.inv(x), want.numerator if want.denominator == 1 else want)
+    assert _same(QQ.inv(1), 1) and _same(QQ.inv(-1), -1) and _same(QQ.inv(Fraction(-1)), -1)
+    with pytest.raises(exactla.FieldError):
+        F7.from_fraction(Fraction(3, 14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([QQ, F7]).flatmap(
+        lambda field: st.tuples(
+            st.just(field),
+            st.dictionaries(
+                st.integers(0, 5),
+                q_values if field is QQ else st.integers(-20, 20),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_echelon_insert_matches_the_per_entry_path(case):
+    """insert drops the zero entries (7 and 14 too over F_7), keeps a row
+    whose lead is already one as it is, and scales any other row by the
+    inverse of its lead, with the values, types and key order of a
+    per-entry is_zero filter and f.mul."""
+    field, vec = case
+    row = exactla.Echelon(field).insert(dict(vec))
+    nonzero = {k: c for k, c in vec.items() if not field.is_zero(c)}
+    if not nonzero:
+        assert row is None
+        return
+    lead = nonzero[max(nonzero)]
+    want = nonzero
+    if not field.is_zero(field.sub(lead, field.one())):
+        inv = field.inv(lead)
+        want = {k: field.mul(inv, c) for k, c in nonzero.items()}
+    assert list(row) == list(want)
+    assert all(_same(row[k], want[k]) for k in want)
+
+
 def _exact(field, x):
     """x as a Fraction (Q) or as its residue in range(p) (F_p)."""
     return Fraction(x) if field is QQ else x % field.p

@@ -2,6 +2,8 @@
 four-identity verifier, and the extension poset."""
 
 import gc
+import json
+import os
 import weakref
 from itertools import combinations
 
@@ -15,14 +17,18 @@ import dense_reference as ref
 from relext.exactla import QQ, PrimeField
 from relext.extensions import (
     Family,
+    ProjectionCheckError,
     SplitError,
     hochschild_projection,
     lift_derivations,
     verify_theorem,
 )
 from families import squares
+from poset_reference import reference_poset
 from projection_reference import reference_projection
 from split_reference import split_presentation
+
+HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "halfsquare.quiv")
 
 
 # -- presentations -------------------------------------------------------------
@@ -111,9 +117,37 @@ def test_verify_builds_the_full_split_once(files, monkeypatch, name):
     fam = Family(pf.block("C"), pf.block("Ctilde"))
     for combo in reversed(subsets):
         assert fam.verify(combo).to_dict() == fresh[combo]
-    # once for the part that does not depend on S, and once each as the
-    # split C < B_S of S = all new arrows and B_S < Ctilde of S = ()
-    assert calls.count((fam.base, fam.full)) == 3
+    # once, for the part that does not depend on S, which is also the split
+    # C < B_S of S = all new arrows and B_S < Ctilde of S = ()
+    assert calls.count((fam.base, fam.full)) == 1
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_verify_computes_h1_of_the_full_ideal_once(files, monkeypatch, name):
+    """H^1(Ctilde, E), E the ideal of all new arrows, is computed once per
+    verify on a fresh family, on the default split, the empty one, a
+    one-arrow split and all new arrows listed in reverse: the split C < B_S
+    of S = all and B_S < Ctilde of S = () share it with the part of verify
+    that does not depend on S.  The reports equal those of a fresh family."""
+    pf = files[name]
+    new = tuple(pf.block("Ctilde").new_arrows)
+    real = extensions.h1
+    for subset in (new, (), new[:1], tuple(reversed(new))):
+        fam = Family(pf.block("C"), pf.block("Ctilde"))
+        full_ideal = tuple(bimod.square_zero_ideal_paths(fam.full, new))
+        calls = []
+
+        def counting(alg, m):
+            if alg is fam.full and tuple(m.amb_index) == full_ideal:
+                calls.append(m)
+            return real(alg, m)
+
+        monkeypatch.setattr(extensions, "h1", counting)
+        report = fam.verify(subset)
+        monkeypatch.setattr(extensions, "h1", real)
+        assert len(calls) == 1
+        fresh = Family(pf.block("C"), pf.block("Ctilde")).verify(subset)
+        assert report.to_dict() == fresh.to_dict()
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -248,14 +282,16 @@ def test_family_refuses_an_ideal_that_does_not_square_to_zero(files, monkeypatch
 def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
     """poset reads each pair's projection off the index maps: no arrow
     ideal is built, and the only spans are the regular bimodules of the
-    nodes, one per node at most.  The projection of every comparable pair
-    is still computed, and the triangle check still sees a broken
+    nodes, one per node at most.  The projection is computed on the Hasse
+    edges and the pairs (S, Ctilde), which among ex2's 4 nodes are all 5
+    proper comparable pairs, and the triangle check still sees a broken
     projection."""
     fam = Family(files["ex2"].block("C"), files["ex2"].block("Ctilde"))
     calls, regulars = [], []
     real_ideal = bimod.arrow_ideal_bimodule
     real_span = bimod.Bimodule.from_ambient_span
     real_projection = extensions.hochschild_projection
+    real_images = extensions._class_images
 
     def ideal(*args):
         calls.append("arrow_ideal_bimodule")
@@ -266,13 +302,13 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
         regulars.append(acting if regular else None)
         return real_span(acting, ambient, amb_index, embed)
 
-    def projection(sp, degree):
+    def images(sp):
         calls.append((sp.base.dim, sp.total.dim))
-        return real_projection(sp, degree)
+        return real_images(sp)
 
     monkeypatch.setattr(bimod, "arrow_ideal_bimodule", ideal)
     monkeypatch.setattr(bimod.Bimodule, "from_ambient_span", staticmethod(span))
-    monkeypatch.setattr(extensions, "hochschild_projection", projection)
+    monkeypatch.setattr(extensions, "_class_images", images)
     po = fam.poset()
     assert po.triangles_commute
     # 5 proper comparable pairs among 4 nodes, no arrow ideal built
@@ -288,6 +324,110 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
 
     monkeypatch.setattr(extensions, "hochschild_projection", broken)
     assert not fam.poset().triangles_commute
+
+
+def test_poset_projects_on_hasse_edges_and_top_pairs(chain_text, monkeypatch):
+    """At chain k=4, of the 65 comparable pairs poset computes the class
+    map of the 43 that are Hasse edges or pairs (S, Ctilde): the 15 pairs
+    (S, Ctilde) through hochschild_projection, each with its layout check,
+    and the 28 other Hasse edges through _class_images alone."""
+    pf = qdsl.parse(chain_text(4))
+    fam = Family(pf.block("C"), pf.block("Ctilde"))
+    counts = {"hochschild_projection": 0, "_class_images": 0, "_check_layout_restricts": 0}
+    for name in counts:
+        real = getattr(extensions, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(extensions, name, counting)
+    po = fam.poset()
+    assert counts == {
+        "hochschild_projection": 15, "_class_images": 43, "_check_layout_restricts": 15
+    }
+    assert len(po.edges) == 32 and po.triangles_commute
+
+
+def _poset_fields(po):
+    nodes = [(n.arrows, [p.label() for p in n.algebra.basis], n.dim_hh1) for n in po.nodes]
+    edges = [(e.lower, e.upper, e.phi_rank, e.surjective, e.monotone) for e in po.edges]
+    return nodes, edges, po.triangles_commute, po.minimum, po.maximum
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_poset_matches_the_all_pairs_reference(files, chain_text, field):
+    """On ex1, ex2, both halfsquare families, chain k <= 6 and squares
+    k <= 3, poset gives the nodes, edges, triangle flag and JSON of the
+    reference that projects and checks every comparable pair."""
+    towers = [(files[n], "C", "Ctilde") for n in sorted(files)]
+    half = qdsl.parse(open(HALFSQUARE, encoding="utf-8").read())
+    towers += [(half, "C", "Ctilde"), (half, "D", "Dtilde")]
+    towers += [(qdsl.parse(chain_text(k)), "C", "Ctilde") for k in range(1, 7)]
+    towers += [(qdsl.parse(squares(k)), "C", "Ctilde") for k in range(1, 4)]
+    for pf, base, tilde in towers:
+        po = Family(pf.block(base), pf.block(tilde), field).poset()
+        want = reference_poset(Family(pf.block(base), pf.block(tilde), field))
+        assert _poset_fields(po) == _poset_fields(want)
+        assert json.dumps(po.to_dict()) == json.dumps(want.to_dict())
+        assert po.triangles_commute
+
+
+def test_poset_sees_a_corrupted_ad_of_ctilde(files, chain_text):
+    """Doubling one stored ad(x) of Ctilde whose projection to a node is
+    nonzero makes poset raise on that node's pair (S, Ctilde)."""
+    for pf in (files["ex2"], qdsl.parse(chain_text(3))):
+        fam = Family(pf.block("C"), pf.block("Ctilde"))
+        fam.poset()
+        ad = extensions.regular_h1(fam.full).ad
+        sp = fam.split((), fam.new_arrows)
+        x = next(x for x, vec in ad.items() if extensions.project_derivation(sp, vec))
+        ad[x] = {t: fam.full.field.add(c, c) for t, c in ad[x].items()}
+        with pytest.raises(ProjectionCheckError, match="inner derivation is not inner"):
+            fam.poset()
+
+
+def test_poset_sees_a_corrupted_layout_slot(files, chain_text):
+    """One slot of one node's arrow layout pointed at another basis path,
+    or one more slot in one of its blocks, set after the node's cohomology
+    is built, makes poset raise: the first as a projected derivation off
+    its slice, the second, which derivation_map alone lets pass, on the
+    layout check."""
+    for pf in (files["ex2"], qdsl.parse(chain_text(3))):
+        for extra in (False, True):
+            fam = Family(pf.block("C"), pf.block("Ctilde"))
+            fam.poset()
+            node = fam.partial(fam.new_arrows[:1])
+            layout = hochschild.arrow_layout(node, extensions.regular_bimodule_of(node))
+            k = next(k for k, b in enumerate(layout.blocks) if b)
+            block = layout.blocks[k]
+            if extra:
+                block.append(next(i for i in range(node.dim) if i not in block))
+                layout.offsets[k + 1:] = [o + 1 for o in layout.offsets[k + 1:]]
+                layout.total += 1
+                sp = fam.split(fam.new_arrows[:1], fam.new_arrows)
+                assert sp.derivation_map()
+                match = "arrow layout of Ctilde_minus_.* slots kept"
+            else:
+                block[0] = (block[0] + 1) % node.dim
+                match = "leaves the bigraded slice"
+            with pytest.raises(ProjectionCheckError, match=match):
+                fam.poset()
+
+
+def test_poset_sees_a_shifted_index_map(files, chain_text):
+    """Swapping the Ctilde indices of two basis paths of one node makes
+    poset raise on that node's pair (S, Ctilde)."""
+    for pf in (files["ex2"], qdsl.parse(chain_text(3))):
+        fam = Family(pf.block("C"), pf.block("Ctilde"))
+        key = fam.new_arrows[:1]
+        fam.partial(key)
+        index = list(fam._index[key])
+        g = next(i for i in range(len(index) - 1) if index[i + 1] == index[i] + 1)
+        index[g], index[g + 1] = index[g + 1], index[g]
+        fam._index[key] = tuple(index)
+        with pytest.raises(ProjectionCheckError):
+            fam.poset()
 
 
 def test_opposite_relation_rule():
@@ -415,7 +555,9 @@ def test_projection_matches_reduction_reference(files, chain_text, field):
                 assert got == _outcome(reference_projection, sp)
             finally:
                 del src.representatives
-            assert got[1:] == (SplitError, "projection of a derivation breaks a base relation")
+            assert got[1:] == (
+                ProjectionCheckError, "projection of a derivation breaks a base relation"
+            )
             errors += 1
     # 9 pairs per 2-arrow fixture, 3**k for chain k and squares k
     assert pairs == 9 + 9 + 3 + 9 + 27 + 81 + 3 + 9 + 27
