@@ -19,7 +19,6 @@ from .bimod import (
     Bimodule,
     arrow_ideal_bimodule,
     curly_E_dimension,
-    direct_sum_check,
     end_enveloping,
     regular_bimodule,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "Bimodule",
     "arrow_ideal_bimodule",
     "curly_E_dimension",
-    "direct_sum_check",
     "end_enveloping",
     "regular_bimodule",
     "CohomologySpace",

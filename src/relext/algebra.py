@@ -15,10 +15,10 @@ so no tip of a reduced basis is longer.  The basis is the tip-free paths,
 grown by arrows testing only new suffixes; a normal form rewrites tips
 until none is left.  The build grows and reduces paths as tuples of arrow
 indices and keeps the normal forms of the alive ones only while it runs;
-the algebra caches Path objects, and their normal forms, for its basis
-alone.  The tips of I depend only on I and the order, and the
-enumeration builder this replaced (tests/build_reference.py) read them as
-the pivots of an echelon spanning I length by length, exactly so for
+the algebra keeps Path objects for its basis alone.  The tips of I
+depend only on I and the order, and the enumeration builder this
+replaced (tests/build_reference.py) read them as the pivots of an
+echelon spanning I length by length, exactly so for
 homogeneous relations: the basis, the vanishing length and the structure
 constants agree.  _verify_build certifies every build from the arrows,
 with the same checks whatever the representation, and raises
@@ -80,7 +80,6 @@ class BoundQuiverAlgebra:
     products: list  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
     idem_index: dict  # vertex -> basis index of its stationary path
     arrow_index_in_basis: dict  # arrow name -> basis index
-    _nf_cache: dict  # basis Path -> {its index: 1}: read only
     _rules: dict  # tip length -> {tip arrows: tail}, the reduced Groebner basis
     _center: exactla.Subspace | None = None  # set by extensions.center
     _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
@@ -93,13 +92,14 @@ class BoundQuiverAlgebra:
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
-        basis: cached for the basis paths, reduced by the rules otherwise."""
-        cell = self._nf_cache.get(path)
-        if cell is not None:
-            return cell
+        basis: a fresh {k: 1} at the basis path b_k, reduced by the rules
+        otherwise."""
+        q, index = self.quiver, self.basis_index
+        k = index.get(path)
+        if k is not None:
+            return {k: self.field.one()}
         if path.length >= self.zero_length:
             return {}
-        q, index = self.quiver, self.basis_index
         return _normal_form(
             self.field, self._rules, q, path.arrows, lambda w: index.get(Path(q, None, w))
         )
@@ -372,7 +372,6 @@ def build(
         products=products,
         idem_index={v: i for i, v in enumerate(q.vertices)},
         arrow_index_in_basis=arrow_index_in_basis,
-        _nf_cache={p: {i: one} for i, p in enumerate(basis)},
         _rules=rules,
     )
     _verify_build(alg, block, relations)
@@ -529,58 +528,60 @@ def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
 
 
 def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
-    """alg modulo the two-sided ideal J of the listed arrows, as alg
-    restricted to the basis paths that avoid them; raises IdealNotSpanned
-    unless J is the span of the paths through them.
+    """alg modulo the two-sided ideal J of the listed arrows; raises
+    IdealNotSpanned unless J is the span of the paths through them, and
+    then restricts alg to the other basis paths."""
+    arrows = frozenset(arrows)
+    unknown = arrows - set(alg.quiver.arrow_index)
+    if unknown:
+        raise ValueError("not arrows of %r: %s" % (alg.block.name, sorted(unknown)))
+    if not arrows:
+        return alg
+    gone = set(arrow_ideal_paths(alg, arrows))
+    return restrict(alg, arrows, [g for g in range(alg.dim) if g not in gone])
 
-    Given that span, the other basis paths give a basis of alg/J, whose
-    products are alg's with the coordinates on J dropped, so the checks of
-    a build hold: reducing modulo J is an algebra map, and each relation of
-    the presentation (alg's, minus the terms in J) vanishes.
+
+def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
+    """alg modulo the two-sided ideal J of the named arrows, as alg
+    restricted to its basis indices kept: those of the basis paths that
+    avoid the arrows, ascending, where the caller knows J to be the span of
+    the paths through them.
+
+    Given that span, the kept paths give a basis of alg/J, whose products
+    are alg's with the coordinates on J dropped, so the checks of a build
+    hold: reducing modulo J is an algebra map, and each relation of the
+    presentation (alg's, minus the terms in J) vanishes.
     dim(quotient) + dim(J) = dim(alg) by construction, and zero_length is
     alg's.  Its rules are alg's whose tips avoid the arrows, minus the tail
     terms through them (which lie in J), re-indexed to the kept arrows.  A
     kept path never meets a tip through a dropped arrow, so the kept paths
     free of these tips are alg's basis paths avoiding the arrows, dim(alg/J)
     of them: the kept tips are the quotient ideal's, and the rules its
-    reduced Groebner basis."""
-    arrows = frozenset(arrows)
+    reduced Groebner basis.  The quotient shares alg's Arrow objects."""
     block = alg.block
-    unknown = arrows - {a[0] for a in block.arrows}
-    if unknown:
-        raise ValueError("not arrows of %r: %s" % (block.name, sorted(unknown)))
-    if not arrows:
-        return alg
-    dropped = arrow_ideal_paths(alg, arrows)
-
-    kept_arrows = tuple(a for a in block.arrows if a[0] not in arrows)
     kept_rels = []
     for rel in block.relations:
-        kept = tuple(t for t in rel.terms if arrows.isdisjoint(t.arrows))
-        if kept:
-            kept_rels.append(qdsl.RelationExpr(kept, rel.source, rel.target))
+        terms = tuple(t for t in rel.terms if arrows.isdisjoint(t.arrows))
+        if len(terms) == len(rel.terms):
+            kept_rels.append(rel)
+        elif terms:
+            kept_rels.append(qdsl.RelationExpr(terms, rel.source, rel.target))
     sub_block = qdsl.AlgebraBlock(
         name="%s_minus_%s" % (block.name, "_".join(sorted(arrows))),
         field_spec=block.field_spec,
         vertices=block.vertices,
-        arrows=kept_arrows,
+        arrows=tuple(a for a in block.arrows if a[0] not in arrows),
         relations=tuple(kept_rels),
-        extension_of=None,
-        new_arrows=(),
     )
-    q = Quiver(sub_block.vertices, kept_arrows)
+    q = Quiver(block.vertices, [a for a in alg.quiver.arrows if a.name not in arrows])
     # alg's arrow indices -> the kept arrows' own, None at a dropped arrow
-    own = [None] * len(alg.quiver.arrows)
-    for i, a in enumerate(kept_arrows):
-        own[alg.quiver.arrow_index[a[0]]] = i
+    own = [q.arrow_index.get(a.name) for a in alg.quiver.arrows]
     cut = {k for k, i in enumerate(own) if i is None}
 
     def word(w):
         return tuple([own[k] for k in w])
 
-    gone = set(dropped)
-    kept_idx = [g for g in range(alg.dim) if g not in gone]
-    pos = {g: i for i, g in enumerate(kept_idx)}
+    pos = {g: i for i, g in enumerate(kept)}
     rules = {}
     for n, tips in alg._rules.items():
         for tip, tail in tips.items():
@@ -590,11 +591,9 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
                 }
     # the deleted arrows keep the relative order of the others, and with it
     # the basis order
-    basis = tuple(
-        Path(q, p.vertex, word(p.arrows)) for p in (alg.basis[g] for g in kept_idx)
-    )
+    basis = tuple(Path(q, p.vertex, word(p.arrows)) for p in map(alg.basis.__getitem__, kept))
     products = []
-    for g in kept_idx:
+    for g in kept:
         row = {}
         for h, cell in alg.products[g].items():
             if h in pos:
@@ -602,7 +601,6 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
                 if cell:
                     row[pos[h]] = cell
         products.append(row)
-    one = alg.field.one()
     return BoundQuiverAlgebra(
         block=sub_block,
         quiver=q,
@@ -613,10 +611,7 @@ def quotient_by_arrows(alg: BoundQuiverAlgebra, arrows) -> BoundQuiverAlgebra:
         basis_index={p: i for i, p in enumerate(basis)},
         products=products,
         idem_index={v: pos[g] for v, g in alg.idem_index.items()},
-        arrow_index_in_basis={
-            a[0]: pos[alg.arrow_index_in_basis[a[0]]] for a in kept_arrows
-        },
-        _nf_cache={p: {i: one} for i, p in enumerate(basis)},
+        arrow_index_in_basis={a.name: pos[alg.arrow_index_in_basis[a.name]] for a in q.arrows},
         _rules=rules,
     )
 

@@ -12,7 +12,8 @@ space of bimodule maps into the base.  Vectors are sparse {i: c}.
 
 Construction verifies closure under both actions, that each acting e_v is
 embedded as the ambient's e_v, and the section premise sigma(a).sigma(b) -
-sigma(ab) annihilating the module from either side.  With the ambient's
+sigma(ab) annihilating the module from either side; for the regular
+bimodule none of them can fail, and none is run.  With the ambient's
 associative, graded and unital structure constants, those give the bimodule
 axioms, and each e_v acts as the projection onto the basis paths at v.
 """
@@ -23,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import exactla
-from .algebra import BoundQuiverAlgebra, IdealNotSpanned, arrow_ideal_paths
+from .algebra import BoundQuiverAlgebra, arrow_ideal_paths
 from .exactla import Subspace
 
 
@@ -185,23 +186,6 @@ class Bimodule:
         return "Bimodule(dim %d over %s)" % (self.dim, self.acting.block.name)
 
 
-def section_embed(acting: BoundQuiverAlgebra, ambient: BoundQuiverAlgebra) -> tuple:
-    """Ambient basis index of each acting basis path, matched by labels."""
-    amb_pos = {}
-    for i, p in enumerate(ambient.basis):
-        amb_pos[p.label()] = i
-    out = []
-    for p in acting.basis:
-        j = amb_pos.get(p.label())
-        if j is None:
-            raise ValueError(
-                "path %s of %r is not a basis path of %r"
-                % (p.label(), acting.block.name, ambient.block.name)
-            )
-        out.append(j)
-    return tuple(out)
-
-
 def section_defects(
     acting: BoundQuiverAlgebra, ambient: BoundQuiverAlgebra, embed
 ) -> list:
@@ -236,7 +220,10 @@ def section_defects(
 
 
 def regular_bimodule(alg: BoundQuiverAlgebra) -> Bimodule:
-    return Bimodule.from_ambient_span(alg, alg, tuple(range(alg.dim)))
+    """alg over itself, without Bimodule.verify, which could not fail: the
+    span is the whole basis, so every product lies in it; embed is the
+    identity, so it sends each e_v to e_v and has no section defect."""
+    return Bimodule(alg, alg, range(alg.dim), range(alg.dim))
 
 
 def sub_bimodule(
@@ -289,34 +276,6 @@ def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
     """The two-sided ideal of the named arrows, as a square-zero bimodule
     over the ambient algebra; square_zero_ideal_paths checks its span."""
     return sub_bimodule(ambient, square_zero_ideal_paths(ambient, arrow_names))
-
-
-def direct_sum_check(ambient: BoundQuiverAlgebra, parts) -> bool:
-    """Do the arrow ideals of the given disjoint arrow sets decompose the
-    ideal of their union as a direct sum, each of these ideals being the
-    span of the basis paths through its arrows?  False when one of them is
-    not such a span.
-
-    With every ideal a span of basis paths, the sum is direct iff no basis
-    path runs through two parts.  With the union's ideal such a span, a
-    part's ideal larger than its paths' span makes the dimensions of the
-    parts add up to more than the union's, so False is then exact."""
-    parts = [set(p) for p in parts]
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if parts[i] & parts[j]:
-                return False
-    seen = set()
-    try:
-        arrow_ideal_paths(ambient, set().union(*parts))
-        for p in parts:
-            span = arrow_ideal_paths(ambient, p)
-            if seen.intersection(span):
-                return False
-            seen.update(span)
-    except IdealNotSpanned:
-        return False
-    return True
 
 
 def hom_equations(m: Bimodule, n: Bimodule) -> tuple:

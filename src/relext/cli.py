@@ -24,9 +24,10 @@ substitution, a built structure-constant table failing its certificate
 conditions (extensions.LiftCheckError), a cohomology projection failing
 p(ad(x)) = ad(p(x)) or another of its identities, or a poset node whose
 arrow layout is not Ctilde's restricted (extensions.ProjectionCheckError),
-a projective cover that fails to surject or a kernel not closed under an
-arrow (repmod.ModuleCheckError), or a division by zero), reported as one
-line on stderr.
+a projective cover that fails to surject, a kernel not closed under an
+arrow or a module map that does not commute with one
+(repmod.ModuleCheckError), or a division by zero), reported as one line on
+stderr.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
 """

@@ -35,6 +35,7 @@ from .algebra import (
     IdealNotSpanned,
     build,
     quotient_by_arrows,
+    restrict,
 )
 from .bimod import Bimodule
 from .exactla import Subspace
@@ -183,6 +184,13 @@ def _index_maps(base_index, total_index, total_dim) -> tuple:
     for i, j in enumerate(section):
         projection[j] = i
     return section, tuple(projection)
+
+
+def _split_of(lower, upper, extra) -> SplitPresentation:
+    """The split of upper over lower along the arrows extra, each of lower
+    and upper given as (algebra, the ambient indices of its basis)."""
+    (base, base_index), (total, total_index) = lower, upper
+    return SplitPresentation(base, total, extra, *_index_maps(base_index, total_index, total.dim))
 
 
 def _check_opposite_relations(relations, total, new_arrow_names):
@@ -651,7 +659,6 @@ def _center_flags(zb: Subspace, esec: Bimodule, stationary: set):
 @dataclass(eq=False)
 class PosetNode:
     arrows: tuple
-    algebra: BoundQuiverAlgebra
     dim_hh1: int
 
 
@@ -717,26 +724,36 @@ class Family:
     C (same basis labels and structure constants), and the new-arrow ideal
     must have the dimension of Ext^2 of C.  Only C and Ctilde are built:
     every other B_S is Ctilde restricted to the basis paths that avoid the
-    new arrows outside S (quotient_by_arrows), cached per subset.  That
-    needs the new-arrow ideal to be the span of its paths; where it is
-    not, Ctilde is reported as not reducing to C.  C and Ctilde share one
-    field object: `field`, or else the field that both blocks must declare.
+    new arrows outside S (algebra.restrict), cached per subset by partial.
+    C and Ctilde share one field object: `field`, or else the field that
+    both blocks must declare.
 
-    Each B_S carries the tuple of the Ctilde basis indices of its basis,
-    found once per node by section_embed, and split(S, T) reads the
-    section B_S -> B_T and the projection back off two such tuples.  The
-    checks a split of two arbitrary algebras needs on each pair (the arrows
-    match, the section is multiplicative, base and ideal paths partition
-    the total basis) follow from facts checked once per family, here:
+    Each B_S is indexed by the tuple of the Ctilde basis indices it keeps;
+    C's are those of the gate's quotient, whose labels the gate compared
+    with C's, so no node matches labels.  split(S, T) reads the section
+    B_S -> B_T and the projection back off two such tuples.  The checks a
+    split of two arbitrary algebras needs on each pair (the arrows match,
+    the section is multiplicative, base and ideal paths partition the total
+    basis) follow from facts checked once per family, here:
 
       (a) C is a subalgebra of Ctilde, path by path: section_defects of C
           in Ctilde is empty;
-      (b) the ideal J of all new arrows squares to zero and no basis path
-          runs through two new arrows (square_zero_ideal_paths);
+      (b) the ideal J of all new arrows is the span of its paths and
+          squares to zero, and no basis path runs through two new arrows
+          (square_zero_ideal_paths);
       (c) every new arrow x -> y is opposite to a relation y -> x of C,
           which by (a) vanishes in Ctilde and so in every B_S;
-      (d) partial() runs direct_sum_check on J_S + J_{not S} for every S,
-          so the ideal of S is the span of the paths through S.
+      (d) the ideal of S is the span of the paths through S, and that of
+          its complement the span of theirs, exactly when S separates no
+          linked pair.  A pair (x, y) of new arrows, y != x, is linked when
+          a nonzero product of a path through x with a basis path has a
+          coordinate on a path through y; the pairs are collected once,
+          here.  By (b) such a product is a combination of paths through
+          single new arrows, and the other factor is a path avoiding them.
+          So the span of the paths through S is closed under products, an
+          ideal holding the arrows of S and so their ideal, iff no linked
+          pair leads out of S; likewise for the complement.  partial
+          refuses exactly the S that separate a linked pair.
 
     Take S < T and two basis paths p, q of B_S.  If neither runs through a
     new arrow, pq in Ctilde lies in the span of C's paths by (a).  If both
@@ -784,18 +801,22 @@ class Family:
                 "extension ideal dimension %d does not match the expected %d"
                 % (self.full.dim - self.base.dim, ext_dim)
             )
+        names = [a.name for a in self.full.quiver.arrows]
+        # per Ctilde basis path, the first new arrow it runs through, or None
+        self._through = [
+            next((names[k] for k in p.arrows if names[k] in self.new_arrows), None)
+            for p in self.full.basis
+        ]
         self._partials = {self.new_arrows: self.full, (): self.base}
         # Ctilde basis index of each basis path, per subset
-        self._index = {
-            self.new_arrows: tuple(range(self.full.dim)),
-            (): bimod.section_embed(self.base, self.full),
-        }
+        self._index = {self.new_arrows: tuple(range(self.full.dim)), (): self._kept(())}
         self._check_split_facts()
         self._over_full = None  # set by _full_split
         self._lifts = {}  # subset S -> do all derivations lift to B_S
 
     def _check_split_facts(self):
-        """Facts (a) to (c) of the class docstring, raising SplitError."""
+        """Facts (a) to (c) of the class docstring, raising SplitError, and
+        the linked pairs of (d)."""
         defects = bimod.section_defects(self.base, self.full, self._index[()])
         if defects:
             i, j, _ = defects[0]
@@ -805,15 +826,30 @@ class Family:
                 "algebras" % (self.base.basis[i].label(), self.base.basis[j].label())
             )
         try:
-            bimod.square_zero_ideal_paths(self.full, self.new_arrows)
+            span = bimod.square_zero_ideal_paths(self.full, self.new_arrows)
         except ValueError as err:
             raise SplitError(str(err)) from None
         _check_opposite_relations(self.base.block.relations, self.full, self.new_arrows)
+        # a product with a factor in J lies in J, and the other factor is
+        # off J, as J squares to zero
+        full, through = self.full, self._through
+        self._links = {
+            (through[g], through[k])
+            for g in span
+            for line in (full.products[g], full.column(g))
+            for cell in line.values()
+            for k in cell
+            if through[k] != through[g]
+        }
+
+    def _kept(self, key) -> tuple:
+        """The Ctilde basis indices of B_S, S = key: the paths through no
+        new arrow outside S."""
+        return tuple(g for g, x in enumerate(self._through) if x is None or x in key)
 
     def partial(self, subset) -> BoundQuiverAlgebra:
-        """B_S: Ctilde modulo the new arrows outside S, once the ideals of S
-        and of its complement are checked to split the new-arrow ideal; the
-        gate has checked that the new-arrow ideal is spanned by its paths."""
+        """B_S: Ctilde modulo the new arrows outside S, once S is checked to
+        separate no linked pair (fact (d) of the class docstring)."""
         return self._partials[self._key(subset)]
 
     def _key(self, subset) -> tuple:
@@ -825,12 +861,22 @@ class Family:
             raise SplitError("arrow subset %s repeats a name" % ",".join(subset))
         key = tuple(n for n in self.new_arrows if n in subset)
         if key not in self._partials:
-            complement = tuple(n for n in self.new_arrows if n not in key)
-            if not bimod.direct_sum_check(self.full, [key, complement]):
+            if not self._splits(key):
                 raise SplitError("the chosen arrow subset does not split the ideal")
-            alg = self._partials[key] = quotient_by_arrows(self.full, complement)
-            self._index[key] = bimod.section_embed(alg, self.full)
+            self._partials[key], self._index[key] = self._node(key)
         return key
+
+    def _splits(self, key) -> bool:
+        """Does S = key separate no linked pair?"""
+        return all((x in key) == (y in key) for x, y in self._links)
+
+    def _node(self, key) -> tuple:
+        """(B_S, its Ctilde indices) for a valid S = key: partial's if it
+        holds them, else restricted from Ctilde and not kept."""
+        if key in self._partials:
+            return self._partials[key], self._index[key]
+        kept = self._kept(key)
+        return restrict(self.full, frozenset(self.new_arrows) - set(key), kept), kept
 
     def split(self, lower, upper) -> SplitPresentation:
         """B_upper over B_lower; the new arrows keep the order of `upper`.
@@ -842,9 +888,7 @@ class Family:
                 "arrow subset %s does not contain %s" % (",".join(up), ",".join(lo))
             )
         extra = tuple(n for n in upper if n not in lower)
-        total = self._partials[up]
-        section, projection = _index_maps(self._index[lo], self._index[up], total.dim)
-        return SplitPresentation(self._partials[lo], total, extra, section, projection)
+        return _split_of(self._node(lo), self._node(up), extra)
 
     def verify(self, subset) -> TheoremReport:
         """The four identities and their map-level checks for C < B_S < Ctilde."""
@@ -966,55 +1010,71 @@ class Family:
         combination of representatives plus an inner derivation.  The
         other Hasse edges read phi through _class_images, without the inner
         check, and each checks phi(S <- T) phi(T <- top) = phi(S <- top);
-        triangles_commute speaks for every comparable pair."""
-        nodes = []
-        by_arrows = {}
-        for r in range(len(self.new_arrows) + 1):
-            for combo in combinations(self.new_arrows, r):
-                try:
-                    alg = self.partial(combo)
-                except SplitError:
-                    continue
-                by_arrows[combo] = len(nodes)
-                nodes.append(
-                    PosetNode(arrows=combo, algebra=alg, dim_hh1=regular_h1(alg).dim)
-                )
+        triangles_commute speaks for every comparable pair.
 
+        The walk goes down the ranks |S| from Ctilde and holds the nodes of
+        two ranks at a time.  A node of rank r gets its algebra (partial's,
+        or a restriction of Ctilde kept only by the walk), its H^1, its
+        phi(S <- top) and its edges up to rank r + 1; once rank r is done,
+        the algebras, bimodules and H^1 of rank r + 1 are dropped, and only
+        their arrows, dims and phi(S <- top) stay.  Nodes are numbered by
+        rank from C up, subsets of one rank in the order of combinations,
+        and edges are listed by lower node, then by the position of the
+        added arrow among the new arrows, whatever order they are computed
+        in."""
+        new = self.new_arrows
         f = self.base.field
-        top = by_arrows[self.new_arrows]
+        valid = [c for r in range(len(new) + 1) for c in combinations(new, r) if self._splits(c)]
+        by_arrows = {c: i for i, c in enumerate(valid)}
+        top = by_arrows[new]
+        full = self._node(new)
         from_top = {}  # node -> images of Ctilde's classes
-        for arrows, i in by_arrows.items():
-            if i != top:
-                sp = self.split(arrows, self.new_arrows)
-                _check_layout_restricts(sp)
-                from_top[i] = hochschild_projection(sp, 1)
 
-        edges = []
+        def project_from_top(ti, node):
+            if ti != top and ti not in from_top:
+                sp = _split_of(node, full, tuple(n for n in new if n not in valid[ti]))
+                _check_layout_restricts(sp)
+                from_top[ti] = hochschild_projection(sp, 1)
+
+        # C is held throughout, like Ctilde: its pair is checked first
+        project_from_top(by_arrows[()], self._node(()))
+        dims = {}
+        edges = {}  # (lower node, position of the added arrow) -> edge
         triangles = True
-        for t_arr, ti in by_arrows.items():
-            for a in (n for n in self.new_arrows if n not in t_arr):
-                si = by_arrows.get(tuple(n for n in self.new_arrows if n in t_arr or n == a))
-                if si is None:
+        above = {}  # the nodes of the rank above: index -> (algebra, Ctilde indices)
+        for r in range(len(new), -1, -1):
+            layer = {}
+            for lower in combinations(new, r):
+                ti = by_arrows.get(lower)
+                if ti is None:
                     continue
-                if si == top:
-                    mat = from_top[ti]
-                else:
-                    mat = _class_images(self.split(t_arr, nodes[si].arrows))
-                    if exactla.compose(f, mat, from_top[si]) != from_top[ti]:
-                        triangles = False
-                rank = exactla.rank(f, nodes[ti].dim_hh1, mat)
-                edges.append(
-                    PosetEdge(
+                node = layer[ti] = self._node(lower)
+                dims[ti] = regular_h1(node[0]).dim
+                project_from_top(ti, node)
+                for k, a in enumerate(new):
+                    si = None if a in lower else by_arrows.get(
+                        tuple(n for n in new if n in lower or n == a)
+                    )
+                    if si is None:
+                        continue
+                    if si == top:
+                        mat = from_top[ti]
+                    else:
+                        mat = _class_images(_split_of(node, above[si], (a,)))
+                        if exactla.compose(f, mat, from_top[si]) != from_top[ti]:
+                            triangles = False
+                    rank = exactla.rank(f, dims[ti], mat)
+                    edges[(ti, k)] = PosetEdge(
                         lower=ti,
                         upper=si,
                         phi_rank=rank,
-                        surjective=rank == nodes[ti].dim_hh1,
-                        monotone=nodes[ti].dim_hh1 <= nodes[si].dim_hh1,
+                        surjective=rank == dims[ti],
+                        monotone=dims[ti] <= dims[si],
                     )
-                )
+            above = layer
         return ExtensionPoset(
-            nodes=nodes,
-            edges=edges,
+            nodes=[PosetNode(arrows=c, dim_hh1=dims[i]) for i, c in enumerate(valid)],
+            edges=[edges[key] for key in sorted(edges)],
             triangles_commute=triangles,
             minimum=by_arrows[()],
             maximum=top,

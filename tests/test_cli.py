@@ -638,6 +638,32 @@ def test_kernel_not_closed_under_an_arrow_exits_3(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_cover_map_that_fails_to_commute_exits_3(capsys, monkeypatch):
+    """One entry of the first cover map ext2 builds, for the dual of ex1's
+    C (dim 11, covered by dim 18), doubled: ModuleMap's commutation check
+    is an internal fault, not bad input, so exit 3 with one stderr line
+    naming the algebra and both dimensions."""
+    real = repmod.ModuleMap
+    calls = []
+
+    def corrupting(source, target, mats):
+        if not calls:
+            f = source.algebra.field
+            v = next(v for v in mats if any(mats[v]))
+            i = next(i for i, img in enumerate(mats[v]) if img)
+            mats[v][i] = {k: f.add(c, c) for k, c in mats[v][i].items()}
+        calls.append(mats)
+        return real(source, target, mats)
+
+    monkeypatch.setattr(repmod, "ModuleMap", corrupting)
+    code, out, err = run(capsys, "ext2", EX1, "C")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: map from a module of dim 18 to one of dim 11 over 'C': "
+        "map does not commute with arrow 'beta'\n"
+    )
+
+
 def test_module_check_error_is_internal_and_exported():
     assert issubclass(repmod.ModuleCheckError, ValueError)
     assert issubclass(repmod.ModuleCheckError, ArithmeticError)

@@ -26,9 +26,12 @@ from relext.extensions import (
 from families import squares
 from poset_reference import reference_poset
 from projection_reference import reference_projection
-from split_reference import split_presentation
+from split_reference import direct_sum_check, split_presentation
 
 HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "halfsquare.quiv")
+# b.x = -b.y and x.a = -y.a: the ideal of x alone holds b.y, so a subset
+# splits only if it holds both x and y or neither
+LINKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "linked.quiv")
 
 
 # -- presentations -------------------------------------------------------------
@@ -153,22 +156,31 @@ def test_verify_computes_h1_of_the_full_ideal_once(files, monkeypatch, name):
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
 def test_family_builds_each_partial_once(files, monkeypatch, name):
     """verify on every subset and then poset share one family: one quotient
-    for the gate, one per valid proper non-empty subset, none for C or Ctilde.
-    A quotient restricts Ctilde's tables, so only C and Ctilde are built."""
+    for the gate, one restriction per valid proper non-empty subset, none
+    for C or Ctilde, and poset reads the partials verify left.  A
+    restriction keeps Ctilde's tables, so only C and Ctilde are built.  On
+    a fresh family, poset restricts each such subset once and leaves none
+    of them in the family."""
     calls = []
     builds = []
     real = extensions.quotient_by_arrows
+    real_restrict = extensions.restrict
     real_build = extensions.build
 
     def counting(alg, arrows):
         calls.append(tuple(arrows))
         return real(alg, arrows)
 
+    def counting_restrict(alg, arrows, kept):
+        calls.append(tuple(sorted(arrows)))
+        return real_restrict(alg, arrows, kept)
+
     def counting_build(block, field=None):
         builds.append(block.name)
         return real_build(block, field=field)
 
     monkeypatch.setattr(extensions, "quotient_by_arrows", counting)
+    monkeypatch.setattr(extensions, "restrict", counting_restrict)
     monkeypatch.setattr(extensions, "build", counting_build)
     monkeypatch.setattr(algebra, "build", counting_build)
     fam = Family(files[name].block("C"), files[name].block("Ctilde"))
@@ -176,11 +188,17 @@ def test_family_builds_each_partial_once(files, monkeypatch, name):
     for r in range(len(fam.new_arrows) + 1):
         for combo in combinations(fam.new_arrows, r):
             fam.verify(combo)
+    assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
     po = fam.poset()
     assert [n.arrows for n in po.nodes] == [(), ("eps",), ("eps2",), ("eps", "eps2")]
-    assert po.nodes[0].algebra is fam.base and po.nodes[3].algebra is fam.full
     assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
     assert builds == ["C", "Ctilde"]
+
+    calls.clear()
+    fresh = Family(files[name].block("C"), files[name].block("Ctilde"))
+    assert fresh.poset().to_dict() == po.to_dict()
+    assert calls == [("eps", "eps2"), ("eps2",), ("eps",)]
+    assert set(fresh._partials) == {(), fresh.new_arrows}
 
 
 def _comparable_pairs(fam):
@@ -281,15 +299,16 @@ def test_family_refuses_an_ideal_that_does_not_square_to_zero(files, monkeypatch
 
 def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
     """poset reads each pair's projection off the index maps: no arrow
-    ideal is built, and the only spans are the regular bimodules of the
-    nodes, one per node at most.  The projection is computed on the Hasse
-    edges and the pairs (S, Ctilde), which among ex2's 4 nodes are all 5
-    proper comparable pairs, and the triangle check still sees a broken
-    projection."""
+    ideal and no verified span is built, and the only bimodules are the
+    regular bimodules of the nodes, one per node.  The projection
+    is computed on the Hasse edges and the pairs (S, Ctilde), which among
+    ex2's 4 nodes are all 5 proper comparable pairs, and the triangle check
+    still sees a broken projection."""
     fam = Family(files["ex2"].block("C"), files["ex2"].block("Ctilde"))
     calls, regulars = [], []
     real_ideal = bimod.arrow_ideal_bimodule
     real_span = bimod.Bimodule.from_ambient_span
+    real_regular = bimod.regular_bimodule
     real_projection = extensions.hochschild_projection
     real_images = extensions._class_images
 
@@ -298,9 +317,12 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
         return real_ideal(*args)
 
     def span(acting, ambient, amb_index, embed=None):
-        regular = acting is ambient and tuple(amb_index) == tuple(range(ambient.dim))
-        regulars.append(acting if regular else None)
+        regulars.append(None)
         return real_span(acting, ambient, amb_index, embed)
+
+    def regular(alg):
+        regulars.append(alg)
+        return real_regular(alg)
 
     def images(sp):
         calls.append((sp.base.dim, sp.total.dim))
@@ -308,13 +330,14 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
 
     monkeypatch.setattr(bimod, "arrow_ideal_bimodule", ideal)
     monkeypatch.setattr(bimod.Bimodule, "from_ambient_span", staticmethod(span))
+    monkeypatch.setattr(bimod, "regular_bimodule", regular)
     monkeypatch.setattr(extensions, "_class_images", images)
     po = fam.poset()
     assert po.triangles_commute
     # 5 proper comparable pairs among 4 nodes, no arrow ideal built
     assert len(calls) == 5 and all(isinstance(c, tuple) for c in calls)
     assert None not in regulars
-    assert len({id(a) for a in regulars}) == len(regulars) <= 4
+    assert len({id(a) for a in regulars}) == len(regulars) == 4
 
     def broken(sp, degree):
         images = real_projection(sp, degree)
@@ -350,7 +373,7 @@ def test_poset_projects_on_hasse_edges_and_top_pairs(chain_text, monkeypatch):
 
 
 def _poset_fields(po):
-    nodes = [(n.arrows, [p.label() for p in n.algebra.basis], n.dim_hh1) for n in po.nodes]
+    nodes = [(n.arrows, n.dim_hh1) for n in po.nodes]
     edges = [(e.lower, e.upper, e.phi_rank, e.surjective, e.monotone) for e in po.edges]
     return nodes, edges, po.triangles_commute, po.minimum, po.maximum
 
@@ -371,6 +394,84 @@ def test_poset_matches_the_all_pairs_reference(files, chain_text, field):
         assert _poset_fields(po) == _poset_fields(want)
         assert json.dumps(po.to_dict()) == json.dumps(want.to_dict())
         assert po.triangles_commute
+
+
+def test_linked_pairs_decide_the_split_like_direct_sum_check(files, chain_text):
+    """On every subset S of ex1, ex2, both halfsquare families, squares
+    k <= 3, chain k <= 6 and the linked family, partial(S) refuses S
+    exactly when the reference direct_sum_check of J_S + J_{not S} is
+    False.  Every subset splits but on the linked family, where the four
+    subsets holding one of x and y do not."""
+    towers = [(files[n], "C", "Ctilde") for n in sorted(files)]
+    half = qdsl.parse(open(HALFSQUARE, encoding="utf-8").read())
+    towers += [(half, "C", "Ctilde"), (half, "D", "Dtilde")]
+    towers += [(qdsl.parse(squares(k)), "C", "Ctilde") for k in range(1, 4)]
+    towers += [(qdsl.parse(chain_text(k)), "C", "Ctilde") for k in range(1, 7)]
+    towers.append((qdsl.parse(open(LINKED, encoding="utf-8").read()), "C", "Ctilde"))
+    refused = []
+    count = 0
+    for pf, base, tilde in towers:
+        fam = Family(pf.block(base), pf.block(tilde))
+        for r in range(len(fam.new_arrows) + 1):
+            for s in combinations(fam.new_arrows, r):
+                comp = [n for n in fam.new_arrows if n not in s]
+                want = direct_sum_check(fam.full, [s, comp])
+                assert fam._splits(s) == want
+                try:
+                    fam.partial(s)
+                except SplitError as err:
+                    assert not want and "does not split" in str(err)
+                    refused.append(s)
+                count += 1
+    assert refused == [("x",), ("y",), ("x", "z"), ("y", "z")]
+    # 4 per fixture, 2 per halfsquare family, 2 + 4 + 8 for squares,
+    # 2 + ... + 64 for chain, 8 for linked
+    assert count == 4 + 4 + 2 + 2 + 14 + 126 + 8
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_poset_and_verify_where_some_subsets_do_not_split(field):
+    """On the linked family, poset has the four subsets that split as its
+    nodes and matches the all-pairs reference, and verify passes on each of
+    them."""
+    pf = qdsl.parse(open(LINKED, encoding="utf-8").read())
+    po = Family(pf.block("C"), pf.block("Ctilde"), field).poset()
+    want = reference_poset(Family(pf.block("C"), pf.block("Ctilde"), field))
+    assert [n.arrows for n in po.nodes] == [(), ("z",), ("x", "y"), ("x", "y", "z")]
+    assert _poset_fields(po) == _poset_fields(want)
+    assert json.dumps(po.to_dict()) == json.dumps(want.to_dict())
+    fam = Family(pf.block("C"), pf.block("Ctilde"), field)
+    assert all(fam.verify(n.arrows).all_pass for n in po.nodes)
+
+
+def test_poset_holds_two_rank_layers_of_partials(chain_text, monkeypatch):
+    """At chain k=5, whenever poset restricts Ctilde to a node of rank r,
+    the partial algebras it built that are still alive all have rank r or
+    r + 1, and none is alive once it returns: it drops each rank once the
+    rank below is done, and keeps none in the family."""
+    pf = qdsl.parse(chain_text(5))
+    fam = Family(pf.block("C"), pf.block("Ctilde"))
+    real = extensions.restrict
+    built = []  # (rank, weak reference) per partial built
+    seen = []  # (rank being built, ranks alive) per restriction
+
+    def tracking(alg, arrows, kept):
+        rank = len(fam.new_arrows) - len(arrows)
+        gc.collect()
+        seen.append((rank, {r for r, ref in built if ref() is not None}))
+        out = real(alg, arrows, kept)
+        built.append((rank, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(extensions, "restrict", tracking)
+    po = fam.poset()
+    assert len(po.nodes) == 32 and len(built) == 30
+    assert all(alive <= {rank, rank + 1} for rank, alive in seen)
+    # the last node of rank 1 is built while rank 2 and the rest of rank 1
+    # are alive
+    assert seen[-1] == (1, {1, 2})
+    gc.collect()
+    assert [ref() for _, ref in built] == [None] * 30
 
 
 def test_poset_sees_a_corrupted_ad_of_ctilde(files, chain_text):
@@ -398,6 +499,7 @@ def test_poset_sees_a_corrupted_layout_slot(files, chain_text):
             fam = Family(pf.block("C"), pf.block("Ctilde"))
             fam.poset()
             node = fam.partial(fam.new_arrows[:1])
+            extensions.regular_h1(node)
             layout = hochschild.arrow_layout(node, extensions.regular_bimodule_of(node))
             k = next(k for k, b in enumerate(layout.blocks) if b)
             block = layout.blocks[k]

@@ -1,6 +1,7 @@
 """Right modules: projectives, covers, syzygies, hom spaces, Ext^2."""
 
 import os
+import re
 
 import pytest
 
@@ -399,3 +400,33 @@ def test_constructor_refuses_bad_shapes(algebras):
     for bad in ([], [{}, {}], [{1: f.one()}], [{-1: f.one()}]):
         with pytest.raises(ValueError, match="matrix for 'alpha' does not map 1 coordinates into 1"):
             repmod.Representation(alg, dims, dict(rho, alpha=bad))
+
+
+def test_shape_and_commutation_faults_are_module_check_errors(algebras):
+    """Only relext builds modules, so a module or module map failing its
+    checks is an internal fault: ModuleCheckError, naming the algebra, and
+    for a map the dimensions of both modules."""
+    alg = algebras[("ex1", "C")]
+    other = algebras[("ex1", "Ctilde")]
+    f = alg.field
+    dims = {v: 1 for v in alg.quiver.vertices}
+    rho = {a.name: [{}] for a in alg.quiver.arrows}
+    with pytest.raises(repmod.ModuleCheckError, match="vertex '5' of a module over 'C'"):
+        repmod.Representation(alg, {v: 1 for v in alg.quiver.vertices[:-1]}, rho)
+    zero = repmod.Representation(alg, dims, rho)
+    ident = repmod.Representation(
+        alg, dims, {a.name: [{0: f.one()}] for a in alg.quiver.arrows}
+    )
+    units = {v: [{0: f.one()}] for v in alg.quiver.vertices}
+    what = "map from a module of dim 5 to one of dim 5 over 'C': "
+    cases = [
+        ({v: m for v, m in units.items() if v != "5"}, "missing matrix at vertex '5'"),
+        (dict(units, **{"5": [{1: f.one()}]}), "map shape mismatch at vertex '5'"),
+        (units, "map does not commute with arrow 'alpha'"),
+    ]
+    for mats, msg in cases:
+        with pytest.raises(repmod.ModuleCheckError, match=re.escape(what + msg)):
+            repmod.ModuleMap(zero, ident, mats)
+    elsewhere = repmod.simple(other, other.quiver.vertices[0])
+    with pytest.raises(repmod.ModuleCheckError, match="over different algebras, 'C' and 'Ctilde'"):
+        repmod.ModuleMap(zero, elsewhere, units)

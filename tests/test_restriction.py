@@ -25,6 +25,7 @@ from build_reference import enumerate_paths
 
 from dense_reference import action_tables
 from families import squares
+from split_reference import direct_sum_check, section_embed
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
@@ -126,7 +127,7 @@ def _reference_split_presentation(base, total, new_arrow_names):
     """Both split bimodules built from the ambient span and verified, after
     the dense ideal check; then the partition and the multiplicativity."""
     new_arrow_names = tuple(new_arrow_names)
-    section = bimod.section_embed(base, total)
+    section = section_embed(base, total)
     projection = [None] * total.dim
     for i, g in enumerate(section):
         projection[g] = i
@@ -230,7 +231,7 @@ def test_partials_match_build_reference(files, chain_text, field):
         for s in _subsets(fam.new_arrows):
             comp = tuple(n for n in fam.new_arrows if n not in s)
             if s and comp:
-                assert bimod.direct_sum_check(fam.full, [s, comp]) == (s in refs)
+                assert direct_sum_check(fam.full, [s, comp]) == (s in refs)
             if s not in refs:
                 with pytest.raises(extensions.SplitError, match="does not split"):
                     fam.partial(s)
@@ -276,7 +277,7 @@ def test_splits_match_reference(files, chain_text, field):
 @pytest.mark.parametrize("name", ["ex1", "ex2", "chain2"])
 def test_family_reports_match_reference_builders(files, chain_text, monkeypatch, name):
     """poset and verify on every subset give the same reports when the
-    partials, the direct sum check and the splits come from the
+    partials, the test of which subsets split and the splits come from the
     references."""
     pf = qdsl.parse(chain_text(2)) if name == "chain2" else files[name]
 
@@ -289,15 +290,20 @@ def test_family_reports_match_reference_builders(files, chain_text, monkeypatch,
     restricted = reports()
     monkeypatch.setattr(extensions, "quotient_by_arrows", _reference_quotient_by_arrows)
     monkeypatch.setattr(
+        extensions, "restrict", lambda alg, arrows, kept: _reference_quotient_by_arrows(alg, arrows)
+    )
+    monkeypatch.setattr(
+        extensions,
+        "_split_of",
+        lambda lower, upper, extra: _reference_split_presentation(lower[0], upper[0], extra),
+    )
+    monkeypatch.setattr(
         extensions.Family,
-        "split",
-        lambda fam, lower, upper: _reference_split_presentation(
-            fam.partial(lower),
-            fam.partial(upper),
-            tuple(n for n in upper if n not in lower),
+        "_splits",
+        lambda fam, key: _reference_direct_sum_check(
+            fam.full, [key, [n for n in fam.new_arrows if n not in key]]
         ),
     )
-    monkeypatch.setattr(bimod, "direct_sum_check", _reference_direct_sum_check)
     assert reports() == restricted
 
 
@@ -394,9 +400,9 @@ def test_ideal_not_spanned_by_its_paths_rejected():
     with pytest.raises(IdealNotSpanned, match=msg):
         bimod.arrow_ideal_bimodule(sq, ("c",))
     # the check answers only for ideals spanned by their paths
-    assert bimod.direct_sum_check(sq, [["c"]]) is False
+    assert direct_sum_check(sq, [["c"]]) is False
     # a part whose ideal outgrows its paths inside a union that does not
-    assert bimod.direct_sum_check(sq, [["a"], ["c"]]) is False
+    assert direct_sum_check(sq, [["a"], ["c"]]) is False
     assert _reference_direct_sum_check(sq, [["a"], ["c"]]) is False
     # the ideal of a is its paths: the quotient keeps c.d = a.b = 0
     red = quotient_by_arrows(sq, ("a",))
