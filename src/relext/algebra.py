@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from . import exactla, qdsl
 from .exactla import Field
@@ -68,41 +67,38 @@ class IdealNotSpanned(ValueError):
     through them."""
 
 
-@dataclass(eq=False)
 class BoundQuiverAlgebra:
-    block: qdsl.AlgebraBlock
-    quiver: Quiver
-    field: Field
-    basis: tuple  # of Path, deterministic order
-    dim: int
-    zero_length: int  # every path of length >= this is zero in the algebra
-    basis_index: dict  # Path -> int
-    products: list  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
-    idem_index: dict  # vertex -> basis index of its stationary path
-    arrow_index_in_basis: dict  # arrow name -> basis index
-    _rules: dict  # tip length -> {tip arrows: tail}, the reduced Groebner basis
-    _center: exactla.Subspace | None = None  # set by extensions.center
-    _regular: "Bimodule | None" = None  # set by extensions.regular_bimodule_of
-    _regular_h1: "CohomologySpace | None" = None  # set by extensions.regular_h1
-    _endpoints: dict | None = None  # set by paths_from
-    _columns: list | None = None  # set by column
-    _prefixes: list | None = None  # set by prefix_index
-
-    # -- normal forms ------------------------------------------------------
-
-    def nf_coords(self, path: Path) -> dict:
-        """Nonzero coordinates {k: c} of a quiver path's class in the path
-        basis: a fresh {k: 1} at the basis path b_k, reduced by the rules
-        otherwise."""
-        q, index = self.quiver, self.basis_index
-        k = index.get(path)
-        if k is not None:
-            return {k: self.field.one()}
-        if path.length >= self.zero_length:
-            return {}
-        return _normal_form(
-            self.field, self._rules, q, path.arrows, lambda w: index.get(Path(q, None, w))
-        )
+    def __init__(
+        self,
+        block: qdsl.AlgebraBlock,
+        quiver: Quiver,
+        field: Field,
+        basis: tuple,  # of Path, deterministic order
+        dim: int,
+        zero_length: int,  # every path of length >= this is zero in the algebra
+        basis_index: dict,  # Path -> int
+        products: list,  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
+        idem_index: dict,  # vertex -> basis index of its stationary path
+        arrow_index_in_basis: dict,  # arrow name -> basis index
+        _rules: dict,  # tip length -> {tip arrows: tail}, the reduced Groebner basis
+    ):
+        self.block = block
+        self.quiver = quiver
+        self.field = field
+        self.basis = basis
+        self.dim = dim
+        self.zero_length = zero_length
+        self.basis_index = basis_index
+        self.products = products
+        self.idem_index = idem_index
+        self.arrow_index_in_basis = arrow_index_in_basis
+        self._rules = _rules
+        self._center = None  # set by extensions.center
+        self._regular = None  # set by extensions.regular_bimodule_of
+        self._regular_h1 = None  # set by extensions.regular_h1
+        self._endpoints = None  # set by paths_from
+        self._columns = None  # set by column
+        self._prefixes = None  # set by prefix_index
 
     def product_coords(self, i: int, j: int) -> dict:
         """The nonzero coordinates of b_i b_j."""
@@ -145,10 +141,6 @@ class BoundQuiverAlgebra:
                 index[p.source].setdefault(p.target, []).append(i)
             self._endpoints = index
         return self._endpoints[x]
-
-    def coords_of_vertex_pair(self, x, y) -> list:
-        """Basis indices lying in e_x A e_y, in basis order."""
-        return list(self.paths_from(x).get(y, ()))
 
     def prefix_index(self, i: int) -> int:
         """The basis index of b_i without its last arrow, for a basis path

@@ -21,32 +21,32 @@ axioms, and each e_v acts as the projection onto the basis paths at v.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import exactla
 from .algebra import BoundQuiverAlgebra, arrow_ideal_paths
 from .exactla import Subspace
 
 
-@dataclass(eq=False)
 class Bimodule:
-    acting: BoundQuiverAlgebra
-    ambient: BoundQuiverAlgebra
-    amb_index: tuple  # ambient basis index per bimodule basis elt
-    embed: tuple  # ambient basis index per acting basis elt
-    _calculator: "HochschildCalculator | None" = None  # set by hochschild.calculator
-    _layout: "ArrowLayout | None" = None  # set by hochschild.arrow_layout
-    _ad: dict | None = None  # set by hochschild._inner_derivations
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        acting: BoundQuiverAlgebra,
+        ambient: BoundQuiverAlgebra,
+        amb_index,  # ambient basis index per bimodule basis elt
+        embed,  # ambient basis index per acting basis elt
+    ):
         """Refuses bad indices before any product is read, then reads dim,
         src and tgt (the vertex of e_v . m = m and of m . e_v = m, per basis
         element) off the ambient basis paths at amb_index."""
-        amb = self.ambient
-        if self.acting.field is not amb.field:
+        self.acting = acting
+        self.ambient = amb = ambient
+        self._calculator = None  # set by hochschild.calculator
+        self._layout = None  # set by hochschild.arrow_layout
+        self._ad = None  # set by hochschild._inner_derivations
+        if acting.field is not amb.field:
             raise ValueError("acting and ambient algebras use different fields")
-        self.amb_index = tuple(self.amb_index)
-        self.embed = tuple(self.embed)
+        self.amb_index = tuple(amb_index)
+        self.embed = tuple(embed)
         if len(self.embed) != self.acting.dim:
             raise ValueError(
                 "embed lists %d ambient indices for the %d basis elements of %r"

@@ -30,14 +30,19 @@ arrow or a module map that does not commute with one
 stderr.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
+
+One table, _VERBS, holds the verbs, their positionals and their options.
+A well-formed command line is read off it directly; any other (help, an
+abbreviated or `--flag=value` option, a value outside its choices, a
+missing or extra argument) goes to argparse's parser, built from the same
+table only then, so help and usage errors are argparse's text and exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+import types
 
 from . import bimod, exactla, extensions, hochschild, qdsl, repmod
 from .algebra import build, is_triangular
@@ -537,58 +542,111 @@ def _run_cup(args):
 # -- argument parsing and dispatch --------------------------------------------
 
 
-# one parser per process: it holds no input, and each parse makes a new Namespace
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
+# The command line, one table for both parsers: verb -> (help, positionals,
+# options).  A positional is (name, help).  An option is (flag, kind,
+# default, required, help), where kind is str for any value, a tuple for a
+# choice among its values, or bool for a flag that stores True.
+_COMMON = (
+    ("--format", ("human", "json"), "human", False, None),
+    ("--field", str, None, False, "field override: Q or F<p>"),
+)
+_DEGREE_ORACLE = (
+    ("--degree", ("0", "1", "both"), "both", False, None),
+    ("--oracle", bool, False, False, None),
+)
+_FILE_ALGEBRA = (("file", "presentation file"), ("algebra", "algebra name within the file"))
+_FILE = _FILE_ALGEBRA[:1]
+_SPLIT_HELP = "comma-separated new arrows of the partial extension (default: all declared new arrows)"
+_VERBS = {
+    "info": ("dimensions and structural predicates", _FILE_ALGEBRA, _COMMON),
+    "hh": ("cohomology with coefficients in the algebra", _FILE_ALGEBRA, _COMMON + _DEGREE_ORACLE),
+    "hcoh": (
+        "cohomology with arrow-ideal coefficients",
+        _FILE_ALGEBRA,
+        _COMMON + (("--arrows", str, None, True, "comma-separated arrow names"),) + _DEGREE_ORACLE,
+    ),
+    "verify": (
+        "verify the extension identities",
+        _FILE,
+        _COMMON + (
+            ("--base", str, None, True, "base algebra name"),
+            ("--tilde", str, None, True, "full extension algebra name"),
+            ("--split", str, None, False, _SPLIT_HELP),
+        ),
+    ),
+    "poset": (
+        "poset of partial extensions",
+        _FILE,
+        _COMMON + (("--base", str, None, True, None), ("--tilde", str, None, True, None)),
+    ),
+    "ext2": ("second self-extension dimension", _FILE_ALGEBRA, _COMMON),
+    "cup": ("cup-product checks in degree 1", _FILE_ALGEBRA, _COMMON),
+}
+
+
+def _exact_parse(argv: list):
+    """The namespace argparse makes of a well-formed argv, read off _VERBS
+    without argparse: the verb, each positional and each option given by
+    its exact flag, a value after it that does not start with '-' and lies
+    among its choices, every required option present, and the defaults.
+    None for any other argv, which argparse then reads: help, an
+    abbreviated or `--flag=value` option, any other token starting with
+    '-', a value outside its choices, a missing or an extra argument."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, positionals, options = _VERBS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _, _ in options}
+    values = {"verb": argv[0]}
+    values.update((name, None) for name, _ in positionals)
+    values.update((flag[2:], default) for flag, _, default, _, _ in options)
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        kind = kinds.get(token)
+        if kind is None:
+            return None
+        seen.add(token)
+        if kind is bool:
+            values[token[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") or (kind is not str and value not in kind):
+            return None
+        values[token[2:]] = value
+    if len(given) != len(positionals):
+        return None
+    if any(required and flag not in seen for flag, _, _, required, _ in options):
+        return None
+    values.update(zip((name for name, _ in positionals), given))
+    return types.SimpleNamespace(**values)
+
+
+def _argparse_parser():
+    """argparse's parser on _VERBS, built for the argv that _exact_parse
+    declines, so help and usage errors are argparse's text and exit 2."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="relext",
         description="bound quiver algebras, their degree 0/1 Hochschild "
         "cohomology, and partial relation extensions",
     )
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def common(p, algebra_arg=True):
-        p.add_argument("file", help="presentation file")
-        if algebra_arg:
-            p.add_argument("algebra", help="algebra name within the file")
-        p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--field", default=None, help="field override: Q or F<p>")
-
-    p = sub.add_parser("info", help="dimensions and structural predicates")
-    common(p)
-
-    p = sub.add_parser("hh", help="cohomology with coefficients in the algebra")
-    common(p)
-    p.add_argument("--degree", choices=("0", "1", "both"), default="both")
-    p.add_argument("--oracle", action="store_true")
-
-    p = sub.add_parser("hcoh", help="cohomology with arrow-ideal coefficients")
-    common(p)
-    p.add_argument("--arrows", required=True, help="comma-separated arrow names")
-    p.add_argument("--degree", choices=("0", "1", "both"), default="both")
-    p.add_argument("--oracle", action="store_true")
-
-    p = sub.add_parser("verify", help="verify the extension identities")
-    common(p, algebra_arg=False)
-    p.add_argument("--base", required=True, help="base algebra name")
-    p.add_argument("--tilde", required=True, help="full extension algebra name")
-    p.add_argument(
-        "--split",
-        default=None,
-        help="comma-separated new arrows of the partial extension "
-        "(default: all declared new arrows)",
-    )
-
-    p = sub.add_parser("poset", help="poset of partial extensions")
-    common(p, algebra_arg=False)
-    p.add_argument("--base", required=True)
-    p.add_argument("--tilde", required=True)
-
-    p = sub.add_parser("ext2", help="second self-extension dimension")
-    common(p)
-
-    p = sub.add_parser("cup", help="cup-product checks in degree 1")
-    common(p)
+    for verb, (verb_help, positionals, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=verb_help)
+        for name, arg_help in positionals:
+            p.add_argument(name, help=arg_help)
+        for flag, kind, default, required, arg_help in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=arg_help)
+            else:
+                choices = None if kind is str else kind
+                p.add_argument(
+                    flag, choices=choices, default=default, required=required, help=arg_help
+                )
     return top
 
 
@@ -604,7 +662,10 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _exact_parse(argv)
+    if args is None:
+        args = _argparse_parser().parse_args(argv)
     try:
         text, ok = _RUNNERS[args.verb](args)
     except ArithmeticError as e:

@@ -21,8 +21,9 @@ Matrix is a plain dense record, read and returned only by rref.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+
+from .quiver import Frozen
 
 
 class FieldError(ValueError):
@@ -255,14 +256,24 @@ def field_from_spec(spec: str) -> Field:
     raise FieldError("unknown field spec %r (expected Q or F<p>)" % (spec,))
 
 
-@dataclass
 class Matrix:
-    """A dense row-major matrix: the record rref reads and returns."""
+    """A dense row-major matrix: the record rref reads and returns.  Equal
+    to a Matrix with equal fields, and unhashable."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: list
+    def __init__(self, field: Field, rows: int, cols: int, entries: list):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.rows, self.cols, self.entries) == (
+                other.field, other.rows, other.cols, other.entries
+            )
+        return NotImplemented
+
+    __hash__ = None
 
 
 class Echelon:
@@ -467,8 +478,7 @@ def _check_coordinates(ambient_dim: int, vec: dict):
         raise ValueError("coordinate outside range(%d): %r" % (ambient_dim, sorted(vec)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of field^ambient_dim, held as its canonical reduced basis:
     sparse rows {coordinate: x} in ascending order of their pivots, where
     the pivot of a row is its smallest coordinate, with coefficient 1, and
@@ -481,14 +491,15 @@ class Subspace:
     Equality of subspaces is literal equality of the stored rows.
     """
 
-    field: Field
-    ambient_dim: int
-    rows: tuple  # canonical reduced rows, pivots ascending
-    # pivot -> row index, not part of equality
-    _at: dict = dc_field(init=False, compare=False, repr=False)
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)  # canonical reduced rows, pivots ascending
+        # pivot -> row index, not part of equality
+        object.__setattr__(self, "_at", {min(row): i for i, row in enumerate(rows)})
 
-    def __post_init__(self):
-        object.__setattr__(self, "_at", {min(row): i for i, row in enumerate(self.rows)})
+    def _key(self) -> tuple:
+        return (self.field, self.ambient_dim, self.rows)
 
     @staticmethod
     def from_sparse(field: Field, ambient_dim: int, vectors) -> "Subspace":

@@ -26,7 +26,6 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import bimod, exactla, repmod
@@ -89,7 +88,6 @@ def regular_h1(alg) -> CohomologySpace:
 # -- split presentations ------------------------------------------------------
 
 
-@dataclass(eq=False)
 class SplitPresentation:
     """total = base + new arrows, with the ideal of the new arrows squaring
     to zero and the base sitting inside as a subalgebra, path by path.
@@ -98,14 +96,22 @@ class SplitPresentation:
     The ideal, as a bimodule over the total and over the base, is built on
     first use: projections read only the index maps."""
 
-    base: BoundQuiverAlgebra
-    total: BoundQuiverAlgebra
-    new_arrows: tuple
-    section: tuple      # base basis index -> total basis index
-    projection: tuple   # total basis index -> base basis index or None
-    _ext: Bimodule | None = None  # set by ext
-    _ext_over_base: Bimodule | None = None  # set by ext_over_base
-    _derivation_map: dict | None = None  # set by derivation_map
+    def __init__(
+        self,
+        base: BoundQuiverAlgebra,
+        total: BoundQuiverAlgebra,
+        new_arrows: tuple,
+        section: tuple,  # base basis index -> total basis index
+        projection: tuple,  # total basis index -> base basis index or None
+    ):
+        self.base = base
+        self.total = total
+        self.new_arrows = new_arrows
+        self.section = section
+        self.projection = projection
+        self._ext = None  # set by ext
+        self._ext_over_base = None  # set by ext_over_base
+        self._derivation_map = None  # set by derivation_map
 
     @property
     def field(self):
@@ -306,10 +312,10 @@ def _check_layout_restricts(sp: SplitPresentation):
 # -- lifting a base derivation through the extension --------------------------
 
 
-@dataclass(eq=False)
 class LiftWitness:
-    derivation: dict  # the base derivation, in sparse arrow coordinates
-    alpha: dict | None  # {g: {k: c}}, the nonzero coordinates of alpha(x_g)
+    def __init__(self, derivation: dict, alpha: dict | None):
+        self.derivation = derivation  # the base derivation, in sparse arrow coordinates
+        self.alpha = alpha  # {g: {k: c}}, the nonzero coordinates of alpha(x_g)
 
     @property
     def ok(self) -> bool:
@@ -460,41 +466,30 @@ def _lift_holds(e: Bimodule, checks) -> bool:
 # -- the four-sequence verifier ------------------------------------------------
 
 
-@dataclass(eq=False)
 class TheoremReport:
     """All dimensions and map-level checks for one splitting; every row
     verdict is recomputed from the stored integers."""
 
-    field_name: str
-    subset: tuple
-    hh0_C: int
-    hh0_B: int
-    hh0_Ctilde: int
-    hh1_C: int
-    hh1_B: int
-    hh1_Ctilde: int
-    h0_B_Eprime: int
-    h0_Ct_Esec: int
-    h1_C_Eprime: int
-    h1_B_Eprime: int
-    h1_Ct_Esec: int
-    h1_B_Esec: int
-    h1_Ct_E: int
-    end_Ce_Eprime: int
-    end_Be_Esec: int
-    curlyE_Eprime_C: int
-    curlyE_Esec_B: int
-    phi0_rank_BC: int
-    phi1_rank_BC: int
-    phi0_rank_CtB: int
-    phi1_rank_CtB: int
-    kernel_deg0_matches: bool
-    ideal_classes_embed: bool
-    ideal_classes_embed_tilde: bool
-    center_annihilates_complement: bool
-    center_symmetric_on_complement: bool
-    center_positive_part_annihilates: bool
-    lifts_ok: bool
+    # field_name is a str, subset a tuple, the fields from
+    # kernel_deg0_matches on are bools, and the others ints
+    FIELDS = (
+        "field_name", "subset",
+        "hh0_C", "hh0_B", "hh0_Ctilde", "hh1_C", "hh1_B", "hh1_Ctilde",
+        "h0_B_Eprime", "h0_Ct_Esec", "h1_C_Eprime", "h1_B_Eprime", "h1_Ct_Esec",
+        "h1_B_Esec", "h1_Ct_E", "end_Ce_Eprime", "end_Be_Esec",
+        "curlyE_Eprime_C", "curlyE_Esec_B",
+        "phi0_rank_BC", "phi1_rank_BC", "phi0_rank_CtB", "phi1_rank_CtB",
+        "kernel_deg0_matches", "ideal_classes_embed", "ideal_classes_embed_tilde",
+        "center_annihilates_complement", "center_symmetric_on_complement",
+        "center_positive_part_annihilates", "lifts_ok",
+    )
+
+    def __init__(self, **values):
+        """Every one of FIELDS, by keyword."""
+        wrong = set(self.FIELDS).symmetric_difference(values)
+        if wrong:
+            raise TypeError("TheoremReport fields missing or unknown: %s" % ", ".join(sorted(wrong)))
+        vars(self).update(values)
 
     @property
     def rows(self):
@@ -656,28 +651,30 @@ def _center_flags(zb: Subspace, esec: Bimodule, stationary: set):
 # -- the poset of partial extensions -------------------------------------------
 
 
-@dataclass(eq=False)
 class PosetNode:
-    arrows: tuple
-    dim_hh1: int
+    def __init__(self, arrows: tuple, dim_hh1: int):
+        self.arrows = arrows
+        self.dim_hh1 = dim_hh1
 
 
-@dataclass(eq=False)
 class PosetEdge:
-    lower: int
-    upper: int
-    phi_rank: int
-    surjective: bool
-    monotone: bool
+    def __init__(self, lower: int, upper: int, phi_rank: int, surjective: bool, monotone: bool):
+        self.lower = lower
+        self.upper = upper
+        self.phi_rank = phi_rank
+        self.surjective = surjective
+        self.monotone = monotone
 
 
-@dataclass(eq=False)
 class ExtensionPoset:
-    nodes: list
-    edges: list  # Hasse edges between node indices
-    triangles_commute: bool
-    minimum: int
-    maximum: int
+    def __init__(
+        self, nodes: list, edges: list, triangles_commute: bool, minimum: int, maximum: int
+    ):
+        self.nodes = nodes
+        self.edges = edges  # Hasse edges between node indices
+        self.triangles_commute = triangles_commute
+        self.minimum = minimum
+        self.maximum = maximum
 
     @property
     def monotone(self) -> bool:
@@ -1017,11 +1014,13 @@ class Family:
         or a restriction of Ctilde kept only by the walk), its H^1, its
         phi(S <- top) and its edges up to rank r + 1; once rank r is done,
         the algebras, bimodules and H^1 of rank r + 1 are dropped, and only
-        their arrows, dims and phi(S <- top) stay.  Nodes are numbered by
-        rank from C up, subsets of one rank in the order of combinations,
-        and edges are listed by lower node, then by the position of the
-        added arrow among the new arrows, whatever order they are computed
-        in."""
+        their arrows, dims and phi(S <- top) stay (the walk clears the
+        cached regular bimodule, H^1 and center of the algebras it built, so
+        that no reference cycle keeps them for the garbage collector).
+        Nodes are numbered by rank from C up, subsets of one rank in the
+        order of combinations, and edges are listed by lower node, then by
+        the position of the added arrow among the new arrows, whatever order
+        they are computed in."""
         new = self.new_arrows
         f = self.base.field
         valid = [c for r in range(len(new) + 1) for c in combinations(new, r) if self._splits(c)]
@@ -1071,6 +1070,9 @@ class Family:
                         surjective=rank == dims[ti],
                         monotone=dims[ti] <= dims[si],
                     )
+            for si in above:  # binds no name to a node that outlives its rank
+                if valid[si] not in self._partials:
+                    _drop_cohomology(above[si][0])
             above = layer
         return ExtensionPoset(
             nodes=[PosetNode(arrows=c, dim_hh1=dims[i]) for i, c in enumerate(valid)],
@@ -1079,6 +1081,13 @@ class Family:
             minimum=by_arrows[()],
             maximum=top,
         )
+
+
+def _drop_cohomology(alg: BoundQuiverAlgebra):
+    """Clear alg's cached regular bimodule, H^1 and center.  As
+    alg._regular.acting is alg, an algebra that still holds them is freed
+    only by the cyclic garbage collector."""
+    alg._regular = alg._regular_h1 = alg._center = None
 
 
 def verify_theorem(

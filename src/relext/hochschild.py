@@ -36,7 +36,6 @@ relative image of b2 decides whether it is a coboundary.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from . import exactla
 from .algebra import BoundQuiverAlgebra
@@ -47,13 +46,13 @@ from .exactla import Matrix, Subspace
 # -- arrow-coordinate layout ------------------------------------------------
 
 
-@dataclass(eq=False)
 class ArrowLayout:
     """Coordinates for derivation values: one bigraded block per arrow."""
 
-    blocks: list  # per arrow (declaration order): list of M basis indices
-    offsets: list
-    total: int
+    def __init__(self, blocks: list, offsets: list, total: int):
+        self.blocks = blocks  # per arrow (declaration order): list of M basis indices
+        self.offsets = offsets
+        self.total = total
 
 
 def arrow_layout(alg: BoundQuiverAlgebra, m: Bimodule) -> ArrowLayout:
@@ -161,17 +160,25 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
     return ad
 
 
-@dataclass(eq=False)
 class CohomologySpace:
     """H1 presented as normalized derivations modulo inner ones."""
 
-    algebra: BoundQuiverAlgebra
-    bimodule: Bimodule
-    layout: ArrowLayout
-    derivations: Subspace
-    inner: Subspace
-    ad: dict  # diagonal index i of the bimodule -> ad(x_i), spanning inner
-    _classes: tuple | None = None  # set by _class_basis
+    def __init__(
+        self,
+        algebra: BoundQuiverAlgebra,
+        bimodule: Bimodule,
+        layout: ArrowLayout,
+        derivations: Subspace,
+        inner: Subspace,
+        ad: dict,  # diagonal index i of the bimodule -> ad(x_i), spanning inner
+    ):
+        self.algebra = algebra
+        self.bimodule = bimodule
+        self.layout = layout
+        self.derivations = derivations
+        self.inner = inner
+        self.ad = ad
+        self._classes = None  # set by _class_basis
 
     @property
     def dim(self) -> int:

@@ -23,8 +23,9 @@ Diagnostics carry 1-based line/column and a `kind` tag:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .quiver import Frozen
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _RAT = re.compile(r"-?\d+(/\d+)?\Z")
@@ -41,36 +42,65 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class RelationTerm:
-    coeff: Fraction
-    arrows: tuple  # arrow names, length >= 2
+class RelationTerm(Frozen):
+    def __init__(self, coeff: Fraction, arrows: tuple):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "arrows", arrows)  # arrow names, length >= 2
+
+    def _key(self) -> tuple:
+        return (self.coeff, self.arrows)
 
 
-@dataclass(frozen=True)
-class RelationExpr:
-    terms: tuple  # of RelationTerm
-    source: str
-    target: str
+class RelationExpr(Frozen):
+    def __init__(self, terms: tuple, source: str, target: str):
+        object.__setattr__(self, "terms", terms)  # of RelationTerm
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+
+    def _key(self) -> tuple:
+        return (self.terms, self.source, self.target)
 
 
-@dataclass(frozen=True)
-class AlgebraBlock:
-    name: str
-    field_spec: str  # "Q" or "F<p>"
-    vertices: tuple
-    arrows: tuple  # of (name, source, target)
-    relations: tuple  # of RelationExpr
-    extension_of: str | None = None
-    new_arrows: tuple = ()
+class AlgebraBlock(Frozen):
+    def __init__(
+        self,
+        name: str,
+        field_spec: str,  # "Q" or "F<p>"
+        vertices: tuple,
+        arrows: tuple,  # of (name, source, target)
+        relations: tuple,  # of RelationExpr
+        extension_of: str | None = None,
+        new_arrows: tuple = (),
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "field_spec", field_spec)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "extension_of", extension_of)
+        object.__setattr__(self, "new_arrows", new_arrows)
+
+    def _key(self) -> tuple:
+        return (
+            self.name,
+            self.field_spec,
+            self.vertices,
+            self.arrows,
+            self.relations,
+            self.extension_of,
+            self.new_arrows,
+        )
 
     def arrow_map(self) -> dict:
         return {a[0]: a for a in self.arrows}
 
 
-@dataclass(frozen=True)
-class PresentationFile:
-    blocks: tuple
+class PresentationFile(Frozen):
+    def __init__(self, blocks: tuple):
+        object.__setattr__(self, "blocks", blocks)
+
+    def _key(self) -> tuple:
+        return (self.blocks,)
 
     def block(self, name: str) -> AlgebraBlock:
         for b in self.blocks:

@@ -8,29 +8,46 @@ Path.sort_key, which every downstream basis choice relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Frozen:
+    """A value: its fields are set once, in __init__ through
+    object.__setattr__, and assigning or deleting an attribute raises
+    AttributeError.  It equals a value of its own class with an equal
+    `_key()`, the tuple of its fields, and hashes as that tuple."""
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Frozen):
+
+    def __init__(self, name: str, source: str, target: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+
+    def _key(self) -> tuple:
+        return (self.name, self.source, self.target)
 
 
-@dataclass(eq=False)
 class Quiver:
-    vertices: tuple
-    arrows: tuple  # of Arrow
-    vertex_index: dict = field(init=False, repr=False)
-    arrow_index: dict = field(init=False, repr=False)
-    out_arrows: dict = field(init=False, repr=False)  # vertex -> arrow indices, ascending
-
-    def __post_init__(self):
-        self.vertices = tuple(self.vertices)
-        self.arrows = tuple(
-            a if isinstance(a, Arrow) else Arrow(*a) for a in self.arrows
-        )
+    def __init__(self, vertices, arrows):
+        self.vertices = tuple(vertices)
+        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
         vi = {}
         for i, v in enumerate(self.vertices):
             if v in vi:
@@ -45,9 +62,9 @@ class Quiver:
                 raise ValueError("arrow %s has undeclared endpoint" % a.name)
             ai[a.name] = i
             out[a.source].append(i)
-        object.__setattr__(self, "vertex_index", vi)
-        object.__setattr__(self, "arrow_index", ai)
-        object.__setattr__(self, "out_arrows", {v: tuple(o) for v, o in out.items()})
+        self.vertex_index = vi
+        self.arrow_index = ai
+        self.out_arrows = {v: tuple(o) for v, o in out.items()}  # arrow indices, ascending
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
@@ -70,27 +87,26 @@ class Quiver:
         return tuple(idxs)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """Either the stationary path at `vertex` or a composable arrow chain.
 
     Arrows are stored as indices into quiver.arrows; the quiver itself is
     compared by identity (Quiver has no structural equality).
     """
 
-    quiver: Quiver
-    vertex: str | None
-    arrows: tuple
+    def __init__(self, quiver: Quiver, vertex: str | None, arrows: tuple):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "arrows", arrows)
+
+    def _key(self) -> tuple:
+        return (self.quiver, self.vertex, self.arrows)
 
     @staticmethod
     def stationary(q: Quiver, v: str) -> "Path":
         if v not in q.vertex_index:
             raise ValueError("unknown vertex %r" % (v,))
         return Path(q, v, ())
-
-    @staticmethod
-    def from_arrow_names(q: Quiver, names) -> "Path":
-        return Path(q, None, q.word(names))
 
     @property
     def length(self) -> int:
@@ -110,9 +126,6 @@ class Path:
 
     def sort_key(self):
         return (len(self.arrows), self.arrows, () if self.vertex is None else (self.quiver.vertex_index[self.vertex],))
-
-    def __lt__(self, other: "Path") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def label(self) -> str:
         if not self.arrows:

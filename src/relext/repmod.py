@@ -35,8 +35,6 @@ naming the algebra and the sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import exactla
 from .algebra import BoundQuiverAlgebra
 from .exactla import Subspace
@@ -53,14 +51,16 @@ def _fits(images, nsource: int, ntarget: int) -> bool:
     )
 
 
-@dataclass(eq=False)
 class Representation:
-    algebra: BoundQuiverAlgebra
-    dims: dict  # vertex -> int
-    rho: dict  # arrow name -> images of the basis of M_source, sparse on M_target
-
-    def __post_init__(self):
-        A = self.algebra
+    def __init__(
+        self,
+        algebra: BoundQuiverAlgebra,
+        dims: dict,  # vertex -> int
+        rho: dict,  # arrow name -> images of the basis of M_source, sparse on M_target
+    ):
+        self.algebra = A = algebra
+        self.dims = dims
+        self.rho = rho
         for v in A.quiver.vertices:
             if v not in self.dims:
                 raise ModuleCheckError(
@@ -92,14 +92,17 @@ class Representation:
         return "Representation(%s)" % ds
 
 
-@dataclass(eq=False)
 class ModuleMap:
-    source: Representation
-    target: Representation
-    mats: dict  # vertex -> images of the basis of source_v, sparse on target_v
-
-    def __post_init__(self):
-        A = self.source.algebra
+    def __init__(
+        self,
+        source: Representation,
+        target: Representation,
+        mats: dict,  # vertex -> images of the basis of source_v, sparse on target_v
+    ):
+        self.source = source
+        self.target = target
+        self.mats = mats
+        A = source.algebra
         if self.target.algebra is not A:
             raise ModuleCheckError(
                 "map between modules over different algebras, %r and %r"
@@ -228,13 +231,13 @@ def injective_cogenerator(alg: BoundQuiverAlgebra) -> Representation:
     return Representation(alg, dims, rho)
 
 
-@dataclass(eq=False)
 class CoverData:
     """A projective cover: gens[k] = (vertex, lifted top vector in M)."""
 
-    cover: Representation
-    cover_map: ModuleMap
-    gens: list
+    def __init__(self, cover: Representation, cover_map: ModuleMap, gens: list):
+        self.cover = cover
+        self.cover_map = cover_map
+        self.gens = gens
 
 
 def projective_cover(m: Representation) -> CoverData:
@@ -281,12 +284,20 @@ def projective_cover(m: Representation) -> CoverData:
     return CoverData(cover, cover_map, gens)
 
 
-@dataclass(eq=False)
 class SyzygyData(CoverData):
     """A cover together with its kernel, the syzygy, and the inclusion."""
 
-    kernel: Representation
-    inclusion: ModuleMap
+    def __init__(
+        self,
+        cover: Representation,
+        cover_map: ModuleMap,
+        gens: list,
+        kernel: Representation,
+        inclusion: ModuleMap,
+    ):
+        super().__init__(cover, cover_map, gens)
+        self.kernel = kernel
+        self.inclusion = inclusion
 
 
 def syzygy(m: Representation) -> SyzygyData:

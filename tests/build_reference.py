@@ -5,16 +5,19 @@ It spans the relation ideal length by length through the recurrence
     I_L = Q1 * I_{L-1}  +  I_{L-1} * Q1  +  { relations whose longest term has length L },
 
 keeping every spanning vector that grew the rank as a row of an
-exactla.Echelon keyed by paths, whose pivot is the largest path in (length,
-arrow declaration order).  It stops at the first length all of whose paths
-reduce to zero.  Every path through a relation is its own echelon row, so on
-the relation extensions, with their cycles, the row count grows
-exponentially with the size.  The tests compare the Groebner build with it:
-the leading terms of an ideal depend only on the ideal and the order, so the
-basis, the vanishing length and the structure constants must agree.
+exactla.Echelon keyed by the paths' sort keys (Path.sort_key), so that its
+pivot is the largest path in (length, arrow declaration order).  It stops
+at the first length all of whose paths reduce to zero.  Every path through
+a relation is its own echelon row, so on the relation extensions, with
+their cycles, the row count grows exponentially with the size.  The tests
+compare the Groebner build with it: the leading terms of an ideal depend
+only on the ideal and the order, so the basis, the vanishing length and the
+structure constants must agree.
 
 enumerate_paths, the listing of every path up to a length, is kept here
-too; the package no longer enumerates paths.
+too; the package no longer enumerates paths.  So are nf_coords, the normal
+form of any path of a built algebra, and from_arrow_names, a path from
+arrow names, which the package no longer reads.
 
 path_build is the Groebner build as it was before the build moved to arrow
 index tuples: every alive path a hashed Path, its normal form cached in
@@ -25,39 +28,79 @@ tests compare tables, rules, errors and messages with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from relext import exactla, qdsl
 from relext.algebra import (
     AlgebraBuildError,
     BoundQuiverAlgebra,
     NotFiniteDimensionalError,
     _complete,
+    _normal_form,
     _reduce,
 )
 from relext.exactla import Field
 from relext.quiver import Path, Quiver, compose
 
 
+def _keyed(vec: dict) -> dict:
+    """{Path: c} as {sort key: c}, the keys the echelon orders."""
+    return {p.sort_key(): c for p, c in vec.items()}
+
+
+def _pathed(q: Quiver, vec: dict) -> dict:
+    """{sort key: c} as {Path: c} over the quiver q, the inverse of _keyed."""
+    return {Path(q, q.vertices[v[0]] if v else None, w): c for (_, w, v), c in vec.items()}
+
+
 def normal_form(ech: exactla.Echelon, vec: dict) -> dict:
-    """vec modulo the echelon's span: eliminate pivot keys, largest first,
-    until none is left."""
+    """vec, sparse over paths, modulo the echelon's span: eliminate pivot
+    keys, largest first, until none is left."""
+    if not vec:
+        return {}
     f = ech.field
-    vec = {k: c for k, c in vec.items() if not f.is_zero(c)}
+    q = next(iter(vec)).quiver
+    vec = {k: c for k, c in _keyed(vec).items() if not f.is_zero(c)}
     while True:
         hits = [k for k in vec if k in ech.rows]
         if not hits:
-            return vec
+            return _pathed(q, vec)
         top = max(hits)
         ech._subtract(vec, top, ech.rows[top])
 
 
-@dataclass(eq=False)
+def from_arrow_names(q: Quiver, names) -> Path:
+    """The path through a composable chain of arrow names, with the errors
+    of Quiver.word (Path.from_arrow_names, which nothing in the package
+    called)."""
+    return Path(q, None, q.word(names))
+
+
+def nf_coords(alg: BoundQuiverAlgebra, path: Path) -> dict:
+    """Nonzero coordinates {k: c} of a quiver path's class in the path basis
+    of a built algebra: a fresh {k: 1} at the basis path b_k, reduced by the
+    rules otherwise (BoundQuiverAlgebra.nf_coords, which nothing in the
+    package called).  The reference algebras below reduce by their own
+    nf_coords."""
+    own = getattr(alg, "nf_coords", None)
+    if own is not None:
+        return own(path)
+    q, index = alg.quiver, alg.basis_index
+    k = index.get(path)
+    if k is not None:
+        return {k: alg.field.one()}
+    if path.length >= alg.zero_length:
+        return {}
+    return _normal_form(
+        alg.field, alg._rules, q, path.arrows, lambda w: index.get(Path(q, None, w))
+    )
+
+
 class ReferenceAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms reduce by the echelon of the ideal."""
 
-    _echelon: exactla.Echelon | None = None
-    _nf_cache: dict = dc_field(default_factory=dict)  # Path -> its normal form
+    def __init__(self, *fields, _echelon=None, _nf_cache=None, **named):
+        super().__init__(*fields, **named)
+        self._echelon = _echelon
+        self._nf_cache = {} if _nf_cache is None else _nf_cache  # Path -> its normal form
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
@@ -126,15 +169,15 @@ def build(
                     incoming.append(right)
         frontier = []
         for vec in incoming:
-            row = ech.insert(vec)
+            row = ech.insert(_keyed(vec))
             if row is not None:
-                frontier.append(row)
+                frontier.append(_pathed(q, row))
         nxt = []
         for p in alive[L - 1]:
             for i, a in enumerate(q.arrows):
                 if a.source == p.target:
                     cand = Path(q, None, p.arrows + (i,))
-                    if not ech.contains({cand: one}):
+                    if not ech.contains({cand.sort_key(): one}):
                         nxt.append(cand)
         nxt.sort(key=lambda p: p.arrows)
         alive[L] = nxt
@@ -151,7 +194,7 @@ def build(
     basis = []
     for L in range(zero_length):
         for p in alive.get(L, []):
-            if p not in ech.rows:
+            if p.sort_key() not in ech.rows:
                 basis.append(p)
     basis.sort(key=lambda p: p.sort_key())
     basis = tuple(basis)
@@ -212,7 +255,7 @@ def alive_paths(alg: BoundQuiverAlgebra) -> dict:
             for i, a in enumerate(q.arrows)
             if a.source == p.target
         ]
-        alive[L] = sorted((p for p in grown if alg.nf_coords(p)), key=lambda p: p.arrows)
+        alive[L] = sorted((p for p in grown if nf_coords(alg, p)), key=lambda p: p.arrows)
     return alive
 
 
@@ -234,7 +277,7 @@ def all_pairs_certificate(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, ali
     for rel in block.relations:
         acc = {}
         for p, c in path_relation_vector(alg.quiver, f, rel).items():
-            for k, x in alg.nf_coords(p).items():
+            for k, x in nf_coords(alg, p).items():
                 acc[k] = f.add(acc.get(k, f.zero()), f.mul(c, x))
         if f.sparse(acc):
             raise AlgebraBuildError(
@@ -258,10 +301,10 @@ def all_pairs_certificate(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, ali
     enumerated = [p for L in sorted(alive) if L < alg.zero_length for p in alive[L]]
     starts = by_source(enumerated)
     for p in enumerated:
-        pc = alg.nf_coords(p)
+        pc = nf_coords(alg, p)
         for s in starts.get(p.target, ()):
             r = enumerated[s]
-            if alg.nf_coords(compose(p, r)) != alg.multiply_sparse(pc, alg.nf_coords(r)):
+            if nf_coords(alg, compose(p, r)) != alg.multiply_sparse(pc, nf_coords(alg, r)):
                 raise AlgebraBuildError(
                     "inconsistent reduction at %s * %s in %r"
                     % (p.label(), r.label(), alg.block.name)
@@ -323,11 +366,12 @@ def enumerate_paths(q: Quiver, max_len: int) -> list:
 # -- the Path-based Groebner build ----------------------------------------------
 
 
-@dataclass(eq=False)
 class PathAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms are cached for every path asked."""
 
-    _nf_cache: dict = dc_field(default_factory=dict)  # Path -> its normal form
+    def __init__(self, *fields, _nf_cache=None, **named):
+        super().__init__(*fields, **named)
+        self._nf_cache = {} if _nf_cache is None else _nf_cache  # Path -> its normal form
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
@@ -353,7 +397,7 @@ def path_relation_vector(q: Quiver, field: Field, rel: qdsl.RelationExpr) -> dic
     """The relation as {Path: c} over the field, without zeros."""
     vec = {}
     for t in rel.terms:
-        p = Path.from_arrow_names(q, t.arrows)
+        p = from_arrow_names(q, t.arrows)
         c = field.from_fraction(t.coeff)
         if p in vec:
             c = field.add(vec[p], c)

@@ -13,6 +13,7 @@ hochschild dropped once h1 kept the ad(x) themselves; the tests read it.
 
 from __future__ import annotations
 
+from build_reference import nf_coords
 from relext import exactla
 from relext.hochschild import _inner_derivations, arrow_layout
 from relext.quiver import Path
@@ -29,9 +30,9 @@ def path_value(alg, m, arrows: tuple, dvals: list) -> dict:
         if not val:
             continue
         if j > 0:
-            val = m.left_act(alg.nf_coords(Path(q, None, arrows[:j])), val)
+            val = m.left_act(nf_coords(alg, Path(q, None, arrows[:j])), val)
         if j + 1 < len(arrows):
-            val = m.right_act(alg.nf_coords(Path(q, None, arrows[j + 1 :])), val)
+            val = m.right_act(nf_coords(alg, Path(q, None, arrows[j + 1 :])), val)
         for t, c in val.items():
             out[t] = f.add(out.get(t, f.zero()), c)
     return f.sparse(out)
@@ -61,9 +62,9 @@ def derivation_space(alg, m) -> exactla.Subspace:
             c = f.from_fraction(term.coeff)
             arrows = tuple(q.arrow_index[n] for n in term.arrows)
             for k_pos, k in enumerate(arrows):
-                pre = alg.nf_coords(Path(q, None, arrows[:k_pos])) if k_pos > 0 else None
+                pre = nf_coords(alg, Path(q, None, arrows[:k_pos])) if k_pos > 0 else None
                 suf = (
-                    alg.nf_coords(Path(q, None, arrows[k_pos + 1 :]))
+                    nf_coords(alg, Path(q, None, arrows[k_pos + 1 :]))
                     if k_pos + 1 < len(arrows)
                     else None
                 )

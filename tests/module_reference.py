@@ -12,9 +12,16 @@ from __future__ import annotations
 from relext.repmod import Representation
 
 
+def coords_of_vertex_pair(alg, x, y) -> list:
+    """Basis indices lying in e_x A e_y, in basis order
+    (BoundQuiverAlgebra.coords_of_vertex_pair, which nothing in the package
+    called)."""
+    return list(alg.paths_from(x).get(y, ()))
+
+
 def projective_paths(alg, i) -> dict:
     """Basis paths of e_i.A at each vertex: v -> algebra basis indices."""
-    return {v: alg.coords_of_vertex_pair(i, v) for v in alg.quiver.vertices}
+    return {v: coords_of_vertex_pair(alg, i, v) for v in alg.quiver.vertices}
 
 
 def projective(alg, i) -> Representation:

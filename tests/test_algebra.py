@@ -2,7 +2,9 @@
 
 import pytest
 
+from build_reference import nf_coords
 from families import squares
+from module_reference import coords_of_vertex_pair
 from relext import exactla, qdsl
 from relext.algebra import (
     AlgebraBuildError,
@@ -162,7 +164,7 @@ def test_vertex_pair_index(algebras, families):
                 scan = [
                     i for i, p in enumerate(alg.basis) if p.source == x and p.target == y
                 ]
-                assert alg.coords_of_vertex_pair(x, y) == scan
+                assert coords_of_vertex_pair(alg, x, y) == scan
         table = alg._endpoints
         alg.paths_from(alg.quiver.vertices[0])
         assert alg._endpoints is table
@@ -216,7 +218,7 @@ def reference_products(alg):
         row = {}
         for j, r in enumerate(alg.basis):
             pq = compose(p, r)
-            cell = alg.nf_coords(pq) if pq is not None else None
+            cell = nf_coords(alg, pq) if pq is not None else None
             if cell:
                 row[j] = cell
         out.append(row)
@@ -377,4 +379,4 @@ def test_reduction_leaving_a_non_basis_path_is_an_internal_fault(files):
     with pytest.raises(
         BuildCheckError, match=r"reduction of beta\.eps leaves non-basis path beta\.eps"
     ):
-        alg.nf_coords(p)
+        nf_coords(alg, p)

@@ -2,18 +2,18 @@
 of the square-zero pairing."""
 
 import re
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import dense_reference as ref
+from build_reference import from_arrow_names
+from copies import replaced
 from dense_reference import DenseSubspace
 from relext import bimod, extensions, qdsl
 from relext.algebra import build
 from relext.extensions import center
 from relext.exactla import Matrix, PrimeField, QQ
-from relext.quiver import Path
 from families import squares
 from split_reference import direct_sum_check, section_embed
 
@@ -63,7 +63,7 @@ def test_ambient_span_with_non_multiplicative_embed_rejected():
         "algebra A\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\narrow c 1 3\nend\n"
     )
     alg = build(qdsl.parse(text).block("A"))
-    ab = alg.basis_index[Path.from_arrow_names(alg.quiver, ["a", "b"])]
+    ab = alg.basis_index[from_arrow_names(alg.quiver, ["a", "b"])]
     c = alg.arrow_index_in_basis["c"]
     swap = list(range(alg.dim))
     swap[ab], swap[c] = c, ab
@@ -430,7 +430,7 @@ def test_span_indices_are_checked_before_any_product_is_read(algebras):
     products cannot be read."""
     alg = algebras[("ex1", "C")]
     assert alg.dim == 11
-    unreadable = replace(alg, products=None)
+    unreadable = replaced(alg, products=None)
     for bad in (11, -1):
         with pytest.raises(ValueError, match=r"span index %d is outside range\(11\)" % bad):
             bimod.Bimodule.from_ambient_span(alg, unreadable, (bad,), range(11))

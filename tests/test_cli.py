@@ -1,14 +1,18 @@
 """End-to-end command-line checks: exit codes, literal human output, and the
 frozen JSON schema."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cli_reference
 import relext
 from relext import algebra, cli, exactla, extensions, hochschild, repmod
 from relext.fixtures import fixture_path
@@ -697,7 +701,7 @@ def test_build_check_error_is_internal_and_exported():
     assert "BuildCheckError" in relext.__all__
 
 
-# -- one parser per process ------------------------------------------------------
+# -- parsing leaks nothing between calls ---------------------------------------
 
 
 def _outcome(capsys, argv):
@@ -713,7 +717,8 @@ def _outcome(capsys, argv):
 def test_reused_parser_leaks_no_option_between_calls(capsys, monkeypatch):
     """A sequence that switches --format, --field and --degree away from
     their defaults and back, and --split on and off, with an argparse error
-    in the middle, gives what each call gives through a fresh parser."""
+    in the middle, gives what each call gives through a freshly built
+    argparse parser."""
     calls = [
         ("info", EX1, "C"),
         ("info", EX1, "C", "--format", "json"),
@@ -726,12 +731,148 @@ def test_reused_parser_leaks_no_option_between_calls(capsys, monkeypatch):
         ("verify", EX1, "--base", "C", "--tilde", "Ctilde", "--split", "eps"),
         ("verify", EX1, "--base", "C", "--tilde", "Ctilde"),
     ]
-    assert cli._parser() is cli._parser()
     reused = [_outcome(capsys, argv) for argv in calls]
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    monkeypatch.setattr(cli, "_exact_parse", lambda argv: None)
     fresh = [_outcome(capsys, argv) for argv in calls]
     assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
     for argv, got, want in zip(calls, reused, fresh):
         assert got == want, argv
     assert reused[0] == reused[2] and reused[4][1] != reused[3][1]
     assert reused[5][1] != reused[7][1] and reused[8][1] != reused[9][1]
+
+
+# -- one table for the exact parse and for argparse ------------------------------
+
+VERBS = ("info", "hh", "hcoh", "verify", "poset", "ext2", "cup")
+VALUES = ("ex1.quiv", "C", "Ctilde", "eps,eps2", "a b", "", "human", "json", "xml",
+          "0", "1", "2", "both", "F7", "Q", "info", "-", "-5", "-x", "--")
+OPTIONS = ("--format", "--field", "--degree", "--oracle", "--arrows", "--base", "--tilde", "--split")
+ABBREVIATIONS = ("--form", "--fi", "--deg", "--or", "--arr", "--ba", "--ti", "--spl", "--f", "--")
+HELP = ("-h", "--help")
+
+
+def _argparse_outcome(parser, argv):
+    """parser.parse_args(argv) as a dict, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_pieces = st.one_of(
+    st.sampled_from(VALUES).map(lambda v: [v]),
+    st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)).map(list),
+    st.sampled_from(OPTIONS).map(lambda o: [o]),
+    st.tuples(st.sampled_from(ABBREVIATIONS), st.sampled_from(VALUES)).map(list),
+    st.tuples(st.sampled_from(OPTIONS + ABBREVIATIONS), st.sampled_from(VALUES)).map(
+        lambda ov: ["%s=%s" % ov]
+    ),
+    st.sampled_from(HELP).map(lambda h: [h]),
+)
+PLAIN = tuple(v for v in VALUES if not v.startswith("-"))
+POSITIONALS = {"info": 2, "hh": 2, "hcoh": 2, "verify": 1, "poset": 1, "ext2": 2, "cup": 2}
+REQUIRED = {"hcoh": ("--arrows",), "verify": ("--base", "--tilde"), "poset": ("--base", "--tilde")}
+
+
+@st.composite
+def _argvs(draw):
+    """A verb's positionals and required options with plain values, now
+    and then one of them left out, plus up to three pieces that may be
+    well-formed or not, in any order; now and then the first token is no
+    verb."""
+    verb = draw(st.sampled_from(VERBS))
+    pieces = [[draw(st.sampled_from(PLAIN))] for _ in range(POSITIONALS[verb])]
+    pieces += [[flag, draw(st.sampled_from(PLAIN))] for flag in REQUIRED.get(verb, ())]
+    if draw(st.integers(0, 4)) == 0:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    pieces += draw(st.lists(_pieces, max_size=3))
+    pieces = draw(st.permutations(pieces))
+    if draw(st.integers(0, 9)) == 0:
+        verb = draw(st.sampled_from(("inf", "bogus", "-h", "--format", "")))
+    return [verb] + [t for piece in pieces for t in piece]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_argvs())
+def test_exact_parse_agrees_with_argparse(argv):
+    """Wherever the table's exact parse accepts an argv, its namespace is
+    the one argparse makes of it, through the parser cli built before and
+    through the one it builds now from the table; wherever argparse exits,
+    with help or a usage error, the exact parse declines."""
+    fast = cli._exact_parse(list(argv))
+    want = _argparse_outcome(cli_reference.parser(), list(argv))
+    assert _argparse_outcome(cli._argparse_parser(), list(argv)) == want
+    if fast is not None:
+        assert vars(fast) == want
+    if want is None:
+        assert fast is None
+
+
+def test_exact_parse_accepts_each_verb_in_any_order():
+    """The well-formed command lines of every verb, with options before,
+    between and after the positionals, repeated options (the last one
+    counts) and empty values, are read without argparse, as argparse reads
+    them."""
+    argvs = [
+        ["info", EX1, "C"],
+        ["info", "--format", "json", EX1, "--field", "F7", "C"],
+        ["hh", EX1, "Ctilde", "--degree", "0", "--oracle", "--degree", "both"],
+        ["hcoh", EX1, "Ctilde", "--arrows", "eps", "--oracle"],
+        ["hcoh", "--arrows", "", EX1, "Ctilde"],
+        ["verify", EX1, "--base", "C", "--tilde", "Ctilde", "--split", "eps"],
+        ["poset", "--tilde", "Ctilde", EX1, "--base", "C", "--format", "human"],
+        ["ext2", EX2, "C", "--field", "Q"],
+        ["cup", EX2, "B", "--format", "json", "--format", "human"],
+    ]
+    for argv in argvs:
+        got = cli._exact_parse(argv)
+        assert got is not None, argv
+        assert vars(got) == _argparse_outcome(cli_reference.parser(), argv), argv
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_help_expected.json"), encoding="utf-8") as _fh:
+    HELP_EXPECTED = json.load(_fh)
+
+
+@pytest.mark.parametrize("line", sorted(HELP_EXPECTED))
+def test_help_and_usage_errors_are_argparse_text(line, capsys, monkeypatch):
+    """`relext --help`, each `relext VERB --help` and three usage errors
+    (missing arguments, a value outside its choices, an extra argument)
+    print what the parser cli built before printed and exit as it did: the
+    text recorded from it, under Python 3.11 where it was recorded, and
+    the text of tests/cli_reference.py under every version, as argparse's
+    layout differs between versions."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split(" ")
+    got = _outcome(capsys, argv)
+    try:
+        cli_reference.parser().parse_args(argv)
+    except SystemExit as e:
+        out = capsys.readouterr()
+        assert got == (e.code, out.out, out.err)
+    want = HELP_EXPECTED[line]
+    assert got[0] == want["code"]
+    if sys.version_info[:2] == (3, 11):
+        assert got[1:] == (want["stdout"], want["stderr"])
+
+
+def test_a_valid_command_loads_no_dataclasses_inspect_or_argparse():
+    """A fresh interpreter that imports relext and relext.cli and runs a
+    valid command loads none of dataclasses, inspect and argparse: each
+    start would pay for them, and no verb needs them."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import relext, relext.cli\n"
+        "code = relext.cli.main(sys.argv[1:])\n"
+        "heavy = {'dataclasses', 'inspect', 'argparse'} & (set(sys.modules) - before)\n"
+        "print(code, sorted(heavy))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "info", EX1, "C", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -474,6 +474,37 @@ def test_poset_holds_two_rank_layers_of_partials(chain_text, monkeypatch):
     assert [ref() for _, ref in built] == [None] * 30
 
 
+def test_poset_frees_each_dropped_rank_by_reference_counting(chain_text, monkeypatch):
+    """As above with the cyclic garbage collector off: the partial algebras
+    of a dropped rank, their regular bimodules and H^1 are freed by
+    reference counting alone, so at most ranks r and r + 1 are alive while
+    rank r is built, and none once poset returns."""
+    pf = qdsl.parse(chain_text(5))
+    fam = Family(pf.block("C"), pf.block("Ctilde"))
+    real = extensions.restrict
+    built = []  # (rank, weak reference) per partial built
+    seen = []  # (rank being built, ranks alive) per restriction
+
+    def tracking(alg, arrows, kept):
+        rank = len(fam.new_arrows) - len(arrows)
+        seen.append((rank, {r for r, ref in built if ref() is not None}))
+        out = real(alg, arrows, kept)
+        built.append((rank, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(extensions, "restrict", tracking)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        po = fam.poset()
+        assert len(po.nodes) == 32 and len(built) == 30
+        assert all(alive <= {rank, rank + 1} for rank, alive in seen)
+        assert [ref() for _, ref in built] == [None] * 30
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_poset_sees_a_corrupted_ad_of_ctilde(files, chain_text):
     """Doubling one stored ad(x) of Ctilde whose projection to a node is
     nonzero makes poset raise on that node's pair (S, Ctilde)."""

@@ -18,7 +18,7 @@ from relext.algebra import (
 from relext.exactla import QQ, PrimeField
 from relext.fixtures import fixture_text
 from relext.quiver import Path, Quiver
-from build_reference import enumerate_paths
+from build_reference import enumerate_paths, from_arrow_names, nf_coords
 
 FIELDS = (QQ, PrimeField(7))
 
@@ -101,8 +101,8 @@ def test_completion_adds_the_overlap_element(field):
     alg = build(qdsl.parse(OVERLAP).block("A"), field=field)
     assert alg.dim == 12
     q = alg.quiver
-    assert alg.nf_coords(Path.from_arrow_names(q, ("c", "d", "e"))) == {}
-    assert alg.nf_coords(Path.from_arrow_names(q, ("a", "b", "e"))) == {}
+    assert nf_coords(alg, from_arrow_names(q, ("c", "d", "e"))) == {}
+    assert nf_coords(alg, from_arrow_names(q, ("a", "b", "e"))) == {}
     assert "c.d" in [p.label() for p in alg.basis]
     tips = {".".join(q.arrows[i].name for i in t) for r in alg._rules.values() for t in r}
     assert tips == {"a.b", "b.e", "c.d.e"}
@@ -126,7 +126,7 @@ def test_completion_requeues_a_rule_holding_a_new_tip(field):
     assert [p.label() for p in alg.basis] == ["e_1", "x", "y", "y.x"]
     assert alg.zero_length == 3
     for word in ("x.x", "x.y", "x.x.y"):
-        assert alg.nf_coords(Path.from_arrow_names(alg.quiver, word.split("."))) == {}
+        assert nf_coords(alg, from_arrow_names(alg.quiver, word.split("."))) == {}
     certify_both_ways(alg)
 
 

@@ -8,7 +8,6 @@ basis in derivation coordinates against the tagged RREF of
 class_reference."""
 
 import os
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -20,6 +19,7 @@ from relext.extensions import center
 import bar_reference
 from bar_reference import FullBarCalculator
 from class_reference import TaggedClasses
+from copies import replaced
 from dense_reference import (
     DenseSubspace,
     center_reference,
@@ -330,7 +330,7 @@ def test_class_basis_checks_the_rank_of_the_inner_rows(algebras):
         f, space.layout.total, space.inner.rows + ({j: f.one()},)
     )
     assert inner.dim == space.inner.dim + 1
-    bad = replace(space, inner=inner, _classes=None)
+    bad = replaced(space, inner=inner, _classes=None)
     with pytest.raises(ArithmeticError, match="dependent"):
         bad.representatives()
 
@@ -890,7 +890,7 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
         products[row] = {h: c for h, c in total.products[row].items() if h != g}
         if cell:
             products[row][g] = cell
-        return replace(total, products=products)
+        return replaced(total, products=products)
 
     for ambient, count in (
         (with_row(e_v, {g: f.one()}), "2 of them"),
@@ -907,7 +907,7 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
     products = list(alg.products)
     products[e_t] = dict(alg.products[e_t])
     products[e_t][t] = {t: f.from_int(2)}
-    scaled = replace(alg, products=products)
+    scaled = replaced(alg, products=products)
     zero = bimod.Bimodule(scaled, scaled, (), range(alg.dim))
     want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t
     with pytest.raises(ValueError, match=want):

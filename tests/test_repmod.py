@@ -7,13 +7,13 @@ import pytest
 
 import dense_reference as ref
 import module_reference as modref
+from build_reference import from_arrow_names
 from cover_reference import cover_mats, path_matrix
 from dense_reference import DenseSubspace
 from families import squares
 from relext import qdsl, repmod
 from relext.algebra import build
 from relext.exactla import QQ, Matrix, PrimeField, Subspace
-from relext.quiver import Path
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -270,7 +270,7 @@ def relations_act_by_zero(rep):
     for rel in alg.block.relations:
         acc = [{} for _ in range(rep.dims[rel.source])]
         for t in rel.terms:
-            pm = path_matrix(rep, Path.from_arrow_names(alg.quiver, t.arrows))
+            pm = path_matrix(rep, from_arrow_names(alg.quiver, t.arrows))
             c = f.from_fraction(t.coeff)
             for row, img in zip(acc, pm):
                 for j, x in img.items():
@@ -300,16 +300,16 @@ def built_modules(alg, monkeypatch, check=None, reference=False):
     tests/module_reference.py builds them, so the per-vertex projectives
     and the sums of the covers' summands are among the modules too."""
     built = []
-    init = repmod.Representation.__post_init__
+    init = repmod.Representation.__init__
 
-    def checked_init(rep):
-        init(rep)
+    def checked_init(rep, *fields):
+        init(rep, *fields)
         if check is not None:
             check(rep)
         built.append(rep)
 
     with monkeypatch.context() as mp:
-        mp.setattr(repmod.Representation, "__post_init__", checked_init)
+        mp.setattr(repmod.Representation, "__init__", checked_init)
         if reference:
             mp.setattr(repmod, "projective_sum", modref.projective_sum)
         repmod.ext2_dimension(alg)

@@ -21,7 +21,7 @@ from relext.algebra import (
 )
 from relext.exactla import PrimeField, QQ, Subspace
 from relext.quiver import Path
-from build_reference import enumerate_paths
+from build_reference import enumerate_paths, nf_coords
 
 from dense_reference import action_tables
 from families import squares
@@ -151,15 +151,15 @@ def _reference_split_presentation(base, total, new_arrow_names):
             rhs = {section[k]: c for k, c in base.product_coords(i, j).items()}
             if lhs != rhs:
                 raise extensions.SplitError("products disagree")
-    return extensions.SplitPresentation(
+    sp = extensions.SplitPresentation(
         base=base,
         total=total,
         new_arrows=new_arrow_names,
         section=section,
         projection=tuple(projection),
-        _ext=ext,
-        _ext_over_base=ext_over_base,
     )
+    sp._ext, sp._ext_over_base = ext, ext_over_base
+    return sp
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _assert_same_algebra(alg, ref):
     for p in enumerate_paths(ref.quiver, ref.zero_length):
         names = [ref.quiver.arrows[k].name for k in p.arrows]
         q = Path(alg.quiver, p.vertex, tuple(alg.quiver.arrow_index[n] for n in names))
-        assert alg.nf_coords(q) == ref.nf_coords(p), p.label()
+        assert nf_coords(alg, q) == nf_coords(ref, p), p.label()
 
 
 def _bimodule_fields(m):

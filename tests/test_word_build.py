@@ -59,7 +59,7 @@ def test_build_matches_path_reference(chain_text, field):
         for paths in build_reference.alive_paths(ref).values():
             for p in paths:
                 mine = Path(got.quiver, p.vertex, p.arrows)
-                assert got.nf_coords(mine) == ref.nf_coords(p), (blk.name, p.label())
+                assert build_reference.nf_coords(got, mine) == ref.nf_coords(p), (blk.name, p.label())
 
 
 def outcome(builder, blk, field):
