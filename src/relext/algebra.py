@@ -14,9 +14,9 @@ tip is a path no earlier rule reduced and none may exceed max_len_cap
 so no tip of a reduced basis is longer.  The basis is the tip-free paths,
 grown by arrows testing only new suffixes; a normal form rewrites tips
 until none is left.  The build grows and reduces paths as tuples of arrow
-indices and keeps the normal forms of the alive ones only while it runs;
-the algebra keeps Path objects for its basis alone.  The tips of I
-depend only on I and the order, and the enumeration builder this
+indices and keeps the rules and the normal forms of the alive ones only
+while it runs; the algebra keeps Path objects for its basis alone.  The
+tips of I depend only on I and the order, and the enumeration builder this
 replaced (tests/build_reference.py) read them as the pivots of an
 echelon spanning I length by length, exactly so for
 homogeneous relations: the basis, the vanishing length and the structure
@@ -80,7 +80,6 @@ class BoundQuiverAlgebra:
         products: list,  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
         idem_index: dict,  # vertex -> basis index of its stationary path
         arrow_index_in_basis: dict,  # arrow name -> basis index
-        _rules: dict,  # tip length -> {tip arrows: tail}, the reduced Groebner basis
     ):
         self.block = block
         self.quiver = quiver
@@ -92,7 +91,6 @@ class BoundQuiverAlgebra:
         self.products = products
         self.idem_index = idem_index
         self.arrow_index_in_basis = arrow_index_in_basis
-        self._rules = _rules
         self._center = None  # set by extensions.center
         self._regular = None  # set by extensions.regular_bimodule_of
         self._regular_h1 = None  # set by extensions.regular_h1
@@ -364,7 +362,6 @@ def build(
         products=products,
         idem_index={v: i for i, v in enumerate(q.vertices)},
         arrow_index_in_basis=arrow_index_in_basis,
-        _rules=rules,
     )
     _verify_build(alg, block, relations)
     return alg
@@ -544,12 +541,7 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
     hold: reducing modulo J is an algebra map, and each relation of the
     presentation (alg's, minus the terms in J) vanishes.
     dim(quotient) + dim(J) = dim(alg) by construction, and zero_length is
-    alg's.  Its rules are alg's whose tips avoid the arrows, minus the tail
-    terms through them (which lie in J), re-indexed to the kept arrows.  A
-    kept path never meets a tip through a dropped arrow, so the kept paths
-    free of these tips are alg's basis paths avoiding the arrows, dim(alg/J)
-    of them: the kept tips are the quotient ideal's, and the rules its
-    reduced Groebner basis.  The quotient shares alg's Arrow objects."""
+    alg's.  The quotient shares alg's Arrow objects."""
     block = alg.block
     kept_rels = []
     for rel in block.relations:
@@ -568,22 +560,13 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
     q = Quiver(block.vertices, [a for a in alg.quiver.arrows if a.name not in arrows])
     # alg's arrow indices -> the kept arrows' own, None at a dropped arrow
     own = [q.arrow_index.get(a.name) for a in alg.quiver.arrows]
-    cut = {k for k, i in enumerate(own) if i is None}
-
-    def word(w):
-        return tuple([own[k] for k in w])
-
     pos = {g: i for i, g in enumerate(kept)}
-    rules = {}
-    for n, tips in alg._rules.items():
-        for tip, tail in tips.items():
-            if cut.isdisjoint(tip):
-                rules.setdefault(n, {})[word(tip)] = {
-                    word(w): c for w, c in tail.items() if cut.isdisjoint(w)
-                }
     # the deleted arrows keep the relative order of the others, and with it
     # the basis order
-    basis = tuple(Path(q, p.vertex, word(p.arrows)) for p in map(alg.basis.__getitem__, kept))
+    basis = tuple(
+        Path(q, p.vertex, tuple([own[k] for k in p.arrows]))
+        for p in map(alg.basis.__getitem__, kept)
+    )
     products = []
     for g in kept:
         row = {}
@@ -604,7 +587,6 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
         products=products,
         idem_index={v: pos[g] for v, g in alg.idem_index.items()},
         arrow_index_in_basis={a.name: pos[alg.arrow_index_in_basis[a.name]] for a in q.arrows},
-        _rules=rules,
     )
 
 

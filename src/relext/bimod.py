@@ -10,12 +10,14 @@ products[embed[a]][amb_index[i]] and x_i.a at products[amb_index[i]][embed[a]].
 The same indices evaluate mixed products like x.f(y) for the obstruction
 space of bimodule maps into the base.  Vectors are sparse {i: c}.
 
-Construction verifies closure under both actions, that each acting e_v is
-embedded as the ambient's e_v, and the section premise sigma(a).sigma(b) -
-sigma(ab) annihilating the module from either side; for the regular
-bimodule none of them can fail, and none is run.  With the ambient's
+Bimodule.verify checks closure under both actions, that each acting e_v
+is embedded as the ambient's e_v, and the section premise sigma(a).sigma(b)
+- sigma(ab) annihilating the module from either side.  With the ambient's
 associative, graded and unital structure constants, those give the bimodule
-axioms, and each e_v acts as the projection onto the basis paths at v.
+axioms, and each e_v acts as the projection onto the basis paths at v.  No
+constructor runs it: on the regular bimodule and on an arrow ideal none of
+the checks can fail (see their docstrings), and the split views of
+extensions argue them from facts checked once per family.
 """
 
 from __future__ import annotations
@@ -62,23 +64,6 @@ class Bimodule:
             raise ValueError("span lists a basis path twice")
         self.src = tuple(amb.basis[g].source for g in self.amb_index)
         self.tgt = tuple(amb.basis[g].target for g in self.amb_index)
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_ambient_span(
-        acting: BoundQuiverAlgebra,
-        ambient: BoundQuiverAlgebra,
-        amb_index,
-        embed=None,
-    ) -> "Bimodule":
-        if embed is None:
-            if acting is not ambient:
-                raise ValueError("an embedding is required when acting != ambient")
-            embed = range(acting.dim)
-        m = Bimodule(acting, ambient, amb_index, embed)
-        m.verify()
-        return m
 
     # -- actions -----------------------------------------------------------
 
@@ -226,17 +211,6 @@ def regular_bimodule(alg: BoundQuiverAlgebra) -> Bimodule:
     return Bimodule(alg, alg, range(alg.dim), range(alg.dim))
 
 
-def sub_bimodule(
-    ambient: BoundQuiverAlgebra,
-    amb_index,
-    acting: BoundQuiverAlgebra | None = None,
-    embed=None,
-) -> Bimodule:
-    if acting is None:
-        acting = ambient
-    return Bimodule.from_ambient_span(acting, ambient, amb_index, embed)
-
-
 def square_zero_ideal_paths(ambient: BoundQuiverAlgebra, arrow_names) -> tuple:
     """Basis indices of the paths through the named arrows, once their span
     is checked to be a square-zero two-sided ideal.
@@ -274,8 +248,12 @@ def square_zero_ideal_paths(ambient: BoundQuiverAlgebra, arrow_names) -> tuple:
 
 def arrow_ideal_bimodule(ambient: BoundQuiverAlgebra, arrow_names) -> Bimodule:
     """The two-sided ideal of the named arrows, as a square-zero bimodule
-    over the ambient algebra; square_zero_ideal_paths checks its span."""
-    return sub_bimodule(ambient, square_zero_ideal_paths(ambient, arrow_names))
+    over the ambient algebra, without Bimodule.verify:
+    square_zero_ideal_paths checks that its span is a two-sided ideal, so
+    closed under both actions, and embed is the identity, so it sends each
+    e_v to e_v and has no section defect."""
+    span = square_zero_ideal_paths(ambient, arrow_names)
+    return Bimodule(ambient, ambient, span, range(ambient.dim))
 
 
 def hom_equations(m: Bimodule, n: Bimodule) -> tuple:

@@ -27,7 +27,8 @@ arrow layout is not Ctilde's restricted (extensions.ProjectionCheckError),
 a projective cover that fails to surject, a kernel not closed under an
 arrow or a module map that does not commute with one
 (repmod.ModuleCheckError), or a division by zero), reported as one line on
-stderr.
+stderr; any other exception is a fault too, and exits 3 with the line
+"internal error: <type>: <message>" where Python would print a traceback.
 Output is deterministic byte for byte; machine output is JSON with frozen
 keys as documented in the README.
 
@@ -168,36 +169,36 @@ def _run_info(args):
 # -- verbs: hh and hcoh -------------------------------------------------------
 
 
-def _degree_sections(alg, m, degrees, want_reps: bool):
+def _degree_sections(alg, m, degrees):
     """(payload fragment, human lines) for the requested degrees."""
     lines = []
     payload = {}
     if "0" in degrees:
         space = hochschild.h0(m)
-        entry = {"dim": space.dim}
-        if want_reps:
-            entry["representatives"] = [
-                _format_element(alg, m.to_ambient(v)) for v in space.rows
-            ]
+        entry = {
+            "dim": space.dim,
+            "representatives": [_format_element(alg, m.to_ambient(v)) for v in space.rows],
+        }
         payload["0"] = entry
         lines.append("dim %s = %d" % (degrees["0"], space.dim))
-        for i, rep in enumerate(entry.get("representatives", ())):
+        for i, rep in enumerate(entry["representatives"]):
             lines.append("  representative %d: %s" % (i + 1, rep))
     if "1" in degrees:
         space = hochschild.h1(alg, m)
         reps = space.representatives()
-        entry = {"dim": space.dim}
-        if want_reps:
-            entry["representatives"] = [
+        entry = {
+            "dim": space.dim,
+            "representatives": [
                 [
                     {"arrow": a, "value": v}
                     for a, v in _representative_entries(alg, m, space.layout, r)
                 ]
                 for r in reps
-            ]
+            ],
+        }
         payload["1"] = entry
         lines.append("dim %s = %d" % (degrees["1"], space.dim))
-        for i, rep in enumerate(entry.get("representatives", ())):
+        for i, rep in enumerate(entry["representatives"]):
             lines.append("  representative %d:" % (i + 1))
             for pair in rep:
                 lines.append("    %s -> %s" % (pair["arrow"], pair["value"]))
@@ -227,26 +228,6 @@ def _wanted_degrees(args, label0: str, label1: str) -> dict:
     return {"0": label0, "1": label1}
 
 
-def _run_hh(args):
-    pf = _read_file(args.file)
-    alg = _build_algebra(pf, args.algebra, args.field)
-    m = extensions.regular_bimodule_of(alg)
-    degrees = _wanted_degrees(args, "HH^0", "HH^1")
-    lines = ["algebra %s over %s, coefficients in itself" % (alg.block.name, alg.field.name)]
-    sections, sec_lines = _degree_sections(alg, m, degrees, want_reps=True)
-    lines += sec_lines
-    payload = {
-        "command": "hh",
-        "algebra": alg.block.name,
-        "field": alg.field.name,
-        "degrees": sections,
-    }
-    ok = True
-    if args.oracle:
-        ok = _oracle_section(alg, m, payload, lines)
-    return _emit(args, lines, payload), ok
-
-
 def _parse_arrow_list(alg, spec: str) -> tuple:
     names = tuple(s for s in (part.strip() for part in spec.split(",")) if s)
     if not names:
@@ -262,31 +243,31 @@ def _parse_arrow_list(alg, spec: str) -> tuple:
     return names
 
 
-def _run_hcoh(args):
+def _run_cohomology(args):
+    """hh, with coefficients in the algebra, and hcoh, in the ideal of
+    --arrows; they differ only in the coefficient bimodule, the header's
+    coefficient phrase and hcoh's "arrows" payload key."""
     pf = _read_file(args.file)
     alg = _build_algebra(pf, args.algebra, args.field)
-    names = _parse_arrow_list(alg, args.arrows)
-    try:
-        m = bimod.arrow_ideal_bimodule(alg, names)
-    except ValueError as e:
-        raise InputError(str(e))
-    degrees = _wanted_degrees(args, "H^0", "H^1")
+    payload = {"command": args.verb, "algebra": alg.block.name, "field": alg.field.name}
+    if args.verb == "hh":
+        m = extensions.regular_bimodule_of(alg)
+        coefficients, labels = "itself", ("HH^0", "HH^1")
+    else:
+        names = _parse_arrow_list(alg, args.arrows)
+        try:
+            m = bimod.arrow_ideal_bimodule(alg, names)
+        except ValueError as e:
+            raise InputError(str(e))
+        coefficients, labels = "the ideal (%s)" % ", ".join(names), ("H^0", "H^1")
+        payload["arrows"] = list(names)
     lines = [
-        "algebra %s over %s, coefficients in the ideal (%s)"
-        % (alg.block.name, alg.field.name, ", ".join(names))
+        "algebra %s over %s, coefficients in %s"
+        % (alg.block.name, alg.field.name, coefficients)
     ]
-    sections, sec_lines = _degree_sections(alg, m, degrees, want_reps=True)
+    payload["degrees"], sec_lines = _degree_sections(alg, m, _wanted_degrees(args, *labels))
     lines += sec_lines
-    payload = {
-        "command": "hcoh",
-        "algebra": alg.block.name,
-        "field": alg.field.name,
-        "arrows": list(names),
-        "degrees": sections,
-    }
-    ok = True
-    if args.oracle:
-        ok = _oracle_section(alg, m, payload, lines)
+    ok = _oracle_section(alg, m, payload, lines) if args.oracle else True
     return _emit(args, lines, payload), ok
 
 
@@ -652,8 +633,8 @@ def _argparse_parser():
 
 _RUNNERS = {
     "info": _run_info,
-    "hh": _run_hh,
-    "hcoh": _run_hcoh,
+    "hh": _run_cohomology,
+    "hcoh": _run_cohomology,
     "verify": _run_verify,
     "poset": _run_poset,
     "ext2": _run_ext2,
@@ -674,6 +655,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
+    except Exception as e:
+        sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 3
     sys.stdout.write(text)
     return 0 if ok else 1
 

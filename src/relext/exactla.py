@@ -31,52 +31,13 @@ class FieldError(ValueError):
 
 
 class Field:
-    """Abstract exact field; concrete: RationalField, PrimeField."""
-
-    name = "?"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def from_fraction(self, fr):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def sparse(self, vec) -> dict:
-        """The nonzero entries of a dense vector, or of a dict {key: scalar},
-        as a dict."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        return {k: c for k, c in items if not self.is_zero(c)}
-
-    def axpy(self, acc: dict, c, vec: dict):
-        """acc += c * vec in place, for sparse vectors, dropping the entries
-        of acc that cancel: the one kernel behind every elimination step,
-        written by each field as a plain loop with no method call per
-        entry."""
-        raise NotImplementedError
+    """An exact field; concrete: RationalField, PrimeField.  Each provides
+    zero, one, from_fraction (of a Fraction or an int), add, sub, mul, neg,
+    inv, is_zero, format, sparse (the nonzero entries of a dense vector or
+    of a dict {key: scalar}, as a dict) and axpy (acc += c * vec in place,
+    for sparse vectors, dropping the entries of acc that cancel: the one
+    kernel behind every elimination step, written by each field as a plain
+    loop with no method call per entry)."""
 
     def dense(self, vec: dict, n: int) -> list:
         """The length-n list of a sparse vector {index: scalar}."""
@@ -84,9 +45,6 @@ class Field:
         for k, c in vec.items():
             out[k] = c
         return out
-
-    def format(self, a) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -105,9 +63,6 @@ class RationalField(Field):
 
     def one(self):
         return 1
-
-    def from_int(self, n):
-        return int(n)
 
     def from_fraction(self, fr):
         if type(fr) is int:
@@ -190,9 +145,6 @@ class PrimeField(Field):
 
     def one(self):
         return 1 % self.p
-
-    def from_int(self, n):
-        return n % self.p
 
     def from_fraction(self, fr):
         if type(fr) is int:
@@ -549,10 +501,6 @@ class Subspace(Frozen):
         for i, c in coords.items():
             f.axpy(out, c, self.rows[i])
         return out
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_sparse(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Canonical intersection: sum lam_i rows[i] lies in other iff

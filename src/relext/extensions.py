@@ -470,18 +470,23 @@ class TheoremReport:
     """All dimensions and map-level checks for one splitting; every row
     verdict is recomputed from the stored integers."""
 
-    # field_name is a str, subset a tuple, the fields from
-    # kernel_deg0_matches on are bools, and the others ints
-    FIELDS = (
-        "field_name", "subset",
+    # field_name is a str, subset a tuple, the dimensions and ranks ints,
+    # and the checks bools
+    DIMENSIONS = (
         "hh0_C", "hh0_B", "hh0_Ctilde", "hh1_C", "hh1_B", "hh1_Ctilde",
         "h0_B_Eprime", "h0_Ct_Esec", "h1_C_Eprime", "h1_B_Eprime", "h1_Ct_Esec",
         "h1_B_Esec", "h1_Ct_E", "end_Ce_Eprime", "end_Be_Esec",
         "curlyE_Eprime_C", "curlyE_Esec_B",
-        "phi0_rank_BC", "phi1_rank_BC", "phi0_rank_CtB", "phi1_rank_CtB",
+    )
+    CHECKS = (
         "kernel_deg0_matches", "ideal_classes_embed", "ideal_classes_embed_tilde",
         "center_annihilates_complement", "center_symmetric_on_complement",
         "center_positive_part_annihilates", "lifts_ok",
+    )
+    FIELDS = (
+        ("field_name", "subset") + DIMENSIONS
+        + ("phi0_rank_BC", "phi1_rank_BC", "phi0_rank_CtB", "phi1_rank_CtB")
+        + CHECKS
     )
 
     def __init__(self, **values):
@@ -557,49 +562,26 @@ class TheoremReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field_name,
-            "split": list(self.subset),
-            "hh0_C": self.hh0_C,
-            "hh0_B": self.hh0_B,
-            "hh0_Ctilde": self.hh0_Ctilde,
-            "hh1_C": self.hh1_C,
-            "hh1_B": self.hh1_B,
-            "hh1_Ctilde": self.hh1_Ctilde,
-            "h0_B_Eprime": self.h0_B_Eprime,
-            "h0_Ct_Esec": self.h0_Ct_Esec,
-            "h1_C_Eprime": self.h1_C_Eprime,
-            "h1_B_Eprime": self.h1_B_Eprime,
-            "h1_Ct_Esec": self.h1_Ct_Esec,
-            "h1_B_Esec": self.h1_B_Esec,
-            "h1_Ct_E": self.h1_Ct_E,
-            "end_Ce_Eprime": self.end_Ce_Eprime,
-            "end_Be_Esec": self.end_Be_Esec,
-            "curlyE_Eprime_C": self.curlyE_Eprime_C,
-            "curlyE_Esec_B": self.curlyE_Esec_B,
-            "rows": [
-                {"name": r["name"], "lhs": r["lhs"], "rhs": r["rhs"], "pass": r["pass"]}
-                for r in self.rows
-            ],
-            "refinement_a_pass": self.refinement_a_pass,
-            "refinement_b_pass": self.refinement_b_pass,
-            "pushout_pass": self.pushout_pass,
-            "phi_ranks": {
+        """The report as JSON: the dimensions and the checks in FIELDS
+        order, around the verdicts derived from them."""
+        out = {"field": self.field_name, "split": list(self.subset)}
+        out.update((k, getattr(self, k)) for k in self.DIMENSIONS)
+        out.update(
+            rows=self.rows,
+            refinement_a_pass=self.refinement_a_pass,
+            refinement_b_pass=self.refinement_b_pass,
+            pushout_pass=self.pushout_pass,
+            phi_ranks={
                 "deg0_B_to_C": self.phi0_rank_BC,
                 "deg1_B_to_C": self.phi1_rank_BC,
                 "deg0_Ctilde_to_B": self.phi0_rank_CtB,
                 "deg1_Ctilde_to_B": self.phi1_rank_CtB,
             },
-            "surjective": self.surjective,
-            "kernel_deg0_matches": self.kernel_deg0_matches,
-            "ideal_classes_embed": self.ideal_classes_embed,
-            "ideal_classes_embed_tilde": self.ideal_classes_embed_tilde,
-            "center_annihilates_complement": self.center_annihilates_complement,
-            "center_symmetric_on_complement": self.center_symmetric_on_complement,
-            "center_positive_part_annihilates": self.center_positive_part_annihilates,
-            "lifts_ok": self.lifts_ok,
-            "all_pass": self.all_pass,
-        }
+            surjective=self.surjective,
+        )
+        out.update((k, getattr(self, k)) for k in self.CHECKS)
+        out["all_pass"] = self.all_pass
+        return out
 
 
 def _ideal_classes_embed(alg, coeff: Bimodule, space: CohomologySpace, sp) -> bool:
@@ -712,6 +694,24 @@ class ExtensionPoset:
 # -- the family C < B_S < Ctilde -----------------------------------------------
 
 
+def _components(names: tuple, links) -> list:
+    """The connected components of the graph on names whose edges are the
+    pairs of links, each a tuple in the order of names, ordered by their
+    first name."""
+    comp = {n: {n} for n in names}
+    for x, y in links:
+        if comp[x] is not comp[y]:
+            merged = comp[x] | comp[y]
+            for n in merged:
+                comp[n] = merged
+    out = []
+    for n in names:
+        c = tuple(m for m in names if m in comp[n])
+        if c[0] == n:
+            out.append(c)
+    return out
+
+
 class Family:
     """The tower C < B_S < Ctilde of one relation extension: the base C, the
     full extension Ctilde, and the partial extension B_S for every subset S
@@ -749,8 +749,10 @@ class Family:
           single new arrows, and the other factor is a path avoiding them.
           So the span of the paths through S is closed under products, an
           ideal holding the arrows of S and so their ideal, iff no linked
-          pair leads out of S; likewise for the complement.  partial
-          refuses exactly the S that separate a linked pair.
+          pair leads out of S; likewise for the complement.  So the valid
+          S are the unions of the connected components of the graph of
+          linked pairs, computed once, here, and partial refuses the
+          others.
 
     Take S < T and two basis paths p, q of B_S.  If neither runs through a
     new arrow, pq in Ctilde lies in the span of C's paths by (a).  If both
@@ -807,13 +809,13 @@ class Family:
         self._partials = {self.new_arrows: self.full, (): self.base}
         # Ctilde basis index of each basis path, per subset
         self._index = {self.new_arrows: tuple(range(self.full.dim)), (): self._kept(())}
-        self._check_split_facts()
+        self._components = _components(self.new_arrows, self._check_split_facts())
         self._over_full = None  # set by _full_split
         self._lifts = {}  # subset S -> do all derivations lift to B_S
 
-    def _check_split_facts(self):
-        """Facts (a) to (c) of the class docstring, raising SplitError, and
-        the linked pairs of (d)."""
+    def _check_split_facts(self) -> set:
+        """Facts (a) to (c) of the class docstring, raising SplitError;
+        returns the linked pairs of (d)."""
         defects = bimod.section_defects(self.base, self.full, self._index[()])
         if defects:
             i, j, _ = defects[0]
@@ -830,7 +832,7 @@ class Family:
         # a product with a factor in J lies in J, and the other factor is
         # off J, as J squares to zero
         full, through = self.full, self._through
-        self._links = {
+        return {
             (through[g], through[k])
             for g in span
             for line in (full.products[g], full.column(g))
@@ -864,8 +866,9 @@ class Family:
         return key
 
     def _splits(self, key) -> bool:
-        """Does S = key separate no linked pair?"""
-        return all((x in key) == (y in key) for x, y in self._links)
+        """Does S = key separate no linked pair, that is, is it a union of
+        components?"""
+        return all((c[0] in key) == (n in key) for c in self._components for n in c)
 
     def _node(self, key) -> tuple:
         """(B_S, its Ctilde indices) for a valid S = key: partial's if it
@@ -1009,21 +1012,34 @@ class Family:
         check, and each checks phi(S <- T) phi(T <- top) = phi(S <- top);
         triangles_commute speaks for every comparable pair.
 
-        The walk goes down the ranks |S| from Ctilde and holds the nodes of
-        two ranks at a time.  A node of rank r gets its algebra (partial's,
-        or a restriction of Ctilde kept only by the walk), its H^1, its
-        phi(S <- top) and its edges up to rank r + 1; once rank r is done,
-        the algebras, bimodules and H^1 of rank r + 1 are dropped, and only
-        their arrows, dims and phi(S <- top) stay (the walk clears the
-        cached regular bimodule, H^1 and center of the algebras it built, so
-        that no reference cycle keeps them for the garbage collector).
-        Nodes are numbered by rank from C up, subsets of one rank in the
-        order of combinations, and edges are listed by lower node, then by
-        the position of the added arrow among the new arrows, whatever order
-        they are computed in."""
+        The valid subsets are the unions of the components of the linked
+        pairs (fact (d) of the class docstring), so T covers S exactly when
+        T adds one component to S.  The rank of S is its number of
+        components.  The walk goes down the ranks from Ctilde and holds the
+        nodes of two ranks at a time.  A node of rank r gets its algebra
+        (partial's, or a restriction of Ctilde kept only by the walk), its
+        H^1, its phi(S <- top) and its edges up to rank r + 1; once rank r
+        is done, the algebras, bimodules and H^1 of rank r + 1 are dropped,
+        and only their arrows, dims and phi(S <- top) stay (the walk clears
+        the cached regular bimodule, H^1 and center of the algebras it
+        built, so that no reference cycle keeps them for the garbage
+        collector).  Nodes are numbered by |S| from C up, subsets of one
+        size in the order of combinations, and edges are listed by lower
+        node, then by the position of the added component's first arrow
+        among the new arrows, whatever order they are computed in."""
         new = self.new_arrows
+        comps = self._components
         f = self.base.field
-        valid = [c for r in range(len(new) + 1) for c in combinations(new, r) if self._splits(c)]
+        pos = {n: k for k, n in enumerate(new)}
+        # the valid subsets, by their number of components
+        by_rank = [
+            [tuple(n for n in new if any(n in c for c in cs)) for cs in combinations(comps, r)]
+            for r in range(len(comps) + 1)
+        ]
+        valid = sorted(
+            (c for subsets in by_rank for c in subsets),
+            key=lambda c: (len(c), [pos[n] for n in c]),
+        )
         by_arrows = {c: i for i, c in enumerate(valid)}
         top = by_arrows[new]
         full = self._node(new)
@@ -1038,32 +1054,28 @@ class Family:
         # C is held throughout, like Ctilde: its pair is checked first
         project_from_top(by_arrows[()], self._node(()))
         dims = {}
-        edges = {}  # (lower node, position of the added arrow) -> edge
+        edges = {}  # (lower node, position of the added component) -> edge
         triangles = True
         above = {}  # the nodes of the rank above: index -> (algebra, Ctilde indices)
-        for r in range(len(new), -1, -1):
+        for subsets in reversed(by_rank):
             layer = {}
-            for lower in combinations(new, r):
-                ti = by_arrows.get(lower)
-                if ti is None:
-                    continue
+            for lower in subsets:
+                ti = by_arrows[lower]
                 node = layer[ti] = self._node(lower)
                 dims[ti] = regular_h1(node[0]).dim
                 project_from_top(ti, node)
-                for k, a in enumerate(new):
-                    si = None if a in lower else by_arrows.get(
-                        tuple(n for n in new if n in lower or n == a)
-                    )
-                    if si is None:
+                for comp in comps:
+                    if comp[0] in lower:
                         continue
+                    si = by_arrows[tuple(n for n in new if n in lower or n in comp)]
                     if si == top:
                         mat = from_top[ti]
                     else:
-                        mat = _class_images(_split_of(node, above[si], (a,)))
+                        mat = _class_images(_split_of(node, above[si], comp))
                         if exactla.compose(f, mat, from_top[si]) != from_top[ti]:
                             triangles = False
                     rank = exactla.rank(f, dims[ti], mat)
-                    edges[(ti, k)] = PosetEdge(
+                    edges[(ti, pos[comp[0]])] = PosetEdge(
                         lower=ti,
                         upper=si,
                         phi_rank=rank,

@@ -284,27 +284,6 @@ def projective_cover(m: Representation) -> CoverData:
     return CoverData(cover, cover_map, gens)
 
 
-class SyzygyData(CoverData):
-    """A cover together with its kernel, the syzygy, and the inclusion."""
-
-    def __init__(
-        self,
-        cover: Representation,
-        cover_map: ModuleMap,
-        gens: list,
-        kernel: Representation,
-        inclusion: ModuleMap,
-    ):
-        super().__init__(cover, cover_map, gens)
-        self.kernel = kernel
-        self.inclusion = inclusion
-
-
-def syzygy(m: Representation) -> SyzygyData:
-    cd = projective_cover(m)
-    return SyzygyData(cd.cover, cd.cover_map, cd.gens, *cd.cover_map.kernel())
-
-
 def is_projective(m: Representation) -> bool:
     """A module is projective iff its minimal cover is an isomorphism."""
     return m.is_zero() or projective_cover(m).cover.total_dim == m.total_dim
@@ -371,10 +350,11 @@ def ext2_of_modules(m: Representation, n: Representation) -> int:
     so dim Ext^2 = dim Hom(Omega^2 M, N) - dim Hom(P1, N) + dim Hom(Omega M, N).
     Hom(P_v, N) = N e_v (Yoneda), so dim Hom(P1, N) is the sum of dim N e_v
     over the generators v of the cover."""
-    s1 = syzygy(m)
-    s2 = syzygy(s1.kernel)
-    hom_p1 = sum(n.dims[v] for v, _ in s2.gens)
-    return hom_space(s2.kernel, n).dim - hom_p1 + hom_space(s1.kernel, n).dim
+    omega1 = projective_cover(m).cover_map.kernel()[0]
+    cd = projective_cover(omega1)
+    omega2 = cd.cover_map.kernel()[0]
+    hom_p1 = sum(n.dims[v] for v, _ in cd.gens)
+    return hom_space(omega2, n).dim - hom_p1 + hom_space(omega1, n).dim
 
 
 def ext2_dimension(alg: BoundQuiverAlgebra) -> int:

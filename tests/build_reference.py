@@ -16,8 +16,11 @@ structure constants must agree.
 
 enumerate_paths, the listing of every path up to a length, is kept here
 too; the package no longer enumerates paths.  So are nf_coords, the normal
-form of any path of a built algebra, and from_arrow_names, a path from
-arrow names, which the package no longer reads.
+form of any path of a built algebra, from_arrow_names, a path from arrow
+names, which the package no longer reads, and rules_of, the reduced
+Groebner basis of an algebra's ideal, which a build keeps only while it
+runs: completing the relations of the algebra's block again gives it, as a
+reduced basis is unique.
 
 path_build is the Groebner build as it was before the build moved to arrow
 index tuples: every alive path a hashed Path, its normal form cached in
@@ -28,6 +31,8 @@ tests compare tables, rules, errors and messages with it.
 
 from __future__ import annotations
 
+import weakref
+
 from relext import exactla, qdsl
 from relext.algebra import (
     AlgebraBuildError,
@@ -36,6 +41,7 @@ from relext.algebra import (
     _complete,
     _normal_form,
     _reduce,
+    _relation_vector,
 )
 from relext.exactla import Field
 from relext.quiver import Path, Quiver, compose
@@ -74,6 +80,21 @@ def from_arrow_names(q: Quiver, names) -> Path:
     return Path(q, None, q.word(names))
 
 
+_RULES = weakref.WeakKeyDictionary()  # algebra -> rules_of(algebra)
+
+
+def rules_of(alg: BoundQuiverAlgebra) -> dict:
+    """The reduced Groebner basis of alg's ideal, {tip length: {tip arrows:
+    tail}}, completed from its block's relations over its quiver once per
+    algebra (read only).  The completion does not depend on the length cap
+    until it exceeds it, and alg's build completed within its own."""
+    if alg not in _RULES:
+        f = alg.field
+        relations = [_relation_vector(alg.quiver, f, rel) for rel in alg.block.relations]
+        _RULES[alg] = _complete(f, relations, alg.block.name, max(64, alg.zero_length))
+    return _RULES[alg]
+
+
 def nf_coords(alg: BoundQuiverAlgebra, path: Path) -> dict:
     """Nonzero coordinates {k: c} of a quiver path's class in the path basis
     of a built algebra: a fresh {k: 1} at the basis path b_k, reduced by the
@@ -90,7 +111,7 @@ def nf_coords(alg: BoundQuiverAlgebra, path: Path) -> dict:
     if path.length >= alg.zero_length:
         return {}
     return _normal_form(
-        alg.field, alg._rules, q, path.arrows, lambda w: index.get(Path(q, None, w))
+        alg.field, rules_of(alg), q, path.arrows, lambda w: index.get(Path(q, None, w))
     )
 
 
@@ -213,7 +234,6 @@ def build(
         idem_index={},
         arrow_index_in_basis={},
         _nf_cache={},
-        _rules=None,
         _echelon=ech,
     )
     for v in q.vertices:
@@ -369,9 +389,10 @@ def enumerate_paths(q: Quiver, max_len: int) -> list:
 class PathAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms are cached for every path asked."""
 
-    def __init__(self, *fields, _nf_cache=None, **named):
+    def __init__(self, *fields, _nf_cache=None, _rules=None, **named):
         super().__init__(*fields, **named)
         self._nf_cache = {} if _nf_cache is None else _nf_cache  # Path -> its normal form
+        self._rules = _rules  # the reduced Groebner basis, as a build completes it
 
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path

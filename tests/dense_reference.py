@@ -12,7 +12,8 @@ It also keeps the two commutant builders that hochschild.h0 replaced, each
 with one block of rows per basis element of the acting algebra instead of
 per vertex and arrow: center_reference on the structure constants and
 h0_reference on the action tables, with commutator, the a.x_i - x_i.a
-that Bimodule used to compute for them.
+that Bimodule used to compute for them, and subspace_sum, the span of two
+sparse Subspaces (Subspace.sum, which nothing in the package called).
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from relext import exactla
-from relext.exactla import Matrix
+from relext.exactla import Matrix, Subspace
+
+
+def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    """The span of u and w, two Subspaces of one ambient space."""
+    u._check_compatible(w)
+    return Subspace.from_sparse(u.field, u.ambient_dim, u.rows + w.rows)
 
 
 def stores_no_zero(field, table):

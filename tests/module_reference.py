@@ -5,11 +5,15 @@ projective built e_i.A by walking every vertex and every arrow of the
 quiver, and regular and every projective cover summed such projectives
 arrow by arrow with direct_sum.  repmod now builds the sum in one pass over
 the summands' own paths; the tests compare the two entry for entry.
+
+syzygy is a cover together with its kernel and the inclusion, as
+repmod.syzygy returned it before ext2_of_modules read the kernel of each
+cover map itself.
 """
 
 from __future__ import annotations
 
-from relext.repmod import Representation
+from relext.repmod import CoverData, ModuleMap, Representation, projective_cover
 
 
 def coords_of_vertex_pair(alg, x, y) -> list:
@@ -61,3 +65,24 @@ def projective_sum(alg, vertices) -> Representation:
     vertices = list(vertices)
     built = {v: projective(alg, v) for v in dict.fromkeys(vertices)}
     return direct_sum(alg, [built[v] for v in vertices])
+
+
+class SyzygyData(CoverData):
+    """A cover together with its kernel, the syzygy, and the inclusion."""
+
+    def __init__(
+        self,
+        cover: Representation,
+        cover_map: ModuleMap,
+        gens: list,
+        kernel: Representation,
+        inclusion: ModuleMap,
+    ):
+        super().__init__(cover, cover_map, gens)
+        self.kernel = kernel
+        self.inclusion = inclusion
+
+
+def syzygy(m: Representation) -> SyzygyData:
+    cd = projective_cover(m)
+    return SyzygyData(cd.cover, cd.cover_map, cd.gens, *cd.cover_map.kernel())

@@ -10,18 +10,42 @@ family's splits with it and run its refusals on broken inputs.
 `Family` ran before it indexed each partial extension by the Ctilde basis
 indices it keeps and decided which subsets split from the linked pairs of
 new arrows, collected once per family.  The tests compare both with them.
+
+`from_ambient_span` and `sub_bimodule` are the checked constructors of a
+`Bimodule` on a span of ambient basis paths, which run the full
+`Bimodule.verify`.  The package builds its bimodules as plain views, each
+one's checks argued where it is made; the tests build theirs here.
 """
 
 from __future__ import annotations
 
 from relext import bimod
 from relext.algebra import IdealNotSpanned, arrow_ideal_paths
+from relext.bimod import Bimodule
 from relext.extensions import (
     SplitError,
     SplitPresentation,
     _check_opposite_relations,
     _index_maps,
 )
+
+
+def from_ambient_span(acting, ambient, amb_index, embed=None) -> Bimodule:
+    """The bimodule on the span of the ambient basis paths amb_index, acted
+    on through embed, once Bimodule.verify passes; embed defaults to the
+    identity, which needs acting to be ambient."""
+    if embed is None:
+        if acting is not ambient:
+            raise ValueError("an embedding is required when acting != ambient")
+        embed = range(acting.dim)
+    m = Bimodule(acting, ambient, amb_index, embed)
+    m.verify()
+    return m
+
+
+def sub_bimodule(ambient, amb_index, acting=None, embed=None) -> Bimodule:
+    """from_ambient_span, acting by default through the ambient itself."""
+    return from_ambient_span(ambient if acting is None else acting, ambient, amb_index, embed)
 
 
 def section_embed(acting, ambient) -> tuple:

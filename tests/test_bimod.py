@@ -15,7 +15,7 @@ from relext.algebra import build
 from relext.extensions import center
 from relext.exactla import Matrix, PrimeField, QQ
 from families import squares
-from split_reference import direct_sum_check, section_embed
+from split_reference import direct_sum_check, from_ambient_span, section_embed, sub_bimodule
 
 
 @pytest.mark.parametrize("key", [("ex1", "C"), ("ex2", "Ctilde")])
@@ -52,7 +52,7 @@ def test_sub_bimodule_requires_closure(algebras):
     # a single arrow path alone is not closed under the two-sided action
     k = alg.arrow_index_in_basis["alpha"]
     with pytest.raises(ValueError):
-        bimod.sub_bimodule(alg, (k,))
+        sub_bimodule(alg, (k,))
 
 
 def test_ambient_span_with_non_multiplicative_embed_rejected():
@@ -69,8 +69,8 @@ def test_ambient_span_with_non_multiplicative_embed_rejected():
     swap[ab], swap[c] = c, ab
     # a.b - c is the defect at (a, b), and e_1 (a.b - c) = a.b - c != 0
     with pytest.raises(ValueError, match="section defect does not annihilate the span"):
-        bimod.Bimodule.from_ambient_span(alg, alg, range(alg.dim), swap)
-    bimod.Bimodule.from_ambient_span(alg, alg, range(alg.dim), range(alg.dim))
+        from_ambient_span(alg, alg, range(alg.dim), swap)
+    from_ambient_span(alg, alg, range(alg.dim), range(alg.dim))
 
 
 def _all_pair_defects(acting, ambient, embed):
@@ -111,7 +111,7 @@ def test_section_embed_and_base_sub(algebras, files):
     for i, g in enumerate(sec):
         assert c.basis[i].label() == ct.basis[g].label()
     new = tuple(files["ex1"].block("Ctilde").new_arrows)
-    base = bimod.sub_bimodule(ct, sec, acting=c, embed=sec)
+    base = sub_bimodule(ct, sec, acting=c, embed=sec)
     ideal = bimod.arrow_ideal_bimodule(ct, new)
     assert base.dim + ideal.dim == ct.dim
     assert set(base.amb_index) | set(ideal.amb_index) == set(range(ct.dim))
@@ -167,7 +167,7 @@ def test_to_ambient_maps_sparse_vectors_and_checks_their_range(presentations):
 
 def test_zero_bimodule(algebras):
     alg = algebras[("ex1", "C")]
-    z = bimod.sub_bimodule(alg, ())
+    z = sub_bimodule(alg, ())
     assert z.dim == 0
     z.verify()
 
@@ -286,7 +286,7 @@ def test_pairing_space_of_radical_matches_dense_reference(
     for fam in _families(files, chain_text, field):
         sp = fam.split((), fam.new_arrows)
         total = sp.total
-        rad = bimod.sub_bimodule(
+        rad = sub_bimodule(
             total,
             [g for g, p in enumerate(total.basis) if p.arrows],
             acting=sp.base,
@@ -342,7 +342,7 @@ def test_curly_E_rows_match_the_all_pairs_loop(files, chain_text, field, monkeyp
     bilinear = 0
     for fam in _families(files, chain_text, field):
         sp = fam.split((), fam.new_arrows)
-        rad = bimod.sub_bimodule(
+        rad = sub_bimodule(
             sp.total,
             [g for g, p in enumerate(sp.total.basis) if p.arrows],
             acting=sp.base,
@@ -393,7 +393,7 @@ def test_span_tables_match_probing(files, chain_text, field):
         ct, new = fam.full, fam.new_arrows
         ideal = bimod.arrow_ideal_bimodule(ct, new)
         cases = [ideal,
-                 bimod.sub_bimodule(ct, ideal.amb_index[::-1]),
+                 sub_bimodule(ct, ideal.amb_index[::-1]),
                  fam.split((), new).ext_over_base,
                  fam.split((), new).base_inside]
         for r in range(len(new) + 1):
@@ -421,7 +421,7 @@ def test_span_tables_match_probing(files, chain_text, field):
 def test_span_listing_a_path_twice_is_refused(algebras):
     alg = algebras[("ex1", "C")]
     with pytest.raises(ValueError, match="twice"):
-        bimod.Bimodule.from_ambient_span(alg, alg, (0, 0))
+        from_ambient_span(alg, alg, (0, 0))
 
 
 def test_span_indices_are_checked_before_any_product_is_read(algebras):
@@ -433,11 +433,11 @@ def test_span_indices_are_checked_before_any_product_is_read(algebras):
     unreadable = replaced(alg, products=None)
     for bad in (11, -1):
         with pytest.raises(ValueError, match=r"span index %d is outside range\(11\)" % bad):
-            bimod.Bimodule.from_ambient_span(alg, unreadable, (bad,), range(11))
+            from_ambient_span(alg, unreadable, (bad,), range(11))
     with pytest.raises(ValueError, match="embed lists 10 ambient indices for the 11 "):
-        bimod.Bimodule.from_ambient_span(alg, unreadable, (), range(10))
+        from_ambient_span(alg, unreadable, (), range(10))
     with pytest.raises(ValueError, match=r"embed index -1 is outside range\(11\)"):
-        bimod.Bimodule.from_ambient_span(alg, unreadable, (), (-1, *range(1, 11)))
+        from_ambient_span(alg, unreadable, (), (-1, *range(1, 11)))
 
 
 def test_span_not_closed_under_one_action_is_refused(algebras, files):
@@ -457,7 +457,7 @@ def test_span_not_closed_under_one_action_is_refused(algebras, files):
         rest = tuple(h for h in span if h != g)
         want = "not closed under the action: product hits %s$" % re.escape(p.label())
         with pytest.raises(ValueError, match=want):
-            bimod.sub_bimodule(ct, rest)
+            sub_bimodule(ct, rest)
         ends.add((p.arrows[0] in new_arrows, p.arrows[-1] in new_arrows))
     assert {(True, False), (False, True)} <= ends
 
@@ -470,4 +470,4 @@ def test_embedding_that_swaps_the_idempotents_is_refused():
     alg = build(qdsl.parse("algebra A\nvertices 1 2\nend\n").block("A"))
     assert bimod.section_defects(alg, alg, (1, 0)) == []
     with pytest.raises(ValueError, match="idempotent at '1' is embedded as"):
-        bimod.Bimodule.from_ambient_span(alg, alg, range(2), (1, 0))
+        from_ambient_span(alg, alg, range(2), (1, 0))

@@ -501,7 +501,7 @@ def test_non_splitting_subset(capsys, tmp_path):
     d = json.loads(out)
     assert code == 0
     assert [n["arrows"] for n in d["nodes"]] == [[], ["eps", "eps2"]]
-    assert d["edges"] == []
+    assert [(e["lower"], e["upper"]) for e in d["edges"]] == [([], ["eps", "eps2"])]
     code, out, err = run(capsys, "hcoh", str(path), "Ctilde", "--arrows", "eps2")
     assert code == 2 and out == ""
     assert "ideal of ['eps2'] is not spanned by the paths through those arrows" in err
@@ -546,6 +546,19 @@ def test_internal_arithmetic_failure_exits_3(capsys, monkeypatch, target, exc, a
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == "internal error: %s\n" % exc
+
+
+@pytest.mark.parametrize(
+    "argv", [("hh", EX1, "C"), ("hcoh", EX1, "Ctilde", "--arrows", "eps")], ids=["hh", "hcoh"]
+)
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch, argv):
+    """An exception that is neither an ArithmeticError nor bad input, here a
+    KeyError out of the runner, exits 3 with one stderr line naming its
+    type and message, not a traceback."""
+    monkeypatch.setitem(cli._RUNNERS, argv[0], _raise(KeyError("vertex '9'")))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: \"vertex '9'\"\n"
 
 
 def test_internal_arithmetic_failure_prints_no_traceback():
@@ -684,7 +697,7 @@ def test_build_whose_table_fails_its_certificate_exits_3(capsys, monkeypatch):
 
     def corrupted(alg, block, relations=None):
         k = [p.label() for p in alg.basis].index("beta")
-        alg.products[alg.idem_index["2"]][k] = {k: alg.field.from_int(2)}
+        alg.products[alg.idem_index["2"]][k] = {k: alg.field.from_fraction(2)}
         certify(alg, block, relations)
 
     monkeypatch.setattr(algebra, "_verify_build", corrupted)

@@ -27,6 +27,7 @@ from families import squares
 from poset_reference import reference_poset
 from projection_reference import reference_projection
 from split_reference import direct_sum_check, split_presentation
+from test_cli import NON_SPLITTING
 
 HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "halfsquare.quiv")
 # b.x = -b.y and x.a = -y.a: the ideal of x alone holds b.y, so a subset
@@ -305,9 +306,9 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
     ex2's 4 nodes are all 5 proper comparable pairs, and the triangle check
     still sees a broken projection."""
     fam = Family(files["ex2"].block("C"), files["ex2"].block("Ctilde"))
-    calls, regulars = [], []
+    calls, regulars, verified = [], [], []
     real_ideal = bimod.arrow_ideal_bimodule
-    real_span = bimod.Bimodule.from_ambient_span
+    real_verify = bimod.Bimodule.verify
     real_regular = bimod.regular_bimodule
     real_projection = extensions.hochschild_projection
     real_images = extensions._class_images
@@ -316,9 +317,9 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
         calls.append("arrow_ideal_bimodule")
         return real_ideal(*args)
 
-    def span(acting, ambient, amb_index, embed=None):
-        regulars.append(None)
-        return real_span(acting, ambient, amb_index, embed)
+    def verify(m):
+        verified.append(m)
+        return real_verify(m)
 
     def regular(alg):
         regulars.append(alg)
@@ -329,14 +330,14 @@ def test_poset_builds_no_bimodule_per_pair(files, monkeypatch):
         return real_images(sp)
 
     monkeypatch.setattr(bimod, "arrow_ideal_bimodule", ideal)
-    monkeypatch.setattr(bimod.Bimodule, "from_ambient_span", staticmethod(span))
+    monkeypatch.setattr(bimod.Bimodule, "verify", verify)
     monkeypatch.setattr(bimod, "regular_bimodule", regular)
     monkeypatch.setattr(extensions, "_class_images", images)
     po = fam.poset()
     assert po.triangles_commute
     # 5 proper comparable pairs among 4 nodes, no arrow ideal built
     assert len(calls) == 5 and all(isinstance(c, tuple) for c in calls)
-    assert None not in regulars
+    assert verified == []
     assert len({id(a) for a in regulars}) == len(regulars) == 4
 
     def broken(sp, degree):
@@ -432,16 +433,39 @@ def test_linked_pairs_decide_the_split_like_direct_sum_check(files, chain_text):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_poset_and_verify_where_some_subsets_do_not_split(field):
     """On the linked family, poset has the four subsets that split as its
-    nodes and matches the all-pairs reference, and verify passes on each of
-    them."""
+    nodes and their four covers as its edges, () < (x, y) and (z) < (x, y,
+    z) among them, matches the all-pairs reference, and verify passes on
+    each node."""
     pf = qdsl.parse(open(LINKED, encoding="utf-8").read())
     po = Family(pf.block("C"), pf.block("Ctilde"), field).poset()
     want = reference_poset(Family(pf.block("C"), pf.block("Ctilde"), field))
     assert [n.arrows for n in po.nodes] == [(), ("z",), ("x", "y"), ("x", "y", "z")]
+    assert [(e.lower, e.upper) for e in po.edges] == [(0, 2), (0, 1), (1, 3), (2, 3)]
     assert _poset_fields(po) == _poset_fields(want)
     assert json.dumps(po.to_dict()) == json.dumps(want.to_dict())
     fam = Family(pf.block("C"), pf.block("Ctilde"), field)
     assert all(fam.verify(n.arrows).all_pass for n in po.nodes)
+
+
+def test_poset_edges_are_the_covers_of_inclusion(files, chain_text):
+    """On every family, the edges are exactly the pairs S < T of nodes with
+    no node strictly between, each once, even where a cover adds more than
+    one arrow: on the linked family and on a family whose two new arrows
+    split only together."""
+    towers = [files[n] for n in sorted(files)]
+    towers += [qdsl.parse(chain_text(3)), qdsl.parse(squares(2))]
+    towers += [qdsl.parse(open(LINKED, encoding="utf-8").read()), qdsl.parse(NON_SPLITTING)]
+    for pf in towers:
+        po = Family(pf.block("C"), pf.block("Ctilde")).poset()
+        nodes = [set(n.arrows) for n in po.nodes]
+        covers = {
+            (i, j)
+            for i, s in enumerate(nodes)
+            for j, t in enumerate(nodes)
+            if s < t and not any(s < u < t for u in nodes)
+        }
+        edges = [(e.lower, e.upper) for e in po.edges]
+        assert len(edges) == len(covers) and set(edges) == covers
 
 
 def test_poset_holds_two_rank_layers_of_partials(chain_text, monkeypatch):

@@ -104,7 +104,8 @@ def test_completion_adds_the_overlap_element(field):
     assert nf_coords(alg, from_arrow_names(q, ("c", "d", "e"))) == {}
     assert nf_coords(alg, from_arrow_names(q, ("a", "b", "e"))) == {}
     assert "c.d" in [p.label() for p in alg.basis]
-    tips = {".".join(q.arrows[i].name for i in t) for r in alg._rules.values() for t in r}
+    rules = build_reference.rules_of(alg)
+    tips = {".".join(q.arrows[i].name for i in t) for r in rules.values() for t in r}
     assert tips == {"a.b", "b.e", "c.d.e"}
     assert tables(alg) == tables(build_reference.build(alg.block, field=field))
 

@@ -30,6 +30,7 @@ from dense_reference import (
 )
 from derivation_reference import inner_space
 from families import squares
+from split_reference import sub_bimodule
 from relext.exactla import PrimeField, QQ
 from relext.hochschild import (
     calculator,
@@ -274,7 +275,7 @@ def test_class_basis_matches_tagged_reference(files, chain_text, corpus_pairs_by
         total = space.layout.total
         mix = {}
         for k, row in enumerate(space.derivations.rows):
-            f.axpy(mix, f.from_int(k + 1), row)
+            f.axpy(mix, f.from_fraction(k + 1), row)
         units = [{j: f.one()} for j in range(total)]
         for v in [*space.derivations.rows, *space.inner.rows, mix, *units]:
             try:
@@ -364,7 +365,7 @@ def test_semisimple_no_arrows():
 
 def test_zero_bimodule_cohomology(algebras):
     alg = algebras[("ex1", "C")]
-    z = bimod.sub_bimodule(alg, ())
+    z = sub_bimodule(alg, ())
     assert h0(z).dim == 0
     assert h1(alg, z).dim == 0
     calc = calculator(alg, z)
@@ -377,7 +378,7 @@ def test_trivial_arrow_actions_give_no_inner_derivations(algebras):
     # elements vanish, so the inner space is zero
     alg = algebras[("ex2", "B")]
     (i,) = [i for i, p in enumerate(alg.basis) if p.label() == "beta.eps.alpha"]
-    m = bimod.sub_bimodule(alg, (i,))
+    m = sub_bimodule(alg, (i,))
     assert m.diagonal_indices() == [0]
     left, right = action_tables(m)
     for name, a in alg.arrow_index_in_basis.items():
@@ -768,7 +769,7 @@ def test_relative_complex_agrees_with_full_reference_on_random_cochains(
         if not keys:
             return {}
         picked = data.draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
-        coeffs = st.integers(-3, 3).map(field.from_int)
+        coeffs = st.integers(-3, 3).map(field.from_fraction)
         return field.sparse({k: data.draw(coeffs) for k in picked})
 
     for n in (0, 1, 2):
@@ -906,7 +907,7 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
     e_t = alg.idem_index[m.src[t]]
     products = list(alg.products)
     products[e_t] = dict(alg.products[e_t])
-    products[e_t][t] = {t: f.from_int(2)}
+    products[e_t][t] = {t: f.from_fraction(2)}
     scaled = replaced(alg, products=products)
     zero = bimod.Bimodule(scaled, scaled, (), range(alg.dim))
     want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t

@@ -21,6 +21,7 @@ import pytest
 from relext import bimod, cli, hochschild, qdsl
 from relext.algebra import build
 from relext.exactla import QQ
+from build_reference import rules_of
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PATH = os.path.join(DATA, "halfsquare.quiv")
@@ -70,7 +71,7 @@ def halfsquare():
 
 def test_input_reduces_by_integral_and_non_integral_rules(halfsquare):
     """C's relation reduces to an integral rule, D's to a 1/3 one."""
-    rules = {name: alg._rules[2][(1, 3)] for name, alg in halfsquare.items()}
+    rules = {name: rules_of(alg)[2][(1, 3)] for name, alg in halfsquare.items()}
     assert rules == {"C": {(0, 2): 2}, "Ctilde": {(0, 2): 2},
                      "D": {(0, 2): Fraction(1, 3)}, "Dtilde": {(0, 2): Fraction(1, 3)}}
     assert [type(r[(0, 2)]) for r in rules.values()] == [int, int, Fraction, Fraction]

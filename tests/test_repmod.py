@@ -54,7 +54,7 @@ def test_syzygy_exactness(algebras):
     alg = algebras[("ex2", "C")]
     for v in alg.quiver.vertices:
         s = repmod.simple(alg, v)
-        syz = repmod.syzygy(s)
+        syz = modref.syzygy(s)
         assert syz.kernel.total_dim == syz.cover.total_dim - s.total_dim
 
 
@@ -210,8 +210,8 @@ def reference_ext2(alg):
     """dim Hom(Omega^2 M, N) minus the maps that extend to the cover of
     Omega M, for M = DA and N = A."""
     n = repmod.regular(alg)
-    s1 = repmod.syzygy(repmod.injective_cogenerator(alg))
-    s2 = repmod.syzygy(s1.kernel)
+    s1 = modref.syzygy(repmod.injective_cogenerator(alg))
+    s2 = modref.syzygy(s1.kernel)
     h = reference_hom_space(s2.kernel, n)
     restricted = DenseSubspace.from_vectors(alg.field, h.ambient_dim, _cover_hom_images(s2, n))
     for b in restricted.basis:
@@ -228,7 +228,7 @@ def reference_gldim_at_most(alg, n):
         for _ in range(n):
             if repmod.is_projective(cur):
                 return True
-            cur = repmod.syzygy(cur).kernel
+            cur = modref.syzygy(cur).kernel
         return repmod.is_projective(cur)
 
     return all(pd_at_most(repmod.simple(alg, v)) for v in alg.quiver.vertices)

@@ -21,11 +21,11 @@ from relext.algebra import (
 )
 from relext.exactla import PrimeField, QQ, Subspace
 from relext.quiver import Path
-from build_reference import enumerate_paths, nf_coords
+from build_reference import enumerate_paths, nf_coords, rules_of
 
-from dense_reference import action_tables
+from dense_reference import action_tables, subspace_sum
 from families import squares
-from split_reference import direct_sum_check, section_embed
+from split_reference import direct_sum_check, section_embed, sub_bimodule
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
@@ -119,7 +119,7 @@ def _reference_direct_sum_check(ambient, parts):
                 return False
     acc = Subspace.zero(ambient.field, ambient.dim)
     for s in subs:
-        acc = acc.sum(s)
+        acc = subspace_sum(acc, s)
     return acc == total
 
 
@@ -140,8 +140,8 @@ def _reference_split_presentation(base, total, new_arrow_names):
         total, new_arrow_names
     ):
         raise ValueError("ideal is not spanned by the paths through those arrows")
-    ext = bimod.sub_bimodule(total, span)
-    ext_over_base = bimod.sub_bimodule(total, span, acting=base, embed=section)
+    ext = sub_bimodule(total, span)
+    ext_over_base = sub_bimodule(total, span, acting=base, embed=section)
     covered = set(section) | set(ext.amb_index)
     if len(section) + ext.dim != total.dim or covered != set(range(total.dim)):
         raise extensions.SplitError("total algebra does not split")
@@ -309,14 +309,22 @@ def test_family_reports_match_reference_builders(files, chain_text, monkeypatch,
 
 @FIELDS
 def test_restrictions_carry_reduced_groebner_basis(files, chain_text, field):
-    """A restriction reduces by its own rules, which are the reduced
-    Groebner basis that building its presentation completes: reduced bases
-    are unique."""
+    """The reduced Groebner basis of a restriction's presentation, completed
+    again, is the reference quotient's (reduced bases are unique), and the
+    restriction's basis paths are exactly the paths below its vanishing
+    length that hold none of its tips."""
     count = 0
     for fam in _families_and_squares(files, chain_text, field):
         for s in _subsets(fam.new_arrows):
             alg = quotient_by_arrows(fam.full, s)
-            assert alg._rules == _reference_quotient_by_arrows(fam.full, s)._rules, s
+            rules = rules_of(alg)
+            assert rules == rules_of(_reference_quotient_by_arrows(fam.full, s)), s
+            free = [
+                w
+                for w in (p.arrows for p in enumerate_paths(alg.quiver, alg.zero_length - 1))
+                if not any(w[i : i + n] in tips for n, tips in rules.items() for i in range(len(w)))
+            ]
+            assert [p.arrows for p in alg.basis] == free, s
             count += 1
     # 4 subsets per fixture, 2 + 4 + 8 for chain k <= 3, 2 + 4 + 8 for squares
     assert count == 4 + 4 + 14 + 14

@@ -25,14 +25,20 @@ HALFSQUARE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "h
 
 
 def tables(alg):
-    """Everything a build fixes, with paths as (vertex, arrows)."""
+    """Everything a build fixes, with paths as (vertex, arrows); the rules
+    are the reference build's own, and a build's completed again from its
+    block (build keeps them only while it runs)."""
+    if isinstance(alg, build_reference.PathAlgebra):
+        rules = alg._rules
+    else:
+        rules = build_reference.rules_of(alg)
     return (
         [(p.vertex, p.arrows) for p in alg.basis],
         alg.dim,
         alg.zero_length,
         alg.products,
         [list(row) for row in alg.products],
-        alg._rules,
+        rules,
         alg.idem_index,
         alg.arrow_index_in_basis,
         {(p.vertex, p.arrows): i for p, i in alg.basis_index.items()},
