@@ -13,9 +13,11 @@ tip is a path no earlier rule reduced and none may exceed max_len_cap
 (NotFiniteDimensionalError); every path of the vanishing length lies in I,
 so no tip of a reduced basis is longer.  The basis is the tip-free paths,
 grown by arrows testing only new suffixes; a normal form rewrites tips
-until none is left.  The build grows and reduces paths as tuples of arrow
-indices and keeps the rules and the normal forms of the alive ones only
-while it runs; the algebra keeps Path objects for its basis alone.  The
+until none is left.  The build grows and reduces paths as words, tuples of
+arrow indices, and keeps the rules and the normal forms of the alive ones
+only while it runs.  An algebra keeps its basis as words with the tables of
+their endpoints; the basis as Path objects, and the index of a Path, are
+made on first read, for labels and messages.  The
 tips of I depend only on I and the order, and the enumeration builder this
 replaced (tests/build_reference.py) read them as the pivots of an
 echelon spanning I length by length, exactly so for
@@ -41,6 +43,7 @@ cohomology (extensions.center).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -73,10 +76,10 @@ class BoundQuiverAlgebra:
         block: qdsl.AlgebraBlock,
         quiver: Quiver,
         field: Field,
-        basis: tuple,  # of Path, deterministic order
-        dim: int,
+        words: tuple,  # per basis index, its path's arrow indices, () at e_v
+        src: tuple,  # per basis index, the vertex its path starts at
+        tgt: tuple,  # per basis index, the vertex its path ends at
         zero_length: int,  # every path of length >= this is zero in the algebra
-        basis_index: dict,  # Path -> int
         products: list,  # per basis index i: {j: {k: c}}, the nonzero b_i b_j only
         idem_index: dict,  # vertex -> basis index of its stationary path
         arrow_index_in_basis: dict,  # arrow name -> basis index
@@ -84,10 +87,11 @@ class BoundQuiverAlgebra:
         self.block = block
         self.quiver = quiver
         self.field = field
-        self.basis = basis
-        self.dim = dim
+        self.words = words
+        self.src = src
+        self.tgt = tgt
+        self.dim = len(words)
         self.zero_length = zero_length
-        self.basis_index = basis_index
         self.products = products
         self.idem_index = idem_index
         self.arrow_index_in_basis = arrow_index_in_basis
@@ -97,6 +101,16 @@ class BoundQuiverAlgebra:
         self._endpoints = None  # set by paths_from
         self._columns = None  # set by column
         self._prefixes = None  # set by prefix_index
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        """The basis as Paths, in basis order, made on first read."""
+        return tuple(Path(self.quiver, None if w else v, w) for w, v in zip(self.words, self.src))
+
+    @functools.cached_property
+    def basis_index(self) -> dict:
+        """Path -> basis index, made on first read."""
+        return {p: i for i, p in enumerate(self.basis)}
 
     def product_coords(self, i: int, j: int) -> dict:
         """The nonzero coordinates of b_i b_j."""
@@ -135,8 +149,8 @@ class BoundQuiverAlgebra:
         target, built once per algebra and shared: read only."""
         if self._endpoints is None:
             index = {v: {} for v in self.quiver.vertices}
-            for i, p in enumerate(self.basis):
-                index[p.source].setdefault(p.target, []).append(i)
+            for i, (s, t) in enumerate(zip(self.src, self.tgt)):
+                index[s].setdefault(t, []).append(i)
             self._endpoints = index
         return self._endpoints[x]
 
@@ -146,18 +160,14 @@ class BoundQuiverAlgebra:
         the basis, since a subpath of a tip-free path is tip-free and build
         grows each basis path from a shorter one (a restriction's basis is
         the full algebra's paths avoiding some arrows, in the same order).
-        Read from a table built once per algebra; None at a stationary
-        path."""
+        Read from a table built once per algebra off the words; None at a
+        stationary path."""
         if self._prefixes is None:
-            prefixes = []
-            for p in self.basis:
-                if not p.arrows:
-                    prefixes.append(None)
-                elif p.length == 1:
-                    prefixes.append(self.idem_index[p.source])
-                else:
-                    prefixes.append(self.basis_index[Path(self.quiver, None, p.arrows[:-1])])
-            self._prefixes = prefixes
+            at = {w: k for k, w in enumerate(self.words) if w}
+            self._prefixes = [
+                (at[w[:-1]] if len(w) > 1 else self.idem_index[v]) if w else None
+                for w, v in zip(self.words, self.src)
+            ]
         return self._prefixes[i]
 
     def __repr__(self):
@@ -283,7 +293,8 @@ def build(
 
     Paths grow and reduce as words, tuples of arrow indices, the normal
     forms of the alive ones in a dict that the products are read from and
-    that ends with the build; a Path is made per basis element only."""
+    that ends with the build.  The algebra keeps the basis words and their
+    endpoints; it makes no Path until its basis is read."""
     if max_len_cap < 2:
         raise ValueError("max_len_cap must be >= 2")
     f = field if field is not None else exactla.field_from_spec(block.field_spec)
@@ -332,11 +343,9 @@ def build(
                 "arrow %r is zero in the algebra; ideal is not admissible" % (a.name,)
             )
         arrow_index_in_basis[a.name] = index[(i,)]
-    basis = tuple(
-        [Path.stationary(q, v) for v in q.vertices]
-        + [Path(q, None, w) for w in words[len(q.vertices) :]]
-    )
-    src, tgt = _ends(q, basis)
+    words = tuple(words)
+    src = q.vertices + tuple(q.arrows[w[0]].source for w in words[len(q.vertices) :])
+    tgt = q.vertices + tuple(q.arrows[w[-1]].target for w in words[len(q.vertices) :])
 
     # b_p b_r is zero unless r starts where p ends
     starts = _by_source(src)
@@ -355,24 +364,16 @@ def build(
         block=block,
         quiver=q,
         field=f,
-        basis=basis,
-        dim=len(basis),
+        words=words,
+        src=src,
+        tgt=tgt,
         zero_length=zero_length,
-        basis_index={p: i for i, p in enumerate(basis)},
         products=products,
         idem_index={v: i for i, v in enumerate(q.vertices)},
         arrow_index_in_basis=arrow_index_in_basis,
     )
     _verify_build(alg, block, relations)
     return alg
-
-
-def _ends(q: Quiver, paths) -> tuple:
-    """The lists of the sources and of the targets of the paths."""
-    arrows = q.arrows
-    src = [arrows[p.arrows[0]].source if p.arrows else p.vertex for p in paths]
-    tgt = [arrows[p.arrows[-1]].target if p.arrows else p.vertex for p in paths]
-    return src, tgt
 
 
 def _by_source(src) -> dict:
@@ -388,9 +389,9 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=N
     each basis path is its first arrow times the rest, the table is
     associative on the triples whose first factor is an arrow, the
     idempotents act as unit, and the declared relations vanish in the table.
-    It reads the basis endpoints as two lists and the basis paths as arrow
-    tuples; relations, the block's as vectors {arrows: c}, are made from the
-    block unless the build passes its own.
+    It reads the endpoint tables and the basis words, and makes Paths only
+    for the message of a failed check; relations, the block's as vectors
+    {arrows: c}, are made from the block unless the build passes its own.
 
     Graded: each nonzero b_i b_j has tgt(b_i) = src(b_j) and only
     coordinates k with src(b_k) = src(b_i), tgt(b_k) = tgt(b_j).  It holds
@@ -416,11 +417,11 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=N
     one = f.one()
     axpy = f.axpy
     q = alg.quiver
-    basis = alg.basis
+    words = alg.words
     products = alg.products
     idem = alg.idem_index
     name = alg.block.name
-    src, tgt = _ends(q, basis)
+    src, tgt = alg.src, alg.tgt
     # the structure constants are graded
     for i, row in enumerate(products):
         s, t = src[i], tgt[i]
@@ -432,16 +433,16 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=N
                         % (i, j, k, name)
                     )
     # each basis path is its first arrow times the rest
-    index = {p.arrows: k for k, p in enumerate(basis) if p.arrows}
-    for k, p in enumerate(basis):
-        w = p.arrows
+    index = {w: k for k, w in enumerate(words) if w}
+    for k, w in enumerate(words):
         if w:
             a = index[w[:1]]
             r = index[w[1:]] if len(w) > 1 else idem[tgt[k]]
             if products[a].get(r) != {k: one}:
+                basis = alg.basis
                 raise BuildCheckError(
                     "inconsistent reduction at %s * %s in %r: not the basis path %s"
-                    % (basis[a].label(), basis[r].label(), name, p.label())
+                    % (basis[a].label(), basis[r].label(), name, basis[k].label())
                 )
     # associativity with an arrow first: for each composable pair (a, j),
     # acc[l] holds (b_a b_j) b_l - b_a (b_j b_l), over the nonzero products
@@ -460,17 +461,17 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=N
                         axpy(out, f.neg(c), row_a[k])
             bad = [l for l, out in acc.items() if out]
             if bad:
-                l = min(bad)
+                l, basis = min(bad), alg.basis
                 raise BuildCheckError(
                     "associativity fails on basis triple (%d,%d,%d) = (%s, %s, %s) of %r"
                     % (a, j, l, basis[a].label(), basis[j].label(), basis[l].label(), name)
                 )
     # the unit law, per basis element
-    for k, p in enumerate(basis):
+    for k in range(alg.dim):
         e_src, e_tgt = idem[src[k]], idem[tgt[k]]
         if products[e_src].get(k) != {k: one} or products[k].get(e_tgt) != {k: one}:
             raise BuildCheckError(
-                "unit law fails at basis %d (%s) of %r" % (k, p.label(), name)
+                "unit law fails at basis %d (%s) of %r" % (k, alg.basis[k].label(), name)
             )
     # the declared relations vanish, each word the table product of its
     # arrows from e_src
@@ -504,7 +505,7 @@ def arrow_ideal_paths(alg: BoundQuiverAlgebra, arrows) -> tuple:
     it is closed under products with basis elements on both sides, which
     is checked on the nonzero structure constants."""
     idx = {alg.quiver.arrow_index[n] for n in arrows}
-    span = tuple(g for g, p in enumerate(alg.basis) if not idx.isdisjoint(p.arrows))
+    span = tuple(g for g, w in enumerate(alg.words) if not idx.isdisjoint(w))
     inside = set(span)
     for g, row in enumerate(alg.products):
         for h, cell in row.items():
@@ -541,7 +542,9 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
     hold: reducing modulo J is an algebra map, and each relation of the
     presentation (alg's, minus the terms in J) vanishes.
     dim(quotient) + dim(J) = dim(alg) by construction, and zero_length is
-    alg's.  The quotient shares alg's Arrow objects."""
+    alg's.  The quotient shares alg's Arrow objects; its words are alg's
+    re-keyed by the kept arrows' own indices, and its endpoint tables are
+    alg's at the kept indices."""
     block = alg.block
     kept_rels = []
     for rel in block.relations:
@@ -563,10 +566,7 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
     pos = {g: i for i, g in enumerate(kept)}
     # the deleted arrows keep the relative order of the others, and with it
     # the basis order
-    basis = tuple(
-        Path(q, p.vertex, tuple([own[k] for k in p.arrows]))
-        for p in map(alg.basis.__getitem__, kept)
-    )
+    words = tuple(tuple(map(own.__getitem__, alg.words[g])) for g in kept)
     products = []
     for g in kept:
         row = {}
@@ -580,10 +580,10 @@ def restrict(alg: BoundQuiverAlgebra, arrows, kept) -> BoundQuiverAlgebra:
         block=sub_block,
         quiver=q,
         field=alg.field,
-        basis=basis,
-        dim=len(basis),
+        words=words,
+        src=tuple(map(alg.src.__getitem__, kept)),
+        tgt=tuple(map(alg.tgt.__getitem__, kept)),
         zero_length=alg.zero_length,
-        basis_index={p: i for i, p in enumerate(basis)},
         products=products,
         idem_index={v: pos[g] for v, g in alg.idem_index.items()},
         arrow_index_in_basis={a.name: pos[alg.arrow_index_in_basis[a.name]] for a in q.arrows},

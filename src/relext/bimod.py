@@ -39,7 +39,7 @@ class Bimodule:
     ):
         """Refuses bad indices before any product is read, then reads dim,
         src and tgt (the vertex of e_v . m = m and of m . e_v = m, per basis
-        element) off the ambient basis paths at amb_index."""
+        element) off the ambient endpoint tables at amb_index."""
         self.acting = acting
         self.ambient = amb = ambient
         self._calculator = None  # set by hochschild.calculator
@@ -62,8 +62,8 @@ class Bimodule:
         self.dim = len(self.amb_index)
         if len(self._pos) != self.dim:
             raise ValueError("span lists a basis path twice")
-        self.src = tuple(amb.basis[g].source for g in self.amb_index)
-        self.tgt = tuple(amb.basis[g].target for g in self.amb_index)
+        self.src = tuple(map(amb.src.__getitem__, self.amb_index))
+        self.tgt = tuple(map(amb.tgt.__getitem__, self.amb_index))
 
     # -- actions -----------------------------------------------------------
 
@@ -224,14 +224,12 @@ def square_zero_ideal_paths(ambient: BoundQuiverAlgebra, arrow_names) -> tuple:
     unknown = arrow_set - set(ambient.arrow_index_in_basis)
     if unknown:
         raise ValueError("not arrows of %r: %s" % (ambient.block.name, sorted(unknown)))
-    for p in ambient.basis:
-        hits = sum(
-            1 for k in p.arrows if ambient.quiver.arrows[k].name in arrow_set
-        )
-        if hits >= 2:
+    idx = {ambient.quiver.arrow_index[n] for n in arrow_set}
+    for g, w in enumerate(ambient.words):
+        if sum(k in idx for k in w) >= 2:
             raise ValueError(
                 "path %s runs through two of the new arrows; "
-                "the extension ideal does not square to zero" % p.label()
+                "the extension ideal does not square to zero" % ambient.basis[g].label()
             )
     span = arrow_ideal_paths(ambient, arrow_set)
     # square-zero, checked on the ideal itself

@@ -712,6 +712,12 @@ def _components(names: tuple, links) -> list:
     return out
 
 
+def _labels(alg) -> list:
+    """The label of each basis path, Path.label's, read off the words."""
+    names = [a.name for a in alg.quiver.arrows]
+    return [".".join([names[k] for k in w]) or "e_" + v for w, v in zip(alg.words, alg.src)]
+
+
 class Family:
     """The tower C < B_S < Ctilde of one relation extension: the base C, the
     full extension Ctilde, and the partial extension B_S for every subset S
@@ -788,9 +794,9 @@ class Family:
             reduced = quotient_by_arrows(self.full, self.new_arrows)
         except IdealNotSpanned:
             reduced = None
-        if reduced is None or [p.label() for p in reduced.basis] != [
-            p.label() for p in self.base.basis
-        ] or reduced.products != self.base.products:
+        if reduced is None or _labels(reduced) != _labels(self.base) or (
+            reduced.products != self.base.products
+        ):
             raise SplitError(
                 "the full extension does not reduce to the declared base algebra"
             )
@@ -803,8 +809,8 @@ class Family:
         names = [a.name for a in self.full.quiver.arrows]
         # per Ctilde basis path, the first new arrow it runs through, or None
         self._through = [
-            next((names[k] for k in p.arrows if names[k] in self.new_arrows), None)
-            for p in self.full.basis
+            next((names[k] for k in w if names[k] in self.new_arrows), None)
+            for w in self.full.words
         ]
         self._partials = {self.new_arrows: self.full, (): self.base}
         # Ctilde basis index of each basis path, per subset

@@ -136,8 +136,9 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
     products a.x_i and x_i.a (Bimodule.touched), so a pair whose products
     both vanish costs nothing.  Built once per bimodule and kept on it, for
     h0 and h1 to share; callers read it and do not change it.  Raises
-    ValueError when a difference, after cancellation, leaves the bigraded
-    slice of its arrow."""
+    ArithmeticError, an internal fault, when a difference, after
+    cancellation, leaves the bigraded slice of its arrow: in a graded
+    bimodule a.x_i and x_i.a both lie in that slice."""
     layout = arrow_layout(alg, m)
     if m._ad is not None:
         return m._ad
@@ -154,7 +155,7 @@ def _inner_derivations(alg: BoundQuiverAlgebra, m: Bimodule) -> dict:
         for i, val in vals.items():
             for t, c in val.items():
                 if t not in col:
-                    raise ValueError("inner derivation leaves the arrow slice")
+                    raise ArithmeticError("inner derivation leaves the arrow slice")
                 ad[i][col[t]] = c
     m._ad = ad
     return ad
@@ -252,7 +253,7 @@ def h1(alg: BoundQuiverAlgebra, m: Bimodule) -> CohomologySpace:
     inn = Subspace.from_sparse(m.field, layout.total, ad.values())
     for b in inn.rows:
         if not der.contains(b):
-            raise ValueError("an inner derivation failed the relation constraints")
+            raise ArithmeticError("an inner derivation failed the relation constraints")
     return CohomologySpace(alg, m, layout, der, inn, ad)
 
 
@@ -280,10 +281,10 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
     one = f.one()
     in_basis = [alg.arrow_index_in_basis[a.name] for a in alg.quiver.arrows]
     out = []
-    for g, p in enumerate(alg.basis):
+    for g, w in enumerate(alg.words):
         val = {}
-        if p.arrows:
-            k, qi = p.arrows[-1], alg.prefix_index(g)
+        if w:
+            k, qi = w[-1], alg.prefix_index(g)
             if out[qi]:
                 val = m.right_act({in_basis[k]: one}, out[qi])
             if k in dvals:

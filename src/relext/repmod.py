@@ -267,9 +267,9 @@ def projective_cover(m: Representation) -> CoverData:
         pw = alg.paths_from(gv)
         image = {}
         for g in sorted(g for ps in pw.values() for g in ps):
-            p = alg.basis[g]
-            if p.arrows:
-                rho = m.rho[alg.quiver.arrows[p.arrows[-1]].name]
+            w = alg.words[g]
+            if w:
+                rho = m.rho[alg.quiver.arrows[w[-1]].name]
                 image[g] = exactla.compose(f, rho, [image[alg.prefix_index(g)]])[0]
             else:
                 image[g] = lift

@@ -26,7 +26,13 @@ path_build is the Groebner build as it was before the build moved to arrow
 index tuples: every alive path a hashed Path, its normal form cached in
 _nf_cache, the products read through nf_coords, and path_certificate, the
 same five checks on Path endpoints and per-entry field arithmetic.  The
-tests compare tables, rules, errors and messages with it.
+tests compare tables, rules, errors and messages with it.  Both reference
+algebras hand their Path basis to the words constructor as words and
+endpoint tables, and read it back made on demand like any algebra.
+
+path_prefixes is prefix_index as it read the Paths, and lazy_tables checks
+that an algebra's on-demand basis, Path index, endpoint tables and prefix
+table agree with each other.
 """
 
 from __future__ import annotations
@@ -219,17 +225,14 @@ def build(
                 basis.append(p)
     basis.sort(key=lambda p: p.sort_key())
     basis = tuple(basis)
-    dim = len(basis)
     basis_index = {p: i for i, p in enumerate(basis)}
 
     alg = ReferenceAlgebra(
         block=block,
         quiver=q,
         field=f,
-        basis=basis,
-        dim=dim,
+        **words_and_ends(basis),
         zero_length=zero_length,
-        basis_index=basis_index,
         products=[],
         idem_index={},
         arrow_index_in_basis={},
@@ -386,6 +389,44 @@ def enumerate_paths(q: Quiver, max_len: int) -> list:
 # -- the Path-based Groebner build ----------------------------------------------
 
 
+def words_and_ends(basis) -> dict:
+    """The words constructor's arguments of a basis of Paths."""
+    return {
+        "words": tuple(p.arrows for p in basis),
+        "src": tuple(p.source for p in basis),
+        "tgt": tuple(p.target for p in basis),
+    }
+
+
+def path_prefixes(alg: BoundQuiverAlgebra) -> list:
+    """prefix_index read off the Paths: per basis path, the basis index of
+    the path without its last arrow, None at a stationary path."""
+    out = []
+    for p in alg.basis:
+        if not p.arrows:
+            out.append(None)
+        elif p.length == 1:
+            out.append(alg.idem_index[p.source])
+        else:
+            out.append(alg.basis_index[Path(alg.quiver, None, p.arrows[:-1])])
+    return out
+
+
+def lazy_tables(alg: BoundQuiverAlgebra) -> tuple:
+    """(labels, endpoints, prefixes) of the basis made on demand, once its
+    Paths are checked to lie over the algebra's quiver and to agree with
+    basis_index, with the endpoint tables and with prefix_index."""
+    basis = alg.basis
+    assert all(p.quiver is alg.quiver for p in basis)
+    assert [p.arrows for p in basis] == list(alg.words)
+    assert alg.basis_index == {p: i for i, p in enumerate(basis)}
+    ends = list(zip(alg.src, alg.tgt))
+    assert ends == [(p.source, p.target) for p in basis]
+    prefixes = [alg.prefix_index(i) for i in range(alg.dim)]
+    assert prefixes == path_prefixes(alg)
+    return [p.label() for p in basis], ends, prefixes
+
+
 class PathAlgebra(BoundQuiverAlgebra):
     """A build whose normal forms are cached for every path asked."""
 
@@ -397,21 +438,27 @@ class PathAlgebra(BoundQuiverAlgebra):
     def nf_coords(self, path: Path) -> dict:
         """Nonzero coordinates {k: c} of a quiver path's class in the path
         basis."""
-        if path in self._nf_cache:
-            return self._nf_cache[path]
-        out = {}
-        if path.length < self.zero_length:
-            f = self.field
-            for w, c in _reduce(f, {path.arrows: f.one()}, self._rules).items():
-                p = Path(self.quiver, None, w)
-                if p not in self.basis_index:
-                    raise AlgebraBuildError(
-                        "reduction of %s leaves non-basis path %s"
-                        % (path.label(), p.label())
-                    )
-                out[self.basis_index[p]] = c
-        self._nf_cache[path] = out
-        return out
+        if path not in self._nf_cache:
+            below = path.length < self.zero_length
+            self._nf_cache[path] = (
+                _path_nf(self.field, self.quiver, self._rules, path, self.basis_index)
+                if below
+                else {}
+            )
+        return self._nf_cache[path]
+
+
+def _path_nf(f: Field, q: Quiver, rules: dict, path: Path, basis_index: dict) -> dict:
+    """{k: c} of the class of path by the rules, k read off basis_index."""
+    out = {}
+    for w, c in _reduce(f, {path.arrows: f.one()}, rules).items():
+        p = Path(q, None, w)
+        if p not in basis_index:
+            raise AlgebraBuildError(
+                "reduction of %s leaves non-basis path %s" % (path.label(), p.label())
+            )
+        out[basis_index[p]] = c
+    return out
 
 
 def path_relation_vector(q: Quiver, field: Field, rel: qdsl.RelationExpr) -> dict:
@@ -443,26 +490,22 @@ def path_build(
     )
 
     alive = {0: [Path.stationary(q, v) for v in q.vertices]}
-    alg = PathAlgebra(
-        block=block,
-        quiver=q,
-        field=f,
-        basis=(),
-        dim=0,
-        zero_length=max_len_cap + 1,  # until the nonzero paths run out
-        basis_index={p: i for i, p in enumerate(alive[0])},
-        products=[],
-        idem_index={v: i for i, v in enumerate(q.vertices)},
-        arrow_index_in_basis={},
-        _nf_cache={p: {i: f.one()} for i, p in enumerate(alive[0])},
-        _rules=rules,
-    )
+    # the basis, its index and the normal forms as they grow; the algebra
+    # is made from them once the basis is complete
+    basis = list(alive[0])
+    basis_index = {p: i for i, p in enumerate(basis)}
+    nf_cache = {p: {i: f.one()} for i, p in enumerate(basis)}
+
+    def nf(p):
+        if p not in nf_cache:
+            nf_cache[p] = _path_nf(f, q, rules, p, basis_index)
+        return nf_cache[p]
+
     # alive[L]: the paths grown from alive[L-1] whose class is nonzero, in
     # declaration order.  A normal form needs the basis up to its length.
-    basis = list(alive[0])
     for L in range(1, max_len_cap + 1):
         grown = [
-            (Path(q, None, p.arrows + (i,)), p in alg.basis_index)
+            (Path(q, None, p.arrows + (i,)), p in basis_index)
             for p in alive[L - 1]
             for i in q.out_arrows[p.target]
         ]
@@ -470,26 +513,37 @@ def path_build(
         # a path grown from a basis path holds a tip only as a suffix
         for p, free in grown:
             if free and not any(n <= L and p.arrows[-n:] in t for n, t in rules.items()):
-                alg.basis_index[p] = len(basis)
-                alg._nf_cache[p] = {len(basis): f.one()}
+                basis_index[p] = len(basis)
+                nf_cache[p] = {len(basis): f.one()}
                 basis.append(p)
-        alive[L] = [p for p, _ in grown if alg.nf_coords(p)]
+        alive[L] = [p for p, _ in grown if nf(p)]
         if L > 1 and not alive[L]:
-            alg.zero_length = L
+            zero_length = L
             break
     else:
         raise NotFiniteDimensionalError(
             "algebra %r is not finite-dimensional within cap %d"
             % (block.name, max_len_cap)
         )
-    alg.basis = basis = tuple(basis)
-    alg.dim = len(basis)
+    alg = PathAlgebra(
+        block=block,
+        quiver=q,
+        field=f,
+        **words_and_ends(basis),
+        zero_length=zero_length,
+        products=[],
+        idem_index={v: i for i, v in enumerate(q.vertices)},
+        arrow_index_in_basis={},
+        _nf_cache=nf_cache,
+        _rules=rules,
+    )
+    basis = alg.basis
     for i, a in enumerate(q.arrows):
-        if Path(q, None, (i,)) not in alg.basis_index:
+        if Path(q, None, (i,)) not in basis_index:
             raise AlgebraBuildError(
                 "arrow %r is zero in the algebra; ideal is not admissible" % (a.name,)
             )
-        alg.arrow_index_in_basis[a.name] = alg.basis_index[Path(q, None, (i,))]
+        alg.arrow_index_in_basis[a.name] = basis_index[Path(q, None, (i,))]
 
     # b_p b_r is zero unless r starts where p ends
     starts = by_source(basis)

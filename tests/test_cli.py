@@ -16,6 +16,7 @@ import cli_reference
 import relext
 from relext import algebra, cli, exactla, extensions, hochschild, repmod
 from relext.fixtures import fixture_path
+from relext.quiver import Path
 
 
 EX1 = fixture_path("ex1.quiv")
@@ -580,6 +581,69 @@ def test_internal_arithmetic_failure_prints_no_traceback():
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "internal error: class coordinates fail substitution\n"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "verb, k", [("verify", None), ("verify", 3), ("poset", 5)],
+    ids=["verify-ex1", "verify-chain3", "poset-chain5"],
+)
+def test_verify_and_poset_make_no_path(capsys, monkeypatch, tmp_path, chain_text, verb, k):
+    """verify and poset read basis words, endpoint tables, products and
+    indices, and print no basis label: neither constructs a Path, in human
+    or JSON form, on ex1 or on the chain family."""
+    path = EX1
+    if k is not None:
+        path = tmp_path / "chain.quiv"
+        path.write_text(chain_text(k))
+    made = []
+    init = Path.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Path, "__init__", counted)
+    for fmt in ("human", "json"):
+        argv = (verb, str(path), "--base", "C", "--tilde", "Ctilde", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out
+    assert made == []
+
+
+def _no_derivations(alg, m):
+    """derivation_space with every derivation lost: the inner ones then
+    fail the relation constraints."""
+    return exactla.Subspace.zero(m.field, hochschild.arrow_layout(alg, m).total)
+
+
+def _empty_layout(alg, m):
+    """arrow_layout with every arrow's slice emptied: every nonzero a.x - x.a
+    then leaves it."""
+    n = len(alg.quiver.arrows)
+    return hochschild.ArrowLayout([[] for _ in range(n)], [0] * n, 0)
+
+
+@pytest.mark.parametrize(
+    "name, patched, argv, msg",
+    [
+        (
+            "derivation_space",
+            _no_derivations,
+            ("hh", EX1, "C", "--degree", "1"),
+            "an inner derivation failed the relation constraints",
+        ),
+        ("arrow_layout", _empty_layout, ("hh", EX1, "C"), "inner derivation leaves the arrow slice"),
+    ],
+    ids=["inner-not-derivation", "inner-leaves-slice"],
+)
+def test_failed_inner_derivation_check_exits_3(capsys, monkeypatch, name, patched, argv, msg):
+    """The two checks on the inner derivations fail only on an internal
+    fault, as a graded bimodule passes both: exit 3 with one stderr line,
+    not the exit 2 of bad input."""
+    monkeypatch.setattr(hochschild, name, patched)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "internal error: %s\n" % msg
 
 
 def test_lift_that_fails_its_check_exits_3(capsys, monkeypatch):

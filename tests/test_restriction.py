@@ -21,7 +21,7 @@ from relext.algebra import (
 )
 from relext.exactla import PrimeField, QQ, Subspace
 from relext.quiver import Path
-from build_reference import enumerate_paths, nf_coords, rules_of
+from build_reference import enumerate_paths, lazy_tables, nf_coords, rules_of
 
 from dense_reference import action_tables, subspace_sum
 from families import squares
@@ -198,6 +198,9 @@ def _reference_partials(fam):
 
 def _assert_same_algebra(alg, ref):
     assert [p.label() for p in alg.basis] == [p.label() for p in ref.basis]
+    # the basis made on demand, its Path index, the endpoint tables and the
+    # prefix table, each agreeing with the Paths
+    assert lazy_tables(alg) == lazy_tables(ref)
     assert alg.products == ref.products
     assert alg.block == ref.block
     assert alg.idem_index == ref.idem_index

@@ -2,8 +2,8 @@
 the Path-based build it replaced (build_reference.path_build): the same
 basis, rules, vanishing length, products, index maps and normal forms on the
 fixtures and the generated families over Q and F7, the same outcome on
-random presentations with mixed-length relations, and one Path made per
-basis element."""
+random presentations with mixed-length relations, and no Path made until
+the basis is read, then one per basis element."""
 
 import os
 import re
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 import build_reference
 from families import squares
-from relext import algebra, qdsl
+from relext import qdsl
 from relext.algebra import AlgebraBuildError, NotFiniteDimensionalError, build
 from relext.exactla import QQ, PrimeField
 from relext.fixtures import fixture_text
@@ -42,6 +42,7 @@ def tables(alg):
         alg.idem_index,
         alg.arrow_index_in_basis,
         {(p.vertex, p.arrows): i for p, i in alg.basis_index.items()},
+        build_reference.lazy_tables(alg),
     )
 
 
@@ -98,19 +99,25 @@ def test_errors_match_path_reference():
 
 
 def test_build_makes_one_path_per_basis_element(monkeypatch, chain_text):
-    """No Path for an alive path outside the basis or for a product."""
+    """No Path for an alive path outside the basis, for a product, or for
+    the basis itself until it is read; then one per basis element, and no
+    more for basis_index."""
     made = []
+    init = Path.__init__
 
-    def path(*args):
+    def counted(self, *args):
         made.append(args)
-        return Path(*args)
+        init(self, *args)
 
-    path.stationary = lambda q, v: path(q, v, ())
-    monkeypatch.setattr(algebra, "Path", path)
+    monkeypatch.setattr(Path, "__init__", counted)
     for text in (chain_text(8), squares(4)):
         blk = qdsl.parse(text).block("Ctilde")
         del made[:]
         alg = build(blk, field=PrimeField(32003))
+        assert made == []
+        basis = alg.basis
+        assert len(made) == alg.dim
+        assert alg.basis_index[basis[-1]] == alg.dim - 1 and alg.basis is basis
         assert len(made) == alg.dim
         assert sum(map(len, alg.products)) > alg.dim
     # on the squares both a.c and b.d stay alive, one of them off the basis
