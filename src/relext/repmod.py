@@ -4,18 +4,20 @@ A right module M assigns to each vertex v the space M_v = M.e_v and to each
 arrow a: x -> y a linear map M_x -> M_y acting on row vectors, given as the
 list of the images of the basis of M_x, each a sparse {coordinate: x} on
 the basis of M_y; so the map of a path composes its arrow maps in path
-order.  A module map holds one such list per vertex.  The indecomposable
-projective P_i = e_i.A is graded by path target; the dual of the regular
-module (the injective cogenerator) is graded by path source.  Both read
-their paths off the algebra's index of the basis by endpoints
-(BoundQuiverAlgebra.paths_from), and a sum of projectives is built in one
-pass over its summands' own paths and the arrows out of their targets.
+order.  A module is stored on its support: dims holds the vertices where
+M_v is nonzero, rho exactly the arrows out of them, and every other vertex
+and arrow is 0 (read dims.get(v, 0) and rho.get(name, ())).  A module map
+holds one image list per vertex of its source's support.  Projectives
+P_i = e_i.A are graded by path target, and a sum of them is built in one
+pass over its summands' own paths (BoundQuiverAlgebra.paths_from); the
+dual of the regular module (the injective cogenerator) is graded by path
+source.
 
-Projective covers are minimal: one summand P_v per basis vector of the top.
-Syzygies are kernels of covers, kept as subrepresentations with explicit
-inclusion maps.  Two callers read this module: ext2_dimension counts
-dim Ext^2 from hom dimensions along one minimal resolution, and
-gldim_at_most bounds the projective dimensions of the simples.
+Projective covers are minimal, one summand P_v per basis vector of the top,
+and syzygies are kernels of covers with their inclusion maps.
+ext2_dimension counts dim Ext^2 from hom dimensions along one minimal
+resolution, and gldim_at_most bounds the projective dimensions of the
+simples.
 
 Modules satisfy the declared relations by construction, so the constructor
 checks shapes only:
@@ -26,7 +28,8 @@ checks shapes only:
   multiplication), a relation by 0; a sum acts blockwise on its summands.
 - simple: every arrow map is 0; qdsl rejects relation terms under 2 arrows.
 - ModuleMap.kernel: a submodule through an injective inclusion, which
-  ModuleMap checks commutes with every arrow.
+  ModuleMap checks commutes with every arrow out of the kernel's support
+  (the others act on 0).
 A cover that fails to surject, a kernel not closed under an arrow, and a
 module or module map failing a shape or commutation check are internal
 faults: ModuleCheckError, an ArithmeticError as well as a ValueError,
@@ -51,73 +54,75 @@ def _fits(images, nsource: int, ntarget: int) -> bool:
     )
 
 
+def _out(alg: BoundQuiverAlgebra, vertices) -> list:
+    q = alg.quiver  # the arrows out of the vertices, vertex by vertex
+    return [q.arrows[ai] for v in vertices for ai in q.out_arrows[v]]
+
+
+def _one_algebra(what: str, m, n):
+    if n.algebra is not m.algebra:
+        raise ModuleCheckError(
+            "%s between modules over different algebras, %r and %r"
+            % (what, m.algebra.block.name, n.algebra.block.name)
+        )
+
+
 class Representation:
-    def __init__(
-        self,
-        algebra: BoundQuiverAlgebra,
-        dims: dict,  # vertex -> int
-        rho: dict,  # arrow name -> images of the basis of M_source, sparse on M_target
-    ):
+    """A module on its support: dims maps each vertex where it is nonzero to
+    its dimension, and rho each arrow out of those vertices to its map."""
+
+    def __init__(self, algebra: BoundQuiverAlgebra, dims: dict, rho: dict):
         self.algebra = A = algebra
         self.dims = dims
         self.rho = rho
-        for v in A.quiver.vertices:
-            if v not in self.dims:
-                raise ModuleCheckError(
-                    "missing dimension for vertex %r of a module over %r" % (v, A.block.name)
-                )
-        for a in A.quiver.arrows:
-            m = self.rho.get(a.name)
+        for v, d in dims.items():
+            if v not in A.quiver.vertex_index or d <= 0:
+                raise self._fault("dimension %r for vertex %r" % (d, v))
+        out = _out(A, dims)
+        for a in out:
+            m, ns, nt = rho.get(a.name), dims[a.source], dims.get(a.target, 0)
             if m is None:
-                raise ModuleCheckError(
-                    "missing matrix for arrow %r of a module over %r" % (a.name, A.block.name)
-                )
-            if not _fits(m, self.dims[a.source], self.dims[a.target]):
-                raise ModuleCheckError(
-                    "matrix for %r does not map %d coordinates into %d in a module over %r"
-                    % (a.name, self.dims[a.source], self.dims[a.target], A.block.name)
-                )
+                raise self._fault("missing matrix for arrow %r" % (a.name,))
+            if not _fits(m, ns, nt):
+                what = "matrix for %r does not map %d coordinates into %d" % (a.name, ns, nt)
+                raise self._fault(what)
+        if len(rho) != len(out):
+            what = "%d matrices for the %d arrows out of the support" % (len(rho), len(out))
+            raise self._fault(what)
+
+    def _fault(self, what: str) -> ModuleCheckError:
+        return ModuleCheckError("%s of a module over %r" % (what, self.algebra.block.name))
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims[v] for v in self.algebra.quiver.vertices)
+        return sum(self.dims.values())
 
     def is_zero(self) -> bool:
-        return self.total_dim == 0
+        return not self.dims
 
     def __repr__(self):
-        ds = ", ".join(
-            "%s:%d" % (v, self.dims[v]) for v in self.algebra.quiver.vertices
-        )
-        return "Representation(%s)" % ds
+        order = sorted(self.dims, key=self.algebra.quiver.vertex_index.get)
+        return "Representation(%s)" % ", ".join("%s:%d" % (v, self.dims[v]) for v in order)
 
 
 class ModuleMap:
-    def __init__(
-        self,
-        source: Representation,
-        target: Representation,
-        mats: dict,  # vertex -> images of the basis of source_v, sparse on target_v
-    ):
+    def __init__(self, source: Representation, target: Representation, mats: dict):
         self.source = source
         self.target = target
         self.mats = mats
-        A = source.algebra
-        if self.target.algebra is not A:
-            raise ModuleCheckError(
-                "map between modules over different algebras, %r and %r"
-                % (A.block.name, self.target.algebra.block.name)
-            )
-        f = A.field
-        for v in A.quiver.vertices:
-            m = self.mats.get(v)
+        _one_algebra("map", source, target)
+        for v, d in source.dims.items():
+            m = mats.get(v)
             if m is None:
                 raise self._fault("missing matrix at vertex %r" % (v,))
-            if not _fits(m, self.source.dims[v], self.target.dims[v]):
+            if not _fits(m, d, target.dims.get(v, 0)):
                 raise self._fault("map shape mismatch at vertex %r" % (v,))
-        for a in A.quiver.arrows:
-            lhs = exactla.compose(f, self.mats[a.target], self.source.rho[a.name])
-            rhs = exactla.compose(f, self.target.rho[a.name], self.mats[a.source])
+        if len(mats) != len(source.dims):
+            raise self._fault("matrices at %d vertices, not %d" % (len(mats), len(source.dims)))
+        f = source.algebra.field
+        for a in _out(source.algebra, source.dims):
+            lhs = exactla.compose(f, mats.get(a.target, ()), source.rho[a.name])
+            rhs = exactla.compose(f, target.rho.get(a.name, ()), mats[a.source])
             if lhs != rhs:
                 raise self._fault("map does not commute with arrow %r" % (a.name,))
 
@@ -129,27 +134,27 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         f = self.source.algebra.field
-        dims = self.target.dims
         return all(
-            exactla.rank(f, dims[v], self.mats[v]) == dims[v] for v in self.mats if dims[v]
+            v in self.mats and exactla.rank(f, d, self.mats[v]) == d
+            for v, d in self.target.dims.items()
         )
 
     def kernel(self):
         """The kernel subrepresentation and its inclusion map."""
         A = self.source.algebra
         f = A.field
-        # vertex -> Subspace of row vectors killed by mats[v]
-        bases = {
-            v: exactla.kernel(f, self.target.dims[v], self.mats[v])
-            if self.source.dims[v] else Subspace.zero(f, 0)
-            for v in A.quiver.vertices
-        }
-        dims = {v: bases[v].dim for v in bases}
+        # vertex -> Subspace of row vectors killed by mats[v], where nonzero
+        bases = {}
+        for v, m in self.mats.items():
+            b = exactla.kernel(f, self.target.dims.get(v, 0), m)
+            if b.dim:
+                bases[v] = b
         rho = {}
-        for a in A.quiver.arrows:
+        for a in _out(A, bases):
+            at = bases.get(a.target) or Subspace.zero(f, self.source.dims.get(a.target, 0))
             images = []
             for img in exactla.compose(f, self.source.rho[a.name], bases[a.source].rows):
-                coords = bases[a.target].coordinates_of(img)
+                coords = at.coordinates_of(img)
                 if coords is None:
                     raise ModuleCheckError(
                         "kernel of a map from a module of dim %d over %r is not "
@@ -157,15 +162,13 @@ class ModuleMap:
                     )
                 images.append(coords)
             rho[a.name] = images
-        ker = Representation(A, dims, rho)
-        incl = ModuleMap(ker, self.source, {v: list(bases[v].rows) for v in bases})
+        ker = Representation(A, {v: b.dim for v, b in bases.items()}, rho)
+        incl = ModuleMap(ker, self.source, {v: list(b.rows) for v, b in bases.items()})
         return ker, incl
 
 
 def simple(alg: BoundQuiverAlgebra, vertex) -> Representation:
-    dims = {v: (1 if v == vertex else 0) for v in alg.quiver.vertices}
-    rho = {a.name: [{} for _ in range(dims[a.source])] for a in alg.quiver.arrows}
-    return Representation(alg, dims, rho)
+    return Representation(alg, {vertex: 1}, {a.name: [{}] for a in _out(alg, [vertex])})
 
 
 def projective_sum(alg: BoundQuiverAlgebra, vertices) -> Representation:
@@ -175,27 +178,25 @@ def projective_sum(alg: BoundQuiverAlgebra, vertices) -> Representation:
     stationary path of a summand comes first among its paths at v.  Built
     in one pass over the summands' own paths: a path g of e_v.A ending at x
     meets only the arrows a out of x, and g.a = products[g][a] lies in
-    e_v A e_y for a: x -> y, placed at the summand's offset at y."""
-    q = alg.quiver
-    dims = {w: 0 for w in q.vertices}
-    rho = {a.name: [] for a in q.arrows}
+    e_v A e_y for a: x -> y, placed at the summand's offset at y.  dims
+    holds the vertices in the order the summands' paths first reach them."""
+    dims = {}
+    rho = {}
     place = {}  # v -> {basis index h in e_v.A: its position in e_v A e_target(h)}
     for v in vertices:
         paths = alg.paths_from(v)
         pos = place.get(v)
         if pos is None:
             pos = place[v] = {h: r for hs in paths.values() for r, h in enumerate(hs)}
-        for x, gs in paths.items():
-            for ai in q.out_arrows[x]:
-                a = q.arrows[ai]
-                ia = alg.arrow_index_in_basis[a.name]
-                off = dims[a.target]  # this summand's offset, as dims grows below
-                rho[a.name] += (
-                    {off + pos[h]: c for h, c in alg.products[g].get(ia, {}).items()}
-                    for g in gs
-                )
+        for a in _out(alg, paths):
+            ia = alg.arrow_index_in_basis[a.name]
+            off = dims.get(a.target, 0)  # this summand's offset, as dims grows below
+            rho.setdefault(a.name, []).extend(
+                {off + pos[h]: c for h, c in alg.products[g].get(ia, {}).items()}
+                for g in paths[a.source]
+            )
         for w, hs in paths.items():
-            dims[w] += len(hs)
+            dims[w] = dims.get(w, 0) + len(hs)
     return Representation(alg, dims, rho)
 
 
@@ -243,23 +244,19 @@ class CoverData:
 def projective_cover(m: Representation) -> CoverData:
     alg = m.algebra
     f = alg.field
-    into = {}  # vertex -> the arrows into it, in declaration order
-    for a in alg.quiver.arrows:
-        into.setdefault(a.target, []).append(a)
-    gens = []
-    for v in alg.quiver.vertices:
-        if not m.dims[v]:
-            continue
-        # the radical at v, the images of the arrows into v, then the top
-        span = exactla.Echelon(f)
-        for a in into.get(v, ()):
-            for img in m.rho[a.name]:
-                span.insert(img)
+    # vertex -> echelon of the radical there, the images of the arrows into it
+    spans = {v: exactla.Echelon(f) for v in m.dims}
+    for a in _out(alg, m.dims):
+        for img in m.rho[a.name]:
+            if img:  # images into a vertex outside the support are all empty
+                spans[a.target].insert(img)
+    gens = []  # a basis of the top, completing the radical, in vertex order
+    for v in sorted(m.dims, key=alg.quiver.vertex_index.get):
         for j in range(m.dims[v]):
-            if span.insert({j: f.one()}) is not None:
+            if spans[v].insert({j: f.one()}) is not None:
                 gens.append((v, {j: f.one()}))
     cover = projective_sum(alg, [gv for gv, _ in gens])
-    mats = {w: [] for w in alg.quiver.vertices}
+    mats = {}
     for gv, lift in gens:
         # lift.p for each basis path p from gv, by the prefix walk: p = q.a
         # with q met earlier (BoundQuiverAlgebra.prefix_index), and
@@ -269,12 +266,12 @@ def projective_cover(m: Representation) -> CoverData:
         for g in sorted(g for ps in pw.values() for g in ps):
             w = alg.words[g]
             if w:
-                rho = m.rho[alg.quiver.arrows[w[-1]].name]
+                rho = m.rho.get(alg.quiver.arrows[w[-1]].name, ())
                 image[g] = exactla.compose(f, rho, [image[alg.prefix_index(g)]])[0]
             else:
                 image[g] = lift
         for w, ps in pw.items():
-            mats[w] += (image[g] for g in ps)
+            mats.setdefault(w, []).extend(image[g] for g in ps)
     cover_map = ModuleMap(cover, m, mats)
     if not cover_map.is_surjective():
         raise ModuleCheckError(
@@ -307,23 +304,25 @@ def gldim_at_most(alg: BoundQuiverAlgebra, n: int) -> bool:
 
 def hom_space(m: Representation, n: Representation) -> Subspace:
     """Hom_A(M, N) in the flattened per-vertex matrices F_v (vertex order,
-    row-major): the solutions of rho_M(a) F_y = F_x rho_N(a) for every arrow
-    a: x -> y, one sparse row per entry (i, j) of that equation."""
+    row-major, over the vertices where M and N are both nonzero): the
+    solutions of rho_M(a) F_y = F_x rho_N(a) for every arrow a: x -> y with
+    M_x and N_y nonzero, one sparse row per entry (i, j) of that equation."""
+    _one_algebra("hom space", m, n)
     alg = m.algebra
-    if n.algebra is not alg:
-        raise ValueError("modules over different algebras")
     f = alg.field
     offs = {}
     pos = 0
-    for v in alg.quiver.vertices:
+    for v in sorted(m.dims.keys() & n.dims.keys(), key=alg.quiver.vertex_index.get):
         offs[v] = pos
         pos += m.dims[v] * n.dims[v]
     rows = []
-    for a in alg.quiver.arrows:
+    for a in _out(alg, m.dims):
         x, y = a.source, a.target
+        if y not in n.dims:
+            continue
         rm = m.rho[a.name]  # images of the basis of M_x in M_y
         ncols = {}  # j -> [(l, entry j of the image of N_x's basis vector l)]
-        for l, img in enumerate(n.rho[a.name]):
+        for l, img in enumerate(n.rho.get(a.name, ())):
             for j, c in img.items():
                 ncols.setdefault(j, []).append((l, c))
         for i in range(m.dims[x]):
@@ -353,7 +352,7 @@ def ext2_of_modules(m: Representation, n: Representation) -> int:
     omega1 = projective_cover(m).cover_map.kernel()[0]
     cd = projective_cover(omega1)
     omega2 = cd.cover_map.kernel()[0]
-    hom_p1 = sum(n.dims[v] for v, _ in cd.gens)
+    hom_p1 = sum(n.dims.get(v, 0) for v, _ in cd.gens)
     return hom_space(omega2, n).dim - hom_p1 + hom_space(omega1, n).dim
 
 

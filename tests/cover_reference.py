@@ -15,7 +15,8 @@ from relext import exactla
 
 def path_matrix(rep, path) -> list:
     """The images of the basis of rep at the path's source under the path,
-    its arrow maps composed in path order."""
+    its arrow maps composed in path order; rep in the all-vertex format
+    (module_reference.padded)."""
     f = rep.algebra.field
     if path.length == 0:
         return [{i: f.one()} for i in range(rep.dims[path.vertex])]
@@ -27,9 +28,10 @@ def path_matrix(rep, path) -> list:
 
 
 def cover_mats(m, gens) -> dict:
-    """The per-vertex images of the cover map of m for the generators gens
-    (vertex, lift): the lift of each generator times the path matrix of
-    every basis path from its vertex, summands in generator order."""
+    """The per-vertex images of the cover map of m, in the all-vertex
+    format, for the generators gens (vertex, lift): the lift of each
+    generator times the path matrix of every basis path from its vertex,
+    summands in generator order, at every vertex."""
     alg = m.algebra
     f = alg.field
     paths = [projective_paths(alg, gv) for gv, _ in gens]

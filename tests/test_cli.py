@@ -721,7 +721,8 @@ def test_kernel_not_closed_under_an_arrow_exits_3(capsys, monkeypatch):
 
 def test_cover_map_that_fails_to_commute_exits_3(capsys, monkeypatch):
     """One entry of the first cover map ext2 builds, for the dual of ex1's
-    C (dim 11, covered by dim 18), doubled: ModuleMap's commutation check
+    C (dim 11, covered by dim 18), doubled at the first vertex in quiver
+    order that has one: ModuleMap's commutation check
     is an internal fault, not bad input, so exit 3 with one stderr line
     naming the algebra and both dimensions."""
     real = repmod.ModuleMap
@@ -730,7 +731,7 @@ def test_cover_map_that_fails_to_commute_exits_3(capsys, monkeypatch):
     def corrupting(source, target, mats):
         if not calls:
             f = source.algebra.field
-            v = next(v for v in mats if any(mats[v]))
+            v = next(v for v in source.algebra.quiver.vertices if any(mats.get(v, ())))
             i = next(i for i, img in enumerate(mats[v]) if img)
             mats[v][i] = {k: f.add(c, c) for k, c in mats[v][i].items()}
         calls.append(mats)

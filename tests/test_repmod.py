@@ -54,8 +54,8 @@ def test_syzygy_exactness(algebras):
     alg = algebras[("ex2", "C")]
     for v in alg.quiver.vertices:
         s = repmod.simple(alg, v)
-        syz = modref.syzygy(s)
-        assert syz.kernel.total_dim == syz.cover.total_dim - s.total_dim
+        cd = repmod.projective_cover(s)
+        assert cd.cover_map.kernel()[0].total_dim == cd.cover.total_dim - s.total_dim
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -82,11 +82,6 @@ def test_pd_builds_one_cover_per_step(algebras, monkeypatch, name):
             assert len(calls) == pd + 1, (alg_name, v)
 
 
-def _same_module(a, b):
-    """Equal entry for entry: the same dimensions and arrow images."""
-    return a.dims == b.dims and a.rho == b.rho
-
-
 def test_projective_cover_is_the_reference_sum(algebras, monkeypatch):
     """P_v + P_v + P_w has two generators at v; its cover is one sum built in
     one pass, entry for entry the per-vertex projectives P_v, P_v, P_w summed
@@ -98,11 +93,11 @@ def test_projective_cover_is_the_reference_sum(algebras, monkeypatch):
     calls = []
     real = repmod.projective_sum
     monkeypatch.setattr(repmod, "projective_sum", lambda a, us: calls.append(list(us)) or real(a, us))
-    cd = repmod.projective_cover(m)
+    cd = repmod.projective_cover(modref.on_support(m))
     assert [g for g, _ in cd.gens] == [v, v, w]
     assert calls == [[v, v, w]]
-    assert _same_module(cd.cover, m)
-    assert cd.cover.dims == m.dims and cd.cover_map.is_surjective()
+    assert modref.same_module(cd.cover, m)
+    assert cd.cover_map.is_surjective()
 
 
 EXT2 = {"ex1": 2, "ex2": 8}
@@ -125,8 +120,8 @@ def test_injective_cogenerator_dimension(algebras):
 def test_zero_and_direct_sum(algebras):
     alg = algebras[("ex1", "C")]
     z = modref.direct_sum(alg, [])
-    assert z.is_zero() and repmod.is_projective(z)
-    assert _same_module(repmod.projective_sum(alg, []), z)
+    assert z.is_zero() and repmod.is_projective(modref.on_support(z))
+    assert modref.same_module(repmod.projective_sum(alg, []), z)
     s1 = repmod.simple(alg, alg.quiver.vertices[0])
     s2 = repmod.simple(alg, alg.quiver.vertices[1])
     d = modref.direct_sum(alg, [s1, s2])
@@ -139,7 +134,9 @@ def test_zero_and_direct_sum(algebras):
 
 def reference_hom_space(m, n):
     """Hom(M, N) from the dense system, one row per equation entry, over
-    the dense matrices of the arrow maps."""
+    the dense matrices of the arrow maps, with M and N padded out to every
+    vertex and arrow."""
+    m, n = modref.padded(m), modref.padded(n)
     alg = m.algebra
     f = alg.field
     offs = {}
@@ -194,13 +191,13 @@ def _cover_hom_images(syz, n):
                     full.entries[offsets[k][w] + r] = f.dense(pm[j], n.dims[w])
                 mats[w] = full
             # phi: P1 -> N and psi = phi after the inclusion; building each
-            # ModuleMap checks that it commutes with every arrow
-            repmod.ModuleMap(syz.cover, n, {w: _images(m) for w, m in mats.items()})
+            # FullModuleMap checks that it commutes with every arrow
+            modref.FullModuleMap(syz.cover, n, {w: _images(m) for w, m in mats.items()})
             psi = {
                 v: ref.mul(ref.from_images(f, incl.mats[v], syz.cover.dims[v]), mats[v])
                 for v in mats
             }
-            repmod.ModuleMap(incl.source, n, {v: _images(m) for v, m in psi.items()})
+            modref.FullModuleMap(incl.source, n, {v: _images(m) for v, m in psi.items()})
             vecs.append([x for v in alg.quiver.vertices for row in psi[v].entries
                          for x in row])
     return vecs
@@ -208,8 +205,8 @@ def _cover_hom_images(syz, n):
 
 def reference_ext2(alg):
     """dim Hom(Omega^2 M, N) minus the maps that extend to the cover of
-    Omega M, for M = DA and N = A."""
-    n = repmod.regular(alg)
+    Omega M, for M = DA and N = A, in the all-vertex format."""
+    n = modref.projective_sum(alg, alg.quiver.vertices)
     s1 = modref.syzygy(repmod.injective_cogenerator(alg))
     s2 = modref.syzygy(s1.kernel)
     h = reference_hom_space(s2.kernel, n)
@@ -221,17 +218,17 @@ def reference_ext2(alg):
 
 def reference_gldim_at_most(alg, n):
     """The pd loop that builds one cover for is_projective and another for
-    the syzygy."""
+    the syzygy, in the all-vertex format."""
 
     def pd_at_most(m):
         cur = m
         for _ in range(n):
-            if repmod.is_projective(cur):
+            if modref.is_projective(cur):
                 return True
             cur = modref.syzygy(cur).kernel
-        return repmod.is_projective(cur)
+        return modref.is_projective(cur)
 
-    return all(pd_at_most(repmod.simple(alg, v)) for v in alg.quiver.vertices)
+    return all(pd_at_most(modref.simple(alg, v)) for v in alg.quiver.vertices)
 
 
 def _reference_cases(files, chain_text, field):
@@ -265,6 +262,7 @@ def test_counts_match_references(files, chain_text, field):
 def relations_act_by_zero(rep):
     """Every declared relation acts by zero on rep: the sum of its terms'
     path matrices, weighted by the coefficients, vanishes."""
+    rep = modref.padded(rep)
     alg = rep.algebra
     f = alg.field
     for rel in alg.block.relations:
@@ -293,14 +291,24 @@ def _module_cases(files, chain_text, field):
     return algs
 
 
-def built_modules(alg, monkeypatch, check=None, reference=False):
+def _reference_sum(alg, vertices):
+    """modref.projective_sum stored on its support, with each per-vertex
+    projective built on its support too."""
+    for v in dict.fromkeys(vertices):
+        modref.on_support(modref.projective(alg, v))
+    return modref.on_support(modref.projective_sum(alg, vertices))
+
+
+def built_modules(alg, monkeypatch, check=None, reference=False, maps=False):
     """Every module that ext2_dimension and gldim_at_most(alg, 2) construct:
     sums of projectives, the dual, simples and kernels, each passed to check
     (when given) as it is built.  With reference, the sums are built as
     tests/module_reference.py builds them, so the per-vertex projectives
-    and the sums of the covers' summands are among the modules too."""
+    and the sums of the covers' summands are among the modules too.  With
+    maps, every module map is listed too, in the order of construction."""
     built = []
     init = repmod.Representation.__init__
+    map_init = repmod.ModuleMap.__init__
 
     def checked_init(rep, *fields):
         init(rep, *fields)
@@ -308,10 +316,16 @@ def built_modules(alg, monkeypatch, check=None, reference=False):
             check(rep)
         built.append(rep)
 
+    def listed_map_init(m, *fields):
+        map_init(m, *fields)
+        built.append(m)
+
     with monkeypatch.context() as mp:
         mp.setattr(repmod.Representation, "__init__", checked_init)
+        if maps:
+            mp.setattr(repmod.ModuleMap, "__init__", listed_map_init)
         if reference:
-            mp.setattr(repmod, "projective_sum", modref.projective_sum)
+            mp.setattr(repmod, "projective_sum", _reference_sum)
         repmod.ext2_dimension(alg)
         repmod.gldim_at_most(alg, 2)
     return built
@@ -339,10 +353,11 @@ def test_cover_map_matches_path_by_path_reference(files, chain_text, monkeypatch
     for alg in _module_cases(files, chain_text, field):
         for rep in built_modules(alg, monkeypatch, reference=True):
             cd = repmod.projective_cover(rep)
-            assert cd.cover_map.mats == cover_mats(rep, cd.gens), (alg.block.name, rep)
+            mats = modref.padded_map(cd.cover_map).mats
+            assert mats == cover_mats(modref.padded(rep), cd.gens), (alg.block.name, rep)
             modules += 1
             # the nonzero images of basis paths of length >= 2
-            for w, imgs in cd.cover_map.mats.items():
+            for w, imgs in mats.items():
                 ps = [g for gv, _ in cd.gens for g in modref.projective_paths(alg, gv)[w]]
                 deep += sum(bool(img) and alg.basis[g].length > 1 for g, img in zip(ps, imgs))
     assert modules > 900 and deep > 1000
@@ -363,9 +378,9 @@ def test_projective_sums_match_the_per_vertex_reference(files, chain_text, monke
         return cd
 
     for alg in _module_cases(files, chain_text, field):
-        assert _same_module(repmod.regular(alg), modref.projective_sum(alg, alg.quiver.vertices))
+        assert modref.same_module(repmod.regular(alg), modref.projective_sum(alg, alg.quiver.vertices))
         for v in alg.quiver.vertices:
-            assert _same_module(repmod.projective(alg, v), modref.projective(alg, v))
+            assert modref.same_module(repmod.projective(alg, v), modref.projective(alg, v))
         del covers[:]
         with monkeypatch.context() as mp:
             mp.setattr(repmod, "projective_cover", recording)
@@ -374,7 +389,7 @@ def test_projective_sums_match_the_per_vertex_reference(files, chain_text, monke
         assert covers
         for cd in covers:
             want = modref.projective_sum(alg, [gv for gv, _ in cd.gens])
-            assert _same_module(cd.cover, want), (alg.block.name, cd.gens)
+            assert modref.same_module(cd.cover, want), (alg.block.name, cd.gens)
 
 
 def test_constructor_accepts_a_module_breaking_the_relations(algebras):
@@ -389,17 +404,31 @@ def test_constructor_accepts_a_module_breaking_the_relations(algebras):
 
 
 def test_constructor_refuses_bad_shapes(algebras):
+    """A module stores its support: a vertex outside the quiver or without a
+    positive dimension, an arrow out of the support without a matrix, a
+    matrix out of a vertex outside the support, and images out of range
+    (at a target outside the support, any nonzero image) are refused."""
     alg = algebras[("ex1", "C")]
     f = alg.field
     dims = {v: 1 for v in alg.quiver.vertices}
     rho = {a.name: [{}] for a in alg.quiver.arrows}
-    with pytest.raises(ValueError, match="missing dimension for vertex '5'"):
-        repmod.Representation(alg, {v: 1 for v in alg.quiver.vertices[:-1]}, rho)
+    for v, d in (("z", 1), ("5", 0), ("5", -1)):
+        with pytest.raises(ValueError, match="dimension %d for vertex '%s'" % (d, v)):
+            repmod.Representation(alg, dict(dims, **{v: d}), rho)
     with pytest.raises(ValueError, match="missing matrix for arrow 'gamma'"):
         repmod.Representation(alg, dims, {n: m for n, m in rho.items() if n != "gamma"})
+    # gamma: 5 -> 3 leaves a vertex outside the support
+    no5 = {v: 1 for v in alg.quiver.vertices if v != "5"}
+    with pytest.raises(ValueError, match="4 matrices for the 3 arrows out of the support"):
+        repmod.Representation(alg, no5, rho)
     for bad in ([], [{}, {}], [{1: f.one()}], [{-1: f.one()}]):
         with pytest.raises(ValueError, match="matrix for 'alpha' does not map 1 coordinates into 1"):
             repmod.Representation(alg, dims, dict(rho, alpha=bad))
+    # beta: 3 -> 1 into a vertex outside the support maps onto 0 coordinates
+    no1 = {v: 1 for v in alg.quiver.vertices if v != "1"}
+    assert repmod.Representation(alg, no1, rho).total_dim == 4
+    with pytest.raises(ValueError, match="matrix for 'beta' does not map 1 coordinates into 0"):
+        repmod.Representation(alg, no1, dict(rho, beta=[{0: f.one()}]))
 
 
 def test_shape_and_commutation_faults_are_module_check_errors(algebras):
@@ -412,7 +441,7 @@ def test_shape_and_commutation_faults_are_module_check_errors(algebras):
     dims = {v: 1 for v in alg.quiver.vertices}
     rho = {a.name: [{}] for a in alg.quiver.arrows}
     with pytest.raises(repmod.ModuleCheckError, match="vertex '5' of a module over 'C'"):
-        repmod.Representation(alg, {v: 1 for v in alg.quiver.vertices[:-1]}, rho)
+        repmod.Representation(alg, dict(dims, **{"5": 0}), rho)
     zero = repmod.Representation(alg, dims, rho)
     ident = repmod.Representation(
         alg, dims, {a.name: [{0: f.one()}] for a in alg.quiver.arrows}
@@ -427,6 +456,129 @@ def test_shape_and_commutation_faults_are_module_check_errors(algebras):
     for mats, msg in cases:
         with pytest.raises(repmod.ModuleCheckError, match=re.escape(what + msg)):
             repmod.ModuleMap(zero, ident, mats)
+    # a block at a vertex outside the source's support
+    sink = repmod.simple(alg, "1")
+    with pytest.raises(
+        repmod.ModuleCheckError,
+        match=re.escape("map from a module of dim 1 to one of dim 5 over 'C': "
+                        "matrices at 2 vertices, not 1"),
+    ):
+        repmod.ModuleMap(sink, ident, {"1": [{0: f.one()}], "2": []})
     elsewhere = repmod.simple(other, other.quiver.vertices[0])
     with pytest.raises(repmod.ModuleCheckError, match="over different algebras, 'C' and 'Ctilde'"):
         repmod.ModuleMap(zero, elsewhere, units)
+
+
+def test_hom_space_over_different_algebras_is_a_module_check_error(algebras):
+    """hom_space refuses modules over two algebras as ModuleMap does: a
+    ModuleCheckError naming both, still a ValueError."""
+    c, ct = algebras[("ex1", "C")], algebras[("ex1", "Ctilde")]
+    with pytest.raises(
+        repmod.ModuleCheckError,
+        match="hom space between modules over different algebras, 'C' and 'Ctilde'",
+    ) as err:
+        repmod.hom_space(repmod.simple(c, "1"), repmod.simple(ct, "1"))
+    assert isinstance(err.value, ValueError)
+
+
+# -- modules on their support, against the all-vertex format -----------------
+
+
+def _support_cases(files, chain_text, field):
+    """Every ex1/ex2 block, chain k <= 6 and squares k <= 3."""
+    texts = [chain_text(k) for k in range(1, 7)] + [squares(k) for k in range(1, 4)]
+    blocks = [b for n in ("ex1", "ex2") for b in files[n].blocks]
+    blocks += [b for t in texts for b in qdsl.parse(t).blocks]
+    return [build(b, field) for b in blocks]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_built_modules_match_the_all_vertex_reference(files, chain_text, monkeypatch, field):
+    """Every module and module map that ext2_dimension and
+    gldim_at_most(alg, 2) build, padded out to every vertex and arrow,
+    equals entry for entry the one that the all-vertex reference
+    (tests/module_reference.py) builds at the same step, and passes its
+    checks: every vertex and arrow, commutation with every arrow.  Each
+    stored module holds positive dimensions only."""
+    count = 0
+    for alg in _support_cases(files, chain_text, field):
+        got = built_modules(alg, monkeypatch, maps=True)
+        want = modref.built_in_order(alg)
+        assert len(got) == len(want), alg.block.name
+        for g, w in zip(got, want):
+            if isinstance(w, modref.FullModuleMap):
+                assert isinstance(g, repmod.ModuleMap)
+                assert modref.same_map(g, w), (alg.block.name, g.source, g.target)
+            else:
+                assert isinstance(g, repmod.Representation)
+                assert modref.same_module(g, w), (alg.block.name, g)
+                assert all(d > 0 for d in g.dims.values())
+        count += len(got)
+    assert count > 950
+
+
+def _module(alg, dims, rho):
+    """A module over alg given on its support, checked by the all-vertex
+    constructor too."""
+    rep = repmod.Representation(alg, dims, rho)
+    modref.padded(rep)
+    return rep
+
+
+def test_kernel_support_skips_a_vertex(algebras):
+    """On ex1's C (2 -alpha-> 3 -beta-> 1, 3 -delta-> 4, alpha.beta = 0),
+    S_2 + P_3 onto S_3 has the kernel S_2 + S_1 + S_4: supported at 2 and 1
+    but not at 3 between them.  It stores alpha, into 3, with a zero image,
+    and neither beta nor delta; it equals the all-vertex kernel."""
+    alg = algebras[("ex1", "C")]
+    f = alg.field
+    m = modref.on_support(
+        modref.direct_sum(alg, [repmod.simple(alg, "2"), repmod.projective(alg, "3")])
+    )
+    assert m.dims == {"2": 1, "3": 1, "1": 1, "4": 1}
+    onto = repmod.ModuleMap(
+        m, repmod.simple(alg, "3"), {"2": [{}], "3": [{0: f.one()}], "1": [{}], "4": [{}]}
+    )
+    ker, incl = onto.kernel()
+    assert ker.dims == {"2": 1, "1": 1, "4": 1}
+    assert ker.rho == {"alpha": [{}]}
+    assert sorted(incl.mats) == ["1", "2", "4"]
+    assert repr(ker) == "Representation(1:1, 2:1, 4:1)"
+    full_ker, full_incl = modref.padded_map(onto).kernel()
+    assert modref.same_module(ker, full_ker)
+    assert modref.same_map(incl, full_incl)
+
+
+def test_simple_at_a_source_and_at_a_sink(algebras):
+    """S_2 at a source stores its one arrow out, alpha, with a zero image;
+    S_1 at a sink stores no arrow.  S_1 is projective, and the cover of S_2
+    is P_2 (e_2, alpha, alpha.delta) with kernel its radical, at 3 and 4,
+    which stores beta, into 1, with a zero image."""
+    alg = algebras[("ex1", "C")]
+    source, sink = repmod.simple(alg, "2"), repmod.simple(alg, "1")
+    assert (source.dims, source.rho) == ({"2": 1}, {"alpha": [{}]})
+    assert (sink.dims, sink.rho) == ({"1": 1}, {})
+    for s, v in ((source, "2"), (sink, "1")):
+        assert modref.same_module(s, modref.simple(alg, v))
+        assert repr(s) == "Representation(%s:1)" % v
+    assert repmod.is_projective(sink)
+    cd = repmod.projective_cover(source)
+    assert cd.gens == [("2", {0: alg.field.one()})]
+    assert cd.cover.dims == {"2": 1, "3": 1, "4": 1}
+    ker = cd.cover_map.kernel()[0]
+    one = alg.field.one()
+    assert (ker.dims, ker.rho) == ({"3": 1, "4": 1}, {"beta": [{}], "delta": [{0: one}]})
+
+
+def test_zero_kernel(algebras):
+    """The cover of a projective has the zero kernel: no vertex, no arrow,
+    no block of its inclusion."""
+    alg = algebras[("ex1", "C")]
+    for v in alg.quiver.vertices:
+        cd = repmod.projective_cover(repmod.projective(alg, v))
+        ker, incl = cd.cover_map.kernel()
+        assert ker.is_zero() and ker.total_dim == 0
+        assert (ker.dims, ker.rho, incl.mats) == ({}, {}, {})
+        assert repr(ker) == "Representation()"
+        assert modref.padded(ker).is_zero()
+        assert repmod.hom_space(ker, repmod.regular(alg)).dim == 0
