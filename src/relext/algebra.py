@@ -243,6 +243,7 @@ def _complete(f: Field, relations: list, name: str, max_len_cap: int) -> dict:
     """The reduced Groebner basis of the ideal of the relations (vectors
     {arrows: c}), as rules {tip length: {tip arrows: tail {arrows: c}}}."""
     rules = {}
+    tailed = {}  # tip -> tail of the rules with a nonempty tail
     queue = []
     order = itertools.count()
 
@@ -267,10 +268,16 @@ def _complete(f: Field, relations: list, name: str, max_len_cap: int) -> dict:
         # a rule whose tip holds the new tip is no longer reduced: requeue it
         for tips in [r for n, r in rules.items() if n > len(tip)]:
             for old in [t for t in tips if _find_tip(t, {len(tip): {tip: None}})]:
+                tailed.pop(old, None)
                 push({old: f.one(), **{w: f.neg(c) for w, c in tips.pop(old).items()}})
         rules.setdefault(len(tip), {})[tip] = tail
-        # two monomials have a zero S-vector
-        held = [r for tips in rules.values() for r in tips.items() if tail or r[1]]
+        # two monomials have a zero S-vector, so a monomial rule pairs with
+        # the tailed rules only
+        if tail:
+            tailed[tip] = tail
+            held = [r for tips in rules.values() for r in tips.items()]
+        else:
+            held = tailed.items()
         new = (tip, tail)
         pairs = [(new, r) for r in held] + [(r, new) for r in held if r[0] != tip]
         for (tg, tail_g), (th, tail_h) in pairs:

@@ -7,8 +7,8 @@ package goes through one sparse elimination engine, Echelon, whose rows are
 dicts keyed by any totally ordered keys: cochain indices in the bar complex,
 columns in null_space, and negated columns behind solve_rows, rank,
 Subspace.from_sparse and rref.  The entry points take sparse rows
-{column: x}; null_space, solve_rows and rank raise TypeError on a row that
-is not a dict and ValueError on a column outside range(ncols), and
+{column: x}; null_space, solve_rows, rank and rref raise TypeError on a row
+that is not a dict and ValueError on a column outside range(ncols), and
 solve_rows does the same for a right-hand side {row index: b}.  A Subspace
 holds the canonical reduced basis of its span as sparse rows, so two spans
 are equal iff their rows compare equal.
@@ -16,7 +16,7 @@ are equal iff their rows compare equal.
 A linear map is the list of the images of its source basis, each a sparse
 {coordinate: x}; rank and kernel take such a list with the target's
 dimension, and compose chains two of them.
-Matrix is a plain dense record, read and returned only by rref.
+Matrix is a plain record of sparse rows, read and returned only by rref.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ class Field:
     for sparse vectors, dropping the entries of acc that cancel: the one
     kernel behind every elimination step, written by each field as a plain
     loop with no method call per entry)."""
-
-    def dense(self, vec: dict, n: int) -> list:
-        """The length-n list of a sparse vector {index: scalar}."""
-        out = [self.zero()] * n
-        for k, c in vec.items():
-            out[k] = c
-        return out
 
     def __repr__(self):
         return self.name
@@ -209,8 +202,9 @@ def field_from_spec(spec: str) -> Field:
 
 
 class Matrix:
-    """A dense row-major matrix: the record rref reads and returns.  Equal
-    to a Matrix with equal fields, and unhashable."""
+    """A rows x cols matrix whose entries are its sparse rows {column: x}:
+    the record rref reads and returns.  Equal to a Matrix with equal
+    fields, and unhashable."""
 
     def __init__(self, field: Field, rows: int, cols: int, entries: list):
         self.field = field
@@ -304,21 +298,16 @@ def _column_echelon(field: Field, rows) -> Echelon:
     return ech
 
 
-def _dense(field: Field, row: dict, ncols: int) -> list:
-    out = [field.zero()] * ncols
-    for k, x in row.items():
-        out[-k] = x
-    return out
-
-
 def rref(m: Matrix) -> tuple:
-    """Canonical reduced row echelon form: (Matrix, rank, pivot_columns)."""
-    f = m.field
-    rows = _column_echelon(f, (dict(enumerate(row)) for row in m.entries)).reduced_rows()
-    pivots = [-max(row) for row in rows]
-    work = [_dense(f, row, m.cols) for row in rows]
-    work += [[f.zero()] * m.cols for _ in range(m.rows - len(rows))]
-    return Matrix(f, m.rows, m.cols, work), len(rows), pivots
+    """Canonical reduced row echelon form: (Matrix, rank, pivot_columns),
+    the nonzero sparse rows by ascending pivot column, then empty rows."""
+    for row in m.entries:
+        _check_coordinates(m.cols, row)
+    rows = _column_echelon(m.field, m.entries).reduced_rows()
+    work = [{-k: x for k, x in row.items()} for row in rows]
+    pivots = [min(row) for row in work]
+    work += [{} for _ in range(m.rows - len(rows))]
+    return Matrix(m.field, m.rows, m.cols, work), len(rows), pivots
 
 
 def rank(field: Field, ncols: int, rows) -> int:

@@ -201,12 +201,9 @@ def _split_of(lower, upper, extra) -> SplitPresentation:
 
 def _check_opposite_relations(relations, total, new_arrow_names):
     """Every new arrow x -> y must be opposite to a relation y -> x."""
+    ends = {(rel.source, rel.target) for rel in relations}
     for a in total.quiver.arrows:
-        if a.name not in new_arrow_names:
-            continue
-        if not any(
-            rel.source == a.target and rel.target == a.source for rel in relations
-        ):
+        if a.name in new_arrow_names and (a.target, a.source) not in ends:
             raise SplitError(
                 "new arrow %s (%s -> %s) is not opposite to any base relation"
                 % (a.name, a.source, a.target)

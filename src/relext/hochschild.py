@@ -188,29 +188,25 @@ class CohomologySpace:
     def _class_basis(self) -> tuple:
         """(reps, rows) from one RREF in derivation coordinates.  Der's rows
         are canonical, so a derivation v is sum v[p_k] der_k over their
-        pivots p_k (h1 checks inner in Der).  The RREF is of the inner rows
-        in these coordinates, der_k in column m - 1 - k: der_k lies in
-        span(inner, der_0, ..., der_(k-1)) iff a vector of that row space
-        has largest index k, iff k is a pivot.  reps are the other k,
-        ascending; rows are the RREF rows (k, {j: x}) by pivot k, and there
-        are dim inner of them, as the inner rows are independent."""
+        pivots p_k (h1 checks inner in Der), and the inner rows go to rref
+        as these sparse coordinates, der_k in column m - 1 - k: der_k lies
+        in span(inner, der_0, ..., der_(k-1)) iff a vector of that row
+        space has largest index k, iff k is a pivot.  reps are the other k,
+        ascending; rows are the RREF rows {k: {j: x}} keyed by pivot k, and
+        there are dim inner of them, as the inner rows are independent."""
         if self._classes is None:
             f = self.algebra.field
             m = self.derivations.dim
             col = {min(row): m - 1 - k for k, row in enumerate(self.derivations.rows)}
-            mat = [
-                f.dense({col[p]: c for p, c in b.items() if p in col}, m)
-                for b in self.inner.rows
-            ]
+            mat = [{col[p]: c for p, c in b.items() if p in col} for b in self.inner.rows]
             ech, rank, pivots = exactla.rref(Matrix(f, len(mat), m, mat))
             if rank != self.inner.dim:
                 raise ArithmeticError("the inner basis is dependent in derivation coordinates")
-            rows = tuple(
-                (m - 1 - p, {m - 1 - j: x for j, x in f.sparse(row).items()})
+            rows = {
+                m - 1 - p: {m - 1 - j: x for j, x in row.items()}
                 for row, p in zip(ech.entries, pivots)
-            )
-            spanned = {k for k, _ in rows}
-            self._classes = (tuple(k for k in range(m) if k not in spanned), rows)
+            }
+            self._classes = (tuple(k for k in range(m) if k not in rows), rows)
         return self._classes
 
     def representatives(self) -> list:
@@ -223,17 +219,17 @@ class CohomologySpace:
         by its sparse arrow coordinates, in the basis of classes of
         representatives(); raises ValueError when vec is no derivation.
         Its derivation coordinates, less the RREF rows (inner derivations)
-        at their pivots, lie on the representatives only; they are checked
-        by substitution, vec - sum x_i rep_i must be inner."""
+        at the pivots they hold, lie on the representatives only; they are
+        checked by substitution, vec - sum x_i rep_i must be inner.  No RREF
+        row has an entry on another's pivot, so each subtraction clears its
+        own pivot and leaves the others, in any order."""
         f = self.algebra.field
         reps, rows = self._class_basis()
         coords = self.derivations.coordinates_of(vec)
         if coords is None:
             raise ValueError("vector does not represent a class of this space")
-        for k, row in rows:
-            c = coords.get(k)
-            if c is not None:
-                f.axpy(coords, f.neg(c), row)
+        for k in [k for k in coords if k in rows]:
+            f.axpy(coords, f.neg(coords[k]), rows[k])
         out = {i: coords[k] for i, k in enumerate(reps) if k in coords}
         res = f.sparse(vec)
         for i, c in out.items():

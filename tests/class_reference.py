@@ -4,9 +4,9 @@ basis, as they were before each was read off one elimination.
 null_space eliminates with each row's pivot at its smallest column, builds
 the kernel vectors from the reduced rows and then runs a second echelon,
 Subspace.from_sparse, on them.  TaggedClasses finds the representatives
-and class coordinates of a CohomologySpace by one RREF of the dense
-(dim inner + dim Der) x (n + dim inner + dim Der) matrix of the rows
-[v_k | tag k], v the inner basis then the derivation basis.  The tests
+and class coordinates of a CohomologySpace by one RREF of the
+(dim inner + dim Der) x (n + dim inner + dim Der) matrix of the sparse
+rows [v_k | tag k], v the inner basis then the derivation basis.  The tests
 compare exactla.null_space and CohomologySpace with these.
 """
 
@@ -46,17 +46,16 @@ class TaggedClasses:
         n = space.layout.total
         vecs = space.inner.rows + space.derivations.rows
         m = len(vecs)
-        rows = [f.dense(v, n) + [f.zero()] * m for v in vecs]
-        for k, row in enumerate(rows):
-            row[n + m - 1 - k] = f.one()
+        rows = [{**v, n + m - 1 - k: f.one()} for k, v in enumerate(vecs)]
         ech, _, pivots = exactla.rref(Matrix(f, m, n + m, rows))
         spanned = {n + m - 1 - p for p in pivots if p >= n}
         self.w = tuple((k, vecs[k]) for k in range(m) if k not in spanned)
         self.rows = []
         for row, p in zip(ech.entries, pivots):
             if p < n:
-                t = {k: row[n + m - 1 - k] for k, _ in self.w}
-                self.rows.append((p, f.sparse(row[:n]), f.sparse(t)))
+                r = {j: x for j, x in row.items() if j < n}
+                t = {n + m - 1 - j: x for j, x in row.items() if j >= n}
+                self.rows.append((p, r, t))
 
     def representatives(self) -> list:
         return [v for _, v in self.w[self.inner_dim :]]

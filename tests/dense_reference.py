@@ -1,11 +1,13 @@
 """Dense references for relext.exactla and its callers.
 
 These are the dense operations the sparse subspace rows and image lists
-replaced: Matrix arithmetic on the entries of an exactla.Matrix record,
+replaced: dense, the list of a sparse vector (Field.dense before it left
+the package), arithmetic on DenseMatrix, a row-major record of lists,
 Gauss-Jordan elimination with the leftmost pivot first, rank, kernel and
-solve, and a Subspace over dense coordinate tuples.  The tests compare the
-sparse engine, and the modules built on it, against them, and check with
-stores_no_zero that its sparse tables and vectors hold no zero.
+solve, and a Subspace over dense coordinate tuples.  of_sparse writes
+the sparse rows of an exactla.Matrix out as a DenseMatrix.  The tests
+compare the sparse engine, and the modules built on it, against them, and
+check with stores_no_zero that its sparse tables and vectors hold no zero.
 action_tables rebuilds a bimodule's two action tables from its accessor.
 
 It also keeps the two commutant builders that hochschild.h0 replaced, each
@@ -22,6 +24,14 @@ from dataclasses import dataclass
 
 from relext import exactla
 from relext.exactla import Matrix, Subspace
+
+
+def dense(field, vec: dict, n: int) -> list:
+    """The length-n list of a sparse vector {index: scalar}."""
+    out = [field.zero()] * n
+    for k, c in vec.items():
+        out[k] = c
+    return out
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
@@ -96,33 +106,49 @@ def h0_reference(m):
 # -- matrix arithmetic ---------------------------------------------------------
 
 
-def zero(field, rows: int, cols: int) -> Matrix:
+@dataclass
+class DenseMatrix:
+    """A rows x cols matrix whose entries are its rows, each a list of cols
+    scalars; equal to a DenseMatrix with equal fields."""
+
+    field: object
+    rows: int
+    cols: int
+    entries: list
+
+
+def of_sparse(m: Matrix) -> DenseMatrix:
+    """The DenseMatrix of an exactla.Matrix of sparse rows."""
+    return DenseMatrix(m.field, m.rows, m.cols, [dense(m.field, r, m.cols) for r in m.entries])
+
+
+def zero(field, rows: int, cols: int) -> DenseMatrix:
     z = field.zero()
-    return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+    return DenseMatrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
 
-def identity(field, n: int) -> Matrix:
+def identity(field, n: int) -> DenseMatrix:
     m = zero(field, n, n)
     for i in range(n):
         m.entries[i][i] = field.one()
     return m
 
 
-def from_rows(field, rows) -> Matrix:
+def from_rows(field, rows) -> DenseMatrix:
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
-    return Matrix(field, len(rows), ncols, rows)
+    return DenseMatrix(field, len(rows), ncols, rows)
 
 
-def from_images(field, images, ncols: int) -> Matrix:
+def from_images(field, images, ncols: int) -> DenseMatrix:
     """The matrix whose rows are the sparse images of a linear map."""
-    return Matrix(field, len(images), ncols, [field.dense(img, ncols) for img in images])
+    return DenseMatrix(field, len(images), ncols, [dense(field, img, ncols) for img in images])
 
 
-def transpose(m: Matrix) -> Matrix:
-    return Matrix(
+def transpose(m: DenseMatrix) -> DenseMatrix:
+    return DenseMatrix(
         m.field,
         m.cols,
         m.rows,
@@ -130,7 +156,7 @@ def transpose(m: Matrix) -> Matrix:
     )
 
 
-def mat_vec(m: Matrix, v: list) -> list:
+def mat_vec(m: DenseMatrix, v: list) -> list:
     f = m.field
     if len(v) != m.cols:
         raise ValueError("length mismatch")
@@ -144,7 +170,7 @@ def mat_vec(m: Matrix, v: list) -> list:
     return out
 
 
-def mul(a: Matrix, b: Matrix) -> Matrix:
+def mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     f = a.field
@@ -194,13 +220,13 @@ def rref_in_place(field, rows) -> tuple:
     return r, pivots
 
 
-def rref(m: Matrix) -> tuple:
+def rref(m: DenseMatrix) -> tuple:
     work = [row[:] for row in m.entries]
     rank_, pivots = rref_in_place(m.field, work)
-    return Matrix(m.field, m.rows, m.cols, work), rank_, pivots
+    return DenseMatrix(m.field, m.rows, m.cols, work), rank_, pivots
 
 
-def rank(m: Matrix) -> int:
+def rank(m: DenseMatrix) -> int:
     return rref(m)[1]
 
 
@@ -211,7 +237,7 @@ def span(field, vectors) -> tuple:
     return tuple(tuple(r) for r in rows[:rank_])
 
 
-def kernel(m: Matrix) -> "DenseSubspace":
+def kernel(m: DenseMatrix) -> "DenseSubspace":
     """The right null space {x : m x = 0}."""
     f = m.field
     red, _, pivots = rref(m)
@@ -225,7 +251,7 @@ def kernel(m: Matrix) -> "DenseSubspace":
     return DenseSubspace(f, m.cols, span(f, vectors))
 
 
-def solve(m: Matrix, rhs: list):
+def solve(m: DenseMatrix, rhs: list):
     """A solution of m x = rhs with the free variables 0, or None."""
     f = m.field
     work = [row[:] + [b] for row, b in zip(m.entries, rhs)]
@@ -261,7 +287,7 @@ class DenseSubspace:
     def of(space) -> "DenseSubspace":
         """The dense form of a sparse exactla.Subspace."""
         f, n = space.field, space.ambient_dim
-        return DenseSubspace(f, n, tuple(tuple(f.dense(r, n)) for r in space.rows))
+        return DenseSubspace(f, n, tuple(tuple(dense(f, r, n)) for r in space.rows))
 
     @property
     def dim(self) -> int:
@@ -318,7 +344,7 @@ class DenseSubspace:
             row += [f.neg(other.basis[j][coord]) for j in range(db)]
             ents.append(row)
         vecs = []
-        for kv in kernel(Matrix(f, self.ambient_dim, da + db, ents)).basis:
+        for kv in kernel(DenseMatrix(f, self.ambient_dim, da + db, ents)).basis:
             v = [f.zero()] * self.ambient_dim
             for i in range(da):
                 for coord in range(self.ambient_dim):

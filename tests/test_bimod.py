@@ -13,7 +13,7 @@ from dense_reference import DenseSubspace
 from relext import bimod, extensions, qdsl
 from relext.algebra import build
 from relext.extensions import center
-from relext.exactla import Matrix, PrimeField, QQ
+from relext.exactla import PrimeField, QQ
 from families import squares
 from split_reference import direct_sum_check, from_ambient_span, section_embed, sub_bimodule
 
@@ -234,7 +234,7 @@ def _reference_curly_E_equations(m, n):
 
 
 def _reference_kernel(m, n, rows):
-    return ref.kernel(Matrix(m.field, len(rows), m.dim * n.dim, rows))
+    return ref.kernel(ref.DenseMatrix(m.field, len(rows), m.dim * n.dim, rows))
 
 
 def _valid_splits(fam):

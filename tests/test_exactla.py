@@ -36,7 +36,7 @@ def vectors(n):
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_rref_idempotent_and_rank_bound(m):
-    red, rk, pivots = exactla.rref(m)
+    red, rk, pivots = exactla.rref(_sparse_matrix(m))
     again, rk2, pivots2 = exactla.rref(red)
     assert again == red and rk2 == rk and pivots2 == pivots
     assert 0 <= rk <= min(m.rows, m.cols)
@@ -49,18 +49,23 @@ def test_kernel_annihilates_and_rank_nullity(m):
     ker = exactla.null_space(QQ, m.cols, _sparse_rows(m))
     assert ker.dim == m.cols - exactla.rank(QQ, m.cols, _sparse_rows(m))
     for v in ker.rows:
-        assert all(x == 0 for x in ref.mat_vec(m, QQ.dense(v, m.cols)))
+        assert all(x == 0 for x in ref.mat_vec(m, ref.dense(QQ, v, m.cols)))
 
 
 def _sparse_rows(m):
     return [m.field.sparse(row) for row in m.entries]
 
 
+def _sparse_matrix(m):
+    """The exactla.Matrix of the sparse rows of a DenseMatrix."""
+    return Matrix(m.field, m.rows, m.cols, _sparse_rows(m))
+
+
 def _solve_one(m, rhs):
     """solve_rows for one dense right-hand side, its solution dense."""
     f = m.field
     (sol,) = exactla.solve_rows(f, m.cols, _sparse_rows(m), [f.sparse(rhs)])
-    return None if sol is None else f.dense(sol, m.cols)
+    return None if sol is None else ref.dense(f, sol, m.cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +408,7 @@ def field_matrices(max_side=5):
         )
         return st.tuples(
             st.just(field),
-            mat.map(lambda r: Matrix(field, rows, cols, r)),
+            mat.map(lambda r: ref.DenseMatrix(field, rows, cols, r)),
             st.lists(entries, min_size=rows, max_size=rows),
         )
 
@@ -419,7 +424,8 @@ def field_matrices(max_side=5):
 def test_sparse_engine_matches_dense_reference(fmr):
     field, m, rhs = fmr
     rows = _sparse_rows(m)
-    assert exactla.rref(m) == ref.rref(m)
+    red, rk, pivots = exactla.rref(_sparse_matrix(m))
+    assert (ref.of_sparse(red), rk, pivots) == ref.rref(m)
     assert exactla.rank(field, m.cols, rows) == ref.rank(m)
     assert DenseSubspace.of(exactla.null_space(field, m.cols, rows)) == ref.kernel(m)
     assert _solve_one(m, rhs) == ref.solve(m, rhs)
@@ -489,8 +495,8 @@ def test_solve_rows_batch_matches_one_at_a_time(case):
     batch = exactla.solve_rows(field, m.cols, rows, sides)
     assert batch == [exactla.solve_rows(field, m.cols, rows, [rhs])[0] for rhs in sides]
     for rhs, sol in zip(sides, batch):
-        want = ref.solve(m, field.dense(rhs, m.rows))
-        assert (None if sol is None else field.dense(sol, m.cols)) == want
+        want = ref.solve(m, ref.dense(field, rhs, m.rows))
+        assert (None if sol is None else ref.dense(field, sol, m.cols)) == want
     for (image, _), sol in zip(picks, batch):
         assert sol is not None or not image
 
@@ -605,6 +611,22 @@ def test_rank_checks_each_row():
     assert exactla.rank(QQ, 0, []) == 0
 
 
+def test_rref_checks_each_row():
+    """rref checks its rows as rank does: a dense list row is a TypeError,
+    where the dense rref read it, and a column outside range(cols) a
+    ValueError; it returns sparse rows by ascending pivot column, then
+    empty rows."""
+    with pytest.raises(TypeError, match="sparse vector"):
+        exactla.rref(Matrix(QQ, 2, 2, [{0: 1}, [0, 1]]))
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.rref(Matrix(F7, 1, 2, [{2: 1}]))
+    with pytest.raises(ValueError, match="outside range"):
+        exactla.rref(Matrix(QQ, 1, 2, [{-1: 1}]))
+    red, rk, pivots = exactla.rref(Matrix(QQ, 3, 3, [{2: 2}, {0: 1, 2: 1}, {0: 0}]))
+    assert red == Matrix(QQ, 3, 3, [{0: 1}, {2: 1}, {}])
+    assert (rk, pivots) == (2, [0, 2])
+
+
 def test_rows_inside_the_columns_still_solve():
     assert exactla.null_space(QQ, 2, [{1: 1}]).rows == ({0: 1},)
     assert exactla.null_space(QQ, 2, [{0: 1, 1: -1}]).rows == ({0: 1, 1: 1},)
@@ -698,7 +720,7 @@ def test_rank_and_compose_match_dense_reference(case):
     """rank of an image list is the rank of its dense matrix, and compose
     is the dense product in the row convention: b's rows times a."""
     f, a, b, (p, q, r) = case
-    ma, mb = Matrix(f, p, q, a), Matrix(f, r, p, b)
+    ma, mb = ref.DenseMatrix(f, p, q, a), ref.DenseMatrix(f, r, p, b)
     sa, sb = _sparse_rows(ma), _sparse_rows(mb)
     assert exactla.rank(f, q, sa) == ref.rank(ma)
     assert exactla.rank(f, p, sb) == ref.rank(mb)

@@ -657,8 +657,8 @@ def test_projection_maps_unit_to_unit(presentations):
     assert exactla.compose(f, m, [one_src]) == [one_tgt]
     # the dense reference: the images as rows, applied to the row vector
     mat = ref.from_images(f, m, tgt.dim)
-    assert ref.mat_vec(ref.transpose(mat), f.dense(one_src, src.dim)) == f.dense(
-        one_tgt, tgt.dim
+    assert ref.mat_vec(ref.transpose(mat), ref.dense(f, one_src, src.dim)) == ref.dense(
+        f, one_tgt, tgt.dim
     )
 
 

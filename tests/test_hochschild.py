@@ -25,6 +25,7 @@ from dense_reference import (
     center_reference,
     action_tables,
     commutator,
+    dense,
     h0_reference,
     stores_no_zero,
 )
@@ -182,16 +183,16 @@ def _reference_classes(space):
     reps = []
     span = DenseSubspace.of(space.inner)
     for b in space.derivations.rows:
-        b = f.dense(b, n)
+        b = dense(f, b, n)
         if not span.contains(b):
             reps.append(b)
             span = span.sum(DenseSubspace.from_vectors(f, n, [b]))
-    cols = [f.dense(b, n) for b in space.inner.rows] + reps
+    cols = [dense(f, b, n) for b in space.inner.rows] + reps
     rows = [f.sparse([c[i] for c in cols]) for i in range(n)]
 
     def coordinates(vec):
         (sol,) = exactla.solve_rows(f, len(cols), rows, [f.sparse(list(vec))])
-        return None if sol is None else f.dense(sol, len(cols))[space.inner.dim :]
+        return None if sol is None else dense(f, sol, len(cols))[space.inner.dim :]
 
     return reps, coordinates
 
@@ -219,7 +220,7 @@ def test_class_basis_matches_dense_reference(corpus_pairs_by_field):
             assert _no_zero_vectors(f, hochschild.derivation_values(alg, m, r)), tag
         units = [{j: f.one()} for j in range(n)]
         for v in list(space.derivations.rows) + units:
-            want = coordinates(f.dense(v, n))
+            want = coordinates(dense(f, v, n))
             if want is None:
                 with pytest.raises(ValueError, match="does not represent a class"):
                     space.class_coordinates(v)
@@ -300,7 +301,7 @@ def _space_with_classes(algebras):
     space = h1(alg, bimod.regular_bimodule(alg))
     reps, rows = space._class_basis()
     assert reps and rows
-    return space, rows[0][0], reps[0]
+    return space, next(iter(rows)), reps[0]
 
 
 def test_class_coordinates_substitution_catches_a_corrupt_row(algebras):
@@ -312,9 +313,9 @@ def test_class_coordinates_substitution_catches_a_corrupt_row(algebras):
     der_k = space.derivations.rows[k]
     assert space.class_coordinates(der_k) == TaggedClasses(space).class_coordinates(der_k)
     reps, rows = space._classes
-    corrupt = dict(rows[0][1])
+    corrupt = dict(rows[k])
     corrupt[rep] = f.add(corrupt.get(rep, f.zero()), f.one())
-    space._classes = (reps, ((k, f.sparse(corrupt)),) + rows[1:])
+    space._classes = (reps, {**rows, k: f.sparse(corrupt)})
     with pytest.raises(ArithmeticError, match="fail substitution"):
         space.class_coordinates(der_k)
 

@@ -13,7 +13,7 @@ from dense_reference import DenseSubspace
 from families import squares
 from relext import qdsl, repmod
 from relext.algebra import build
-from relext.exactla import QQ, Matrix, PrimeField, Subspace
+from relext.exactla import QQ, PrimeField, Subspace
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -159,7 +159,7 @@ def reference_hom_space(m, n):
                     idx = offs[x] + i * n.dims[x] + l
                     row[idx] = f.sub(row[idx], rn.entries[l][j])
                 rows.append(row)
-    return ref.kernel(Matrix(f, len(rows), pos, rows))
+    return ref.kernel(ref.DenseMatrix(f, len(rows), pos, rows))
 
 
 def _images(m):
@@ -188,7 +188,7 @@ def _cover_hom_images(syz, n):
                 full = ref.zero(f, syz.cover.dims[w], n.dims[w])
                 for r, g in enumerate(paths[w]):
                     pm = path_matrix(n, alg.basis[g])
-                    full.entries[offsets[k][w] + r] = f.dense(pm[j], n.dims[w])
+                    full.entries[offsets[k][w] + r] = ref.dense(f, pm[j], n.dims[w])
                 mats[w] = full
             # phi: P1 -> N and psi = phi after the inclusion; building each
             # FullModuleMap checks that it commutes with every arrow

@@ -12,7 +12,7 @@ from relext.exactla import PrimeField, QQ
 from relext.quiver import compose
 
 import build_reference
-from dense_reference import action_tables, stores_no_zero
+from dense_reference import action_tables, dense, stores_no_zero
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 
@@ -64,14 +64,14 @@ def _reference_actions(m):
 def _dense_products(alg):
     f = alg.field
     return [
-        [tuple(f.dense(alg.product_coords(i, j), alg.dim)) for j in range(alg.dim)]
+        [tuple(dense(f, alg.product_coords(i, j), alg.dim)) for j in range(alg.dim)]
         for i in range(alg.dim)
     ]
 
 
 def _dense_table(m, table):
     f = m.field
-    return [f.dense(table.get(i, {}), m.dim) for i in range(m.dim)]
+    return [dense(f, table.get(i, {}), m.dim) for i in range(m.dim)]
 
 
 def _families(files, chain_text, field):
