@@ -108,6 +108,11 @@ class BoundQuiverAlgebra:
         return tuple(Path(self.quiver, None if w else v, w) for w, v in zip(self.words, self.src))
 
     @functools.cached_property
+    def arrow_basis(self) -> tuple:
+        """Per arrow index, the basis index of that arrow, made on first read."""
+        return tuple(self.arrow_index_in_basis[a.name] for a in self.quiver.arrows)
+
+    @functools.cached_property
     def basis_index(self) -> dict:
         """Path -> basis index, made on first read."""
         return {p: i for i, p in enumerate(self.basis)}
@@ -484,7 +489,7 @@ def _verify_build(alg: BoundQuiverAlgebra, block: qdsl.AlgebraBlock, relations=N
     # arrows from e_src
     if relations is None:
         relations = [_relation_vector(q, f, rel) for rel in block.relations]
-    arrow_basis = [alg.arrow_index_in_basis[a.name] for a in q.arrows]
+    arrow_basis = alg.arrow_basis
     for rel, vec in zip(block.relations, relations):
         acc = {}
         for w, c in vec.items():

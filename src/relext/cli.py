@@ -26,7 +26,9 @@ p(ad(x)) = ad(p(x)) or another of its identities, or a poset node whose
 arrow layout is not Ctilde's restricted (extensions.ProjectionCheckError),
 a projective cover that fails to surject, a kernel not closed under an
 arrow or a module map that does not commute with one
-(repmod.ModuleCheckError), or a division by zero), reported as one line on
+(repmod.ModuleCheckError), a basis element of an algebra or bimodule
+that the vertex idempotents do not grade (hochschild._bigrades, in the
+bar oracle and cup), or a division by zero), reported as one line on
 stderr; any other exception is a fault too, and exits 3 with the line
 "internal error: <type>: <message>" where Python would print a traceback.
 Output is deterministic byte for byte; machine output is JSON with frozen

@@ -275,7 +275,7 @@ def derivation_values(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> list:
         dvals.setdefault(k, {})[blocks[k][t - offsets[k]]] = vec[t]
     f = m.field
     one = f.one()
-    in_basis = [alg.arrow_index_in_basis[a.name] for a in alg.quiver.arrows]
+    in_basis = alg.arrow_basis
     out = []
     for g, w in enumerate(alg.words):
         val = {}
@@ -306,8 +306,9 @@ def derivation_to_cochain(alg: BoundQuiverAlgebra, m: Bimodule, vec: dict) -> di
 def _bigrades(field, dim: int, what: str, left: dict, right: dict) -> list:
     """(v, w) per basis element x of a space with e_v . x = x = x . e_w,
     read off left[v] and right[w], the sparse tables {i: {j: c}} of the
-    vertex idempotents acting; raises unless, on each side, exactly one
-    idempotent fixes x and the others kill it."""
+    vertex idempotents acting; raises ArithmeticError unless, on each side,
+    exactly one idempotent fixes x and the others kill it, which the build's
+    certificate (algebra._verify_build) already guarantees for an algebra."""
     one = field.one()
     sides = []
     for side, tables in (("left", left), ("right", right)):
@@ -317,7 +318,7 @@ def _bigrades(field, dim: int, what: str, left: dict, right: dict) -> list:
                 grade[i].append(v if row == {i: one} else None)
         for i, vs in enumerate(grade):
             if len(vs) != 1 or vs[0] is None:
-                raise ValueError(
+                raise ArithmeticError(
                     "basis element %d of %s is not homogeneous under the vertex "
                     "idempotents on the %s: %d of them act on it, %d as the identity"
                     % (i, what, side, len(vs), sum(v is not None for v in vs))

@@ -6,9 +6,6 @@ sink back to its source, with relations c_j.e_j, d_j.e_j, e_j.a_j, e_j.b_j
 and e_j.e_(j-1).  Square j runs from vertex 3j-2 through 3j-1 (by a_j, c_j)
 and 3j (by b_j, d_j) to 3j+1.  dim C / Ctilde is 26/28 at k=2 and 52/55 at
 k=3.  The blocks render through bench/chain.render, which is only read.
-
-Run as a script, `python tests/families.py squares K` prints the
-presentation text.
 """
 
 from __future__ import annotations
@@ -45,8 +42,3 @@ def squares(k: int) -> str:
             "rels": rels + ext_rels}
     return bench_chain.render([base, full])
 
-
-if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] != "squares":
-        sys.exit("usage: python tests/families.py squares K")
-    sys.stdout.write(squares(int(sys.argv[2])))

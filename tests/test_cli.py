@@ -771,6 +771,33 @@ def test_build_whose_table_fails_its_certificate_exits_3(capsys, monkeypatch):
     assert err == "internal error: unit law fails at basis 5 (beta) of 'Ctilde'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("hh", EX1, "C", "--oracle"), "C"), (("cup", EX1, "C"), "C"),
+     (("hcoh", EX1, "Ctilde", "--arrows", "eps", "--oracle"), "Ctilde")],
+    ids=["hh", "cup", "hcoh"],
+)
+def test_table_not_graded_by_the_idempotents_exits_3(capsys, monkeypatch, argv, name):
+    """A table corrupted after its certificate, e_v b_a = 2 b_a for the
+    first arrow a from v, reaches the bar complex's bigrading
+    (hochschild._bigrades): an internal fault, exit 3 with one line, not
+    bad input."""
+    certify = algebra._verify_build
+
+    def corrupted(alg, block, relations=None):
+        certify(alg, block, relations)
+        k = alg.arrow_basis[0]
+        alg.products[alg.idem_index[alg.src[k]]][k] = {k: alg.field.from_fraction(2)}
+
+    monkeypatch.setattr(algebra, "_verify_build", corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: basis element 5 of algebra %s is not homogeneous under the "
+        "vertex idempotents on the left: 1 of them act on it, 0 as the identity\n" % name
+    )
+
+
 def test_build_check_error_is_internal_and_exported():
     assert issubclass(algebra.BuildCheckError, algebra.AlgebraBuildError)
     assert issubclass(algebra.BuildCheckError, ValueError)

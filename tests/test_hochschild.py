@@ -874,11 +874,12 @@ def test_coboundary_rejects_cochains_not_relative_to_the_vertices(algebras):
 
 
 def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
-    """The calculator raises when the idempotents' rows give a basis element
-    of M two left grades or none, or scale a basis element of A.  M reads
-    its actions off its ambient's products, so the bimodule side is reached
-    through the ambient of an ext_over_base with corrupted idempotent rows:
-    its acting algebra, the base, keeps its own products."""
+    """The calculator raises ArithmeticError, an internal fault, when the
+    idempotents' rows give a basis element of M two left grades or none,
+    or scale a basis element of A.  M reads its actions off its ambient's
+    products, so the bimodule side is reached through the ambient of an
+    ext_over_base with corrupted idempotent rows: its acting algebra, the
+    base, keeps its own products."""
     sp = presentations["ex1"]["CCt"]
     base, total, e = sp.base, sp.total, sp.ext_over_base
     f = base.field
@@ -900,7 +901,7 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
     ):
         bad = bimod.Bimodule(base, ambient, e.amb_index, sp.section)
         want = "basis element %d of the bimodule .*left: %s" % (t, count)
-        with pytest.raises(ValueError, match=want):
+        with pytest.raises(ArithmeticError, match=want):
             hochschild.HochschildCalculator(base, bad)
     alg = algebras[("ex1", "C")]
     m = bimod.regular_bimodule(alg)
@@ -912,7 +913,7 @@ def test_calculator_rejects_bases_without_one_bigrade(algebras, presentations):
     scaled = replaced(alg, products=products)
     zero = bimod.Bimodule(scaled, scaled, (), range(alg.dim))
     want = "basis element %d of algebra C .*left: 1 of them act on it, 0 as" % t
-    with pytest.raises(ValueError, match=want):
+    with pytest.raises(ArithmeticError, match=want):
         hochschild.HochschildCalculator(scaled, zero)
 
 
